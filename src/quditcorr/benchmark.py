@@ -15,18 +15,31 @@ Reported per protocol:
 with trapezoidal quadrature on the study grid.  The reference trace is
 the dense brute-force correlator whenever the dimension allows it, and
 the exact circuit trace otherwise (the circuit protocol is exact up to
-shot noise, so the two coincide to rounding).
+shot noise, so the two coincide to rounding).  The dense reference
+diagonalizes H once per study and applies U(t) = V e^{-iEt} V^+ to
+vectors only: with z = <U(t) A psi | B U(t) psi> = <A B(t)>, the
+anti-commutator is 2 Re z and the commutator i<[A, B(t)]> is -2 Im z.
+An R whose reference trace vanishes while the estimate does not is
+undefined; it is reported as None with the reason alongside.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NON_HERMITIAN, SparseHamiltonian, build_xxz, evolve, make_propagator
+from .dynamics import (
+    NON_HERMITIAN,
+    SparseHamiltonian,
+    build_xxz,
+    evolve,
+    make_propagator,
+    site_sz_diagonal,
+)
 from .hadamard import (
     ALPHA_MINUS,
     ALPHA_PLUS,
@@ -83,15 +96,23 @@ class QuenchScenario:
 
 @dataclass(frozen=True)
 class FigureOfMerit:
-    r_plus: float
-    r_minus: float
+    """R and dC of one protocol; an undefined R is None, with its reason."""
+
+    r_plus: float | None
+    r_minus: float | None
     dc_plus: float
     dc_minus: float
+    r_plus_reason: str | None = None
+    r_minus_reason: str | None = None
 
     def __post_init__(self):
         for name in ("r_plus", "r_minus", "dc_plus", "dc_minus"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        for name in ("r_plus", "r_minus"):
+            if (getattr(self, name) is None) != (getattr(self, name + "_reason") is not None):
+                raise ValueError(f"{name} needs a reason exactly when it is undefined")
 
 
 @dataclass(frozen=True)
@@ -190,30 +211,48 @@ def brute_force_correlators(
     h: SparseHamiltonian, psi0: QuditState, site_a: int, site_b: int, t1: float, t2: float
 ) -> tuple[float, float]:
     """Dense Heisenberg-picture (anti-)commutator, for reference traces."""
+    ((anti, comm, _, _),) = _dense_correlators(h, psi0, site_a, site_b, [(t1, t2)])
+    return anti, comm
+
+
+def reference_trace(
+    h: SparseHamiltonian, psi0: QuditState, site_a: int, site_b: int, grid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Connected C+(0, t) and C-(0, t) on a time grid, from one dense eigh."""
+    points = _dense_correlators(h, psi0, site_a, site_b, [(0.0, float(t)) for t in grid])
+    plus = np.array([cp - 2.0 * ea * eb for cp, _, ea, eb in points])
+    minus = np.array([cm for _, cm, _, _ in points])
+    return plus, minus
+
+
+def _dense_correlators(h, psi0, site_a, site_b, time_pairs):
+    """(<{A(t1), B(t2)}>, i<[A(t1), B(t2)]>, <A(t1)>, <B(t2)>) per (t1, t2).
+
+    A = S^z_a and B = S^z_b.  H is diagonalized once and
+    U(t) = V e^{-iEt} V^+ is applied to vectors only.  With
+    z = <A(t1) B(t2)> = <U(t2 - t1) A U(t1) psi | B U(t2) psi>, the
+    anti-commutator is 2 Re z and the commutator -2 Im z.
+    """
     if h.dimension > 4096:
         raise ValueError("brute-force reference limited to dimension 4096")
-    dense = h.matrix.toarray()
-    vals, vecs = np.linalg.eigh(dense)
-
-    def u(t):
-        return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-
-    sz = spin_matrix(1, "z").matrix
-    a = _dense_site_op(h.n_sites, site_a, sz)
-    b = _dense_site_op(h.n_sites, site_b, sz)
-    u1, u2 = u(t1), u(t2)
-    at = u1.conj().T @ a @ u1
-    bt = u2.conj().T @ b @ u2
+    vals, vecs = np.linalg.eigh(h.matrix.toarray())
+    a = site_sz_diagonal(h.n_sites, site_a)
+    b = site_sz_diagonal(h.n_sites, site_b)
     psi = psi0.amplitudes
-    anti = np.vdot(psi, (at @ bt + bt @ at) @ psi)
-    comm = 1j * np.vdot(psi, (at @ bt - bt @ at) @ psi)
-    return float(anti.real), float(comm.real)
 
+    def u(t, v):
+        if t == 0.0:
+            return v
+        coeff = (vecs.T @ v.conj()).conj()  # V^+ v without copying V^+
+        return vecs @ (np.exp(-1j * vals * t) * coeff)
 
-def _dense_site_op(n_sites: int, site: int, local: np.ndarray) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for k in range(n_sites):
-        out = np.kron(out, local if k == site else np.eye(3, dtype=complex))
+    out = []
+    for t1, t2 in time_pairs:
+        phi1, phi2 = u(t1, psi), u(t2, psi)
+        z = np.vdot(u(t2 - t1, a * phi1), b * phi2)
+        mean_a = np.vdot(phi1, a * phi1).real
+        mean_b = np.vdot(phi2, b * phi2).real
+        out.append((2.0 * float(z.real), -2.0 * float(z.imag), float(mean_a), float(mean_b)))
     return out
 
 
@@ -253,12 +292,16 @@ def _hadamard_point(
     return exact_plus, exact_minus, samp_plus, samp_minus
 
 
-def _lr_point(config, t, psi0, h0, budgets, sampled, rng, prop_factory):
+def _lr_point(config, t, psi0, h0, prop, budgets, sampled, rng):
     """LR estimates at C(0, t); the pulse window clamps t2 to >= dt."""
     dt = config.pulse_area / h0.j_xy
     t2 = max(t, dt)
     budget_key = "minus" if config.kind != NON_HERMITIAN else "plus"
     nominal = budgets[budget_key]
+
+    def prop_factory(h):  # measure_lr asks only for the propagator of h0
+        return prop
+
     exact = measure_lr(
         config, 0.0, t2, psi0, h0, None, None, prop_factory, nominal_budget=nominal
     )
@@ -266,6 +309,15 @@ def _lr_point(config, t, psi0, h0, budgets, sampled, rng, prop_factory):
         return exact, None
     samp = measure_lr(config, 0.0, t2, psi0, h0, nominal, rng, prop_factory)
     return exact, samp
+
+
+def default_workers(n_tasks: int) -> int:
+    """One worker per CPU this process may run on, but no more than tasks."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_tasks))
 
 
 def run_quench_study(
@@ -281,7 +333,8 @@ def run_quench_study(
 
     Deterministic for a fixed scenario seed under any worker count:
     every point draws from its own counter-based stream and the result
-    table is assembled by a key-ordered reduction.
+    table is assembled by a key-ordered reduction.  workers=None uses
+    default_workers.  One propagator of H0 serves every point.
     """
     for p in protocols:
         if p not in (HADAMARD, LINEAR_RESPONSE):
@@ -295,12 +348,6 @@ def run_quench_study(
     obs_a = HermitianObservable(spin_matrix(1, "z").on(site_a))
     obs_b = HermitianObservable(spin_matrix(1, "z").on(site_b))
     prop = make_propagator(h0)
-    prop_cache = {id(h0): prop}
-
-    def prop_factory(h):
-        if id(h) not in prop_cache:
-            prop_cache[id(h)] = make_propagator(h)
-        return prop_cache[id(h)]
 
     grid = np.asarray(scenario.time_grid)
     tasks = []  # (sort_key, callable) -> rows come back keyed
@@ -327,14 +374,16 @@ def run_quench_study(
                     (
                         (LINEAR_RESPONSE, lam, ti),
                         lambda cfg_m=cfg_m, cfg_p=cfg_p, t=t, rng_m=rng_m, rng_p=rng_p: (
-                            _lr_point(cfg_p, t, psi0, h0, budgets[LINEAR_RESPONSE], sampled, rng_p, prop_factory),
-                            _lr_point(cfg_m, t, psi0, h0, budgets[LINEAR_RESPONSE], sampled, rng_m, prop_factory),
+                            _lr_point(cfg_p, t, psi0, h0, prop, budgets[LINEAR_RESPONSE], sampled, rng_p),
+                            _lr_point(cfg_m, t, psi0, h0, prop, budgets[LINEAR_RESPONSE], sampled, rng_m),
                         ),
                     )
                 )
 
     results = {}
-    if workers is None or workers > 1:
+    if workers is None:
+        workers = default_workers(len(tasks))
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(fn): key for key, fn in tasks}
             for fut, key in futures.items():
@@ -348,25 +397,23 @@ def run_quench_study(
 
     reference = None
     if h0.dimension <= 4096:
-        ref_plus, ref_minus = [], []
-        for t in grid:
-            cp, cm = brute_force_correlators(h0, psi0, site_a, site_b, 0.0, t)
-            ea = measure_site_expectation(prop, psi0, site_a, 0.0).value
-            eb = measure_site_expectation(prop, psi0, site_b, t).value
-            ref_plus.append(cp - 2.0 * ea * eb)
-            ref_minus.append(cm)
-        reference = (np.array(ref_plus), np.array(ref_minus))
+        reference = reference_trace(h0, psi0, site_a, site_b, grid)
 
     def fom(est_plus, est_minus, std_plus, std_minus, ref):
         if grid.size < 2:
             return FigureOfMerit(0.0, 0.0, float(std_plus[0]), float(std_minus[0]))
         if ref is None:
-            r_p = r_m = 0.0
+            r_p, why_p, r_m, why_m = 0.0, None, 0.0, None
         else:
-            r_p = _safe_relative_error(est_plus, ref[0], grid)
-            r_m = _safe_relative_error(est_minus, ref[1], grid)
+            r_p, why_p = _safe_relative_error(est_plus, ref[0], grid, "C+")
+            r_m, why_m = _safe_relative_error(est_minus, ref[1], grid, "C-")
         return FigureOfMerit(
-            r_p, r_m, time_averaged_std(std_plus, grid), time_averaged_std(std_minus, grid)
+            r_p,
+            r_m,
+            time_averaged_std(std_plus, grid),
+            time_averaged_std(std_minus, grid),
+            why_p,
+            why_m,
         )
 
     if HADAMARD in protocols:
@@ -432,10 +479,13 @@ def run_quench_study(
     return StudyResult(tuple(rows), figures)
 
 
-def _safe_relative_error(est, ref, grid) -> float:
+def _safe_relative_error(est, ref, grid, label: str) -> tuple[float | None, str | None]:
+    """(R, None), or (None, reason) when R is undefined."""
     # Odd chains have identically vanishing C-(0, t) for adjacent sites;
     # a sub-rounding reference makes the ratio meaningless, so report 0
-    # when the estimate vanishes too and inf otherwise.
+    # when the estimate vanishes too and leave R undefined otherwise.
     if float(np.trapezoid(np.asarray(ref) ** 2, grid)) < 1e-24:
-        return 0.0 if np.allclose(est, ref, atol=1e-10) else math.inf
-    return relative_error(est, ref, grid)
+        if np.allclose(est, ref, atol=1e-10):
+            return 0.0, None
+        return None, f"reference {label} trace vanishes on the grid but the estimate does not"
+    return relative_error(est, ref, grid), None

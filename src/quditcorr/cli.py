@@ -145,15 +145,19 @@ def parse_config_dict(raw: dict) -> tuple[RunConfig, list[str]]:
     return RunConfig(**cfg), defaulted
 
 
-def parse_config(path: str) -> RunConfig:
-    """Load and validate a JSON run configuration."""
+def _load_config(path: str) -> tuple[RunConfig, list[str]]:
+    """Load and validate a JSON run configuration; also returns the defaulted keys."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
-    cfg, _ = parse_config_dict(raw)
-    return cfg
+    return parse_config_dict(raw)
+
+
+def parse_config(path: str) -> RunConfig:
+    """Load and validate a JSON run configuration."""
+    return _load_config(path)[0]
 
 
 CSV_COLUMNS = ("protocol", "kind", "t", "lambda", "exact", "sampled", "std_error", "shots", "seed")
@@ -234,7 +238,7 @@ def run(config: RunConfig, out_dir: str = ".", defaults_applied=()) -> int:
         },
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     log.info("wrote %s", os.path.join(out_dir, "results.csv"))
     return 1 if incomplete else 0
@@ -242,14 +246,7 @@ def run(config: RunConfig, out_dir: str = ".", defaults_applied=()) -> int:
 
 def _cmd_run(args) -> int:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"config parse error at line {exc.lineno}: {exc.msg}"
-                ) from exc
-        config, defaulted = parse_config_dict(raw)
+        config, defaulted = _load_config(args.config)
     else:
         config, defaulted = parse_config_dict({})
     overrides = {}

@@ -63,10 +63,10 @@ class SparseHamiltonian:
         return self.couplings[0]
 
 
-def _site_term(n_sites: int, site: int, local: np.ndarray) -> sp.csr_matrix:
-    left = sp.identity(3**site, format="csr", dtype=np.complex128)
-    right = sp.identity(3 ** (n_sites - site - 1), format="csr", dtype=np.complex128)
-    return sp.kron(sp.kron(left, sp.csr_matrix(local)), right, format="csr")
+def site_sz_diagonal(n_sites: int, site: int) -> np.ndarray:
+    """Diagonal of S^z on one site of the chain (S^z is diagonal in the product basis)."""
+    sz = np.diag(spin_matrix(1, "z").matrix).real
+    return np.kron(np.kron(np.ones(3**site), sz), np.ones(3 ** (n_sites - site - 1)))
 
 
 def build_xxz(n_sites: int, j_xy: float, j_z: float) -> SparseHamiltonian:
@@ -107,8 +107,7 @@ def build_perturbed(
         raise IndexError(f"site {site} out of range for {h0.n_sites} sites")
     if kind not in (HERMITIAN, NON_HERMITIAN):
         raise ValueError(f"kind must be '{HERMITIAN}' or '{NON_HERMITIAN}'")
-    sz = spin_matrix(1, "z").matrix
-    pert = _site_term(h0.n_sites, site, sz) * (lam * h0.j_xy)
+    pert = sp.diags(site_sz_diagonal(h0.n_sites, site) * (lam * h0.j_xy))
     if kind == HERMITIAN:
         mat = h0.matrix - pert
         hermitian = h0.hermitian

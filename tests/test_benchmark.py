@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import connected_pair, dense_xxz
+import quditcorr.benchmark as benchmark
+from oracles import SZ1, connected_pair, dense_xxz, heisenberg_pair, site_op, u_matrix
 from quditcorr.benchmark import (
     FigureOfMerit,
     QuenchScenario,
     brute_force_correlators,
     connected_anticommutator,
+    default_workers,
     neel_superposition,
+    reference_trace,
     relative_error,
     run_quench_study,
     time_averaged_std,
@@ -15,7 +18,7 @@ from quditcorr.benchmark import (
 from quditcorr.dynamics import build_xxz, make_propagator
 from quditcorr.hadamard import CorrelatorEstimate
 from quditcorr.observables import spin_matrix
-from quditcorr.register import expectation
+from quditcorr.register import QuditState, RegisterShape, expectation
 
 
 def est(value, std=0.0, shots=0, mode="exact"):
@@ -96,6 +99,36 @@ def test_brute_force_reference_matches_independent_oracle():
         assert abs(ea) <= 1e-14
 
 
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
+    return QuditState(RegisterShape((3,) * n), amp / np.linalg.norm(amp))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("state", ["neel", "random"])
+def test_reference_trace_matches_heisenberg_oracle(n, state):
+    # The random state has nonzero site magnetizations, so the
+    # disconnected part of the connected C+ is exercised too.
+    psi0 = neel_superposition(n) if state == "neel" else _random_state(n, 10 + n)
+    site_a, site_b = 0, n - 1
+    grid = np.linspace(0.0, 5.0, 26)
+    h, hd = build_xxz(n, 1.0, 0.5), dense_xxz(n, 1.0, 0.5)
+    a, b = site_op(n, site_a, SZ1), site_op(n, site_b, SZ1)
+    psi = psi0.amplitudes
+    mean_a = np.vdot(psi, a @ psi).real
+    plus, minus = reference_trace(h, psi0, site_a, site_b, grid)
+    for i, t in enumerate(grid):
+        anti, comm = heisenberg_pair(hd, psi, a, b, 0.0, t)
+        psi_t = u_matrix(hd, t) @ psi
+        mean_b = np.vdot(psi_t, b @ psi_t).real
+        assert brute_force_correlators(h, psi0, site_a, site_b, 0.0, t) == pytest.approx(
+            (anti, comm), abs=1e-10
+        )
+        assert plus[i] == pytest.approx(anti - 2.0 * mean_a * mean_b, abs=1e-10)
+        assert minus[i] == pytest.approx(comm, abs=1e-10)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError, match="start at 0"):
         QuenchScenario(3, (0.5, 1.0))
@@ -158,3 +191,26 @@ def test_lr_rows_carry_lambda_and_budget_split():
     assert all(r.lam == 0.3 for r in lr_rows)
     minus = [r for r in lr_rows if r.kind == "-"][0]
     assert minus.shots == 12000  # two branches at half the per-point default
+
+
+def test_default_workers_is_the_affinity_capped_by_tasks(monkeypatch):
+    monkeypatch.setattr(benchmark.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert default_workers(10) == 3
+    assert default_workers(2) == 2
+    assert default_workers(0) == 1
+
+
+def test_study_pool_defaults_to_default_workers(monkeypatch):
+    sizes = []
+    real_pool = benchmark.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(benchmark.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(benchmark, "ThreadPoolExecutor", recording_pool)
+    scenario = QuenchScenario(2, (0.0, 1.0), seed=5)
+    default = run_quench_study(scenario, protocols=("hadamard",))
+    assert sizes == [2]
+    assert default.rows == run_quench_study(scenario, protocols=("hadamard",), workers=1).rows

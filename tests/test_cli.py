@@ -55,6 +55,13 @@ def test_parse_error_carries_line_info(tmp_path):
         parse_config(str(path))
 
 
+def test_run_verb_reports_parse_errors_with_line_info(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{\n  "n_sites": 4,\n}', encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config parse error at line 3" in capsys.readouterr().err
+
+
 def test_field_validation_messages(tmp_path):
     with pytest.raises(ConfigError, match="n_sites"):
         parse_config(write_config(tmp_path, {"n_sites": 1}))
@@ -154,3 +161,20 @@ def test_config_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, {"bogus": 1})
     assert main(["run", "--config", path]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_summary_is_strict_json_when_r_is_undefined(tmp_path):
+    # On an odd chain the C- reference of adjacent sites vanishes
+    # identically while the LR estimate does not, so R- is undefined.
+    cfg, _ = parse_config_dict({**FAST, "n_sites": 3, "protocols": ["lr"]})
+    out = tmp_path / "odd"
+    assert run(cfg, str(out)) == 0
+    text = (out / "summary.json").read_text()
+    fom = json.loads(text, parse_constant=_reject_constant)["figures_of_merit"]["lr:lambda=0.2"]
+    assert fom["r_minus"] is None
+    assert "vanishes" in fom["r_minus_reason"]
+    assert fom["r_plus"] is not None and fom["r_plus_reason"] is None

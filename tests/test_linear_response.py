@@ -3,9 +3,10 @@ import pytest
 import scipy.linalg
 
 from oracles import SZ1, connected_pair, dense_xxz, heisenberg_pair, neel_superposition_vec, site_op
-from quditcorr.dynamics import build_xxz, make_propagator
+from quditcorr.dynamics import build_perturbed, build_xxz, make_propagator
 from quditcorr.linear_response import (
     LinearResponseConfig,
+    apply_pulse,
     effective_shots,
     measure_lr,
     normalized_expectation,
@@ -157,3 +158,53 @@ def test_norm_collapse_flagged():
     cfg = LinearResponseConfig(15.0, 1.0, 0, 1, "non_hermitian")
     with pytest.raises(ValueError, match="collapsed"):
         measure_lr(cfg, 0.0, 1.0, psi0, h)
+
+
+@pytest.fixture
+def restore_global_random_state():
+    saved = np.random.get_state()
+    yield
+    np.random.set_state(saved)
+
+
+@pytest.mark.usefixtures("restore_global_random_state")
+@pytest.mark.parametrize(
+    "n, kind, pulse_area",
+    [
+        (4, "hermitian", 1e-3),
+        (4, "hermitian", 0.5),
+        (4, "non_hermitian", 1e-3),
+        (4, "non_hermitian", 0.5),
+        # Long enough that one expm_multiply call would estimate its norms
+        # with onenormest, which draws from np.random.
+        (6, "hermitian", 20.0),
+        (6, "non_hermitian", 20.0),
+    ],
+)
+def test_lr_value_ignores_the_global_random_state(n, kind, pulse_area):
+    h = build_xxz(n, 1.0, 0.5)
+    prop = make_propagator(h)
+    cfg = LinearResponseConfig(0.05, pulse_area, 0, 1, kind)
+    seen = set()
+    for seed in range(4):
+        np.random.seed(seed)
+        est = measure_lr(cfg, 0.3, 25.0, neel_state(n), h, None, None, lambda _: prop, 1000)
+        seen.add((est.value.hex(), est.std_error.hex()))
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["hermitian", "non_hermitian"])
+@pytest.mark.parametrize("dt", [1e-3, 0.5, 30.0])
+def test_pulsed_state_matches_expm_oracle(n, kind, dt):
+    rng = np.random.default_rng(n)
+    amp = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
+    amp /= np.linalg.norm(amp)
+    state = QuditState(RegisterShape((3,) * n), amp)
+    lam, site = 0.2, n - 1
+    h0 = build_xxz(n, 1.0, 0.5)
+    coupling = lam if kind == "hermitian" else 1j * lam
+    oracle_h = dense_xxz(n, 1.0, 0.5) - coupling * site_op(n, site, SZ1)
+    expected = scipy.linalg.expm(-1j * dt * oracle_h) @ amp
+    got = apply_pulse(build_perturbed(h0, site, lam, kind), state, dt).amplitudes
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(expected)))

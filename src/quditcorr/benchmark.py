@@ -13,12 +13,13 @@ Reported per protocol:
     dC = (1/t) int std(0, t') dt'                          (statistical)
 
 with trapezoidal quadrature on the study grid.  The reference trace is
-the dense brute-force correlator whenever the dimension allows it, and
-the exact circuit trace otherwise (the circuit protocol is exact up to
-shot noise, so the two coincide to rounding).  The dense reference
-diagonalizes H once per study and applies U(t) = V e^{-iEt} V^+ to
-vectors only: with z = <U(t) A psi | B U(t) psi> = <A B(t)>, the
-anti-commutator is 2 Re z and the commutator i<[A, B(t)]> is -2 Im z.
+the exact Hadamard trace, computed with the study's one propagator of
+H0 (the circuit protocol is exact up to shot noise), so a study
+diagonalizes H at most once and the Hadamard R compares its exact trace
+with itself.  Each trace is one task: every grid point of it comes
+from a few streamed trajectories (dynamics.trajectory), not from a
+simulation started at t = 0.  brute_force_correlators, the dense oracle
+of `quditcorr validate`, diagonalizes H on its own.
 An R whose reference trace vanishes while the estimate does not is
 undefined; it is reported as None with the reason alongside.
 """
@@ -33,25 +34,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    DENSE_DIM_LIMIT,
+    HERMITIAN,
     NON_HERMITIAN,
     SparseHamiltonian,
     build_xxz,
-    evolve,
     make_propagator,
     site_sz_diagonal,
 )
 from .hadamard import (
-    ALPHA_MINUS,
-    ALPHA_PLUS,
     EXACT,
     SAMPLED,
     CorrelatorEstimate,
-    circuit_probabilities,
     estimate_from_probabilities,
+    trace_probabilities,
 )
-from .linear_response import LinearResponseConfig, _sampled_mean, measure_lr
+from .linear_response import (
+    LinearResponseConfig,
+    _sampled_mean,
+    _site_moments,
+    _sz_levels,
+    lr_trace,
+    unperturbed_readout,
+)
 from .observables import HermitianObservable, spin_matrix
-from .register import LocalOperator, QuditState, RegisterShape, expectation
+from .register import QuditState, RegisterShape, site_marginal
 from .rng import task_rng
 
 HADAMARD = "hadamard"
@@ -194,121 +201,92 @@ def time_averaged_std(std_trace, grid) -> float:
 
 
 def measure_site_expectation(
-    prop, psi0: QuditState, site: int, t: float, shots: int | None = None, rng=None
+    state: QuditState, site: int, shots: int | None = None, rng=None
 ) -> CorrelatorEstimate:
-    """<S_site^z(t)>, exact or from a projective multinomial sample."""
-    state = evolve(prop, psi0, t)
-    sz = spin_matrix(1, "z").on(site)
+    """<S_site^z> of a state, exact or from a projective multinomial sample."""
+    p = site_marginal(state, site)
+    values = _sz_levels()
     if shots is None:
-        val = float(expectation(state, sz).real) / state.squared_norm
-        return CorrelatorEstimate(val, 0.0, 0, EXACT)
-    values = np.real(np.diag(sz.matrix))
-    mean, var = _sampled_mean(state, site, values, shots, rng)
+        return CorrelatorEstimate(_site_moments(p, values)[0], 0.0, 0, EXACT)
+    mean, var = _sampled_mean(p, values, shots, rng)
     return CorrelatorEstimate(mean, math.sqrt(var), shots, SAMPLED)
 
 
 def brute_force_correlators(
     h: SparseHamiltonian, psi0: QuditState, site_a: int, site_b: int, t1: float, t2: float
 ) -> tuple[float, float]:
-    """Dense Heisenberg-picture (anti-)commutator, for reference traces."""
-    ((anti, comm, _, _),) = _dense_correlators(h, psi0, site_a, site_b, [(t1, t2)])
-    return anti, comm
+    """Dense Heisenberg-picture <{A(t1), B(t2)}> and i<[A(t1), B(t2)]>, the oracle of validate.
 
-
-def reference_trace(
-    h: SparseHamiltonian, psi0: QuditState, site_a: int, site_b: int, grid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Connected C+(0, t) and C-(0, t) on a time grid, from one dense eigh."""
-    points = _dense_correlators(h, psi0, site_a, site_b, [(0.0, float(t)) for t in grid])
-    plus = np.array([cp - 2.0 * ea * eb for cp, _, ea, eb in points])
-    minus = np.array([cm for _, cm, _, _ in points])
-    return plus, minus
-
-
-def _dense_correlators(h, psi0, site_a, site_b, time_pairs):
-    """(<{A(t1), B(t2)}>, i<[A(t1), B(t2)]>, <A(t1)>, <B(t2)>) per (t1, t2).
-
-    A = S^z_a and B = S^z_b.  H is diagonalized once and
-    U(t) = V e^{-iEt} V^+ is applied to vectors only.  With
-    z = <A(t1) B(t2)> = <U(t2 - t1) A U(t1) psi | B U(t2) psi>, the
-    anti-commutator is 2 Re z and the commutator -2 Im z.
+    A = S^z_a and B = S^z_b.  H is diagonalized here, independently of
+    any Propagator, and U(t) = V e^{-iEt} V^+ is applied to vectors
+    only.  With z = <A(t1) B(t2)> = <U(t2 - t1) A U(t1) psi | B U(t2) psi>,
+    the anti-commutator is 2 Re z and the commutator -2 Im z.
     """
-    if h.dimension > 4096:
-        raise ValueError("brute-force reference limited to dimension 4096")
+    if h.dimension > DENSE_DIM_LIMIT:
+        raise ValueError(f"brute-force reference limited to dimension {DENSE_DIM_LIMIT}")
     vals, vecs = np.linalg.eigh(h.matrix.toarray())
     a = site_sz_diagonal(h.n_sites, site_a)
     b = site_sz_diagonal(h.n_sites, site_b)
-    psi = psi0.amplitudes
 
     def u(t, v):
-        if t == 0.0:
-            return v
         coeff = (vecs.T @ v.conj()).conj()  # V^+ v without copying V^+
         return vecs @ (np.exp(-1j * vals * t) * coeff)
 
-    out = []
-    for t1, t2 in time_pairs:
-        phi1, phi2 = u(t1, psi), u(t2, psi)
-        z = np.vdot(u(t2 - t1, a * phi1), b * phi2)
-        mean_a = np.vdot(phi1, a * phi1).real
-        mean_b = np.vdot(phi2, b * phi2).real
-        out.append((2.0 * float(z.real), -2.0 * float(z.imag), float(mean_a), float(mean_b)))
-    return out
+    phi1 = u(t1, psi0.amplitudes)
+    z = np.vdot(u(t2 - t1, a * phi1), b * u(t2, psi0.amplitudes))
+    return 2.0 * float(z.real), -2.0 * float(z.imag)
 
 
-def _hadamard_point(
-    obs_a,
-    obs_b,
-    t,
-    psi0,
+def hadamard_trace(
+    obs_a: HermitianObservable,
+    obs_b: HermitianObservable,
+    psi0: QuditState,
     prop,
+    grid,
     budgets,
     sampled: bool,
-    rng,
+    seed: int,
 ):
-    """Both correlator estimates (exact and optionally sampled) at C(0, t)."""
+    """Hadamard estimates of C(0, t) on the grid, from one trace_probabilities pass.
+
+    Returns the C+ (connected) and the C- trace, each a list of
+    (exact, sampled or None) per time.  The point at grid index ti
+    draws from task_rng(seed, 1, ti): the four C+ circuits, then the two
+    disconnected-part means, then the four C- circuits.
+    """
     na, nb = obs_a.spectral_norm, obs_b.spectral_norm
     site_a, site_b = obs_a.support[0], obs_b.support[0]
-    ps_plus = circuit_probabilities(obs_a, obs_b, 0.0, t, psi0, prop, ALPHA_PLUS)
-    ps_minus = circuit_probabilities(obs_a, obs_b, 0.0, t, psi0, prop, ALPHA_MINUS)
-
     n_plus = max(1, budgets["plus"] // 6)  # 4 circuits + 2 disconnected means
     n_minus = max(1, budgets["minus"] // 4)
+    exact_a = measure_site_expectation(psi0, site_a)
+    plus, minus = [], []
+    for ti, (ps_plus, ps_minus, phi) in enumerate(
+        trace_probabilities(obs_a, obs_b, psi0, prop, grid)
+    ):
+        raw_plus = estimate_from_probabilities(ps_plus, na, nb, None, None, 4 * n_plus)
+        exact_plus = connected_anticommutator(
+            raw_plus, exact_a, measure_site_expectation(phi, site_b)
+        )
+        exact_minus = estimate_from_probabilities(ps_minus, na, nb, None, None, 4 * n_minus)
+        samp_plus = samp_minus = None
+        if sampled:
+            rng = task_rng(seed, 1, ti)
+            raw_hat = estimate_from_probabilities(ps_plus, na, nb, n_plus, rng)
+            exp_a_hat = measure_site_expectation(psi0, site_a, n_plus, rng)
+            exp_b_hat = measure_site_expectation(phi, site_b, n_plus, rng)
+            samp_plus = connected_anticommutator(raw_hat, exp_a_hat, exp_b_hat)
+            samp_minus = estimate_from_probabilities(ps_minus, na, nb, n_minus, rng)
+        plus.append((exact_plus, samp_plus))
+        minus.append((exact_minus, samp_minus))
+    return plus, minus
 
-    exact_a = measure_site_expectation(prop, psi0, site_a, 0.0)
-    exact_b = measure_site_expectation(prop, psi0, site_b, t)
-    raw_plus = estimate_from_probabilities(ps_plus, na, nb, None, None, 4 * n_plus)
-    exact_plus = connected_anticommutator(raw_plus, exact_a, exact_b)
-    exact_minus = estimate_from_probabilities(ps_minus, na, nb, None, None, 4 * n_minus)
 
-    if not sampled:
-        return exact_plus, exact_minus, None, None
+class StudyInterrupted(KeyboardInterrupt):
+    """An interrupt during the traces; result holds the rows of the completed ones."""
 
-    raw_hat = estimate_from_probabilities(ps_plus, na, nb, n_plus, rng)
-    exp_a_hat = measure_site_expectation(prop, psi0, site_a, 0.0, n_plus, rng)
-    exp_b_hat = measure_site_expectation(prop, psi0, site_b, t, n_plus, rng)
-    samp_plus = connected_anticommutator(raw_hat, exp_a_hat, exp_b_hat)
-    samp_minus = estimate_from_probabilities(ps_minus, na, nb, n_minus, rng)
-    return exact_plus, exact_minus, samp_plus, samp_minus
-
-
-def _lr_point(config, t, psi0, h0, prop, budgets, sampled, rng):
-    """LR estimates at C(0, t); the pulse window clamps t2 to >= dt."""
-    dt = config.pulse_area / h0.j_xy
-    t2 = max(t, dt)
-    budget_key = "minus" if config.kind != NON_HERMITIAN else "plus"
-    nominal = budgets[budget_key]
-
-    def prop_factory(h):  # measure_lr asks only for the propagator of h0
-        return prop
-
-    exact = measure_lr(
-        config, 0.0, t2, psi0, h0, None, None, prop_factory, nominal_budget=nominal
-    )
-    if not sampled:
-        return exact, None
-    samp = measure_lr(config, 0.0, t2, psi0, h0, nominal, rng, prop_factory)
-    return exact, samp
+    def __init__(self, result: StudyResult):
+        super().__init__("study interrupted")
+        self.result = result
 
 
 def default_workers(n_tasks: int) -> int:
@@ -318,6 +296,29 @@ def default_workers(n_tasks: int) -> int:
     else:
         cpus = os.cpu_count() or 1
     return max(1, min(cpus, n_tasks))
+
+
+def _run_tasks(tasks, workers: int, results: dict) -> None:
+    """Store the result of every (key, fn) task in results under its key.
+
+    On an interrupt, pending tasks are cancelled and running ones
+    finish, so results holds whole traces when the interrupt propagates.
+    """
+    if workers <= 1:
+        for key, fn in tasks:
+            results[key] = fn()
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {key: pool.submit(fn) for key, fn in tasks}
+        try:
+            for key, fut in futures.items():
+                results[key] = fut.result()
+        except KeyboardInterrupt:
+            pool.shutdown(cancel_futures=True)
+            for key, fut in futures.items():
+                if fut.done() and not fut.cancelled() and fut.exception() is None:
+                    results[key] = fut.result()
+            raise
 
 
 def run_quench_study(
@@ -331,10 +332,17 @@ def run_quench_study(
 ) -> StudyResult:
     """Full study: per (protocol, kind, lambda, t) records plus figures of merit.
 
+    One task per trace: the Hadamard trace (run exactly, as the R
+    reference, when only the baseline is requested) and one LR trace
+    per lambda, which shares the unpulsed trajectory with the others.
     Deterministic for a fixed scenario seed under any worker count:
     every point draws from its own counter-based stream and the result
     table is assembled by a key-ordered reduction.  workers=None uses
-    default_workers.  One propagator of H0 serves every point.
+    default_workers.  One propagator of H0 serves every trace.
+
+    On KeyboardInterrupt, pending traces are cancelled and
+    StudyInterrupted is raised; its result has the rows of the
+    completed traces, in the usual order, and no figures.
     """
     for p in protocols:
         if p not in (HADAMARD, LINEAR_RESPONSE):
@@ -348,135 +356,97 @@ def run_quench_study(
     obs_a = HermitianObservable(spin_matrix(1, "z").on(site_a))
     obs_b = HermitianObservable(spin_matrix(1, "z").on(site_b))
     prop = make_propagator(h0)
-
     grid = np.asarray(scenario.time_grid)
-    tasks = []  # (sort_key, callable) -> rows come back keyed
+    seed = scenario.seed
 
-    if HADAMARD in protocols:
-        for ti, t in enumerate(grid):
-            rng = task_rng(scenario.seed, 1, ti)
-            tasks.append(
-                (
-                    (HADAMARD, None, ti),
-                    lambda t=t, rng=rng: _hadamard_point(
-                        obs_a, obs_b, t, psi0, prop, budgets[HADAMARD], sampled, rng
-                    ),
-                )
-            )
-    if LINEAR_RESPONSE in protocols:
-        for li, lam in enumerate(lambdas):
-            for ti, t in enumerate(grid):
-                cfg_m = LinearResponseConfig(lam, pulse_area, site_a, site_b, "hermitian")
-                cfg_p = LinearResponseConfig(lam, pulse_area, site_a, site_b, NON_HERMITIAN)
-                rng_m = task_rng(scenario.seed, 2, li, ti, 1)
-                rng_p = task_rng(scenario.seed, 2, li, ti, 2)
-                tasks.append(
-                    (
-                        (LINEAR_RESPONSE, lam, ti),
-                        lambda cfg_m=cfg_m, cfg_p=cfg_p, t=t, rng_m=rng_m, rng_p=rng_p: (
-                            _lr_point(cfg_p, t, psi0, h0, prop, budgets[LINEAR_RESPONSE], sampled, rng_p),
-                            _lr_point(cfg_m, t, psi0, h0, prop, budgets[LINEAR_RESPONSE], sampled, rng_m),
-                        ),
-                    )
-                )
-
-    results = {}
-    if workers is None:
-        workers = default_workers(len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(fn): key for key, fn in tasks}
-            for fut, key in futures.items():
-                results[key] = fut.result()
-    else:
-        for key, fn in tasks:
-            results[key] = fn()
-
-    rows: list[StudyRow] = []
-    figures: dict[str, FigureOfMerit] = {}
-
-    reference = None
-    if h0.dimension <= 4096:
-        reference = reference_trace(h0, psi0, site_a, site_b, grid)
-
-    def fom(est_plus, est_minus, std_plus, std_minus, ref):
-        if grid.size < 2:
-            return FigureOfMerit(0.0, 0.0, float(std_plus[0]), float(std_minus[0]))
-        if ref is None:
-            r_p, why_p, r_m, why_m = 0.0, None, 0.0, None
-        else:
-            r_p, why_p = _safe_relative_error(est_plus, ref[0], grid, "C+")
-            r_m, why_m = _safe_relative_error(est_minus, ref[1], grid, "C-")
-        return FigureOfMerit(
-            r_p,
-            r_m,
-            time_averaged_std(std_plus, grid),
-            time_averaged_std(std_minus, grid),
-            why_p,
-            why_m,
+    had_budgets = budgets.get(HADAMARD, DEFAULT_BUDGETS[HADAMARD])
+    tasks = [
+        (
+            (HADAMARD, None),
+            lambda: hadamard_trace(
+                obs_a, obs_b, psi0, prop, grid, had_budgets, sampled and HADAMARD in protocols, seed
+            ),
         )
+    ]
+    if LINEAR_RESPONSE in protocols:
+        lr_budgets = budgets[LINEAR_RESPONSE]
+        unperturbed = unperturbed_readout(prop, psi0, site_b, pulse_area / j_xy, grid)
 
-    if HADAMARD in protocols:
-        pts = [results[(HADAMARD, None, ti)] for ti in range(grid.size)]
-        for kind, slot in (("+", 0), ("-", 1)):
-            for ti, t in enumerate(grid):
-                exact = pts[ti][slot]
-                samp = pts[ti][slot + 2]
+        def lr_task(li, lam):
+            traces = []
+            for stream, kind, key in ((2, NON_HERMITIAN, "plus"), (1, HERMITIAN, "minus")):
+                cfg = LinearResponseConfig(lam, pulse_area, site_a, site_b, kind)
+                rngs = None
+                if sampled:
+                    rngs = [task_rng(seed, 2, li, ti, stream) for ti in range(grid.size)]
+                traces.append(
+                    lr_trace(cfg, psi0, h0, prop, grid, unperturbed, lr_budgets[key], rngs)
+                )
+            return traces
+
+        for li, lam in enumerate(lambdas):
+            tasks.append(((LINEAR_RESPONSE, lam), lambda li=li, lam=lam: lr_task(li, lam)))
+
+    # Every trace is (C+ points, C- points), each point (exact, sampled or None).
+    reported = [(HADAMARD, None)] if HADAMARD in protocols else []
+    if LINEAR_RESPONSE in protocols:
+        reported += [(LINEAR_RESPONSE, lam) for lam in lambdas]
+    traces = {}
+    try:
+        _run_tasks(tasks, default_workers(len(tasks)) if workers is None else workers, traces)
+    except KeyboardInterrupt:
+        raise StudyInterrupted(StudyResult(_rows(traces, reported, grid, seed), {}))
+
+    # The Hadamard protocol is exact up to shot noise: its exact trace,
+    # from the study's one propagator, is the R reference.
+    reference = [_exact_values(points) for points in traces[(HADAMARD, None)]]
+    figures: dict[str, FigureOfMerit] = {}
+    for key in reported:
+        plus, minus = traces[key]
+        if grid.size < 2:
+            fom = FigureOfMerit(0.0, 0.0, _std_errors(plus)[0], _std_errors(minus)[0])
+        else:
+            r_p, why_p = _safe_relative_error(_exact_values(plus), reference[0], grid, "C+")
+            r_m, why_m = _safe_relative_error(_exact_values(minus), reference[1], grid, "C-")
+            dc_p = time_averaged_std(_std_errors(plus), grid)
+            dc_m = time_averaged_std(_std_errors(minus), grid)
+            fom = FigureOfMerit(r_p, r_m, dc_p, dc_m, why_p, why_m)
+        figures[HADAMARD if key[1] is None else f"{LINEAR_RESPONSE}:lambda={key[1]:g}"] = fom
+    return StudyResult(_rows(traces, reported, grid, seed), figures)
+
+
+def _exact_values(points) -> np.ndarray:
+    return np.array([exact.value for exact, _ in points])
+
+
+def _std_errors(points) -> np.ndarray:
+    """Error bar per time: the sampled estimate's, else the exact one's nominal."""
+    return np.array([(exact if samp is None else samp).std_error for exact, samp in points])
+
+
+def _rows(traces, reported, grid, seed) -> tuple[StudyRow, ...]:
+    """StudyRows of the completed traces among reported, in that key order."""
+    rows = []
+    for protocol, lam in reported:
+        if (protocol, lam) not in traces:
+            continue
+        for kind, points in zip(("+", "-"), traces[(protocol, lam)]):
+            for t, (exact, samp) in zip(grid, points):
+                shown = exact if samp is None else samp
                 rows.append(
                     StudyRow(
-                        HADAMARD,
+                        protocol,
                         kind,
                         float(t),
-                        None,
+                        None if lam is None else float(lam),
                         exact.value,
                         None if samp is None else samp.value,
-                        (exact if samp is None else samp).std_error,
-                        (exact if samp is None else samp).shots,
-                        scenario.seed,
+                        shown.std_error,
+                        shown.shots,
+                        seed,
                     )
                 )
-        figures[HADAMARD] = fom(
-            np.array([p[0].value for p in pts]),
-            np.array([p[1].value for p in pts]),
-            np.array([(p[0] if p[2] is None else p[2]).std_error for p in pts]),
-            np.array([(p[1] if p[3] is None else p[3]).std_error for p in pts]),
-            reference,
-        )
-        if reference is None:
-            # The exact circuit trace is itself the reference elsewhere.
-            reference = (
-                np.array([p[0].value for p in pts]),
-                np.array([p[1].value for p in pts]),
-            )
-
-    if LINEAR_RESPONSE in protocols:
-        for li, lam in enumerate(lambdas):
-            pts = [results[(LINEAR_RESPONSE, lam, ti)] for ti in range(grid.size)]
-            for kind, slot in (("+", 0), ("-", 1)):
-                for ti, t in enumerate(grid):
-                    exact, samp = pts[ti][slot]
-                    rows.append(
-                        StudyRow(
-                            LINEAR_RESPONSE,
-                            kind,
-                            float(t),
-                            float(lam),
-                            exact.value,
-                            None if samp is None else samp.value,
-                            (exact if samp is None else samp).std_error,
-                            (exact if samp is None else samp).shots,
-                            scenario.seed,
-                        )
-                    )
-            figures[f"{LINEAR_RESPONSE}:lambda={lam:g}"] = fom(
-                np.array([p[0][0].value for p in pts]),
-                np.array([p[1][0].value for p in pts]),
-                np.array([(p[0][0] if p[0][1] is None else p[0][1]).std_error for p in pts]),
-                np.array([(p[1][0] if p[1][1] is None else p[1][1]).std_error for p in pts]),
-                reference,
-            )
-
-    return StudyResult(tuple(rows), figures)
+    return tuple(rows)
 
 
 def _safe_relative_error(est, ref, grid, label: str) -> tuple[float | None, str | None]:

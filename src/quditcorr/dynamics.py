@@ -10,9 +10,11 @@ replace H by H - lambda*J_xy*S_j^z (Hermitian) or H - i*lambda*J_xy*S_j^z
 (non-Hermitian); since each segment is time independent, piecewise
 exponentials propagate exactly, with no splitting error.
 
-Two propagation strategies are provided: dense eigendecomposition for
-dimensions up to 4096, and Krylov expm-action (Lanczos for Hermitian,
-Arnoldi otherwise) with adaptive sub-stepping for larger registers.
+Two propagation strategies are provided: dense eigendecomposition of a
+Hermitian H for dimensions up to 4096, and Krylov expm-action (Lanczos
+for Hermitian, Arnoldi otherwise) with adaptive sub-stepping for larger
+or non-Hermitian registers.  `evolve` applies one exp(-i H t);
+`trajectory` streams a state through a whole time grid.
 """
 
 from __future__ import annotations
@@ -129,7 +131,8 @@ class Propagator:
 
     States whose trailing sites multiply out to the Hamiltonian
     dimension are accepted; any leading sites (the ancilla) are treated
-    as batch indices and left untouched.
+    as batch indices and left untouched.  "dense-eig" diagonalizes a
+    Hermitian H once; "krylov" works on the sparse H directly.
     """
 
     strategy: str  # "dense-eig" | "krylov"
@@ -142,26 +145,14 @@ class Propagator:
         if self.strategy not in ("dense-eig", "krylov"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "dense-eig":
+            if not self.hamiltonian.hermitian:
+                raise ValueError("dense-eig needs a Hermitian Hamiltonian; use krylov")
             if self.hamiltonian.dimension > DENSE_DIM_LIMIT:
                 raise ValueError(
                     f"dense-eig limited to dimension {DENSE_DIM_LIMIT}, "
                     f"got {self.hamiltonian.dimension}"
                 )
-            self._prepare_dense()
-
-    def _prepare_dense(self):
-        dense = self.hamiltonian.matrix.toarray()
-        if self.hamiltonian.hermitian:
-            vals, vecs = np.linalg.eigh(dense)
-            self._eig = ("eigh", vals, vecs)
-        else:
-            vals, vecs = scipy.linalg.eig(dense)
-            # A nearly defective eigenvector matrix would poison the
-            # similarity transform; fall back to per-call expm.
-            if np.linalg.cond(vecs) < 1e8:
-                self._eig = ("eig", vals, vecs, np.linalg.inv(vecs))
-            else:
-                self._eig = ("expm", dense)
+            self._eig = np.linalg.eigh(self.hamiltonian.matrix.toarray())
 
 
 def make_propagator(
@@ -171,7 +162,8 @@ def make_propagator(
     max_krylov_dim: int = 30,
 ) -> Propagator:
     if strategy is None:
-        strategy = "dense-eig" if h.dimension <= DENSE_DIM_LIMIT else "krylov"
+        dense = h.hermitian and h.dimension <= DENSE_DIM_LIMIT
+        strategy = "dense-eig" if dense else "krylov"
     return Propagator(strategy, h, tolerance, max_krylov_dim)
 
 
@@ -203,7 +195,8 @@ def evolve(prop: Propagator, state: QuditState, duration: float) -> QuditState:
         return state.copy()
     block = state.amplitudes.reshape(-1, dim)
     if prop.strategy == "dense-eig":
-        out = _evolve_dense(prop, block, duration)
+        vals, vecs = prop._eig
+        out = _from_eigenbasis(vecs, _to_eigenbasis(vecs, block) * np.exp(-1j * vals * duration))
     else:
         out = np.empty_like(block)
         for r in range(block.shape[0]):
@@ -217,21 +210,52 @@ def evolve(prop: Propagator, state: QuditState, duration: float) -> QuditState:
     return QuditState(state.shape, out.reshape(-1))
 
 
-def _evolve_dense(prop: Propagator, block: np.ndarray, duration: float) -> np.ndarray:
-    kind = prop._eig[0]
-    if kind == "eigh":
-        _, vals, vecs = prop._eig
-        phases = np.exp(-1j * vals * duration)
-        coeff = vecs.conj().T @ block.T
-        return (vecs @ (phases[:, None] * coeff)).T
-    if kind == "eig":
-        _, vals, vecs, vinv = prop._eig
-        phases = np.exp(-1j * vals * duration)
-        coeff = vinv @ block.T
-        return (vecs @ (phases[:, None] * coeff)).T
-    _, dense = prop._eig
-    u = scipy.linalg.expm(-1j * duration * dense)
-    return (u @ block.T).T
+def trajectory(prop: Propagator, state: QuditState, times):
+    """Iterator over exp(-i H t)|state> for each t of a non-decreasing grid.
+
+    Streams: one state is alive at a time, whatever the grid length.
+    On dense-eig the state is projected onto the eigenbasis once and each
+    time costs one phase multiply and one back-transform; on krylov each
+    time is reached by evolving the previous one.  A time of 0 yields a
+    copy of the state, as evolve does.
+    """
+    times = [float(t) for t in times]
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError("trajectory times must be non-decreasing")
+    dim = prop.hamiltonian.dimension
+    _system_block(state, dim)
+    if prop.strategy == "dense-eig":
+        return _dense_trajectory(prop, state, times)
+    return _stepped_trajectory(prop, state, times)
+
+
+def _dense_trajectory(prop, state, times):
+    vals, vecs = prop._eig
+    coeff = _to_eigenbasis(vecs, state.amplitudes.reshape(-1, prop.hamiltonian.dimension))
+    for t in times:
+        if t == 0.0:
+            yield state.copy()
+        else:
+            out = _from_eigenbasis(vecs, coeff * np.exp(-1j * vals * t))
+            yield QuditState(state.shape, out.reshape(-1))
+
+
+def _stepped_trajectory(prop, state, times):
+    now = 0.0
+    for t in times:
+        state = evolve(prop, state, t - now)
+        now = t
+        yield state
+
+
+def _to_eigenbasis(vecs: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Rows of V^+ x for each row x of block, without forming V^+."""
+    return (block.conj() @ vecs).conj()
+
+
+def _from_eigenbasis(vecs: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Rows of V c for each row c of coeff (vecs.T is a view, not a copy)."""
+    return coeff @ vecs.T
 
 
 def _lanczos(matvec, v0: np.ndarray, m_max: int):

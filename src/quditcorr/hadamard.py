@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Propagator, evolve
+from .dynamics import Propagator, evolve, trajectory
 from .observables import HermitianObservable, UnitaryDecomposition, decompose
 from .register import (
     LocalOperator,
@@ -228,6 +228,36 @@ def circuit_probabilities(
         task = HadamardTask(t1, t2, va, vb, alpha, obs_a, obs_b)
         ps[k] = run_hadamard_circuit(task, psi0, prop, decomp_a, decomp_b)
     return ps
+
+
+def trace_probabilities(
+    obs_a: HermitianObservable,
+    obs_b: HermitianObservable,
+    psi0: QuditState,
+    prop: Propagator,
+    times,
+):
+    """Exact P(|0>) of every circuit for C(0, t), streamed over a time grid.
+
+    Yields (ps_plus, ps_minus, U(t)|psi0>) per time, with the four
+    probabilities of each phase in COMBOS order.  At t1 = 0 the circuit
+    gives P = 1/2 + 1/2 Re(e^{i alpha} <U(t) V_A psi | V_B U(t) psi>),
+    so the whole grid needs only the three system-only trajectories of
+    psi, W_A psi and W_A^+ psi, and one local V_B per gate choice and time.
+    """
+    decomp_a = decompose(obs_a)
+    decomp_b = decompose(obs_b)
+    branches = zip(
+        trajectory(prop, psi0, times),
+        trajectory(prop, apply_local(psi0, decomp_a.w), times),
+        trajectory(prop, apply_local(psi0, decomp_a.w_dagger), times),
+    )
+    for phi, after_w, after_w_dagger in branches:
+        left = {W: after_w, W_DAGGER: after_w_dagger}  # U(t) V_A psi
+        right = {c: apply_local(phi, decomp_b.pick(c)) for c in (W, W_DAGGER)}  # V_B U(t) psi
+        z = np.array([np.vdot(left[va].amplitudes, right[vb].amplitudes) for va, vb in COMBOS])
+        z /= psi0.squared_norm
+        yield 0.5 + 0.5 * z.real, 0.5 - 0.5 * z.imag, phi
 
 
 def estimate_from_probabilities(

@@ -34,10 +34,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import expm_multiply, norm
 
-from .dynamics import HERMITIAN, NON_HERMITIAN, SparseHamiltonian, build_perturbed, evolve, make_propagator
+from .dynamics import (
+    HERMITIAN,
+    NON_HERMITIAN,
+    Propagator,
+    SparseHamiltonian,
+    build_perturbed,
+    evolve,
+    make_propagator,
+    trajectory,
+)
 from .hadamard import EXACT, SAMPLED, CorrelatorEstimate
 from .observables import spin_matrix
-from .register import LocalOperator, QuditState, expectation, site_marginal
+from .register import QuditState, expectation, site_marginal
 from .rng import as_generator
 
 # Squared norm below which the perturbed branch is considered collapsed.
@@ -115,13 +124,65 @@ def apply_pulse(h: SparseHamiltonian, state: QuditState, duration: float) -> Qud
     return QuditState(state.shape, amp)
 
 
-def _sampled_mean(state: QuditState, site: int, values: np.ndarray, shots: int, rng):
-    """Projective estimate of <diag(values)> on one site: (mean, var of mean)."""
-    p = site_marginal(state, site)
-    counts = rng.multinomial(shots, p)
-    mean = float(counts @ values) / shots
-    second = float(counts @ values**2) / shots
-    return mean, max(second - mean**2, 0.0) / shots
+def _sz_levels() -> np.ndarray:
+    """Eigenvalues m of spin-1 S^z in basis order: (+1, 0, -1)."""
+    return np.real(np.diag(spin_matrix(1, "z").matrix))
+
+
+def _site_moments(weights, values, total=1.0) -> tuple[float, float]:
+    """Mean and variance of diag(values) under outcome weights summing to total."""
+    mean = float(weights @ values) / total
+    return mean, max(float(weights @ values**2) / total - mean**2, 0.0)
+
+
+def _sampled_mean(p, values, shots: int, rng) -> tuple[float, float]:
+    """Projective estimate of <diag(values)> from a site marginal: (mean, var of mean)."""
+    mean, var = _site_moments(rng.multinomial(shots, p), values, shots)
+    return mean, var / shots
+
+
+def lr_estimate(
+    config: LinearResponseConfig,
+    pert: np.ndarray,
+    pert_norm: float,
+    unpert: np.ndarray,
+    budget: int | None = None,
+    rng=None,
+    nominal_budget: int | None = None,
+) -> CorrelatorEstimate:
+    """The LR estimator, from the readout-site S^z distributions of both branches.
+
+    pert and unpert are the outcome distributions on the readout site at
+    t2 of the pulsed and the unpulsed branch; pert_norm is the squared
+    norm of the pulsed branch.  budget, rng and nominal_budget mean what
+    they mean for measure_lr.
+    """
+    if pert_norm < NORM_COLLAPSE:
+        raise ValueError(f"perturbed branch collapsed (squared norm {pert_norm:.3e})")
+    if budget is not None and budget < 2:
+        raise ValueError("sampled mode needs a per-point budget of at least 2")
+    values = _sz_levels()
+    denom = config.lam * config.pulse_area
+    total = nominal_budget if budget is None else budget
+    n_branch = n_pert = 0
+    if total:
+        n_branch = n_pert = max(1, total // 2)
+        if config.kind == NON_HERMITIAN:
+            n_pert = effective_shots(n_branch, min(pert_norm, 1.0 + 1e-6))
+    if budget is None:
+        e_p, var_p = _site_moments(pert, values)
+        e_u, var_u = _site_moments(unpert, values)
+        std = math.sqrt(var_p / n_pert + var_u / n_branch) / denom if total else 0.0
+        mode = EXACT
+    else:
+        rng = as_generator(rng if rng is not None else 0)
+        # Sampling from the renormalized marginal realizes <.>/<1> directly.
+        e_p, var_p = _sampled_mean(pert, values, n_pert, rng)
+        e_u, var_u = _sampled_mean(unpert, values, n_branch, rng)
+        std = math.sqrt(var_p + var_u) / denom
+        mode = SAMPLED
+    # Negated quotient: pinned against the brute-force oracle.
+    return CorrelatorEstimate((e_u - e_p) / denom, std, n_pert + n_branch, mode)
 
 
 def measure_lr(
@@ -156,45 +217,57 @@ def measure_lr(
     pert = evolve(prop0, psi0, t1)
     pert = apply_pulse(h_pert, pert, dt)
     pert = evolve(prop0, pert, t2 - t1 - dt)
-    if pert.squared_norm < NORM_COLLAPSE:
-        raise ValueError(
-            f"perturbed branch collapsed (squared norm {pert.squared_norm:.3e})"
-        )
     unpert = evolve(prop0, psi0, t2)
+    site = config.readout_site
+    return lr_estimate(
+        config,
+        site_marginal(pert, site),
+        pert.squared_norm,
+        site_marginal(unpert, site),
+        budget,
+        rng,
+        nominal_budget,
+    )
 
-    sz = spin_matrix(1, "z").on(config.readout_site)
-    denom = config.lam * config.pulse_area
 
-    if budget is None:
-        sz_sq = LocalOperator(sz.matrix @ sz.matrix, sz.support, hermitian=True)
-        e_p = normalized_expectation(pert, sz)
-        e_u = normalized_expectation(unpert, sz)
-        # Negated quotient: pinned against the brute-force oracle.
-        value = (e_u - e_p) / denom
-        std = 0.0
-        shots = 0
-        if nominal_budget:
-            n_branch = max(1, nominal_budget // 2)
-            n_pert = n_branch
-            if config.kind == NON_HERMITIAN:
-                n_pert = effective_shots(n_branch, min(pert.squared_norm, 1.0 + 1e-6))
-            var_p = max(normalized_expectation(pert, sz_sq) - e_p**2, 0.0)
-            var_u = max(normalized_expectation(unpert, sz_sq) - e_u**2, 0.0)
-            std = math.sqrt(var_p / n_pert + var_u / n_branch) / denom
-            shots = n_pert + n_branch
-        return CorrelatorEstimate(value, std, shots, EXACT)
+def unperturbed_readout(
+    prop: Propagator, psi0: QuditState, site: int, pulse_duration: float, times
+) -> list[np.ndarray]:
+    """Readout-site marginals of the unpulsed branch at max(t, dt), one trajectory.
 
-    if budget < 2:
-        raise ValueError("sampled mode needs a per-point budget of at least 2")
-    rng = as_generator(rng if rng is not None else 0)
-    n_branch = budget // 2
-    n_pert = n_branch
-    if config.kind == NON_HERMITIAN:
-        n_pert = effective_shots(n_branch, min(pert.squared_norm, 1.0 + 1e-6))
-    values = np.real(np.diag(sz.matrix))  # m in {+1, 0, -1}
-    # Sampling from the renormalized marginal realizes <.>/<1> directly.
-    e_p, var_p = _sampled_mean(pert, config.readout_site, values, n_pert, rng)
-    e_u, var_u = _sampled_mean(unpert, config.readout_site, values, n_branch, rng)
-    value = (e_u - e_p) / denom
-    std = math.sqrt(var_p + var_u) / denom
-    return CorrelatorEstimate(value, std, n_pert + n_branch, SAMPLED)
+    The result depends on no pulse strength or kind, so every LR trace
+    of a study shares it.
+    """
+    states = trajectory(prop, psi0, np.maximum(times, pulse_duration))
+    return [site_marginal(state, site) for state in states]
+
+
+def lr_trace(
+    config: LinearResponseConfig,
+    psi0: QuditState,
+    h0: SparseHamiltonian,
+    prop: Propagator,
+    times,
+    unperturbed,
+    nominal_budget: int | None = None,
+    rngs=None,
+) -> list[tuple[CorrelatorEstimate, CorrelatorEstimate | None]]:
+    """LR estimates of C(0, t) over a time grid, as measure_lr would give them.
+
+    The pulse is applied once at t1 = 0 and the pulsed state is streamed
+    to max(t, dt) - dt by the propagator of h0; unperturbed holds the
+    matching unpulsed marginals (unperturbed_readout).  Each entry is
+    (exact estimate with the nominal error bar, sampled estimate or
+    None); the sampled one draws from rngs[k] at the k-th time.
+    """
+    dt = config.pulse_area / h0.j_xy
+    h_pert = build_perturbed(h0, config.probe_site, config.lam, config.kind)
+    pulsed = apply_pulse(h_pert, psi0, dt)
+    out = []
+    for k, state in enumerate(trajectory(prop, pulsed, np.maximum(times, dt) - dt)):
+        pert = site_marginal(state, config.readout_site)
+        args = (config, pert, state.squared_norm, unperturbed[k])
+        exact = lr_estimate(*args, nominal_budget=nominal_budget)
+        samp = None if rngs is None else lr_estimate(*args, nominal_budget, rngs[k])
+        out.append((exact, samp))
+    return out

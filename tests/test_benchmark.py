@@ -4,21 +4,37 @@ import pytest
 import quditcorr.benchmark as benchmark
 from oracles import SZ1, connected_pair, dense_xxz, heisenberg_pair, site_op, u_matrix
 from quditcorr.benchmark import (
+    DEFAULT_BUDGETS,
     FigureOfMerit,
     QuenchScenario,
     brute_force_correlators,
     connected_anticommutator,
     default_workers,
+    hadamard_trace,
     neel_superposition,
-    reference_trace,
     relative_error,
     run_quench_study,
     time_averaged_std,
 )
-from quditcorr.dynamics import build_xxz, make_propagator
-from quditcorr.hadamard import CorrelatorEstimate
-from quditcorr.observables import spin_matrix
+from quditcorr.dynamics import build_xxz, evolve, make_propagator
+from quditcorr.hadamard import (
+    ALPHA_MINUS,
+    ALPHA_PLUS,
+    CorrelatorEstimate,
+    circuit_probabilities,
+    estimate_from_probabilities,
+    measure_dynamical_correlator,
+    trace_probabilities,
+)
+from quditcorr.linear_response import (
+    LinearResponseConfig,
+    lr_trace,
+    measure_lr,
+    unperturbed_readout,
+)
+from quditcorr.observables import HermitianObservable, spin_matrix
 from quditcorr.register import QuditState, RegisterShape, expectation
+from quditcorr.rng import task_rng
 
 
 def est(value, std=0.0, shots=0, mode="exact"):
@@ -105,11 +121,16 @@ def _random_state(n, seed):
     return QuditState(RegisterShape((3,) * n), amp / np.linalg.norm(amp))
 
 
+def sz_obs(site):
+    return HermitianObservable(spin_matrix(1, "z").on(site))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("state", ["neel", "random"])
 def test_reference_trace_matches_heisenberg_oracle(n, state):
-    # The random state has nonzero site magnetizations, so the
-    # disconnected part of the connected C+ is exercised too.
+    # The study's R reference is the exact Hadamard trace.  The random
+    # state has nonzero site magnetizations, so the disconnected part of
+    # the connected C+ is exercised too.
     psi0 = neel_superposition(n) if state == "neel" else _random_state(n, 10 + n)
     site_a, site_b = 0, n - 1
     grid = np.linspace(0.0, 5.0, 26)
@@ -117,16 +138,75 @@ def test_reference_trace_matches_heisenberg_oracle(n, state):
     a, b = site_op(n, site_a, SZ1), site_op(n, site_b, SZ1)
     psi = psi0.amplitudes
     mean_a = np.vdot(psi, a @ psi).real
-    plus, minus = reference_trace(h, psi0, site_a, site_b, grid)
-    for i, t in enumerate(grid):
+    plus_trace, minus_trace = hadamard_trace(
+        sz_obs(site_a), sz_obs(site_b), psi0, make_propagator(h), grid,
+        DEFAULT_BUDGETS["hadamard"], False, 0,
+    )
+    assert len(plus_trace) == len(minus_trace) == grid.size
+    for (plus, samp_plus), (minus, samp_minus), t in zip(plus_trace, minus_trace, grid):
         anti, comm = heisenberg_pair(hd, psi, a, b, 0.0, t)
         psi_t = u_matrix(hd, t) @ psi
         mean_b = np.vdot(psi_t, b @ psi_t).real
         assert brute_force_correlators(h, psi0, site_a, site_b, 0.0, t) == pytest.approx(
             (anti, comm), abs=1e-10
         )
-        assert plus[i] == pytest.approx(anti - 2.0 * mean_a * mean_b, abs=1e-10)
-        assert minus[i] == pytest.approx(comm, abs=1e-10)
+        assert plus.value == pytest.approx(anti - 2.0 * mean_a * mean_b, abs=1e-10)
+        assert minus.value == pytest.approx(comm, abs=1e-10)
+        assert samp_plus is None and samp_minus is None
+
+
+# Non-uniform, with a point inside the pulse window (t < dt = 1e-3).
+ENGINE_GRID = (0.0, 4e-4, 0.3, 0.35, 1.2, 2.9, 5.0)
+
+
+@pytest.mark.parametrize("strategy", ["dense-eig", "krylov"])
+@pytest.mark.parametrize("state", ["neel", "random"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
+    psi0 = neel_superposition(n) if state == "neel" else _random_state(n, 20 + n)
+    h = build_xxz(n, 1.0, 0.5)
+    prop = make_propagator(h, strategy)
+    obs_a, obs_b = sz_obs(0), sz_obs(n - 1)
+    mean_a = expectation(psi0, obs_a.op).real
+
+    # Hadamard: every circuit probability and the exact C+- against the
+    # gate-level circuits run from t = 0.
+    plus_trace, minus_trace = hadamard_trace(
+        obs_a, obs_b, psi0, prop, ENGINE_GRID, DEFAULT_BUDGETS["hadamard"], False, 0
+    )
+    engine = trace_probabilities(obs_a, obs_b, psi0, prop, ENGINE_GRID)
+    for t, (ps_plus, ps_minus, _), (plus, _), (minus, _) in zip(
+        ENGINE_GRID, engine, plus_trace, minus_trace
+    ):
+        spec_plus = circuit_probabilities(obs_a, obs_b, 0.0, t, psi0, prop, ALPHA_PLUS)
+        spec_minus = circuit_probabilities(obs_a, obs_b, 0.0, t, psi0, prop, ALPHA_MINUS)
+        assert np.max(np.abs(ps_plus - spec_plus)) <= 1e-10
+        assert np.max(np.abs(ps_minus - spec_minus)) <= 1e-10
+        mean_b = expectation(evolve(prop, psi0, t), obs_b.op).real
+        raw_plus = estimate_from_probabilities(spec_plus, 1.0, 1.0, None).value
+        assert plus.value == pytest.approx(raw_plus - 2.0 * mean_a * mean_b, abs=1e-10)
+        assert minus.value == pytest.approx(
+            estimate_from_probabilities(spec_minus, 1.0, 1.0, None).value, abs=1e-10
+        )
+
+    # LR: the exact quotient against measure_lr, compared as a difference
+    # of expectation values (times lambda * pulse_area); the sampled
+    # value from the same stream is the same draw.
+    area = 1e-3
+    unperturbed = unperturbed_readout(prop, psi0, n - 1, area, ENGINE_GRID)
+    for lam in (0.1, 0.4):
+        for kind in ("hermitian", "non_hermitian"):
+            cfg = LinearResponseConfig(lam, area, 0, n - 1, kind)
+            rngs = [task_rng(3, ti) for ti in range(len(ENGINE_GRID))]
+            trace = lr_trace(cfg, psi0, h, prop, ENGINE_GRID, unperturbed, 1000, rngs)
+            for ti, (t, (exact, samp)) in enumerate(zip(ENGINE_GRID, trace)):
+                args = (cfg, 0.0, max(t, area), psi0, h)
+                spec = measure_lr(*args, prop_factory=lambda _: prop, nominal_budget=1000)
+                assert abs(exact.value - spec.value) * lam * area <= 1e-10
+                assert exact.std_error == pytest.approx(spec.std_error, rel=1e-6)
+                assert exact.shots == spec.shots
+                spec_samp = measure_lr(*args, 1000, task_rng(3, ti), lambda _: prop)
+                assert (samp.value, samp.shots) == (spec_samp.value, spec_samp.shots)
 
 
 def test_scenario_validation():
@@ -162,11 +242,23 @@ def test_study_deterministic_across_seeds_and_workers():
 
 
 def test_exact_circuit_trace_matches_reference():
-    scenario = QuenchScenario(2, tuple(np.linspace(0, 2.0, 5)), seed=3)
+    grid = tuple(np.linspace(0, 2.0, 5))
+    scenario = QuenchScenario(2, grid, seed=3)
     res = run_quench_study(scenario, protocols=("hadamard",), sampled=False, workers=1)
     fom = res.figures["hadamard"]
     assert fom.r_plus <= 1e-12
     assert fom.r_minus <= 1e-12
+    # The study's exact rows are the gate-level circuit values (the Neel
+    # state has vanishing site magnetizations, so connected = raw C+).
+    h = build_xxz(2, 1.0, 0.5)
+    prop = make_propagator(h)
+    by_key = {(r.kind, r.t): r.exact for r in res.rows}
+    for t in grid:
+        plus, minus = measure_dynamical_correlator(
+            sz_obs(0), sz_obs(1), 0.0, t, neel_superposition(2), prop
+        )
+        assert by_key[("+", t)] == pytest.approx(plus.value, abs=1e-10)
+        assert by_key[("-", t)] == pytest.approx(minus.value, abs=1e-10)
 
 
 def test_sampled_trace_converges_to_exact_with_budget():
@@ -210,7 +302,10 @@ def test_study_pool_defaults_to_default_workers(monkeypatch):
 
     monkeypatch.setattr(benchmark.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(benchmark, "ThreadPoolExecutor", recording_pool)
+    # One task per trace: the Hadamard trace and one LR trace per lambda.
     scenario = QuenchScenario(2, (0.0, 1.0), seed=5)
-    default = run_quench_study(scenario, protocols=("hadamard",))
+    default = run_quench_study(scenario, lambdas=(0.2,))
     assert sizes == [2]
-    assert default.rows == run_quench_study(scenario, protocols=("hadamard",), workers=1).rows
+    assert default.rows == run_quench_study(scenario, lambdas=(0.2,), workers=1).rows
+    run_quench_study(scenario, protocols=("hadamard",))
+    assert sizes == [2]  # a single trace runs without a pool

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import quditcorr.benchmark as benchmark
 from quditcorr.cli import (
     ConfigError,
     RunConfig,
@@ -178,3 +179,32 @@ def test_summary_is_strict_json_when_r_is_undefined(tmp_path):
     assert fom["r_minus"] is None
     assert "vanishes" in fom["r_minus_reason"]
     assert fom["r_plus"] is not None and fom["r_plus_reason"] is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupt_writes_the_completed_traces(tmp_path, monkeypatch, workers):
+    # The second LR trace raises as a Ctrl-C would, after the Hadamard
+    # trace and the first LR trace have finished.
+    payload = {**FAST, "lambdas": [0.1, 0.2], "workers": workers}
+    path = write_config(tmp_path, payload)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "full")]) == 0
+    full = (tmp_path / "full" / "results.csv").read_text().splitlines(keepends=True)
+
+    real_trace = benchmark.lr_trace
+
+    def interrupted_trace(config, *args, **kwargs):
+        if config.lam == 0.2:
+            raise KeyboardInterrupt
+        return real_trace(config, *args, **kwargs)
+
+    monkeypatch.setattr(benchmark, "lr_trace", interrupted_trace)
+    out = tmp_path / "cut"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
+    rows = (out / "results.csv").read_text().splitlines(keepends=True)
+    steps = FAST["steps"]
+    assert len(rows) == 1 + 4 * steps  # header, Hadamard +/-, lambda = 0.1 +/-
+    assert rows == full[: len(rows)]
+    assert all(r.startswith("hadamard,") or ",0.1," in r for r in rows[1:])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["incomplete"] is True
+    assert summary["figures_of_merit"] == {}

@@ -12,6 +12,7 @@ from quditcorr.dynamics import (
     build_xxz,
     evolve,
     make_propagator,
+    trajectory,
 )
 from quditcorr.register import QuditState, RegisterShape
 
@@ -161,7 +162,7 @@ def test_non_hermitian_single_spin_norm_decay():
     np.testing.assert_allclose(out.amplitudes, expm_out, atol=1e-12)
 
 
-@pytest.mark.parametrize("strategy", ["dense-eig", "krylov"])
+@pytest.mark.parametrize("strategy", ["krylov"])
 def test_non_hermitian_matches_expm_oracle(strategy):
     rng = np.random.default_rng(4)
     for n in (2, 3):
@@ -174,6 +175,39 @@ def test_non_hermitian_matches_expm_oracle(strategy):
         oracle = scipy.linalg.expm(-1j * t * hp.matrix.toarray()) @ state.amplitudes
         assert np.max(np.abs(out.amplitudes - oracle)) <= 1e-9
         assert out.squared_norm == pytest.approx(np.vdot(oracle, oracle).real, rel=1e-9)
+
+
+def test_dense_eig_rejects_non_hermitian():
+    hp = build_perturbed(build_xxz(2, 1.0, 0.5), 0, 0.25, "non_hermitian")
+    with pytest.raises(ValueError, match="Hermitian"):
+        Propagator("dense-eig", hp)
+    assert make_propagator(hp).strategy == "krylov"
+    assert make_propagator(build_xxz(2, 1.0, 0.5)).strategy == "dense-eig"
+
+
+@pytest.mark.parametrize("strategy", ["dense-eig", "krylov"])
+@pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 3)])
+def test_trajectory_matches_evolve_from_zero(strategy, dims):
+    # A repeated time, a zero time and a non-uniform grid; (2, 3, 3)
+    # carries an ancilla the propagator must leave alone.
+    h = build_xxz(2 if dims[0] == 2 else 3, 1.0, 0.5)
+    prop = make_propagator(h, strategy)
+    state = random_state(np.random.default_rng(9), dims)
+    grid = [0.0, 0.0, 0.4, 1.3, 1.3, 2.05, 7.5]
+    states = list(trajectory(prop, state, grid))
+    assert len(states) == len(grid)
+    for t, got in zip(grid, states):
+        want = evolve(prop, state, t)
+        assert got.shape == state.shape
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-10
+    np.testing.assert_array_equal(states[0].amplitudes, state.amplitudes)
+
+
+def test_trajectory_rejects_decreasing_times():
+    prop = make_propagator(build_xxz(2, 1.0, 0.5))
+    state = random_state(np.random.default_rng(10), (3, 3))
+    with pytest.raises(ValueError, match="non-decreasing"):
+        trajectory(prop, state, [0.0, 1.0, 0.5])
 
 
 def test_ancilla_block_left_untouched():

@@ -38,7 +38,7 @@ from .benchmark import (
     neel_superposition,
     run_quench_study,
 )
-from .dynamics import build_xxz, make_propagator
+from .dynamics import Propagator, build_xxz, make_propagator
 from .hadamard import estimate_from_probabilities, measure_dynamical_correlator, trace_probabilities
 from .observables import HermitianObservable, decompose, spin_matrix
 from .rng import task_rng
@@ -306,7 +306,11 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    """Gate-level circuits and the trace engine `run` uses, against brute force."""
+    """Gate-level circuits and the trace engine `run` uses, against brute force.
+
+    The trace engine runs on both propagators: dense-eig, which make_propagator
+    picks at these sizes, and sparse, which every longer chain uses.
+    """
     failures = 0
     for n in (2, 3, 4):
         h = build_xxz(n, 1.0, 0.5)
@@ -316,20 +320,25 @@ def _cmd_validate(args) -> int:
         obs_b = HermitianObservable(spin_matrix(1, "z").on(1))
         rng = np.random.default_rng(args.seed + n)
         times = np.sort(rng.uniform(0.1, 5.0, args.points))
-        engine = trace_probabilities(obs_a, obs_b, psi0, prop, times)
         norms = (obs_a.spectral_norm, obs_b.spectral_norm)
-        worst_circuit = worst_trace = 0.0
-        for t2, (ps_plus, ps_minus, _) in zip(times, engine):
-            cp, cm = brute_force_correlators(h, psi0, 0, 1, 0.0, t2)
+        refs = [brute_force_correlators(h, psi0, 0, 1, 0.0, t2) for t2 in times]
+        worst_circuit = 0.0
+        for t2, (cp, cm) in zip(times, refs):
             plus, minus = measure_dynamical_correlator(obs_a, obs_b, 0.0, t2, psi0, prop)
             worst_circuit = max(worst_circuit, abs(plus.value - cp), abs(minus.value - cm))
-            plus = estimate_from_probabilities(ps_plus, *norms, None)
-            minus = estimate_from_probabilities(ps_minus, *norms, None)
-            worst_trace = max(worst_trace, abs(plus.value - cp), abs(minus.value - cm))
-        ok = max(worst_circuit, worst_trace) <= 1e-8
+        worst_trace = {}
+        for p in (prop, Propagator("sparse", h)):
+            engine = trace_probabilities(obs_a, obs_b, psi0, p, times)
+            worst_trace[p.strategy] = max(
+                max(abs(estimate_from_probabilities(ps_plus, *norms, None).value - cp),
+                    abs(estimate_from_probabilities(ps_minus, *norms, None).value - cm))
+                for (ps_plus, ps_minus, _), (cp, cm) in zip(engine, refs)
+            )
+        ok = max(worst_circuit, *worst_trace.values()) <= 1e-8
         failures += 0 if ok else 1
+        traces = ", ".join(f"{k} {v:.3e}" for k, v in worst_trace.items())
         print(f"N={n}: max |error| vs brute force: circuit {worst_circuit:.3e}, "
-              f"trace engine {worst_trace:.3e} [{'PASS' if ok else 'FAIL'}]")
+              f"trace engine {traces} [{'PASS' if ok else 'FAIL'}]")
     return 1 if failures else 0
 
 

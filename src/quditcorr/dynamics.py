@@ -11,10 +11,11 @@ replace H by H - lambda*J_xy*S_j^z (Hermitian) or H - i*lambda*J_xy*S_j^z
 exponentials propagate exactly, with no splitting error.
 
 Two propagation strategies are provided: dense eigendecomposition of a
-Hermitian H for dimensions up to 4096, and Krylov expm-action (Lanczos
-for Hermitian, Arnoldi otherwise) with adaptive sub-stepping for larger
-or non-Hermitian registers.  `evolve` applies one exp(-i H t);
-`trajectory` streams a state through a whole time grid.
+Hermitian H for dimensions up to 4096, and the sparse action of the
+exponential (SciPy's expm_multiply, Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33(2), 2011) for larger or non-Hermitian Hamiltonians and for
+the pulses.  `evolve` applies one exp(-i H t); `trajectory` streams a
+state through a whole time grid.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply, norm
 
 from .observables import spin_matrix
 from .register import MAX_AMPLITUDES, QuditState
@@ -34,13 +35,14 @@ DENSE_DIM_LIMIT = 4096
 HERMITIAN = "hermitian"
 NON_HERMITIAN = "non_hermitian"
 
-
-class KrylovConvergenceError(RuntimeError):
-    """Raised when the Krylov step cannot reach the requested tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual estimate {residual:.3e})")
-        self.residual = residual
+# Largest 1-norm of -i*H*t, times the number of vectors, handed to one
+# expm_multiply call.  Up to ~63 / (number of vectors) SciPy picks its
+# Taylor degree from the exact 1-norm of the (trace-shifted, so at most
+# twice as large) operator; beyond it, from onenormest, which draws from
+# the global np.random and would make the evolved state depend on that
+# state.  Longer evolutions are split into equal sub-steps below this
+# norm.
+MAX_STEP_NORM = 16.0
 
 
 @dataclass
@@ -132,21 +134,19 @@ class Propagator:
     States whose trailing sites multiply out to the Hamiltonian
     dimension are accepted; any leading sites (the ancilla) are treated
     as batch indices and left untouched.  "dense-eig" diagonalizes a
-    Hermitian H once; "krylov" works on the sparse H directly.
+    Hermitian H once; "sparse" works on the sparse H directly.
     """
 
-    strategy: str  # "dense-eig" | "krylov"
+    strategy: str  # "dense-eig" | "sparse"
     hamiltonian: SparseHamiltonian
-    tolerance: float = 1e-9
-    max_krylov_dim: int = 30
     _eig: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.strategy not in ("dense-eig", "krylov"):
+        if self.strategy not in ("dense-eig", "sparse"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "dense-eig":
             if not self.hamiltonian.hermitian:
-                raise ValueError("dense-eig needs a Hermitian Hamiltonian; use krylov")
+                raise ValueError("dense-eig needs a Hermitian Hamiltonian; use sparse")
             if self.hamiltonian.dimension > DENSE_DIM_LIMIT:
                 raise ValueError(
                     f"dense-eig limited to dimension {DENSE_DIM_LIMIT}, "
@@ -155,16 +155,11 @@ class Propagator:
             self._eig = np.linalg.eigh(self.hamiltonian.matrix.toarray())
 
 
-def make_propagator(
-    h: SparseHamiltonian,
-    strategy: str | None = None,
-    tolerance: float = 1e-9,
-    max_krylov_dim: int = 30,
-) -> Propagator:
+def make_propagator(h: SparseHamiltonian, strategy: str | None = None) -> Propagator:
     if strategy is None:
         dense = h.hermitian and h.dimension <= DENSE_DIM_LIMIT
-        strategy = "dense-eig" if dense else "krylov"
-    return Propagator(strategy, h, tolerance, max_krylov_dim)
+        strategy = "dense-eig" if dense else "sparse"
+    return Propagator(strategy, h)
 
 
 def _system_block(state: QuditState, dim: int) -> int:
@@ -198,15 +193,13 @@ def evolve(prop: Propagator, state: QuditState, duration: float) -> QuditState:
         vals, vecs = prop._eig
         out = _from_eigenbasis(vecs, _to_eigenbasis(vecs, block) * np.exp(-1j * vals * duration))
     else:
-        out = np.empty_like(block)
-        for r in range(block.shape[0]):
-            out[r] = _expm_action_krylov(
-                prop.hamiltonian,
-                block[r],
-                duration,
-                prop.tolerance,
-                prop.max_krylov_dim,
-            )
+        # All rows in one call, as the columns of block.T.
+        gen = -1j * duration * prop.hamiltonian.matrix
+        steps = max(1, math.ceil(norm(gen, 1) * block.shape[0] / MAX_STEP_NORM))
+        out = block.T
+        for _ in range(steps):
+            out = expm_multiply(gen / steps, out)
+        out = out.T
     return QuditState(state.shape, out.reshape(-1))
 
 
@@ -215,7 +208,7 @@ def trajectory(prop: Propagator, state: QuditState, times):
 
     Streams: one state is alive at a time, whatever the grid length.
     On dense-eig the state is projected onto the eigenbasis once and each
-    time costs one phase multiply and one back-transform; on krylov each
+    time costs one phase multiply and one back-transform; on sparse each
     time is reached by evolving the previous one.  A time of 0 yields a
     copy of the state, as evolve does.
     """
@@ -256,117 +249,3 @@ def _to_eigenbasis(vecs: np.ndarray, block: np.ndarray) -> np.ndarray:
 def _from_eigenbasis(vecs: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """Rows of V c for each row c of coeff (vecs.T is a view, not a copy)."""
     return coeff @ vecs.T
-
-
-def _lanczos(matvec, v0: np.ndarray, m_max: int):
-    """Hermitian Krylov basis; returns (V, T, beta_next, happy)."""
-    n = v0.shape[0]
-    V = np.empty((m_max, n), dtype=np.complex128)
-    alpha = np.empty(m_max)
-    beta = np.empty(m_max)
-    V[0] = v0
-    w = matvec(v0)
-    alpha[0] = np.real(np.vdot(V[0], w))
-    w = w - alpha[0] * V[0]
-    m = 1
-    happy = False
-    beta_next = 0.0
-    for j in range(1, m_max):
-        # Full reorthogonalization: cheap at m <= 30 and avoids ghost modes.
-        for k in range(j):
-            w = w - np.vdot(V[k], w) * V[k]
-        b = float(np.linalg.norm(w))
-        if b < 1e-14:
-            happy = True
-            break
-        beta[j - 1] = b
-        V[j] = w / b
-        w = matvec(V[j])
-        alpha[j] = np.real(np.vdot(V[j], w))
-        w = w - alpha[j] * V[j] - b * V[j - 1]
-        m = j + 1
-    else:
-        for k in range(m_max):
-            w = w - np.vdot(V[k], w) * V[k]
-        beta_next = float(np.linalg.norm(w))
-    T = np.diag(alpha[:m]).astype(np.complex128)
-    for j in range(m - 1):
-        T[j, j + 1] = T[j + 1, j] = beta[j]
-    return V[:m], T, beta_next, happy
-
-
-def _arnoldi(matvec, v0: np.ndarray, m_max: int):
-    """General Krylov basis; returns (V, H, h_next, happy)."""
-    n = v0.shape[0]
-    V = np.empty((m_max, n), dtype=np.complex128)
-    H = np.zeros((m_max, m_max), dtype=np.complex128)
-    V[0] = v0
-    m = m_max
-    happy = False
-    h_next = 0.0
-    for j in range(m_max):
-        w = matvec(V[j])
-        for k in range(j + 1):
-            H[k, j] = np.vdot(V[k], w)
-            w = w - H[k, j] * V[k]
-        b = float(np.linalg.norm(w))
-        if j + 1 == m_max:
-            h_next = b
-            break
-        if b < 1e-14:
-            m = j + 1
-            happy = True
-            break
-        H[j + 1, j] = b
-        V[j + 1] = w / b
-    return V[:m], H[:m, :m], h_next, happy
-
-
-def _expm_action_krylov(
-    h: SparseHamiltonian,
-    v: np.ndarray,
-    t: float,
-    tol: float,
-    m_max: int,
-    max_halvings: int = 60,
-) -> np.ndarray:
-    """exp(-i H t) v via a Krylov subspace with adaptive sub-stepping.
-
-    The per-step error is estimated from the first neglected basis
-    vector (the usual last-component heuristic); a step failing its
-    share of the tolerance budget is halved and retried.
-    """
-    beta0 = float(np.linalg.norm(v))
-    if beta0 == 0.0:
-        return v.copy()
-    mat = h.matrix
-    matvec = mat.dot
-    build = _lanczos if h.hermitian else _arnoldi
-
-    x = v.copy()
-    done = 0.0
-    total = float(t)
-    while abs(total - done) > 1e-15 * max(1.0, abs(total)):
-        beta = float(np.linalg.norm(x))
-        if beta == 0.0:
-            return x
-        V, T, h_next, happy = build(matvec, x / beta, m_max)
-        tau = total - done
-        residual = math.inf
-        for _ in range(max_halvings):
-            small_u = scipy.linalg.expm(-1j * tau * T)
-            y = small_u[:, 0]
-            residual = 0.0 if happy else float(h_next * abs(y[-1]))
-            budget = tol * max(beta0, 1.0) * max(abs(tau) / abs(total), 1e-3)
-            if residual <= budget:
-                x = beta * (y @ V)
-                done += tau
-                break
-            tau /= 2.0
-        else:
-            raise KrylovConvergenceError(
-                f"no convergence within max_krylov_dim={m_max} "
-                f"after {max_halvings} step halvings",
-                residual,
-            )
-    return x

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply, norm
 
 from .dynamics import (
     HERMITIAN,
@@ -51,14 +50,6 @@ from .rng import as_generator
 
 # Squared norm below which the perturbed branch is considered collapsed.
 NORM_COLLAPSE = 1e-6
-
-# Largest 1-norm of -i*H*dt handed to one expm_multiply call.  Up to
-# ~63 SciPy picks its Taylor degree from the exact 1-norm of the
-# (trace-shifted, so at most twice as large) operator; beyond it, from
-# onenormest, which draws from the global np.random and would make the
-# pulsed state depend on that state.  Longer pulses are split into
-# equal sub-steps below this norm.
-MAX_STEP_NORM = 16.0
 
 
 @dataclass(frozen=True)
@@ -106,22 +97,6 @@ def effective_shots(nominal: int, squared_norm: float) -> int:
     if not 0.0 < squared_norm <= 1.0 + 1e-6:
         raise ValueError(f"squared norm {squared_norm} outside (0, 1]")
     return max(1, round(nominal * min(squared_norm, 1.0)))
-
-
-def apply_pulse(h: SparseHamiltonian, state: QuditState, duration: float) -> QuditState:
-    """exp(-i H duration)|state> as the action of the exponential on one vector.
-
-    A short pulse needs only a few sparse matvecs (Al-Mohy & Higham,
-    SIAM J. Sci. Comput. 33(2), 2011), so no propagator is built for the
-    perturbed Hamiltonian.  A non-Hermitian H returns the unnormalized
-    state.  The result does not depend on the global np.random state.
-    """
-    gen = -1j * duration * h.matrix
-    steps = max(1, math.ceil(norm(gen, 1) / MAX_STEP_NORM))
-    amp = state.amplitudes
-    for _ in range(steps):
-        amp = expm_multiply(gen / steps, amp)
-    return QuditState(state.shape, amp)
 
 
 def _sz_levels() -> np.ndarray:
@@ -203,8 +178,10 @@ def measure_lr(
     the difference quotient isolates the response.  In exact mode an
     attached nominal budget yields the error band the same budget would
     have, computed from the exact per-branch S^z variances.
-    prop_factory is asked only for the propagator of h0; the pulse is
-    applied with apply_pulse.
+    prop_factory is asked only for the propagator of h0.  The pulse is
+    a sparse propagation under the perturbed H: a short pulse needs only
+    a few matvecs, where make_propagator would diagonalize a small
+    Hermitian H for every pulse.
     """
     jxy = h0.j_xy
     dt = config.pulse_area / jxy
@@ -215,7 +192,7 @@ def measure_lr(
     prop0 = prop_factory(h0)
 
     pert = evolve(prop0, psi0, t1)
-    pert = apply_pulse(h_pert, pert, dt)
+    pert = evolve(Propagator("sparse", h_pert), pert, dt)
     pert = evolve(prop0, pert, t2 - t1 - dt)
     unpert = evolve(prop0, psi0, t2)
     site = config.readout_site
@@ -262,7 +239,7 @@ def lr_trace(
     """
     dt = config.pulse_area / h0.j_xy
     h_pert = build_perturbed(h0, config.probe_site, config.lam, config.kind)
-    pulsed = apply_pulse(h_pert, psi0, dt)
+    pulsed = evolve(Propagator("sparse", h_pert), psi0, dt)
     out = []
     for k, state in enumerate(trajectory(prop, pulsed, np.maximum(times, dt) - dt)):
         pert = site_marginal(state, config.readout_site)

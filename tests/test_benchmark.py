@@ -159,7 +159,7 @@ def test_reference_trace_matches_heisenberg_oracle(n, state):
 ENGINE_GRID = (0.0, 4e-4, 0.3, 0.35, 1.2, 2.9, 5.0)
 
 
-@pytest.mark.parametrize("strategy", ["dense-eig", "krylov"])
+@pytest.mark.parametrize("strategy", ["dense-eig", "sparse"])
 @pytest.mark.parametrize("state", ["neel", "random"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 
 from oracles import SZ1, dense_xxz, neel_superposition_vec
 from quditcorr.dynamics import (
-    KrylovConvergenceError,
     Propagator,
     SparseHamiltonian,
     build_perturbed,
@@ -111,7 +110,7 @@ def test_eigenstate_acquires_phase_only():
     assert abs(np.sqrt(out.squared_norm) - 1) <= 1e-12
 
 
-@pytest.mark.parametrize("strategy", ["dense-eig", "krylov"])
+@pytest.mark.parametrize("strategy", ["dense-eig", "sparse"])
 def test_group_property(strategy):
     rng = np.random.default_rng(1)
     for n in (2, 3, 4):
@@ -124,22 +123,38 @@ def test_group_property(strategy):
         assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-8
 
 
-def test_krylov_matches_dense_many_durations():
+def test_sparse_matches_dense_many_durations():
+    # Durations past 16 / ||H||_1 = 2.7 are split into sub-steps; t = 30
+    # takes 12 of them.
     rng = np.random.default_rng(2)
     h = build_xxz(4, 1.0, 0.5)
     pd = make_propagator(h, "dense-eig")
-    pk = make_propagator(h, "krylov")
+    ps = make_propagator(h, "sparse")
     state = random_state(rng, (3,) * 4)
-    for t in rng.uniform(0.0, 10.0, 50):
+    for t in [*rng.uniform(0.0, 10.0, 50), *rng.uniform(10.0, 30.0, 10), 30.0, -30.0]:
         a = evolve(pd, state, t)
-        b = evolve(pk, state, t)
+        b = evolve(ps, state, t)
         assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-8
+
+
+@pytest.mark.usefixtures("restore_global_random_state")
+def test_sparse_evolve_ignores_the_global_random_state():
+    # One unsplit expm_multiply call over this norm picks its Taylor
+    # degree with onenormest, which draws from np.random.
+    h = build_xxz(6, 1.0, 0.5)
+    prop = make_propagator(h, "sparse")
+    state = random_state(np.random.default_rng(11), (3,) * 6)
+    seen = set()
+    for seed in range(4):
+        np.random.seed(seed)
+        seen.add(evolve(prop, state, 20.0).amplitudes.tobytes())
+    assert len(seen) == 1
 
 
 def test_energy_conservation_and_norm_drift():
     rng = np.random.default_rng(3)
     h = build_xxz(4, 1.0, 0.5)
-    prop = make_propagator(h, "krylov")
+    prop = make_propagator(h, "sparse")
     state = random_state(rng, (3,) * 4)
     e0 = np.vdot(state.amplitudes, h.matrix @ state.amplitudes).real
     out = state
@@ -162,7 +177,7 @@ def test_non_hermitian_single_spin_norm_decay():
     np.testing.assert_allclose(out.amplitudes, expm_out, atol=1e-12)
 
 
-@pytest.mark.parametrize("strategy", ["krylov"])
+@pytest.mark.parametrize("strategy", ["sparse"])
 def test_non_hermitian_matches_expm_oracle(strategy):
     rng = np.random.default_rng(4)
     for n in (2, 3):
@@ -181,11 +196,11 @@ def test_dense_eig_rejects_non_hermitian():
     hp = build_perturbed(build_xxz(2, 1.0, 0.5), 0, 0.25, "non_hermitian")
     with pytest.raises(ValueError, match="Hermitian"):
         Propagator("dense-eig", hp)
-    assert make_propagator(hp).strategy == "krylov"
+    assert make_propagator(hp).strategy == "sparse"
     assert make_propagator(build_xxz(2, 1.0, 0.5)).strategy == "dense-eig"
 
 
-@pytest.mark.parametrize("strategy", ["dense-eig", "krylov"])
+@pytest.mark.parametrize("strategy", ["dense-eig", "sparse"])
 @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 3)])
 def test_trajectory_matches_evolve_from_zero(strategy, dims):
     # A repeated time, a zero time and a non-uniform grid; (2, 3, 3)
@@ -210,11 +225,12 @@ def test_trajectory_rejects_decreasing_times():
         trajectory(prop, state, [0.0, 1.0, 0.5])
 
 
-def test_ancilla_block_left_untouched():
+@pytest.mark.parametrize("strategy", ["dense-eig", "sparse"])
+def test_ancilla_block_left_untouched(strategy):
     rng = np.random.default_rng(5)
     h = build_xxz(2, 1.0, 0.5)
     state = random_state(rng, (2, 3, 3))
-    out = evolve(make_propagator(h), state, 1.1)
+    out = evolve(make_propagator(h, strategy), state, 1.1)
     u = scipy.linalg.expm(-1j * 1.1 * h.matrix.toarray())
     oracle = np.kron(np.eye(2), u) @ state.amplitudes
     np.testing.assert_allclose(out.amplitudes, oracle, atol=1e-10)
@@ -223,7 +239,7 @@ def test_ancilla_block_left_untouched():
 def test_negative_duration_inverts_evolution():
     rng = np.random.default_rng(6)
     h = build_xxz(3, 1.0, 0.5)
-    for strategy in ("dense-eig", "krylov"):
+    for strategy in ("dense-eig", "sparse"):
         prop = make_propagator(h, strategy)
         state = random_state(rng, (3, 3, 3))
         back = evolve(prop, evolve(prop, state, 1.3), -1.3)
@@ -241,12 +257,4 @@ def test_dense_strategy_dimension_limit():
     h = build_xxz(8, 1.0, 0.5)  # dimension 6561 > 4096
     with pytest.raises(ValueError, match="dense-eig"):
         Propagator("dense-eig", h)
-    assert make_propagator(h).strategy == "krylov"
-
-
-def test_krylov_failure_surfaces_residual():
-    h = build_xxz(3, 1.0, 0.5)
-    prop = make_propagator(h, "krylov", tolerance=0.0, max_krylov_dim=3)
-    state = random_state(np.random.default_rng(8), (3, 3, 3))
-    with pytest.raises(KrylovConvergenceError, match="residual"):
-        evolve(prop, state, 2.0)
+    assert make_propagator(h).strategy == "sparse"

@@ -3,10 +3,9 @@ import pytest
 import scipy.linalg
 
 from oracles import SZ1, connected_pair, dense_xxz, heisenberg_pair, neel_superposition_vec, site_op
-from quditcorr.dynamics import build_perturbed, build_xxz, make_propagator
+from quditcorr.dynamics import Propagator, build_perturbed, build_xxz, evolve, make_propagator
 from quditcorr.linear_response import (
     LinearResponseConfig,
-    apply_pulse,
     effective_shots,
     measure_lr,
     normalized_expectation,
@@ -160,13 +159,6 @@ def test_norm_collapse_flagged():
         measure_lr(cfg, 0.0, 1.0, psi0, h)
 
 
-@pytest.fixture
-def restore_global_random_state():
-    saved = np.random.get_state()
-    yield
-    np.random.set_state(saved)
-
-
 @pytest.mark.usefixtures("restore_global_random_state")
 @pytest.mark.parametrize(
     "n, kind, pulse_area",
@@ -206,5 +198,6 @@ def test_pulsed_state_matches_expm_oracle(n, kind, dt):
     coupling = lam if kind == "hermitian" else 1j * lam
     oracle_h = dense_xxz(n, 1.0, 0.5) - coupling * site_op(n, site, SZ1)
     expected = scipy.linalg.expm(-1j * dt * oracle_h) @ amp
-    got = apply_pulse(build_perturbed(h0, site, lam, kind), state, dt).amplitudes
+    pulse = Propagator("sparse", build_perturbed(h0, site, lam, kind))
+    got = evolve(pulse, state, dt).amplitudes
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(expected)))

@@ -88,8 +88,33 @@ def _expect(cond: bool, field: str, message: str):
         raise ConfigError(f"invalid config field '{field}': {message}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass in Python, but not one in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _integer(raw: dict, field: str) -> int:
+    value = raw.get(field, getattr(_DEFAULTS, field))
+    _expect(_is_int(value), field, f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(raw: dict, field: str) -> float:
+    value = raw.get(field, getattr(_DEFAULTS, field))
+    _expect(_is_number(value), field, f"expected a number, got {value!r}")
+    return float(value)
+
+
 def parse_config_dict(raw: dict) -> tuple[RunConfig, list[str]]:
-    """Validate a config mapping; returns the config and the defaulted keys."""
+    """Validate a config mapping; returns the config and the defaulted keys.
+
+    Types are checked, not coerced: integer fields take JSON integers,
+    number fields JSON numbers and exact_only a JSON boolean.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
     known = {f.name for f in dataclasses.fields(RunConfig)}
@@ -99,20 +124,20 @@ def parse_config_dict(raw: dict) -> tuple[RunConfig, list[str]]:
     defaulted = sorted(known - set(raw))
 
     cfg = {}
-    cfg["n_sites"] = int(raw.get("n_sites", _DEFAULTS.n_sites))
+    cfg["n_sites"] = _integer(raw, "n_sites")
     _expect(cfg["n_sites"] >= 2, "n_sites", "need at least 2 sites")
-    cfg["j_z_over_j_xy"] = float(raw.get("j_z_over_j_xy", _DEFAULTS.j_z_over_j_xy))
-    cfg["t_max"] = float(raw.get("t_max", _DEFAULTS.t_max))
+    cfg["j_z_over_j_xy"] = _number(raw, "j_z_over_j_xy")
+    cfg["t_max"] = _number(raw, "t_max")
     _expect(cfg["t_max"] > 0, "t_max", "must be positive")
-    cfg["steps"] = int(raw.get("steps", _DEFAULTS.steps))
+    cfg["steps"] = _integer(raw, "steps")
     _expect(cfg["steps"] >= 1, "steps", "must be at least 1")
     sites = raw.get("sites", list(_DEFAULTS.sites))
     _expect(
-        isinstance(sites, (list, tuple)) and len(sites) == 2,
+        isinstance(sites, (list, tuple)) and len(sites) == 2 and all(map(_is_int, sites)),
         "sites",
         "expected a pair of 1-based site indices",
     )
-    cfg["sites"] = (int(sites[0]), int(sites[1]))
+    cfg["sites"] = tuple(sites)
     protocols = raw.get("protocols", list(_DEFAULTS.protocols))
     _expect(isinstance(protocols, (list, tuple)) and protocols, "protocols", "nonempty list")
     for p in protocols:
@@ -127,38 +152,36 @@ def parse_config_dict(raw: dict) -> tuple[RunConfig, list[str]]:
             _expect(isinstance(per, dict), "shots", "per-protocol budgets must be a mapping")
             for kind, n in per.items():
                 _expect(kind in ("plus", "minus"), "shots", f"unknown kind {kind!r}")
-                _expect(int(n) >= 2, "shots", "per-point budgets must be >= 2")
-                budget[proto][kind] = int(n)
+                _expect(_is_int(n) and n >= 2, "shots", "per-point budgets must be integers >= 2")
+                budget[proto][kind] = n
     cfg["shots"] = budget
-    cfg["exact_only"] = bool(raw.get("exact_only", _DEFAULTS.exact_only))
+    cfg["exact_only"] = raw.get("exact_only", _DEFAULTS.exact_only)
+    _expect(isinstance(cfg["exact_only"], bool), "exact_only", "expected true or false")
     lambdas = raw.get("lambdas", list(_DEFAULTS.lambdas))
     _expect(isinstance(lambdas, (list, tuple)) and lambdas, "lambdas", "nonempty list")
     for lam in lambdas:
-        _expect(float(lam) > 0, "lambdas", f"perturbation strength must be positive, got {lam}")
+        _expect(_is_number(lam) and lam > 0, "lambdas", f"must be positive numbers, got {lam!r}")
     cfg["lambdas"] = tuple(float(l) for l in lambdas)
-    cfg["pulse_area"] = float(raw.get("pulse_area", _DEFAULTS.pulse_area))
+    cfg["pulse_area"] = _number(raw, "pulse_area")
     _expect(cfg["pulse_area"] > 0, "pulse_area", "must be positive")
-    cfg["seed"] = int(raw.get("seed", _DEFAULTS.seed))
-    workers = raw.get("workers", None)
-    cfg["workers"] = None if workers is None else int(workers)
-    if cfg["workers"] is not None:
-        _expect(cfg["workers"] >= 1, "workers", "must be at least 1")
+    cfg["seed"] = _integer(raw, "seed")
+    cfg["workers"] = workers = raw.get("workers", None)
+    _expect(workers is None or _is_int(workers) and workers >= 1, "workers", "must be null or >= 1")
     return RunConfig(**cfg), defaulted
 
 
-def _load_config(path: str) -> tuple[RunConfig, list[str]]:
-    """Load and validate a JSON run configuration; also returns the defaulted keys."""
+def _read_json(path: str):
+    """The JSON document at path; a syntax error becomes a ConfigError with its line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
-    return parse_config_dict(raw)
 
 
 def parse_config(path: str) -> RunConfig:
     """Load and validate a JSON run configuration."""
-    return _load_config(path)[0]
+    return parse_config_dict(_read_json(path))[0]
 
 
 CSV_COLUMNS = ("protocol", "kind", "t", "lambda", "exact", "sampled", "std_error", "shots", "seed")
@@ -250,26 +273,18 @@ def run(config: RunConfig, out_dir: str = ".", defaults_applied=()) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.config:
-        config, defaulted = _load_config(args.config)
-    else:
-        config, defaulted = parse_config_dict({})
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.lam is not None:
-        overrides["lambdas"] = (args.lam,)
-    if args.n_sites is not None:
-        overrides["n_sites"] = args.n_sites
-    if args.t_max is not None:
-        overrides["t_max"] = args.t_max
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-        defaulted = [k for k in defaulted if k not in overrides]
+    raw = _read_json(args.config) if args.config else {}
+    flags = {
+        "seed": args.seed,
+        "workers": args.workers,
+        "lambdas": None if args.lam is None else [args.lam],
+        "n_sites": args.n_sites,
+        "t_max": args.t_max,
+        "steps": args.steps,
+    }
+    if isinstance(raw, dict):  # anything else is rejected by the parser
+        raw = {**raw, **{k: v for k, v in flags.items() if v is not None}}
+    config, defaulted = parse_config_dict(raw)
     return run(config, args.out, defaulted)
 
 

@@ -14,8 +14,9 @@ Two propagation strategies are provided: dense eigendecomposition of a
 Hermitian H for dimensions up to 4096, and the sparse action of the
 exponential (SciPy's expm_multiply, Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33(2), 2011) for larger or non-Hermitian Hamiltonians and for
-the pulses.  `evolve` applies one exp(-i H t); `trajectory` streams a
-state through a whole time grid.
+the pulses.  `trajectory` streams a state through a whole time grid
+and is the only code that propagates, one path per strategy; `evolve`,
+one exp(-i H t), is its one-time case.
 """
 
 from __future__ import annotations
@@ -155,97 +156,79 @@ class Propagator:
             self._eig = np.linalg.eigh(self.hamiltonian.matrix.toarray())
 
 
-def make_propagator(h: SparseHamiltonian, strategy: str | None = None) -> Propagator:
-    if strategy is None:
-        dense = h.hermitian and h.dimension <= DENSE_DIM_LIMIT
-        strategy = "dense-eig" if dense else "sparse"
-    return Propagator(strategy, h)
+def make_propagator(h: SparseHamiltonian) -> Propagator:
+    """dense-eig for a Hermitian H up to DENSE_DIM_LIMIT, sparse otherwise."""
+    dense = h.hermitian and h.dimension <= DENSE_DIM_LIMIT
+    return Propagator("dense-eig" if dense else "sparse", h)
 
 
-def _system_block(state: QuditState, dim: int) -> int:
-    """Number of trailing sites forming the system block of size dim."""
+def _check_system_block(state: QuditState, dim: int):
+    """Raise unless the trailing sites of state multiply out to dim."""
     prod = 1
-    for k in range(len(state.dims) - 1, -1, -1):
-        prod *= state.dims[k]
-        if prod == dim:
-            return k
-        if prod > dim:
+    for d in reversed(state.dims):
+        prod *= d
+        if prod >= dim:
             break
-    raise ValueError(
-        f"state dims {state.dims} have no trailing block of dimension {dim}"
-    )
+    if prod != dim:
+        raise ValueError(
+            f"state dims {state.dims} have no trailing block of dimension {dim}"
+        )
 
 
 def evolve(prop: Propagator, state: QuditState, duration: float) -> QuditState:
     """exp(-i H * duration)|state>, acting on the system sites only.
 
-    Negative durations propagate backwards (needed when the second
-    correlator time precedes the first).  Unitary evolution preserves
-    the norm; non-Hermitian Hamiltonians return an unnormalized state
-    whose squared norm is tracked by the QuditState itself.
+    The one-time case of trajectory.  Negative durations propagate
+    backwards (needed when the second correlator time precedes the
+    first).  Unitary evolution preserves the norm; non-Hermitian
+    Hamiltonians return an unnormalized state whose squared norm is
+    tracked by the QuditState itself.
     """
-    dim = prop.hamiltonian.dimension
-    _system_block(state, dim)
-    if duration == 0.0:
-        return state.copy()
-    block = state.amplitudes.reshape(-1, dim)
-    if prop.strategy == "dense-eig":
-        vals, vecs = prop._eig
-        out = _from_eigenbasis(vecs, _to_eigenbasis(vecs, block) * np.exp(-1j * vals * duration))
-    else:
-        # All rows in one call, as the columns of block.T.
-        gen = -1j * duration * prop.hamiltonian.matrix
-        steps = max(1, math.ceil(norm(gen, 1) * block.shape[0] / MAX_STEP_NORM))
-        out = block.T
-        for _ in range(steps):
-            out = expm_multiply(gen / steps, out)
-        out = out.T
-    return QuditState(state.shape, out.reshape(-1))
+    return next(trajectory(prop, state, (duration,)))
 
 
 def trajectory(prop: Propagator, state: QuditState, times):
     """Iterator over exp(-i H t)|state> for each t of a non-decreasing grid.
 
     Streams: one state is alive at a time, whatever the grid length.
-    On dense-eig the state is projected onto the eigenbasis once and each
-    time costs one phase multiply and one back-transform; on sparse each
-    time is reached by evolving the previous one.  A time of 0 yields a
-    copy of the state, as evolve does.
+    The leading (ancilla) sites are batch rows.  A time of 0 yields a
+    copy of the state, never a view of it.
     """
     times = [float(t) for t in times]
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("trajectory times must be non-decreasing")
-    dim = prop.hamiltonian.dimension
-    _system_block(state, dim)
+    _check_system_block(state, prop.hamiltonian.dimension)
     if prop.strategy == "dense-eig":
         return _dense_trajectory(prop, state, times)
-    return _stepped_trajectory(prop, state, times)
+    return _sparse_trajectory(prop, state, times)
 
 
 def _dense_trajectory(prop, state, times):
+    """Project onto the eigenbasis once; each time is a phase and V c."""
     vals, vecs = prop._eig
-    coeff = _to_eigenbasis(vecs, state.amplitudes.reshape(-1, prop.hamiltonian.dimension))
+    block = state.amplitudes.reshape(-1, prop.hamiltonian.dimension)
+    coeff = (block.conj() @ vecs).conj()  # rows of V^+ x, without forming V^+
     for t in times:
         if t == 0.0:
             yield state.copy()
         else:
-            out = _from_eigenbasis(vecs, coeff * np.exp(-1j * vals * t))
+            out = (coeff * np.exp(-1j * vals * t)) @ vecs.T  # vecs.T is a view
             yield QuditState(state.shape, out.reshape(-1))
 
 
-def _stepped_trajectory(prop, state, times):
+def _sparse_trajectory(prop, state, times):
+    """Reach each time from the previous one by sub-stepped expm_multiply."""
+    h = prop.hamiltonian.matrix
     now = 0.0
     for t in times:
-        state = evolve(prop, state, t - now)
-        now = t
+        if t == now:
+            yield state.copy()
+            continue
+        gen = -1j * (t - now) * h
+        block = state.amplitudes.reshape(-1, prop.hamiltonian.dimension)
+        steps = max(1, math.ceil(norm(gen, 1) * block.shape[0] / MAX_STEP_NORM))
+        out = block.T  # all rows in one call, as the columns of block.T
+        for _ in range(steps):
+            out = expm_multiply(gen / steps, out)
+        state, now = QuditState(state.shape, out.T.reshape(-1)), t
         yield state
-
-
-def _to_eigenbasis(vecs: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Rows of V^+ x for each row x of block, without forming V^+."""
-    return (block.conj() @ vecs).conj()
-
-
-def _from_eigenbasis(vecs: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Rows of V c for each row c of coeff (vecs.T is a view, not a copy)."""
-    return coeff @ vecs.T

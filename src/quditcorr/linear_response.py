@@ -168,7 +168,6 @@ def measure_lr(
     h0: SparseHamiltonian,
     budget: int | None = None,
     rng=None,
-    prop_factory=make_propagator,
     nominal_budget: int | None = None,
 ) -> CorrelatorEstimate:
     """One linear-response estimate of C-(t1,t2) or C+(t1,t2).
@@ -177,11 +176,11 @@ def measure_lr(
     perturbed and unperturbed branches share the same total duration so
     the difference quotient isolates the response.  In exact mode an
     attached nominal budget yields the error band the same budget would
-    have, computed from the exact per-branch S^z variances.
-    prop_factory is asked only for the propagator of h0.  The pulse is
-    a sparse propagation under the perturbed H: a short pulse needs only
-    a few matvecs, where make_propagator would diagonalize a small
-    Hermitian H for every pulse.
+    have, computed from the exact per-branch S^z variances.  h0
+    propagates through make_propagator.  The pulse is a sparse
+    propagation under the perturbed H: a short pulse needs only a few
+    matvecs, where make_propagator would diagonalize a small Hermitian H
+    for every pulse.
     """
     jxy = h0.j_xy
     dt = config.pulse_area / jxy
@@ -189,7 +188,7 @@ def measure_lr(
         raise ValueError(f"need t2 >= t1 + pulse duration ({t1 + dt:g}), got {t2:g}")
 
     h_pert = build_perturbed(h0, config.probe_site, config.lam, config.kind)
-    prop0 = prop_factory(h0)
+    prop0 = make_propagator(h0)
 
     pert = evolve(prop0, psi0, t1)
     pert = evolve(Propagator("sparse", h_pert), pert, dt)

@@ -16,7 +16,7 @@ from quditcorr.benchmark import (
     run_quench_study,
     time_averaged_std,
 )
-from quditcorr.dynamics import build_xxz, evolve, make_propagator
+from quditcorr.dynamics import Propagator, build_xxz, evolve, make_propagator
 from quditcorr.hadamard import (
     ALPHA_MINUS,
     ALPHA_PLUS,
@@ -165,7 +165,7 @@ ENGINE_GRID = (0.0, 4e-4, 0.3, 0.35, 1.2, 2.9, 5.0)
 def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
     psi0 = neel_superposition(n) if state == "neel" else _random_state(n, 20 + n)
     h = build_xxz(n, 1.0, 0.5)
-    prop = make_propagator(h, strategy)
+    prop = Propagator(strategy, h)
     obs_a, obs_b = sz_obs(0), sz_obs(n - 1)
     mean_a = expectation(psi0, obs_a.op).real
 
@@ -201,11 +201,11 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
             trace = lr_trace(cfg, psi0, h, prop, ENGINE_GRID, unperturbed, 1000, rngs)
             for ti, (t, (exact, samp)) in enumerate(zip(ENGINE_GRID, trace)):
                 args = (cfg, 0.0, max(t, area), psi0, h)
-                spec = measure_lr(*args, prop_factory=lambda _: prop, nominal_budget=1000)
+                spec = measure_lr(*args, nominal_budget=1000)
                 assert abs(exact.value - spec.value) * lam * area <= 1e-10
                 assert exact.std_error == pytest.approx(spec.std_error, rel=1e-6)
                 assert exact.shots == spec.shots
-                spec_samp = measure_lr(*args, 1000, task_rng(3, ti), lambda _: prop)
+                spec_samp = measure_lr(*args, 1000, task_rng(3, ti))
                 assert (samp.value, samp.shots) == (spec_samp.value, spec_samp.shots)
 
 

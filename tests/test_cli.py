@@ -72,6 +72,30 @@ def test_field_validation_messages(tmp_path):
         parse_config(write_config(tmp_path, {"protocols": ["qpe"]}))
     with pytest.raises(ConfigError, match="shots"):
         parse_config(write_config(tmp_path, {"shots": {"hadamard": {"plus": 1}}}))
+    # Types are checked, not coerced.
+    wrong_types = [
+        ("exact_only", {"exact_only": "false"}),
+        ("n_sites", {"n_sites": 4.7}),
+        ("n_sites", {"n_sites": "abc"}),
+        ("seed", {"seed": 1.5}),
+        ("workers", {"workers": True}),
+        ("shots", {"shots": {"hadamard": {"plus": 2.9}}}),
+    ]
+    for field, payload in wrong_types:
+        with pytest.raises(ConfigError, match=f"invalid config field '{field}'"):
+            parse_config_dict(payload)
+    assert parse_config_dict({"t_max": 5})[0].t_max == 5.0
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [(["--workers", "0"], "workers"), (["--workers", "-3"], "workers"), (["--steps", "0"], "steps")],
+)
+def test_run_flags_go_through_the_config_checks(tmp_path, capsys, flags, field):
+    path = write_config(tmp_path, FAST)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out"), *flags]) == 2
+    assert f"invalid config field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_same_config_and_seed_give_identical_csv_bytes(tmp_path):

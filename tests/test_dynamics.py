@@ -92,10 +92,18 @@ def test_perturbed_validation():
 
 
 def test_zero_duration_returns_same_state():
+    # On both strategies and with an ancilla, time 0 is a copy of the
+    # input: equal to it and sharing no memory with it.
     h = build_xxz(2, 1.0, 0.5)
-    state = random_state(np.random.default_rng(0), (3, 3))
-    out = evolve(make_propagator(h), state, 0.0)
-    np.testing.assert_allclose(out.amplitudes, state.amplitudes)
+    rng = np.random.default_rng(0)
+    for strategy in ("dense-eig", "sparse"):
+        prop = Propagator(strategy, h)
+        for dims in ((3, 3), (2, 3, 3)):
+            state = random_state(rng, dims)
+            first = next(trajectory(prop, state, [0.0, 0.5]))
+            for out in (evolve(prop, state, 0.0), first):
+                np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+                assert not np.shares_memory(out.amplitudes, state.amplitudes)
 
 
 def test_eigenstate_acquires_phase_only():
@@ -115,7 +123,7 @@ def test_group_property(strategy):
     rng = np.random.default_rng(1)
     for n in (2, 3, 4):
         h = build_xxz(n, 1.0, 0.5)
-        prop = make_propagator(h, strategy)
+        prop = Propagator(strategy, h)
         state = random_state(rng, (3,) * n)
         t1, t2 = rng.uniform(0.1, 3.0, 2)
         a = evolve(prop, evolve(prop, state, t1), t2)
@@ -128,8 +136,8 @@ def test_sparse_matches_dense_many_durations():
     # takes 12 of them.
     rng = np.random.default_rng(2)
     h = build_xxz(4, 1.0, 0.5)
-    pd = make_propagator(h, "dense-eig")
-    ps = make_propagator(h, "sparse")
+    pd = Propagator("dense-eig", h)
+    ps = Propagator("sparse", h)
     state = random_state(rng, (3,) * 4)
     for t in [*rng.uniform(0.0, 10.0, 50), *rng.uniform(10.0, 30.0, 10), 30.0, -30.0]:
         a = evolve(pd, state, t)
@@ -142,7 +150,7 @@ def test_sparse_evolve_ignores_the_global_random_state():
     # One unsplit expm_multiply call over this norm picks its Taylor
     # degree with onenormest, which draws from np.random.
     h = build_xxz(6, 1.0, 0.5)
-    prop = make_propagator(h, "sparse")
+    prop = Propagator("sparse", h)
     state = random_state(np.random.default_rng(11), (3,) * 6)
     seen = set()
     for seed in range(4):
@@ -154,7 +162,7 @@ def test_sparse_evolve_ignores_the_global_random_state():
 def test_energy_conservation_and_norm_drift():
     rng = np.random.default_rng(3)
     h = build_xxz(4, 1.0, 0.5)
-    prop = make_propagator(h, "sparse")
+    prop = Propagator("sparse", h)
     state = random_state(rng, (3,) * 4)
     e0 = np.vdot(state.amplitudes, h.matrix @ state.amplitudes).real
     out = state
@@ -183,7 +191,7 @@ def test_non_hermitian_matches_expm_oracle(strategy):
     for n in (2, 3):
         h0 = build_xxz(n, 1.0, 0.5)
         hp = build_perturbed(h0, 0, 0.25, "non_hermitian")
-        prop = make_propagator(hp, strategy)
+        prop = Propagator(strategy, hp)
         state = random_state(rng, (3,) * n)
         t = 0.9
         out = evolve(prop, state, t)
@@ -206,7 +214,7 @@ def test_trajectory_matches_evolve_from_zero(strategy, dims):
     # A repeated time, a zero time and a non-uniform grid; (2, 3, 3)
     # carries an ancilla the propagator must leave alone.
     h = build_xxz(2 if dims[0] == 2 else 3, 1.0, 0.5)
-    prop = make_propagator(h, strategy)
+    prop = Propagator(strategy, h)
     state = random_state(np.random.default_rng(9), dims)
     grid = [0.0, 0.0, 0.4, 1.3, 1.3, 2.05, 7.5]
     states = list(trajectory(prop, state, grid))
@@ -230,7 +238,7 @@ def test_ancilla_block_left_untouched(strategy):
     rng = np.random.default_rng(5)
     h = build_xxz(2, 1.0, 0.5)
     state = random_state(rng, (2, 3, 3))
-    out = evolve(make_propagator(h, strategy), state, 1.1)
+    out = evolve(Propagator(strategy, h), state, 1.1)
     u = scipy.linalg.expm(-1j * 1.1 * h.matrix.toarray())
     oracle = np.kron(np.eye(2), u) @ state.amplitudes
     np.testing.assert_allclose(out.amplitudes, oracle, atol=1e-10)
@@ -240,7 +248,7 @@ def test_negative_duration_inverts_evolution():
     rng = np.random.default_rng(6)
     h = build_xxz(3, 1.0, 0.5)
     for strategy in ("dense-eig", "sparse"):
-        prop = make_propagator(h, strategy)
+        prop = Propagator(strategy, h)
         state = random_state(rng, (3, 3, 3))
         back = evolve(prop, evolve(prop, state, 1.3), -1.3)
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-9

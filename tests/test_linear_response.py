@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from oracles import SZ1, connected_pair, dense_xxz, heisenberg_pair, neel_superposition_vec, site_op
-from quditcorr.dynamics import Propagator, build_perturbed, build_xxz, evolve, make_propagator
+from quditcorr.dynamics import Propagator, build_perturbed, build_xxz, evolve
 from quditcorr.linear_response import (
     LinearResponseConfig,
     effective_shots,
@@ -175,12 +175,11 @@ def test_norm_collapse_flagged():
 )
 def test_lr_value_ignores_the_global_random_state(n, kind, pulse_area):
     h = build_xxz(n, 1.0, 0.5)
-    prop = make_propagator(h)
     cfg = LinearResponseConfig(0.05, pulse_area, 0, 1, kind)
     seen = set()
     for seed in range(4):
         np.random.seed(seed)
-        est = measure_lr(cfg, 0.3, 25.0, neel_state(n), h, None, None, lambda _: prop, 1000)
+        est = measure_lr(cfg, 0.3, 25.0, neel_state(n), h, nominal_budget=1000)
         seen.add((est.value.hex(), est.std_error.hex()))
     assert len(seen) == 1
 

@@ -51,14 +51,12 @@ from .hadamard import (
 )
 from .linear_response import (
     LinearResponseConfig,
-    _sampled_mean,
-    _site_moments,
-    _sz_levels,
     lr_trace,
+    measure_site_expectation,
     unperturbed_readout,
 )
 from .observables import HermitianObservable, spin_matrix
-from .register import QuditState, RegisterShape, site_marginal
+from .register import QuditState, RegisterShape
 from .rng import task_rng
 
 HADAMARD = "hadamard"
@@ -198,18 +196,6 @@ def time_averaged_std(std_trace, grid) -> float:
         raise ValueError("need at least two grid points to average")
     span = grid[-1] - grid[0]
     return float(np.trapezoid(std, grid)) / span
-
-
-def measure_site_expectation(
-    state: QuditState, site: int, shots: int | None = None, rng=None
-) -> CorrelatorEstimate:
-    """<S_site^z> of a state, exact or from a projective multinomial sample."""
-    p = site_marginal(state, site)
-    values = _sz_levels()
-    if shots is None:
-        return CorrelatorEstimate(_site_moments(p, values)[0], 0.0, 0, EXACT)
-    mean, var = _sampled_mean(p, values, shots, rng)
-    return CorrelatorEstimate(mean, math.sqrt(var), shots, SAMPLED)
 
 
 def brute_force_correlators(

@@ -54,7 +54,7 @@ from .register import (
     apply_controlled,
     apply_local,
 )
-from .rng import as_generator
+from .rng import as_generator, sample_counts
 
 W = "w"
 W_DAGGER = "w_dagger"
@@ -166,14 +166,13 @@ def probability_to_correlator(p: float) -> float:
 
 
 def sample_probability(p_exact: float, shots: int, seed) -> float:
-    """Binomial estimate of a probability from a finite shot budget."""
+    """Estimate of a probability from a finite shot budget: the fraction of |0> outcomes."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if not -1e-12 <= p_exact <= 1.0 + 1e-12:
         raise ValueError(f"probability {p_exact} outside [0, 1]")
-    rng = as_generator(seed)
     p = min(max(p_exact, 0.0), 1.0)
-    return rng.binomial(shots, p) / shots
+    return int(sample_counts((p, 1.0 - p), shots, seed)[0]) / shots
 
 
 def variance_model(p_values, norm_a: float, norm_b: float) -> float:

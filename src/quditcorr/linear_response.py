@@ -46,7 +46,7 @@ from .dynamics import (
 from .hadamard import EXACT, SAMPLED, CorrelatorEstimate
 from .observables import spin_matrix
 from .register import QuditState, expectation, site_marginal
-from .rng import as_generator
+from .rng import as_generator, sample_counts
 
 # Squared norm below which the perturbed branch is considered collapsed.
 NORM_COLLAPSE = 1e-6
@@ -112,8 +112,20 @@ def _site_moments(weights, values, total=1.0) -> tuple[float, float]:
 
 def _sampled_mean(p, values, shots: int, rng) -> tuple[float, float]:
     """Projective estimate of <diag(values)> from a site marginal: (mean, var of mean)."""
-    mean, var = _site_moments(rng.multinomial(shots, p), values, shots)
+    mean, var = _site_moments(sample_counts(p, shots, rng), values, shots)
     return mean, var / shots
+
+
+def measure_site_expectation(
+    state: QuditState, site: int, shots: int | None = None, rng=None
+) -> CorrelatorEstimate:
+    """<S_site^z> of a state, exact or from a projective multinomial sample."""
+    p = site_marginal(state, site)
+    values = _sz_levels()
+    if shots is None:
+        return CorrelatorEstimate(_site_moments(p, values)[0], 0.0, 0, EXACT)
+    mean, var = _sampled_mean(p, values, shots, rng)
+    return CorrelatorEstimate(mean, math.sqrt(var), shots, SAMPLED)
 
 
 def lr_estimate(

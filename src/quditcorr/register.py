@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .rng import as_generator
-
 # Hard budget on register size (amplitude count).
 MAX_AMPLITUDES = 2**27
 
@@ -81,11 +79,6 @@ class QuditState:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.shape.dims
-
-    @property
-    def is_normalized(self) -> bool:
-        # 1e-9 slack: matches the norm drift allowed for long evolutions.
-        return abs(math.sqrt(self.squared_norm) - 1.0) <= 1e-9
 
     def copy(self) -> "QuditState":
         return QuditState(self.shape, self.amplitudes.copy())
@@ -243,23 +236,7 @@ def site_marginal(state: QuditState, site: int) -> np.ndarray:
     psi = state.amplitudes.reshape(dims)
     moved = np.moveaxis(psi, site, 0).reshape(dims[site], -1)
     p = np.sum(np.abs(moved) ** 2, axis=1) / state.squared_norm
-    # Guard tiny negative round-off before handing to a sampler.
-    return np.clip(p, 0.0, None) / np.sum(np.clip(p, 0.0, None))
-
-
-def sample_outcomes(state: QuditState, site: int, shots: int, seed) -> np.ndarray:
-    """Multinomial histogram of projective outcomes on one site.
-
-    Deterministic for a fixed seed (or Generator); shots = 0 returns an
-    all-zero histogram.
-    """
-    if shots < 0:
-        raise ValueError("shots must be nonnegative")
-    p = site_marginal(state, site)
-    if shots == 0:
-        return np.zeros(len(p), dtype=np.int64)
-    rng = as_generator(seed)
-    return rng.multinomial(shots, p)
+    return p / np.sum(p)
 
 
 def expectation(state: QuditState, op: LocalOperator) -> complex:

@@ -35,3 +35,13 @@ def as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return task_rng(int(seed))
+
+
+def sample_counts(p, shots: int, seed) -> np.ndarray:
+    """Multinomial histogram of shots draws from the distribution p.
+
+    The one place where exact probabilities become shot counts: every
+    sampled estimate draws through here.  A Generator seed advances in
+    place; shots = 0 gives an all-zero histogram.
+    """
+    return as_generator(seed).multinomial(shots, p)

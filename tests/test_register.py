@@ -10,9 +10,9 @@ from quditcorr.register import (
     apply_local,
     basis_state,
     expectation,
-    sample_outcomes,
     site_marginal,
 )
+from quditcorr.rng import sample_counts
 
 W_SZ = LocalOperator(np.diag([1, 1j, -1]), (0,), unitary=True)
 SZ = LocalOperator(np.diag([1.0, 0.0, -1.0]), (0,), hermitian=True)
@@ -139,29 +139,29 @@ def test_ancilla_zero_probability_requires_qubit():
         ancilla_zero_probability(basis_state((3, 3), (0, 0)))
 
 
-def test_sample_outcomes_basis_state():
-    counts = sample_outcomes(basis_state((3, 3), (2, 0)), 0, 1000, seed=1)
+def test_sample_counts_basis_state():
+    counts = sample_counts(site_marginal(basis_state((3, 3), (2, 0)), 0), 1000, seed=1)
     assert counts.tolist() == [0, 0, 1000]
 
 
-def test_sample_outcomes_uniform_statistics():
+def test_sample_counts_uniform_statistics():
     shape = RegisterShape((3,))
     state = QuditState(shape, np.ones(3, dtype=complex) / np.sqrt(3))
     shots = 300_000
-    counts = sample_outcomes(state, 0, shots, seed=11)
+    counts = sample_counts(site_marginal(state, 0), shots, seed=11)
     sigma = np.sqrt((1 / 3) * (2 / 3) / shots)
     for c in counts:
         assert abs(c / shots - 1 / 3) <= 5 * sigma
 
 
-def test_sample_outcomes_deterministic_and_empty():
-    rng_state = random_state(np.random.default_rng(8), (3, 3))
-    a = sample_outcomes(rng_state, 1, 500, seed=42)
-    b = sample_outcomes(rng_state, 1, 500, seed=42)
+def test_sample_counts_deterministic_and_empty():
+    p = site_marginal(random_state(np.random.default_rng(8), (3, 3)), 1)
+    a = sample_counts(p, 500, seed=42)
+    b = sample_counts(p, 500, seed=42)
     assert a.tolist() == b.tolist()
-    assert sample_outcomes(rng_state, 1, 0, seed=42).sum() == 0
+    assert sample_counts(p, 0, seed=42).tolist() == [0, 0, 0]
     with pytest.raises(ValueError):
-        sample_outcomes(rng_state, 1, -1, seed=42)
+        sample_counts(p, -1, seed=42)
 
 
 def test_site_marginal_normalizes_unnormalized_states():

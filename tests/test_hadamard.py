@@ -218,6 +218,18 @@ def test_exact_mode_nominal_error_bar():
     assert est.std_error == pytest.approx(np.sqrt(variance_model(ps, 1.0, 1.0) / 400))
 
 
+@pytest.mark.parametrize("p", [0.5, 0.3141592653589793])
+def test_sampled_estimate_ignores_rounding_of_the_exact_probabilities(p):
+    # A backend change moves exact probabilities by rounding only; the
+    # sampled cell must not move with them (p = 1/2 is where NumPy's
+    # sampler branches).
+    draws = [
+        estimate_from_probabilities(np.full(4, p + eps), 1.0, 1.0, 2000, task_rng(3, 1))
+        for eps in (-1e-15, 0.0, 1e-15)
+    ]
+    assert len({(d.value, d.std_error) for d in draws}) == 1
+
+
 def test_measure_deterministic_for_fixed_stream():
     h, prop, psi0 = setup_chain(2)
     a = measure_dynamical_correlator(sz_obs(0), sz_obs(1), 0.0, 1.0, psi0, prop, 50, task_rng(3, 1))

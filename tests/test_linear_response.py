@@ -7,6 +7,7 @@ from quditcorr.dynamics import Propagator, build_perturbed, build_xxz, evolve
 from quditcorr.linear_response import (
     LinearResponseConfig,
     effective_shots,
+    lr_estimate,
     measure_lr,
     normalized_expectation,
 )
@@ -140,6 +141,18 @@ def test_sampled_estimate_is_deterministic_per_stream():
     a = measure_lr(cfg, 0.0, 1.0, neel_state(2), h, 100, task_rng(5, 2))
     b = measure_lr(cfg, 0.0, 1.0, neel_state(2), h, 100, task_rng(5, 2))
     assert a.value == b.value and a.shots == b.shots
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3141592653589793])
+def test_sampled_estimate_ignores_rounding_of_the_marginals(p):
+    # Readout marginals that differ by rounding only, as after a backend
+    # change, give the same sampled cell.
+    cfg = LinearResponseConfig(0.2, 1e-3, 0, 1)
+    draws = []
+    for eps in (-1e-15, 0.0, 1e-15):
+        marginal = np.array([p + eps, (1 - p) / 2 - eps, (1 - p) / 2])
+        draws.append(lr_estimate(cfg, marginal, 1.0, marginal[::-1], 2000, task_rng(4, 1)))
+    assert len({(d.value, d.std_error) for d in draws}) == 1
 
 
 def test_non_hermitian_branch_shot_reduction():

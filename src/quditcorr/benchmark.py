@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    DENSE_DIM_LIMIT,
     HERMITIAN,
     NON_HERMITIAN,
     SparseHamiltonian,
@@ -61,6 +60,10 @@ from .rng import task_rng
 
 HADAMARD = "hadamard"
 LINEAR_RESPONSE = "lr"
+
+# Largest dimension brute_force_correlators diagonalizes: a memory bound
+# on its dense H and eigenvectors (2 x 256 MiB at 4096), not a speed choice.
+ORACLE_DIM_LIMIT = 4096
 
 # Per-point defaults mirror the published shot budgets: the
 # anti-commutator needs six expectation values (four circuits plus the
@@ -208,8 +211,8 @@ def brute_force_correlators(
     only.  With z = <A(t1) B(t2)> = <U(t2 - t1) A U(t1) psi | B U(t2) psi>,
     the anti-commutator is 2 Re z and the commutator -2 Im z.
     """
-    if h.dimension > DENSE_DIM_LIMIT:
-        raise ValueError(f"brute-force reference limited to dimension {DENSE_DIM_LIMIT}")
+    if h.dimension > ORACLE_DIM_LIMIT:
+        raise ValueError(f"brute-force reference limited to dimension {ORACLE_DIM_LIMIT}")
     vals, vecs = np.linalg.eigh(h.matrix.toarray())
     a = site_sz_diagonal(h.n_sites, site_a)
     b = site_sz_diagonal(h.n_sites, site_b)

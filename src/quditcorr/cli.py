@@ -324,7 +324,7 @@ def _cmd_validate(args) -> int:
     """Gate-level circuits and the trace engine `run` uses, against brute force.
 
     The trace engine runs on both propagators: dense-eig, which make_propagator
-    picks at these sizes, and sparse, which every longer chain uses.
+    picks at these sizes, and sparse, which every chain with N >= 7 uses.
     """
     failures = 0
     for n in (2, 3, 4):

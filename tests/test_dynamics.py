@@ -262,7 +262,14 @@ def test_dimension_mismatch_rejected():
 
 
 def test_dense_strategy_dimension_limit():
-    h = build_xxz(8, 1.0, 0.5)  # dimension 6561 > 4096
+    h = build_xxz(8, 1.0, 0.5)  # dimension 6561 > 729
     with pytest.raises(ValueError, match="dense-eig"):
         Propagator("dense-eig", h)
     assert make_propagator(h).strategy == "sparse"
+
+
+def test_cut_over_sends_n7_to_sparse():
+    # At N = 7 one dense eigh (dimension 2187) costs far more than the
+    # sparse trajectories of a whole study; N = 6 stays on dense-eig.
+    assert make_propagator(build_xxz(7, 1.0, 0.5)).strategy == "sparse"
+    assert make_propagator(build_xxz(6, 1.0, 0.5)).strategy == "dense-eig"

@@ -61,8 +61,7 @@ from .rng import task_rng
 HADAMARD = "hadamard"
 LINEAR_RESPONSE = "lr"
 
-# Largest dimension brute_force_correlators diagonalizes: a memory bound
-# on its dense H and eigenvectors (2 x 256 MiB at 4096), not a speed choice.
+# Memory bound of the dense oracle (H and its eigenvectors), not a speed choice.
 ORACLE_DIM_LIMIT = 4096
 
 # Per-point defaults mirror the published shot budgets: the

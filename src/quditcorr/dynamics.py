@@ -31,10 +31,8 @@ from scipy.sparse.linalg import expm_multiply, norm
 from .observables import spin_matrix
 from .register import MAX_AMPLITUDES, QuditState
 
-# Largest dimension diagonalized by dense-eig; 3^6, so N <= 6.  Measured
-# on a 2-vCPU VM: at N = 7 (dimension 2187) one eigh takes 15 s while a
-# whole 26-point sparse trajectory takes 0.1 s, so a study never wins the
-# setup back.
+# 3^6, so N <= 6: at N = 7 one dense eigh took 15 s on 2 vCPUs, while a
+# whole sparse trajectory takes 0.1 s.
 DENSE_DIM_LIMIT = 729
 
 HERMITIAN = "hermitian"

@@ -34,7 +34,8 @@ Shot noise on an estimate built from the four probabilities obeys
     Var[C+-] = 4 ||A||^2 ||B||^2 * sum P (1 - P)
 
 per total shot when the budget splits evenly over the four circuits
-(each circuit then receives shots/4).
+(each circuit then receives shots/4).  Sampled |0> counts are drawn by
+rng.sample_counts, from P snapped to a 2^-30 grid.
 """
 
 from __future__ import annotations
@@ -171,8 +172,7 @@ def sample_probability(p_exact: float, shots: int, seed) -> float:
         raise ValueError("shots must be >= 1")
     if not -1e-12 <= p_exact <= 1.0 + 1e-12:
         raise ValueError(f"probability {p_exact} outside [0, 1]")
-    p = min(max(p_exact, 0.0), 1.0)
-    return int(sample_counts((p, 1.0 - p), shots, seed)[0]) / shots
+    return int(sample_counts((p_exact, 1.0 - p_exact), shots, seed)[0]) / shots
 
 
 def variance_model(p_values, norm_a: float, norm_b: float) -> float:
@@ -271,8 +271,8 @@ def estimate_from_probabilities(
 
     shots_per_circuit = None gives the exact value; an attached nominal
     total budget then supplies the error bar sqrt(variance_model / n).
-    Otherwise each probability is replaced by an independent binomial
-    draw and the error bar uses the empirical binomial variances.
+    Otherwise each probability is replaced by an independent draw
+    (sample_probability) and the error bar uses the empirical binomial variances.
     """
     ps = np.asarray(ps, dtype=float)
     parts = {}

@@ -21,7 +21,7 @@ and the estimator returns the *negated* difference quotient so that
 the Hermitian kind estimates C- = i<[A(t1), B(t2)]> and the
 non-Hermitian kind the (connected) anti-commutator C+.
 
-Shot noise is simulated as projective S^z measurements (multinomial
+Shot noise is simulated as projective S^z measurements (rng.sample_counts
 over the readout site's levels).  The non-Hermitian perturbed branch
 loses norm; its shot count shrinks proportionally.
 """

@@ -37,25 +37,17 @@ def as_generator(seed) -> np.random.Generator:
     return task_rng(int(seed))
 
 
-# Exact probabilities are snapped to multiples of 1 / SNAP_GRID before a
-# draw.  NumPy's samplers branch on p (at p = 1/2, for one), so without
-# the snap a rounding-level change of p, as any change of the propagator
-# makes, could change a sampled cell.  With it, such a change moves a
-# cell only if it crosses a grid line: a chance of about 1e-15 / 1e-9 per
-# cell.  A shift of at most 2^-31 is far below the ~1e-2 that any shot
-# budget resolves.
 SNAP_GRID = 2**30
 
 
 def sample_counts(p, shots: int, seed) -> np.ndarray:
     """Multinomial histogram of shots draws from the distribution p.
 
-    The one place where exact probabilities become shot counts: every
-    sampled estimate draws through here.  p is first rounded onto
-    multiples of 1 / SNAP_GRID, in integers that sum to SNAP_GRID
-    exactly; the rounding remainder goes to the largest level, which no
-    remainder can make negative.  A Generator seed advances in place;
-    shots = 0 gives an all-zero histogram.
+    Every sampled estimate draws through here.  NumPy's samplers branch
+    on p (at 1/2, for one), so p is first rounded onto multiples of
+    1 / SNAP_GRID, in integers summing to SNAP_GRID; the remainder goes
+    to the largest level, which it cannot make negative.  A rounding-level
+    change of p then moves a count only if it crosses a grid line.
     """
     units = np.rint(np.asarray(p, dtype=float) * SNAP_GRID).astype(np.int64)
     units[np.argmax(units)] += SNAP_GRID - units.sum()

@@ -139,6 +139,9 @@ def test_assemble_correlator_cases():
 def test_sample_probability_behaviour():
     assert sample_probability(0.0, 100, seed=1) == 0.0
     assert sample_probability(1.0, 100, seed=1) == 1.0
+    # round-off just outside [0, 1] is accepted and drawn as 0 or 1
+    assert sample_probability(-1e-12, 100, seed=1) == 0.0
+    assert sample_probability(1.0 + 1e-12, 100, seed=1) == 1.0
     a = sample_probability(0.37, 1000, seed=5)
     assert a == sample_probability(0.37, 1000, seed=5)
     draws = [sample_probability(0.5, 10_000, seed=s) for s in range(50)]

@@ -1,4 +1,4 @@
-"""Quench scenario and figure-of-merit machinery.
+"""The quench study, described by one RunConfig, and its figures of merit.
 
 The benchmark initializes a spin-1 chain in the symmetric superposition
 of the two Neel product states (the J_z/J_xy -> infinity ground-state
@@ -26,6 +26,7 @@ undefined; it is reported as None with the reason alongside.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -60,6 +61,7 @@ from .rng import task_rng
 
 HADAMARD = "hadamard"
 LINEAR_RESPONSE = "lr"
+PROTOCOLS = (HADAMARD, LINEAR_RESPONSE)
 
 # Memory bound of the dense oracle (H and its eigenvectors), not a speed choice.
 ORACLE_DIM_LIMIT = 4096
@@ -74,31 +76,104 @@ DEFAULT_BUDGETS = {
 }
 
 
-@dataclass(frozen=True)
-class QuenchScenario:
-    """Chain size, couplings, site pair (1-based) and time grid (units 1/J_xy)."""
+class ConfigError(ValueError):
+    pass
 
-    n_sites: int
-    time_grid: tuple[float, ...]
+
+def _expect(cond: bool, field: str, message: str):
+    if not cond:
+        raise ConfigError(f"invalid config field '{field}': {message}")
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass in Python, but not one in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, field: str) -> float:
+    _expect(_is_int(value) or isinstance(value, float), field, f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, field: str) -> int:
+    _expect(_is_int(value), field, f"expected an integer, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One quench study, checked on construction; every bad value is a ConfigError naming its field.
+
+    Chain length and anisotropy of H0, the time grid linspace(0, t_max,
+    steps) in units of 1/J_xy, the correlator site pair (1-based), the
+    per-point shot budgets (missing entries take DEFAULT_BUDGETS), the
+    LR pulse strengths and area, the master seed and the pool size
+    (None: default_workers).  Types are checked, not coerced, except
+    that integers pass as numbers; lists pass as tuples.
+    """
+
+    n_sites: int = 4
     j_z_over_j_xy: float = 0.5
+    t_max: float = 5.0
+    steps: int = 26
     sites: tuple[int, int] = (1, 2)
-    seed: int = 0
+    protocols: tuple[str, ...] = PROTOCOLS
+    shots: dict = dataclasses.field(
+        default_factory=lambda: {p: dict(b) for p, b in DEFAULT_BUDGETS.items()}
+    )
+    exact_only: bool = False
+    lambdas: tuple[float, ...] = (0.2,)
+    pulse_area: float = 1e-3
+    seed: int = 1234
+    workers: int | None = None
 
     def __post_init__(self):
-        grid = tuple(float(t) for t in self.time_grid)
-        object.__setattr__(self, "time_grid", grid)
-        if self.n_sites < 2:
-            raise ValueError("scenario needs at least 2 sites")
-        if not grid or grid[0] != 0.0:
-            raise ValueError("time grid must start at 0")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("time grid must be strictly increasing")
-        i, j = self.sites
-        if i == j:
-            raise ValueError("correlator sites must be distinct")
-        for s in self.sites:
-            if not 1 <= s <= self.n_sites:
-                raise ValueError(f"site {s} outside 1..{self.n_sites}")
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        _expect(_integer(self.n_sites, "n_sites") >= 2, "n_sites", "need at least 2 sites")
+        put("j_z_over_j_xy", _number(self.j_z_over_j_xy, "j_z_over_j_xy"))
+        put("t_max", _number(self.t_max, "t_max"))
+        _expect(self.t_max > 0, "t_max", "must be positive")
+        _expect(_integer(self.steps, "steps") >= 1, "steps", "must be at least 1")
+        sites = self.sites
+        _expect(
+            isinstance(sites, (list, tuple)) and len(sites) == 2 and all(map(_is_int, sites)),
+            "sites",
+            "expected a pair of 1-based site indices",
+        )
+        _expect(sites[0] != sites[1], "sites", f"correlator sites must be distinct, got {sites}")
+        for s in sites:
+            _expect(1 <= s <= self.n_sites, "sites", f"site {s} outside 1..{self.n_sites}")
+        put("sites", tuple(sites))
+        protocols = self.protocols
+        _expect(isinstance(protocols, (list, tuple)) and protocols, "protocols", "nonempty list")
+        for p in protocols:
+            _expect(p in PROTOCOLS, "protocols", f"unknown protocol {p!r}")
+        put("protocols", tuple(protocols))
+        shots = {} if self.shots is None else self.shots
+        _expect(isinstance(shots, dict), "shots", "expected a mapping")
+        budgets = {p: dict(b) for p, b in DEFAULT_BUDGETS.items()}
+        for proto, per in shots.items():
+            _expect(proto in PROTOCOLS, "shots", f"unknown protocol {proto!r}")
+            _expect(isinstance(per, dict), "shots", "per-protocol budgets must be a mapping")
+            for kind, n in per.items():
+                _expect(kind in ("plus", "minus"), "shots", f"unknown kind {kind!r}")
+                _expect(_is_int(n) and n >= 2, "shots", "per-point budgets must be integers >= 2")
+                budgets[proto][kind] = n
+        put("shots", budgets)
+        _expect(isinstance(self.exact_only, bool), "exact_only", "expected true or false")
+        lambdas = self.lambdas
+        _expect(isinstance(lambdas, (list, tuple)) and lambdas, "lambdas", "nonempty list")
+        for lam in lambdas:
+            _expect(_number(lam, "lambdas") > 0, "lambdas", f"must be positive, got {lam!r}")
+        put("lambdas", tuple(float(lam) for lam in lambdas))
+        put("pulse_area", _number(self.pulse_area, "pulse_area"))
+        _expect(self.pulse_area > 0, "pulse_area", "must be positive")
+        _integer(self.seed, "seed")
+        workers = self.workers
+        valid = workers is None or _is_int(workers) and workers >= 1
+        _expect(valid, "workers", "must be null or >= 1")
 
 
 @dataclass(frozen=True)
@@ -309,50 +384,39 @@ def _run_tasks(tasks, workers: int, results: dict) -> None:
             raise
 
 
-def run_quench_study(
-    scenario: QuenchScenario,
-    protocols=(HADAMARD, LINEAR_RESPONSE),
-    budgets=None,
-    lambdas=(0.2,),
-    pulse_area: float = 1e-3,
-    sampled: bool = True,
-    workers: int | None = None,
-) -> StudyResult:
+def run_quench_study(config: RunConfig) -> StudyResult:
     """Full study: per (protocol, kind, lambda, t) records plus figures of merit.
 
     One task per trace: the Hadamard trace (run exactly, as the R
     reference, when only the baseline is requested) and one LR trace
     per lambda, which shares the unpulsed trajectory with the others.
-    Deterministic for a fixed scenario seed under any worker count:
+    Deterministic for a fixed config seed under any worker count:
     every point draws from its own counter-based stream and the result
-    table is assembled by a key-ordered reduction.  workers=None uses
-    default_workers.  One propagator of H0 serves every trace.
+    table is assembled by a key-ordered reduction.  One propagator of
+    H0 serves every trace.
 
     On KeyboardInterrupt, pending traces are cancelled and
     StudyInterrupted is raised; its result has the rows of the
     completed traces, in the usual order, and no figures.
     """
-    for p in protocols:
-        if p not in (HADAMARD, LINEAR_RESPONSE):
-            raise ValueError(f"unknown protocol {p!r}")
-    budgets = dict(DEFAULT_BUDGETS if budgets is None else budgets)
+    protocols, lambdas, budgets = config.protocols, config.lambdas, config.shots
+    pulse_area, seed, sampled = config.pulse_area, config.seed, not config.exact_only
 
     j_xy = 1.0
-    h0 = build_xxz(scenario.n_sites, j_xy, scenario.j_z_over_j_xy * j_xy)
-    psi0 = neel_superposition(scenario.n_sites)
-    site_a, site_b = scenario.sites[0] - 1, scenario.sites[1] - 1
+    h0 = build_xxz(config.n_sites, j_xy, config.j_z_over_j_xy * j_xy)
+    psi0 = neel_superposition(config.n_sites)
+    site_a, site_b = config.sites[0] - 1, config.sites[1] - 1
     obs_a = HermitianObservable(spin_matrix(1, "z").on(site_a))
     obs_b = HermitianObservable(spin_matrix(1, "z").on(site_b))
     prop = make_propagator(h0)
-    grid = np.asarray(scenario.time_grid)
-    seed = scenario.seed
+    grid = np.linspace(0.0, config.t_max, config.steps)
 
-    had_budgets = budgets.get(HADAMARD, DEFAULT_BUDGETS[HADAMARD])
     tasks = [
         (
             (HADAMARD, None),
             lambda: hadamard_trace(
-                obs_a, obs_b, psi0, prop, grid, had_budgets, sampled and HADAMARD in protocols, seed
+                obs_a, obs_b, psi0, prop, grid, budgets[HADAMARD],
+                sampled and HADAMARD in protocols, seed,
             ),
         )
     ]
@@ -379,9 +443,10 @@ def run_quench_study(
     reported = [(HADAMARD, None)] if HADAMARD in protocols else []
     if LINEAR_RESPONSE in protocols:
         reported += [(LINEAR_RESPONSE, lam) for lam in lambdas]
+    workers = default_workers(len(tasks)) if config.workers is None else config.workers
     traces = {}
     try:
-        _run_tasks(tasks, default_workers(len(tasks)) if workers is None else workers, traces)
+        _run_tasks(tasks, workers, traces)
     except KeyboardInterrupt:
         raise StudyInterrupted(StudyResult(_rows(traces, reported, grid, seed), {}))
 

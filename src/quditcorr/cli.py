@@ -23,16 +23,13 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .benchmark import (
-    DEFAULT_BUDGETS,
-    HADAMARD,
-    LINEAR_RESPONSE,
-    QuenchScenario,
+    ConfigError,
+    RunConfig,
     StudyInterrupted,
     brute_force_correlators,
     neel_superposition,
@@ -45,75 +42,13 @@ from .rng import task_rng
 
 log = logging.getLogger("quditcorr")
 
-_PROTOCOLS = (HADAMARD, LINEAR_RESPONSE)
-
-
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    n_sites: int = 4
-    j_z_over_j_xy: float = 0.5
-    t_max: float = 5.0
-    steps: int = 26
-    sites: tuple[int, int] = (1, 2)
-    protocols: tuple[str, ...] = _PROTOCOLS
-    shots: dict = dataclasses.field(
-        default_factory=lambda: {p: dict(b) for p, b in DEFAULT_BUDGETS.items()}
-    )
-    exact_only: bool = False
-    lambdas: tuple[float, ...] = (0.2,)
-    pulse_area: float = 1e-3
-    seed: int = 1234
-    workers: int | None = None
-
-    def time_grid(self) -> tuple[float, ...]:
-        return tuple(np.linspace(0.0, self.t_max, self.steps))
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["sites"] = list(self.sites)
-        d["protocols"] = list(self.protocols)
-        d["lambdas"] = list(self.lambdas)
-        return d
-
-
-_DEFAULTS = RunConfig()
-
-
-def _expect(cond: bool, field: str, message: str):
-    if not cond:
-        raise ConfigError(f"invalid config field '{field}': {message}")
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: bool is an int subclass in Python, but not one in JSON."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _integer(raw: dict, field: str) -> int:
-    value = raw.get(field, getattr(_DEFAULTS, field))
-    _expect(_is_int(value), field, f"expected an integer, got {value!r}")
-    return value
-
-
-def _number(raw: dict, field: str) -> float:
-    value = raw.get(field, getattr(_DEFAULTS, field))
-    _expect(_is_number(value), field, f"expected a number, got {value!r}")
-    return float(value)
-
-
 def parse_config_dict(raw: dict) -> tuple[RunConfig, list[str]]:
-    """Validate a config mapping; returns the config and the defaulted keys.
+    """Check a JSON config object; returns the RunConfig and the defaulted keys.
 
-    Types are checked, not coerced: integer fields take JSON integers,
-    number fields JSON numbers and exact_only a JSON boolean.
+    Only what is specific to JSON is checked here: the document is an
+    object and every key names a RunConfig field.  RunConfig checks the
+    values and their JSON types (integers, numbers, true/false) and
+    fills the budgets a partial shots mapping leaves out.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
@@ -121,53 +56,7 @@ def parse_config_dict(raw: dict) -> tuple[RunConfig, list[str]]:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config key: '{unknown[0]}'")
-    defaulted = sorted(known - set(raw))
-
-    cfg = {}
-    cfg["n_sites"] = _integer(raw, "n_sites")
-    _expect(cfg["n_sites"] >= 2, "n_sites", "need at least 2 sites")
-    cfg["j_z_over_j_xy"] = _number(raw, "j_z_over_j_xy")
-    cfg["t_max"] = _number(raw, "t_max")
-    _expect(cfg["t_max"] > 0, "t_max", "must be positive")
-    cfg["steps"] = _integer(raw, "steps")
-    _expect(cfg["steps"] >= 1, "steps", "must be at least 1")
-    sites = raw.get("sites", list(_DEFAULTS.sites))
-    _expect(
-        isinstance(sites, (list, tuple)) and len(sites) == 2 and all(map(_is_int, sites)),
-        "sites",
-        "expected a pair of 1-based site indices",
-    )
-    cfg["sites"] = tuple(sites)
-    protocols = raw.get("protocols", list(_DEFAULTS.protocols))
-    _expect(isinstance(protocols, (list, tuple)) and protocols, "protocols", "nonempty list")
-    for p in protocols:
-        _expect(p in _PROTOCOLS, "protocols", f"unknown protocol {p!r}")
-    cfg["protocols"] = tuple(protocols)
-    shots = raw.get("shots", None)
-    budget = {p: dict(b) for p, b in DEFAULT_BUDGETS.items()}
-    if shots is not None:
-        _expect(isinstance(shots, dict), "shots", "expected a mapping")
-        for proto, per in shots.items():
-            _expect(proto in _PROTOCOLS, "shots", f"unknown protocol {proto!r}")
-            _expect(isinstance(per, dict), "shots", "per-protocol budgets must be a mapping")
-            for kind, n in per.items():
-                _expect(kind in ("plus", "minus"), "shots", f"unknown kind {kind!r}")
-                _expect(_is_int(n) and n >= 2, "shots", "per-point budgets must be integers >= 2")
-                budget[proto][kind] = n
-    cfg["shots"] = budget
-    cfg["exact_only"] = raw.get("exact_only", _DEFAULTS.exact_only)
-    _expect(isinstance(cfg["exact_only"], bool), "exact_only", "expected true or false")
-    lambdas = raw.get("lambdas", list(_DEFAULTS.lambdas))
-    _expect(isinstance(lambdas, (list, tuple)) and lambdas, "lambdas", "nonempty list")
-    for lam in lambdas:
-        _expect(_is_number(lam) and lam > 0, "lambdas", f"must be positive numbers, got {lam!r}")
-    cfg["lambdas"] = tuple(float(l) for l in lambdas)
-    cfg["pulse_area"] = _number(raw, "pulse_area")
-    _expect(cfg["pulse_area"] > 0, "pulse_area", "must be positive")
-    cfg["seed"] = _integer(raw, "seed")
-    cfg["workers"] = workers = raw.get("workers", None)
-    _expect(workers is None or _is_int(workers) and workers >= 1, "workers", "must be null or >= 1")
-    return RunConfig(**cfg), defaulted
+    return RunConfig(**raw), sorted(known - set(raw))
 
 
 def _read_json(path: str):
@@ -198,49 +87,18 @@ def _fmt(x) -> str:
 def _write_csv(path: str, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.protocol,
-                        r.kind,
-                        r.t,
-                        r.lam,
-                        r.exact,
-                        r.sampled,
-                        r.std_error,
-                        r.shots,
-                        r.seed,
-                    )
-                )
-                + "\n"
-            )
+        for r in rows:  # StudyRow's fields are in CSV_COLUMNS order
+            fh.write(",".join(map(_fmt, dataclasses.astuple(r))) + "\n")
 
 
 def run(config: RunConfig, out_dir: str = ".", defaults_applied=()) -> int:
     """Execute the configured study and write results.csv + summary.json."""
     started = time.time()
     os.makedirs(out_dir, exist_ok=True)
-    scenario = QuenchScenario(
-        n_sites=config.n_sites,
-        time_grid=config.time_grid(),
-        j_z_over_j_xy=config.j_z_over_j_xy,
-        sites=config.sites,
-        seed=config.seed,
-    )
     incomplete = False
     rows, figures = (), {}
     try:
-        result = run_quench_study(
-            scenario,
-            protocols=config.protocols,
-            budgets=config.shots,
-            lambdas=config.lambdas,
-            pulse_area=config.pulse_area,
-            sampled=not config.exact_only,
-            workers=config.workers,
-        )
+        result = run_quench_study(config)
         rows, figures = result.rows, result.figures
     except KeyboardInterrupt as exc:
         # Rows of the traces that completed; none if the study had not
@@ -252,7 +110,7 @@ def run(config: RunConfig, out_dir: str = ".", defaults_applied=()) -> int:
 
     _write_csv(os.path.join(out_dir, "results.csv"), rows)
     summary = {
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
         "defaults_applied": sorted(defaults_applied),
         "figures_of_merit": {
             key: dataclasses.asdict(f) for key, f in sorted(figures.items())
@@ -401,9 +259,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

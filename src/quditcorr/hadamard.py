@@ -285,7 +285,7 @@ def estimate_from_probabilities(
             total = 0
         value = (norm_a * norm_b / 4.0) * sum(4.0 * p - 2.0 for p in ps)
         return CorrelatorEstimate(float(value), std, total, EXACT)
-    rng = as_generator(rng if rng is not None else 0)
+    rng = as_generator(rng)
     for combo, p in zip(COMBOS, ps):
         p_hat = sample_probability(p, shots_per_circuit, rng)
         sigma = 4.0 * math.sqrt(p_hat * (1.0 - p_hat) / shots_per_circuit)
@@ -304,7 +304,6 @@ def measure_dynamical_correlator(
     prop: Propagator,
     budget: int | None = None,
     rng=None,
-    nominal_total: int | None = None,
 ) -> tuple[CorrelatorEstimate, CorrelatorEstimate]:
     """Measure (C+, C-) via the eight circuit realizations.
 
@@ -315,18 +314,10 @@ def measure_dynamical_correlator(
     """
     if budget is not None and budget < 1:
         raise ValueError("per-circuit budget must be >= 1 (or None for exact)")
-    rng = as_generator(rng if rng is not None else 0)
+    rng = as_generator(rng)
+    norms = (obs_a.spectral_norm, obs_b.spectral_norm)
     out = []
     for alpha in (ALPHA_PLUS, ALPHA_MINUS):
         ps = circuit_probabilities(obs_a, obs_b, t1, t2, psi0, prop, alpha)
-        out.append(
-            estimate_from_probabilities(
-                ps,
-                obs_a.spectral_norm,
-                obs_b.spectral_norm,
-                budget,
-                rng,
-                nominal_total,
-            )
-        )
+        out.append(estimate_from_probabilities(ps, *norms, budget, rng))
     return out[0], out[1]

@@ -162,7 +162,7 @@ def lr_estimate(
         std = math.sqrt(var_p / n_pert + var_u / n_branch) / denom if total else 0.0
         mode = EXACT
     else:
-        rng = as_generator(rng if rng is not None else 0)
+        rng = as_generator(rng)
         # Sampling from the renormalized marginal realizes <.>/<1> directly.
         e_p, var_p = _sampled_mean(pert, values, n_pert, rng)
         e_u, var_u = _sampled_mean(unpert, values, n_branch, rng)

@@ -31,10 +31,10 @@ def task_rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 def as_generator(seed) -> np.random.Generator:
-    """Accept either a ready Generator or a plain integer seed."""
+    """A ready Generator as it is; an integer seed as task_rng(seed), and None as seed 0."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return task_rng(int(seed))
+    return task_rng(0 if seed is None else int(seed))
 
 
 SNAP_GRID = 2**30

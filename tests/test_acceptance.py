@@ -12,7 +12,7 @@ import pytest
 
 from oracles import SZ1, dense_xxz, heisenberg_pair, random_hermitian, site_op
 from quditcorr.benchmark import (
-    QuenchScenario,
+    RunConfig,
     brute_force_correlators,
     connected_anticommutator,
     neel_superposition,
@@ -215,14 +215,14 @@ def test_criterion_5_signal_to_noise_comparison():
         "hadamard": {"plus": 6 * b, "minus": 6 * b},
         "lr": {"plus": 6 * b, "minus": 6 * b},  # 2 branches x 3b each
     }
-    grid = tuple(np.linspace(0.0, 5.0, 11))
     sums = {("hadamard", "+"): 0.0, ("hadamard", "-"): 0.0, ("lr", "+"): 0.0, ("lr", "-"): 0.0}
     n_seeds = 20
     for s in range(n_seeds):
-        scenario = QuenchScenario(4, grid, seed=MASTER_SEED + s)
-        res = run_quench_study(
-            scenario, budgets=budgets, lambdas=(0.2,), pulse_area=PULSE_AREA, workers=None
+        config = RunConfig(
+            4, t_max=5.0, steps=11, shots=budgets, lambdas=(0.2,), pulse_area=PULSE_AREA,
+            seed=MASTER_SEED + s, workers=None,
         )
+        res = run_quench_study(config)
         for key, fom in res.figures.items():
             proto = "hadamard" if key == "hadamard" else "lr"
             sums[(proto, "+")] += fom.dc_plus / n_seeds
@@ -283,14 +283,16 @@ def test_criterion_6_equal_time_and_symmetry_invariants():
 )
 def test_criterion_7_full_chain_preset():
     started = time.time()
-    grid = tuple(np.linspace(0.0, 5.0, 26))
-    scenario = QuenchScenario(10, grid, seed=MASTER_SEED)
-    res = run_quench_study(
-        scenario,
-        budgets={"hadamard": {"plus": 1500, "minus": 8000}, "lr": {"plus": 1500, "minus": 12000}},
+    config = RunConfig(
+        10,
+        t_max=5.0,
+        steps=26,
+        shots={"hadamard": {"plus": 1500, "minus": 8000}, "lr": {"plus": 1500, "minus": 12000}},
         lambdas=(0.2,),
         pulse_area=PULSE_AREA,
+        seed=MASTER_SEED,
     )
+    res = run_quench_study(config)
     worst = 0.0
     for row in res.rows:
         if row.sampled is None or row.std_error == 0.0:

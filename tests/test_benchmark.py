@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ import quditcorr.benchmark as benchmark
 from oracles import SZ1, connected_pair, dense_xxz, heisenberg_pair, site_op, u_matrix
 from quditcorr.benchmark import (
     DEFAULT_BUDGETS,
+    ConfigError,
     FigureOfMerit,
-    QuenchScenario,
+    RunConfig,
     brute_force_correlators,
     connected_anticommutator,
     default_workers,
@@ -210,21 +213,16 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError, match="start at 0"):
-        QuenchScenario(3, (0.5, 1.0))
-    with pytest.raises(ValueError, match="increasing"):
-        QuenchScenario(3, (0.0, 1.0, 1.0))
-    with pytest.raises(ValueError, match="distinct"):
-        QuenchScenario(3, (0.0, 1.0), sites=(2, 2))
-    with pytest.raises(ValueError, match="outside"):
-        QuenchScenario(3, (0.0, 1.0), sites=(1, 4))
+    with pytest.raises(ConfigError, match="invalid config field 'sites'.*distinct"):
+        RunConfig(n_sites=3, sites=(2, 2))
+    with pytest.raises(ConfigError, match="invalid config field 'sites'.*outside"):
+        RunConfig(n_sites=3, sites=(1, 4))
     with pytest.raises(ValueError):
         FigureOfMerit(-0.1, 0.0, 0.0, 0.0)
 
 
 def test_single_point_grid_gives_equal_time_values():
-    scenario = QuenchScenario(3, (0.0,), seed=9)
-    res = run_quench_study(scenario, workers=1)
+    res = run_quench_study(RunConfig(n_sites=3, steps=1, seed=9, workers=1))
     by_key = {(r.protocol, r.kind): r for r in res.rows}
     assert by_key[("hadamard", "+")].exact == pytest.approx(-2.0, abs=1e-10)
     assert by_key[("hadamard", "-")].exact == pytest.approx(0.0, abs=1e-10)
@@ -232,19 +230,19 @@ def test_single_point_grid_gives_equal_time_values():
 
 
 def test_study_deterministic_across_seeds_and_workers():
-    scenario = QuenchScenario(2, tuple(np.linspace(0, 1.5, 4)), seed=77)
-    res_a = run_quench_study(scenario, workers=1)
-    res_b = run_quench_study(scenario, workers=4)
+    config = RunConfig(n_sites=2, t_max=1.5, steps=4, seed=77)
+    res_a = run_quench_study(replace(config, workers=1))
+    res_b = run_quench_study(replace(config, workers=4))
     assert res_a.rows == res_b.rows
     assert res_a.figures == res_b.figures
-    res_c = run_quench_study(QuenchScenario(2, tuple(np.linspace(0, 1.5, 4)), seed=78))
+    res_c = run_quench_study(replace(config, seed=78))
     assert res_c.rows != res_a.rows  # different seed, different samples
 
 
 def test_exact_circuit_trace_matches_reference():
-    grid = tuple(np.linspace(0, 2.0, 5))
-    scenario = QuenchScenario(2, grid, seed=3)
-    res = run_quench_study(scenario, protocols=("hadamard",), sampled=False, workers=1)
+    grid = np.linspace(0, 2.0, 5)
+    config = RunConfig(2, t_max=2.0, steps=5, protocols=("hadamard",), exact_only=True, seed=3)
+    res = run_quench_study(replace(config, workers=1))
     fom = res.figures["hadamard"]
     assert fom.r_plus <= 1e-12
     assert fom.r_minus <= 1e-12
@@ -262,23 +260,24 @@ def test_exact_circuit_trace_matches_reference():
 
 
 def test_sampled_trace_converges_to_exact_with_budget():
-    grid = tuple(np.linspace(0, 2.5, 6))
+    grid = np.linspace(0, 2.5, 6)
     for seed in (1, 2, 3):
         r_by_budget = {}
         for budget in (1_000, 1_000_000):
-            scenario = QuenchScenario(2, grid, seed=seed)
             shots = {"hadamard": {"plus": budget, "minus": budget}}
-            res = run_quench_study(scenario, protocols=("hadamard",), budgets=shots, workers=1)
+            config = RunConfig(2, t_max=2.5, steps=6, protocols=("hadamard",), shots=shots)
+            res = run_quench_study(replace(config, seed=seed, workers=1))
             rows = [r for r in res.rows if r.kind == "+"]
             exact = np.array([r.exact for r in rows])
             samp = np.array([r.sampled for r in rows])
-            r_by_budget[budget] = relative_error(samp, exact, np.array(grid))
+            r_by_budget[budget] = relative_error(samp, exact, grid)
         assert r_by_budget[1_000_000] <= r_by_budget[1_000]
 
 
 def test_lr_rows_carry_lambda_and_budget_split():
-    scenario = QuenchScenario(2, (0.0, 1.0), seed=5)
-    res = run_quench_study(scenario, protocols=("lr",), lambdas=(0.3,), workers=1)
+    res = run_quench_study(
+        RunConfig(2, t_max=1.0, steps=2, protocols=("lr",), lambdas=(0.3,), seed=5, workers=1)
+    )
     lr_rows = [r for r in res.rows if r.protocol == "lr"]
     assert all(r.lam == 0.3 for r in lr_rows)
     minus = [r for r in lr_rows if r.kind == "-"][0]
@@ -303,9 +302,9 @@ def test_study_pool_defaults_to_default_workers(monkeypatch):
     monkeypatch.setattr(benchmark.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(benchmark, "ThreadPoolExecutor", recording_pool)
     # One task per trace: the Hadamard trace and one LR trace per lambda.
-    scenario = QuenchScenario(2, (0.0, 1.0), seed=5)
-    default = run_quench_study(scenario, lambdas=(0.2,))
+    config = RunConfig(2, t_max=1.0, steps=2, lambdas=(0.2,), seed=5)
+    default = run_quench_study(config)
     assert sizes == [2]
-    assert default.rows == run_quench_study(scenario, lambdas=(0.2,), workers=1).rows
-    run_quench_study(scenario, protocols=("hadamard",))
+    assert default.rows == run_quench_study(replace(config, workers=1)).rows
+    run_quench_study(replace(config, protocols=("hadamard",)))
     assert sizes == [2]  # a single trace runs without a pool

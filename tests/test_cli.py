@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 import quditcorr.benchmark as benchmark
 from quditcorr.cli import (
+    CSV_COLUMNS,
     ConfigError,
     RunConfig,
     main,
@@ -96,6 +98,19 @@ def test_run_flags_go_through_the_config_checks(tmp_path, capsys, flags, field):
     assert main(["run", "--config", path, "--out", str(tmp_path / "out"), *flags]) == 2
     assert f"invalid config field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sites", [[2, 2], [1, 4]])
+def test_run_rejects_a_bad_site_pair_naming_the_field(tmp_path, capsys, sites):
+    path = write_config(tmp_path, {**FAST, "n_sites": 3, "sites": sites})
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "invalid config field 'sites'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_study_row_fields_are_in_csv_column_order():
+    names = [f.name for f in dataclasses.fields(benchmark.StudyRow)]
+    assert names == [{"lambda": "lam"}.get(c, c) for c in CSV_COLUMNS]
 
 
 def test_same_config_and_seed_give_identical_csv_bytes(tmp_path):

@@ -9,6 +9,7 @@ from quditcorr.linear_response import (
     effective_shots,
     lr_estimate,
     measure_lr,
+    measure_site_expectation,
     normalized_expectation,
 )
 from quditcorr.observables import HermitianObservable, spin_matrix
@@ -141,6 +142,16 @@ def test_sampled_estimate_is_deterministic_per_stream():
     a = measure_lr(cfg, 0.0, 1.0, neel_state(2), h, 100, task_rng(5, 2))
     b = measure_lr(cfg, 0.0, 1.0, neel_state(2), h, 100, task_rng(5, 2))
     assert a.value == b.value and a.shots == b.shots
+
+
+def test_missing_generator_is_seed_zero():
+    # Every sampled entry point reads rng=None as task_rng(0).
+    psi = neel_state(3)
+    omitted = measure_site_expectation(psi, 1, 500)
+    assert omitted == measure_site_expectation(psi, 1, 500, task_rng(0))
+    cfg = LinearResponseConfig(0.2, 1e-3, 0, 1)
+    args = (cfg, 0.0, 1.0, neel_state(2), build_xxz(2, 1.0, 0.5), 100)
+    assert measure_lr(*args) == measure_lr(*args, task_rng(0))
 
 
 @pytest.mark.parametrize("p", [0.5, 0.3141592653589793])

@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -80,6 +81,21 @@ class ConfigError(ValueError):
     pass
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses changes and hashes by content: RunConfig's checked budgets."""
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.items())))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("the budgets of a RunConfig are read-only; use dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+
 def _expect(cond: bool, field: str, message: str):
     if not cond:
         raise ConfigError(f"invalid config field '{field}': {message}")
@@ -109,7 +125,8 @@ class RunConfig:
     per-point shot budgets (missing entries take DEFAULT_BUDGETS), the
     LR pulse strengths and area, the master seed and the pool size
     (None: default_workers).  Types are checked, not coerced, except
-    that integers pass as numbers; lists pass as tuples.
+    that integers pass as numbers; lists pass as tuples and the budgets
+    as read-only mappings, so a checked config is immutable and hashable.
     """
 
     n_sites: int = 4
@@ -118,9 +135,7 @@ class RunConfig:
     steps: int = 26
     sites: tuple[int, int] = (1, 2)
     protocols: tuple[str, ...] = PROTOCOLS
-    shots: dict = dataclasses.field(
-        default_factory=lambda: {p: dict(b) for p, b in DEFAULT_BUDGETS.items()}
-    )
+    shots: dict = dataclasses.field(default_factory=dict)
     exact_only: bool = False
     lambdas: tuple[float, ...] = (0.2,)
     pulse_area: float = 1e-3
@@ -161,7 +176,7 @@ class RunConfig:
                 _expect(kind in ("plus", "minus"), "shots", f"unknown kind {kind!r}")
                 _expect(_is_int(n) and n >= 2, "shots", "per-point budgets must be integers >= 2")
                 budgets[proto][kind] = n
-        put("shots", budgets)
+        put("shots", _ReadOnlyDict((p, _ReadOnlyDict(b)) for p, b in budgets.items()))
         _expect(isinstance(self.exact_only, bool), "exact_only", "expected true or false")
         lambdas = self.lambdas
         _expect(isinstance(lambdas, (list, tuple)) and lambdas, "lambdas", "nonempty list")
@@ -366,22 +381,25 @@ def _run_tasks(tasks, workers: int, results: dict) -> None:
 
     On an interrupt, pending tasks are cancelled and running ones
     finish, so results holds whole traces when the interrupt propagates.
+    Tasks run on pool threads at any worker count, and none starts before
+    all are submitted, so the pool waits for every trace that started.
     """
-    if workers <= 1:
-        for key, fn in tasks:
-            results[key] = fn()
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {key: pool.submit(fn) for key, fn in tasks}
+    submitted = threading.Event()
+
+    def run(key, fn):
+        results[key] = fn()
+
+    with ThreadPoolExecutor(max_workers=workers, initializer=submitted.wait) as pool:
         try:
-            for key, fut in futures.items():
-                results[key] = fut.result()
+            futures = [pool.submit(run, key, fn) for key, fn in tasks]
+            submitted.set()
+            for fut in futures:
+                fut.result()
         except KeyboardInterrupt:
-            pool.shutdown(cancel_futures=True)
-            for key, fut in futures.items():
-                if fut.done() and not fut.cancelled() and fut.exception() is None:
-                    results[key] = fut.result()
+            pool.shutdown(wait=False, cancel_futures=True)
             raise
+        finally:
+            submitted.set()  # a worker still held at the gate could never be joined
 
 
 def run_quench_study(config: RunConfig) -> StudyResult:

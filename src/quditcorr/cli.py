@@ -147,13 +147,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_correlator(args) -> int:
-    h = build_xxz(args.n_sites, 1.0, args.jz)
+    if args.shots is not None and args.shots < 8:
+        raise ConfigError(f"--shots must be at least 8 (one shot per circuit), got {args.shots}")
+    cfg = RunConfig(n_sites=args.n_sites, j_z_over_j_xy=args.jz, sites=args.sites)
+    h = build_xxz(cfg.n_sites, 1.0, cfg.j_z_over_j_xy)
     prop = make_propagator(h)
-    psi0 = neel_superposition(args.n_sites)
-    obs_a = HermitianObservable(spin_matrix(1, "z").on(args.sites[0] - 1))
-    obs_b = HermitianObservable(spin_matrix(1, "z").on(args.sites[1] - 1))
+    psi0 = neel_superposition(cfg.n_sites)
+    obs_a = HermitianObservable(spin_matrix(1, "z").on(cfg.sites[0] - 1))
+    obs_b = HermitianObservable(spin_matrix(1, "z").on(cfg.sites[1] - 1))
     rng = task_rng(args.seed, 7)
-    budget = args.shots // 8 if args.shots else None
+    budget = None if args.shots is None else args.shots // 8
     plus, minus = measure_dynamical_correlator(
         obs_a, obs_b, args.t1, args.t2, psi0, prop, budget, rng
     )

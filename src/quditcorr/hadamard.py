@@ -159,22 +159,6 @@ def run_hadamard_circuit(
     return ancilla_zero_probability(state)
 
 
-def probability_to_correlator(p: float) -> float:
-    """Map an ancilla-|0> probability to the unitary-pair correlator 4p - 2."""
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    return 4.0 * min(max(p, 0.0), 1.0) - 2.0
-
-
-def sample_probability(p_exact: float, shots: int, seed) -> float:
-    """Estimate of a probability from a finite shot budget: the fraction of |0> outcomes."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if not -1e-12 <= p_exact <= 1.0 + 1e-12:
-        raise ValueError(f"probability {p_exact} outside [0, 1]")
-    return int(sample_counts((p_exact, 1.0 - p_exact), shots, seed)[0]) / shots
-
-
 def variance_model(p_values, norm_a: float, norm_b: float) -> float:
     """Single-shot variance of the assembled correlator.
 
@@ -190,24 +174,6 @@ def variance_model(p_values, norm_a: float, norm_b: float) -> float:
         raise ValueError("probabilities must lie in [0, 1]")
     ps = np.clip(ps, 0.0, 1.0)
     return float(4.0 * norm_a**2 * norm_b**2 * np.sum(ps * (1.0 - ps)))
-
-
-def assemble_correlator(parts, norm_a: float, norm_b: float) -> CorrelatorEstimate:
-    """Combine the four per-gate-pair estimates into the observable correlator.
-
-    ``parts`` maps each (va_choice, vb_choice) pair to a
-    CorrelatorEstimate of 4P - 2; errors combine in quadrature with the
-    same ||A|| ||B|| / 4 prefactor.
-    """
-    missing = [c for c in COMBOS if c not in parts]
-    if missing or len(parts) != 4:
-        raise ValueError(f"need exactly one part per gate pair; missing {missing}")
-    pref = norm_a * norm_b / 4.0
-    value = pref * sum(parts[c].value for c in COMBOS)
-    var = pref**2 * sum(parts[c].std_error ** 2 for c in COMBOS)
-    shots = sum(parts[c].shots for c in COMBOS)
-    mode = EXACT if all(parts[c].mode == EXACT for c in COMBOS) else SAMPLED
-    return CorrelatorEstimate(float(value), float(math.sqrt(var)), shots, mode)
 
 
 def circuit_probabilities(
@@ -267,32 +233,29 @@ def estimate_from_probabilities(
     rng=None,
     nominal_total: int | None = None,
 ) -> CorrelatorEstimate:
-    """Assemble one correlator estimate from the four exact probabilities.
+    """One correlator estimate, (||A|| ||B|| / 4) * sum (4q - 2), from the four P in COMBOS order.
 
-    shots_per_circuit = None gives the exact value; an attached nominal
-    total budget then supplies the error bar sqrt(variance_model / n).
-    Otherwise each probability is replaced by an independent draw
-    (sample_probability) and the error bar uses the empirical binomial variances.
+    shots_per_circuit = None gives the exact value, q = P; an attached
+    nominal total budget then supplies the error bar
+    sqrt(variance_model / n).  Otherwise each q is the |0> fraction of
+    an independent draw of shots_per_circuit shots (rng.sample_counts),
+    and the error bar combines the empirical binomial variances.
     """
     ps = np.asarray(ps, dtype=float)
-    parts = {}
-    if shots_per_circuit is None:
-        if nominal_total:
-            std = math.sqrt(variance_model(ps, norm_a, norm_b) / nominal_total)
-            total = nominal_total
-        else:
-            std = 0.0
-            total = 0
-        value = (norm_a * norm_b / 4.0) * sum(4.0 * p - 2.0 for p in ps)
-        return CorrelatorEstimate(float(value), std, total, EXACT)
-    rng = as_generator(rng)
-    for combo, p in zip(COMBOS, ps):
-        p_hat = sample_probability(p, shots_per_circuit, rng)
-        sigma = 4.0 * math.sqrt(p_hat * (1.0 - p_hat) / shots_per_circuit)
-        parts[combo] = CorrelatorEstimate(
-            probability_to_correlator(p_hat), sigma, shots_per_circuit, SAMPLED
-        )
-    return assemble_correlator(parts, norm_a, norm_b)
+    model = variance_model(ps, norm_a, norm_b)  # checks for four P in [0, 1]
+    pref = norm_a * norm_b / 4.0
+    n = shots_per_circuit
+    if n is None:
+        qs, total = ps, nominal_total or 0
+        std = math.sqrt(model / total) if total else 0.0
+    else:
+        if n < 1:
+            raise ValueError("shots must be >= 1")
+        rng = as_generator(rng)
+        qs, total = [int(sample_counts((p, 1.0 - p), n, rng)[0]) / n for p in ps], 4 * n
+        std = math.sqrt(pref**2 * sum((4.0 * math.sqrt(q * (1.0 - q) / n)) ** 2 for q in qs))
+    value = pref * sum(4.0 * q - 2.0 for q in qs)
+    return CorrelatorEstimate(float(value), std, total, EXACT if n is None else SAMPLED)
 
 
 def measure_dynamical_correlator(
@@ -312,8 +275,6 @@ def measure_dynamical_correlator(
     Draws consume the caller's generator in a fixed order (anti-
     commutator circuits first), keeping sweeps reproducible.
     """
-    if budget is not None and budget < 1:
-        raise ValueError("per-circuit budget must be >= 1 (or None for exact)")
     rng = as_generator(rng)
     norms = (obs_a.spectral_norm, obs_b.spectral_norm)
     out = []

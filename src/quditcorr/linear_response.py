@@ -44,8 +44,7 @@ from .dynamics import (
     trajectory,
 )
 from .hadamard import EXACT, SAMPLED, CorrelatorEstimate
-from .observables import spin_matrix
-from .register import QuditState, expectation, site_marginal
+from .register import QuditState, site_marginal
 from .rng import as_generator, sample_counts
 
 # Squared norm below which the perturbed branch is considered collapsed.
@@ -76,15 +75,6 @@ class LinearResponseConfig:
             raise ValueError(f"kind must be '{HERMITIAN}' or '{NON_HERMITIAN}'")
 
 
-def normalized_expectation(state: QuditState, obs) -> float:
-    """<psi|O|psi> / <psi|psi> for a possibly unnormalized state."""
-    if state.squared_norm <= 0.0:
-        raise ValueError("state has vanishing norm")
-    op = obs.op if hasattr(obs, "op") else obs
-    val = expectation(state, op)
-    return float(val.real) / state.squared_norm
-
-
 def effective_shots(nominal: int, squared_norm: float) -> int:
     """Shot count surviving the norm loss of a non-Hermitian branch.
 
@@ -99,33 +89,25 @@ def effective_shots(nominal: int, squared_norm: float) -> int:
     return max(1, round(nominal * min(squared_norm, 1.0)))
 
 
-def _sz_levels() -> np.ndarray:
-    """Eigenvalues m of spin-1 S^z in basis order: (+1, 0, -1)."""
-    return np.real(np.diag(spin_matrix(1, "z").matrix))
+# Eigenvalues m of spin-1 S^z in basis order.
+_SZ_LEVELS = np.array([1.0, 0.0, -1.0])
 
 
-def _site_moments(weights, values, total=1.0) -> tuple[float, float]:
-    """Mean and variance of diag(values) under outcome weights summing to total."""
-    mean = float(weights @ values) / total
-    return mean, max(float(weights @ values**2) / total - mean**2, 0.0)
-
-
-def _sampled_mean(p, values, shots: int, rng) -> tuple[float, float]:
-    """Projective estimate of <diag(values)> from a site marginal: (mean, var of mean)."""
-    mean, var = _site_moments(sample_counts(p, shots, rng), values, shots)
-    return mean, var / shots
+def _sz_moments(p, shots: int | None = None, rng=None) -> tuple[float, float]:
+    """Mean and variance of S^z under the site marginal p, or under shots draws from it."""
+    weights, total = (p, 1.0) if shots is None else (sample_counts(p, shots, rng), shots)
+    mean = float(weights @ _SZ_LEVELS) / total
+    return mean, max(float(weights @ _SZ_LEVELS**2) / total - mean**2, 0.0)
 
 
 def measure_site_expectation(
     state: QuditState, site: int, shots: int | None = None, rng=None
 ) -> CorrelatorEstimate:
     """<S_site^z> of a state, exact or from a projective multinomial sample."""
-    p = site_marginal(state, site)
-    values = _sz_levels()
+    mean, var = _sz_moments(site_marginal(state, site), shots, rng)
     if shots is None:
-        return CorrelatorEstimate(_site_moments(p, values)[0], 0.0, 0, EXACT)
-    mean, var = _sampled_mean(p, values, shots, rng)
-    return CorrelatorEstimate(mean, math.sqrt(var), shots, SAMPLED)
+        return CorrelatorEstimate(mean, 0.0, 0, EXACT)
+    return CorrelatorEstimate(mean, math.sqrt(var / shots), shots, SAMPLED)
 
 
 def lr_estimate(
@@ -148,7 +130,6 @@ def lr_estimate(
         raise ValueError(f"perturbed branch collapsed (squared norm {pert_norm:.3e})")
     if budget is not None and budget < 2:
         raise ValueError("sampled mode needs a per-point budget of at least 2")
-    values = _sz_levels()
     denom = config.lam * config.pulse_area
     total = nominal_budget if budget is None else budget
     n_branch = n_pert = 0
@@ -156,18 +137,13 @@ def lr_estimate(
         n_branch = n_pert = max(1, total // 2)
         if config.kind == NON_HERMITIAN:
             n_pert = effective_shots(n_branch, min(pert_norm, 1.0 + 1e-6))
-    if budget is None:
-        e_p, var_p = _site_moments(pert, values)
-        e_u, var_u = _site_moments(unpert, values)
-        std = math.sqrt(var_p / n_pert + var_u / n_branch) / denom if total else 0.0
-        mode = EXACT
-    else:
-        rng = as_generator(rng)
-        # Sampling from the renormalized marginal realizes <.>/<1> directly.
-        e_p, var_p = _sampled_mean(pert, values, n_pert, rng)
-        e_u, var_u = _sampled_mean(unpert, values, n_branch, rng)
-        std = math.sqrt(var_p + var_u) / denom
-        mode = SAMPLED
+    sampled = budget is not None
+    rng = as_generator(rng) if sampled else None
+    # Sampling from the renormalized marginal realizes <.>/<1> directly.
+    e_p, var_p = _sz_moments(pert, n_pert if sampled else None, rng)
+    e_u, var_u = _sz_moments(unpert, n_branch if sampled else None, rng)
+    std = math.sqrt(var_p / n_pert + var_u / n_branch) / denom if total else 0.0
+    mode = SAMPLED if sampled else EXACT
     # Negated quotient: pinned against the brute-force oracle.
     return CorrelatorEstimate((e_u - e_p) / denom, std, n_pert + n_branch, mode)
 

@@ -1,3 +1,6 @@
+import faulthandler
+import signal
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -221,6 +224,21 @@ def test_scenario_validation():
         FigureOfMerit(-0.1, 0.0, 0.0, 0.0)
 
 
+def test_checked_config_is_immutable_and_hashable():
+    cfg = RunConfig(n_sites=2, steps=2)
+    with pytest.raises(TypeError):
+        cfg.shots["hadamard"]["plus"] = 0
+    with pytest.raises(TypeError):
+        cfg.shots["lr"] = {"plus": 2, "minus": 2}
+    with pytest.raises(TypeError):
+        cfg.shots["hadamard"].update(plus=0)
+    assert cfg.shots == DEFAULT_BUDGETS
+    assert hash(cfg) == hash(RunConfig(n_sites=2, steps=2))
+    assert len({cfg, replace(cfg), replace(cfg, seed=1)}) == 2
+    partial = replace(cfg, shots={"hadamard": {"plus": 60}})
+    assert partial.shots["hadamard"] == {"plus": 60, "minus": 8000}
+
+
 def test_single_point_grid_gives_equal_time_values():
     res = run_quench_study(RunConfig(n_sites=3, steps=1, seed=9, workers=1))
     by_key = {(r.protocol, r.kind): r for r in res.rows}
@@ -295,9 +313,9 @@ def test_study_pool_defaults_to_default_workers(monkeypatch):
     sizes = []
     real_pool = benchmark.ThreadPoolExecutor
 
-    def recording_pool(max_workers):
+    def recording_pool(max_workers, **kwargs):
         sizes.append(max_workers)
-        return real_pool(max_workers=max_workers)
+        return real_pool(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(benchmark.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(benchmark, "ThreadPoolExecutor", recording_pool)
@@ -307,4 +325,67 @@ def test_study_pool_defaults_to_default_workers(monkeypatch):
     assert sizes == [2]
     assert default.rows == run_quench_study(replace(config, workers=1)).rows
     run_quench_study(replace(config, protocols=("hadamard",)))
-    assert sizes == [2]  # a single trace runs without a pool
+    assert sizes == [2, 1, 1]  # one worker, or a single trace, runs through the pool too
+
+
+def test_interrupt_at_one_worker_lets_the_running_trace_finish(monkeypatch):
+    # Ctrl-C reaches the main thread while the first trace (Hadamard) runs.
+    config = RunConfig(2, t_max=1.0, steps=3, seed=5, workers=1)
+    full = run_quench_study(config)
+    real_trace = benchmark.hadamard_trace
+
+    def interrupted_trace(*args):
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        return real_trace(*args)
+
+    monkeypatch.setattr(benchmark, "hadamard_trace", interrupted_trace)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    faulthandler.dump_traceback_later(60, exit=True)  # a hung pool fails loudly
+    try:
+        with pytest.raises(benchmark.StudyInterrupted) as info:
+            run_quench_study(config)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        signal.signal(signal.SIGINT, previous)
+    rows = info.value.result.rows
+    hadamard_rows = [r for r in full.rows if r.protocol == "hadamard"]
+    assert len(hadamard_rows) == 2 * config.steps
+    assert rows[: len(hadamard_rows)] == tuple(hadamard_rows)
+
+
+# Cells of a small study recorded before the exact and the sampled
+# estimates shared one code path; a refactor must reproduce them.
+RECORDED_N3 = [  # protocol, kind, t, exact, sampled, std_error, shots
+    ('hadamard', '+', 0.0, -2.0, -2.008704, 0.017655421917133558, 1500),
+    ('hadamard', '+', 1.6666666666666667, 1.3081279527636935, 1.3474559999999998, 0.04725224160303932, 1500),
+    ('hadamard', '+', 3.3333333333333335, -0.9595677819671247, -0.96864, 0.0553646037392123, 1500),
+    ('hadamard', '+', 5.0, 0.5960485947078773, 0.702336, 0.06065941952270892, 1500),
+    ('hadamard', '-', 0.0, 0.0, 0.014499999999999957, 0.02235846316274891, 8000),
+    ('hadamard', '-', 1.6666666666666667, -2.220446049250313e-16, 0.006999999999999895, 0.022357599379182014, 8000),
+    ('hadamard', '-', 3.3333333333333335, -1.1102230246251565e-16, -5.551115123125783e-17, 0.022359723835503872, 8000),
+    ('hadamard', '-', 5.0, 1.1102230246251565e-16, -0.008500000000000008, 0.022357535083277855, 8000),
+    ('lr', '+', 0.0, -1.9999962266695204, -80.0, 258.1676744833639, 1500),
+    ('lr', '+', 1.6666666666666667, 1.3083829001339642, -153.33333333333334, 212.1473980950945, 1500),
+    ('lr', '+', 3.3333333333333335, -0.9597235610106503, 33.333333333333336, 224.79132710302846, 1500),
+    ('lr', '+', 5.0, 0.5959757663860643, -180.0, 176.17516535791552, 1500),
+    ('lr', '-', 0.0, 1.662558979376172e-10, 69.99999999999999, 91.28483606983306, 12000),
+    ('lr', '-', 1.6666666666666667, -1.6186464391054756e-05, 39.99999999999999, 76.28920971224251, 12000),
+    ('lr', '-', 3.3333333333333335, 0.0004694602531718495, 182.49999999999997, 79.90832058724594, 12000),
+    ('lr', '-', 5.0, -0.0002927019614185067, -4.166666666666665, 63.45852666491305, 12000),
+]
+
+
+def test_study_reproduces_recorded_cells():
+    # The CSV rule for a change that keeps the behaviour: sampled,
+    # std_error and shots byte-identical (repr is what the CSV writes),
+    # exact cells within 1e-14 on the expectation-value scale.
+    config = RunConfig(n_sites=3, steps=4, lambdas=(0.2,), seed=11)
+    rows = run_quench_study(config).rows
+    assert len(rows) == len(RECORDED_N3)
+    for row, (protocol, kind, t, exact, sampled, std_error, shots) in zip(rows, RECORDED_N3):
+        assert (row.protocol, row.kind, row.t) == (protocol, kind, t)
+        assert (repr(row.sampled), repr(row.std_error), row.shots) == (
+            repr(sampled), repr(std_error), shots
+        )
+        scale = 1.0 if protocol == "hadamard" else row.lam * config.pulse_area
+        assert abs(row.exact - exact) * scale <= 1e-14

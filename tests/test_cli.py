@@ -184,6 +184,29 @@ def test_correlator_verb(capsys):
     assert "C+(0, 0.7)" in out and "C-(0, 0.7)" in out and "exact" in out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n-sites", "3", "--sites", "1", "5"], "site 5 outside 1..3"),
+        (["--sites", "2", "2"], "distinct"),
+        (["--sites", "0", "2"], "site 0 outside 1..4"),
+    ],
+    ids=["beyond-chain", "repeated", "zero"],
+)
+def test_correlator_rejects_a_bad_site_pair_naming_the_field(capsys, flags, message):
+    assert main(["correlator", "--t2", "0.7", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config field 'sites'" in err and message in err
+
+
+@pytest.mark.parametrize("shots", ["0", "5", "-8"])
+def test_correlator_rejects_fewer_shots_than_circuits(capsys, shots):
+    assert main(["correlator", "--n-sites", "2", "--t2", "0.7", "--shots", shots]) == 2
+    assert "--shots must be at least 8" in capsys.readouterr().err
+    assert main(["correlator", "--n-sites", "2", "--t2", "0.7", "--shots", "8"]) == 0
+    assert "[sampled, shots=4]" in capsys.readouterr().out  # one shot per circuit
+
+
 def test_decompose_verb(capsys):
     assert main(["decompose", "--observable", "z"]) == 0
     out = capsys.readouterr().out

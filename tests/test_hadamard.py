@@ -9,20 +9,16 @@ from quditcorr.hadamard import (
     COMBOS,
     W,
     W_DAGGER,
-    CorrelatorEstimate,
     HadamardTask,
-    assemble_correlator,
     circuit_probabilities,
     estimate_from_probabilities,
     measure_dynamical_correlator,
-    probability_to_correlator,
     run_hadamard_circuit,
-    sample_probability,
     variance_model,
 )
 from quditcorr.observables import HermitianObservable, decompose, spin_matrix
 from quditcorr.register import LocalOperator, QuditState, RegisterShape
-from quditcorr.rng import task_rng
+from quditcorr.rng import sample_counts, task_rng
 
 
 def sz_obs(site):
@@ -31,6 +27,11 @@ def sz_obs(site):
 
 def neel_state(n):
     return QuditState(RegisterShape((3,) * n), neel_superposition_vec(n))
+
+
+def exact_value(ps):
+    # (||A|| ||B|| / 4) sum (4P - 2) at unit norms
+    return estimate_from_probabilities(ps, 1.0, 1.0, None).value
 
 
 def setup_chain(n, jz=0.5):
@@ -101,15 +102,20 @@ def test_probability_and_per_term_ranges():
             ps = circuit_probabilities(sz_obs(0), sz_obs(2), t1, t2, psi0, prop, alpha)
             assert np.all(ps >= -1e-12) and np.all(ps <= 1 + 1e-12)
             for p in ps:
-                assert -2.0 <= probability_to_correlator(p) <= 2.0
+                assert -2.0 <= exact_value(np.full(4, p)) <= 2.0
 
 
 def test_probability_to_correlator_values():
-    assert probability_to_correlator(0.5) == pytest.approx(0.0)
-    assert probability_to_correlator(1.0) == pytest.approx(2.0)
-    assert probability_to_correlator(0.0) == pytest.approx(-2.0)
-    with pytest.raises(ValueError):
-        probability_to_correlator(1.1)
+    # Four equal P at unit norms give the per-circuit term 4P - 2 itself.
+    assert exact_value(np.full(4, 0.5)) == pytest.approx(0.0)
+    assert exact_value(np.full(4, 1.0)) == pytest.approx(2.0)
+    assert exact_value(np.full(4, 0.0)) == pytest.approx(-2.0)
+    assert exact_value([0.9, 0.5, 0.5, 0.5]) == pytest.approx(1.6 / 4)
+    for shots in (None, 10):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            estimate_from_probabilities([0.5, 0.5, 0.5, 1.1], 1.0, 1.0, shots, 1)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            estimate_from_probabilities([-1e-9, 0.5, 0.5, 0.5], 1.0, 1.0, shots, 1)
 
 
 def test_task_validation():
@@ -122,32 +128,48 @@ def test_task_validation():
 
 
 def test_assemble_correlator_cases():
-    def part(v):
-        return CorrelatorEstimate(v, 0.1, 10, "sampled")
-
-    zeros = {c: part(0.0) for c in COMBOS}
-    assert assemble_correlator(zeros, 1.0, 1.0).value == pytest.approx(0.0)
-    twos = {c: part(2.0) for c in COMBOS}
-    est = assemble_correlator(twos, 1.0, 1.0)
-    assert est.value == pytest.approx(2.0)
-    assert est.std_error == pytest.approx(np.sqrt(4 * 0.1**2) / 4)
-    assert est.shots == 40
-    with pytest.raises(ValueError, match="missing"):
-        assemble_correlator({c: part(0.0) for c in COMBOS[:3]}, 1.0, 1.0)
+    for shots in (None, 10):
+        halves = estimate_from_probabilities(np.full(4, 0.5), 1.0, 1.0, shots, 1)
+        ones = estimate_from_probabilities(np.full(4, 1.0), 1.0, 1.0, shots, 1)
+        assert ones.value == pytest.approx(2.0)
+        assert ones.std_error == 0.0
+        if shots is None:
+            assert halves.value == pytest.approx(0.0)
+        else:
+            assert (ones.shots, ones.mode, halves.shots) == (40, "sampled", 40)
+        with pytest.raises(ValueError, match="per gate pair"):
+            estimate_from_probabilities(np.full(3, 0.5), 1.0, 1.0, shots, 1)
+        with pytest.raises(ValueError, match="per gate pair"):
+            estimate_from_probabilities(np.full(5, 0.5), 1.0, 1.0, shots, 1)
+    # Sampled: the four |0> fractions, drawn in COMBOS order, enter the
+    # value with the ||A|| ||B|| / 4 prefactor and their binomial errors
+    # combine in quadrature with the same prefactor.
+    ps, n = (0.2, 0.4, 0.6, 0.8), 10
+    est = estimate_from_probabilities(ps, 2.0, 3.0, n, task_rng(4, 2))
+    rng = task_rng(4, 2)
+    qs = [sample_counts((p, 1 - p), n, rng)[0] / n for p in ps]
+    sigmas = [4 * np.sqrt(q * (1 - q) / n) for q in qs]
+    assert est.value == pytest.approx(1.5 * sum(4 * q - 2 for q in qs))
+    assert est.std_error == pytest.approx(1.5 * np.sqrt(sum(s**2 for s in sigmas)))
+    assert est.std_error > 0.0
 
 
 def test_sample_probability_behaviour():
-    assert sample_probability(0.0, 100, seed=1) == 0.0
-    assert sample_probability(1.0, 100, seed=1) == 1.0
+    def sampled(p, shots, seed):
+        # At unit norms (value + 2) / 4 is the mean |0> fraction of the four circuits.
+        return (estimate_from_probabilities(np.full(4, p), 1.0, 1.0, shots, seed).value + 2) / 4
+
+    assert sampled(0.0, 100, seed=1) == 0.0
+    assert sampled(1.0, 100, seed=1) == 1.0
     # round-off just outside [0, 1] is accepted and drawn as 0 or 1
-    assert sample_probability(-1e-12, 100, seed=1) == 0.0
-    assert sample_probability(1.0 + 1e-12, 100, seed=1) == 1.0
-    a = sample_probability(0.37, 1000, seed=5)
-    assert a == sample_probability(0.37, 1000, seed=5)
-    draws = [sample_probability(0.5, 10_000, seed=s) for s in range(50)]
+    assert sampled(-1e-12, 100, seed=1) == 0.0
+    assert sampled(1.0 + 1e-12, 100, seed=1) == 1.0
+    a = sampled(0.37, 1000, seed=5)
+    assert a == sampled(0.37, 1000, seed=5)
+    draws = [sampled(0.5, 10_000, seed=s) for s in range(50)]
     assert abs(np.mean(draws) - 0.5) <= 5 * 0.005 / np.sqrt(50)
-    with pytest.raises(ValueError):
-        sample_probability(0.5, 0, seed=1)
+    with pytest.raises(ValueError, match="shots"):
+        sampled(0.5, 0, seed=1)
 
 
 def test_variance_model_values():
@@ -185,16 +207,13 @@ def test_conjugating_both_gate_choices_leaves_assembly_invariant():
     dec_a, dec_b = decompose(sz_obs(0)), decompose(sz_obs(1))
     flip = {W: W_DAGGER, W_DAGGER: W}
     for alpha in (ALPHA_PLUS, ALPHA_MINUS):
-        parts, parts_flipped = {}, {}
-        for va, vb in COMBOS:
+        ps, ps_flipped = np.empty(4), np.empty(4)
+        for k, (va, vb) in enumerate(COMBOS):
             task = HadamardTask(0.2, 1.1, va, vb, alpha, sz_obs(0), sz_obs(1))
             p = run_hadamard_circuit(task, psi0, prop, dec_a, dec_b)
-            val = CorrelatorEstimate(probability_to_correlator(p), 0.0, 0, "exact")
-            parts[(va, vb)] = val
-            parts_flipped[(flip[va], flip[vb])] = val
-        a = assemble_correlator(parts, 1.0, 1.0)
-        b = assemble_correlator(parts_flipped, 1.0, 1.0)
-        assert a.value == pytest.approx(b.value, abs=1e-12)
+            ps[k] = p
+            ps_flipped[COMBOS.index((flip[va], flip[vb]))] = p
+        assert exact_value(ps) == pytest.approx(exact_value(ps_flipped), abs=1e-12)
 
 
 def test_sampled_estimator_statistics():

@@ -15,8 +15,8 @@ Reported per protocol:
 with trapezoidal quadrature on the study grid.  The reference trace is
 the exact Hadamard trace, computed with the study's one propagator of
 H0 (the circuit protocol is exact up to shot noise), so a study
-diagonalizes H at most once and the Hadamard R compares its exact trace
-with itself.  Each trace is one task: every grid point of it comes
+factorizes the blocks of H once and the Hadamard R compares its exact
+trace with itself.  Each trace is one task: every grid point of it comes
 from a few streamed trajectories (dynamics.trajectory), not from a
 simulation started at t = 0.  brute_force_correlators, the dense oracle
 of `quditcorr validate`, diagonalizes H on its own.
@@ -27,6 +27,7 @@ undefined; it is reported as None with the reason alongside.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 import os
 import threading
@@ -59,6 +60,8 @@ from .linear_response import (
 from .observables import HermitianObservable, spin_matrix
 from .register import QuditState, RegisterShape
 from .rng import task_rng
+
+log = logging.getLogger(__name__)
 
 HADAMARD = "hadamard"
 LINEAR_RESPONSE = "lr"
@@ -427,6 +430,9 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     obs_a = HermitianObservable(spin_matrix(1, "z").on(site_a))
     obs_b = HermitianObservable(spin_matrix(1, "z").on(site_b))
     prop = make_propagator(h0)
+    if log.isEnabledFor(logging.INFO):
+        touched = ", ".join(f"{b.index.size} ({b.strategy})" for b in prop.blocks_touched(psi0))
+        log.info("H0 has %d blocks; psi0 touches dimension %s", len(prop.blocks), touched)
     grid = np.linspace(0.0, config.t_max, config.steps)
 
     tasks = [

@@ -184,9 +184,14 @@ def _cmd_decompose(args) -> int:
 def _cmd_validate(args) -> int:
     """Gate-level circuits and the trace engine `run` uses, against brute force.
 
-    The trace engine runs on both propagators: dense-eig, which make_propagator
-    picks at these sizes, and sparse, which every chain with N >= 7 uses.
+    The trace engine runs on both strategies: dense-eig, which make_propagator
+    picks for H0 and which diagonalizes every block at these sizes, and
+    sparse, which propagates the blocks above DENSE_BLOCK_LIMIT (N >= 8)
+    and every pulse.  brute_force_correlators diagonalizes the full H
+    instead, so it checks the block split too.
     """
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     failures = 0
     for n in (2, 3, 4):
         h = build_xxz(n, 1.0, 0.5)

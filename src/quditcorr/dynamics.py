@@ -10,13 +10,15 @@ replace H by H - lambda*J_xy*S_j^z (Hermitian) or H - i*lambda*J_xy*S_j^z
 (non-Hermitian); since each segment is time independent, piecewise
 exponentials propagate exactly, with no splitting error.
 
-Two propagation strategies are provided: dense eigendecomposition of a
-Hermitian H for dimensions up to 729 (N <= 6), and the sparse action of the
-exponential (SciPy's expm_multiply, Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33(2), 2011) for larger or non-Hermitian Hamiltonians and for
-the pulses.  `trajectory` streams a state through a whole time grid
-and is the only code that propagates, one path per strategy; `evolve`,
-one exp(-i H t), is its one-time case.
+A propagator splits H once into the connected components of its sparsity
+pattern (for the chain, the sectors of total S^z) and propagates only
+the blocks that a state touches.  Two strategies are provided:
+dense eigendecomposition of a Hermitian block of dimension up to
+DENSE_BLOCK_LIMIT, and the sparse action of the exponential (SciPy's
+expm_multiply, Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011) for
+larger blocks, for non-Hermitian Hamiltonians and for the pulses.
+`trajectory` streams a state through a whole time grid and is the only
+code that propagates; `evolve`, one exp(-i H t), is its one-time case.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ from scipy.sparse.linalg import expm_multiply, norm
 from .observables import spin_matrix
 from .register import MAX_AMPLITUDES, QuditState
 
-# 3^6, so N <= 6: at N = 7 one dense eigh took 15 s on 2 vCPUs, while a
-# whole sparse trajectory takes 0.1 s.
-DENSE_DIM_LIMIT = 729
+# Largest block that "dense-eig" diagonalizes.  The chain's largest
+# blocks have dimension 393 at N = 7, whose eigh takes ~0.05 s, and 1107
+# at N = 8, whose eigh takes 1.5 s against 0.07 s for a whole sparse
+# trajectory of the block (2 vCPUs).
+DENSE_BLOCK_LIMIT = 500
 
 HERMITIAN = "hermitian"
 NON_HERMITIAN = "non_hermitian"
@@ -130,38 +134,100 @@ def build_perturbed(
     )
 
 
+def _diagonal_blocks(matrix: sp.csr_matrix):
+    """(indices, sub-matrix) of each connected component of matrix's sparsity pattern.
+
+    The components come from min-label propagation along the stored
+    entries, in both directions, with pointer jumping: every label stays
+    an index of its own component, and at the fixed point it is constant
+    on each component.  A block's rows hold no column outside it, so
+    its sub-matrix is its rows with each column index mapped to the
+    position of that column within the block.
+    """
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    cols = matrix.indices
+    label = np.arange(matrix.shape[0])
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        np.minimum.at(new, cols, label[rows])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")  # ascending within each component
+    bounds = [0, *(np.flatnonzero(np.diff(label[order])) + 1), order.size]
+    local = np.empty_like(order)
+    local[order] = np.arange(order.size) - np.repeat(bounds[:-1], np.diff(bounds))
+    for start, stop in zip(bounds, bounds[1:]):
+        index = order[start:stop]
+        block_rows = matrix[index]
+        sub = sp.csr_matrix(
+            (block_rows.data, local[block_rows.indices], block_rows.indptr),
+            shape=(index.size, index.size),
+        )
+        yield index, sub
+
+
+@dataclass(frozen=True)
+class Block:
+    """One connected component of H's sparsity pattern and how it propagates.
+
+    op is (eigenvalues, eigenvectors) for "dense-eig" and the sparse
+    sub-matrix for "sparse".
+    """
+
+    index: np.ndarray  # full-space indices, ascending
+    strategy: str
+    op: object = field(repr=False)
+
+
+def _block(sub, index: np.ndarray, strategy: str) -> Block:
+    if strategy == "dense-eig" and index.size <= DENSE_BLOCK_LIMIT:
+        dense = sub.toarray()
+        if not dense.imag.any():
+            # A real eigh is faster, and it moves results by less: 9.3e-15
+            # against 1.6e-14 for a complex one on the N = 4 study.
+            dense = dense.real
+        return Block(index, strategy, np.linalg.eigh(dense))
+    return Block(index, "sparse", sub)
+
+
 @dataclass
 class Propagator:
     """Applies exp(-i H t) to the system block of a register.
 
     States whose trailing sites multiply out to the Hamiltonian
     dimension are accepted; any leading sites (the ancilla) are treated
-    as batch indices and left untouched.  "dense-eig" diagonalizes a
-    Hermitian H once; "sparse" works on the sparse H directly.
+    as batch indices and left untouched.  H is split into the connected
+    components of its sparsity pattern (blocks).  "dense-eig"
+    diagonalizes each block of a Hermitian H up to DENSE_BLOCK_LIMIT and
+    propagates larger ones sparsely; "sparse" works on the sparse
+    sub-matrix of every block.  All of it happens here, so one
+    propagator can serve several threads.
     """
 
     strategy: str  # "dense-eig" | "sparse"
     hamiltonian: SparseHamiltonian
-    _eig: tuple | None = field(default=None, repr=False)
+    blocks: list[Block] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.strategy not in ("dense-eig", "sparse"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "dense-eig":
-            if not self.hamiltonian.hermitian:
-                raise ValueError("dense-eig needs a Hermitian Hamiltonian; use sparse")
-            if self.hamiltonian.dimension > DENSE_DIM_LIMIT:
-                raise ValueError(
-                    f"dense-eig limited to dimension {DENSE_DIM_LIMIT}, "
-                    f"got {self.hamiltonian.dimension}"
-                )
-            self._eig = np.linalg.eigh(self.hamiltonian.matrix.toarray())
+        if self.strategy == "dense-eig" and not self.hamiltonian.hermitian:
+            raise ValueError("dense-eig needs a Hermitian Hamiltonian; use sparse")
+        h = self.hamiltonian.matrix.tocsr()
+        self.blocks = [_block(sub, idx, self.strategy) for idx, sub in _diagonal_blocks(h)]
+
+    def blocks_touched(self, state: QuditState) -> list[Block]:
+        """The blocks on which state has a nonzero amplitude in any batch row."""
+        x = state.amplitudes.reshape(-1, self.hamiltonian.dimension)
+        return [b for b in self.blocks if x[:, b.index].any()]
 
 
 def make_propagator(h: SparseHamiltonian) -> Propagator:
-    """dense-eig for a Hermitian H up to DENSE_DIM_LIMIT, sparse otherwise."""
-    dense = h.hermitian and h.dimension <= DENSE_DIM_LIMIT
-    return Propagator("dense-eig" if dense else "sparse", h)
+    """dense-eig for a Hermitian H (dense where the block allows), sparse otherwise."""
+    return Propagator("dense-eig" if h.hermitian else "sparse", h)
 
 
 def _check_system_block(state: QuditState, dim: int):
@@ -200,37 +266,57 @@ def trajectory(prop: Propagator, state: QuditState, times):
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("trajectory times must be non-decreasing")
     _check_system_block(state, prop.hamiltonian.dimension)
-    if prop.strategy == "dense-eig":
-        return _dense_trajectory(prop, state, times)
-    return _sparse_trajectory(prop, state, times)
+    return _block_trajectory(prop, state, times)
 
 
-def _dense_trajectory(prop, state, times):
-    """Project onto the eigenbasis once; each time is a phase and V c."""
-    vals, vecs = prop._eig
-    block = state.amplitudes.reshape(-1, prop.hamiltonian.dimension)
-    coeff = (block.conj() @ vecs).conj()  # rows of V^+ x, without forming V^+
+def _block_trajectory(prop, state, times):
+    """Gather the touched blocks, stream them by their strategy, scatter each time.
+
+    Each dense-eig block streams on its own.  The sparse ones stream
+    together as one block-diagonal matrix, which pays SciPy's per-call
+    setup once per step for all of them.
+    """
+    x = state.amplitudes.reshape(-1, prop.hamiltonian.dimension)
+    touched = prop.blocks_touched(state)
+    runs = [(b.index, _dense_stream, b.op) for b in touched if b.strategy == "dense-eig"]
+    sparse = [b for b in touched if b.strategy == "sparse"]
+    if sparse:
+        index = np.concatenate([b.index for b in sparse])
+        runs.append((index, _sparse_stream, sp.block_diag([b.op for b in sparse], format="csr")))
+    streams = [
+        (index, stream(op, np.ascontiguousarray(x[:, index].T), times))  # a column per batch row
+        for index, stream, op in runs
+    ]
+    for _ in times:
+        out = np.zeros_like(x)
+        for index, stream in streams:
+            out[:, index] = next(stream).T
+        yield QuditState(state.shape, out.reshape(-1))
+
+
+def _matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """m @ z for a C-contiguous complex z; a real m takes z's real and imaginary parts at once."""
+    if np.isrealobj(m):
+        return (m @ z.view(np.float64)).view(np.complex128)
+    return m @ z
+
+
+def _dense_stream(eig, x, times):
+    """Project onto the block's eigenbasis once; each time is a phase and V c."""
+    vals, vecs = eig
+    coeff = _matmul(vecs.conj().T, x)
     for t in times:
-        if t == 0.0:
-            yield state.copy()
-        else:
-            out = (coeff * np.exp(-1j * vals * t)) @ vecs.T  # vecs.T is a view
-            yield QuditState(state.shape, out.reshape(-1))
+        yield x if t == 0.0 else _matmul(vecs, np.exp(-1j * vals * t)[:, None] * coeff)
 
 
-def _sparse_trajectory(prop, state, times):
+def _sparse_stream(h, x, times):
     """Reach each time from the previous one by sub-stepped expm_multiply."""
-    h = prop.hamiltonian.matrix
     now = 0.0
     for t in times:
-        if t == now:
-            yield state.copy()
-            continue
-        gen = -1j * (t - now) * h
-        block = state.amplitudes.reshape(-1, prop.hamiltonian.dimension)
-        steps = max(1, math.ceil(norm(gen, 1) * block.shape[0] / MAX_STEP_NORM))
-        out = block.T  # all rows in one call, as the columns of block.T
-        for _ in range(steps):
-            out = expm_multiply(gen / steps, out)
-        state, now = QuditState(state.shape, out.T.reshape(-1)), t
-        yield state
+        if t != now:
+            gen = -1j * (t - now) * h
+            steps = max(1, math.ceil(norm(gen, 1) * x.shape[1] / MAX_STEP_NORM))
+            for _ in range(steps):
+                x = expm_multiply(gen / steps, x)  # all batch rows in one call
+            now = t
+        yield x

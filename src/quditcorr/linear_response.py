@@ -167,8 +167,8 @@ def measure_lr(
     have, computed from the exact per-branch S^z variances.  h0
     propagates through make_propagator.  The pulse is a sparse
     propagation under the perturbed H: a short pulse needs only a few
-    matvecs, where make_propagator would diagonalize a small Hermitian H
-    for every pulse.
+    matvecs, where make_propagator would diagonalize the blocks of a
+    Hermitian H for every pulse.
     """
     jxy = h0.j_xy
     dt = config.pulse_area / jxy

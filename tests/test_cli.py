@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import quditcorr
 import quditcorr.benchmark as benchmark
 from quditcorr.cli import (
     CSV_COLUMNS,
@@ -106,6 +111,23 @@ def test_run_rejects_a_bad_site_pair_naming_the_field(tmp_path, capsys, sites):
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "invalid config field 'sites'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_info_log_shows_the_blocks_and_leaves_the_csv_bytes_alone(tmp_path):
+    # Odd N: the Neel superposition touches the sectors of S^z = +1 and -1.
+    path = write_config(tmp_path, {**FAST, "n_sites": 3})
+    src = str(pathlib.Path(quditcorr.__file__).parents[1])
+    csv, err = {}, {}
+    for level in ("WARNING", "INFO"):
+        env = {**os.environ, "QUDITCORR_LOG": level, "PYTHONPATH": src}
+        out = tmp_path / level
+        cmd = [sys.executable, "-m", "quditcorr.cli", "run", "--config", path, "--out", str(out)]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        csv[level], err[level] = (out / "results.csv").read_bytes(), proc.stderr
+    assert csv["INFO"] == csv["WARNING"]
+    assert "H0 has 7 blocks; psi0 touches dimension 6 (dense-eig), 6 (dense-eig)" in err["INFO"]
+    assert "blocks" not in err["WARNING"]
 
 
 def test_study_row_fields_are_in_csv_column_order():
@@ -218,6 +240,12 @@ def test_validate_verb(capsys):
     assert main(["validate", "--points", "2"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_validate_rejects_fewer_than_one_point_naming_the_flag(capsys, points):
+    assert main(["validate", "--points", points]) == 2
+    assert f"--points must be at least 1, got {points}" in capsys.readouterr().err
 
 
 def test_config_error_exit_code(tmp_path, capsys):

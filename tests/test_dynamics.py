@@ -4,7 +4,10 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from oracles import SZ1, dense_xxz, neel_superposition_vec
+from quditcorr import dynamics
+from quditcorr.benchmark import neel_superposition
 from quditcorr.dynamics import (
+    DENSE_BLOCK_LIMIT,
     Propagator,
     SparseHamiltonian,
     build_perturbed,
@@ -13,7 +16,7 @@ from quditcorr.dynamics import (
     make_propagator,
     trajectory,
 )
-from quditcorr.register import QuditState, RegisterShape
+from quditcorr.register import QuditState, RegisterShape, basis_state
 
 
 def random_state(rng, dims):
@@ -261,15 +264,118 @@ def test_dimension_mismatch_rejected():
         evolve(make_propagator(h), state, 1.0)
 
 
-def test_dense_strategy_dimension_limit():
-    h = build_xxz(8, 1.0, 0.5)  # dimension 6561 > 729
-    with pytest.raises(ValueError, match="dense-eig"):
-        Propagator("dense-eig", h)
-    assert make_propagator(h).strategy == "sparse"
+def sector_of_each_index(n):
+    """Total S^z of every product-basis index (level 0 is m = +1)."""
+    m = np.zeros(3**n, dtype=int)
+    for k in range(n):
+        m += 1 - (np.arange(3**n) // 3 ** (n - 1 - k)) % 3
+    return m
 
 
-def test_cut_over_sends_n7_to_sparse():
-    # At N = 7 one dense eigh (dimension 2187) costs far more than the
-    # sparse trajectories of a whole study; N = 6 stays on dense-eig.
-    assert make_propagator(build_xxz(7, 1.0, 0.5)).strategy == "sparse"
-    assert make_propagator(build_xxz(6, 1.0, 0.5)).strategy == "dense-eig"
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_blocks_are_the_total_sz_sectors(n):
+    # The sparsity pattern of H splits into the 2N + 1 sectors, the two
+    # of dimension 1 (all +1, all -1) included.
+    prop = make_propagator(build_xxz(n, 1.0, 0.5))
+    m = sector_of_each_index(n)
+    assert len(prop.blocks) == 2 * n + 1
+    assert np.array_equal(np.sort(np.concatenate([b.index for b in prop.blocks])), np.arange(3**n))
+    for b in prop.blocks:
+        assert np.all(np.diff(b.index) > 0)
+        assert np.unique(m[b.index]).size == 1
+    assert sorted(b.index.size for b in prop.blocks)[:2] == [1, 1]
+
+
+def test_dense_eig_is_chosen_per_block():
+    # N = 7: every sector, the largest of dimension 393, is diagonalized.
+    # N = 8: the sectors of dimension 504 to 1107 are propagated sparsely.
+    p7 = make_propagator(build_xxz(7, 1.0, 0.5))
+    assert p7.strategy == "dense-eig"
+    assert max(b.index.size for b in p7.blocks) == 393
+    assert {b.strategy for b in p7.blocks} == {"dense-eig"}
+    p8 = make_propagator(build_xxz(8, 1.0, 0.5))
+    assert p8.strategy == "dense-eig"
+    big = sorted(b.index.size for b in p8.blocks if b.strategy == "sparse")
+    assert big == [504, 504, 784, 784, 1016, 1016, 1107]
+    assert all(b.index.size <= DENSE_BLOCK_LIMIT for b in p8.blocks if b.strategy == "dense-eig")
+
+
+def test_non_hermitian_hamiltonian_is_all_sparse():
+    hp = build_perturbed(build_xxz(4, 1.0, 0.5), 1, 0.25, "non_hermitian")
+    prop = make_propagator(hp)
+    assert prop.strategy == "sparse"
+    assert len(prop.blocks) == 9
+    assert {b.strategy for b in prop.blocks} == {"sparse"}
+
+
+def test_neel_superposition_touches_one_sector_at_even_n_and_two_at_odd_n():
+    for n, dims in ((6, [141]), (7, [357, 357])):
+        prop = make_propagator(build_xxz(n, 1.0, 0.5))
+        assert [b.index.size for b in prop.blocks_touched(neel_superposition(n))] == dims
+
+
+CASES = [
+    ("dense-eig", None),
+    ("sparse", None),
+    ("dense-eig", "hermitian"),
+    ("sparse", "non_hermitian"),
+    ("dense-eig", "complex"),
+]
+
+
+def hamiltonian_case(n, kind):
+    h0 = build_xxz(n, 1.0, 0.5)
+    if kind == "complex":
+        # D H0 D^+ with random diagonal phases: Hermitian, complex off the
+        # diagonal, with H0's blocks and spectrum.
+        d = sp.diags(np.exp(1j * np.random.default_rng(n).uniform(0, 2 * np.pi, h0.dimension)))
+        mat = (d @ h0.matrix @ d.conj()).tocsr()
+        return SparseHamiltonian(mat, h0.dimension, True, h0.couplings, n)
+    return h0 if kind is None else build_perturbed(h0, n - 1, 0.3, kind)
+
+
+@pytest.mark.parametrize("strategy, kind", CASES)
+@pytest.mark.parametrize("dims_before", [(), (2,)], ids=["system", "ancilla"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_block_trajectory_matches_full_space_expm(n, dims_before, strategy, kind):
+    # A random state touches every block, the dimension-1 ones included;
+    # an ancilla's rows are propagated alike.
+    h = hamiltonian_case(n, kind)
+    prop = Propagator(strategy, h)
+    state = random_state(np.random.default_rng(100 + n), dims_before + (3,) * n)
+    assert len(prop.blocks_touched(state)) == 2 * n + 1
+    rows = state.amplitudes.reshape(-1, h.dimension)
+    full = h.matrix.toarray()
+    grid = [0.0, 1.2, 1.2, 4.0]
+    for t, got in [*zip(grid, trajectory(prop, state, grid)), (-2.5, evolve(prop, state, -2.5))]:
+        want = rows @ scipy.linalg.expm(-1j * t * full).T
+        assert np.max(np.abs(got.amplitudes - want.reshape(-1))) <= 1e-10
+        assert got.shape == state.shape
+
+
+def test_dense_and_sparse_blocks_in_one_trajectory(monkeypatch):
+    # With the limit at 10, N = 4 has dense blocks (1, 4, 10) and sparse
+    # ones (16, 19); one random state with an ancilla touches them all.
+    monkeypatch.setattr(dynamics, "DENSE_BLOCK_LIMIT", 10)
+    h = build_xxz(4, 1.0, 0.5)
+    prop = make_propagator(h)
+    assert {b.strategy for b in prop.blocks} == {"dense-eig", "sparse"}
+    state = random_state(np.random.default_rng(12), (2,) + (3,) * 4)
+    rows = state.amplitudes.reshape(2, -1)
+    grid = [0.0, 0.7, 3.1]
+    for t, got in zip(grid, trajectory(prop, state, grid)):
+        want = rows @ scipy.linalg.expm(-1j * t * h.matrix.toarray()).T
+        assert np.max(np.abs(got.amplitudes - want.reshape(-1))) <= 1e-10
+
+
+@pytest.mark.parametrize("strategy, kind", CASES)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_state_in_a_dimension_one_block_gets_its_phase(n, strategy, kind):
+    # All +1 is its own block: H multiplies it by (N - 1) J_z, and the
+    # perturbation on the last site subtracts lambda (times i if non-Hermitian).
+    h = hamiltonian_case(n, kind)
+    energy = (n - 1) * 0.5 - {"hermitian": 0.3, "non_hermitian": 0.3j}.get(kind, 0.0)
+    state = basis_state((3,) * n, (0,) * n)
+    out = evolve(Propagator(strategy, h), state, 1.7)
+    assert np.count_nonzero(out.amplitudes) == 1
+    assert out.amplitudes[0] == pytest.approx(np.exp(-1j * energy * 1.7), abs=1e-13)

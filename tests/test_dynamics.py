@@ -286,18 +286,29 @@ def test_blocks_are_the_total_sz_sectors(n):
     assert sorted(b.index.size for b in prop.blocks)[:2] == [1, 1]
 
 
-def test_dense_eig_is_chosen_per_block():
-    # N = 7: every sector, the largest of dimension 393, is diagonalized.
-    # N = 8: the sectors of dimension 504 to 1107 are propagated sparsely.
-    p7 = make_propagator(build_xxz(7, 1.0, 0.5))
-    assert p7.strategy == "dense-eig"
-    assert max(b.index.size for b in p7.blocks) == 393
-    assert {b.strategy for b in p7.blocks} == {"dense-eig"}
-    p8 = make_propagator(build_xxz(8, 1.0, 0.5))
+def test_dense_strategy_dimension_limit():
+    # The dense-eig limit applies per block: at N = 8 (dimension 6561) the
+    # sectors of dimension 504 to 1107 are propagated sparsely, the rest
+    # are diagonalized.
+    p8 = Propagator("dense-eig", build_xxz(8, 1.0, 0.5))
     assert p8.strategy == "dense-eig"
     big = sorted(b.index.size for b in p8.blocks if b.strategy == "sparse")
     assert big == [504, 504, 784, 784, 1016, 1016, 1107]
     assert all(b.index.size <= DENSE_BLOCK_LIMIT for b in p8.blocks if b.strategy == "dense-eig")
+
+
+def test_cut_over_sends_n7_to_sparse(monkeypatch):
+    # The cut-over is per block. At N = 7 every sector, the largest of
+    # dimension 393, is within DENSE_BLOCK_LIMIT and diagonalized, as at
+    # N = 6; a limit one below 393 sends exactly that sector to sparse.
+    for n, largest in ((6, 141), (7, 393)):
+        prop = make_propagator(build_xxz(n, 1.0, 0.5))
+        assert prop.strategy == "dense-eig"
+        assert max(b.index.size for b in prop.blocks) == largest
+        assert {b.strategy for b in prop.blocks} == {"dense-eig"}
+    monkeypatch.setattr(dynamics, "DENSE_BLOCK_LIMIT", 392)
+    p7 = make_propagator(build_xxz(7, 1.0, 0.5))
+    assert [b.index.size for b in p7.blocks if b.strategy == "sparse"] == [393]
 
 
 def test_non_hermitian_hamiltonian_is_all_sparse():

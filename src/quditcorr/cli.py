@@ -93,7 +93,7 @@ def _write_csv(path: str, rows):
 
 def run(config: RunConfig, out_dir: str = ".", defaults_applied=()) -> int:
     """Execute the configured study and write results.csv + summary.json."""
-    started = time.time()
+    started = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     incomplete = False
     rows, figures = (), {}
@@ -116,11 +116,13 @@ def run(config: RunConfig, out_dir: str = ".", defaults_applied=()) -> int:
             key: dataclasses.asdict(f) for key, f in sorted(figures.items())
         },
         "incomplete": incomplete,
-        "runtime_seconds": time.time() - started,
+        "runtime_seconds": time.perf_counter() - started,
         "versions": {
             "quditcorr": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
+            # Only a sparse block or a pulse loads SciPy; null if none ran.
+            "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         },
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:

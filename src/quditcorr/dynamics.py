@@ -19,16 +19,21 @@ expm_multiply, Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011) for
 larger blocks, for non-Hermitian Hamiltonians and for the pulses.
 `trajectory` streams a state through a whole time grid and is the only
 code that propagates; `evolve`, one exp(-i H t), is its one-time case.
+
+H is built and split with NumPy alone.  SciPy is loaded only when a
+sparse block first propagates: the chain's blocks above the limit
+(N >= 8), a non-Hermitian H and the pulses.  A study whose blocks are
+all dense-eig never imports it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply, norm
 
 from .observables import spin_matrix
 from .register import MAX_AMPLITUDES, QuditState
@@ -52,26 +57,106 @@ NON_HERMITIAN = "non_hermitian"
 MAX_STEP_NORM = 16.0
 
 
-@dataclass
-class SparseHamiltonian:
-    matrix: sp.csr_matrix
-    dimension: int
-    hermitian: bool
-    couplings: tuple[float, float]  # (J_xy, J_z)
-    n_sites: int
+class _Csr(NamedTuple):
+    """The three arrays of a CSR matrix."""
 
-    def __post_init__(self):
-        if self.matrix.shape != (self.dimension, self.dimension):
-            raise ValueError("matrix shape does not match the declared dimension")
-        if self.hermitian:
-            err = abs(self.matrix - self.matrix.conj().T)
-            worst = err.max() if err.nnz else 0.0
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _rows(indptr: np.ndarray) -> np.ndarray:
+    """Row index of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+def _canonical_csr(matrix, dim: int):
+    """(data, indices, indptr) of matrix with each row's columns ascending and duplicates summed.
+
+    The column indices are int32, as SciPy stores them at these sizes
+    (dim <= MAX_AMPLITUDES < 2^31); keys that combine rows and columns
+    are computed in 64 bits.
+    """
+    if hasattr(matrix, "tocsr"):  # a SciPy sparse matrix in any format
+        matrix = matrix.tocsr()
+    data = np.asarray(matrix.data, dtype=np.complex128)
+    indices = np.asarray(matrix.indices)
+    indptr = np.asarray(matrix.indptr, dtype=np.int64)
+    if (
+        getattr(matrix, "shape", (dim, dim)) != (dim, dim)
+        or indptr.shape != (dim + 1,)
+        or (indices.size and not 0 <= indices.min() <= indices.max() < dim)
+    ):
+        raise ValueError("matrix shape does not match the declared dimension")
+    indices = indices.astype(np.int32, copy=False)
+    key = _rows(indptr)
+    key *= dim
+    key += indices
+    if np.all(key[1:] > key[:-1]):
+        return data, indices, indptr
+    order = np.argsort(key, kind="stable")
+    key, first = np.unique(key[order], return_index=True)
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // dim, minlength=dim), out=indptr[1:])
+    return np.add.reduceat(data[order], first), (key % dim).astype(np.int32), indptr
+
+
+def _hermitian_error(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> float:
+    """max|H - H^+| over the stored entries of a canonical CSR matrix.
+
+    An entry whose mirror is not stored counts whole.
+    """
+    rows, dim = _rows(indptr), indptr.size - 1
+    # The entries in column-major order: a stable sort by column, done as
+    # one sort of the column and the position packed into one integer.
+    shift = data.size.bit_length()
+    order = indices.astype(np.int64)
+    order <<= shift
+    order |= np.arange(data.size)
+    order.sort()
+    order &= (1 << shift) - 1
+    if np.array_equal(indices[order], rows) and np.array_equal(rows[order], indices):
+        # A symmetric pattern: entry order[j] is the mirror of entry j.
+        diff = np.conjugate(data[order])
+        return float(np.abs(np.subtract(data, diff, out=diff)).max(initial=0.0))
+    cols = indices.astype(np.int64)
+    key, mirror = rows * dim + cols, cols * dim + rows
+    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+    partner = np.where(key[at] == mirror, data[at].conj(), 0.0)
+    return float(np.abs(data - partner).max(initial=0.0))
+
+
+class SparseHamiltonian:
+    """H as the NumPy arrays data, indices and indptr of a canonical CSR matrix.
+
+    matrix is anything with data/indices/indptr arrays, a SciPy CSR
+    matrix included; duplicate entries are summed.  The attribute
+    `matrix` gives H back as a SciPy CSR matrix, built on first use; the
+    propagators never ask for it, so building and propagating H by
+    dense-eig blocks loads no SciPy.
+    """
+
+    def __init__(self, matrix, dimension: int, hermitian: bool, couplings, n_sites: int):
+        self.data, self.indices, self.indptr = _canonical_csr(matrix, dimension)
+        self.dimension = dimension
+        self.hermitian = hermitian
+        self.couplings = couplings  # (J_xy, J_z)
+        self.n_sites = n_sites
+        if hermitian:
+            worst = _hermitian_error(self.data, self.indices, self.indptr)
             if worst > 1e-12:
                 raise ValueError(f"hermitian flag set but max|H - H^+| = {worst:.2e}")
 
     @property
     def j_xy(self) -> float:
         return self.couplings[0]
+
+    @functools.cached_property
+    def matrix(self):
+        """H as a SciPy CSR matrix; loads SciPy."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.dimension,) * 2)
 
 
 def site_sz_diagonal(n_sites: int, site: int) -> np.ndarray:
@@ -81,7 +166,14 @@ def site_sz_diagonal(n_sites: int, site: int) -> np.ndarray:
 
 
 def build_xxz(n_sites: int, j_xy: float, j_z: float) -> SparseHamiltonian:
-    """Open-boundary spin-1 XXZ chain on n_sites >= 2 sites (dim 3^N)."""
+    """Open-boundary spin-1 XXZ chain on n_sites >= 2 sites (dim 3^N).
+
+    The diagonal is summed over the bonds in order.  Every nonzero
+    off-diagonal entry of a bond term is a group of entries of H, in the
+    rows where the bond's two sites hold its row pair, all at one column
+    offset; no two bonds share an entry.  Written out group by group in
+    ascending offset, every row's columns come out ascending.
+    """
     if n_sites < 2:
         raise ValueError("the chain needs at least 2 sites")
     dim = 3**n_sites
@@ -93,14 +185,44 @@ def build_xxz(n_sites: int, j_xy: float, j_z: float) -> SparseHamiltonian:
     sy = spin_matrix(1, "y").matrix
     sz = spin_matrix(1, "z").matrix
     bond = j_xy * (np.kron(sx, sx) + np.kron(sy, sy)) + j_z * np.kron(sz, sz)
-    bond_s = sp.csr_matrix(bond)
-    h = sp.csr_matrix((dim, dim), dtype=np.complex128)
+
+    def by_pair(v, i):
+        """v over the basis as (left sites, pair on bond i, right sites)."""
+        return v.reshape(3**i, 9, 3 ** (n_sites - i - 2))
+
+    off = bond - np.diag(np.diag(bond))
+    diag = np.zeros(dim, dtype=np.complex128)
+    count = np.zeros(dim, dtype=np.int64)  # stored entries per row
+    groups = [(0, None, 0, 0)]  # (column offset, bond, pair p, pair q); bond None: the diagonal
     for i in range(n_sites - 1):
-        left = sp.identity(3**i, format="csr", dtype=np.complex128)
-        right = sp.identity(3 ** (n_sites - i - 2), format="csr", dtype=np.complex128)
-        h = h + sp.kron(sp.kron(left, bond_s), right, format="csr")
+        by_pair(diag, i)[...] += np.diag(bond)[:, None]
+        by_pair(count, i)[...] += np.count_nonzero(off, axis=1)[:, None]
+        step = 3 ** (n_sites - i - 2)  # the column offset of a unit step in the pair index
+        groups += [((q - p) * step, i, p, q) for p, q in zip(*np.nonzero(off))]
+    count += diag != 0
+    groups.sort(key=lambda g: g[0])
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(count, out=indptr[1:])
+    # Each entry's group number goes to the next free place of its row,
+    # group by group in ascending offset; the columns then ascend.
+    group = np.empty(indptr[-1], dtype=np.uint16)
+    fill = indptr[:-1].copy()
+    for g, (_, i, p, _) in enumerate(groups):
+        if i is None:
+            on_diag = g
+            rows = np.flatnonzero(diag)
+            group[fill[rows]] = g
+            fill[rows] += 1
+        else:
+            at = by_pair(fill, i)[:, p]  # a view: the += below advances fill
+            group[at] = g
+            at += 1
+    data = (np.array([bond[p, q] for _, _, p, q in groups]) + 0.0)[group]  # + 0.0: no -0.0 parts
+    data[group == on_diag] = diag[diag != 0]
+    indices = np.repeat(np.arange(dim, dtype=np.int32), count)
+    indices += np.array([g[0] for g in groups], dtype=np.int32)[group]
     return SparseHamiltonian(
-        matrix=h.tocsr(),
+        _Csr(data, indices, indptr),
         dimension=dim,
         hermitian=True,
         couplings=(float(j_xy), float(j_z)),
@@ -111,31 +233,56 @@ def build_xxz(n_sites: int, j_xy: float, j_z: float) -> SparseHamiltonian:
 def build_perturbed(
     h0: SparseHamiltonian, site: int, lam: float, kind: str
 ) -> SparseHamiltonian:
-    """H0 - lambda*J_xy*S_j^z, or its non-Hermitian variant with lambda -> i*lambda."""
+    """H0 - lambda*J_xy*S_j^z, or its non-Hermitian variant with lambda -> i*lambda.
+
+    Only the diagonal changes, and H0's off-diagonal entries keep their
+    order: a diagonal entry of H0 is overwritten, or deleted where the
+    sum is zero, and a new one is inserted after its row's columns left
+    of it.
+    """
     if lam <= 0:
         raise ValueError("perturbation strength lambda must be positive")
     if not 0 <= site < h0.n_sites:
         raise IndexError(f"site {site} out of range for {h0.n_sites} sites")
     if kind not in (HERMITIAN, NON_HERMITIAN):
         raise ValueError(f"kind must be '{HERMITIAN}' or '{NON_HERMITIAN}'")
-    pert = sp.diags(site_sz_diagonal(h0.n_sites, site) * (lam * h0.j_xy))
-    if kind == HERMITIAN:
-        mat = h0.matrix - pert
-        hermitian = h0.hermitian
-    else:
-        mat = h0.matrix - 1j * pert
-        hermitian = False
-    return SparseHamiltonian(
-        matrix=mat.tocsr(),
-        dimension=h0.dimension,
-        hermitian=hermitian,
+    dim = h0.dimension
+    # Where each row's diagonal entry is stored, or would go.
+    key, diag_key = _rows(h0.indptr) * dim + h0.indices, np.arange(dim) * (dim + 1)
+    at = np.searchsorted(key, diag_key)
+    had = np.zeros(dim, dtype=bool)
+    inside = at < key.size
+    had[inside] = key[at[inside]] == diag_key[inside]
+    diag = np.zeros(dim, dtype=np.complex128)
+    diag[had] = h0.data[at[had]]
+    pert = site_sz_diagonal(h0.n_sites, site) * (lam * h0.j_xy)
+    diag = diag - (pert if kind == HERMITIAN else 1j * pert)
+    keep = diag != 0
+    stay, gone, new = had & keep, had & ~keep, keep & ~had
+    drop = at[gone]
+    data = np.delete(h0.data, drop)
+    data[at[stay] - np.searchsorted(drop, at[stay])] = diag[stay]
+    put = at[new] - np.searchsorted(drop, at[new])  # positions once drop is gone
+    indptr = h0.indptr.copy()
+    indptr[1:] += np.cumsum(new.astype(np.int64) - gone)
+    h = SparseHamiltonian(
+        _Csr(
+            np.insert(data, put, diag[new]),
+            np.insert(np.delete(h0.indices, drop), put, np.flatnonzero(new)),
+            indptr,
+        ),
+        dimension=dim,
+        hermitian=False,
         couplings=h0.couplings,
         n_sites=h0.n_sites,
     )
+    # Adding a real diagonal leaves max|H - H^+| as H0's own check found it.
+    h.hermitian = h0.hermitian and kind == HERMITIAN
+    return h
 
 
-def _diagonal_blocks(matrix: sp.csr_matrix):
-    """(indices, sub-matrix) of each connected component of matrix's sparsity pattern.
+def _diagonal_blocks(h: SparseHamiltonian):
+    """(indices, CSR arrays) of each connected component of H's sparsity pattern.
 
     The components come from min-label propagation along the stored
     entries, in both directions, with pointer jumping: every label stays
@@ -144,9 +291,9 @@ def _diagonal_blocks(matrix: sp.csr_matrix):
     its sub-matrix is its rows with each column index mapped to the
     position of that column within the block.
     """
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    cols = matrix.indices
-    label = np.arange(matrix.shape[0])
+    rows = _rows(h.indptr)
+    cols = h.indices
+    label = np.arange(h.dimension)
     while True:
         new = label.copy()
         np.minimum.at(new, rows, label[cols])
@@ -157,24 +304,23 @@ def _diagonal_blocks(matrix: sp.csr_matrix):
         label = new
     order = np.argsort(label, kind="stable")  # ascending within each component
     bounds = [0, *(np.flatnonzero(np.diff(label[order])) + 1), order.size]
-    local = np.empty_like(order)
+    local = np.empty(order.size, dtype=np.int32)
     local[order] = np.arange(order.size) - np.repeat(bounds[:-1], np.diff(bounds))
+    counts = np.diff(h.indptr)
     for start, stop in zip(bounds, bounds[1:]):
         index = order[start:stop]
-        block_rows = matrix[index]
-        sub = sp.csr_matrix(
-            (block_rows.data, local[block_rows.indices], block_rows.indptr),
-            shape=(index.size, index.size),
-        )
-        yield index, sub
+        ptr = np.zeros(index.size + 1, dtype=np.int64)
+        np.cumsum(counts[index], out=ptr[1:])
+        take = np.repeat(h.indptr[index] - ptr[:-1], counts[index]) + np.arange(ptr[-1])
+        yield index, _Csr(h.data[take], local[h.indices[take]], ptr)
 
 
 @dataclass(frozen=True)
 class Block:
     """One connected component of H's sparsity pattern and how it propagates.
 
-    op is (eigenvalues, eigenvectors) for "dense-eig" and the sparse
-    sub-matrix for "sparse".
+    op is (eigenvalues, eigenvectors) for "dense-eig" and the CSR arrays
+    of the sub-matrix for "sparse".
     """
 
     index: np.ndarray  # full-space indices, ascending
@@ -182,9 +328,10 @@ class Block:
     op: object = field(repr=False)
 
 
-def _block(sub, index: np.ndarray, strategy: str) -> Block:
+def _block(sub: _Csr, index: np.ndarray, strategy: str) -> Block:
     if strategy == "dense-eig" and index.size <= DENSE_BLOCK_LIMIT:
-        dense = sub.toarray()
+        dense = np.zeros((index.size, index.size), dtype=np.complex128)
+        dense[_rows(sub.indptr), sub.indices] = sub.data
         if not dense.imag.any():
             # A real eigh is faster, and it moves results by less: 9.3e-15
             # against 1.6e-14 for a complex one on the N = 4 study.
@@ -216,8 +363,9 @@ class Propagator:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "dense-eig" and not self.hamiltonian.hermitian:
             raise ValueError("dense-eig needs a Hermitian Hamiltonian; use sparse")
-        h = self.hamiltonian.matrix.tocsr()
-        self.blocks = [_block(sub, idx, self.strategy) for idx, sub in _diagonal_blocks(h)]
+        self.blocks = [
+            _block(sub, idx, self.strategy) for idx, sub in _diagonal_blocks(self.hamiltonian)
+        ]
 
     def blocks_touched(self, state: QuditState) -> list[Block]:
         """The blocks on which state has a nonzero amplitude in any batch row."""
@@ -282,7 +430,7 @@ def _block_trajectory(prop, state, times):
     sparse = [b for b in touched if b.strategy == "sparse"]
     if sparse:
         index = np.concatenate([b.index for b in sparse])
-        runs.append((index, _sparse_stream, sp.block_diag([b.op for b in sparse], format="csr")))
+        runs.append((index, _sparse_stream, [b.op for b in sparse]))
     streams = [
         (index, stream(op, np.ascontiguousarray(x[:, index].T), times))  # a column per batch row
         for index, stream, op in runs
@@ -309,8 +457,18 @@ def _dense_stream(eig, x, times):
         yield x if t == 0.0 else _matmul(vecs, np.exp(-1j * vals * t)[:, None] * coeff)
 
 
-def _sparse_stream(h, x, times):
-    """Reach each time from the previous one by sub-stepped expm_multiply."""
+def _sparse_stream(blocks, x, times):
+    """Reach each time from the previous one by sub-stepped expm_multiply.
+
+    The blocks' CSR arrays become one block-diagonal SciPy matrix.  SciPy
+    is loaded here, when a sparse block first runs: a study whose blocks
+    are all dense-eig never loads it.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import expm_multiply, norm
+
+    blocks = [sp.csr_matrix(b, shape=(b.indptr.size - 1,) * 2) for b in blocks]
+    h = sp.block_diag(blocks, format="csr")
     now = 0.0
     for t in times:
         if t != now:

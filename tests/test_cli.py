@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -164,6 +166,74 @@ def test_summary_config_block_round_trips(tmp_path):
     assert set(defaulted) <= set(summary["defaults_applied"])
     assert summary["incomplete"] is False
     assert "figures_of_merit" in summary and "versions" in summary
+
+
+def test_runtime_is_never_negative_when_the_wall_clock_steps_back(tmp_path, monkeypatch):
+    # A wall clock that goes back an hour at every reading.
+    clock = itertools.count(1e9, -3600.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    assert run(RunConfig(**FAST), str(tmp_path)) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["runtime_seconds"] >= 0
+
+
+def test_summary_names_the_scipy_the_run_loaded(tmp_path):
+    # FAST runs LR pulses, which propagate sparsely; this process has
+    # SciPy loaded in any case.  The null case runs in a fresh process below.
+    import scipy
+
+    assert run(RunConfig(**FAST), str(tmp_path)) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["versions"]["scipy"] == scipy.__version__
+
+
+SCIPY_PROBE = """
+import json, sys
+from quditcorr import cli, dynamics
+from quditcorr.benchmark import RunConfig, neel_superposition
+out = sys.argv[1]
+{step}
+print(any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+"""
+
+SCIPY_STEPS = {
+    "import": ("pass", False),
+    "propagator-n6": ("dynamics.make_propagator(dynamics.build_xxz(6, 1.0, 0.5))", False),
+    # Two workers: the traces run on the pool.
+    "hadamard-exact-n6": (
+        "cfg = RunConfig(n_sites=6, protocols=['hadamard'], exact_only=True, workers=2)\n"
+        "assert cli.run(cfg, out) == 0\n"
+        "assert json.load(open(out + '/summary.json'))['versions']['scipy'] is None",
+        False,
+    ),
+    "correlator-n4": ("assert cli.main(['correlator', '--n-sites', '4', '--t2', '1.5']) == 0", False),
+    "lr-n4": (
+        "assert cli.run(RunConfig(n_sites=4, protocols=['lr'], steps=6, workers=2), out) == 0\n"
+        "import scipy\n"
+        "assert json.load(open(out + '/summary.json'))['versions']['scipy'] == scipy.__version__",
+        True,
+    ),
+    "propagator-n8": (
+        "prop = dynamics.make_propagator(dynamics.build_xxz(8, 1.0, 0.5))\n"
+        "psi = dynamics.evolve(prop, neel_superposition(8), 1.5)\n"
+        "assert abs(psi.squared_norm - 1) < 1e-12\n"
+        "assert [b.strategy for b in prop.blocks_touched(psi)] == ['sparse']",
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("step", SCIPY_STEPS)
+def test_scipy_is_loaded_only_by_sparse_blocks_and_pulses(tmp_path, step):
+    # Up to N = 7 every block of H0 is dense-eig, so an exact Hadamard-only
+    # study and the correlator verb never import SciPy; a pulse or the
+    # large blocks at N = 8 load it, and then work as before.
+    code, loads = SCIPY_STEPS[step]
+    src = str(pathlib.Path(quditcorr.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    cmd = [sys.executable, "-c", SCIPY_PROBE.format(step=code), str(tmp_path)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loads)
 
 
 def test_csv_schema_and_lambda_column(tmp_path):

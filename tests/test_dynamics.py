@@ -14,8 +14,10 @@ from quditcorr.dynamics import (
     build_xxz,
     evolve,
     make_propagator,
+    site_sz_diagonal,
     trajectory,
 )
+from quditcorr.observables import spin_matrix
 from quditcorr.register import QuditState, RegisterShape, basis_state
 
 
@@ -92,6 +94,81 @@ def test_perturbed_validation():
         build_perturbed(h0, 5, 0.1, "hermitian")
     with pytest.raises(ValueError, match="kind"):
         build_perturbed(h0, 0, 0.1, "imaginary")
+
+
+def kron_xxz(n, j_xy, j_z):
+    """H as SciPy builds it: each bond's sp.kron term added in order to an empty CSR."""
+    sx, sy, sz = (spin_matrix(1, axis).matrix for axis in "xyz")
+    bond = sp.csr_matrix(j_xy * (np.kron(sx, sx) + np.kron(sy, sy)) + j_z * np.kron(sz, sz))
+    h = sp.csr_matrix((3**n, 3**n), dtype=np.complex128)
+    for i in range(n - 1):
+        left = sp.identity(3**i, format="csr", dtype=np.complex128)
+        right = sp.identity(3 ** (n - i - 2), format="csr", dtype=np.complex128)
+        h = h + sp.kron(sp.kron(left, bond), right, format="csr")
+    return h
+
+
+def kron_perturbed(h, n, j_xy, site, lam, kind):
+    pert = sp.diags(site_sz_diagonal(n, site) * (lam * j_xy))
+    return (h - pert if kind == "hermitian" else h - 1j * pert).tocsr()
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("j_xy, j_z", [(1.0, 0.5), (2.0, 0.0)])
+def test_hamiltonians_equal_the_kron_construction_bit_for_bit(n, j_xy, j_z):
+    # lambda = 0.5 at J_z = 0.5 cancels some diagonal entries of H0, which
+    # SciPy then drops.
+    h0 = build_xxz(n, j_xy, j_z)
+    want0 = kron_xxz(n, j_xy, j_z)
+    assert_same_bits(h0, want0)
+    for site in (0, n // 2):
+        for lam in (0.2, 0.5):
+            for kind in ("hermitian", "non_hermitian"):
+                got = build_perturbed(h0, site, lam, kind)
+                assert_same_bits(got, kron_perturbed(want0, n, j_xy, site, lam, kind))
+
+
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("mirrored", [True, False], ids=["symmetric-pattern", "lone-entry"])
+def test_hermitian_flag_checks_every_entry_against_its_mirror(mirrored, n):
+    # An asymmetry either in the value of a stored entry whose mirror is
+    # stored, or as an entry whose mirror is not stored at all (all +1 to
+    # all -1).  At N = 10, row * dim + column no longer fits 32 bits.
+    h0 = build_xxz(n, 1.0, 0.5).matrix
+    dim = h0.shape[0]
+    row, col = (1, 3) if mirrored else (0, dim - 1)
+    assert (h0[row, col] != 0) == mirrored and h0[col, row] == h0[row, col]
+    for eps, raises in ((1e-9, True), (1e-13, False)):
+        bump = sp.csr_matrix(([eps], ([row], [col])), shape=h0.shape)
+        if raises:
+            with pytest.raises(ValueError, match="hermitian flag"):
+                SparseHamiltonian(h0 + bump, dim, True, (1.0, 0.5), n)
+        else:
+            assert SparseHamiltonian(h0 + bump, dim, True, (1.0, 0.5), n).hermitian
+        assert not SparseHamiltonian(h0 + bump, dim, False, (1.0, 0.5), n).hermitian
+
+
+def test_constructor_takes_any_csr_arrays_and_sums_duplicates():
+    # Unsorted columns and a repeated entry, as plain arrays: the stored
+    # CSR is canonical, and .matrix gives the same matrix back.
+    class Arrays:
+        data = np.array([2.0, 1.0, 0.5, 0.5, 3.0])
+        indices = np.array([1, 0, 1, 1, 2])
+        indptr = np.array([0, 2, 4, 5])
+
+    h = SparseHamiltonian(Arrays, 3, False, (1.0, 0.0), 1)
+    np.testing.assert_array_equal(h.indptr, [0, 2, 3, 4])
+    np.testing.assert_array_equal(h.indices, [0, 1, 1, 2])
+    np.testing.assert_array_equal(h.data, [1.0, 2.0, 1.0, 3.0])
+    np.testing.assert_array_equal(h.matrix.toarray(), [[1, 2, 0], [0, 1, 0], [0, 0, 3]])
+    with pytest.raises(ValueError, match="declared dimension"):
+        SparseHamiltonian(Arrays, 4, False, (1.0, 0.0), 1)
 
 
 def test_zero_duration_returns_same_state():

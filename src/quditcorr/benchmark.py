@@ -410,7 +410,8 @@ def run_quench_study(config: RunConfig) -> StudyResult:
 
     One task per trace: the Hadamard trace (run exactly, as the R
     reference, when only the baseline is requested) and one LR trace
-    per lambda, which shares the unpulsed trajectory with the others.
+    per lambda; the first LR task to run computes the unpulsed readout
+    that all of them share.
     Deterministic for a fixed config seed under any worker count:
     every point draws from its own counter-based stream and the result
     table is assembled by a key-ordered reduction.  One propagator of
@@ -424,6 +425,7 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     pulse_area, seed, sampled = config.pulse_area, config.seed, not config.exact_only
 
     j_xy = 1.0
+    dt = pulse_area / j_xy
     h0 = build_xxz(config.n_sites, j_xy, config.j_z_over_j_xy * j_xy)
     psi0 = neel_superposition(config.n_sites)
     site_a, site_b = config.sites[0] - 1, config.sites[1] - 1
@@ -446,9 +448,12 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     ]
     if LINEAR_RESPONSE in protocols:
         lr_budgets = budgets[LINEAR_RESPONSE]
-        unperturbed = unperturbed_readout(prop, psi0, site_b, pulse_area / j_xy, grid)
+        readout, readout_lock = [], threading.Lock()
 
         def lr_task(li, lam):
+            with readout_lock:  # the first LR task to run computes the shared readout
+                if not readout:
+                    readout.append(unperturbed_readout(prop, psi0, site_b, dt, grid))
             traces = []
             for stream, kind, key in ((2, NON_HERMITIAN, "plus"), (1, HERMITIAN, "minus")):
                 cfg = LinearResponseConfig(lam, pulse_area, site_a, site_b, kind)
@@ -456,7 +461,7 @@ def run_quench_study(config: RunConfig) -> StudyResult:
                 if sampled:
                     rngs = [task_rng(seed, 2, li, ti, stream) for ti in range(grid.size)]
                 traces.append(
-                    lr_trace(cfg, psi0, h0, prop, grid, unperturbed, lr_budgets[key], rngs)
+                    lr_trace(cfg, psi0, h0, prop, grid, readout[0], lr_budgets[key], rngs)
                 )
             return traces
 

@@ -121,7 +121,7 @@ def run(config: RunConfig, out_dir: str = ".", defaults_applied=()) -> int:
             "quditcorr": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
-            # Only a sparse block or a pulse loads SciPy; null if none ran.
+            # Only a block above DENSE_BLOCK_LIMIT loads SciPy; null if none was built.
             "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         },
     }
@@ -188,9 +188,9 @@ def _cmd_validate(args) -> int:
 
     The trace engine runs on both strategies: dense-eig, which make_propagator
     picks for H0 and which diagonalizes every block at these sizes, and
-    sparse, which propagates the blocks above DENSE_BLOCK_LIMIT (N >= 8)
-    and every pulse.  brute_force_correlators diagonalizes the full H
-    instead, so it checks the block split too.
+    sparse, the Taylor kernel that propagates the blocks above
+    DENSE_BLOCK_LIMIT (N >= 8) and every pulse.  brute_force_correlators
+    diagonalizes the full H instead, so it checks the block split too.
     """
     if args.points < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points}")

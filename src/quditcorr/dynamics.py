@@ -12,18 +12,17 @@ exponentials propagate exactly, with no splitting error.
 
 A propagator splits H once into the connected components of its sparsity
 pattern (for the chain, the sectors of total S^z) and propagates only
-the blocks that a state touches.  Two strategies are provided:
-dense eigendecomposition of a Hermitian block of dimension up to
-DENSE_BLOCK_LIMIT, and the sparse action of the exponential (SciPy's
-expm_multiply, Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011) for
-larger blocks, for non-Hermitian Hamiltonians and for the pulses.
+the blocks that a state touches, each on its own: by dense
+eigendecomposition (a Hermitian block of dimension up to
+DENSE_BLOCK_LIMIT) or by a truncated Taylor kernel (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33(2), 2011; larger blocks, non-Hermitian H, and
+the pulses, which add their diagonal to the touched blocks).
 `trajectory` streams a state through a whole time grid and is the only
 code that propagates; `evolve`, one exp(-i H t), is its one-time case.
 
-H is built and split with NumPy alone.  SciPy is loaded only when a
-sparse block first propagates: the chain's blocks above the limit
-(N >= 8), a non-Hermitian H and the pulses.  A study whose blocks are
-all dense-eig never imports it.
+H is built and split with NumPy alone.  The kernel multiplies by a
+dense NumPy block up to the limit and by a SciPy CSR block above it, so
+a study loads SciPy only from N = 8 on: none up to N = 7 imports it.
 """
 
 from __future__ import annotations
@@ -47,14 +46,14 @@ DENSE_BLOCK_LIMIT = 500
 HERMITIAN = "hermitian"
 NON_HERMITIAN = "non_hermitian"
 
-# Largest 1-norm of -i*H*t, times the number of vectors, handed to one
-# expm_multiply call.  Up to ~63 / (number of vectors) SciPy picks its
-# Taylor degree from the exact 1-norm of the (trace-shifted, so at most
-# twice as large) operator; beyond it, from onenormest, which draws from
-# the global np.random and would make the evolved state depend on that
-# state.  Longer evolutions are split into equal sub-steps below this
-# norm.
-MAX_STEP_NORM = 16.0
+# theta_m of Al-Mohy & Higham (2011), as in SciPy: the largest 1-norm of
+# a step's generator for which m Taylor terms reach double precision.
+_THETA = dict(zip(
+    [*range(1, 31), 35, 40, 45, 50, 55],
+    [2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2, 1.44e-1,
+     2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09, 1.26, 1.44,
+     1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54, 4.7, 6.0, 7.2, 8.5, 9.9],
+))
 
 
 class _Csr(NamedTuple):
@@ -230,55 +229,30 @@ def build_xxz(n_sites: int, j_xy: float, j_z: float) -> SparseHamiltonian:
     )
 
 
-def build_perturbed(
-    h0: SparseHamiltonian, site: int, lam: float, kind: str
-) -> SparseHamiltonian:
-    """H0 - lambda*J_xy*S_j^z, or its non-Hermitian variant with lambda -> i*lambda.
-
-    Only the diagonal changes, and H0's off-diagonal entries keep their
-    order: a diagonal entry of H0 is overwritten, or deleted where the
-    sum is zero, and a new one is inserted after its row's columns left
-    of it.
-    """
+def perturbation(h0: SparseHamiltonian, site: int, lam: float, kind: str) -> np.ndarray:
+    """Diagonal of -lambda*J_xy*S_j^z, or of -i*lambda*J_xy*S_j^z for the non-Hermitian kind."""
     if lam <= 0:
         raise ValueError("perturbation strength lambda must be positive")
     if not 0 <= site < h0.n_sites:
         raise IndexError(f"site {site} out of range for {h0.n_sites} sites")
     if kind not in (HERMITIAN, NON_HERMITIAN):
         raise ValueError(f"kind must be '{HERMITIAN}' or '{NON_HERMITIAN}'")
-    dim = h0.dimension
-    # Where each row's diagonal entry is stored, or would go.
-    key, diag_key = _rows(h0.indptr) * dim + h0.indices, np.arange(dim) * (dim + 1)
-    at = np.searchsorted(key, diag_key)
-    had = np.zeros(dim, dtype=bool)
-    inside = at < key.size
-    had[inside] = key[at[inside]] == diag_key[inside]
-    diag = np.zeros(dim, dtype=np.complex128)
-    diag[had] = h0.data[at[had]]
     pert = site_sz_diagonal(h0.n_sites, site) * (lam * h0.j_xy)
-    diag = diag - (pert if kind == HERMITIAN else 1j * pert)
-    keep = diag != 0
-    stay, gone, new = had & keep, had & ~keep, keep & ~had
-    drop = at[gone]
-    data = np.delete(h0.data, drop)
-    data[at[stay] - np.searchsorted(drop, at[stay])] = diag[stay]
-    put = at[new] - np.searchsorted(drop, at[new])  # positions once drop is gone
-    indptr = h0.indptr.copy()
-    indptr[1:] += np.cumsum(new.astype(np.int64) - gone)
-    h = SparseHamiltonian(
-        _Csr(
-            np.insert(data, put, diag[new]),
-            np.insert(np.delete(h0.indices, drop), put, np.flatnonzero(new)),
-            indptr,
-        ),
-        dimension=dim,
-        hermitian=False,
-        couplings=h0.couplings,
-        n_sites=h0.n_sites,
-    )
-    # Adding a real diagonal leaves max|H - H^+| as H0's own check found it.
-    h.hermitian = h0.hermitian and kind == HERMITIAN
-    return h
+    return -pert if kind == HERMITIAN else -1j * pert
+
+
+def build_perturbed(h0: SparseHamiltonian, site: int, lam: float, kind: str) -> SparseHamiltonian:
+    """H0 plus perturbation(h0, site, lam, kind) as one matrix: the tested reference of the pulses.
+
+    The pulses add the diagonal to the blocks of H0's propagator instead,
+    so no study calls this.  It adds with SciPy, which drops a diagonal
+    entry that sums to zero.
+    """
+    import scipy.sparse as sp
+
+    h = h0.matrix + sp.diags(perturbation(h0, site, lam, kind))
+    hermitian = h0.hermitian and kind == HERMITIAN
+    return SparseHamiltonian(h, h0.dimension, hermitian, h0.couplings, h0.n_sites)
 
 
 def _diagonal_blocks(h: SparseHamiltonian):
@@ -319,25 +293,32 @@ def _diagonal_blocks(h: SparseHamiltonian):
 class Block:
     """One connected component of H's sparsity pattern and how it propagates.
 
-    op is (eigenvalues, eigenvectors) for "dense-eig" and the CSR arrays
-    of the sub-matrix for "sparse".
+    op is (eigenvalues, eigenvectors) for "dense-eig" and the Taylor
+    kernel's operator for "sparse"; csr holds the sub-matrix, to which a
+    pulse adds its diagonal.
     """
 
     index: np.ndarray  # full-space indices, ascending
     strategy: str
     op: object = field(repr=False)
+    csr: _Csr = field(repr=False)
+
+
+def _dense(sub: _Csr, diagonal=0.0) -> np.ndarray:
+    """The sub-matrix plus diag(diagonal) as a dense array, real where it is real."""
+    n = sub.indptr.size - 1
+    a = np.zeros((n, n), dtype=np.complex128)
+    a[_rows(sub.indptr), sub.indices] = sub.data
+    a[np.diag_indices(n)] += diagonal
+    return a if a.imag.any() else np.ascontiguousarray(a.real)
 
 
 def _block(sub: _Csr, index: np.ndarray, strategy: str) -> Block:
     if strategy == "dense-eig" and index.size <= DENSE_BLOCK_LIMIT:
-        dense = np.zeros((index.size, index.size), dtype=np.complex128)
-        dense[_rows(sub.indptr), sub.indices] = sub.data
-        if not dense.imag.any():
-            # A real eigh is faster, and it moves results by less: 9.3e-15
-            # against 1.6e-14 for a complex one on the N = 4 study.
-            dense = dense.real
-        return Block(index, strategy, np.linalg.eigh(dense))
-    return Block(index, "sparse", sub)
+        # A real eigh is faster, and it moves results by less: 9.3e-15
+        # against 1.6e-14 for a complex one on the N = 4 study.
+        return Block(index, strategy, np.linalg.eigh(_dense(sub)), sub)
+    return Block(index, "sparse", _taylor_op(sub, np.zeros(index.size)), sub)
 
 
 @dataclass
@@ -349,9 +330,9 @@ class Propagator:
     as batch indices and left untouched.  H is split into the connected
     components of its sparsity pattern (blocks).  "dense-eig"
     diagonalizes each block of a Hermitian H up to DENSE_BLOCK_LIMIT and
-    propagates larger ones sparsely; "sparse" works on the sparse
-    sub-matrix of every block.  All of it happens here, so one
-    propagator can serve several threads.
+    runs the Taylor kernel on larger ones; "sparse" runs it on every
+    block.  All of it happens here, so one propagator can serve several
+    threads.
     """
 
     strategy: str  # "dense-eig" | "sparse"
@@ -391,16 +372,21 @@ def _check_system_block(state: QuditState, dim: int):
         )
 
 
-def evolve(prop: Propagator, state: QuditState, duration: float) -> QuditState:
+def evolve(
+    prop: Propagator, state: QuditState, duration: float, diagonal: np.ndarray | None = None
+) -> QuditState:
     """exp(-i H * duration)|state>, acting on the system sites only.
 
     The one-time case of trajectory.  Negative durations propagate
     backwards (needed when the second correlator time precedes the
     first).  Unitary evolution preserves the norm; non-Hermitian
     Hamiltonians return an unnormalized state whose squared norm is
-    tracked by the QuditState itself.
+    tracked by the QuditState itself.  With a diagonal (a pulse), H +
+    diag(diagonal) propagates; it has H's blocks, and each touched one
+    runs the Taylor kernel.
     """
-    return next(trajectory(prop, state, (duration,)))
+    _check_system_block(state, prop.hamiltonian.dimension)
+    return next(_block_trajectory(prop, state, [float(duration)], diagonal))
 
 
 def trajectory(prop: Propagator, state: QuditState, times):
@@ -414,31 +400,21 @@ def trajectory(prop: Propagator, state: QuditState, times):
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("trajectory times must be non-decreasing")
     _check_system_block(state, prop.hamiltonian.dimension)
-    return _block_trajectory(prop, state, times)
+    return _block_trajectory(prop, state, times, None)
 
 
-def _block_trajectory(prop, state, times):
-    """Gather the touched blocks, stream them by their strategy, scatter each time.
-
-    Each dense-eig block streams on its own.  The sparse ones stream
-    together as one block-diagonal matrix, which pays SciPy's per-call
-    setup once per step for all of them.
-    """
+def _block_trajectory(prop, state, times, diagonal):
+    """Gather each touched block, stream it on its own, scatter the blocks at each time."""
     x = state.amplitudes.reshape(-1, prop.hamiltonian.dimension)
-    touched = prop.blocks_touched(state)
-    runs = [(b.index, _dense_stream, b.op) for b in touched if b.strategy == "dense-eig"]
-    sparse = [b for b in touched if b.strategy == "sparse"]
-    if sparse:
-        index = np.concatenate([b.index for b in sparse])
-        runs.append((index, _sparse_stream, [b.op for b in sparse]))
-    streams = [
-        (index, stream(op, np.ascontiguousarray(x[:, index].T), times))  # a column per batch row
-        for index, stream, op in runs
-    ]
+    streams = []
+    for b in prop.blocks_touched(state):
+        op = b.op if diagonal is None else _taylor_op(b.csr, diagonal[b.index])
+        stream = _dense_stream if diagonal is None and b.strategy == "dense-eig" else _taylor_stream
+        streams.append((b.index, stream(op, np.ascontiguousarray(x[:, b.index].T), times)))
     for _ in times:
         out = np.zeros_like(x)
         for index, stream in streams:
-            out[:, index] = next(stream).T
+            out[:, index] = next(stream).T  # a column per batch row
         yield QuditState(state.shape, out.reshape(-1))
 
 
@@ -457,24 +433,59 @@ def _dense_stream(eig, x, times):
         yield x if t == 0.0 else _matmul(vecs, np.exp(-1j * vals * t)[:, None] * coeff)
 
 
-def _sparse_stream(blocks, x, times):
-    """Reach each time from the previous one by sub-stepped expm_multiply.
+def _taylor_op(sub: _Csr, diagonal: np.ndarray):
+    """(apply, mu, 1-norm) of A - mu I, A the sub-matrix plus diag(diagonal), mu its mean diagonal.
 
-    The blocks' CSR arrays become one block-diagonal SciPy matrix.  SciPy
-    is loaded here, when a sparse block first runs: a study whose blocks
-    are all dense-eig never loads it.
+    apply is a dense NumPy matmul up to DENSE_BLOCK_LIMIT and a SciPy CSR
+    one above it, which is where SciPy is loaded.
     """
+    n = sub.indptr.size - 1
+    mu = (sub.data[_rows(sub.indptr) == sub.indices].sum() + diagonal.sum()) / n
+    if n <= DENSE_BLOCK_LIMIT:
+        a = _dense(sub, diagonal - mu)
+        return functools.partial(_matmul, a), mu, np.abs(a).sum(axis=0).max()
     import scipy.sparse as sp
-    from scipy.sparse.linalg import expm_multiply, norm
 
-    blocks = [sp.csr_matrix(b, shape=(b.indptr.size - 1,) * 2) for b in blocks]
-    h = sp.block_diag(blocks, format="csr")
+    a = (sp.csr_matrix(sub, shape=(n, n)) + sp.diags(diagonal - mu)).tocsr()
+    return a.__matmul__, mu, np.bincount(a.indices, np.abs(a.data), n).max()
+
+
+@functools.lru_cache(maxsize=256)
+def _taylor_degree(norm: float) -> tuple[int, int]:
+    """(m, s): s steps of m Taylor terms for a step whose generator has this 1-norm.
+
+    Al-Mohy & Higham's code fragment 3.1 on its exact-norm branch: the
+    fewest products m * s with s = ceil(norm / theta_m), the smaller m on
+    a tie.
+    """
+    if norm == 0:
+        return 0, 1
+    return min(((m, math.ceil(norm / theta)) for m, theta in _THETA.items()), key=math.prod)
+
+
+def _taylor_stream(op, x, times):
+    """Reach each time from the previous one by a truncated Taylor series of exp(-i tau A).
+
+    op is _taylor_op's.  Al-Mohy & Higham's algorithm 3.2, as SciPy's
+    expm_multiply runs it: s steps of up to m terms of -i tau (A - mu I),
+    each stopped once two successive terms fall below 2^-53 of the sum
+    (inf-norms) and multiplied by e^{-i tau mu / s}.  Nothing is random.
+    """
+    apply, mu, norm1 = op
     now = 0.0
     for t in times:
         if t != now:
-            gen = -1j * (t - now) * h
-            steps = max(1, math.ceil(norm(gen, 1) * x.shape[1] / MAX_STEP_NORM))
-            for _ in range(steps):
-                x = expm_multiply(gen / steps, x)  # all batch rows in one call
-            now = t
+            tau, now = t - now, t
+            m, s = _taylor_degree(abs(tau) * norm1)
+            eta = np.exp(-1j * tau * mu / s)
+            for _ in range(s):
+                f, c1 = x, np.linalg.norm(x, np.inf)
+                for j in range(m):
+                    x = (-1j * tau / (s * (j + 1))) * apply(x)
+                    c2 = np.linalg.norm(x, np.inf)
+                    f = f + x
+                    if c1 + c2 <= 2.0**-53 * np.linalg.norm(f, np.inf):
+                        break
+                    c1 = c2
+                x = eta * f
         yield x

@@ -38,9 +38,9 @@ from .dynamics import (
     NON_HERMITIAN,
     Propagator,
     SparseHamiltonian,
-    build_perturbed,
     evolve,
     make_propagator,
+    perturbation,
     trajectory,
 )
 from .hadamard import EXACT, SAMPLED, CorrelatorEstimate
@@ -165,21 +165,19 @@ def measure_lr(
     the difference quotient isolates the response.  In exact mode an
     attached nominal budget yields the error band the same budget would
     have, computed from the exact per-branch S^z variances.  h0
-    propagates through make_propagator.  The pulse is a sparse
-    propagation under the perturbed H: a short pulse needs only a few
-    matvecs, where make_propagator would diagonalize the blocks of a
-    Hermitian H for every pulse.
+    propagates through make_propagator.  The pulse adds the
+    perturbation's diagonal to that propagator's blocks and runs the
+    Taylor kernel on the ones the state touches: a short pulse needs only
+    a few products, and no block is diagonalized for it.
     """
     jxy = h0.j_xy
     dt = config.pulse_area / jxy
     if t2 < t1 + dt:
         raise ValueError(f"need t2 >= t1 + pulse duration ({t1 + dt:g}), got {t2:g}")
 
-    h_pert = build_perturbed(h0, config.probe_site, config.lam, config.kind)
     prop0 = make_propagator(h0)
-
     pert = evolve(prop0, psi0, t1)
-    pert = evolve(Propagator("sparse", h_pert), pert, dt)
+    pert = evolve(prop0, pert, dt, perturbation(h0, config.probe_site, config.lam, config.kind))
     pert = evolve(prop0, pert, t2 - t1 - dt)
     unpert = evolve(prop0, psi0, t2)
     site = config.readout_site
@@ -218,15 +216,15 @@ def lr_trace(
 ) -> list[tuple[CorrelatorEstimate, CorrelatorEstimate | None]]:
     """LR estimates of C(0, t) over a time grid, as measure_lr would give them.
 
-    The pulse is applied once at t1 = 0 and the pulsed state is streamed
-    to max(t, dt) - dt by the propagator of h0; unperturbed holds the
+    The pulse is applied once at t1 = 0, on prop's blocks as in
+    measure_lr, and the pulsed state is streamed to max(t, dt) - dt by
+    prop, the propagator of h0; unperturbed holds the
     matching unpulsed marginals (unperturbed_readout).  Each entry is
     (exact estimate with the nominal error bar, sampled estimate or
     None); the sampled one draws from rngs[k] at the k-th time.
     """
     dt = config.pulse_area / h0.j_xy
-    h_pert = build_perturbed(h0, config.probe_site, config.lam, config.kind)
-    pulsed = evolve(Propagator("sparse", h_pert), psi0, dt)
+    pulsed = evolve(prop, psi0, dt, perturbation(h0, config.probe_site, config.lam, config.kind))
     out = []
     for k, state in enumerate(trajectory(prop, pulsed, np.maximum(times, dt) - dt)):
         pert = site_marginal(state, config.readout_site)

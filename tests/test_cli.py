@@ -3,8 +3,10 @@ import itertools
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -177,8 +179,9 @@ def test_runtime_is_never_negative_when_the_wall_clock_steps_back(tmp_path, monk
 
 
 def test_summary_names_the_scipy_the_run_loaded(tmp_path):
-    # FAST runs LR pulses, which propagate sparsely; this process has
-    # SciPy loaded in any case.  The null case runs in a fresh process below.
+    # This process has SciPy loaded in any case (the tests import it), so
+    # the summary names its version.  FAST's own blocks and pulses load
+    # none; the null case runs in a fresh process below.
     import scipy
 
     assert run(RunConfig(**FAST), str(tmp_path)) == 0
@@ -206,11 +209,17 @@ SCIPY_STEPS = {
         False,
     ),
     "correlator-n4": ("assert cli.main(['correlator', '--n-sites', '4', '--t2', '1.5']) == 0", False),
+    # The pulses run the Taylor kernel on H0's blocks, all dense up to N = 7.
     "lr-n4": (
         "assert cli.run(RunConfig(n_sites=4, protocols=['lr'], steps=6, workers=2), out) == 0\n"
-        "import scipy\n"
-        "assert json.load(open(out + '/summary.json'))['versions']['scipy'] == scipy.__version__",
-        True,
+        "assert json.load(open(out + '/summary.json'))['versions']['scipy'] is None",
+        False,
+    ),
+    "lr-n7": (
+        "cfg = RunConfig(n_sites=7, steps=4, lambdas=[0.1, 0.2], workers=2)\n"
+        "assert cli.run(cfg, out) == 0\n"
+        "assert json.load(open(out + '/summary.json'))['versions']['scipy'] is None",
+        False,
     ),
     "propagator-n8": (
         "prop = dynamics.make_propagator(dynamics.build_xxz(8, 1.0, 0.5))\n"
@@ -224,9 +233,9 @@ SCIPY_STEPS = {
 
 @pytest.mark.parametrize("step", SCIPY_STEPS)
 def test_scipy_is_loaded_only_by_sparse_blocks_and_pulses(tmp_path, step):
-    # Up to N = 7 every block of H0 is dense-eig, so an exact Hadamard-only
-    # study and the correlator verb never import SciPy; a pulse or the
-    # large blocks at N = 8 load it, and then work as before.
+    # Up to N = 7 every block of H0 is dense-eig and every pulse runs on
+    # dense blocks, so no study and not the correlator verb imports SciPy;
+    # the large blocks at N = 8 load it, and then work as before.
     code, loads = SCIPY_STEPS[step]
     src = str(pathlib.Path(quditcorr.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -368,3 +377,35 @@ def test_interrupt_writes_the_completed_traces(tmp_path, monkeypatch, workers):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["incomplete"] is True
     assert summary["figures_of_merit"] == {}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupt_during_the_unpulsed_readout_writes_the_completed_traces(
+    tmp_path, monkeypatch, workers
+):
+    # A Ctrl-C arrives while the first LR task computes the unpulsed
+    # readout: the Hadamard trace and that running LR task finish, and the
+    # run ends as any interrupt does.  At one worker the other lambda is
+    # still pending and is cancelled; at two it may have started already.
+    payload = {**FAST, "lambdas": [0.1, 0.2], "workers": workers}
+    path = write_config(tmp_path, payload)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "full")]) == 0
+    full = (tmp_path / "full" / "results.csv").read_text().splitlines(keepends=True)
+
+    real_readout = benchmark.unperturbed_readout
+
+    def interrupted_readout(*args, **kwargs):
+        # SIGINT to the main thread, as Ctrl-C; the pause lets it cancel
+        # the pending tasks before this one goes on.
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.2)
+        return real_readout(*args, **kwargs)
+
+    monkeypatch.setattr(benchmark, "unperturbed_readout", interrupted_readout)
+    out = tmp_path / "cut"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
+    rows = (out / "results.csv").read_text().splitlines(keepends=True)
+    completed = 1 + 4 * FAST["steps"]  # header, Hadamard +/-, lambda = 0.1 +/-
+    assert rows == full[: len(rows)] and len(rows) >= completed
+    assert len(rows) == completed or workers == 2
+    assert json.loads((out / "summary.json").read_text())["incomplete"] is True

@@ -239,6 +239,56 @@ def test_sparse_evolve_ignores_the_global_random_state():
     assert len(seen) == 1
 
 
+@pytest.mark.parametrize("columns", [1, 2])
+def test_taylor_degree_is_fragment_3_1_on_the_exact_norm_branch(columns):
+    # SciPy's expm_multiply picks (m, s) from the exact 1-norm while its
+    # condition 3.13 holds (norm <= ~63.4 / columns) and from onenormest
+    # beyond it; the kernel uses the exact-norm choice at every norm.
+    from scipy.sparse.linalg._expm_multiply import (
+        LazyOperatorNormInfo,
+        _compute_p_max,
+        _condition_3_13,
+        _fragment_3_1,
+        _theta,
+    )
+
+    p = _compute_p_max(55)
+    limit = (2 * 2 * p * (p + 3)) * (_theta[55] / (columns * 55))  # as SciPy rounds it
+    assert not _condition_3_13(np.nextafter(limit, np.inf), columns, 55, 2)
+    rng = np.random.default_rng(20 + columns)
+    norms = [1e-6, *np.geomspace(1e-6, limit, 300), *rng.uniform(0.0, limit, 300), limit]
+    for norm in norms:
+        assert _condition_3_13(norm, columns, 55, 2)
+        info = LazyOperatorNormInfo(None, A_1_norm=norm, ell=2)
+        assert dynamics._taylor_degree(norm) == _fragment_3_1(info, columns, 2.0**-53, ell=2)
+    # SciPy takes no Taylor term for a zero norm, and one step.
+    assert dynamics._taylor_degree(0.0) == (0, 1)
+
+
+@pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "non-hermitian"])
+def test_taylor_kernel_matches_expm(monkeypatch, csr, hermitian):
+    # Step norms from 1e-3 to past 63.4, where SciPy would estimate its
+    # norms instead; forwards and backwards, two columns.
+    n = 40
+    if csr:
+        monkeypatch.setattr(dynamics, "DENSE_BLOCK_LIMIT", n - 1)
+    rng = np.random.default_rng(21)
+    a = sp.random(n, n, density=0.2, random_state=rng, format="csr") * (1 + 0j)
+    a.data += 1j * rng.normal(size=a.data.size)
+    a = a + sp.diags(rng.normal(size=n))
+    h = ((a + a.conj().T) / 2 if hermitian else a).tocsr()
+    sub = dynamics._Csr(h.data, h.indices.astype(np.int32), h.indptr.astype(np.int64))
+    apply, mu, norm1 = dynamics._taylor_op(sub, np.zeros(n))
+    assert sp.issparse(getattr(apply, "__self__", None)) == csr
+    x = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    for norm in (1e-3, 0.1, 1.0, 10.0, 63.4, 100.0, 200.0):
+        for t in (norm / norm1, -norm / norm1):
+            got = next(dynamics._taylor_stream((apply, mu, norm1), x, [t]))
+            want = scipy.linalg.expm(-1j * t * h.toarray()) @ x
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
 def test_energy_conservation_and_norm_drift():
     rng = np.random.default_rng(3)
     h = build_xxz(4, 1.0, 0.5)

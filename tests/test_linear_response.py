@@ -3,7 +3,14 @@ import pytest
 import scipy.linalg
 
 from oracles import SZ1, connected_pair, dense_xxz, heisenberg_pair, neel_superposition_vec, site_op
-from quditcorr.dynamics import Propagator, build_perturbed, build_xxz, evolve
+from quditcorr.dynamics import (
+    Propagator,
+    build_perturbed,
+    build_xxz,
+    evolve,
+    make_propagator,
+    perturbation,
+)
 from quditcorr.linear_response import (
     LinearResponseConfig,
     effective_shots,
@@ -223,3 +230,23 @@ def test_pulsed_state_matches_expm_oracle(n, kind, dt):
     pulse = Propagator("sparse", build_perturbed(h0, site, lam, kind))
     got = evolve(pulse, state, dt).amplitudes
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(expected)))
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("kind", ["hermitian", "non_hermitian"])
+def test_pulse_on_the_study_blocks_matches_the_perturbed_propagator(n, kind):
+    # A study pulses on the blocks of H0's propagator, with the
+    # perturbation added as a diagonal; the reference propagates the whole
+    # perturbed H.  At N = 8 the Neel state's block (1107) is a CSR block,
+    # and the random state touches every block.
+    h0 = build_xxz(n, 1.0, 0.5)
+    prop = make_propagator(h0)
+    rng = np.random.default_rng(n)
+    amp = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
+    states = [neel_state(n), QuditState(RegisterShape((3,) * n), amp / np.linalg.norm(amp))]
+    for site, lam, dt in ((0, 0.2, 1e-3), (n - 1, 0.4, 0.5)):
+        reference = Propagator("sparse", build_perturbed(h0, site, lam, kind))
+        for state in states:
+            got = evolve(prop, state, dt, perturbation(h0, site, lam, kind))
+            want = evolve(reference, state, dt)
+            assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-14

@@ -448,12 +448,11 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     ]
     if LINEAR_RESPONSE in protocols:
         lr_budgets = budgets[LINEAR_RESPONSE]
-        readout, readout_lock = [], threading.Lock()
+        readout, lock = [], threading.Lock()  # the unpulsed readout all LR traces share
 
         def lr_task(li, lam):
-            with readout_lock:  # the first LR task to run computes the shared readout
-                if not readout:
-                    readout.append(unperturbed_readout(prop, psi0, site_b, dt, grid))
+            with lock:  # the first LR task to run computes it
+                readout[:] = readout or [unperturbed_readout(prop, psi0, site_b, dt, grid)]
             traces = []
             for stream, kind, key in ((2, NON_HERMITIAN, "plus"), (1, HERMITIAN, "minus")):
                 cfg = LinearResponseConfig(lam, pulse_area, site_a, site_b, kind)

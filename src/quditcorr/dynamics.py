@@ -27,10 +27,10 @@ a study loads SciPy only from N = 8 on: none up to N = 7 imports it.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,12 +56,7 @@ _THETA = dict(zip(
 ))
 
 
-class _Csr(NamedTuple):
-    """The three arrays of a CSR matrix."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
+_Csr = collections.namedtuple("_Csr", "data indices indptr")  # the arrays of a CSR matrix
 
 
 def _rows(indptr: np.ndarray) -> np.ndarray:
@@ -294,14 +289,16 @@ class Block:
     """One connected component of H's sparsity pattern and how it propagates.
 
     op is (eigenvalues, eigenvectors) for "dense-eig" and the Taylor
-    kernel's operator for "sparse"; csr holds the sub-matrix, to which a
-    pulse adds its diagonal.
+    kernel's operator for "sparse".  The sub-matrix, to which a pulse adds
+    its diagonal, is csr + shift * I.  Above DENSE_BLOCK_LIMIT csr is the
+    arrays of op's shifted CSR matrix, so the block holds its entries once.
     """
 
     index: np.ndarray  # full-space indices, ascending
     strategy: str
     op: object = field(repr=False)
     csr: _Csr = field(repr=False)
+    shift: complex = 0.0
 
 
 def _dense(sub: _Csr, diagonal=0.0) -> np.ndarray:
@@ -318,7 +315,10 @@ def _block(sub: _Csr, index: np.ndarray, strategy: str) -> Block:
         # A real eigh is faster, and it moves results by less: 9.3e-15
         # against 1.6e-14 for a complex one on the N = 4 study.
         return Block(index, strategy, np.linalg.eigh(_dense(sub)), sub)
-    return Block(index, "sparse", _taylor_op(sub, np.zeros(index.size)), sub)
+    op, shift = _taylor_op(sub, np.zeros(index.size)), 0.0
+    if index.size > DENSE_BLOCK_LIMIT:  # keep the entries once: as op's shifted CSR
+        sub, shift = _Csr(op[0].data, op[0].indices, op[0].indptr), op[1]
+    return Block(index, "sparse", op, sub, shift)
 
 
 @dataclass
@@ -359,67 +359,54 @@ def make_propagator(h: SparseHamiltonian) -> Propagator:
     return Propagator("dense-eig" if h.hermitian else "sparse", h)
 
 
-def _check_system_block(state: QuditState, dim: int):
-    """Raise unless the trailing sites of state multiply out to dim."""
-    prod = 1
-    for d in reversed(state.dims):
-        prod *= d
-        if prod >= dim:
-            break
-    if prod != dim:
-        raise ValueError(
-            f"state dims {state.dims} have no trailing block of dimension {dim}"
-        )
-
-
 def evolve(
     prop: Propagator, state: QuditState, duration: float, diagonal: np.ndarray | None = None
 ) -> QuditState:
     """exp(-i H * duration)|state>, acting on the system sites only.
 
-    The one-time case of trajectory.  Negative durations propagate
-    backwards (needed when the second correlator time precedes the
-    first).  Unitary evolution preserves the norm; non-Hermitian
-    Hamiltonians return an unnormalized state whose squared norm is
-    tracked by the QuditState itself.  With a diagonal (a pulse), H +
-    diag(diagonal) propagates; it has H's blocks, and each touched one
-    runs the Taylor kernel.
+    The one-time case of trajectory, diagonal included.  Negative
+    durations propagate backwards (needed when the second correlator
+    time precedes the first).  Unitary evolution preserves the norm;
+    non-Hermitian Hamiltonians return an unnormalized state whose
+    squared norm is tracked by the QuditState itself.
     """
-    _check_system_block(state, prop.hamiltonian.dimension)
-    return next(_block_trajectory(prop, state, [float(duration)], diagonal))
+    return next(trajectory(prop, state, [duration], diagonal))
 
 
-def trajectory(prop: Propagator, state: QuditState, times):
+def trajectory(prop: Propagator, state: QuditState, times, diagonal=None):
     """Iterator over exp(-i H t)|state> for each t of a non-decreasing grid.
 
     Streams: one state is alive at a time, whatever the grid length.
     The leading (ancilla) sites are batch rows.  A time of 0 yields a
-    copy of the state, never a view of it.
+    copy of the state, never a view of it.  With a diagonal (a pulse),
+    H + diag(diagonal) propagates: H's blocks, each touched one by the
+    Taylor kernel.
     """
     times = [float(t) for t in times]
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("trajectory times must be non-decreasing")
-    _check_system_block(state, prop.hamiltonian.dimension)
-    return _block_trajectory(prop, state, times, None)
-
-
-def _block_trajectory(prop, state, times, diagonal):
-    """Gather each touched block, stream it on its own, scatter the blocks at each time."""
-    x = state.amplitudes.reshape(-1, prop.hamiltonian.dimension)
+    dim = prop.hamiltonian.dimension
+    if not any(math.prod(state.dims[k:]) == dim for k in range(len(state.dims))):
+        raise ValueError(f"state dims {state.dims} have no trailing block of dimension {dim}")
+    x = state.amplitudes.reshape(-1, dim)
     streams = []
     for b in prop.blocks_touched(state):
-        op = b.op if diagonal is None else _taylor_op(b.csr, diagonal[b.index])
+        op = b.op if diagonal is None else _taylor_op(b.csr, diagonal[b.index] + b.shift)
         stream = _dense_stream if diagonal is None and b.strategy == "dense-eig" else _taylor_stream
         streams.append((b.index, stream(op, np.ascontiguousarray(x[:, b.index].T), times)))
-    for _ in times:
-        out = np.zeros_like(x)
-        for index, stream in streams:
-            out[:, index] = next(stream).T  # a column per batch row
-        yield QuditState(state.shape, out.reshape(-1))
+    return (QuditState(state.shape, _scatter(x, streams)) for _ in times)
 
 
-def _matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for a C-contiguous complex z; a real m takes z's real and imaginary parts at once."""
+def _scatter(x: np.ndarray, streams) -> np.ndarray:
+    """The next state of each block stream, placed in zeros shaped like x, flattened."""
+    out = np.zeros_like(x)
+    for index, stream in streams:
+        out[:, index] = next(stream).T  # a column per batch row
+    return out.reshape(-1)
+
+
+def _matmul(m, z: np.ndarray) -> np.ndarray:
+    """m @ z, m dense or CSR, z C-contiguous complex; a real m does z's two parts at once."""
     if np.isrealobj(m):
         return (m @ z.view(np.float64)).view(np.complex128)
     return m @ z
@@ -434,23 +421,22 @@ def _dense_stream(eig, x, times):
 
 
 def _taylor_op(sub: _Csr, diagonal: np.ndarray):
-    """(apply, mu, 1-norm) of A - mu I, A the sub-matrix plus diag(diagonal), mu its mean diagonal.
+    """(A - mu I, mu, its 1-norm), A the sub-matrix plus diag(diagonal), mu its mean diagonal.
 
-    apply is a dense NumPy matmul up to DENSE_BLOCK_LIMIT and a SciPy CSR
-    one above it, which is where SciPy is loaded.
+    A - mu I is a dense NumPy array up to DENSE_BLOCK_LIMIT and a SciPy
+    CSR matrix above it, which is where SciPy is loaded.
     """
     n = sub.indptr.size - 1
     mu = (sub.data[_rows(sub.indptr) == sub.indices].sum() + diagonal.sum()) / n
     if n <= DENSE_BLOCK_LIMIT:
         a = _dense(sub, diagonal - mu)
-        return functools.partial(_matmul, a), mu, np.abs(a).sum(axis=0).max()
+        return a, mu, np.abs(a).sum(axis=0).max()
     import scipy.sparse as sp
 
     a = (sp.csr_matrix(sub, shape=(n, n)) + sp.diags(diagonal - mu)).tocsr()
-    return a.__matmul__, mu, np.bincount(a.indices, np.abs(a.data), n).max()
+    return a, mu, np.bincount(a.indices, np.abs(a.data), n).max()
 
 
-@functools.lru_cache(maxsize=256)
 def _taylor_degree(norm: float) -> tuple[int, int]:
     """(m, s): s steps of m Taylor terms for a step whose generator has this 1-norm.
 
@@ -471,7 +457,7 @@ def _taylor_stream(op, x, times):
     each stopped once two successive terms fall below 2^-53 of the sum
     (inf-norms) and multiplied by e^{-i tau mu / s}.  Nothing is random.
     """
-    apply, mu, norm1 = op
+    a, mu, norm1 = op
     now = 0.0
     for t in times:
         if t != now:
@@ -481,7 +467,7 @@ def _taylor_stream(op, x, times):
             for _ in range(s):
                 f, c1 = x, np.linalg.norm(x, np.inf)
                 for j in range(m):
-                    x = (-1j * tau / (s * (j + 1))) * apply(x)
+                    x = (-1j * tau / (s * (j + 1))) * _matmul(a, x)
                     c2 = np.linalg.norm(x, np.inf)
                     f = f + x
                     if c1 + c2 <= 2.0**-53 * np.linalg.norm(f, np.inf):

@@ -170,8 +170,7 @@ def measure_lr(
     Taylor kernel on the ones the state touches: a short pulse needs only
     a few products, and no block is diagonalized for it.
     """
-    jxy = h0.j_xy
-    dt = config.pulse_area / jxy
+    dt = config.pulse_area / h0.j_xy
     if t2 < t1 + dt:
         raise ValueError(f"need t2 >= t1 + pulse duration ({t1 + dt:g}), got {t2:g}")
 
@@ -218,8 +217,8 @@ def lr_trace(
 
     The pulse is applied once at t1 = 0, on prop's blocks as in
     measure_lr, and the pulsed state is streamed to max(t, dt) - dt by
-    prop, the propagator of h0; unperturbed holds the
-    matching unpulsed marginals (unperturbed_readout).  Each entry is
+    prop, the propagator of h0; unperturbed holds the matching unpulsed
+    marginals (unperturbed_readout).  Each entry is
     (exact estimate with the nominal error bar, sampled estimate or
     None); the sampled one draws from rngs[k] at the k-th time.
     """

@@ -393,19 +393,27 @@ def test_interrupt_during_the_unpulsed_readout_writes_the_completed_traces(
     full = (tmp_path / "full" / "results.csv").read_text().splitlines(keepends=True)
 
     real_readout = benchmark.unperturbed_readout
+    cancelled = threading.Event()
+
+    class Pool(benchmark.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait, cancel_futures=cancel_futures)
+            if cancel_futures:
+                cancelled.set()
 
     def interrupted_readout(*args, **kwargs):
-        # SIGINT to the main thread, as Ctrl-C; the pause lets it cancel
-        # the pending tasks before this one goes on.
+        # SIGINT to the main thread, as Ctrl-C; the readout goes on once
+        # the main thread has cancelled the pending tasks.
         signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-        time.sleep(0.2)
+        assert cancelled.wait(30)
         return real_readout(*args, **kwargs)
 
+    monkeypatch.setattr(benchmark, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(benchmark, "unperturbed_readout", interrupted_readout)
     out = tmp_path / "cut"
     assert main(["run", "--config", path, "--out", str(out)]) == 1
     rows = (out / "results.csv").read_text().splitlines(keepends=True)
     completed = 1 + 4 * FAST["steps"]  # header, Hadamard +/-, lambda = 0.1 +/-
-    assert rows == full[: len(rows)] and len(rows) >= completed
-    assert len(rows) == completed or workers == 2
+    assert rows == full[: len(rows)]
+    assert len(rows) == completed or (workers == 2 and rows == full)
     assert json.loads((out / "summary.json").read_text())["incomplete"] is True

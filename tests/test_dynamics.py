@@ -279,14 +279,26 @@ def test_taylor_kernel_matches_expm(monkeypatch, csr, hermitian):
     a = a + sp.diags(rng.normal(size=n))
     h = ((a + a.conj().T) / 2 if hermitian else a).tocsr()
     sub = dynamics._Csr(h.data, h.indices.astype(np.int32), h.indptr.astype(np.int64))
-    apply, mu, norm1 = dynamics._taylor_op(sub, np.zeros(n))
-    assert sp.issparse(getattr(apply, "__self__", None)) == csr
+    a, mu, norm1 = dynamics._taylor_op(sub, np.zeros(n))
+    assert sp.issparse(a) == csr
     x = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     for norm in (1e-3, 0.1, 1.0, 10.0, 63.4, 100.0, 200.0):
         for t in (norm / norm1, -norm / norm1):
-            got = next(dynamics._taylor_stream((apply, mu, norm1), x, [t]))
+            got = next(dynamics._taylor_stream((a, mu, norm1), x, [t]))
             want = scipy.linalg.expm(-1j * t * h.toarray()) @ x
             assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def test_blocks_above_the_limit_keep_one_copy_of_their_entries():
+    # The block's CSR is the kernel's shifted matrix itself; a pulse
+    # adds its diagonal to it and the shift back.
+    prop = make_propagator(build_xxz(8, 1.0, 0.5))
+    large = [b for b in prop.blocks if b.index.size > DENSE_BLOCK_LIMIT]
+    assert sorted(b.index.size for b in large) == [504, 504, 784, 784, 1016, 1016, 1107]
+    for b in large:
+        a, mu, _ = b.op
+        assert np.shares_memory(a.data, b.csr.data) and b.shift == mu
+        assert np.shares_memory(a.indices, b.csr.indices)
 
 
 def test_energy_conservation_and_norm_drift():

@@ -452,8 +452,8 @@ def _taylor_degree(norm: float) -> tuple[int, int]:
 def _taylor_stream(op, x, times):
     """Reach each time from the previous one by a truncated Taylor series of exp(-i tau A).
 
-    op is _taylor_op's.  Al-Mohy & Higham's algorithm 3.2, as SciPy's
-    expm_multiply runs it: s steps of up to m terms of -i tau (A - mu I),
+    op is _taylor_op's.  Al-Mohy & Higham's algorithm 3.2, as SciPy runs
+    it for a vector: s steps of up to m terms of -i tau (A - mu I),
     each stopped once two successive terms fall below 2^-53 of the sum
     (inf-norms) and multiplied by e^{-i tau mu / s}.  Nothing is random.
     """

@@ -250,6 +250,17 @@ def neel_superposition(n_sites: int) -> QuditState:
     return QuditState(shape, amp)
 
 
+def quench_system(config: RunConfig):
+    """(prop, psi0, obs_a, obs_b), the study's system; the one place that builds it.
+
+    prop propagates H0 at J_xy = 1 and the config's anisotropy, psi0 is the
+    Neel superposition, and the observables are S^z on the config's sites.
+    """
+    prop = make_propagator(build_xxz(config.n_sites, 1.0, config.j_z_over_j_xy))
+    obs_a, obs_b = (HermitianObservable(spin_matrix(1, "z").on(s - 1)) for s in config.sites)
+    return prop, neel_superposition(config.n_sites), obs_a, obs_b
+
+
 def connected_anticommutator(
     raw: CorrelatorEstimate, exp_a: CorrelatorEstimate, exp_b: CorrelatorEstimate
 ) -> CorrelatorEstimate:
@@ -424,14 +435,8 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     protocols, lambdas, budgets = config.protocols, config.lambdas, config.shots
     pulse_area, seed, sampled = config.pulse_area, config.seed, not config.exact_only
 
-    j_xy = 1.0
-    dt = pulse_area / j_xy
-    h0 = build_xxz(config.n_sites, j_xy, config.j_z_over_j_xy * j_xy)
-    psi0 = neel_superposition(config.n_sites)
-    site_a, site_b = config.sites[0] - 1, config.sites[1] - 1
-    obs_a = HermitianObservable(spin_matrix(1, "z").on(site_a))
-    obs_b = HermitianObservable(spin_matrix(1, "z").on(site_b))
-    prop = make_propagator(h0)
+    prop, psi0, obs_a, obs_b = quench_system(config)
+    site_a, site_b = obs_a.support[0], obs_b.support[0]
     if log.isEnabledFor(logging.INFO):
         touched = ", ".join(f"{b.index.size} ({b.strategy})" for b in prop.blocks_touched(psi0))
         log.info("H0 has %d blocks; psi0 touches dimension %s", len(prop.blocks), touched)
@@ -452,16 +457,14 @@ def run_quench_study(config: RunConfig) -> StudyResult:
 
         def lr_task(li, lam):
             with lock:  # the first LR task to run computes it
-                readout[:] = readout or [unperturbed_readout(prop, psi0, site_b, dt, grid)]
+                readout[:] = readout or [unperturbed_readout(prop, psi0, site_b, pulse_area, grid)]
             traces = []
             for stream, kind, key in ((2, NON_HERMITIAN, "plus"), (1, HERMITIAN, "minus")):
                 cfg = LinearResponseConfig(lam, pulse_area, site_a, site_b, kind)
                 rngs = None
                 if sampled:
                     rngs = [task_rng(seed, 2, li, ti, stream) for ti in range(grid.size)]
-                traces.append(
-                    lr_trace(cfg, psi0, h0, prop, grid, readout[0], lr_budgets[key], rngs)
-                )
+                traces.append(lr_trace(cfg, psi0, prop, grid, readout[0], lr_budgets[key], rngs))
             return traces
 
         for li, lam in enumerate(lambdas):

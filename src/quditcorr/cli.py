@@ -32,10 +32,10 @@ from .benchmark import (
     RunConfig,
     StudyInterrupted,
     brute_force_correlators,
-    neel_superposition,
+    quench_system,
     run_quench_study,
 )
-from .dynamics import Propagator, build_xxz, make_propagator
+from .dynamics import Propagator
 from .hadamard import estimate_from_probabilities, measure_dynamical_correlator, trace_probabilities
 from .observables import HermitianObservable, decompose, spin_matrix
 from .rng import task_rng
@@ -152,11 +152,7 @@ def _cmd_correlator(args) -> int:
     if args.shots is not None and args.shots < 8:
         raise ConfigError(f"--shots must be at least 8 (one shot per circuit), got {args.shots}")
     cfg = RunConfig(n_sites=args.n_sites, j_z_over_j_xy=args.jz, sites=args.sites)
-    h = build_xxz(cfg.n_sites, 1.0, cfg.j_z_over_j_xy)
-    prop = make_propagator(h)
-    psi0 = neel_superposition(cfg.n_sites)
-    obs_a = HermitianObservable(spin_matrix(1, "z").on(cfg.sites[0] - 1))
-    obs_b = HermitianObservable(spin_matrix(1, "z").on(cfg.sites[1] - 1))
+    prop, psi0, obs_a, obs_b = quench_system(cfg)
     rng = task_rng(args.seed, 7)
     budget = None if args.shots is None else args.shots // 8
     plus, minus = measure_dynamical_correlator(
@@ -196,11 +192,8 @@ def _cmd_validate(args) -> int:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
     failures = 0
     for n in (2, 3, 4):
-        h = build_xxz(n, 1.0, 0.5)
-        prop = make_propagator(h)
-        psi0 = neel_superposition(n)
-        obs_a = HermitianObservable(spin_matrix(1, "z").on(0))
-        obs_b = HermitianObservable(spin_matrix(1, "z").on(1))
+        prop, psi0, obs_a, obs_b = quench_system(RunConfig(n_sites=n))
+        h = prop.hamiltonian
         rng = np.random.default_rng(args.seed + n)
         times = np.sort(rng.uniform(0.1, 5.0, args.points))
         norms = (obs_a.spectral_norm, obs_b.spectral_norm)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Propagator, evolve, trajectory
-from .observables import HermitianObservable, UnitaryDecomposition, decompose
+from .observables import HermitianObservable, decompose
 from .register import (
     LocalOperator,
     QuditState,
@@ -130,23 +130,16 @@ def _shift(op: LocalOperator) -> LocalOperator:
     return op.on(*(s + 1 for s in op.support))
 
 
-def run_hadamard_circuit(
-    task: HadamardTask,
-    psi0: QuditState,
-    prop: Propagator,
-    decomp_a: UnitaryDecomposition | None = None,
-    decomp_b: UnitaryDecomposition | None = None,
-) -> float:
+def run_hadamard_circuit(task: HadamardTask, psi0: QuditState, prop: Propagator) -> float:
     """Execute one realization on the system state and return P(|0>).
 
     psi0 is the system-only state; the ancilla is prepared internally.
-    The two unitary splittings may be passed in to avoid recomputing
-    them for every one of the eight realizations of a measurement.
+    The gates V_A and V_B come from the unitary splittings of the task's
+    own observables (a small eigh each); this is the gate-level
+    specification, which no study runs.
     """
-    decomp_a = decomp_a or decompose(task.observable_a)
-    decomp_b = decomp_b or decompose(task.observable_b)
-    va = _shift(decomp_a.pick(task.va_choice))
-    vb = _shift(decomp_b.pick(task.vb_choice))
+    va = _shift(decompose(task.observable_a).pick(task.va_choice))
+    vb = _shift(decompose(task.observable_b).pick(task.vb_choice))
 
     state = attach_ancilla(psi0, task.alpha)
     state = apply_local(state, _X_GATE)
@@ -186,12 +179,9 @@ def circuit_probabilities(
     alpha: float,
 ) -> np.ndarray:
     """Exact P(|0>) for the four gate pairs at one ancilla phase."""
-    decomp_a = decompose(obs_a)
-    decomp_b = decompose(obs_b)
     ps = np.empty(4)
     for k, (va, vb) in enumerate(COMBOS):
-        task = HadamardTask(t1, t2, va, vb, alpha, obs_a, obs_b)
-        ps[k] = run_hadamard_circuit(task, psi0, prop, decomp_a, decomp_b)
+        ps[k] = run_hadamard_circuit(HadamardTask(t1, t2, va, vb, alpha, obs_a, obs_b), psi0, prop)
     return ps
 
 

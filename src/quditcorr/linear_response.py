@@ -192,21 +192,21 @@ def measure_lr(
 
 
 def unperturbed_readout(
-    prop: Propagator, psi0: QuditState, site: int, pulse_duration: float, times
+    prop: Propagator, psi0: QuditState, site: int, pulse_area: float, times
 ) -> list[np.ndarray]:
     """Readout-site marginals of the unpulsed branch at max(t, dt), one trajectory.
 
-    The result depends on no pulse strength or kind, so every LR trace
-    of a study shares it.
+    dt = pulse_area / J_xy is the pulse duration, J_xy that of prop's
+    Hamiltonian.  The result depends on no pulse strength or kind, so
+    every LR trace of a study shares it.
     """
-    states = trajectory(prop, psi0, np.maximum(times, pulse_duration))
+    states = trajectory(prop, psi0, np.maximum(times, pulse_area / prop.hamiltonian.j_xy))
     return [site_marginal(state, site) for state in states]
 
 
 def lr_trace(
     config: LinearResponseConfig,
     psi0: QuditState,
-    h0: SparseHamiltonian,
     prop: Propagator,
     times,
     unperturbed,
@@ -215,13 +215,15 @@ def lr_trace(
 ) -> list[tuple[CorrelatorEstimate, CorrelatorEstimate | None]]:
     """LR estimates of C(0, t) over a time grid, as measure_lr would give them.
 
-    The pulse is applied once at t1 = 0, on prop's blocks as in
-    measure_lr, and the pulsed state is streamed to max(t, dt) - dt by
-    prop, the propagator of h0; unperturbed holds the matching unpulsed
-    marginals (unperturbed_readout).  Each entry is
+    prop propagates H0, whose J_xy sets the pulse duration dt.  The
+    pulse is applied once at t1 = 0, on prop's blocks as in measure_lr,
+    and the pulsed state is streamed to max(t, dt) - dt by prop;
+    unperturbed holds the matching unpulsed marginals
+    (unperturbed_readout, with the same pulse area).  Each entry is
     (exact estimate with the nominal error bar, sampled estimate or
     None); the sampled one draws from rngs[k] at the k-th time.
     """
+    h0 = prop.hamiltonian
     dt = config.pulse_area / h0.j_xy
     pulsed = evolve(prop, psi0, dt, perturbation(h0, config.probe_site, config.lam, config.kind))
     out = []

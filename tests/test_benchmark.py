@@ -204,7 +204,7 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
         for kind in ("hermitian", "non_hermitian"):
             cfg = LinearResponseConfig(lam, area, 0, n - 1, kind)
             rngs = [task_rng(3, ti) for ti in range(len(ENGINE_GRID))]
-            trace = lr_trace(cfg, psi0, h, prop, ENGINE_GRID, unperturbed, 1000, rngs)
+            trace = lr_trace(cfg, psi0, prop, ENGINE_GRID, unperturbed, 1000, rngs)
             for ti, (t, (exact, samp)) in enumerate(zip(ENGINE_GRID, trace)):
                 args = (cfg, 0.0, max(t, area), psi0, h)
                 spec = measure_lr(*args, nominal_budget=1000)

@@ -204,13 +204,12 @@ def test_time_swap_symmetry_of_assembled_correlators():
 
 def test_conjugating_both_gate_choices_leaves_assembly_invariant():
     h, prop, psi0 = setup_chain(2)
-    dec_a, dec_b = decompose(sz_obs(0)), decompose(sz_obs(1))
     flip = {W: W_DAGGER, W_DAGGER: W}
     for alpha in (ALPHA_PLUS, ALPHA_MINUS):
         ps, ps_flipped = np.empty(4), np.empty(4)
         for k, (va, vb) in enumerate(COMBOS):
             task = HadamardTask(0.2, 1.1, va, vb, alpha, sz_obs(0), sz_obs(1))
-            p = run_hadamard_circuit(task, psi0, prop, dec_a, dec_b)
+            p = run_hadamard_circuit(task, psi0, prop)
             ps[k] = p
             ps_flipped[COMBOS.index((flip[va], flip[vb]))] = p
         assert exact_value(ps) == pytest.approx(exact_value(ps_flipped), abs=1e-12)

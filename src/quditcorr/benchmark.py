@@ -30,6 +30,7 @@ import dataclasses
 import logging
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -111,6 +112,8 @@ def _is_int(value) -> bool:
 
 def _number(value, field: str) -> float:
     _expect(_is_int(value) or isinstance(value, float), field, f"expected a number, got {value!r}")
+    # NaN fails the comparison, and so do the infinities and an int too large for a float.
+    _expect(abs(value) <= sys.float_info.max, field, f"expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -138,7 +138,7 @@ class SparseHamiltonian:
         self.n_sites = n_sites
         if hermitian:
             worst = _hermitian_error(self.data, self.indices, self.indptr)
-            if worst > 1e-12:
+            if not worst <= 1e-12:  # a NaN entry fails too
                 raise ValueError(f"hermitian flag set but max|H - H^+| = {worst:.2e}")
 
     @property
@@ -226,7 +226,7 @@ def build_xxz(n_sites: int, j_xy: float, j_z: float) -> SparseHamiltonian:
 
 def perturbation(h0: SparseHamiltonian, site: int, lam: float, kind: str) -> np.ndarray:
     """Diagonal of -lambda*J_xy*S_j^z, or of -i*lambda*J_xy*S_j^z for the non-Hermitian kind."""
-    if lam <= 0:
+    if not lam > 0:  # NaN fails too
         raise ValueError("perturbation strength lambda must be positive")
     if not 0 <= site < h0.n_sites:
         raise IndexError(f"site {site} out of range for {h0.n_sites} sites")
@@ -388,6 +388,8 @@ def trajectory(prop: Propagator, state: QuditState, times, diagonal=None):
     dim = prop.hamiltonian.dimension
     if not any(math.prod(state.dims[k:]) == dim for k in range(len(state.dims))):
         raise ValueError(f"state dims {state.dims} have no trailing block of dimension {dim}")
+    if diagonal is not None and np.shape(diagonal) != (dim,):
+        raise ValueError(f"pulse diagonal of shape {np.shape(diagonal)}, expected ({dim},)")
     x = state.amplitudes.reshape(-1, dim)
     streams = []
     for b in prop.blocks_touched(state):

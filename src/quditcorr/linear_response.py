@@ -67,9 +67,9 @@ class LinearResponseConfig:
     kind: str = HERMITIAN
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:  # NaN fails too
             raise ValueError("perturbation strength lambda must be positive")
-        if self.pulse_area <= 0:
+        if not self.pulse_area > 0:
             raise ValueError("pulse area must be positive")
         if self.kind not in (HERMITIAN, NON_HERMITIAN):
             raise ValueError(f"kind must be '{HERMITIAN}' or '{NON_HERMITIAN}'")

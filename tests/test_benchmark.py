@@ -197,22 +197,26 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
 
     # LR: the exact quotient against measure_lr, compared as a difference
     # of expectation values (times lambda * pulse_area); the sampled
-    # value from the same stream is the same draw.
+    # value from the same stream is the same draw.  At J_xy = 2 the pulse
+    # lasts area / 2, so the pulse area and its duration differ.
     area = 1e-3
-    unperturbed = unperturbed_readout(prop, psi0, n - 1, area, ENGINE_GRID)
-    for lam in (0.1, 0.4):
-        for kind in ("hermitian", "non_hermitian"):
-            cfg = LinearResponseConfig(lam, area, 0, n - 1, kind)
-            rngs = [task_rng(3, ti) for ti in range(len(ENGINE_GRID))]
-            trace = lr_trace(cfg, psi0, prop, ENGINE_GRID, unperturbed, 1000, rngs)
-            for ti, (t, (exact, samp)) in enumerate(zip(ENGINE_GRID, trace)):
-                args = (cfg, 0.0, max(t, area), psi0, h)
-                spec = measure_lr(*args, nominal_budget=1000)
-                assert abs(exact.value - spec.value) * lam * area <= 1e-10
-                assert exact.std_error == pytest.approx(spec.std_error, rel=1e-6)
-                assert exact.shots == spec.shots
-                spec_samp = measure_lr(*args, 1000, task_rng(3, ti))
-                assert (samp.value, samp.shots) == (spec_samp.value, spec_samp.shots)
+    for j_xy in (1.0, 2.0):
+        h_lr = build_xxz(n, j_xy, 0.5 * j_xy)
+        prop_lr = Propagator(strategy, h_lr)
+        unperturbed = unperturbed_readout(prop_lr, psi0, n - 1, area, ENGINE_GRID)
+        for lam in (0.1, 0.4):
+            for kind in ("hermitian", "non_hermitian"):
+                cfg = LinearResponseConfig(lam, area, 0, n - 1, kind)
+                rngs = [task_rng(3, ti) for ti in range(len(ENGINE_GRID))]
+                trace = lr_trace(cfg, psi0, prop_lr, ENGINE_GRID, unperturbed, 1000, rngs)
+                for ti, (t, (exact, samp)) in enumerate(zip(ENGINE_GRID, trace)):
+                    args = (cfg, 0.0, max(t, area / j_xy), psi0, h_lr)
+                    spec = measure_lr(*args, nominal_budget=1000)
+                    assert abs(exact.value - spec.value) * lam * area <= 1e-10
+                    assert exact.std_error == pytest.approx(spec.std_error, rel=1e-6)
+                    assert exact.shots == spec.shots
+                    spec_samp = measure_lr(*args, 1000, task_rng(3, ti))
+                    assert (samp.value, samp.shots) == (spec_samp.value, spec_samp.shots)
 
 
 def test_scenario_validation():

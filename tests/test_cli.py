@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import pathlib
 import signal
@@ -96,11 +97,22 @@ def test_field_validation_messages(tmp_path):
         with pytest.raises(ConfigError, match=f"invalid config field '{field}'"):
             parse_config_dict(payload)
     assert parse_config_dict({"t_max": 5})[0].t_max == 5.0
+    # Every number field refuses what JSON writes as NaN, Infinity and -Infinity.
+    numbers = ("j_z_over_j_xy", "t_max", "pulse_area", "lambdas")
+    for field, value in itertools.product(numbers, (math.nan, math.inf, -math.inf)):
+        payload = {field: [0.1, value] if field == "lambdas" else value}
+        with pytest.raises(ConfigError, match=f"field '{field}': expected a finite number"):
+            parse_config(write_config(tmp_path, payload))
 
 
 @pytest.mark.parametrize(
     "flags, field",
-    [(["--workers", "0"], "workers"), (["--workers", "-3"], "workers"), (["--steps", "0"], "steps")],
+    [
+        (["--workers", "0"], "workers"),
+        (["--workers", "-3"], "workers"),
+        (["--steps", "0"], "steps"),
+        (["--t-max", "inf"], "t_max"),
+    ],
 )
 def test_run_flags_go_through_the_config_checks(tmp_path, capsys, flags, field):
     path = write_config(tmp_path, FAST)
@@ -298,6 +310,13 @@ def test_correlator_rejects_a_bad_site_pair_naming_the_field(capsys, flags, mess
     assert main(["correlator", "--t2", "0.7", *flags]) == 2
     err = capsys.readouterr().err
     assert "invalid config field 'sites'" in err and message in err
+
+
+@pytest.mark.parametrize("jz", ["nan", "inf", "-inf"])
+def test_correlator_rejects_a_non_finite_anisotropy_naming_the_field(capsys, jz):
+    assert main(["correlator", "--n-sites", "3", f"--jz={jz}", "--t2", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "invalid config field 'j_z_over_j_xy'" in captured.err and not captured.out
 
 
 @pytest.mark.parametrize("shots", ["0", "5", "-8"])

@@ -94,6 +94,9 @@ def test_perturbed_validation():
         build_perturbed(h0, 5, 0.1, "hermitian")
     with pytest.raises(ValueError, match="kind"):
         build_perturbed(h0, 0, 0.1, "imaginary")
+    for kind in ("hermitian", "non_hermitian"):
+        with pytest.raises(ValueError, match="positive"):
+            build_perturbed(h0, 0, np.nan, kind)
 
 
 def kron_xxz(n, j_xy, j_z):
@@ -144,7 +147,7 @@ def test_hermitian_flag_checks_every_entry_against_its_mirror(mirrored, n):
     dim = h0.shape[0]
     row, col = (1, 3) if mirrored else (0, dim - 1)
     assert (h0[row, col] != 0) == mirrored and h0[col, row] == h0[row, col]
-    for eps, raises in ((1e-9, True), (1e-13, False)):
+    for eps, raises in ((1e-9, True), (1e-13, False), (np.nan, True)):
         bump = sp.csr_matrix(([eps], ([row], [col])), shape=h0.shape)
         if raises:
             with pytest.raises(ValueError, match="hermitian flag"):
@@ -212,8 +215,9 @@ def test_group_property(strategy):
 
 
 def test_sparse_matches_dense_many_durations():
-    # Durations past 16 / ||H||_1 = 2.7 are split into sub-steps; t = 30
-    # takes 12 of them.
+    # The Taylor kernel's (m, s) grow with |t| * ||H_b - mu I||_1: at t = +-30
+    # the 19-state block (step norm 190) runs s = 20 steps of m = 55 terms,
+    # and the two 1-state blocks are the trace phase alone (m = 0).
     rng = np.random.default_rng(2)
     h = build_xxz(4, 1.0, 0.5)
     pd = Propagator("dense-eig", h)
@@ -227,8 +231,9 @@ def test_sparse_matches_dense_many_durations():
 
 @pytest.mark.usefixtures("restore_global_random_state")
 def test_sparse_evolve_ignores_the_global_random_state():
-    # One unsplit expm_multiply call over this norm picks its Taylor
-    # degree with onenormest, which draws from np.random.
+    # The Taylor kernel takes (m, s) from each block's exact 1-norm and draws
+    # no random numbers: at t = 20 the 141-state block (step norm 206) runs
+    # s = 21 steps of m = 55 terms whatever the state of np.random.
     h = build_xxz(6, 1.0, 0.5)
     prop = Propagator("sparse", h)
     state = random_state(np.random.default_rng(11), (3,) * 6)
@@ -401,6 +406,10 @@ def test_dimension_mismatch_rejected():
     state = random_state(np.random.default_rng(7), (3, 3))
     with pytest.raises(ValueError, match="trailing block"):
         evolve(make_propagator(h), state, 1.0)
+    # A pulse diagonal built for a longer chain: 81 entries against 27.
+    pulse = dynamics.perturbation(build_xxz(4, 1.0, 0.5), 3, 0.3, "hermitian")
+    with pytest.raises(ValueError, match=r"pulse diagonal of shape \(81,\), expected \(27,\)"):
+        evolve(make_propagator(h), random_state(np.random.default_rng(7), (3,) * 3), 0.1, pulse)
 
 
 def sector_of_each_index(n):

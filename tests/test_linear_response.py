@@ -73,6 +73,10 @@ def test_config_validation():
         LinearResponseConfig(0.1, pulse_area=0.0)
     with pytest.raises(ValueError, match="kind"):
         LinearResponseConfig(0.1, kind="weird")
+    with pytest.raises(ValueError, match="lambda"):
+        LinearResponseConfig(np.nan)
+    with pytest.raises(ValueError, match="pulse area"):
+        LinearResponseConfig(0.1, pulse_area=np.nan)
 
 
 def test_pulse_must_fit_between_the_two_times():

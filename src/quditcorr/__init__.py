@@ -1,5 +1,17 @@
 """Qudit Hadamard-test and linear-response estimators for two-time spin correlations."""
 
+import os
+import sys
+
+# One BLAS thread per process.  A study's parallelism is its thread pool:
+# a second BLAS thread adds CPU and no wall time, and it changes how
+# eigh, matmul and vector norms round, so the exact cells of a CSV would
+# depend on the thread count.  BLAS reads these variables once, when
+# NumPy loads it, so a process that imported NumPy first keeps its own
+# count; set OPENBLAS_NUM_THREADS=1 there.
+if "numpy" not in sys.modules:
+    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 from .register import (
     LocalOperator,
     QuditState,

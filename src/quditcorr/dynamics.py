@@ -30,6 +30,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,21 +285,36 @@ def _diagonal_blocks(h: SparseHamiltonian):
         yield index, _Csr(h.data[take], local[h.indices[take]], ptr)
 
 
-@dataclass(frozen=True)
 class Block:
     """One connected component of H's sparsity pattern and how it propagates.
 
     op is (eigenvalues, eigenvectors) for "dense-eig" and the Taylor
-    kernel's operator for "sparse".  The sub-matrix, to which a pulse adds
-    its diagonal, is csr + shift * I.  Above DENSE_BLOCK_LIMIT csr is the
-    arrays of op's shifted CSR matrix, so the block holds its entries once.
+    kernel's operator for "sparse".  A dense-eig block diagonalizes on the
+    first read of op, under its propagator's lock, so a block that no
+    state touches is never factorized.  The sub-matrix, to which a pulse
+    adds its diagonal, is csr + shift * I.  Above DENSE_BLOCK_LIMIT csr is
+    the arrays of op's shifted CSR matrix, so the block holds its entries
+    once.
     """
 
-    index: np.ndarray  # full-space indices, ascending
-    strategy: str
-    op: object = field(repr=False)
-    csr: _Csr = field(repr=False)
-    shift: complex = 0.0
+    def __init__(self, index: np.ndarray, csr: _Csr, strategy: str, lock: threading.Lock):
+        self.index = index  # full-space indices, ascending
+        self.csr, self.shift, self._lock = csr, 0.0, lock
+        self.strategy = strategy if index.size <= DENSE_BLOCK_LIMIT else "sparse"
+        self._op = None if self.strategy == "dense-eig" else _taylor_op(csr, np.zeros(index.size))
+        if index.size > DENSE_BLOCK_LIMIT:  # keep the entries once: as op's shifted CSR
+            a, self.shift = self._op[:2]
+            self.csr = _Csr(a.data, a.indices, a.indptr)
+
+    @property
+    def op(self):
+        if self._op is None:
+            with self._lock:
+                if self._op is None:
+                    # A real eigh is faster, and it moves results by less:
+                    # 9.3e-15 against 1.6e-14 for a complex one on the N = 4 study.
+                    self._op = np.linalg.eigh(_dense(self.csr))
+        return self._op
 
 
 def _dense(sub: _Csr, diagonal=0.0) -> np.ndarray:
@@ -310,17 +326,6 @@ def _dense(sub: _Csr, diagonal=0.0) -> np.ndarray:
     return a if a.imag.any() else np.ascontiguousarray(a.real)
 
 
-def _block(sub: _Csr, index: np.ndarray, strategy: str) -> Block:
-    if strategy == "dense-eig" and index.size <= DENSE_BLOCK_LIMIT:
-        # A real eigh is faster, and it moves results by less: 9.3e-15
-        # against 1.6e-14 for a complex one on the N = 4 study.
-        return Block(index, strategy, np.linalg.eigh(_dense(sub)), sub)
-    op, shift = _taylor_op(sub, np.zeros(index.size)), 0.0
-    if index.size > DENSE_BLOCK_LIMIT:  # keep the entries once: as op's shifted CSR
-        sub, shift = _Csr(op[0].data, op[0].indices, op[0].indptr), op[1]
-    return Block(index, "sparse", op, sub, shift)
-
-
 @dataclass
 class Propagator:
     """Applies exp(-i H t) to the system block of a register.
@@ -329,10 +334,10 @@ class Propagator:
     dimension are accepted; any leading sites (the ancilla) are treated
     as batch indices and left untouched.  H is split into the connected
     components of its sparsity pattern (blocks).  "dense-eig"
-    diagonalizes each block of a Hermitian H up to DENSE_BLOCK_LIMIT and
-    runs the Taylor kernel on larger ones; "sparse" runs it on every
-    block.  All of it happens here, so one propagator can serve several
-    threads.
+    diagonalizes each block of a Hermitian H up to DENSE_BLOCK_LIMIT, the
+    first time a state touches it, and runs the Taylor kernel on larger
+    ones; "sparse" runs it on every block.  One lock guards the
+    factorizations, so one propagator can serve several threads.
     """
 
     strategy: str  # "dense-eig" | "sparse"
@@ -344,8 +349,9 @@ class Propagator:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "dense-eig" and not self.hamiltonian.hermitian:
             raise ValueError("dense-eig needs a Hermitian Hamiltonian; use sparse")
+        lock = threading.Lock()
         self.blocks = [
-            _block(sub, idx, self.strategy) for idx, sub in _diagonal_blocks(self.hamiltonian)
+            Block(idx, sub, self.strategy, lock) for idx, sub in _diagonal_blocks(self.hamiltonian)
         ]
 
     def blocks_touched(self, state: QuditState) -> list[Block]:
@@ -383,6 +389,8 @@ def trajectory(prop: Propagator, state: QuditState, times, diagonal=None):
     Taylor kernel.
     """
     times = [float(t) for t in times]
+    if not all(map(math.isfinite, times)):
+        raise ValueError("trajectory times must be finite")
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("trajectory times must be non-decreasing")
     dim = prop.hamiltonian.dimension

@@ -95,8 +95,8 @@ class HadamardTask:
     observable_b: HermitianObservable
 
     def __post_init__(self):
-        if self.t1 < 0 or self.t2 < 0:
-            raise ValueError("times must be nonnegative")
+        if not all(t >= 0 and math.isfinite(t) for t in (self.t1, self.t2)):  # NaN fails too
+            raise ValueError(f"times must be finite and nonnegative, got ({self.t1}, {self.t2})")
         if self.va_choice not in (W, W_DAGGER) or self.vb_choice not in (W, W_DAGGER):
             raise ValueError(f"gate choices must be '{W}' or '{W_DAGGER}'")
         if not (

@@ -1,5 +1,6 @@
 import faulthandler
 import signal
+import sys
 import threading
 from dataclasses import replace
 
@@ -241,6 +242,21 @@ def test_checked_config_is_immutable_and_hashable():
     assert len({cfg, replace(cfg), replace(cfg, seed=1)}) == 2
     partial = replace(cfg, shots={"hadamard": {"plus": 60}})
     assert partial.shots["hadamard"] == {"plus": 60, "minus": 8000}
+
+
+def test_a_study_diagonalizes_only_the_blocks_psi0_touches(monkeypatch):
+    # At N = 7 H0 has 15 blocks.  The Neel superposition, its W_A images
+    # and its pulsed states lie in the two sectors S^z = +1 and -1.
+    sizes, eigh = [], np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "quditcorr.dynamics":
+            sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    run_quench_study(RunConfig(n_sites=7, steps=3, exact_only=True, workers=2))
+    assert sizes == [357, 357]
 
 
 def test_single_point_grid_gives_equal_time_values():

@@ -146,6 +146,49 @@ def test_info_log_shows_the_blocks_and_leaves_the_csv_bytes_alone(tmp_path):
     assert "blocks" not in err["WARNING"]
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # At N = 7 eigh and matmul on the dense-eig blocks round differently
+    # on two OpenBLAS threads than on one, in the exact cells.
+    src = str(pathlib.Path(quditcorr.__file__).parents[1])
+    config = str(pathlib.Path(__file__).parents[1] / "configs" / "quick_n4.json")
+    csv = {}
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS} | {"PYTHONPATH": src}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / str(threads)
+        cmd = [sys.executable, "-m", "quditcorr.cli", "run", "--config", config, "--out", str(out)]
+        cmd += ["--n-sites", "7", "--steps", "6"]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        csv[threads] = (out / "results.csv").read_bytes()
+    assert csv["1"] == csv[None] == csv["2"]
+
+
+@pytest.mark.parametrize("numpy_first", [False, True])
+def test_importing_quditcorr_pins_blas_to_one_thread(numpy_first):
+    # BLAS reads the variables when NumPy loads it: a process that loaded
+    # NumPy first keeps its own count.  OpenBLAS starts its threads then.
+    probe = (
+        ("import numpy\n" if numpy_first else "")
+        + "import os, quditcorr\n"
+        + f"print(*(os.environ[k] for k in {BLAS_THREADS!r}))\n"
+        + "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)"
+    )
+    src = str(pathlib.Path(quditcorr.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, **dict.fromkeys(BLAS_THREADS, "2")}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    variables, os_threads = proc.stdout.splitlines()
+    if numpy_first:
+        assert variables == "2 2 2"
+    else:
+        assert variables == "1 1 1" and os_threads == "1"
+
+
 def test_study_row_fields_are_in_csv_column_order():
     names = [f.name for f in dataclasses.fields(benchmark.StudyRow)]
     assert names == [{"lambda": "lam"}.get(c, c) for c in CSV_COLUMNS]
@@ -317,6 +360,14 @@ def test_correlator_rejects_a_non_finite_anisotropy_naming_the_field(capsys, jz)
     assert main(["correlator", "--n-sites", "3", f"--jz={jz}", "--t2", "1"]) == 2
     captured = capsys.readouterr()
     assert "invalid config field 'j_z_over_j_xy'" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("flag", ["--t1", "--t2"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_correlator_rejects_a_non_finite_time(capsys, flag, value):
+    assert main(["correlator", "--n-sites", "3", "--t2=1", f"{flag}={value}"]) == 2  # the last --t2 wins
+    captured = capsys.readouterr()
+    assert "times must be finite and nonnegative" in captured.err and not captured.out
 
 
 @pytest.mark.parametrize("shots", ["0", "5", "-8"])

@@ -1,3 +1,8 @@
+import math
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -378,6 +383,54 @@ def test_trajectory_rejects_decreasing_times():
     state = random_state(np.random.default_rng(10), (3, 3))
     with pytest.raises(ValueError, match="non-decreasing"):
         trajectory(prop, state, [0.0, 1.0, 0.5])
+
+
+@pytest.mark.parametrize("times", [[0.0, math.nan], [math.nan], [0.0, 1.0, math.inf], [-math.inf, 0.0]])
+def test_trajectory_rejects_non_finite_times(times):
+    prop = make_propagator(build_xxz(2, 1.0, 0.5))
+    state = random_state(np.random.default_rng(10), (3, 3))
+    with pytest.raises(ValueError, match="finite"):
+        trajectory(prop, state, times)
+    with pytest.raises(ValueError, match="finite"):
+        evolve(prop, state, next(t for t in times if not math.isfinite(t)))
+
+
+def test_threads_sharing_a_propagator_factorize_each_block_once(monkeypatch):
+    # Blocks diagonalize on first touch; the lock keeps two threads that
+    # touch a block at once from both running its eigh.
+    sizes, eigh = [], np.linalg.eigh
+
+    def slow_eigh(a, *args, **kwargs):
+        sizes.append(len(a))
+        time.sleep(0.01)  # widen the window between the check and the store
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
+    prop = make_propagator(build_xxz(5, 1.0, 0.5))
+    psi = neel_superposition(5)
+    want = next(trajectory(Propagator("sparse", prop.hamiltonian), psi, [0.7])).amplitudes
+    assert sizes == []  # building the propagator factorizes nothing
+    results, start = [], threading.Barrier(8)
+
+    def work():
+        start.wait()
+        results.append(evolve(prop, psi, 0.7).amplitudes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(sizes) == sorted(b.index.size for b in prop.blocks_touched(psi)) == [45, 45]
+    assert len(results) == 8
+    for got in results:
+        assert np.abs(got - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("strategy", ["dense-eig", "sparse"])

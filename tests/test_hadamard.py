@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,11 @@ def test_task_validation():
         HadamardTask(0.0, 1.0, "v", W, 0.0, sz_obs(0), sz_obs(1))
     with pytest.raises(ValueError, match="nonnegative"):
         HadamardTask(-0.1, 1.0, W, W, 0.0, sz_obs(0), sz_obs(1))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            HadamardTask(bad, 1.0, W, W, 0.0, sz_obs(0), sz_obs(1))
+        with pytest.raises(ValueError, match="finite"):
+            HadamardTask(0.0, bad, W, W, 0.0, sz_obs(0), sz_obs(1))
 
 
 def test_assemble_correlator_cases():

@@ -50,16 +50,18 @@ from .hadamard import (
     SAMPLED,
     CorrelatorEstimate,
     estimate_from_probabilities,
+    squared,
     trace_probabilities,
 )
 from .linear_response import (
     LinearResponseConfig,
     lr_trace,
-    measure_site_expectation,
+    measure_site_expectation,  # noqa: F401 -- perfbench/tracing.py times it under this module
+    site_expectations,
     unperturbed_readout,
 )
 from .observables import HermitianObservable, spin_matrix
-from .register import QuditState, RegisterShape
+from .register import QuditState, RegisterShape, site_marginal
 from .rng import task_rng
 
 log = logging.getLogger(__name__)
@@ -267,16 +269,16 @@ def quench_system(config: RunConfig):
 def connected_anticommutator(
     raw: CorrelatorEstimate, exp_a: CorrelatorEstimate, exp_b: CorrelatorEstimate
 ) -> CorrelatorEstimate:
-    """raw - 2 <A(t1)><B(t2)>, errors propagated to first order."""
+    """raw - 2 <A(t1)><B(t2)>, errors propagated to first order; scalars or arrays over T points."""
     value = raw.value - 2.0 * exp_a.value * exp_b.value
     var = (
-        raw.std_error**2
-        + 4.0 * (exp_b.value * exp_a.std_error) ** 2
-        + 4.0 * (exp_a.value * exp_b.std_error) ** 2
+        squared(raw.std_error)
+        + 4.0 * squared(exp_b.value * exp_a.std_error)
+        + 4.0 * squared(exp_a.value * exp_b.std_error)
     )
     shots = raw.shots + exp_a.shots + exp_b.shots
     mode = EXACT if all(e.mode == EXACT for e in (raw, exp_a, exp_b)) else SAMPLED
-    return CorrelatorEstimate(value, math.sqrt(var), shots, mode)
+    return CorrelatorEstimate(value, np.sqrt(var), shots, mode)
 
 
 def relative_error(trace_est, trace_ref, grid) -> float:
@@ -345,35 +347,36 @@ def hadamard_trace(
     """Hadamard estimates of C(0, t) on the grid, from one trace_probabilities pass.
 
     Returns the C+ (connected) and the C- trace, each a list of
-    (exact, sampled or None) per time.  The point at grid index ti
-    draws from task_rng(seed, 1, ti): the four C+ circuits, then the two
-    disconnected-part means, then the four C- circuits.
+    (exact, sampled or None) per time.  The circuit probabilities and
+    the readout marginals of the whole grid go through the estimators at
+    once.  The point at grid index ti draws from task_rng(seed, 1, ti):
+    the four C+ circuits, then the two disconnected-part means, then the
+    four C- circuits, each set in one sample_counts call.
     """
     na, nb = obs_a.spectral_norm, obs_b.spectral_norm
     site_a, site_b = obs_a.support[0], obs_b.support[0]
     n_plus = max(1, budgets["plus"] // 6)  # 4 circuits + 2 disconnected means
     n_minus = max(1, budgets["minus"] // 4)
-    exact_a = measure_site_expectation(psi0, site_a)
-    plus, minus = [], []
-    for ti, (ps_plus, ps_minus, phi) in enumerate(
-        trace_probabilities(obs_a, obs_b, psi0, prop, grid)
-    ):
-        raw_plus = estimate_from_probabilities(ps_plus, na, nb, None, None, 4 * n_plus)
-        exact_plus = connected_anticommutator(
-            raw_plus, exact_a, measure_site_expectation(phi, site_b)
-        )
-        exact_minus = estimate_from_probabilities(ps_minus, na, nb, None, None, 4 * n_minus)
-        samp_plus = samp_minus = None
-        if sampled:
-            rng = task_rng(seed, 1, ti)
-            raw_hat = estimate_from_probabilities(ps_plus, na, nb, n_plus, rng)
-            exp_a_hat = measure_site_expectation(psi0, site_a, n_plus, rng)
-            exp_b_hat = measure_site_expectation(phi, site_b, n_plus, rng)
-            samp_plus = connected_anticommutator(raw_hat, exp_a_hat, exp_b_hat)
-            samp_minus = estimate_from_probabilities(ps_minus, na, nb, n_minus, rng)
-        plus.append((exact_plus, samp_plus))
-        minus.append((exact_minus, samp_minus))
-    return plus, minus
+    ps_plus, ps_minus, marginals = [], [], []
+    marginal_a = site_marginal(psi0, site_a)
+    for p_plus, p_minus, phi in trace_probabilities(obs_a, obs_b, psi0, prop, grid):
+        ps_plus.append(p_plus)
+        ps_minus.append(p_minus)
+        marginals.append((marginal_a, site_marginal(phi, site_b)))  # <A> at t1 = 0, <B> at t
+    exact_plus = connected_anticommutator(
+        estimate_from_probabilities(ps_plus, na, nb, None, None, 4 * n_plus),
+        *site_expectations(marginals),
+    ).points()
+    exact_minus = estimate_from_probabilities(ps_minus, na, nb, None, None, 4 * n_minus).points()
+    samp_plus = samp_minus = [None] * len(exact_plus)
+    if sampled:
+        rngs = [task_rng(seed, 1, ti) for ti in range(len(exact_plus))]
+        raw_hat = estimate_from_probabilities(ps_plus, na, nb, n_plus, rngs)
+        samp_plus = connected_anticommutator(
+            raw_hat, *site_expectations(marginals, n_plus, rngs)
+        ).points()
+        samp_minus = estimate_from_probabilities(ps_minus, na, nb, n_minus, rngs).points()
+    return list(zip(exact_plus, samp_plus)), list(zip(exact_minus, samp_minus))
 
 
 class StudyInterrupted(KeyboardInterrupt):

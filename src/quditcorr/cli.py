@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import logging
+import operator
 import os
 import sys
 import time
@@ -31,6 +33,7 @@ from .benchmark import (
     ConfigError,
     RunConfig,
     StudyInterrupted,
+    StudyRow,
     brute_force_correlators,
     quench_system,
     run_quench_study,
@@ -85,10 +88,11 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, rows):
+    # StudyRow's fields are in CSV_COLUMNS order.
+    cells = operator.attrgetter(*(f.name for f in dataclasses.fields(StudyRow)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in rows:  # StudyRow's fields are in CSV_COLUMNS order
-            fh.write(",".join(map(_fmt, dataclasses.astuple(r))) + "\n")
+        fh.writelines(",".join(map(_fmt, cells(r))) + "\n" for r in rows)
 
 
 def run(config: RunConfig, out_dir: str = ".", defaults_applied=()) -> int:
@@ -205,11 +209,9 @@ def _cmd_validate(args) -> int:
         worst_trace = {}
         for p in (prop, Propagator("sparse", h)):
             engine = trace_probabilities(obs_a, obs_b, psi0, p, times)
-            worst_trace[p.strategy] = max(
-                max(abs(estimate_from_probabilities(ps_plus, *norms, None).value - cp),
-                    abs(estimate_from_probabilities(ps_minus, *norms, None).value - cm))
-                for (ps_plus, ps_minus, _), (cp, cm) in zip(engine, refs)
-            )
+            ps = np.array([(ps_plus, ps_minus) for ps_plus, ps_minus, _ in engine])
+            values = [estimate_from_probabilities(ps[:, k], *norms, None).value for k in (0, 1)]
+            worst_trace[p.strategy] = float(np.max(np.abs(np.transpose(values) - refs)))
         ok = max(worst_circuit, *worst_trace.values()) <= 1e-8
         failures += 0 if ok else 1
         traces = ", ".join(f"{k} {v:.3e}" for k, v in worst_trace.items())
@@ -219,6 +221,12 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # The process entry (the quditcorr script, python -m quditcorr.cli):
+        # the import heap lives until exit, so no collection needs to walk
+        # it, the final one at shutdown included.  Library imports and
+        # in-process calls leave the collector as it is.
+        gc.freeze()
     level = os.environ.get("QUDITCORR_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 

@@ -35,7 +35,8 @@ Shot noise on an estimate built from the four probabilities obeys
 
 per total shot when the budget splits evenly over the four circuits
 (each circuit then receives shots/4).  Sampled |0> counts are drawn by
-rng.sample_counts, from P snapped to a 2^-30 grid.
+rng.sample_counts, from P snapped to a 2^-30 grid.  The estimators work
+on arrays over a trace's time grid; a single point is a one-point batch.
 """
 
 from __future__ import annotations
@@ -108,12 +109,37 @@ class HadamardTask:
 
 @dataclass(frozen=True)
 class CorrelatorEstimate:
-    """Correlator value with its shot-noise error bar and provenance."""
+    """Correlator value with its shot-noise error bar and provenance.
+
+    An estimate of one point holds Python scalars; the array estimators
+    return one over T points, whose value, std_error and shots are (T,)
+    arrays (points() splits it).
+    """
 
     value: float
     std_error: float
     shots: int
     mode: str  # "exact" | "sampled"
+
+    def points(self) -> list["CorrelatorEstimate"]:
+        """The per-point estimates of an estimate over T points."""
+        cells = zip(self.value.tolist(), self.std_error.tolist(), self.shots.tolist())
+        return [CorrelatorEstimate(v, s, n, self.mode) for v, s, n in cells]
+
+
+def squared(x) -> np.ndarray:
+    """x ** 2 elementwise, rounded as a Python float squares (libm pow).
+
+    NumPy's x * x differs from it in the last bit on about 0.1 % of
+    inputs; every error bar squares through here, so the array
+    estimators give the same bytes as the scalar arithmetic they replace.
+    """
+    return np.array([v**2 for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+def _sum4(x) -> np.ndarray:
+    """Sum over the last axis of length 4 in index order, as Python's sum adds."""
+    return x[..., 0] + x[..., 1] + x[..., 2] + x[..., 3]
 
 
 def attach_ancilla(psi0: QuditState, alpha: float) -> QuditState:
@@ -152,8 +178,8 @@ def run_hadamard_circuit(task: HadamardTask, psi0: QuditState, prop: Propagator)
     return ancilla_zero_probability(state)
 
 
-def variance_model(p_values, norm_a: float, norm_b: float) -> float:
-    """Single-shot variance of the assembled correlator.
+def variance_model(p_values, norm_a: float, norm_b: float):
+    """Single-shot variance of the assembled correlator, per set of four P (last axis).
 
     ``shots`` here means the total budget split evenly over the four
     circuits, so the estimator at total budget n has variance
@@ -161,12 +187,12 @@ def variance_model(p_values, norm_a: float, norm_b: float) -> float:
     a priori bound 4 ||A||^2 ||B||^2.
     """
     ps = np.asarray(p_values, dtype=float)
-    if ps.shape != (4,):
+    if ps.shape[-1:] != (4,):
         raise ValueError("expected one probability per gate pair (4 values)")
     if np.any(ps < -1e-12) or np.any(ps > 1 + 1e-12):
         raise ValueError("probabilities must lie in [0, 1]")
     ps = np.clip(ps, 0.0, 1.0)
-    return float(4.0 * norm_a**2 * norm_b**2 * np.sum(ps * (1.0 - ps)))
+    return 4.0 * norm_a**2 * norm_b**2 * np.sum(ps * (1.0 - ps), axis=-1)
 
 
 def circuit_probabilities(
@@ -220,32 +246,35 @@ def estimate_from_probabilities(
     norm_a: float,
     norm_b: float,
     shots_per_circuit: int | None,
-    rng=None,
+    rngs=None,
     nominal_total: int | None = None,
 ) -> CorrelatorEstimate:
-    """One correlator estimate, (||A|| ||B|| / 4) * sum (4q - 2), from the four P in COMBOS order.
+    """Correlator estimates (||A|| ||B|| / 4) * sum (4q - 2) at T points.
 
-    shots_per_circuit = None gives the exact value, q = P; an attached
-    nominal total budget then supplies the error bar
-    sqrt(variance_model / n).  Otherwise each q is the |0> fraction of
-    an independent draw of shots_per_circuit shots (rng.sample_counts),
-    and the error bar combines the empirical binomial variances.
+    ps is (T, 4): the four P of each point in COMBOS order; the estimate
+    holds (T,) arrays.  shots_per_circuit = None gives the exact values,
+    q = P; an attached nominal total budget then supplies the error bars
+    sqrt(variance_model / n).  Otherwise each q is the |0> fraction of an
+    independent draw of shots_per_circuit shots, the four circuits of
+    point t in one sample_counts call on rngs[t], and the error bar
+    combines the empirical binomial variances.
     """
     ps = np.asarray(ps, dtype=float)
-    model = variance_model(ps, norm_a, norm_b)  # checks for four P in [0, 1]
+    model = variance_model(ps, norm_a, norm_b)  # checks for four P in [0, 1] per point
     pref = norm_a * norm_b / 4.0
     n = shots_per_circuit
     if n is None:
         qs, total = ps, nominal_total or 0
-        std = math.sqrt(model / total) if total else 0.0
+        std = np.sqrt(model / total) if total else np.zeros(len(ps))
     else:
         if n < 1:
             raise ValueError("shots must be >= 1")
-        rng = as_generator(rng)
-        qs, total = [int(sample_counts((p, 1.0 - p), n, rng)[0]) / n for p in ps], 4 * n
-        std = math.sqrt(pref**2 * sum((4.0 * math.sqrt(q * (1.0 - q) / n)) ** 2 for q in qs))
-    value = pref * sum(4.0 * q - 2.0 for q in qs)
-    return CorrelatorEstimate(float(value), std, total, EXACT if n is None else SAMPLED)
+        outcomes = np.stack([ps, 1.0 - ps], axis=-1)  # (T, 4, 2): P(|0>), P(|1>)
+        zeros = [sample_counts(rows, n, rng)[:, 0] for rows, rng in zip(outcomes, rngs)]
+        qs, total = np.array(zeros) / n, 4 * n
+        std = np.sqrt(pref**2 * _sum4(squared(4.0 * np.sqrt(qs * (1.0 - qs) / n))))
+    value = pref * _sum4(4.0 * qs - 2.0)
+    return CorrelatorEstimate(value, std, np.full(len(ps), total), EXACT if n is None else SAMPLED)
 
 
 def measure_dynamical_correlator(
@@ -265,10 +294,10 @@ def measure_dynamical_correlator(
     Draws consume the caller's generator in a fixed order (anti-
     commutator circuits first), keeping sweeps reproducible.
     """
-    rng = as_generator(rng)
+    rngs = [as_generator(rng)]
     norms = (obs_a.spectral_norm, obs_b.spectral_norm)
     out = []
     for alpha in (ALPHA_PLUS, ALPHA_MINUS):
         ps = circuit_probabilities(obs_a, obs_b, t1, t2, psi0, prop, alpha)
-        out.append(estimate_from_probabilities(ps, *norms, budget, rng))
+        out.extend(estimate_from_probabilities([ps], *norms, budget, rngs).points())
     return out[0], out[1]

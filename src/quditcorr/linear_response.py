@@ -28,7 +28,6 @@ loses norm; its shot count shrinks proportionally.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +42,9 @@ from .dynamics import (
     perturbation,
     trajectory,
 )
-from .hadamard import EXACT, SAMPLED, CorrelatorEstimate
+from .hadamard import EXACT, SAMPLED, CorrelatorEstimate, squared
 from .register import QuditState, site_marginal
-from .rng import as_generator, sample_counts
+from .rng import sample_counts
 
 # Squared norm below which the perturbed branch is considered collapsed.
 NORM_COLLAPSE = 1e-6
@@ -75,8 +74,8 @@ class LinearResponseConfig:
             raise ValueError(f"kind must be '{HERMITIAN}' or '{NON_HERMITIAN}'")
 
 
-def effective_shots(nominal: int, squared_norm: float) -> int:
-    """Shot count surviving the norm loss of a non-Hermitian branch.
+def effective_shots(nominal: int, squared_norm):
+    """Shot count surviving the norm loss of a non-Hermitian branch, per squared norm.
 
     A squared norm slightly above 1 (second-order growth of the pulsed
     state) leaves the nominal count unchanged; anything beyond 1e-6
@@ -84,65 +83,93 @@ def effective_shots(nominal: int, squared_norm: float) -> int:
     """
     if nominal < 1:
         raise ValueError("nominal shots must be >= 1")
-    if not 0.0 < squared_norm <= 1.0 + 1e-6:
-        raise ValueError(f"squared norm {squared_norm} outside (0, 1]")
-    return max(1, round(nominal * min(squared_norm, 1.0)))
+    norms = np.asarray(squared_norm, dtype=float)
+    outside = ~((norms > 0.0) & (norms <= 1.0 + 1e-6))  # NaN is outside too
+    if np.any(outside):
+        raise ValueError(f"squared norm {norms[outside].flat[0]} outside (0, 1]")
+    # np.rint rounds half to even, as round() does.
+    return np.maximum(1, np.rint(nominal * np.minimum(norms, 1.0))).astype(np.int64)
 
 
 # Eigenvalues m of spin-1 S^z in basis order.
 _SZ_LEVELS = np.array([1.0, 0.0, -1.0])
 
 
-def _sz_moments(p, shots: int | None = None, rng=None) -> tuple[float, float]:
-    """Mean and variance of S^z under the site marginal p, or under shots draws from it."""
-    weights, total = (p, 1.0) if shots is None else (sample_counts(p, shots, rng), shots)
-    mean = float(weights @ _SZ_LEVELS) / total
-    return mean, max(float(weights @ _SZ_LEVELS**2) / total - mean**2, 0.0)
+def _sz_moments(p, shots=None, rngs=None) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of S^z under each site marginal of p, or under shots draws from it.
+
+    p is (T, R, 3): R marginals at each of T points.  With shots (one
+    count, or one per row of a point), the R rows of point t are drawn in
+    one sample_counts call on rngs[t].  Both results are (T, R).
+    """
+    p = np.asarray(p, dtype=float)
+    if shots is None:
+        weights, total = p, 1.0
+    else:
+        total = np.broadcast_to(shots, p.shape[:-1])
+        weights = np.array([sample_counts(*point) for point in zip(p, total, rngs)])
+    mean = (weights @ _SZ_LEVELS) / total
+    return mean, np.maximum((weights @ _SZ_LEVELS**2) / total - squared(mean), 0.0)
+
+
+def site_expectations(p, shots: int | None = None, rngs=None) -> list[CorrelatorEstimate]:
+    """<S^z> at T points for each of the R site marginals of p (T, R, 3).
+
+    One estimate over the T points per row, exact or from shots
+    projective draws per row (the rows of point t drawn together from
+    rngs[t]).
+    """
+    mean, var = _sz_moments(p, shots, rngs)
+    if shots is None:
+        std, n, mode = np.zeros_like(mean), np.zeros(mean.shape, dtype=np.int64), EXACT
+    else:
+        std, n, mode = np.sqrt(var / shots), np.full(mean.shape, shots), SAMPLED
+    return [CorrelatorEstimate(*row, mode) for row in zip(mean.T, std.T, n.T)]
 
 
 def measure_site_expectation(
     state: QuditState, site: int, shots: int | None = None, rng=None
 ) -> CorrelatorEstimate:
     """<S_site^z> of a state, exact or from a projective multinomial sample."""
-    mean, var = _sz_moments(site_marginal(state, site), shots, rng)
-    if shots is None:
-        return CorrelatorEstimate(mean, 0.0, 0, EXACT)
-    return CorrelatorEstimate(mean, math.sqrt(var / shots), shots, SAMPLED)
+    (est,) = site_expectations([[site_marginal(state, site)]], shots, [rng])
+    return est.points()[0]
 
 
 def lr_estimate(
     config: LinearResponseConfig,
-    pert: np.ndarray,
-    pert_norm: float,
-    unpert: np.ndarray,
+    pert,
+    pert_norm,
+    unpert,
     budget: int | None = None,
-    rng=None,
+    rngs=None,
     nominal_budget: int | None = None,
 ) -> CorrelatorEstimate:
-    """The LR estimator, from the readout-site S^z distributions of both branches.
+    """The LR estimator at T points, from the readout-site S^z distributions of both branches.
 
-    pert and unpert are the outcome distributions on the readout site at
-    t2 of the pulsed and the unpulsed branch; pert_norm is the squared
-    norm of the pulsed branch.  budget, rng and nominal_budget mean what
-    they mean for measure_lr.
+    pert and unpert are (T, 3): the outcome distributions on the readout
+    site at t2 of the pulsed and the unpulsed branch; pert_norm (T,) holds
+    the squared norms of the pulsed branch.  budget and nominal_budget
+    mean what they mean for measure_lr; the sampled point t draws both
+    branches in one sample_counts call on rngs[t].  The estimate holds
+    (T,) arrays.
     """
-    if pert_norm < NORM_COLLAPSE:
-        raise ValueError(f"perturbed branch collapsed (squared norm {pert_norm:.3e})")
+    pert_norm = np.asarray(pert_norm, dtype=float)
+    if np.any(pert_norm < NORM_COLLAPSE):
+        raise ValueError(f"perturbed branch collapsed (squared norm {pert_norm.min():.3e})")
     if budget is not None and budget < 2:
         raise ValueError("sampled mode needs a per-point budget of at least 2")
     denom = config.lam * config.pulse_area
     total = nominal_budget if budget is None else budget
-    n_branch = n_pert = 0
-    if total:
-        n_branch = n_pert = max(1, total // 2)
-        if config.kind == NON_HERMITIAN:
-            n_pert = effective_shots(n_branch, min(pert_norm, 1.0 + 1e-6))
+    n_branch = max(1, total // 2) if total else 0
+    n_pert = np.full(pert_norm.shape, n_branch)
+    if total and config.kind == NON_HERMITIAN:
+        n_pert = effective_shots(n_branch, np.minimum(pert_norm, 1.0 + 1e-6))
     sampled = budget is not None
-    rng = as_generator(rng) if sampled else None
     # Sampling from the renormalized marginal realizes <.>/<1> directly.
-    e_p, var_p = _sz_moments(pert, n_pert if sampled else None, rng)
-    e_u, var_u = _sz_moments(unpert, n_branch if sampled else None, rng)
-    std = math.sqrt(var_p / n_pert + var_u / n_branch) / denom if total else 0.0
+    shots = np.stack([n_pert, np.full_like(n_pert, n_branch)], axis=-1) if sampled else None
+    mean, var = _sz_moments(np.stack([pert, unpert], axis=1), shots, rngs)
+    (e_p, e_u), (var_p, var_u) = mean.T, var.T
+    std = np.sqrt(var_p / n_pert + var_u / n_branch) / denom if total else np.zeros_like(e_p)
     mode = SAMPLED if sampled else EXACT
     # Negated quotient: pinned against the brute-force oracle.
     return CorrelatorEstimate((e_u - e_p) / denom, std, n_pert + n_branch, mode)
@@ -180,28 +207,21 @@ def measure_lr(
     pert = evolve(prop0, pert, t2 - t1 - dt)
     unpert = evolve(prop0, psi0, t2)
     site = config.readout_site
-    return lr_estimate(
-        config,
-        site_marginal(pert, site),
-        pert.squared_norm,
-        site_marginal(unpert, site),
-        budget,
-        rng,
-        nominal_budget,
-    )
+    args = ([site_marginal(pert, site)], [pert.squared_norm], [site_marginal(unpert, site)])
+    return lr_estimate(config, *args, budget, [rng], nominal_budget).points()[0]
 
 
 def unperturbed_readout(
     prop: Propagator, psi0: QuditState, site: int, pulse_area: float, times
-) -> list[np.ndarray]:
-    """Readout-site marginals of the unpulsed branch at max(t, dt), one trajectory.
+) -> np.ndarray:
+    """Readout-site marginals (T, 3) of the unpulsed branch at max(t, dt), one trajectory.
 
     dt = pulse_area / J_xy is the pulse duration, J_xy that of prop's
     Hamiltonian.  The result depends on no pulse strength or kind, so
     every LR trace of a study shares it.
     """
     states = trajectory(prop, psi0, np.maximum(times, pulse_area / prop.hamiltonian.j_xy))
-    return [site_marginal(state, site) for state in states]
+    return np.array([site_marginal(state, site) for state in states])
 
 
 def lr_trace(
@@ -221,16 +241,19 @@ def lr_trace(
     unperturbed holds the matching unpulsed marginals
     (unperturbed_readout, with the same pulse area).  Each entry is
     (exact estimate with the nominal error bar, sampled estimate or
-    None); the sampled one draws from rngs[k] at the k-th time.
+    None); the sampled one draws from rngs[k] at the k-th time.  The
+    readout marginals and norms of the whole grid go through
+    lr_estimate at once.
     """
     h0 = prop.hamiltonian
     dt = config.pulse_area / h0.j_xy
     pulsed = evolve(prop, psi0, dt, perturbation(h0, config.probe_site, config.lam, config.kind))
-    out = []
-    for k, state in enumerate(trajectory(prop, pulsed, np.maximum(times, dt) - dt)):
-        pert = site_marginal(state, config.readout_site)
-        args = (config, pert, state.squared_norm, unperturbed[k])
-        exact = lr_estimate(*args, nominal_budget=nominal_budget)
-        samp = None if rngs is None else lr_estimate(*args, nominal_budget, rngs[k])
-        out.append((exact, samp))
-    return out
+    pert, norms = [], []
+    for state in trajectory(prop, pulsed, np.maximum(times, dt) - dt):
+        pert.append(site_marginal(state, config.readout_site))
+        norms.append(state.squared_norm)
+    args = (config, pert, norms, unperturbed)
+    exact = lr_estimate(*args, nominal_budget=nominal_budget).points()
+    if rngs is None:
+        return [(point, None) for point in exact]
+    return list(zip(exact, lr_estimate(*args, nominal_budget, rngs).points()))

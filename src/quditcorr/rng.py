@@ -40,15 +40,20 @@ def as_generator(seed) -> np.random.Generator:
 SNAP_GRID = 2**30
 
 
-def sample_counts(p, shots: int, seed) -> np.ndarray:
-    """Multinomial histogram of shots draws from the distribution p.
+def sample_counts(p, shots, seed) -> np.ndarray:
+    """Multinomial histogram of shots draws from each distribution (row) of p.
 
-    Every sampled estimate draws through here.  NumPy's samplers branch
-    on p (at 1/2, for one), so p is first rounded onto multiples of
-    1 / SNAP_GRID, in integers summing to SNAP_GRID; the remainder goes
-    to the largest level, which it cannot make negative.  A rounding-level
-    change of p then moves a count only if it crosses a grid line.
+    Every sampled estimate draws through here.  p is one distribution
+    over its last axis or a stack of them, and shots one count or one
+    per row; a stack is drawn in one multinomial call, which consumes
+    the generator exactly as drawing its rows one by one would.  NumPy's
+    samplers branch on p (at 1/2, for one), so each row is first rounded
+    onto multiples of 1 / SNAP_GRID, in integers summing to SNAP_GRID;
+    the remainder goes to the row's largest level, which it cannot make
+    negative.  A rounding-level change of p then moves a count only if
+    it crosses a grid line.
     """
-    units = np.rint(np.asarray(p, dtype=float) * SNAP_GRID).astype(np.int64)
-    units[np.argmax(units)] += SNAP_GRID - units.sum()
+    units = np.rint(np.asarray(p, dtype=float) * SNAP_GRID)  # integers, exact as floats
+    largest = np.argmax(units, axis=-1)[..., None] == np.arange(units.shape[-1])
+    units += largest * (SNAP_GRID - units.sum(axis=-1, keepdims=True))
     return as_generator(seed).multinomial(shots, units / SNAP_GRID)

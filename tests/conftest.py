@@ -1,3 +1,7 @@
+# quditcorr first: importing it before NumPy pins BLAS to one thread, so
+# the in-process tests run the configuration the CLI runs.
+import quditcorr  # noqa: F401
+
 import numpy as np
 import pytest
 

@@ -88,12 +88,8 @@ def test_criterion_2_variance_formula_matches_sampling():
     for pi, t in enumerate(np.arange(0.5, 5.01, 0.5)):
         for ki, alpha in ((0, ALPHA_PLUS), (1, ALPHA_MINUS)):
             ps = circuit_probabilities(sz_obs(0), sz_obs(1), 0.0, t, psi0, prop, alpha)
-            vals = [
-                estimate_from_probabilities(
-                    ps, 1.0, 1.0, shots, task_rng(MASTER_SEED, 2, pi, ki, s)
-                ).value
-                for s in range(n_seeds)
-            ]
+            rngs = [task_rng(MASTER_SEED, 2, pi, ki, s) for s in range(n_seeds)]
+            vals = estimate_from_probabilities([ps] * n_seeds, 1.0, 1.0, shots, rngs).value
             empirical = float(np.var(vals, ddof=1))
             model = variance_model(ps, 1.0, 1.0) / (4 * shots)
             worst = max(worst, abs(empirical - model) / model)

@@ -1,4 +1,5 @@
 import faulthandler
+import math
 import signal
 import sys
 import threading
@@ -40,8 +41,8 @@ from quditcorr.linear_response import (
     unperturbed_readout,
 )
 from quditcorr.observables import HermitianObservable, spin_matrix
-from quditcorr.register import QuditState, RegisterShape, expectation
-from quditcorr.rng import task_rng
+from quditcorr.register import QuditState, RegisterShape, expectation, site_marginal
+from quditcorr.rng import sample_counts, task_rng
 
 
 def est(value, std=0.0, shots=0, mode="exact"):
@@ -190,11 +191,11 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
         assert np.max(np.abs(ps_plus - spec_plus)) <= 1e-10
         assert np.max(np.abs(ps_minus - spec_minus)) <= 1e-10
         mean_b = expectation(evolve(prop, psi0, t), obs_b.op).real
-        raw_plus = estimate_from_probabilities(spec_plus, 1.0, 1.0, None).value
+        raw_plus, spec_minus_value = estimate_from_probabilities(
+            [spec_plus, spec_minus], 1.0, 1.0, None
+        ).value
         assert plus.value == pytest.approx(raw_plus - 2.0 * mean_a * mean_b, abs=1e-10)
-        assert minus.value == pytest.approx(
-            estimate_from_probabilities(spec_minus, 1.0, 1.0, None).value, abs=1e-10
-        )
+        assert minus.value == pytest.approx(spec_minus_value, abs=1e-10)
 
     # LR: the exact quotient against measure_lr, compared as a difference
     # of expectation values (times lambda * pulse_area); the sampled
@@ -218,6 +219,57 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
                     assert exact.shots == spec.shots
                     spec_samp = measure_lr(*args, 1000, task_rng(3, ti))
                     assert (samp.value, samp.shots) == (spec_samp.value, spec_samp.shots)
+
+
+def _reference_sampled_point(ps_plus, ps_minus, marginal_a, marginal_b, pref, n_plus, n_minus, rng):
+    """Sampled (C+, C-) of one Hadamard point, one draw per circuit and per site, in Python floats.
+
+    The draws come from rng in the study's order: the four C+ circuits,
+    <S^z> on A's site at t = 0 and on B's at t, then the four C- circuits.
+    """
+
+    def circuits(ps, n):
+        qs = [int(sample_counts((p, 1.0 - p), n, rng)[0]) / n for p in ps]
+        std = math.sqrt(pref**2 * sum((4.0 * math.sqrt(q * (1.0 - q) / n)) ** 2 for q in qs))
+        return pref * sum(4.0 * q - 2.0 for q in qs), std, 4 * n
+
+    def site_mean(marginal):
+        up, _, down = sample_counts(marginal, n_plus, rng).tolist()  # S^z = +1, 0, -1
+        mean = (up - down) / n_plus
+        return mean, math.sqrt(max((up + down) / n_plus - mean**2, 0.0) / n_plus)
+
+    raw, raw_std, raw_shots = circuits(ps_plus, n_plus)
+    (mean_a, std_a), (mean_b, std_b) = site_mean(marginal_a), site_mean(marginal_b)
+    plus = (
+        raw - 2.0 * mean_a * mean_b,
+        math.sqrt(raw_std**2 + 4.0 * (mean_b * std_a) ** 2 + 4.0 * (mean_a * std_b) ** 2),
+        raw_shots + 2 * n_plus,
+    )
+    return plus, circuits(ps_minus, n_minus)
+
+
+@pytest.mark.parametrize(
+    "n, state, budgets",
+    [(4, "neel", DEFAULT_BUDGETS["hadamard"]), (3, "random", {"plus": 30, "minus": 12})],
+)
+def test_sampled_hadamard_cells_match_a_per_point_reference(n, state, budgets):
+    psi0 = neel_superposition(n) if state == "neel" else _random_state(n, 40 + n)
+    obs_a, obs_b = sz_obs(0), sz_obs(n - 1)
+    prop = make_propagator(build_xxz(n, 1.0, 0.5))
+    grid, seed = np.linspace(0.0, 5.0, 11), 2024
+    plus_trace, minus_trace = hadamard_trace(obs_a, obs_b, psi0, prop, grid, budgets, True, seed)
+    n_plus, n_minus = max(1, budgets["plus"] // 6), max(1, budgets["minus"] // 4)
+    marginal_a = site_marginal(psi0, 0)
+    pref = obs_a.spectral_norm * obs_b.spectral_norm / 4.0
+    engine = trace_probabilities(obs_a, obs_b, psi0, prop, grid)
+    for ti, (ps_plus, ps_minus, phi) in enumerate(engine):
+        expected = _reference_sampled_point(
+            ps_plus, ps_minus, marginal_a, site_marginal(phi, n - 1), pref,
+            n_plus, n_minus, task_rng(seed, 1, ti),
+        )
+        for (_, samp), cells in zip((plus_trace[ti], minus_trace[ti]), expected):
+            assert samp.mode == "sampled"
+            assert repr((samp.value, samp.std_error, samp.shots)) == repr(cells)
 
 
 def test_scenario_validation():

@@ -189,6 +189,47 @@ def test_importing_quditcorr_pins_blas_to_one_thread(numpy_first):
         assert variables == "1 1 1" and os_threads == "1"
 
 
+def test_in_process_tests_run_with_one_blas_thread():
+    # conftest.py imports quditcorr before NumPy, so the in-process tests
+    # run BLAS as the CLI does.
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+
+
+def test_the_cli_entry_freezes_the_import_heap(tmp_path):
+    # python -m quditcorr.cli runs main() with no argv; a sitecustomize on
+    # the path reports the freeze count as the process exits.
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, gc\natexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+    )
+    src = str(pathlib.Path(quditcorr.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(tmp_path), src))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "quditcorr.cli", "decompose"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    label, count = proc.stdout.splitlines()[-1].split()
+    assert label == "frozen" and int(count) > 0
+
+
+def test_library_use_leaves_the_collector_unfrozen():
+    probe = (
+        "import gc\n"
+        "counts = [gc.get_freeze_count()]\n"
+        "import quditcorr\n"
+        "counts.append(gc.get_freeze_count())\n"
+        "from quditcorr.cli import main\n"
+        "main(['decompose'])\n"
+        "counts.append(gc.get_freeze_count())\n"
+        "print(*counts)\n"
+    )
+    src = str(pathlib.Path(quditcorr.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 0 0"
+
+
 def test_study_row_fields_are_in_csv_column_order():
     names = [f.name for f in dataclasses.fields(benchmark.StudyRow)]
     assert names == [{"lambda": "lam"}.get(c, c) for c in CSV_COLUMNS]

@@ -16,6 +16,7 @@ from quditcorr.hadamard import (
     estimate_from_probabilities,
     measure_dynamical_correlator,
     run_hadamard_circuit,
+    squared,
     variance_model,
 )
 from quditcorr.observables import HermitianObservable, decompose, spin_matrix
@@ -31,9 +32,15 @@ def neel_state(n):
     return QuditState(RegisterShape((3,) * n), neel_superposition_vec(n))
 
 
+def estimate_point(ps, norm_a, norm_b, shots, rng=None, nominal_total=None):
+    # One point: a one-point batch of the array estimator.
+    batch = estimate_from_probabilities([ps], norm_a, norm_b, shots, [rng], nominal_total)
+    return batch.points()[0]
+
+
 def exact_value(ps):
     # (||A|| ||B|| / 4) sum (4P - 2) at unit norms
-    return estimate_from_probabilities(ps, 1.0, 1.0, None).value
+    return estimate_point(ps, 1.0, 1.0, None).value
 
 
 def setup_chain(n, jz=0.5):
@@ -115,9 +122,9 @@ def test_probability_to_correlator_values():
     assert exact_value([0.9, 0.5, 0.5, 0.5]) == pytest.approx(1.6 / 4)
     for shots in (None, 10):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            estimate_from_probabilities([0.5, 0.5, 0.5, 1.1], 1.0, 1.0, shots, 1)
+            estimate_point([0.5, 0.5, 0.5, 1.1], 1.0, 1.0, shots, 1)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            estimate_from_probabilities([-1e-9, 0.5, 0.5, 0.5], 1.0, 1.0, shots, 1)
+            estimate_point([-1e-9, 0.5, 0.5, 0.5], 1.0, 1.0, shots, 1)
 
 
 def test_task_validation():
@@ -136,8 +143,8 @@ def test_task_validation():
 
 def test_assemble_correlator_cases():
     for shots in (None, 10):
-        halves = estimate_from_probabilities(np.full(4, 0.5), 1.0, 1.0, shots, 1)
-        ones = estimate_from_probabilities(np.full(4, 1.0), 1.0, 1.0, shots, 1)
+        halves = estimate_point(np.full(4, 0.5), 1.0, 1.0, shots, 1)
+        ones = estimate_point(np.full(4, 1.0), 1.0, 1.0, shots, 1)
         assert ones.value == pytest.approx(2.0)
         assert ones.std_error == 0.0
         if shots is None:
@@ -145,14 +152,14 @@ def test_assemble_correlator_cases():
         else:
             assert (ones.shots, ones.mode, halves.shots) == (40, "sampled", 40)
         with pytest.raises(ValueError, match="per gate pair"):
-            estimate_from_probabilities(np.full(3, 0.5), 1.0, 1.0, shots, 1)
+            estimate_point(np.full(3, 0.5), 1.0, 1.0, shots, 1)
         with pytest.raises(ValueError, match="per gate pair"):
-            estimate_from_probabilities(np.full(5, 0.5), 1.0, 1.0, shots, 1)
+            estimate_point(np.full(5, 0.5), 1.0, 1.0, shots, 1)
     # Sampled: the four |0> fractions, drawn in COMBOS order, enter the
     # value with the ||A|| ||B|| / 4 prefactor and their binomial errors
     # combine in quadrature with the same prefactor.
     ps, n = (0.2, 0.4, 0.6, 0.8), 10
-    est = estimate_from_probabilities(ps, 2.0, 3.0, n, task_rng(4, 2))
+    est = estimate_point(ps, 2.0, 3.0, n, task_rng(4, 2))
     rng = task_rng(4, 2)
     qs = [sample_counts((p, 1 - p), n, rng)[0] / n for p in ps]
     sigmas = [4 * np.sqrt(q * (1 - q) / n) for q in qs]
@@ -164,7 +171,7 @@ def test_assemble_correlator_cases():
 def test_sample_probability_behaviour():
     def sampled(p, shots, seed):
         # At unit norms (value + 2) / 4 is the mean |0> fraction of the four circuits.
-        return (estimate_from_probabilities(np.full(4, p), 1.0, 1.0, shots, seed).value + 2) / 4
+        return (estimate_point(np.full(4, p), 1.0, 1.0, shots, seed).value + 2) / 4
 
     assert sampled(0.0, 100, seed=1) == 0.0
     assert sampled(1.0, 100, seed=1) == 1.0
@@ -188,6 +195,15 @@ def test_variance_model_values():
         variance_model([0.5, 0.5, 0.5], 1.0, 1.0)
     with pytest.raises(ValueError):
         variance_model([0.5, 0.5, 0.5, 1.2], 1.0, 1.0)
+
+
+def test_squared_rounds_as_python_squares_a_float():
+    # Python's x ** 2 goes through libm's pow, which on glibc differs from
+    # NumPy's x * x in the last bit for these inputs; the error bars
+    # follow the former, as the per-point arithmetic did.
+    xs = [0.9503546630566793, 0.3578680612554048, 119.02479528078538, 5.638614949183015e-09]
+    assert squared(np.array(xs)).tolist() == [x**2 for x in xs]
+    assert squared(np.array(xs).reshape(2, 2)).shape == (2, 2)
 
 
 def test_equal_time_commutator_vanishes():
@@ -226,21 +242,19 @@ def test_sampled_estimator_statistics():
     h, prop, psi0 = setup_chain(2)
     ps = circuit_probabilities(sz_obs(0), sz_obs(1), 0.0, 1.5, psi0, prop, ALPHA_PLUS)
     shots = 200
-    vals = []
-    for s in range(400):
-        est = estimate_from_probabilities(ps, 1.0, 1.0, shots, task_rng(9, s))
-        vals.append(est.value)
+    rngs = [task_rng(9, s) for s in range(400)]
+    vals = estimate_from_probabilities([ps] * 400, 1.0, 1.0, shots, rngs).value
     emp = np.var(vals, ddof=1)
     model = variance_model(ps, 1.0, 1.0) / (4 * shots)
     assert emp == pytest.approx(model, rel=0.25)
-    exact = estimate_from_probabilities(ps, 1.0, 1.0, None)
+    exact = estimate_point(ps, 1.0, 1.0, None)
     assert np.mean(vals) == pytest.approx(exact.value, abs=5 * np.sqrt(model / 400))
 
 
 def test_exact_mode_nominal_error_bar():
     h, prop, psi0 = setup_chain(2)
     ps = circuit_probabilities(sz_obs(0), sz_obs(1), 0.0, 1.5, psi0, prop, ALPHA_PLUS)
-    est = estimate_from_probabilities(ps, 1.0, 1.0, None, nominal_total=400)
+    est = estimate_point(ps, 1.0, 1.0, None, nominal_total=400)
     assert est.mode == "exact"
     assert est.shots == 400
     assert est.std_error == pytest.approx(np.sqrt(variance_model(ps, 1.0, 1.0) / 400))
@@ -252,7 +266,7 @@ def test_sampled_estimate_ignores_rounding_of_the_exact_probabilities(p):
     # sampled cell must not move with them (p = 1/2 is where NumPy's
     # sampler branches).
     draws = [
-        estimate_from_probabilities(np.full(4, p + eps), 1.0, 1.0, 2000, task_rng(3, 1))
+        estimate_point(np.full(4, p + eps), 1.0, 1.0, 2000, task_rng(3, 1))
         for eps in (-1e-15, 0.0, 1e-15)
     ]
     assert len({(d.value, d.std_error) for d in draws}) == 1

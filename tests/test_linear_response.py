@@ -172,7 +172,8 @@ def test_sampled_estimate_ignores_rounding_of_the_marginals(p):
     draws = []
     for eps in (-1e-15, 0.0, 1e-15):
         marginal = np.array([p + eps, (1 - p) / 2 - eps, (1 - p) / 2])
-        draws.append(lr_estimate(cfg, marginal, 1.0, marginal[::-1], 2000, task_rng(4, 1)))
+        args = (cfg, [marginal], [1.0], [marginal[::-1]], 2000, [task_rng(4, 1)])
+        draws.append(lr_estimate(*args).points()[0])
     assert len({(d.value, d.std_error) for d in draws}) == 1
 
 

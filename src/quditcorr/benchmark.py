@@ -27,6 +27,7 @@ undefined; it is reported as None with the reason alongside.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -55,6 +56,7 @@ from .hadamard import (
 )
 from .linear_response import (
     LinearResponseConfig,
+    lr_estimate,
     lr_trace,
     measure_site_expectation,  # noqa: F401 -- perfbench/tracing.py times it under this module
     site_expectations,
@@ -69,6 +71,9 @@ log = logging.getLogger(__name__)
 HADAMARD = "hadamard"
 LINEAR_RESPONSE = "lr"
 PROTOCOLS = (HADAMARD, LINEAR_RESPONSE)
+
+# An LR trace's branches, C+ then C-: (pulse kind, task_rng stream, budget key).
+LR_KINDS = ((NON_HERMITIAN, 2, "plus"), (HERMITIAN, 1, "minus"))
 
 # Memory bound of the dense oracle (H and its eigenvectors), not a speed choice.
 ORACLE_DIM_LIMIT = 4096
@@ -335,23 +340,17 @@ def brute_force_correlators(
 
 
 def hadamard_trace(
-    obs_a: HermitianObservable,
-    obs_b: HermitianObservable,
-    psi0: QuditState,
-    prop,
-    grid,
-    budgets,
-    sampled: bool,
-    seed: int,
+    obs_a: HermitianObservable, obs_b: HermitianObservable, psi0: QuditState, prop, grid,
+    budgets, sampled: bool, seed: int,
 ):
     """Hadamard estimates of C(0, t) on the grid, from one trace_probabilities pass.
 
-    Returns the C+ (connected) and the C- trace, each a list of
-    (exact, sampled or None) per time.  The circuit probabilities and
-    the readout marginals of the whole grid go through the estimators at
-    once.  The point at grid index ti draws from task_rng(seed, 1, ti):
-    the four C+ circuits, then the two disconnected-part means, then the
-    four C- circuits, each set in one sample_counts call.
+    Returns the C+ (connected) and the C- trace, each (exact, sampled or
+    None) estimates over the grid, and the (T, 3) marginals of B's site
+    in U(t)|psi0>, which C+'s disconnected part and the LR readout use.
+    The point at grid index ti draws from task_rng(seed, 1, ti): the four
+    C+ circuits, then the two disconnected-part means, then the four C-
+    circuits, each set in one sample_counts call.
     """
     na, nb = obs_a.spectral_norm, obs_b.spectral_norm
     site_a, site_b = obs_a.support[0], obs_b.support[0]
@@ -363,24 +362,23 @@ def hadamard_trace(
         ps_plus.append(p_plus)
         ps_minus.append(p_minus)
         marginals.append((marginal_a, site_marginal(phi, site_b)))  # <A> at t1 = 0, <B> at t
+    marginals = np.array(marginals)
     exact_plus = connected_anticommutator(
         estimate_from_probabilities(ps_plus, na, nb, None, None, 4 * n_plus),
         *site_expectations(marginals),
-    ).points()
-    exact_minus = estimate_from_probabilities(ps_minus, na, nb, None, None, 4 * n_minus).points()
-    samp_plus = samp_minus = [None] * len(exact_plus)
+    )
+    exact_minus = estimate_from_probabilities(ps_minus, na, nb, None, None, 4 * n_minus)
+    samp_plus = samp_minus = None
     if sampled:
-        rngs = [task_rng(seed, 1, ti) for ti in range(len(exact_plus))]
+        rngs = [task_rng(seed, 1, ti) for ti in range(len(ps_plus))]
         raw_hat = estimate_from_probabilities(ps_plus, na, nb, n_plus, rngs)
-        samp_plus = connected_anticommutator(
-            raw_hat, *site_expectations(marginals, n_plus, rngs)
-        ).points()
-        samp_minus = estimate_from_probabilities(ps_minus, na, nb, n_minus, rngs).points()
-    return list(zip(exact_plus, samp_plus)), list(zip(exact_minus, samp_minus))
+        samp_plus = connected_anticommutator(raw_hat, *site_expectations(marginals, n_plus, rngs))
+        samp_minus = estimate_from_probabilities(ps_minus, na, nb, n_minus, rngs)
+    return (exact_plus, samp_plus), (exact_minus, samp_minus), marginals[:, 1]
 
 
 class StudyInterrupted(KeyboardInterrupt):
-    """An interrupt during the traces; result holds the rows of the completed ones."""
+    """An interrupt during the traces or their estimation; result holds the completed ones' rows."""
 
     def __init__(self, result: StudyResult):
         super().__init__("study interrupted")
@@ -425,14 +423,13 @@ def _run_tasks(tasks, workers: int, results: dict) -> None:
 def run_quench_study(config: RunConfig) -> StudyResult:
     """Full study: per (protocol, kind, lambda, t) records plus figures of merit.
 
-    One task per trace: the Hadamard trace (run exactly, as the R
-    reference, when only the baseline is requested) and one LR trace
-    per lambda; the first LR task to run computes the unpulsed readout
-    that all of them share.
-    Deterministic for a fixed config seed under any worker count:
-    every point draws from its own counter-based stream and the result
-    table is assembled by a key-ordered reduction.  One propagator of
-    H0 serves every trace.
+    One task per trace: the Hadamard trace and the pulsed branches of
+    one LR trace per lambda.  After the pool, the LR traces are estimated
+    against one unpulsed readout: the Hadamard trace's marginals of B's
+    site, plus one evolve to the pulse duration.  Deterministic for a
+    fixed config seed under any worker count: every point draws from its
+    own counter-based stream and the result table is assembled by a
+    key-ordered reduction.  One propagator of H0 serves every trace.
 
     On KeyboardInterrupt, pending traces are cancelled and
     StudyInterrupted is raised; its result has the rows of the
@@ -448,94 +445,80 @@ def run_quench_study(config: RunConfig) -> StudyResult:
         log.info("H0 has %d blocks; psi0 touches dimension %s", len(prop.blocks), touched)
     grid = np.linspace(0.0, config.t_max, config.steps)
 
-    tasks = [
-        (
-            (HADAMARD, None),
-            lambda: hadamard_trace(
-                obs_a, obs_b, psi0, prop, grid, budgets[HADAMARD],
-                sampled and HADAMARD in protocols, seed,
-            ),
-        )
-    ]
-    if LINEAR_RESPONSE in protocols:
-        lr_budgets = budgets[LINEAR_RESPONSE]
-        readout, lock = [], threading.Lock()  # the unpulsed readout all LR traces share
+    def hadamard_task():  # exact only, as the R reference, when only the baseline is reported
+        draws = sampled and HADAMARD in protocols
+        return hadamard_trace(obs_a, obs_b, psi0, prop, grid, budgets[HADAMARD], draws, seed)
 
-        def lr_task(li, lam):
-            with lock:  # the first LR task to run computes it
-                readout[:] = readout or [unperturbed_readout(prop, psi0, site_b, pulse_area, grid)]
-            traces = []
-            for stream, kind, key in ((2, NON_HERMITIAN, "plus"), (1, HERMITIAN, "minus")):
-                cfg = LinearResponseConfig(lam, pulse_area, site_a, site_b, kind)
-                rngs = None
+    def lr_config(lam, kind):
+        return LinearResponseConfig(lam, pulse_area, site_a, site_b, kind)
+
+    def lr_task(lam):
+        return {kind: lr_trace(lr_config(lam, kind), psi0, prop, grid) for kind, _, _ in LR_KINDS}
+
+    # The Hadamard task goes first: when an LR task has completed, so has it.
+    tasks = [((HADAMARD, None), hadamard_task)]
+    if LINEAR_RESPONSE in protocols:
+        tasks += [((LINEAR_RESPONSE, lam), functools.partial(lr_task, lam)) for lam in lambdas]
+    reported = [key for key, _ in tasks if key[0] in protocols]
+
+    def estimate(outputs) -> dict:
+        """The completed traces, each (C+, C-) as (exact, sampled or None) estimates."""
+        if (HADAMARD, None) not in outputs:
+            return {}
+        plus, minus, marginals = outputs[(HADAMARD, None)]
+        traces = {(HADAMARD, None): (plus, minus)}
+        done = [(li, lam) for li, lam in enumerate(lambdas) if (LINEAR_RESPONSE, lam) in outputs]
+        if done:
+            readout = unperturbed_readout(prop, psi0, site_b, pulse_area, grid, marginals)
+        for li, lam in done:
+            branches = []
+            for kind, stream, key in LR_KINDS:
+                args = (lr_config(lam, kind), *outputs[(LINEAR_RESPONSE, lam)][kind], readout)
+                budget = budgets[LINEAR_RESPONSE][key]
+                samp = None
                 if sampled:
                     rngs = [task_rng(seed, 2, li, ti, stream) for ti in range(grid.size)]
-                traces.append(lr_trace(cfg, psi0, prop, grid, readout[0], lr_budgets[key], rngs))
-            return traces
+                    samp = lr_estimate(*args, budget, rngs)
+                branches.append((lr_estimate(*args, nominal_budget=budget), samp))
+            traces[(LINEAR_RESPONSE, lam)] = branches
+        return traces
 
-        for li, lam in enumerate(lambdas):
-            tasks.append(((LINEAR_RESPONSE, lam), lambda li=li, lam=lam: lr_task(li, lam)))
-
-    # Every trace is (C+ points, C- points), each point (exact, sampled or None).
-    reported = [(HADAMARD, None)] if HADAMARD in protocols else []
-    if LINEAR_RESPONSE in protocols:
-        reported += [(LINEAR_RESPONSE, lam) for lam in lambdas]
     workers = default_workers(len(tasks)) if config.workers is None else config.workers
-    traces = {}
+    outputs = {}
     try:
-        _run_tasks(tasks, workers, traces)
+        _run_tasks(tasks, workers, outputs)
+        traces = estimate(outputs)
     except KeyboardInterrupt:
-        raise StudyInterrupted(StudyResult(_rows(traces, reported, grid, seed), {}))
+        raise StudyInterrupted(StudyResult(_rows(estimate(outputs), reported, grid, seed), {}))
 
     # The Hadamard protocol is exact up to shot noise: its exact trace,
     # from the study's one propagator, is the R reference.
-    reference = [_exact_values(points) for points in traces[(HADAMARD, None)]]
+    reference = [exact.value for exact, _ in traces[(HADAMARD, None)]]
     figures: dict[str, FigureOfMerit] = {}
     for key in reported:
-        plus, minus = traces[key]
+        (plus, samp_plus), (minus, samp_minus) = traces[key]
+        std_p, std_m = (samp_plus or plus).std_error, (samp_minus or minus).std_error
         if grid.size < 2:
-            fom = FigureOfMerit(0.0, 0.0, _std_errors(plus)[0], _std_errors(minus)[0])
+            fom = FigureOfMerit(0.0, 0.0, std_p[0], std_m[0])
         else:
-            r_p, why_p = _safe_relative_error(_exact_values(plus), reference[0], grid, "C+")
-            r_m, why_m = _safe_relative_error(_exact_values(minus), reference[1], grid, "C-")
-            dc_p = time_averaged_std(_std_errors(plus), grid)
-            dc_m = time_averaged_std(_std_errors(minus), grid)
+            r_p, why_p = _safe_relative_error(plus.value, reference[0], grid, "C+")
+            r_m, why_m = _safe_relative_error(minus.value, reference[1], grid, "C-")
+            dc_p, dc_m = time_averaged_std(std_p, grid), time_averaged_std(std_m, grid)
             fom = FigureOfMerit(r_p, r_m, dc_p, dc_m, why_p, why_m)
         figures[HADAMARD if key[1] is None else f"{LINEAR_RESPONSE}:lambda={key[1]:g}"] = fom
     return StudyResult(_rows(traces, reported, grid, seed), figures)
-
-
-def _exact_values(points) -> np.ndarray:
-    return np.array([exact.value for exact, _ in points])
-
-
-def _std_errors(points) -> np.ndarray:
-    """Error bar per time: the sampled estimate's, else the exact one's nominal."""
-    return np.array([(exact if samp is None else samp).std_error for exact, samp in points])
 
 
 def _rows(traces, reported, grid, seed) -> tuple[StudyRow, ...]:
     """StudyRows of the completed traces among reported, in that key order."""
     rows = []
     for protocol, lam in reported:
-        if (protocol, lam) not in traces:
-            continue
-        for kind, points in zip(("+", "-"), traces[(protocol, lam)]):
-            for t, (exact, samp) in zip(grid, points):
-                shown = exact if samp is None else samp
-                rows.append(
-                    StudyRow(
-                        protocol,
-                        kind,
-                        float(t),
-                        None if lam is None else float(lam),
-                        exact.value,
-                        None if samp is None else samp.value,
-                        shown.std_error,
-                        shown.shots,
-                        seed,
-                    )
-                )
+        for kind, (exact, samp) in zip(("+", "-"), traces.get((protocol, lam), ())):
+            shown = samp or exact  # its error bars and shots; exact ones are nominal
+            sampled = np.full(grid.size, None) if samp is None else samp.value
+            columns = (grid, exact.value, sampled, shown.std_error, shown.shots)
+            for t, value, samp_value, err, shots in zip(*(c.tolist() for c in columns)):
+                rows.append(StudyRow(protocol, kind, t, lam, value, samp_value, err, shots, seed))
     return tuple(rows)
 
 

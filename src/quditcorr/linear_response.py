@@ -212,38 +212,32 @@ def measure_lr(
 
 
 def unperturbed_readout(
-    prop: Propagator, psi0: QuditState, site: int, pulse_area: float, times
+    prop: Propagator, psi0: QuditState, site: int, pulse_area: float, times, marginals
 ) -> np.ndarray:
-    """Readout-site marginals (T, 3) of the unpulsed branch at max(t, dt), one trajectory.
+    """Readout-site marginals (T, 3) of the unpulsed branch at max(t, dt).
 
-    dt = pulse_area / J_xy is the pulse duration, J_xy that of prop's
-    Hamiltonian.  The result depends on no pulse strength or kind, so
-    every LR trace of a study shares it.
+    marginals are the site's marginals of U(t)|psi0> at the times (the
+    Hadamard trace's); the rows at t < dt, the pulse duration
+    pulse_area / J_xy of prop's Hamiltonian, become the marginal of one
+    evolve to dt.  No pulse strength or kind enters, so every LR trace of
+    a study shares it.
     """
-    states = trajectory(prop, psi0, np.maximum(times, pulse_area / prop.hamiltonian.j_xy))
-    return np.array([site_marginal(state, site) for state in states])
+    dt = pulse_area / prop.hamiltonian.j_xy
+    readout = np.array(marginals, dtype=float)
+    readout[np.asarray(times) < dt] = site_marginal(evolve(prop, psi0, dt), site)
+    return readout
 
 
 def lr_trace(
-    config: LinearResponseConfig,
-    psi0: QuditState,
-    prop: Propagator,
-    times,
-    unperturbed,
-    nominal_budget: int | None = None,
-    rngs=None,
-) -> list[tuple[CorrelatorEstimate, CorrelatorEstimate | None]]:
-    """LR estimates of C(0, t) over a time grid, as measure_lr would give them.
+    config: LinearResponseConfig, psi0: QuditState, prop: Propagator, times
+) -> tuple[np.ndarray, np.ndarray]:
+    """Readout marginals (T, 3) and squared norms (T,) of the pulsed branch of C(0, t).
 
     prop propagates H0, whose J_xy sets the pulse duration dt.  The
     pulse is applied once at t1 = 0, on prop's blocks as in measure_lr,
-    and the pulsed state is streamed to max(t, dt) - dt by prop;
-    unperturbed holds the matching unpulsed marginals
-    (unperturbed_readout, with the same pulse area).  Each entry is
-    (exact estimate with the nominal error bar, sampled estimate or
-    None); the sampled one draws from rngs[k] at the k-th time.  The
-    readout marginals and norms of the whole grid go through
-    lr_estimate at once.
+    and the pulsed state is streamed to max(t, dt) - dt by prop.  With
+    unperturbed_readout's unpulsed marginals (same pulse area), lr_estimate
+    turns them into the estimates measure_lr gives.
     """
     h0 = prop.hamiltonian
     dt = config.pulse_area / h0.j_xy
@@ -252,8 +246,4 @@ def lr_trace(
     for state in trajectory(prop, pulsed, np.maximum(times, dt) - dt):
         pert.append(site_marginal(state, config.readout_site))
         norms.append(state.squared_norm)
-    args = (config, pert, norms, unperturbed)
-    exact = lr_estimate(*args, nominal_budget=nominal_budget).points()
-    if rngs is None:
-        return [(point, None) for point in exact]
-    return list(zip(exact, lr_estimate(*args, nominal_budget, rngs).points()))
+    return np.array(pert), np.array(norms)

@@ -233,8 +233,9 @@ def site_marginal(state: QuditState, site: int) -> np.ndarray:
         raise IndexError(f"site {site} out of range")
     if state.squared_norm <= 0.0:
         raise ValueError("state has vanishing norm")
-    psi = state.amplitudes.reshape(dims)
-    moved = np.moveaxis(psi, site, 0).reshape(dims[site], -1)
+    # The site's digit to the front; the rest keep their order, as np.moveaxis would.
+    psi = state.amplitudes.reshape(math.prod(dims[:site]), dims[site], -1)
+    moved = psi.transpose(1, 0, 2).reshape(dims[site], -1)
     p = np.sum(np.abs(moved) ** 2, axis=1) / state.squared_norm
     return p / np.sum(p)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import quditcorr.benchmark as benchmark
+import quditcorr.dynamics as dynamics
 from oracles import SZ1, connected_pair, dense_xxz, heisenberg_pair, site_op, u_matrix
 from quditcorr.benchmark import (
     DEFAULT_BUDGETS,
@@ -36,6 +37,7 @@ from quditcorr.hadamard import (
 )
 from quditcorr.linear_response import (
     LinearResponseConfig,
+    lr_estimate,
     lr_trace,
     measure_lr,
     unperturbed_readout,
@@ -146,21 +148,23 @@ def test_reference_trace_matches_heisenberg_oracle(n, state):
     a, b = site_op(n, site_a, SZ1), site_op(n, site_b, SZ1)
     psi = psi0.amplitudes
     mean_a = np.vdot(psi, a @ psi).real
-    plus_trace, minus_trace = hadamard_trace(
+    (plus, samp_plus), (minus, samp_minus), marginals_b = hadamard_trace(
         sz_obs(site_a), sz_obs(site_b), psi0, make_propagator(h), grid,
         DEFAULT_BUDGETS["hadamard"], False, 0,
     )
-    assert len(plus_trace) == len(minus_trace) == grid.size
-    for (plus, samp_plus), (minus, samp_minus), t in zip(plus_trace, minus_trace, grid):
+    assert samp_plus is None and samp_minus is None
+    assert plus.value.shape == minus.value.shape == (grid.size,)
+    assert marginals_b.shape == (grid.size, 3)
+    for ti, t in enumerate(grid):
         anti, comm = heisenberg_pair(hd, psi, a, b, 0.0, t)
         psi_t = u_matrix(hd, t) @ psi
         mean_b = np.vdot(psi_t, b @ psi_t).real
         assert brute_force_correlators(h, psi0, site_a, site_b, 0.0, t) == pytest.approx(
             (anti, comm), abs=1e-10
         )
-        assert plus.value == pytest.approx(anti - 2.0 * mean_a * mean_b, abs=1e-10)
-        assert minus.value == pytest.approx(comm, abs=1e-10)
-        assert samp_plus is None and samp_minus is None
+        assert plus.value[ti] == pytest.approx(anti - 2.0 * mean_a * mean_b, abs=1e-10)
+        assert minus.value[ti] == pytest.approx(comm, abs=1e-10)
+        assert marginals_b[ti] @ [1.0, 0.0, -1.0] == pytest.approx(mean_b, abs=1e-10)
 
 
 # Non-uniform, with a point inside the pulse window (t < dt = 1e-3).
@@ -179,13 +183,11 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
 
     # Hadamard: every circuit probability and the exact C+- against the
     # gate-level circuits run from t = 0.
-    plus_trace, minus_trace = hadamard_trace(
+    (plus, _), (minus, _), _ = hadamard_trace(
         obs_a, obs_b, psi0, prop, ENGINE_GRID, DEFAULT_BUDGETS["hadamard"], False, 0
     )
     engine = trace_probabilities(obs_a, obs_b, psi0, prop, ENGINE_GRID)
-    for t, (ps_plus, ps_minus, _), (plus, _), (minus, _) in zip(
-        ENGINE_GRID, engine, plus_trace, minus_trace
-    ):
+    for ti, (t, (ps_plus, ps_minus, _)) in enumerate(zip(ENGINE_GRID, engine)):
         spec_plus = circuit_probabilities(obs_a, obs_b, 0.0, t, psi0, prop, ALPHA_PLUS)
         spec_minus = circuit_probabilities(obs_a, obs_b, 0.0, t, psi0, prop, ALPHA_MINUS)
         assert np.max(np.abs(ps_plus - spec_plus)) <= 1e-10
@@ -194,31 +196,83 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
         raw_plus, spec_minus_value = estimate_from_probabilities(
             [spec_plus, spec_minus], 1.0, 1.0, None
         ).value
-        assert plus.value == pytest.approx(raw_plus - 2.0 * mean_a * mean_b, abs=1e-10)
-        assert minus.value == pytest.approx(spec_minus_value, abs=1e-10)
+        assert plus.value[ti] == pytest.approx(raw_plus - 2.0 * mean_a * mean_b, abs=1e-10)
+        assert minus.value[ti] == pytest.approx(spec_minus_value, abs=1e-10)
 
-    # LR: the exact quotient against measure_lr, compared as a difference
-    # of expectation values (times lambda * pulse_area); the sampled
-    # value from the same stream is the same draw.  At J_xy = 2 the pulse
-    # lasts area / 2, so the pulse area and its duration differ.
+    # LR: lr_estimate fed by lr_trace's pulsed branch and the readout from
+    # the Hadamard trace's marginals, as a study feeds it.  The exact
+    # quotient against measure_lr, compared as a difference of
+    # expectation values (times lambda * pulse_area); the sampled value
+    # from the same stream is the same draw.  At J_xy = 2 the pulse lasts
+    # area / 2, so the pulse area and its duration differ.
     area = 1e-3
     for j_xy in (1.0, 2.0):
         h_lr = build_xxz(n, j_xy, 0.5 * j_xy)
         prop_lr = Propagator(strategy, h_lr)
-        unperturbed = unperturbed_readout(prop_lr, psi0, n - 1, area, ENGINE_GRID)
+        *_, marginals = hadamard_trace(
+            obs_a, obs_b, psi0, prop_lr, ENGINE_GRID, DEFAULT_BUDGETS["hadamard"], False, 0
+        )
+        readout = unperturbed_readout(prop_lr, psi0, n - 1, area, ENGINE_GRID, marginals)
         for lam in (0.1, 0.4):
             for kind in ("hermitian", "non_hermitian"):
                 cfg = LinearResponseConfig(lam, area, 0, n - 1, kind)
                 rngs = [task_rng(3, ti) for ti in range(len(ENGINE_GRID))]
-                trace = lr_trace(cfg, psi0, prop_lr, ENGINE_GRID, unperturbed, 1000, rngs)
-                for ti, (t, (exact, samp)) in enumerate(zip(ENGINE_GRID, trace)):
+                pert, norms = lr_trace(cfg, psi0, prop_lr, ENGINE_GRID)
+                exact = lr_estimate(cfg, pert, norms, readout, nominal_budget=1000)
+                samp = lr_estimate(cfg, pert, norms, readout, 1000, rngs)
+                for ti, t in enumerate(ENGINE_GRID):
                     args = (cfg, 0.0, max(t, area / j_xy), psi0, h_lr)
                     spec = measure_lr(*args, nominal_budget=1000)
-                    assert abs(exact.value - spec.value) * lam * area <= 1e-10
-                    assert exact.std_error == pytest.approx(spec.std_error, rel=1e-6)
-                    assert exact.shots == spec.shots
+                    assert abs(exact.value[ti] - spec.value) * lam * area <= 1e-10
+                    assert exact.std_error[ti] == pytest.approx(spec.std_error, rel=1e-6)
+                    assert exact.shots[ti] == spec.shots
                     spec_samp = measure_lr(*args, 1000, task_rng(3, ti))
-                    assert (samp.value, samp.shots) == (spec_samp.value, spec_samp.shots)
+                    assert (samp.value[ti], samp.shots[ti]) == (spec_samp.value, spec_samp.shots)
+
+
+@pytest.mark.parametrize("strategy", ["dense-eig", "sparse"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_readout_is_the_unpulsed_marginal_at_max_t_and_the_pulse_duration(n, strategy):
+    # The Hadamard trace's marginals of B's site serve the LR readout at
+    # every t >= dt; the points inside the pulse window read it at dt.
+    psi0, area = neel_superposition(n), 1e-3
+    for j_xy in (1.0, 2.0):
+        prop = Propagator(strategy, build_xxz(n, j_xy, 0.5 * j_xy))
+        *_, marginals = hadamard_trace(
+            sz_obs(0), sz_obs(n - 1), psi0, prop, ENGINE_GRID, DEFAULT_BUDGETS["hadamard"], False, 0
+        )
+        readout = unperturbed_readout(prop, psi0, n - 1, area, ENGINE_GRID, marginals)
+        dt = area / j_xy
+        want = np.array([site_marginal(evolve(prop, psi0, max(t, dt)), n - 1) for t in ENGINE_GRID])
+        early = np.array(ENGINE_GRID) < dt
+        assert early.any() and not early.all()
+        assert readout[early].tolist() == want[early].tolist()
+        if strategy == "dense-eig":
+            assert readout.tolist() == want.tolist()
+        else:
+            # The Taylor stream reaches each time from the previous one, so
+            # it rounds apart from an evolve from 0, by up to 4.2e-15 here.
+            assert readout[~early].tolist() == marginals[~early].tolist()
+            assert np.max(np.abs(readout - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("lambdas", [(0.2,), (0.1, 0.2, 0.4)])
+def test_a_study_runs_three_trajectories_plus_two_per_lambda(monkeypatch, lambdas):
+    # Three for the Hadamard trace (psi0, W_A psi0, W_A^+ psi0) and the two
+    # pulsed branches per lambda; the unpulsed readout reuses the first.
+    real = dynamics.trajectory
+    lengths = []
+
+    def counting(prop, state, times, *args, **kwargs):
+        lengths.append(len(times))
+        return real(prop, state, times, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "quditcorr" and getattr(module, "trajectory", None) is real:
+            monkeypatch.setattr(module, "trajectory", counting)
+    config = RunConfig(n_sites=3, steps=5, lambdas=lambdas, workers=1)
+    run_quench_study(config)
+    assert lengths.count(config.steps) == 3 + 2 * len(lambdas)
 
 
 def _reference_sampled_point(ps_plus, ps_minus, marginal_a, marginal_b, pref, n_plus, n_minus, rng):
@@ -257,7 +311,9 @@ def test_sampled_hadamard_cells_match_a_per_point_reference(n, state, budgets):
     obs_a, obs_b = sz_obs(0), sz_obs(n - 1)
     prop = make_propagator(build_xxz(n, 1.0, 0.5))
     grid, seed = np.linspace(0.0, 5.0, 11), 2024
-    plus_trace, minus_trace = hadamard_trace(obs_a, obs_b, psi0, prop, grid, budgets, True, seed)
+    (_, samp_plus), (_, samp_minus), _ = hadamard_trace(
+        obs_a, obs_b, psi0, prop, grid, budgets, True, seed
+    )
     n_plus, n_minus = max(1, budgets["plus"] // 6), max(1, budgets["minus"] // 4)
     marginal_a = site_marginal(psi0, 0)
     pref = obs_a.spectral_norm * obs_b.spectral_norm / 4.0
@@ -267,9 +323,10 @@ def test_sampled_hadamard_cells_match_a_per_point_reference(n, state, budgets):
             ps_plus, ps_minus, marginal_a, site_marginal(phi, n - 1), pref,
             n_plus, n_minus, task_rng(seed, 1, ti),
         )
-        for (_, samp), cells in zip((plus_trace[ti], minus_trace[ti]), expected):
+        for samp, cells in zip((samp_plus, samp_minus), expected):
             assert samp.mode == "sampled"
-            assert repr((samp.value, samp.std_error, samp.shots)) == repr(cells)
+            point = (samp.value[ti].item(), samp.std_error[ti].item(), samp.shots[ti].item())
+            assert repr(point) == repr(cells)
 
 
 def test_scenario_validation():

@@ -491,11 +491,9 @@ def test_interrupt_writes_the_completed_traces(tmp_path, monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_interrupt_during_the_unpulsed_readout_writes_the_completed_traces(
-    tmp_path, monkeypatch, workers
-):
-    # A Ctrl-C arrives while the first LR task computes the unpulsed
-    # readout: the Hadamard trace and that running LR task finish, and the
+def test_interrupt_during_an_lr_trace_writes_the_completed_traces(tmp_path, monkeypatch, workers):
+    # A Ctrl-C arrives while the lambda = 0.1 task runs its first pulsed
+    # branch: the Hadamard trace and that running LR task finish, and the
     # run ends as any interrupt does.  At one worker the other lambda is
     # still pending and is cancelled; at two it may have started already.
     payload = {**FAST, "lambdas": [0.1, 0.2], "workers": workers}
@@ -503,7 +501,7 @@ def test_interrupt_during_the_unpulsed_readout_writes_the_completed_traces(
     assert main(["run", "--config", path, "--out", str(tmp_path / "full")]) == 0
     full = (tmp_path / "full" / "results.csv").read_text().splitlines(keepends=True)
 
-    real_readout = benchmark.unperturbed_readout
+    real_trace = benchmark.lr_trace
     cancelled = threading.Event()
 
     class Pool(benchmark.ThreadPoolExecutor):
@@ -512,19 +510,44 @@ def test_interrupt_during_the_unpulsed_readout_writes_the_completed_traces(
             if cancel_futures:
                 cancelled.set()
 
-    def interrupted_readout(*args, **kwargs):
-        # SIGINT to the main thread, as Ctrl-C; the readout goes on once
-        # the main thread has cancelled the pending tasks.
-        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-        assert cancelled.wait(30)
-        return real_readout(*args, **kwargs)
+    def interrupted_trace(config, *args, **kwargs):
+        if (config.lam, config.kind) == (0.1, "non_hermitian"):  # the task's first call
+            # SIGINT to the main thread, as Ctrl-C; the trace goes on once
+            # the main thread has cancelled the pending tasks.
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            assert cancelled.wait(30)
+        return real_trace(config, *args, **kwargs)
 
     monkeypatch.setattr(benchmark, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(benchmark, "unperturbed_readout", interrupted_readout)
+    monkeypatch.setattr(benchmark, "lr_trace", interrupted_trace)
     out = tmp_path / "cut"
     assert main(["run", "--config", path, "--out", str(out)]) == 1
     rows = (out / "results.csv").read_text().splitlines(keepends=True)
     completed = 1 + 4 * FAST["steps"]  # header, Hadamard +/-, lambda = 0.1 +/-
     assert rows == full[: len(rows)]
     assert len(rows) == completed or (workers == 2 and rows == full)
+    assert json.loads((out / "summary.json").read_text())["incomplete"] is True
+
+
+def test_interrupt_during_the_lr_estimation_writes_every_trace(tmp_path, monkeypatch):
+    # The LR traces are estimated on the main thread after the pool; a
+    # Ctrl-C there still writes the rows of every trace the pool completed.
+    path = write_config(tmp_path, {**FAST, "lambdas": [0.1, 0.2]})
+    assert main(["run", "--config", path, "--out", str(tmp_path / "full")]) == 0
+    full = (tmp_path / "full" / "results.csv").read_text()
+
+    real_estimate = benchmark.lr_estimate
+    interrupts = []
+
+    def interrupted_estimate(*args, **kwargs):
+        if not interrupts:
+            interrupts.append(threading.current_thread())
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        return real_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(benchmark, "lr_estimate", interrupted_estimate)
+    out = tmp_path / "cut"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
+    assert interrupts == [threading.main_thread()]
+    assert (out / "results.csv").read_text() == full
     assert json.loads((out / "summary.json").read_text())["incomplete"] is True

@@ -136,7 +136,7 @@ class RunConfig:
     Chain length and anisotropy of H0, the time grid linspace(0, t_max,
     steps) in units of 1/J_xy, the correlator site pair (1-based), the
     per-point shot budgets (missing entries take DEFAULT_BUDGETS), the
-    LR pulse strengths and area, the master seed and the pool size
+    LR pulse strengths (distinct) and area, the master seed and the pool size
     (None: default_workers).  Types are checked, not coerced, except
     that integers pass as numbers; lists pass as tuples and the budgets
     as read-only mappings, so a checked config is immutable and hashable.
@@ -196,6 +196,8 @@ class RunConfig:
         for lam in lambdas:
             _expect(_number(lam, "lambdas") > 0, "lambdas", f"must be positive, got {lam!r}")
         put("lambdas", tuple(float(lam) for lam in lambdas))
+        distinct = len(set(self.lambdas)) == len(lambdas)
+        _expect(distinct, "lambdas", f"values must be distinct, got {list(lambdas)}")
         put("pulse_area", _number(self.pulse_area, "pulse_area"))
         _expect(self.pulse_area > 0, "pulse_area", "must be positive")
         _integer(self.seed, "seed")
@@ -326,7 +328,9 @@ def brute_force_correlators(
     """
     if h.dimension > ORACLE_DIM_LIMIT:
         raise ValueError(f"brute-force reference limited to dimension {ORACLE_DIM_LIMIT}")
-    vals, vecs = np.linalg.eigh(h.matrix.toarray())
+    dense = np.zeros((h.dimension,) * 2, dtype=np.complex128)
+    dense[np.repeat(np.arange(h.dimension), np.diff(h.indptr)), h.indices] = h.data
+    vals, vecs = np.linalg.eigh(dense)
     a = site_sz_diagonal(h.n_sites, site_a)
     b = site_sz_diagonal(h.n_sites, site_b)
 

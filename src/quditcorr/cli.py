@@ -38,7 +38,7 @@ from .benchmark import (
     quench_system,
     run_quench_study,
 )
-from .dynamics import Propagator
+from .dynamics import SparseHamiltonian, make_propagator
 from .hadamard import estimate_from_probabilities, measure_dynamical_correlator, trace_probabilities
 from .observables import HermitianObservable, decompose, spin_matrix
 from .rng import task_rng
@@ -186,11 +186,11 @@ def _cmd_decompose(args) -> int:
 def _cmd_validate(args) -> int:
     """Gate-level circuits and the trace engine `run` uses, against brute force.
 
-    The trace engine runs on both strategies: dense-eig, which make_propagator
-    picks for H0 and which diagonalizes every block at these sizes, and
-    sparse, the Taylor kernel that propagates the blocks above
-    DENSE_BLOCK_LIMIT (N >= 8) and every pulse.  brute_force_correlators
-    diagonalizes the full H instead, so it checks the block split too.
+    The trace engine runs on both kernels: dense-eig, which H0's propagator
+    picks for every block at these sizes, and sparse, the Taylor kernel of
+    the blocks above DENSE_BLOCK_LIMIT (N >= 8) and of every pulse, run on
+    the same H not flagged Hermitian.  brute_force_correlators diagonalizes
+    the full H instead, so it checks the block split too.
     """
     if args.points < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
@@ -207,11 +207,12 @@ def _cmd_validate(args) -> int:
             plus, minus = measure_dynamical_correlator(obs_a, obs_b, 0.0, t2, psi0, prop)
             worst_circuit = max(worst_circuit, abs(plus.value - cp), abs(minus.value - cm))
         worst_trace = {}
-        for p in (prop, Propagator("sparse", h)):
+        unflagged = make_propagator(SparseHamiltonian(h, h.dimension, False, h.couplings, n))
+        for kernel, p in (("dense-eig", prop), ("sparse", unflagged)):
             engine = trace_probabilities(obs_a, obs_b, psi0, p, times)
             ps = np.array([(ps_plus, ps_minus) for ps_plus, ps_minus, _ in engine])
             values = [estimate_from_probabilities(ps[:, k], *norms, None).value for k in (0, 1)]
-            worst_trace[p.strategy] = float(np.max(np.abs(np.transpose(values) - refs)))
+            worst_trace[kernel] = float(np.max(np.abs(np.transpose(values) - refs)))
         ok = max(worst_circuit, *worst_trace.values()) <= 1e-8
         failures += 0 if ok else 1
         traces = ", ".join(f"{k} {v:.3e}" for k, v in worst_trace.items())

@@ -20,15 +20,14 @@ the pulses, which add their diagonal to the touched blocks).
 `trajectory` streams a state through a whole time grid and is the only
 code that propagates; `evolve`, one exp(-i H t), is its one-time case.
 
-H is built and split with NumPy alone.  The kernel multiplies by a
-dense NumPy block up to the limit and by a SciPy CSR block above it, so
-a study loads SciPy only from N = 8 on: none up to N = 7 imports it.
+H is NumPy CSR arrays only, built and split with NumPy.  The kernel
+multiplies by a dense NumPy block up to the limit and by a SciPy CSR
+block above it: SciPy loads there (N >= 8) and in build_perturbed only.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -72,8 +71,6 @@ def _canonical_csr(matrix, dim: int):
     (dim <= MAX_AMPLITUDES < 2^31); keys that combine rows and columns
     are computed in 64 bits.
     """
-    if hasattr(matrix, "tocsr"):  # a SciPy sparse matrix in any format
-        matrix = matrix.tocsr()
     data = np.asarray(matrix.data, dtype=np.complex128)
     indices = np.asarray(matrix.indices)
     indptr = np.asarray(matrix.indptr, dtype=np.int64)
@@ -125,10 +122,10 @@ class SparseHamiltonian:
     """H as the NumPy arrays data, indices and indptr of a canonical CSR matrix.
 
     matrix is anything with data/indices/indptr arrays, a SciPy CSR
-    matrix included; duplicate entries are summed.  The attribute
-    `matrix` gives H back as a SciPy CSR matrix, built on first use; the
-    propagators never ask for it, so building and propagating H by
-    dense-eig blocks loads no SciPy.
+    matrix included; duplicate entries are summed.  These arrays are the
+    only form of H: nothing here converts it to SciPy.  The hermitian
+    flag is checked against every entry, and it decides which blocks
+    the propagator diagonalizes.
     """
 
     def __init__(self, matrix, dimension: int, hermitian: bool, couplings, n_sites: int):
@@ -145,13 +142,6 @@ class SparseHamiltonian:
     @property
     def j_xy(self) -> float:
         return self.couplings[0]
-
-    @functools.cached_property
-    def matrix(self):
-        """H as a SciPy CSR matrix; loads SciPy."""
-        import scipy.sparse as sp
-
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.dimension,) * 2)
 
 
 def site_sz_diagonal(n_sites: int, site: int) -> np.ndarray:
@@ -246,7 +236,8 @@ def build_perturbed(h0: SparseHamiltonian, site: int, lam: float, kind: str) -> 
     """
     import scipy.sparse as sp
 
-    h = h0.matrix + sp.diags(perturbation(h0, site, lam, kind))
+    h = sp.csr_matrix((h0.data, h0.indices, h0.indptr), shape=(h0.dimension,) * 2)
+    h = h + sp.diags(perturbation(h0, site, lam, kind))
     hermitian = h0.hermitian and kind == HERMITIAN
     return SparseHamiltonian(h, h0.dimension, hermitian, h0.couplings, h0.n_sites)
 
@@ -288,8 +279,9 @@ def _diagonal_blocks(h: SparseHamiltonian):
 class Block:
     """One connected component of H's sparsity pattern and how it propagates.
 
-    op is (eigenvalues, eigenvectors) for "dense-eig" and the Taylor
-    kernel's operator for "sparse".  A dense-eig block diagonalizes on the
+    strategy is "dense-eig", op (eigenvalues, eigenvectors), for a block
+    of a Hermitian H up to DENSE_BLOCK_LIMIT, and "sparse", op the Taylor
+    kernel's operator, otherwise.  A dense-eig block diagonalizes on the
     first read of op, under its propagator's lock, so a block that no
     state touches is never factorized.  The sub-matrix, to which a pulse
     adds its diagonal, is csr + shift * I.  Above DENSE_BLOCK_LIMIT csr is
@@ -297,10 +289,10 @@ class Block:
     once.
     """
 
-    def __init__(self, index: np.ndarray, csr: _Csr, strategy: str, lock: threading.Lock):
+    def __init__(self, index: np.ndarray, csr: _Csr, hermitian: bool, lock: threading.Lock):
         self.index = index  # full-space indices, ascending
         self.csr, self.shift, self._lock = csr, 0.0, lock
-        self.strategy = strategy if index.size <= DENSE_BLOCK_LIMIT else "sparse"
+        self.strategy = "dense-eig" if hermitian and index.size <= DENSE_BLOCK_LIMIT else "sparse"
         self._op = None if self.strategy == "dense-eig" else _taylor_op(csr, np.zeros(index.size))
         if index.size > DENSE_BLOCK_LIMIT:  # keep the entries once: as op's shifted CSR
             a, self.shift = self._op[:2]
@@ -333,26 +325,19 @@ class Propagator:
     States whose trailing sites multiply out to the Hamiltonian
     dimension are accepted; any leading sites (the ancilla) are treated
     as batch indices and left untouched.  H is split into the connected
-    components of its sparsity pattern (blocks).  "dense-eig"
-    diagonalizes each block of a Hermitian H up to DENSE_BLOCK_LIMIT, the
-    first time a state touches it, and runs the Taylor kernel on larger
-    ones; "sparse" runs it on every block.  One lock guards the
-    factorizations, so one propagator can serve several threads.
+    components of its sparsity pattern (blocks), and H alone picks each
+    block's kernel (Block.strategy): dense-eig, diagonalized on first
+    touch, for a block of a Hermitian H up to DENSE_BLOCK_LIMIT, and the
+    Taylor kernel otherwise.  One lock guards the factorizations, so one
+    propagator can serve several threads.
     """
 
-    strategy: str  # "dense-eig" | "sparse"
     hamiltonian: SparseHamiltonian
     blocks: list[Block] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.strategy not in ("dense-eig", "sparse"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "dense-eig" and not self.hamiltonian.hermitian:
-            raise ValueError("dense-eig needs a Hermitian Hamiltonian; use sparse")
-        lock = threading.Lock()
-        self.blocks = [
-            Block(idx, sub, self.strategy, lock) for idx, sub in _diagonal_blocks(self.hamiltonian)
-        ]
+        h, lock = self.hamiltonian, threading.Lock()
+        self.blocks = [Block(idx, sub, h.hermitian, lock) for idx, sub in _diagonal_blocks(h)]
 
     def blocks_touched(self, state: QuditState) -> list[Block]:
         """The blocks on which state has a nonzero amplitude in any batch row."""
@@ -361,8 +346,8 @@ class Propagator:
 
 
 def make_propagator(h: SparseHamiltonian) -> Propagator:
-    """dense-eig for a Hermitian H (dense where the block allows), sparse otherwise."""
-    return Propagator("dense-eig" if h.hermitian else "sparse", h)
+    """Propagator(h); studies and verbs build their propagators through it."""
+    return Propagator(h)
 
 
 def evolve(

@@ -223,17 +223,20 @@ def trace_probabilities(
     Yields (ps_plus, ps_minus, U(t)|psi0>) per time, with the four
     probabilities of each phase in COMBOS order.  At t1 = 0 the circuit
     gives P = 1/2 + 1/2 Re(e^{i alpha} <U(t) V_A psi | V_B U(t) psi>),
-    so the whole grid needs only the three system-only trajectories of
-    psi, W_A psi and W_A^+ psi, and one local V_B per gate choice and time.
+    so the whole grid needs only the system-only trajectories of psi,
+    W_A psi and W_A^+ psi (one for both when they are equal, as for S^z
+    on the Neel superposition, which has no m = 0 amplitude), and one
+    local V_B per gate choice and time.
     """
     decomp_a = decompose(obs_a)
     decomp_b = decompose(obs_b)
-    branches = zip(
-        trajectory(prop, psi0, times),
-        trajectory(prop, apply_local(psi0, decomp_a.w), times),
-        trajectory(prop, apply_local(psi0, decomp_a.w_dagger), times),
-    )
-    for phi, after_w, after_w_dagger in branches:
+    w_psi, w_dagger_psi = apply_local(psi0, decomp_a.w), apply_local(psi0, decomp_a.w_dagger)
+    w_states = trajectory(prop, w_psi, times)
+    if np.array_equal(w_psi.amplitudes, w_dagger_psi.amplitudes):  # -0.0 equals 0.0
+        lefts = ((state, state) for state in w_states)
+    else:
+        lefts = zip(w_states, trajectory(prop, w_dagger_psi, times))
+    for phi, (after_w, after_w_dagger) in zip(trajectory(prop, psi0, times), lefts):
         left = {W: after_w, W_DAGGER: after_w_dagger}  # U(t) V_A psi
         right = {c: apply_local(phi, decomp_b.pick(c)) for c in (W, W_DAGGER)}  # V_B U(t) psi
         z = np.array([np.vdot(left[va].amplitudes, right[vb].amplitudes) for va, vb in COMBOS])

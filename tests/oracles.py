@@ -2,11 +2,16 @@
 
 Everything here is built from np.kron and scipy.linalg.expm only, so
 the brute-force values never share code with the package's stride
-kernels, sparse Hamiltonians, or propagators.
+kernels, sparse Hamiltonians, or propagators.  The two adapters at the
+end only reach the package's own objects: `csr` turns H's arrays into
+a SciPy matrix, and `propagator` picks a kernel by name.
 """
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+
+from quditcorr.dynamics import Propagator, SparseHamiltonian
 
 SQ2 = np.sqrt(2.0)
 SX1 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQ2
@@ -77,3 +82,20 @@ def connected_pair(h, psi, site_a, site_b, t1, t2):
 def random_hermitian(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (m + m.conj().T) / 2.0
+
+
+def csr(h):
+    """H as a SciPy CSR matrix, built from its data, indices and indptr."""
+    return sp.csr_matrix((h.data, h.indices, h.indptr), shape=(h.dimension,) * 2)
+
+
+def propagator(kernel, h):
+    """A propagator of h whose blocks run the named kernel.
+
+    "dense-eig" is Propagator(h): a Hermitian h diagonalizes its blocks
+    up to DENSE_BLOCK_LIMIT.  "sparse" propagates the same H without its
+    Hermitian flag, which sends every block through the Taylor kernel.
+    """
+    if kernel == "sparse":
+        h = SparseHamiltonian(h, h.dimension, False, h.couplings, h.n_sites)
+    return Propagator(h)

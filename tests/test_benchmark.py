@@ -10,7 +10,16 @@ import pytest
 
 import quditcorr.benchmark as benchmark
 import quditcorr.dynamics as dynamics
-from oracles import SZ1, connected_pair, dense_xxz, heisenberg_pair, site_op, u_matrix
+from oracles import (
+    SZ1,
+    connected_pair,
+    csr,
+    dense_xxz,
+    heisenberg_pair,
+    propagator,
+    site_op,
+    u_matrix,
+)
 from quditcorr.benchmark import (
     DEFAULT_BUDGETS,
     ConfigError,
@@ -25,7 +34,7 @@ from quditcorr.benchmark import (
     run_quench_study,
     time_averaged_std,
 )
-from quditcorr.dynamics import Propagator, build_xxz, evolve, make_propagator
+from quditcorr.dynamics import build_perturbed, build_xxz, evolve, make_propagator
 from quditcorr.hadamard import (
     ALPHA_MINUS,
     ALPHA_PLUS,
@@ -125,6 +134,20 @@ def test_brute_force_reference_matches_independent_oracle():
         assert abs(ea) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_brute_force_densifies_h_bitwise_as_scipy_does(monkeypatch, n):
+    # The oracle scatters H's CSR arrays into a complex dense matrix:
+    # bitwise the toarray() of the SciPy CSR matrix built from them.
+    seen, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.copy()) or eigh(a))
+    for h in (build_xxz(n, 1.0, 0.5), build_perturbed(build_xxz(n, 2.0, 0.0), 1, 0.5, "hermitian")):
+        seen.clear()
+        brute_force_correlators(h, neel_superposition(n), 0, 1, 0.0, 0.7)
+        want = csr(h).toarray()
+        assert [a.dtype for a in seen] == [want.dtype] == [np.complex128]
+        assert seen[0].tobytes() == want.tobytes()
+
+
 def _random_state(n, seed):
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
@@ -177,7 +200,7 @@ ENGINE_GRID = (0.0, 4e-4, 0.3, 0.35, 1.2, 2.9, 5.0)
 def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
     psi0 = neel_superposition(n) if state == "neel" else _random_state(n, 20 + n)
     h = build_xxz(n, 1.0, 0.5)
-    prop = Propagator(strategy, h)
+    prop = propagator(strategy, h)
     obs_a, obs_b = sz_obs(0), sz_obs(n - 1)
     mean_a = expectation(psi0, obs_a.op).real
 
@@ -208,7 +231,7 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
     area = 1e-3
     for j_xy in (1.0, 2.0):
         h_lr = build_xxz(n, j_xy, 0.5 * j_xy)
-        prop_lr = Propagator(strategy, h_lr)
+        prop_lr = propagator(strategy, h_lr)
         *_, marginals = hadamard_trace(
             obs_a, obs_b, psi0, prop_lr, ENGINE_GRID, DEFAULT_BUDGETS["hadamard"], False, 0
         )
@@ -237,7 +260,7 @@ def test_readout_is_the_unpulsed_marginal_at_max_t_and_the_pulse_duration(n, str
     # every t >= dt; the points inside the pulse window read it at dt.
     psi0, area = neel_superposition(n), 1e-3
     for j_xy in (1.0, 2.0):
-        prop = Propagator(strategy, build_xxz(n, j_xy, 0.5 * j_xy))
+        prop = propagator(strategy, build_xxz(n, j_xy, 0.5 * j_xy))
         *_, marginals = hadamard_trace(
             sz_obs(0), sz_obs(n - 1), psi0, prop, ENGINE_GRID, DEFAULT_BUDGETS["hadamard"], False, 0
         )
@@ -257,9 +280,10 @@ def test_readout_is_the_unpulsed_marginal_at_max_t_and_the_pulse_duration(n, str
 
 
 @pytest.mark.parametrize("lambdas", [(0.2,), (0.1, 0.2, 0.4)])
-def test_a_study_runs_three_trajectories_plus_two_per_lambda(monkeypatch, lambdas):
-    # Three for the Hadamard trace (psi0, W_A psi0, W_A^+ psi0) and the two
-    # pulsed branches per lambda; the unpulsed readout reuses the first.
+def test_a_study_runs_two_trajectories_plus_two_per_lambda(monkeypatch, lambdas):
+    # Two for the Hadamard trace (psi0, and W_A psi0, which equals
+    # W_A^+ psi0 on the Neel superposition) and the two pulsed branches
+    # per lambda; the unpulsed readout reuses the first.
     real = dynamics.trajectory
     lengths = []
 
@@ -272,7 +296,7 @@ def test_a_study_runs_three_trajectories_plus_two_per_lambda(monkeypatch, lambda
             monkeypatch.setattr(module, "trajectory", counting)
     config = RunConfig(n_sites=3, steps=5, lambdas=lambdas, workers=1)
     run_quench_study(config)
-    assert lengths.count(config.steps) == 3 + 2 * len(lambdas)
+    assert lengths.count(config.steps) == 2 + 2 * len(lambdas)
 
 
 def _reference_sampled_point(ps_plus, ps_minus, marginal_a, marginal_b, pref, n_plus, n_minus, rng):

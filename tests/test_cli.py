@@ -84,6 +84,10 @@ def test_field_validation_messages(tmp_path):
         parse_config(write_config(tmp_path, {"protocols": ["qpe"]}))
     with pytest.raises(ConfigError, match="shots"):
         parse_config(write_config(tmp_path, {"shots": {"hadamard": {"plus": 1}}}))
+    # A repeated lambda would run twice and write its rows twice; 1 and 1.0 are one value.
+    for lambdas in ([0.2, 0.2], [0.1, 1, 1.0]):
+        with pytest.raises(ConfigError, match="field 'lambdas': values must be distinct"):
+            parse_config(write_config(tmp_path, {"lambdas": lambdas}))
     # Types are checked, not coerced.
     wrong_types = [
         ("exact_only", {"exact_only": "false"}),
@@ -305,6 +309,8 @@ SCIPY_STEPS = {
         False,
     ),
     "correlator-n4": ("assert cli.main(['correlator', '--n-sites', '4', '--t2', '1.5']) == 0", False),
+    # Its oracle densifies H from the CSR arrays, and its Taylor check runs dense blocks.
+    "validate": ("assert cli.main(['validate']) == 0", False),
     # The pulses run the Taylor kernel on H0's blocks, all dense up to N = 7.
     "lr-n4": (
         "assert cli.run(RunConfig(n_sites=4, protocols=['lr'], steps=6, workers=2), out) == 0\n"
@@ -330,8 +336,9 @@ SCIPY_STEPS = {
 @pytest.mark.parametrize("step", SCIPY_STEPS)
 def test_scipy_is_loaded_only_by_sparse_blocks_and_pulses(tmp_path, step):
     # Up to N = 7 every block of H0 is dense-eig and every pulse runs on
-    # dense blocks, so no study and not the correlator verb imports SciPy;
-    # the large blocks at N = 8 load it, and then work as before.
+    # dense blocks, so no study and neither the correlator nor the validate
+    # verb imports SciPy; the large blocks at N = 8 load it, and then work
+    # as before.
     code, loads = SCIPY_STEPS[step]
     src = str(pathlib.Path(quditcorr.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}

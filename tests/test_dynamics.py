@@ -8,12 +8,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from oracles import SZ1, dense_xxz, neel_superposition_vec
+from oracles import SZ1, csr, dense_xxz, neel_superposition_vec, propagator
 from quditcorr import dynamics
 from quditcorr.benchmark import neel_superposition
 from quditcorr.dynamics import (
     DENSE_BLOCK_LIMIT,
-    Propagator,
     SparseHamiltonian,
     build_perturbed,
     build_xxz,
@@ -33,7 +32,7 @@ def random_state(rng, dims):
 
 
 def test_jz_only_chain_is_diagonal_in_products():
-    h = build_xxz(2, 0.0, 1.0).matrix.toarray()
+    h = csr(build_xxz(2, 0.0, 1.0)).toarray()
     np.testing.assert_allclose(h, np.diag([1, 0, -1, 0, 0, 0, -1, 0, 1]), atol=1e-15)
 
 
@@ -41,20 +40,20 @@ def test_jz_only_chain_is_diagonal_in_products():
 def test_sparse_chain_matches_dense_kron_oracle(n):
     h = build_xxz(n, 1.0, 0.5)
     assert h.hermitian
-    np.testing.assert_allclose(h.matrix.toarray(), dense_xxz(n, 1.0, 0.5), atol=1e-13)
+    np.testing.assert_allclose(csr(h).toarray(), dense_xxz(n, 1.0, 0.5), atol=1e-13)
 
 
 def test_xy_chain_ground_energy():
     # frozen from the dense 9x9 eigensolver: the two-site XX chain
     # ground energy is -sqrt(2)
     h = build_xxz(2, 1.0, 0.0)
-    vals = np.linalg.eigvalsh(h.matrix.toarray())
+    vals = np.linalg.eigvalsh(csr(h).toarray())
     assert vals.min() == pytest.approx(-np.sqrt(2), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_neel_states_not_coupled_by_two_local_terms(n):
-    h = build_xxz(n, 1.0, 0.5).matrix
+    h = csr(build_xxz(n, 1.0, 0.5))
     idx_a = idx_b = 0
     for k in range(n):
         idx_a = idx_a * 3 + (0 if k % 2 == 0 else 2)
@@ -70,7 +69,7 @@ def test_build_xxz_validation():
 def test_perturbed_hermitian_block():
     h0 = build_xxz(3, 2.0, 0.5)
     hp = build_perturbed(h0, 1, 0.3, "hermitian")
-    diff = (hp.matrix - h0.matrix).toarray()
+    diff = (csr(hp) - csr(h0)).toarray()
     expected = -0.3 * 2.0 * np.kron(np.kron(np.eye(3), SZ1), np.eye(3))
     np.testing.assert_allclose(diff, expected, atol=1e-14)
     assert hp.hermitian
@@ -80,7 +79,7 @@ def test_perturbed_non_hermitian_adjoint():
     h0 = build_xxz(2, 1.0, 0.5)
     hp = build_perturbed(h0, 0, 0.2, "non_hermitian")
     assert not hp.hermitian
-    diff = (hp.matrix.conj().T - h0.matrix).toarray()
+    diff = (csr(hp).conj().T - csr(h0)).toarray()
     expected = 1j * 0.2 * np.kron(SZ1, np.eye(3))
     np.testing.assert_allclose(diff, expected, atol=1e-14)
 
@@ -88,7 +87,7 @@ def test_perturbed_non_hermitian_adjoint():
 def test_perturbed_small_lambda_limit():
     h0 = build_xxz(2, 1.0, 0.5)
     hp = build_perturbed(h0, 0, 1e-14, "hermitian")
-    assert abs(hp.matrix - h0.matrix).max() <= 2e-14
+    assert abs(csr(hp) - csr(h0)).max() <= 2e-14
 
 
 def test_perturbed_validation():
@@ -148,7 +147,7 @@ def test_hermitian_flag_checks_every_entry_against_its_mirror(mirrored, n):
     # An asymmetry either in the value of a stored entry whose mirror is
     # stored, or as an entry whose mirror is not stored at all (all +1 to
     # all -1).  At N = 10, row * dim + column no longer fits 32 bits.
-    h0 = build_xxz(n, 1.0, 0.5).matrix
+    h0 = csr(build_xxz(n, 1.0, 0.5))
     dim = h0.shape[0]
     row, col = (1, 3) if mirrored else (0, dim - 1)
     assert (h0[row, col] != 0) == mirrored and h0[col, row] == h0[row, col]
@@ -164,7 +163,7 @@ def test_hermitian_flag_checks_every_entry_against_its_mirror(mirrored, n):
 
 def test_constructor_takes_any_csr_arrays_and_sums_duplicates():
     # Unsorted columns and a repeated entry, as plain arrays: the stored
-    # CSR is canonical, and .matrix gives the same matrix back.
+    # CSR is canonical, and its arrays give the same matrix back.
     class Arrays:
         data = np.array([2.0, 1.0, 0.5, 0.5, 3.0])
         indices = np.array([1, 0, 1, 1, 2])
@@ -174,7 +173,7 @@ def test_constructor_takes_any_csr_arrays_and_sums_duplicates():
     np.testing.assert_array_equal(h.indptr, [0, 2, 3, 4])
     np.testing.assert_array_equal(h.indices, [0, 1, 1, 2])
     np.testing.assert_array_equal(h.data, [1.0, 2.0, 1.0, 3.0])
-    np.testing.assert_array_equal(h.matrix.toarray(), [[1, 2, 0], [0, 1, 0], [0, 0, 3]])
+    np.testing.assert_array_equal(csr(h).toarray(), [[1, 2, 0], [0, 1, 0], [0, 0, 3]])
     with pytest.raises(ValueError, match="declared dimension"):
         SparseHamiltonian(Arrays, 4, False, (1.0, 0.0), 1)
 
@@ -185,7 +184,7 @@ def test_zero_duration_returns_same_state():
     h = build_xxz(2, 1.0, 0.5)
     rng = np.random.default_rng(0)
     for strategy in ("dense-eig", "sparse"):
-        prop = Propagator(strategy, h)
+        prop = propagator(strategy, h)
         for dims in ((3, 3), (2, 3, 3)):
             state = random_state(rng, dims)
             first = next(trajectory(prop, state, [0.0, 0.5]))
@@ -196,7 +195,7 @@ def test_zero_duration_returns_same_state():
 
 def test_eigenstate_acquires_phase_only():
     h = build_xxz(2, 1.0, 0.5)
-    vals, vecs = np.linalg.eigh(h.matrix.toarray())
+    vals, vecs = np.linalg.eigh(csr(h).toarray())
     k = 3
     state = QuditState(RegisterShape((3, 3)), vecs[:, k])
     out = evolve(make_propagator(h), state, 1.7)
@@ -211,7 +210,7 @@ def test_group_property(strategy):
     rng = np.random.default_rng(1)
     for n in (2, 3, 4):
         h = build_xxz(n, 1.0, 0.5)
-        prop = Propagator(strategy, h)
+        prop = propagator(strategy, h)
         state = random_state(rng, (3,) * n)
         t1, t2 = rng.uniform(0.1, 3.0, 2)
         a = evolve(prop, evolve(prop, state, t1), t2)
@@ -225,8 +224,8 @@ def test_sparse_matches_dense_many_durations():
     # and the two 1-state blocks are the trace phase alone (m = 0).
     rng = np.random.default_rng(2)
     h = build_xxz(4, 1.0, 0.5)
-    pd = Propagator("dense-eig", h)
-    ps = Propagator("sparse", h)
+    pd = propagator("dense-eig", h)
+    ps = propagator("sparse", h)
     state = random_state(rng, (3,) * 4)
     for t in [*rng.uniform(0.0, 10.0, 50), *rng.uniform(10.0, 30.0, 10), 30.0, -30.0]:
         a = evolve(pd, state, t)
@@ -240,7 +239,7 @@ def test_sparse_evolve_ignores_the_global_random_state():
     # no random numbers: at t = 20 the 141-state block (step norm 206) runs
     # s = 21 steps of m = 55 terms whatever the state of np.random.
     h = build_xxz(6, 1.0, 0.5)
-    prop = Propagator("sparse", h)
+    prop = propagator("sparse", h)
     state = random_state(np.random.default_rng(11), (3,) * 6)
     seen = set()
     for seed in range(4):
@@ -314,13 +313,13 @@ def test_blocks_above_the_limit_keep_one_copy_of_their_entries():
 def test_energy_conservation_and_norm_drift():
     rng = np.random.default_rng(3)
     h = build_xxz(4, 1.0, 0.5)
-    prop = Propagator("sparse", h)
+    prop = propagator("sparse", h)
     state = random_state(rng, (3,) * 4)
-    e0 = np.vdot(state.amplitudes, h.matrix @ state.amplitudes).real
+    e0 = np.vdot(state.amplitudes, csr(h) @ state.amplitudes).real
     out = state
     for _ in range(10):
         out = evolve(prop, out, 1.0)
-    e1 = np.vdot(out.amplitudes, h.matrix @ out.amplitudes).real / out.squared_norm
+    e1 = np.vdot(out.amplitudes, csr(h) @ out.amplitudes).real / out.squared_norm
     assert abs(e1 - e0) <= 1e-8
     assert abs(np.sqrt(out.squared_norm) - 1.0) <= 1e-9
 
@@ -343,21 +342,29 @@ def test_non_hermitian_matches_expm_oracle(strategy):
     for n in (2, 3):
         h0 = build_xxz(n, 1.0, 0.5)
         hp = build_perturbed(h0, 0, 0.25, "non_hermitian")
-        prop = Propagator(strategy, hp)
+        prop = propagator(strategy, hp)
         state = random_state(rng, (3,) * n)
         t = 0.9
         out = evolve(prop, state, t)
-        oracle = scipy.linalg.expm(-1j * t * hp.matrix.toarray()) @ state.amplitudes
+        oracle = scipy.linalg.expm(-1j * t * csr(hp).toarray()) @ state.amplitudes
         assert np.max(np.abs(out.amplitudes - oracle)) <= 1e-9
         assert out.squared_norm == pytest.approx(np.vdot(oracle, oracle).real, rel=1e-9)
 
 
-def test_dense_eig_rejects_non_hermitian():
+def test_kernel_rule_is_the_hermitian_flag_and_the_block_size(monkeypatch):
+    # A block is dense-eig exactly when H is flagged Hermitian and the
+    # block is at most DENSE_BLOCK_LIMIT.  At N = 4 the sectors have
+    # dimension 1, 4, 10, 16, 19 (each but 19 twice); the limit sits on 16.
+    monkeypatch.setattr(dynamics, "DENSE_BLOCK_LIMIT", 16)
+    h = build_xxz(4, 1.0, 0.5)
+    kernels = {(b.index.size, b.strategy) for b in make_propagator(h).blocks}
+    assert kernels == {(1, "dense-eig"), (4, "dense-eig"), (10, "dense-eig"), (16, "dense-eig"),
+                       (19, "sparse")}
+    unflagged = SparseHamiltonian(h, h.dimension, False, h.couplings, h.n_sites)
+    assert {b.strategy for b in make_propagator(unflagged).blocks} == {"sparse"}
     hp = build_perturbed(build_xxz(2, 1.0, 0.5), 0, 0.25, "non_hermitian")
-    with pytest.raises(ValueError, match="Hermitian"):
-        Propagator("dense-eig", hp)
-    assert make_propagator(hp).strategy == "sparse"
-    assert make_propagator(build_xxz(2, 1.0, 0.5)).strategy == "dense-eig"
+    assert {b.strategy for b in make_propagator(hp).blocks} == {"sparse"}
+    assert {b.strategy for b in make_propagator(build_xxz(2, 1.0, 0.5)).blocks} == {"dense-eig"}
 
 
 @pytest.mark.parametrize("strategy", ["dense-eig", "sparse"])
@@ -366,7 +373,7 @@ def test_trajectory_matches_evolve_from_zero(strategy, dims):
     # A repeated time, a zero time and a non-uniform grid; (2, 3, 3)
     # carries an ancilla the propagator must leave alone.
     h = build_xxz(2 if dims[0] == 2 else 3, 1.0, 0.5)
-    prop = Propagator(strategy, h)
+    prop = propagator(strategy, h)
     state = random_state(np.random.default_rng(9), dims)
     grid = [0.0, 0.0, 0.4, 1.3, 1.3, 2.05, 7.5]
     states = list(trajectory(prop, state, grid))
@@ -408,7 +415,7 @@ def test_threads_sharing_a_propagator_factorize_each_block_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
     prop = make_propagator(build_xxz(5, 1.0, 0.5))
     psi = neel_superposition(5)
-    want = next(trajectory(Propagator("sparse", prop.hamiltonian), psi, [0.7])).amplitudes
+    want = next(trajectory(propagator("sparse", prop.hamiltonian), psi, [0.7])).amplitudes
     assert sizes == []  # building the propagator factorizes nothing
     results, start = [], threading.Barrier(8)
 
@@ -438,8 +445,8 @@ def test_ancilla_block_left_untouched(strategy):
     rng = np.random.default_rng(5)
     h = build_xxz(2, 1.0, 0.5)
     state = random_state(rng, (2, 3, 3))
-    out = evolve(Propagator(strategy, h), state, 1.1)
-    u = scipy.linalg.expm(-1j * 1.1 * h.matrix.toarray())
+    out = evolve(propagator(strategy, h), state, 1.1)
+    u = scipy.linalg.expm(-1j * 1.1 * csr(h).toarray())
     oracle = np.kron(np.eye(2), u) @ state.amplitudes
     np.testing.assert_allclose(out.amplitudes, oracle, atol=1e-10)
 
@@ -448,7 +455,7 @@ def test_negative_duration_inverts_evolution():
     rng = np.random.default_rng(6)
     h = build_xxz(3, 1.0, 0.5)
     for strategy in ("dense-eig", "sparse"):
-        prop = Propagator(strategy, h)
+        prop = propagator(strategy, h)
         state = random_state(rng, (3, 3, 3))
         back = evolve(prop, evolve(prop, state, 1.3), -1.3)
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-9
@@ -491,8 +498,8 @@ def test_dense_strategy_dimension_limit():
     # The dense-eig limit applies per block: at N = 8 (dimension 6561) the
     # sectors of dimension 504 to 1107 are propagated sparsely, the rest
     # are diagonalized.
-    p8 = Propagator("dense-eig", build_xxz(8, 1.0, 0.5))
-    assert p8.strategy == "dense-eig"
+    p8 = propagator("dense-eig", build_xxz(8, 1.0, 0.5))
+    assert p8.hamiltonian.hermitian
     big = sorted(b.index.size for b in p8.blocks if b.strategy == "sparse")
     assert big == [504, 504, 784, 784, 1016, 1016, 1107]
     assert all(b.index.size <= DENSE_BLOCK_LIMIT for b in p8.blocks if b.strategy == "dense-eig")
@@ -504,7 +511,7 @@ def test_cut_over_sends_n7_to_sparse(monkeypatch):
     # N = 6; a limit one below 393 sends exactly that sector to sparse.
     for n, largest in ((6, 141), (7, 393)):
         prop = make_propagator(build_xxz(n, 1.0, 0.5))
-        assert prop.strategy == "dense-eig"
+        assert prop.hamiltonian.hermitian
         assert max(b.index.size for b in prop.blocks) == largest
         assert {b.strategy for b in prop.blocks} == {"dense-eig"}
     monkeypatch.setattr(dynamics, "DENSE_BLOCK_LIMIT", 392)
@@ -515,7 +522,7 @@ def test_cut_over_sends_n7_to_sparse(monkeypatch):
 def test_non_hermitian_hamiltonian_is_all_sparse():
     hp = build_perturbed(build_xxz(4, 1.0, 0.5), 1, 0.25, "non_hermitian")
     prop = make_propagator(hp)
-    assert prop.strategy == "sparse"
+    assert not prop.hamiltonian.hermitian
     assert len(prop.blocks) == 9
     assert {b.strategy for b in prop.blocks} == {"sparse"}
 
@@ -541,7 +548,7 @@ def hamiltonian_case(n, kind):
         # D H0 D^+ with random diagonal phases: Hermitian, complex off the
         # diagonal, with H0's blocks and spectrum.
         d = sp.diags(np.exp(1j * np.random.default_rng(n).uniform(0, 2 * np.pi, h0.dimension)))
-        mat = (d @ h0.matrix @ d.conj()).tocsr()
+        mat = (d @ csr(h0) @ d.conj()).tocsr()
         return SparseHamiltonian(mat, h0.dimension, True, h0.couplings, n)
     return h0 if kind is None else build_perturbed(h0, n - 1, 0.3, kind)
 
@@ -553,11 +560,11 @@ def test_block_trajectory_matches_full_space_expm(n, dims_before, strategy, kind
     # A random state touches every block, the dimension-1 ones included;
     # an ancilla's rows are propagated alike.
     h = hamiltonian_case(n, kind)
-    prop = Propagator(strategy, h)
+    prop = propagator(strategy, h)
     state = random_state(np.random.default_rng(100 + n), dims_before + (3,) * n)
     assert len(prop.blocks_touched(state)) == 2 * n + 1
     rows = state.amplitudes.reshape(-1, h.dimension)
-    full = h.matrix.toarray()
+    full = csr(h).toarray()
     grid = [0.0, 1.2, 1.2, 4.0]
     for t, got in [*zip(grid, trajectory(prop, state, grid)), (-2.5, evolve(prop, state, -2.5))]:
         want = rows @ scipy.linalg.expm(-1j * t * full).T
@@ -576,7 +583,7 @@ def test_dense_and_sparse_blocks_in_one_trajectory(monkeypatch):
     rows = state.amplitudes.reshape(2, -1)
     grid = [0.0, 0.7, 3.1]
     for t, got in zip(grid, trajectory(prop, state, grid)):
-        want = rows @ scipy.linalg.expm(-1j * t * h.matrix.toarray()).T
+        want = rows @ scipy.linalg.expm(-1j * t * csr(h).toarray()).T
         assert np.max(np.abs(got.amplitudes - want.reshape(-1))) <= 1e-10
 
 
@@ -588,6 +595,6 @@ def test_state_in_a_dimension_one_block_gets_its_phase(n, strategy, kind):
     h = hamiltonian_case(n, kind)
     energy = (n - 1) * 0.5 - {"hermitian": 0.3, "non_hermitian": 0.3j}.get(kind, 0.0)
     state = basis_state((3,) * n, (0,) * n)
-    out = evolve(Propagator(strategy, h), state, 1.7)
+    out = evolve(propagator(strategy, h), state, 1.7)
     assert np.count_nonzero(out.amplitudes) == 1
     assert out.amplitudes[0] == pytest.approx(np.exp(-1j * energy * 1.7), abs=1e-13)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import quditcorr.hadamard as hadamard
 from oracles import SZ1, dense_xxz, heisenberg_pair, neel_superposition_vec, site_op, u_matrix
 from quditcorr.dynamics import build_xxz, make_propagator
 from quditcorr.hadamard import (
@@ -17,6 +18,7 @@ from quditcorr.hadamard import (
     measure_dynamical_correlator,
     run_hadamard_circuit,
     squared,
+    trace_probabilities,
     variance_model,
 )
 from quditcorr.observables import HermitianObservable, decompose, spin_matrix
@@ -277,3 +279,33 @@ def test_measure_deterministic_for_fixed_stream():
     a = measure_dynamical_correlator(sz_obs(0), sz_obs(1), 0.0, 1.0, psi0, prop, 50, task_rng(3, 1))
     b = measure_dynamical_correlator(sz_obs(0), sz_obs(1), 0.0, 1.0, psi0, prop, 50, task_rng(3, 1))
     assert a[0].value == b[0].value and a[1].value == b[1].value
+
+
+@pytest.mark.parametrize("state, runs", [("neel", 2), ("random", 3)])
+def test_trace_probabilities_runs_one_trajectory_per_distinct_start_state(monkeypatch, state, runs):
+    # S^z's W = diag(1, i, -1) and W^+ differ only on m = 0.  The Neel
+    # superposition has no m = 0 amplitude, so W psi0 = W^+ psi0 and one
+    # trajectory serves both; a random psi0 needs its own W^+ trajectory.
+    real, starts = hadamard.trajectory, []
+
+    def counting(prop, psi, times, *args):
+        starts.append(psi.amplitudes)
+        return real(prop, psi, times, *args)
+
+    monkeypatch.setattr(hadamard, "trajectory", counting)
+    n = 4
+    h, prop, psi0 = setup_chain(n)
+    if state == "random":
+        rng = np.random.default_rng(7)
+        amp = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
+        psi0 = QuditState(RegisterShape((3,) * n), amp / np.linalg.norm(amp))
+    grid = [0.0, 0.6, 1.9]
+    engine = trace_probabilities(sz_obs(0), sz_obs(3), psi0, prop, grid)
+    ps = [(plus, minus) for plus, minus, _ in engine]
+    assert len(starts) == runs
+    assert len({a.tobytes() for a in starts}) == runs
+    # Every probability still matches the gate-level circuit.
+    for t, (plus, minus) in zip(grid, ps):
+        for alpha, got in ((ALPHA_PLUS, plus), (ALPHA_MINUS, minus)):
+            want = circuit_probabilities(sz_obs(0), sz_obs(3), 0.0, t, psi0, prop, alpha)
+            assert np.max(np.abs(got - want)) <= 1e-10

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import SZ1, connected_pair, dense_xxz, heisenberg_pair, neel_superposition_vec, site_op
+from oracles import (
+    SZ1,
+    connected_pair,
+    dense_xxz,
+    heisenberg_pair,
+    neel_superposition_vec,
+    propagator,
+    site_op,
+)
 from quditcorr.dynamics import (
-    Propagator,
     build_perturbed,
     build_xxz,
     evolve,
@@ -232,7 +239,7 @@ def test_pulsed_state_matches_expm_oracle(n, kind, dt):
     coupling = lam if kind == "hermitian" else 1j * lam
     oracle_h = dense_xxz(n, 1.0, 0.5) - coupling * site_op(n, site, SZ1)
     expected = scipy.linalg.expm(-1j * dt * oracle_h) @ amp
-    pulse = Propagator("sparse", build_perturbed(h0, site, lam, kind))
+    pulse = propagator("sparse", build_perturbed(h0, site, lam, kind))
     got = evolve(pulse, state, dt).amplitudes
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(expected)))
 
@@ -250,7 +257,7 @@ def test_pulse_on_the_study_blocks_matches_the_perturbed_propagator(n, kind):
     amp = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     states = [neel_state(n), QuditState(RegisterShape((3,) * n), amp / np.linalg.norm(amp))]
     for site, lam, dt in ((0, 0.2, 1e-3), (n - 1, 0.4, 0.5)):
-        reference = Propagator("sparse", build_perturbed(h0, site, lam, kind))
+        reference = propagator("sparse", build_perturbed(h0, site, lam, kind))
         for state in states:
             got = evolve(prop, state, dt, perturbation(h0, site, lam, kind))
             want = evolve(reference, state, dt)

@@ -125,7 +125,7 @@ def run(config: RunConfig, out_dir: str = ".", defaults_applied=()) -> int:
             "quditcorr": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
-            # Only a block above DENSE_BLOCK_LIMIT loads SciPy; null if none was built.
+            # Only a touched block above DENSE_BLOCK_LIMIT loads SciPy; null if none was.
             "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         },
     }
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

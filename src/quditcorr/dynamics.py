@@ -20,9 +20,12 @@ the pulses, which add their diagonal to the touched blocks).
 `trajectory` streams a state through a whole time grid and is the only
 code that propagates; `evolve`, one exp(-i H t), is its one-time case.
 
-H is NumPy CSR arrays only, built and split with NumPy.  The kernel
-multiplies by a dense NumPy block up to the limit and by a SciPy CSR
-block above it: SciPy loads there (N >= 8) and in build_perturbed only.
+H is NumPy CSR arrays only, built and split with NumPy.  Blocks hold no
+entries of H: a block builds its operator from H's arrays when a state
+first touches it, so an untouched block is never factorized or converted.
+The Taylor kernel multiplies by a dense NumPy block up to the limit and
+by a SciPy CSR block above it: SciPy loads where such a block propagates
+(N >= 8) and in build_perturbed only.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import collections
 import math
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -243,14 +245,14 @@ def build_perturbed(h0: SparseHamiltonian, site: int, lam: float, kind: str) -> 
 
 
 def _diagonal_blocks(h: SparseHamiltonian):
-    """(indices, CSR arrays) of each connected component of H's sparsity pattern.
+    """(indices of each connected component of H's sparsity pattern, local).
 
     The components come from min-label propagation along the stored
     entries, in both directions, with pointer jumping: every label stays
     an index of its own component, and at the fixed point it is constant
-    on each component.  A block's rows hold no column outside it, so
-    its sub-matrix is its rows with each column index mapped to the
-    position of that column within the block.
+    on each component.  local[i] is the position of index i within its
+    component, so a block's sub-matrix is its rows of H with each column
+    mapped through local: a block's rows hold no column outside it.
     """
     rows = _rows(h.indptr)
     cols = h.indices
@@ -267,13 +269,7 @@ def _diagonal_blocks(h: SparseHamiltonian):
     bounds = [0, *(np.flatnonzero(np.diff(label[order])) + 1), order.size]
     local = np.empty(order.size, dtype=np.int32)
     local[order] = np.arange(order.size) - np.repeat(bounds[:-1], np.diff(bounds))
-    counts = np.diff(h.indptr)
-    for start, stop in zip(bounds, bounds[1:]):
-        index = order[start:stop]
-        ptr = np.zeros(index.size + 1, dtype=np.int64)
-        np.cumsum(counts[index], out=ptr[1:])
-        take = np.repeat(h.indptr[index] - ptr[:-1], counts[index]) + np.arange(ptr[-1])
-        yield index, _Csr(h.data[take], local[h.indices[take]], ptr)
+    return [order[start:stop] for start, stop in zip(bounds, bounds[1:])], local
 
 
 class Block:
@@ -281,31 +277,37 @@ class Block:
 
     strategy is "dense-eig", op (eigenvalues, eigenvectors), for a block
     of a Hermitian H up to DENSE_BLOCK_LIMIT, and "sparse", op the Taylor
-    kernel's operator, otherwise.  A dense-eig block diagonalizes on the
-    first read of op, under its propagator's lock, so a block that no
-    state touches is never factorized.  The sub-matrix, to which a pulse
-    adds its diagonal, is csr + shift * I.  Above DENSE_BLOCK_LIMIT csr is
-    the arrays of op's shifted CSR matrix, so the block holds its entries
-    once.
+    kernel's operator, otherwise.  A block holds its indices and no entry
+    of H: sub() gathers its sub-matrix from H's own arrays, and op is
+    built from it on the first read, under its propagator's lock, so a
+    block that no state touches is never factorized or converted.
     """
 
-    def __init__(self, index: np.ndarray, csr: _Csr, hermitian: bool, lock: threading.Lock):
+    def __init__(self, index: np.ndarray, h: SparseHamiltonian, local, lock: threading.Lock):
         self.index = index  # full-space indices, ascending
-        self.csr, self.shift, self._lock = csr, 0.0, lock
-        self.strategy = "dense-eig" if hermitian and index.size <= DENSE_BLOCK_LIMIT else "sparse"
-        self._op = None if self.strategy == "dense-eig" else _taylor_op(csr, np.zeros(index.size))
-        if index.size > DENSE_BLOCK_LIMIT:  # keep the entries once: as op's shifted CSR
-            a, self.shift = self._op[:2]
-            self.csr = _Csr(a.data, a.indices, a.indptr)
+        self._h, self._local, self._lock, self._op = h, local, lock, None
+        self.strategy = "dense-eig" if h.hermitian and index.size <= DENSE_BLOCK_LIMIT else "sparse"
+
+    def sub(self) -> _Csr:
+        """The block's sub-matrix of H, gathered from H's arrays."""
+        h, index = self._h, self.index
+        counts = h.indptr[index + 1] - h.indptr[index]
+        ptr = np.zeros(index.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        take = np.repeat(h.indptr[index] - ptr[:-1], counts) + np.arange(ptr[-1])
+        return _Csr(h.data[take], self._local[h.indices[take]], ptr)
 
     @property
     def op(self):
         if self._op is None:
             with self._lock:
                 if self._op is None:
-                    # A real eigh is faster, and it moves results by less:
-                    # 9.3e-15 against 1.6e-14 for a complex one on the N = 4 study.
-                    self._op = np.linalg.eigh(_dense(self.csr))
+                    if self.strategy == "dense-eig":
+                        # A real eigh is faster, and it moves results by less:
+                        # 9.3e-15 against 1.6e-14 for a complex one on the N = 4 study.
+                        self._op = np.linalg.eigh(_dense(self.sub()))
+                    else:
+                        self._op = _taylor_op(self.sub(), np.zeros(self.index.size))
         return self._op
 
 
@@ -318,26 +320,24 @@ def _dense(sub: _Csr, diagonal=0.0) -> np.ndarray:
     return a if a.imag.any() else np.ascontiguousarray(a.real)
 
 
-@dataclass
 class Propagator:
     """Applies exp(-i H t) to the system block of a register.
 
     States whose trailing sites multiply out to the Hamiltonian
     dimension are accepted; any leading sites (the ancilla) are treated
     as batch indices and left untouched.  H is split into the connected
-    components of its sparsity pattern (blocks), and H alone picks each
-    block's kernel (Block.strategy): dense-eig, diagonalized on first
-    touch, for a block of a Hermitian H up to DENSE_BLOCK_LIMIT, and the
-    Taylor kernel otherwise.  One lock guards the factorizations, so one
-    propagator can serve several threads.
+    components of its sparsity pattern (blocks), which hold no entries of
+    H.  H alone picks each block's kernel (Block.strategy): dense-eig for
+    a block of a Hermitian H up to DENSE_BLOCK_LIMIT, the Taylor kernel
+    otherwise.  A block builds its operator from H's arrays when a state
+    first touches it, so an untouched block is never factorized or
+    converted.  One lock guards the builds for several threads.
     """
 
-    hamiltonian: SparseHamiltonian
-    blocks: list[Block] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        h, lock = self.hamiltonian, threading.Lock()
-        self.blocks = [Block(idx, sub, h.hermitian, lock) for idx, sub in _diagonal_blocks(h)]
+    def __init__(self, hamiltonian: SparseHamiltonian):
+        self.hamiltonian, lock = hamiltonian, threading.Lock()
+        indices, local = _diagonal_blocks(hamiltonian)
+        self.blocks = [Block(index, hamiltonian, local, lock) for index in indices]
 
     def blocks_touched(self, state: QuditState) -> list[Block]:
         """The blocks on which state has a nonzero amplitude in any batch row."""
@@ -386,7 +386,7 @@ def trajectory(prop: Propagator, state: QuditState, times, diagonal=None):
     x = state.amplitudes.reshape(-1, dim)
     streams = []
     for b in prop.blocks_touched(state):
-        op = b.op if diagonal is None else _taylor_op(b.csr, diagonal[b.index] + b.shift)
+        op = b.op if diagonal is None else _taylor_op(b.sub(), diagonal[b.index])
         stream = _dense_stream if diagonal is None and b.strategy == "dense-eig" else _taylor_stream
         streams.append((b.index, stream(op, np.ascontiguousarray(x[:, b.index].T), times)))
     return (QuditState(state.shape, _scatter(x, streams)) for _ in times)

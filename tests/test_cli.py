@@ -451,6 +451,23 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["missing-config", "config-is-a-directory", "out-is-a-file"])
+def test_file_errors_exit_2_naming_the_path(tmp_path, capsys, case):
+    # Exit 1 is an interrupted run's status; a file the run cannot read or
+    # write is a usage error, reported in one line.
+    missing, taken = tmp_path / "missing.json", tmp_path / "taken"
+    taken.write_text("")
+    config = write_config(tmp_path, FAST)
+    path, args = {
+        "missing-config": (missing, ["--config", str(missing)]),
+        "config-is-a-directory": (tmp_path, ["--config", str(tmp_path)]),
+        "out-is-a-file": (taken, ["--config", config, "--out", str(taken)]),
+    }[case]
+    assert main(["run", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -1,4 +1,7 @@
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import time
@@ -298,16 +301,36 @@ def test_taylor_kernel_matches_expm(monkeypatch, csr, hermitian):
             assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
-def test_blocks_above_the_limit_keep_one_copy_of_their_entries():
-    # The block's CSR is the kernel's shifted matrix itself; a pulse
-    # adds its diagonal to it and the shift back.
-    prop = make_propagator(build_xxz(8, 1.0, 0.5))
-    large = [b for b in prop.blocks if b.index.size > DENSE_BLOCK_LIMIT]
-    assert sorted(b.index.size for b in large) == [504, 504, 784, 784, 1016, 1016, 1107]
-    for b in large:
-        a, mu, _ = b.op
-        assert np.shares_memory(a.data, b.csr.data) and b.shift == mu
-        assert np.shares_memory(a.indices, b.csr.indices)
+def test_blocks_hold_no_entries_and_build_on_first_touch():
+    # A block gathers its sub-matrix from H's arrays when a state first
+    # touches it, so building a propagator converts nothing: at N = 8,
+    # where the largest blocks run the Taylor kernel on SciPy CSR, it
+    # loads no SciPy.
+    code = (
+        "import sys\nfrom quditcorr import dynamics\n"
+        "dynamics.make_propagator(dynamics.build_xxz(8, 1.0, 0.5))\n"
+        "print('scipy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(dynamics.__file__).parents[1])}
+    cmd = [sys.executable, "-c", code]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+    h, psi = build_xxz(8, 1.0, 0.5), neel_superposition(8)
+    prop = make_propagator(h)
+    assert all(b._op is None for b in prop.blocks)
+    evolve(prop, psi, 0.5)
+    touched = prop.blocks_touched(psi)
+    assert [b._op is not None for b in prop.blocks] == [b in touched for b in prop.blocks]
+    (b,) = touched
+    assert b.strategy == "sparse" and b.index.size > DENSE_BLOCK_LIMIT
+    m = csr(h)[b.index][:, b.index]
+    sub = dynamics._Csr(m.data, m.indices.astype(np.int32), m.indptr.astype(np.int64))
+    a, mu, norm1 = dynamics._taylor_op(sub, np.zeros(b.index.size))
+    got, got_mu, got_norm1 = b.op
+    assert (got_mu, got_norm1) == (mu, norm1)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).tobytes() == getattr(a, name).tobytes()
 
 
 def test_energy_conservation_and_norm_drift():
@@ -403,41 +426,49 @@ def test_trajectory_rejects_non_finite_times(times):
 
 
 def test_threads_sharing_a_propagator_factorize_each_block_once(monkeypatch):
-    # Blocks diagonalize on first touch; the lock keeps two threads that
-    # touch a block at once from both running its eigh.
-    sizes, eigh = [], np.linalg.eigh
+    # Blocks build their operator on first touch: eigh for dense-eig and
+    # _taylor_op for the Taylor kernel.  The lock keeps two threads that
+    # touch a block at once from both building it.
+    h, psi = build_xxz(5, 1.0, 0.5), neel_superposition(5)
+    want = scipy.linalg.expm(-0.7j * dense_xxz(5, 1.0, 0.5)) @ neel_superposition_vec(5)
+    built = []
 
-    def slow_eigh(a, *args, **kwargs):
-        sizes.append(len(a))
-        time.sleep(0.01)  # widen the window between the check and the store
-        return eigh(a, *args, **kwargs)
+    def slow(name, build):
+        def slow_build(*args, **kwargs):
+            built.append((name, len(args[-1])))  # eigh's matrix, _taylor_op's diagonal
+            time.sleep(0.01)  # widen the window between the check and the store
+            return build(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
-    prop = make_propagator(build_xxz(5, 1.0, 0.5))
-    psi = neel_superposition(5)
-    want = next(trajectory(propagator("sparse", prop.hamiltonian), psi, [0.7])).amplitudes
-    assert sizes == []  # building the propagator factorizes nothing
-    results, start = [], threading.Barrier(8)
+        return slow_build
 
-    def work():
-        start.wait()
-        results.append(evolve(prop, psi, 0.7).amplitudes)
+    monkeypatch.setattr(np.linalg, "eigh", slow("eigh", np.linalg.eigh))
+    monkeypatch.setattr(dynamics, "_taylor_op", slow("_taylor_op", dynamics._taylor_op))
+    for kernel, name in (("dense-eig", "eigh"), ("sparse", "_taylor_op")):
+        built.clear()
+        prop = propagator(kernel, h)
+        assert built == []  # building the propagator builds no operator
+        results, start = [], threading.Barrier(8)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(sizes) == sorted(b.index.size for b in prop.blocks_touched(psi)) == [45, 45]
-    assert len(results) == 8
-    for got in results:
-        assert np.abs(got - want).max() <= 1e-12
+        def work():
+            start.wait()
+            results.append(evolve(prop, psi, 0.7).amplitudes)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(b.index.size for b in prop.blocks_touched(psi)) == [45, 45]
+        assert built == [(name, 45), (name, 45)]
+        assert len(results) == 8
+        for got in results:
+            assert np.abs(got - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("strategy", ["dense-eig", "sparse"])

@@ -36,7 +36,6 @@ from .observables import (
 from .dynamics import (
     Propagator,
     SparseHamiltonian,
-    build_perturbed,
     build_xxz,
     evolve,
     make_propagator,
@@ -88,7 +87,6 @@ __all__ = [
     "spin_matrix",
     "Propagator",
     "SparseHamiltonian",
-    "build_perturbed",
     "build_xxz",
     "evolve",
     "make_propagator",

@@ -63,7 +63,7 @@ from .linear_response import (
     unperturbed_readout,
 )
 from .observables import HermitianObservable, spin_matrix
-from .register import QuditState, RegisterShape, site_marginal
+from .register import QuditState, basis_state, site_marginal
 from .rng import task_rng
 
 log = logging.getLogger(__name__)
@@ -200,6 +200,9 @@ class RunConfig:
         _expect(distinct, "lambdas", f"values must be distinct, got {list(lambdas)}")
         put("pulse_area", _number(self.pulse_area, "pulse_area"))
         _expect(self.pulse_area > 0, "pulse_area", "must be positive")
+        for lam in self.lambdas:  # the LR quotients divide by lambda * pulse_area
+            small = lam * self.pulse_area < sys.float_info.min
+            _expect(not small, "lambdas", f"lambda * pulse_area underflows for {lam!r}")
         _integer(self.seed, "seed")
         workers = self.workers
         valid = workers is None or _is_int(workers) and workers >= 1
@@ -252,14 +255,9 @@ def neel_superposition(n_sites: int) -> QuditState:
     """(|+1,-1,+1,...> + |-1,+1,-1,...>)/sqrt(2) in the S^z product basis."""
     if n_sites < 2:
         raise ValueError("need at least 2 sites")
-    shape = RegisterShape((3,) * n_sites)
-    idx_a = idx_b = 0
-    for k in range(n_sites):
-        idx_a = idx_a * 3 + (0 if k % 2 == 0 else 2)
-        idx_b = idx_b * 3 + (2 if k % 2 == 0 else 0)
-    amp = np.zeros(shape.size, dtype=np.complex128)
-    amp[idx_a] = amp[idx_b] = 1.0 / math.sqrt(2)
-    return QuditState(shape, amp)
+    up_first = [2 * (k % 2) for k in range(n_sites)]  # levels of m = +1, -1, +1, ...
+    a, b = (basis_state((3,) * n_sites, levels) for levels in (up_first, [2 - l for l in up_first]))
+    return QuditState(a.shape, (a.amplitudes + b.amplitudes) / math.sqrt(2))
 
 
 def quench_system(config: RunConfig):
@@ -354,7 +352,7 @@ def hadamard_trace(
     in U(t)|psi0>, which C+'s disconnected part and the LR readout use.
     The point at grid index ti draws from task_rng(seed, 1, ti): the four
     C+ circuits, then the two disconnected-part means, then the four C-
-    circuits, each set in one sample_counts call.
+    circuits, each set drawn for the whole grid in one sample_counts call.
     """
     na, nb = obs_a.spectral_norm, obs_b.spectral_norm
     site_a, site_b = obs_a.support[0], obs_b.support[0]
@@ -509,7 +507,7 @@ def run_quench_study(config: RunConfig) -> StudyResult:
             r_m, why_m = _safe_relative_error(minus.value, reference[1], grid, "C-")
             dc_p, dc_m = time_averaged_std(std_p, grid), time_averaged_std(std_m, grid)
             fom = FigureOfMerit(r_p, r_m, dc_p, dc_m, why_p, why_m)
-        figures[HADAMARD if key[1] is None else f"{LINEAR_RESPONSE}:lambda={key[1]:g}"] = fom
+        figures[HADAMARD if key[1] is None else f"{LINEAR_RESPONSE}:lambda={key[1]!r}"] = fom
     return StudyResult(_rows(traces, reported, grid, seed), figures)
 
 
@@ -535,4 +533,10 @@ def _safe_relative_error(est, ref, grid, label: str) -> tuple[float | None, str 
         if np.allclose(est, ref, atol=1e-10):
             return 0.0, None
         return None, f"reference {label} trace vanishes on the grid but the estimate does not"
-    return relative_error(est, ref, grid), None
+    # A tiny lambda * pulse_area puts LR values near the float range, where
+    # the squared deviation overflows: R is then undefined, not infinite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = relative_error(est, ref, grid)
+    if not math.isfinite(r):
+        return None, f"the squared deviation from the reference {label} trace overflows"
+    return r, None

@@ -258,9 +258,9 @@ def estimate_from_probabilities(
     holds (T,) arrays.  shots_per_circuit = None gives the exact values,
     q = P; an attached nominal total budget then supplies the error bars
     sqrt(variance_model / n).  Otherwise each q is the |0> fraction of an
-    independent draw of shots_per_circuit shots, the four circuits of
-    point t in one sample_counts call on rngs[t], and the error bar
-    combines the empirical binomial variances.
+    independent draw of shots_per_circuit shots (the trace in one
+    sample_counts call, point t's four circuits on rngs[t]), and the error
+    bar combines the empirical binomial variances.
     """
     ps = np.asarray(ps, dtype=float)
     model = variance_model(ps, norm_a, norm_b)  # checks for four P in [0, 1] per point
@@ -273,8 +273,7 @@ def estimate_from_probabilities(
         if n < 1:
             raise ValueError("shots must be >= 1")
         outcomes = np.stack([ps, 1.0 - ps], axis=-1)  # (T, 4, 2): P(|0>), P(|1>)
-        zeros = [sample_counts(rows, n, rng)[:, 0] for rows, rng in zip(outcomes, rngs)]
-        qs, total = np.array(zeros) / n, 4 * n
+        qs, total = sample_counts(outcomes, n, rngs)[..., 0] / n, 4 * n
         std = np.sqrt(pref**2 * _sum4(squared(4.0 * np.sqrt(qs * (1.0 - qs) / n))))
     value = pref * _sum4(4.0 * qs - 2.0)
     return CorrelatorEstimate(value, std, np.full(len(ps), total), EXACT if n is None else SAMPLED)

@@ -99,15 +99,11 @@ def _sz_moments(p, shots=None, rngs=None) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance of S^z under each site marginal of p, or under shots draws from it.
 
     p is (T, R, 3): R marginals at each of T points.  With shots (one
-    count, or one per row of a point), the R rows of point t are drawn in
-    one sample_counts call on rngs[t].  Both results are (T, R).
+    count, or one per row of a point), one sample_counts call draws the
+    trace, the R rows of point t on rngs[t].  Both results are (T, R).
     """
     p = np.asarray(p, dtype=float)
-    if shots is None:
-        weights, total = p, 1.0
-    else:
-        total = np.broadcast_to(shots, p.shape[:-1])
-        weights = np.array([sample_counts(*point) for point in zip(p, total, rngs)])
+    weights, total = (p, 1.0) if shots is None else (sample_counts(p, shots, rngs), shots)
     mean = (weights @ _SZ_LEVELS) / total
     return mean, np.maximum((weights @ _SZ_LEVELS**2) / total - squared(mean), 0.0)
 
@@ -149,8 +145,8 @@ def lr_estimate(
     pert and unpert are (T, 3): the outcome distributions on the readout
     site at t2 of the pulsed and the unpulsed branch; pert_norm (T,) holds
     the squared norms of the pulsed branch.  budget and nominal_budget
-    mean what they mean for measure_lr; the sampled point t draws both
-    branches in one sample_counts call on rngs[t].  The estimate holds
+    mean what they mean for measure_lr; one sample_counts call draws the
+    sampled trace, both branches of point t on rngs[t].  The estimate holds
     (T,) arrays.
     """
     pert_norm = np.asarray(pert_norm, dtype=float)

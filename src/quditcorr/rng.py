@@ -40,13 +40,13 @@ def as_generator(seed) -> np.random.Generator:
 SNAP_GRID = 2**30
 
 
-def sample_counts(p, shots, seed) -> np.ndarray:
-    """Multinomial histogram of shots draws from each distribution (row) of p.
+def sample_counts(p, shots, rngs) -> np.ndarray:
+    """Multinomial histograms of shots draws from each distribution (row) of a trace p.
 
-    Every sampled estimate draws through here.  p is one distribution
-    over its last axis or a stack of them, and shots one count or one
-    per row; a stack is drawn in one multinomial call, which consumes
-    the generator exactly as drawing its rows one by one would.  NumPy's
+    Every sampled estimate draws through here.  p is (T, ..., K): the
+    rows of point t, over the last axis, are drawn in one multinomial
+    call on as_generator(rngs[t]), which consumes it exactly as drawing
+    them one by one would; shots broadcasts over p.shape[:-1].  NumPy's
     samplers branch on p (at 1/2, for one), so each row is first rounded
     onto multiples of 1 / SNAP_GRID, in integers summing to SNAP_GRID;
     the remainder goes to the row's largest level, which it cannot make
@@ -56,4 +56,6 @@ def sample_counts(p, shots, seed) -> np.ndarray:
     units = np.rint(np.asarray(p, dtype=float) * SNAP_GRID)  # integers, exact as floats
     largest = np.argmax(units, axis=-1)[..., None] == np.arange(units.shape[-1])
     units += largest * (SNAP_GRID - units.sum(axis=-1, keepdims=True))
-    return as_generator(seed).multinomial(shots, units / SNAP_GRID)
+    shots = np.broadcast_to(shots, units.shape[:-1])
+    draws = zip(shots, units / SNAP_GRID, rngs, strict=True)
+    return np.array([as_generator(rng).multinomial(n, row) for n, row, rng in draws])

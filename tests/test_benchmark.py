@@ -307,12 +307,12 @@ def _reference_sampled_point(ps_plus, ps_minus, marginal_a, marginal_b, pref, n_
     """
 
     def circuits(ps, n):
-        qs = [int(sample_counts((p, 1.0 - p), n, rng)[0]) / n for p in ps]
+        qs = [int(sample_counts([(p, 1.0 - p)], n, [rng])[0][0]) / n for p in ps]
         std = math.sqrt(pref**2 * sum((4.0 * math.sqrt(q * (1.0 - q) / n)) ** 2 for q in qs))
         return pref * sum(4.0 * q - 2.0 for q in qs), std, 4 * n
 
     def site_mean(marginal):
-        up, _, down = sample_counts(marginal, n_plus, rng).tolist()  # S^z = +1, 0, -1
+        up, _, down = sample_counts([marginal], n_plus, [rng])[0].tolist()  # S^z = +1, 0, -1
         mean = (up - down) / n_plus
         return mean, math.sqrt(max((up + down) / n_plus - mean**2, 0.0) / n_plus)
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -88,6 +89,12 @@ def test_field_validation_messages(tmp_path):
     for lambdas in ([0.2, 0.2], [0.1, 1, 1.0]):
         with pytest.raises(ConfigError, match="field 'lambdas': values must be distinct"):
             parse_config(write_config(tmp_path, {"lambdas": lambdas}))
+    # 5e-324 * 1e-3 rounds to 0.0, and the LR quotients divide by lambda * pulse_area;
+    # the smallest accepted lambda puts that product at the smallest normal float.
+    with pytest.raises(ConfigError, match="field 'lambdas': lambda \\* pulse_area underflows"):
+        parse_config(write_config(tmp_path, {"lambdas": [5e-324]}))
+    floor = sys.float_info.min / 1e-3
+    assert parse_config_dict({"lambdas": [floor]})[0].lambdas == (floor,)
     # Types are checked, not coerced.
     wrong_types = [
         ("exact_only", {"exact_only": "false"}),
@@ -361,6 +368,18 @@ def test_csv_schema_and_lambda_column(tmp_path):
     assert all(l.split(",")[3] == "0.2" for l in lr)
 
 
+def test_every_lambda_has_its_own_figure_under_its_csv_text(tmp_path):
+    # 0.1 and 0.1000001 agree to 6 significant digits; each keeps its figure.
+    cfg, _ = parse_config_dict({**FAST, "n_sites": 3, "lambdas": [0.1, 0.1000001]})
+    out = tmp_path / "close"
+    assert run(cfg, str(out)) == 0
+    lines = (out / "results.csv").read_text().splitlines()[1:]
+    csv_lambdas = {l.split(",")[3] for l in lines if l.startswith("lr,")}
+    figures = json.loads((out / "summary.json").read_text())["figures_of_merit"]
+    assert csv_lambdas == {"0.1", "0.1000001"}
+    assert sorted(figures) == ["hadamard", "lr:lambda=0.1", "lr:lambda=0.1000001"]
+
+
 def test_exact_only_run_reports_tiny_relative_error(tmp_path):
     cfg, _ = parse_config_dict(
         {"n_sites": 4, "t_max": 2.0, "steps": 4, "protocols": ["hadamard"], "exact_only": True}
@@ -451,6 +470,22 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload, flags, message",
+    [
+        ([1, 2], [], "config document must be a JSON object"),
+        # 3^18 amplitudes exceed the 2^27 budget: refused before H is allocated.
+        (FAST, ["--n-sites", "18"], "dimension 3^18 = 387420489 exceeds the 134217728 budget"),
+    ],
+    ids=["config-not-an-object", "n-sites-over-budget"],
+)
+def test_run_reports_unusable_input_in_one_line(tmp_path, capsys, payload, flags, message):
+    path = write_config(tmp_path, payload)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out"), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list((tmp_path / "out").glob("*"))  # nothing written
+
+
 @pytest.mark.parametrize("case", ["missing-config", "config-is-a-directory", "out-is-a-file"])
 def test_file_errors_exit_2_naming_the_path(tmp_path, capsys, case):
     # Exit 1 is an interrupted run's status; a file the run cannot read or
@@ -483,6 +518,22 @@ def test_summary_is_strict_json_when_r_is_undefined(tmp_path):
     assert fom["r_minus"] is None
     assert "vanishes" in fom["r_minus_reason"]
     assert fom["r_plus"] is not None and fom["r_plus_reason"] is None
+
+
+def test_an_extreme_lambda_leaves_r_undefined_and_writes_the_study(tmp_path):
+    # At lambda = 1e-300 the LR values approach the float range and their
+    # squared deviation overflows: R is undefined, the rest of the study stands.
+    cfg, _ = parse_config_dict({**FAST, "n_sites": 3, "lambdas": [1e-300]})
+    out = tmp_path / "extreme"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(cfg, str(out)) == 0
+    assert (out / "results.csv").read_text().count("\nlr,") == 2 * cfg.steps
+    text = (out / "summary.json").read_text()
+    fom = json.loads(text, parse_constant=_reject_constant)["figures_of_merit"]["lr:lambda=1e-300"]
+    assert fom["r_plus"] is None and "overflows" in fom["r_plus_reason"]
+    assert fom["r_minus"] is None and fom["r_minus_reason"]
+    assert 0 < fom["dc_plus"] < math.inf and 0 < fom["dc_minus"] < math.inf
 
 
 @pytest.mark.parametrize("workers", [1, 2])

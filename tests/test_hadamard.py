@@ -163,7 +163,7 @@ def test_assemble_correlator_cases():
     ps, n = (0.2, 0.4, 0.6, 0.8), 10
     est = estimate_point(ps, 2.0, 3.0, n, task_rng(4, 2))
     rng = task_rng(4, 2)
-    qs = [sample_counts((p, 1 - p), n, rng)[0] / n for p in ps]
+    qs = [sample_counts([(p, 1 - p)], n, [rng])[0][0] / n for p in ps]
     sigmas = [4 * np.sqrt(q * (1 - q) / n) for q in qs]
     assert est.value == pytest.approx(1.5 * sum(4 * q - 2 for q in qs))
     assert est.std_error == pytest.approx(1.5 * np.sqrt(sum(s**2 for s in sigmas)))

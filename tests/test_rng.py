@@ -15,9 +15,9 @@ STACKS = [
 @pytest.mark.parametrize("p, shots", STACKS)
 def test_a_stacked_draw_equals_drawing_row_by_row(p, shots):
     stacked_rng, rows_rng = task_rng(21, 4), task_rng(21, 4)
-    stacked = sample_counts(p, shots, stacked_rng)
+    stacked = sample_counts([p], shots, [stacked_rng])[0]
     per_row = np.broadcast_to(shots, len(p))
-    rows = [sample_counts(row, int(n), rows_rng) for row, n in zip(p, per_row)]
+    rows = [sample_counts([row], int(n), [rows_rng])[0] for row, n in zip(p, per_row)]
     assert stacked.tolist() == [r.tolist() for r in rows]
     assert stacked.sum(axis=1).tolist() == per_row.tolist()
     # The generator is left where the row-by-row draws leave it.
@@ -36,7 +36,7 @@ def test_each_row_is_snapped_on_its_own():
     # Each row is rounded onto the 2^-30 grid, and its remainder goes to
     # that row's largest level: the last one here, then a tie won by the first.
     rng = _Recording(np.random.Philox(5))
-    counts = sample_counts([[1 / 6, 1 / 6, 2 / 3], [1 / 3, 1 / 3, 1 / 3]], [90, 40], rng)
+    counts = sample_counts([[[1 / 6, 1 / 6, 2 / 3], [1 / 3, 1 / 3, 1 / 3]]], [90, 40], [rng])[0]
     assert (rng.pvals * SNAP_GRID).tolist() == [
         [178956971, 178956971, 715827882],
         [357913942, 357913941, 357913941],

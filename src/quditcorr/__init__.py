@@ -25,11 +25,8 @@ from .register import (
 )
 from .observables import (
     HermitianObservable,
-    OperatorString,
-    StringDecomposition,
     UnitaryDecomposition,
     decompose,
-    decompose_string,
     spectral_norm,
     spin_matrix,
 )
@@ -78,11 +75,8 @@ __all__ = [
     "expectation",
     "site_marginal",
     "HermitianObservable",
-    "OperatorString",
-    "StringDecomposition",
     "UnitaryDecomposition",
     "decompose",
-    "decompose_string",
     "spectral_norm",
     "spin_matrix",
     "Propagator",

@@ -303,7 +303,13 @@ def relative_error(trace_est, trace_ref, grid) -> float:
 
 
 def time_averaged_std(std_trace, grid) -> float:
-    """(1/t) int std dt' over the grid (trapezoidal)."""
+    """(1/t) int std dt' over the grid (trapezoidal).
+
+    An error bar near the float limit (an LR trace at the smallest λ)
+    times a long step overflows the area, though not the average, which
+    is at most max(std).  Such a trace is integrated in units of its
+    maximum; every other trace takes the plain quadrature.
+    """
     std = np.asarray(std_trace, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if std.shape != grid.shape:
@@ -311,7 +317,12 @@ def time_averaged_std(std_trace, grid) -> float:
     if grid.size < 2:
         raise ValueError("need at least two grid points to average")
     span = grid[-1] - grid[0]
-    return float(np.trapezoid(std, grid)) / span
+    with np.errstate(over="ignore"):
+        mean = float(np.trapezoid(std, grid)) / span
+    if math.isinf(mean):
+        peak = np.max(std)
+        mean = float(np.trapezoid(std / peak, grid)) / span * peak
+    return mean
 
 
 def brute_force_correlators(

@@ -95,10 +95,22 @@ def _write_csv(path: str, rows):
         fh.writelines(",".join(map(_fmt, cells(r))) + "\n" for r in rows)
 
 
+def _make_out_dir(path: str) -> list[str]:
+    """Create path and its missing parents; returns the ones created, deepest first."""
+    made = []
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    return made
+
+
 def run(config: RunConfig, out_dir: str = ".", defaults_applied=()) -> int:
     """Execute the configured study and write results.csv + summary.json."""
     started = time.perf_counter()
-    os.makedirs(out_dir, exist_ok=True)
+    # Made before the study, so that an unusable path fails before any work.
+    made = _make_out_dir(out_dir)
     incomplete = False
     rows, figures = (), {}
     try:
@@ -111,6 +123,15 @@ def run(config: RunConfig, out_dir: str = ".", defaults_applied=()) -> int:
             rows = exc.result.rows
         log.warning("interrupted; writing the %d rows of the completed traces", len(rows))
         incomplete = True
+    except BaseException:
+        # A refused or failed study writes nothing: remove the directories
+        # this run made, as long as they are still empty.
+        try:
+            for path in made:
+                os.rmdir(path)
+        except OSError:
+            pass
+        raise
 
     _write_csv(os.path.join(out_dir, "results.csv"), rows)
     summary = {

@@ -85,9 +85,6 @@ class HermitianObservable:
     def support(self) -> tuple[int, ...]:
         return self.op.support
 
-    def on(self, *sites: int) -> "HermitianObservable":
-        return HermitianObservable(self.op.on(*sites))
-
 
 @dataclass(frozen=True)
 class UnitaryDecomposition:
@@ -127,62 +124,3 @@ def decompose(obs: HermitianObservable) -> UnitaryDecomposition:
     w_mat = _unitary_from_scaled(obs.op.matrix / obs.spectral_norm)
     w = LocalOperator(w_mat, support=obs.op.support, unitary=True)
     return UnitaryDecomposition(norm=obs.spectral_norm, w=w, w_dagger=w.dagger())
-
-
-@dataclass(frozen=True)
-class OperatorString:
-    """Product of single-site Hermitian factors on distinct sites."""
-
-    factors: tuple[tuple[int, HermitianObservable], ...]
-
-    def __post_init__(self):
-        factors = tuple((int(s), o) for s, o in self.factors)
-        object.__setattr__(self, "factors", factors)
-        if not factors:
-            raise ValueError("operator string needs at least one factor")
-        sites = [s for s, _ in factors]
-        if len(set(sites)) != len(sites):
-            raise ValueError(f"string sites must be distinct, got {sites}")
-        for s, obs in factors:
-            if len(obs.op.support) != 1:
-                raise ValueError(f"factor on site {s} must be a single-site operator")
-
-
-@dataclass(frozen=True)
-class StringDecomposition:
-    """Expansion of the string's W as a sum of product unitaries.
-
-    ``terms`` holds 2^(n-1) entries (coefficient, per-site unitaries);
-    together with their Hermitian conjugates these are the 2^n raw
-    product terms, and the string is reconstructed as
-
-        X = (norm / 2) * sum_terms coeff * (T + T^+),   T = kron(factors).
-    """
-
-    norm: float
-    terms: tuple[tuple[float, tuple[LocalOperator, ...]], ...]
-
-
-def decompose_string(s: OperatorString) -> StringDecomposition:
-    """Expand the W of a product string into single-site W/W^+ factors.
-
-    Splitting every factor as S_k = (n_k/2)(W_k + W_k^+) and collecting
-    the product gives 2^n tensor terms with overall prefactor
-    (prod_k n_k) / 2^n.  Conjugate pairs are merged by fixing the first
-    slot to W_1, leaving 2^(n-1) terms of weight 1/2^(n-1) each; the
-    coefficient is pinned by requiring the reconstruction identity above
-    to hold exactly (checked densely in the tests).
-    """
-    parts = [(site, decompose(obs)) for site, obs in s.factors]
-    n = len(parts)
-    norm = math.prod(d.norm for _, d in parts)
-    coeff = 1.0 / 2 ** (n - 1)
-    terms = []
-    for mask in range(2 ** (n - 1)):
-        ops = [parts[0][1].w.on(parts[0][0])]
-        for k in range(1, n):
-            site, dec = parts[k]
-            pick = dec.w if (mask >> (k - 1)) & 1 == 0 else dec.w_dagger
-            ops.append(pick.on(site))
-        terms.append((coeff, tuple(ops)))
-    return StringDecomposition(norm=norm, terms=tuple(terms))

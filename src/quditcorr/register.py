@@ -80,9 +80,6 @@ class QuditState:
     def dims(self) -> tuple[int, ...]:
         return self.shape.dims
 
-    def copy(self) -> "QuditState":
-        return QuditState(self.shape, self.amplitudes.copy())
-
 
 def basis_state(dims, levels) -> QuditState:
     """Computational basis state |levels[0], levels[1], ...>."""

@@ -1,14 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the long workstation preset is opt-in via QUDITCORR_RUN_PRESET=1.
+lines.  Every criterion runs by default, the N = 10 preset of criterion 7
+included.
 """
 
-import os
 import time
 
 import numpy as np
-import pytest
 
 from oracles import SZ1, dense_xxz, heisenberg_pair, random_hermitian, site_op
 from quditcorr.benchmark import (
@@ -31,13 +30,7 @@ from quditcorr.hadamard import (
     variance_model,
 )
 from quditcorr.linear_response import LinearResponseConfig, measure_lr
-from quditcorr.observables import (
-    HermitianObservable,
-    OperatorString,
-    decompose,
-    decompose_string,
-    spin_matrix,
-)
+from quditcorr.observables import HermitianObservable, decompose, spin_matrix
 from quditcorr.register import LocalOperator
 from quditcorr.rng import task_rng
 
@@ -115,14 +108,10 @@ def test_criterion_3_decomposition_properties():
         worst_unitary = max(worst_unitary, np.max(np.abs(w.conj().T @ w - np.eye(dim))))
         worst_recon = max(worst_recon, np.max(np.abs(dec.norm / 2 * (w + w.conj().T) - x)))
         worst_comm = max(worst_comm, np.max(np.abs(w @ x - x @ w)))
-    sz = spin_matrix(1, "z")
-    string = OperatorString(((0, HermitianObservable(sz)), (1, HermitianObservable(sz))))
-    dec = decompose_string(string)
-    total = np.zeros((9, 9), dtype=complex)
-    for coeff, ops in dec.terms:
-        term = np.kron(ops[0].matrix, ops[1].matrix)
-        total += coeff * (term + term.conj().T)
-    string_err = np.max(np.abs(dec.norm / 2 * total - np.kron(SZ1, SZ1)))
+    # S^z S^z on two sites from one split: (n/2)^2 kron(W + W^+, W + W^+).
+    dec = decompose(HermitianObservable(spin_matrix(1, "z")))
+    pair = dec.w.matrix + dec.w_dagger.matrix
+    string_err = np.max(np.abs((dec.norm / 2) ** 2 * np.kron(pair, pair) - np.kron(SZ1, SZ1)))
     elapsed = time.time() - started
     ok = (
         worst_unitary <= 1e-10
@@ -272,11 +261,6 @@ def test_criterion_6_equal_time_and_symmetry_invariants():
     )
 
 
-@pytest.mark.preset
-@pytest.mark.skipif(
-    os.environ.get("QUDITCORR_RUN_PRESET") != "1",
-    reason="workstation preset; enable with QUDITCORR_RUN_PRESET=1",
-)
 def test_criterion_7_full_chain_preset():
     started = time.time()
     config = RunConfig(
@@ -298,7 +282,7 @@ def test_criterion_7_full_chain_preset():
     elapsed = time.time() - started
     report(
         7,
-        worst <= 5.0 and elapsed <= 7200.0,
+        worst <= 5.0 and elapsed <= 60.0,
         f"N=10 preset: max |sampled - exact| / stderr = {worst:.2f} (limit 5); "
-        f"runtime {elapsed / 60:.1f} min (limit 120 min)",
+        f"runtime {elapsed:.1f}s (limit 60s)",
     )

@@ -3,6 +3,7 @@ import math
 import signal
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from quditcorr.benchmark import (
     default_workers,
     hadamard_trace,
     neel_superposition,
+    quench_system,
     relative_error,
     run_quench_study,
     time_averaged_std,
@@ -117,6 +119,15 @@ def test_time_averaged_std_values():
     np.testing.assert_allclose(time_averaged_std(ramp, grid), 0.4)
     with pytest.raises(ValueError):
         time_averaged_std(np.array([1.0]), np.array([0.0]))
+    # A finite area keeps the plain quadrature's bits.
+    std, grid = np.random.default_rng(5).uniform(0, 2, (2, 9))
+    grid.sort()
+    assert time_averaged_std(std, grid) == float(np.trapezoid(std, grid)) / (grid[-1] - grid[0])
+    # Near the float limit the area overflows and the average does not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mean = time_averaged_std([4.5e307, 4.5e307, 2.0e307], [0.0, 25.0, 50.0])
+    assert mean == pytest.approx(3.875e307, rel=1e-15)
 
 
 def test_brute_force_reference_matches_independent_oracle():
@@ -528,17 +539,62 @@ RECORDED_N3 = [  # protocol, kind, t, exact, sampled, std_error, shots
 ]
 
 
-def test_study_reproduces_recorded_cells():
+def assert_recorded_cells(config, recorded):
     # The CSV rule for a change that keeps the behaviour: sampled,
     # std_error and shots byte-identical (repr is what the CSV writes),
     # exact cells within 1e-14 on the expectation-value scale.
-    config = RunConfig(n_sites=3, steps=4, lambdas=(0.2,), seed=11)
     rows = run_quench_study(config).rows
-    assert len(rows) == len(RECORDED_N3)
-    for row, (protocol, kind, t, exact, sampled, std_error, shots) in zip(rows, RECORDED_N3):
+    assert len(rows) == len(recorded)
+    for row, (protocol, kind, t, exact, sampled, std_error, shots) in zip(rows, recorded):
         assert (row.protocol, row.kind, row.t) == (protocol, kind, t)
         assert (repr(row.sampled), repr(row.std_error), row.shots) == (
             repr(sampled), repr(std_error), shots
         )
         scale = 1.0 if protocol == "hadamard" else row.lam * config.pulse_area
         assert abs(row.exact - exact) * scale <= 1e-14
+
+
+def test_study_reproduces_recorded_cells():
+    assert_recorded_cells(RunConfig(n_sites=3, steps=4, lambdas=(0.2,), seed=11), RECORDED_N3)
+
+
+# Cells of two studies whose touched blocks exceed DENSE_BLOCK_LIMIT, so
+# every trajectory runs the Taylor kernel on SciPy CSR blocks: N = 8
+# touches the M = 0 block, N = 9 the two blocks M = +-1.
+RECORDED_N8 = [
+    ('hadamard', '+', 0.0, -2.0, -2.003072, 0.007291947786977085, 1500),
+    ('hadamard', '+', 2.5, -0.15000600904694372, -0.17376, 0.06325769356528896, 1500),
+    ('hadamard', '+', 5.0, 0.2734740383246421, 0.249248, 0.06374782584502785, 1500),
+    ('hadamard', '-', 0.0, 0.0, 0.06800000000000006, 0.02233264426797687, 8000),
+    ('hadamard', '-', 2.5, 0.0015019074687534495, 0.007999999999999952, 0.02235736455846261, 8000),
+    ('hadamard', '-', 5.0, -0.08087057352570859, -0.1345, 0.022303298522864282, 8000),
+    ('lr', '+', 0.0, -1.9999962266692428, 266.66666666666663, 258.07400603817615, 1500),
+    ('lr', '+', 2.5, -0.14963254141825422, 200.0, 210.4966965518919, 1500),
+    ('lr', '+', 5.0, 0.27342208159641945, 73.33333333333334, 219.7702504047419, 1500),
+    ('lr', '-', 0.0, 1.6653345369377348e-10, -113.33333333333331, 91.27228292110168, 12000),
+    ('lr', '-', 2.5, 0.0012661237294708805, -108.33333333333333, 74.48974419838439, 12000),
+    ('lr', '-', 5.0, -0.0808800850596314, 48.333333333333336, 77.2248370860241, 12000),
+]
+RECORDED_N9 = [
+    ('hadamard', '+', 0.0, -2.0, -2.003072, 0.007291947786977085, 1500),
+    ('hadamard', '+', 2.5, -0.14621194511593438, -0.17376, 0.06325769356528896, 1500),
+    ('hadamard', '+', 5.0, 0.42515324179228386, 0.40924800000000017, 0.0628248130913893, 1500),
+    ('hadamard', '-', 0.0, 0.0, 0.06800000000000006, 0.02233264426797687, 8000),
+    ('hadamard', '-', 2.5, -1.1102230246251565e-16, -0.021500000000000075, 0.02235354278408682, 8000),
+    ('hadamard', '-', 5.0, 1.1102230246251565e-16, -0.05499999999999999, 0.0223454189936103, 8000),
+    ('lr', '+', 0.0, -1.9999962266661897, 266.66666666666663, 258.07400603817615, 1500),
+    ('lr', '+', 2.5, -0.14583546699281635, 200.0, 210.70013798796654, 1500),
+    ('lr', '+', 5.0, 0.42514576455515707, 66.66666666666666, 213.50687385933313, 1500),
+    ('lr', '-', 0.0, 1.6486811915683575e-10, -113.33333333333331, 91.27228292110168, 12000),
+    ('lr', '-', 2.5, -0.0002359834577747577, -108.33333333333333, 74.56428838158284, 12000),
+    ('lr', '-', 5.0, -4.04938527154286e-05, 48.333333333333336, 74.98928781524089, 12000),
+]
+
+
+@pytest.mark.parametrize("n, recorded", [(8, RECORDED_N8), (9, RECORDED_N9)], ids=["N8", "N9"])
+def test_taylor_path_reproduces_recorded_cells(n, recorded):
+    config = RunConfig(n_sites=n, steps=3, lambdas=(0.2,), workers=1)
+    prop, psi0, _, _ = quench_system(config)
+    touched = prop.blocks_touched(psi0)
+    assert len(touched) == 1 + n % 2 and {b.strategy for b in touched} == {"sparse"}
+    assert_recorded_cells(config, recorded)

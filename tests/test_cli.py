@@ -486,6 +486,20 @@ def test_run_reports_unusable_input_in_one_line(tmp_path, capsys, payload, flags
     assert not list((tmp_path / "out").glob("*"))  # nothing written
 
 
+def test_a_refused_study_removes_only_the_directories_it_made(tmp_path, capsys):
+    path = write_config(tmp_path, FAST)
+    refused = ["run", "--config", path, "--n-sites", "18", "--out"]
+    assert main([*refused, str(tmp_path / "new" / "out")]) == 2
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    (kept / "empty").mkdir(parents=True)
+    (kept / "notes.txt").write_text("x")
+    assert main([*refused, str(kept / "empty")]) == 2
+    assert main([*refused, str(kept)]) == 2
+    assert sorted(p.name for p in kept.iterdir()) == ["empty", "notes.txt"]
+    assert capsys.readouterr().err.count("exceeds the 134217728 budget") == 3
+
+
 @pytest.mark.parametrize("case", ["missing-config", "config-is-a-directory", "out-is-a-file"])
 def test_file_errors_exit_2_naming_the_path(tmp_path, capsys, case):
     # Exit 1 is an interrupted run's status; a file the run cannot read or
@@ -534,6 +548,30 @@ def test_an_extreme_lambda_leaves_r_undefined_and_writes_the_study(tmp_path):
     assert fom["r_plus"] is None and "overflows" in fom["r_plus_reason"]
     assert fom["r_minus"] is None and fom["r_minus_reason"]
     assert 0 < fom["dc_plus"] < math.inf and 0 < fom["dc_minus"] < math.inf
+
+
+@pytest.mark.parametrize("exact_only", [False, True], ids=["sampled", "exact-only"])
+def test_dc_at_the_lambda_floor_is_finite(tmp_path, exact_only):
+    # An LR error bar near 1 / (lambda * pulse_area) ~ 4.5e307 times a
+    # step of 25 overflows the trapezoid's area, not its average.
+    payload = {
+        "n_sites": 4,
+        "steps": 2,
+        "t_max": 50.0,
+        "lambdas": [2.2250738585072014e-305],
+        "shots": {"lr": {"plus": 4, "minus": 4}},
+    }
+    if exact_only:
+        payload.update(exact_only=True, shots={"lr": {"plus": 2, "minus": 2}})
+    cfg, _ = parse_config_dict(payload)
+    out = tmp_path / "floor"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(cfg, str(out)) == 0
+    text = (out / "summary.json").read_text()
+    fom = json.loads(text, parse_constant=_reject_constant)["figures_of_merit"]
+    dc = fom["lr:lambda=2.2250738585072014e-305"]
+    assert 0 < dc["dc_plus"] < math.inf and 0 < dc["dc_minus"] < math.inf
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -52,10 +52,11 @@ def setup_chain(n, jz=0.5):
 
 def test_identity_observable_gives_trivial_probabilities():
     h, prop, psi0 = setup_chain(2)
-    ident = HermitianObservable(LocalOperator(np.eye(3), (0,), hermitian=True))
+    eye = LocalOperator(np.eye(3), (0,), hermitian=True)
+    ident_a, ident_b = HermitianObservable(eye), HermitianObservable(eye.on(1))
     for combo in COMBOS:
-        t_plus = HadamardTask(0.0, 0.9, *combo, ALPHA_PLUS, ident, ident.on(1))
-        t_minus = HadamardTask(0.0, 0.9, *combo, ALPHA_MINUS, ident, ident.on(1))
+        t_plus = HadamardTask(0.0, 0.9, *combo, ALPHA_PLUS, ident_a, ident_b)
+        t_minus = HadamardTask(0.0, 0.9, *combo, ALPHA_MINUS, ident_a, ident_b)
         assert run_hadamard_circuit(t_plus, psi0, prop) == pytest.approx(1.0, abs=1e-12)
         assert run_hadamard_circuit(t_minus, psi0, prop) == pytest.approx(0.5, abs=1e-12)
 

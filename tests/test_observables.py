@@ -4,9 +4,7 @@ import pytest
 from oracles import random_hermitian
 from quditcorr.observables import (
     HermitianObservable,
-    OperatorString,
     decompose,
-    decompose_string,
     spectral_norm,
     spin_matrix,
 )
@@ -121,61 +119,3 @@ def test_zero_observable_rejected():
     with pytest.raises(ValueError, match="zero observable"):
         obs(np.zeros((3, 3)))
 
-
-def sz_factor(site):
-    return (site, HermitianObservable(spin_matrix(1, "z")))
-
-
-def reconstruct_string(dec, dims):
-    total = np.zeros((int(np.prod(dims)), int(np.prod(dims))), dtype=complex)
-    for coeff, ops in dec.terms:
-        by_site = {op.support[0]: op.matrix for op in ops}
-        term = np.eye(1, dtype=complex)
-        for s in sorted(by_site):
-            term = np.kron(term, by_site[s])
-        total += coeff * (term + term.conj().T)
-    return dec.norm / 2 * total
-
-
-def test_string_single_factor_reduces_to_decompose():
-    dec = decompose_string(OperatorString((sz_factor(0),)))
-    assert len(dec.terms) == 1
-    coeff, ops = dec.terms[0]
-    assert coeff == pytest.approx(1.0)
-    single = decompose(HermitianObservable(spin_matrix(1, "z")))
-    np.testing.assert_allclose(ops[0].matrix, single.w.matrix, atol=1e-12)
-    assert dec.norm == pytest.approx(single.norm)
-
-
-def test_string_two_sites_reconstructs_dense_product():
-    dec = decompose_string(OperatorString((sz_factor(0), sz_factor(1))))
-    assert len(dec.terms) == 2  # four raw product terms after conjugate pairing
-    sz = spin_matrix(1, "z").matrix
-    target = np.kron(sz, sz)
-    np.testing.assert_allclose(reconstruct_string(dec, (3, 3)), target, atol=1e-10)
-
-
-def test_string_mixed_axes_reconstructs():
-    fx = (0, HermitianObservable(spin_matrix(1, "x")))
-    fy = (1, HermitianObservable(spin_matrix(1, "y")))
-    dec = decompose_string(OperatorString((fx, fy)))
-    target = np.kron(spin_matrix(1, "x").matrix, spin_matrix(1, "y").matrix)
-    np.testing.assert_allclose(reconstruct_string(dec, (3, 3)), target, atol=1e-10)
-
-
-def test_string_three_sites_term_count_and_reconstruction():
-    dec = decompose_string(OperatorString((sz_factor(0), sz_factor(1), sz_factor(2))))
-    assert len(dec.terms) == 4  # eight raw product terms
-    sz = spin_matrix(1, "z").matrix
-    target = np.kron(np.kron(sz, sz), sz)
-    np.testing.assert_allclose(reconstruct_string(dec, (3, 3, 3)), target, atol=1e-10)
-    for _, ops in dec.terms:
-        for op in ops:
-            assert op.unitary
-
-
-def test_string_validation():
-    with pytest.raises(ValueError, match="distinct"):
-        OperatorString((sz_factor(0), sz_factor(0)))
-    with pytest.raises(ValueError, match="at least one"):
-        OperatorString(())

@@ -228,7 +228,7 @@ def _cmd_validate(args) -> int:
             plus, minus = measure_dynamical_correlator(obs_a, obs_b, 0.0, t2, psi0, prop)
             worst_circuit = max(worst_circuit, abs(plus.value - cp), abs(minus.value - cm))
         worst_trace = {}
-        unflagged = make_propagator(SparseHamiltonian(h, h.dimension, False, h.couplings, n))
+        unflagged = make_propagator(SparseHamiltonian(h, False, h.j_xy))
         for kernel, p in (("dense-eig", prop), ("sparse", unflagged)):
             engine = trace_probabilities(obs_a, obs_b, psi0, p, times)
             ps = np.array([(ps_plus, ps_minus) for ps_plus, ps_minus, _ in engine])

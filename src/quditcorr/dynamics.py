@@ -10,9 +10,9 @@ replace H by H - lambda*J_xy*S_j^z (Hermitian) or H - i*lambda*J_xy*S_j^z
 (non-Hermitian); since each segment is time independent, piecewise
 exponentials propagate exactly, with no splitting error.
 
-A propagator splits H once into the connected components of its sparsity
-pattern (for the chain, the sectors of total S^z) and propagates only
-the blocks that a state touches, each on its own: by dense
+H conserves total S^z, so a propagator splits it into the 2N + 1
+sectors of total S^z, found from the digits of each basis index, and
+propagates only the blocks that a state touches, each on its own: by dense
 eigendecomposition (a Hermitian block of dimension up to
 DENSE_BLOCK_LIMIT) or by a truncated Taylor kernel (Al-Mohy & Higham,
 SIAM J. Sci. Comput. 33(2), 2011; larger blocks, non-Hermitian H, and
@@ -20,9 +20,8 @@ the pulses, which add their diagonal to the touched blocks).
 `trajectory` streams a state through a whole time grid and is the only
 code that propagates; `evolve`, one exp(-i H t), is its one-time case.
 
-H is NumPy CSR arrays only, built and split with NumPy.  Blocks hold no
-entries of H: a block builds its operator from H's arrays when a state
-first touches it, so an untouched block is never factorized or converted.
+H is NumPy CSR arrays only, built and split with NumPy; a block builds
+its operator from them when a state first touches it (see Block).
 The Taylor kernel multiplies by a dense NumPy block up to the limit and
 by a SciPy CSR block above it: SciPy loads where such a block propagates
 (N >= 8) and in build_perturbed only.
@@ -66,33 +65,33 @@ def _rows(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
-def _canonical_csr(matrix, dim: int):
-    """(data, indices, indptr) of matrix with each row's columns ascending and duplicates summed.
+def _canonical_csr(matrix):
+    """(data, indices, indptr) of a square CSR matrix whose columns ascend strictly in each row.
 
-    The column indices are int32, as SciPy stores them at these sizes
-    (dim <= MAX_AMPLITUDES < 2^31); keys that combine rows and columns
-    are computed in 64 bits.
+    Anything else is refused, not repaired.  The column indices are
+    int32, as SciPy stores them at these sizes (dim <= MAX_AMPLITUDES <
+    2^31); keys that combine rows and columns are computed in 64 bits.
     """
     data = np.asarray(matrix.data, dtype=np.complex128)
     indices = np.asarray(matrix.indices)
     indptr = np.asarray(matrix.indptr, dtype=np.int64)
-    if (
-        getattr(matrix, "shape", (dim, dim)) != (dim, dim)
-        or indptr.shape != (dim + 1,)
-        or (indices.size and not 0 <= indices.min() <= indices.max() < dim)
-    ):
-        raise ValueError("matrix shape does not match the declared dimension")
+    dim = indptr.size - 1
+    if data.shape != indices.shape:
+        raise ValueError(f"CSR data has {data.size} entries but indices {indices.size}")
+    if dim < 0 or indptr[0] != 0:
+        raise ValueError("CSR indptr must start at 0")
+    if np.any(np.diff(indptr) < 0) or indptr[-1] != indices.size:
+        raise ValueError(f"CSR indptr must not decrease and must end at {indices.size} entries")
+    square = getattr(matrix, "shape", (dim, dim)) == (dim, dim)
+    if not square or indices.min(initial=0) < 0 or indices.max(initial=-1) >= dim:
+        raise ValueError(f"matrix is not square with its {dim} rows")
     indices = indices.astype(np.int32, copy=False)
     key = _rows(indptr)
     key *= dim
     key += indices
-    if np.all(key[1:] > key[:-1]):
-        return data, indices, indptr
-    order = np.argsort(key, kind="stable")
-    key, first = np.unique(key[order], return_index=True)
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // dim, minlength=dim), out=indptr[1:])
-    return np.add.reduceat(data[order], first), (key % dim).astype(np.int32), indptr
+    if not np.all(key[1:] > key[:-1]):
+        raise ValueError("CSR columns must ascend strictly in each row: sum duplicates first")
+    return data, indices, indptr
 
 
 def _hermitian_error(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> float:
@@ -121,29 +120,28 @@ def _hermitian_error(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) 
 
 
 class SparseHamiltonian:
-    """H as the NumPy arrays data, indices and indptr of a canonical CSR matrix.
+    """H of a chain of n_sites spin-1 sites as the NumPy arrays of a canonical CSR matrix.
 
     matrix is anything with data/indices/indptr arrays, a SciPy CSR
-    matrix included; duplicate entries are summed.  These arrays are the
-    only form of H: nothing here converts it to SciPy.  The hermitian
-    flag is checked against every entry, and it decides which blocks
-    the propagator diagonalizes.
+    matrix included; its dimension, the rows of indptr, must be 3^N,
+    which gives n_sites = N.  These arrays are the only form of H:
+    nothing here converts it to SciPy.  The hermitian flag is checked
+    against every entry, and it decides which blocks the propagator
+    diagonalizes.  j_xy, the flip-flop coupling, scales the pulses.
     """
 
-    def __init__(self, matrix, dimension: int, hermitian: bool, couplings, n_sites: int):
-        self.data, self.indices, self.indptr = _canonical_csr(matrix, dimension)
-        self.dimension = dimension
+    def __init__(self, matrix, hermitian: bool, j_xy: float):
+        self.data, self.indices, self.indptr = _canonical_csr(matrix)
+        self.dimension = self.indptr.size - 1
+        self.n_sites = round(math.log(max(self.dimension, 1), 3))
+        if self.n_sites < 1 or 3**self.n_sites != self.dimension:
+            raise ValueError(f"dimension {self.dimension} is not 3^N for N >= 1 sites")
         self.hermitian = hermitian
-        self.couplings = couplings  # (J_xy, J_z)
-        self.n_sites = n_sites
+        self.j_xy = float(j_xy)
         if hermitian:
             worst = _hermitian_error(self.data, self.indices, self.indptr)
             if not worst <= 1e-12:  # a NaN entry fails too
                 raise ValueError(f"hermitian flag set but max|H - H^+| = {worst:.2e}")
-
-    @property
-    def j_xy(self) -> float:
-        return self.couplings[0]
 
 
 def site_sz_diagonal(n_sites: int, site: int) -> np.ndarray:
@@ -208,13 +206,7 @@ def build_xxz(n_sites: int, j_xy: float, j_z: float) -> SparseHamiltonian:
     data[group == on_diag] = diag[diag != 0]
     indices = np.repeat(np.arange(dim, dtype=np.int32), count)
     indices += np.array([g[0] for g in groups], dtype=np.int32)[group]
-    return SparseHamiltonian(
-        _Csr(data, indices, indptr),
-        dimension=dim,
-        hermitian=True,
-        couplings=(float(j_xy), float(j_z)),
-        n_sites=n_sites,
-    )
+    return SparseHamiltonian(_Csr(data, indices, indptr), hermitian=True, j_xy=j_xy)
 
 
 def perturbation(h0: SparseHamiltonian, site: int, lam: float, kind: str) -> np.ndarray:
@@ -240,40 +232,31 @@ def build_perturbed(h0: SparseHamiltonian, site: int, lam: float, kind: str) -> 
 
     h = sp.csr_matrix((h0.data, h0.indices, h0.indptr), shape=(h0.dimension,) * 2)
     h = h + sp.diags(perturbation(h0, site, lam, kind))
-    hermitian = h0.hermitian and kind == HERMITIAN
-    return SparseHamiltonian(h, h0.dimension, hermitian, h0.couplings, h0.n_sites)
+    return SparseHamiltonian(h, h0.hermitian and kind == HERMITIAN, h0.j_xy)
 
 
 def _diagonal_blocks(h: SparseHamiltonian):
-    """(indices of each connected component of H's sparsity pattern, local).
+    """(indices of each total-S^z sector, local); an entry of H between two sectors is refused.
 
-    The components come from min-label propagation along the stored
-    entries, in both directions, with pointer jumping: every label stays
-    an index of its own component, and at the fixed point it is constant
-    on each component.  local[i] is the position of index i within its
-    component, so a block's sub-matrix is its rows of H with each column
-    mapped through local: a block's rows hold no column outside it.
+    An index's sector is its base-3 digit sum, N - S^z.  The sectors come
+    in ascending digit sum, which is ascending smallest index.  local[i]
+    is the position of index i within its sector, so a block's sub-matrix
+    is its rows of H with each column mapped through local.
     """
-    rows = _rows(h.indptr)
-    cols = h.indices
-    label = np.arange(h.dimension)
-    while True:
-        new = label.copy()
-        np.minimum.at(new, rows, label[cols])
-        np.minimum.at(new, cols, label[rows])
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    order = np.argsort(label, kind="stable")  # ascending within each component
-    bounds = [0, *(np.flatnonzero(np.diff(label[order])) + 1), order.size]
+    digits = np.zeros(1, dtype=np.int8)
+    for _ in range(h.n_sites):
+        digits = np.add.outer(digits, np.arange(3, dtype=np.int8)).reshape(-1)
+    if np.any(np.repeat(digits, np.diff(h.indptr)) != digits[h.indices]):
+        raise ValueError("H has an entry between two total-S^z sectors")
+    order = np.argsort(digits, kind="stable")
+    sizes = np.bincount(digits)
     local = np.empty(order.size, dtype=np.int32)
-    local[order] = np.arange(order.size) - np.repeat(bounds[:-1], np.diff(bounds))
-    return [order[start:stop] for start, stop in zip(bounds, bounds[1:])], local
+    local[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return np.split(order, np.cumsum(sizes)[:-1]), local
 
 
 class Block:
-    """One connected component of H's sparsity pattern and how it propagates.
+    """One total-S^z sector of the chain and how H propagates in it.
 
     strategy is "dense-eig", op (eigenvalues, eigenvectors), for a block
     of a Hermitian H up to DENSE_BLOCK_LIMIT, and "sparse", op the Taylor
@@ -321,17 +304,12 @@ def _dense(sub: _Csr, diagonal=0.0) -> np.ndarray:
 
 
 class Propagator:
-    """Applies exp(-i H t) to the system block of a register.
+    """Applies exp(-i H t) to the system block of a register, one total-S^z sector at a time.
 
     States whose trailing sites multiply out to the Hamiltonian
     dimension are accepted; any leading sites (the ancilla) are treated
-    as batch indices and left untouched.  H is split into the connected
-    components of its sparsity pattern (blocks), which hold no entries of
-    H.  H alone picks each block's kernel (Block.strategy): dense-eig for
-    a block of a Hermitian H up to DENSE_BLOCK_LIMIT, the Taylor kernel
-    otherwise.  A block builds its operator from H's arrays when a state
-    first touches it, so an untouched block is never factorized or
-    converted.  One lock guards the builds for several threads.
+    as batch indices and left untouched.  blocks are the sectors (see
+    Block for their kernels); one lock guards their builds for threads.
     """
 
     def __init__(self, hamiltonian: SparseHamiltonian):
@@ -411,7 +389,10 @@ def _dense_stream(eig, x, times):
     """Project onto the block's eigenbasis once; each time is a phase and V c."""
     vals, vecs = eig
     coeff = _matmul(vecs.conj().T, x)
+    top = float(np.abs(vals).max())
     for t in times:
+        if not math.isfinite(t * top):
+            raise ValueError(f"time {t!r} overflows the phase of exp(-iHt)")
         yield x if t == 0.0 else _matmul(vecs, np.exp(-1j * vals * t)[:, None] * coeff)
 
 
@@ -453,10 +434,13 @@ def _taylor_stream(op, x, times):
     (inf-norms) and multiplied by e^{-i tau mu / s}.  Nothing is random.
     """
     a, mu, norm1 = op
+    bound = float(norm1) + abs(complex(mu))  # bounds the 1-norm of A itself
     now = 0.0
     for t in times:
         if t != now:
             tau, now = t - now, t
+            if not math.isfinite(abs(tau) * bound):
+                raise ValueError(f"time {t!r} overflows the phase of exp(-iHt)")
             m, s = _taylor_degree(abs(tau) * norm1)
             eta = np.exp(-1j * tau * mu / s)
             for _ in range(s):

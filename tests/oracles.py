@@ -97,5 +97,5 @@ def propagator(kernel, h):
     Hermitian flag, which sends every block through the Taylor kernel.
     """
     if kernel == "sparse":
-        h = SparseHamiltonian(h, h.dimension, False, h.couplings, h.n_sites)
+        h = SparseHamiltonian(h, False, h.j_xy)
     return Propagator(h)

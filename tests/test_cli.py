@@ -34,6 +34,12 @@ FAST = {
 }
 
 
+QUICK_N4 = json.loads(
+    (pathlib.Path(__file__).parents[1] / "configs" / "quick_n4.json").read_text(encoding="utf-8")
+)
+TIME_OVERFLOWS = "time 1e+308 overflows the phase of exp(-iHt)"
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -437,6 +443,16 @@ def test_correlator_rejects_a_non_finite_time(capsys, flag, value):
     assert "times must be finite and nonnegative" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("shots", [None, "800"])
+def test_correlator_refuses_a_time_whose_phase_overflows(capsys, shots):
+    # 1e308 is finite, but 1e308 times the norm of H is not.
+    budget = [] if shots is None else ["--shots", shots]
+    assert main(["correlator", "--n-sites", "3", "--t2", "1e308", *budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {TIME_OVERFLOWS}\n"
+    assert not captured.out
+
+
 @pytest.mark.parametrize("shots", ["0", "5", "-8"])
 def test_correlator_rejects_fewer_shots_than_circuits(capsys, shots):
     assert main(["correlator", "--n-sites", "2", "--t2", "0.7", "--shots", shots]) == 2
@@ -476,8 +492,13 @@ def test_config_error_exit_code(tmp_path, capsys):
         ([1, 2], [], "config document must be a JSON object"),
         # 3^18 amplitudes exceed the 2^27 budget: refused before H is allocated.
         (FAST, ["--n-sites", "18"], "dimension 3^18 = 387420489 exceeds the 134217728 budget"),
+        # A finite t_max whose phase overflows, on the dense-eig blocks at
+        # N = 4 and on the Taylor kernel's at N = 8.
+        (QUICK_N4, ["--t-max", "1e308", "--steps", "2"], TIME_OVERFLOWS),
+        (QUICK_N4, ["--t-max", "1e308", "--steps", "2", "--n-sites", "8"], TIME_OVERFLOWS),
     ],
-    ids=["config-not-an-object", "n-sites-over-budget"],
+    ids=["config-not-an-object", "n-sites-over-budget", "t-max-overflows-dense",
+         "t-max-overflows-taylor"],
 )
 def test_run_reports_unusable_input_in_one_line(tmp_path, capsys, payload, flags, message):
     path = write_config(tmp_path, payload)

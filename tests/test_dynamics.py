@@ -5,11 +5,13 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from oracles import SZ1, csr, dense_xxz, neel_superposition_vec, propagator
 from quditcorr import dynamics
@@ -158,27 +160,78 @@ def test_hermitian_flag_checks_every_entry_against_its_mirror(mirrored, n):
         bump = sp.csr_matrix(([eps], ([row], [col])), shape=h0.shape)
         if raises:
             with pytest.raises(ValueError, match="hermitian flag"):
-                SparseHamiltonian(h0 + bump, dim, True, (1.0, 0.5), n)
+                SparseHamiltonian(h0 + bump, True, 1.0)
         else:
-            assert SparseHamiltonian(h0 + bump, dim, True, (1.0, 0.5), n).hermitian
-        assert not SparseHamiltonian(h0 + bump, dim, False, (1.0, 0.5), n).hermitian
+            assert SparseHamiltonian(h0 + bump, True, 1.0).hermitian
+        assert not SparseHamiltonian(h0 + bump, False, 1.0).hermitian
 
 
-def test_constructor_takes_any_csr_arrays_and_sums_duplicates():
-    # Unsorted columns and a repeated entry, as plain arrays: the stored
-    # CSR is canonical, and its arrays give the same matrix back.
-    class Arrays:
-        data = np.array([2.0, 1.0, 0.5, 0.5, 3.0])
-        indices = np.array([1, 0, 1, 1, 2])
-        indptr = np.array([0, 2, 4, 5])
-
-    h = SparseHamiltonian(Arrays, 3, False, (1.0, 0.0), 1)
-    np.testing.assert_array_equal(h.indptr, [0, 2, 3, 4])
-    np.testing.assert_array_equal(h.indices, [0, 1, 1, 2])
-    np.testing.assert_array_equal(h.data, [1.0, 2.0, 1.0, 3.0])
+@pytest.mark.parametrize(
+    "data, indices, indptr, message",
+    [
+        ([1, 2, 1, 3, 9], [0, 1, 1, 2], [0, 2, 3, 4], "entries but indices"),
+        ([1, 2, 1], [0, 1, 1, 2], [0, 2, 3, 4], "entries but indices"),
+        ([1, 2, 1, 3], [0, 1, 1, 2], [1, 2, 3, 4], "start at 0"),
+        ([1, 2, 1, 3], [0, 1, 1, 2], [0, 3, 2, 4], "must not decrease"),
+        ([1, 2, 1, 3], [0, 1, 1, 2], [0, 2, 3, 3], "must end at 4 entries"),
+        ([1, 2, 1, 3], [0, 1, 1, 3], [0, 2, 3, 4], "not square"),
+        # Unsorted columns, a repeated entry, and both at once.
+        ([2, 1, 1, 3], [1, 0, 1, 2], [0, 2, 3, 4], "ascend strictly"),
+        ([1, 2, 0.5, 0.5, 3], [0, 1, 1, 1, 2], [0, 2, 4, 5], "ascend strictly"),
+        ([2, 1, 0.5, 0.5, 3], [1, 0, 1, 1, 2], [0, 2, 4, 5], "ascend strictly"),
+    ],
+    ids=["data-longer", "data-shorter", "indptr-not-from-0", "indptr-decreasing",
+         "indptr-short", "column-out-of-range", "unsorted", "duplicate", "unsorted-duplicate"],
+)
+def test_constructor_refuses_malformed_or_non_canonical_csr_arrays(data, indices, indptr, message):
+    # Each fault is one ValueError naming it; the canonical arrays of the
+    # same matrix, as plain arrays, are accepted.
+    arrays = types.SimpleNamespace(data=np.array(data, dtype=float), indices=np.array(indices),
+                                   indptr=np.array(indptr))
+    with pytest.raises(ValueError, match=message):
+        SparseHamiltonian(arrays, False, 1.0)
+    canonical = types.SimpleNamespace(data=np.array([1.0, 2.0, 1.0, 3.0]),
+                                      indices=np.array([0, 1, 1, 2]), indptr=np.array([0, 2, 3, 4]))
+    h = SparseHamiltonian(canonical, False, 1.0)
     np.testing.assert_array_equal(csr(h).toarray(), [[1, 2, 0], [0, 1, 0], [0, 0, 3]])
-    with pytest.raises(ValueError, match="declared dimension"):
-        SparseHamiltonian(Arrays, 4, False, (1.0, 0.0), 1)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("j_z", [0.5, 0.0, -1.0])
+def test_blocks_are_the_connected_components_of_h(n, j_z):
+    # The total-S^z sectors, in order and index for index, are what a
+    # graph search of H's pattern finds: no sector splits further.
+    h = build_xxz(n, 1.0, j_z)
+    count, labels = connected_components(abs(csr(h)), directed=False)
+    components = [np.flatnonzero(labels == k) for k in range(count)]
+    blocks = make_propagator(h).blocks
+    assert len(blocks) == count == 2 * n + 1
+    for block, component in zip(blocks, components):
+        assert np.array_equal(block.index, component)
+
+
+def test_an_entry_between_two_sectors_is_refused():
+    # Indices 0 (all +1) and 1 (the last site at 0) differ in total S^z.
+    bump = sp.csr_matrix(([0.1, 0.1], ([0, 1], [1, 0])), shape=(9, 9))
+    h = SparseHamiltonian(csr(build_xxz(2, 1.0, 0.5)) + bump, True, 1.0)
+    with pytest.raises(ValueError, match="between two total-S\\^z sectors"):
+        make_propagator(h)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 4, 8, 10, 26])
+def test_a_dimension_that_is_not_a_power_of_3_is_refused(dim):
+    with pytest.raises(ValueError, match=f"dimension {dim} is not 3\\^N"):
+        SparseHamiltonian(sp.identity(dim, format="csr"), True, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_dimension_and_n_sites_are_derived_from_the_matrix(n):
+    h = SparseHamiltonian(sp.identity(3**n, format="csr"), True, 2)
+    assert (h.dimension, h.n_sites) == (3**n, n)
+    assert type(h.j_xy) is float and h.j_xy == 2.0
+    if n > 1:
+        h = build_xxz(n, 0.7, 0.5)
+        assert (h.dimension, h.n_sites, h.j_xy) == (3**n, n, 0.7)
 
 
 def test_zero_duration_returns_same_state():
@@ -351,7 +404,7 @@ def test_non_hermitian_single_spin_norm_decay():
     # H = -i*lambda*J*S^z on one spin-1: |m=+1> decays as exp(-2*lambda*J*t)
     lam, j, t = 0.3, 1.0, 0.8
     mat = sp.csr_matrix(-1j * lam * j * SZ1)
-    h = SparseHamiltonian(mat, 3, hermitian=False, couplings=(j, 0.0), n_sites=1)
+    h = SparseHamiltonian(mat, hermitian=False, j_xy=j)
     state = QuditState(RegisterShape((3,)), np.array([1.0, 0, 0], dtype=complex))
     out = evolve(make_propagator(h), state, t)
     assert out.squared_norm == pytest.approx(np.exp(-2 * lam * j * t), rel=1e-10)
@@ -383,7 +436,7 @@ def test_kernel_rule_is_the_hermitian_flag_and_the_block_size(monkeypatch):
     kernels = {(b.index.size, b.strategy) for b in make_propagator(h).blocks}
     assert kernels == {(1, "dense-eig"), (4, "dense-eig"), (10, "dense-eig"), (16, "dense-eig"),
                        (19, "sparse")}
-    unflagged = SparseHamiltonian(h, h.dimension, False, h.couplings, h.n_sites)
+    unflagged = SparseHamiltonian(h, False, h.j_xy)
     assert {b.strategy for b in make_propagator(unflagged).blocks} == {"sparse"}
     hp = build_perturbed(build_xxz(2, 1.0, 0.5), 0, 0.25, "non_hermitian")
     assert {b.strategy for b in make_propagator(hp).blocks} == {"sparse"}
@@ -580,7 +633,7 @@ def hamiltonian_case(n, kind):
         # diagonal, with H0's blocks and spectrum.
         d = sp.diags(np.exp(1j * np.random.default_rng(n).uniform(0, 2 * np.pi, h0.dimension)))
         mat = (d @ csr(h0) @ d.conj()).tocsr()
-        return SparseHamiltonian(mat, h0.dimension, True, h0.couplings, n)
+        return SparseHamiltonian(mat, True, h0.j_xy)
     return h0 if kind is None else build_perturbed(h0, n - 1, 0.3, kind)
 
 

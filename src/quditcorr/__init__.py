@@ -15,7 +15,6 @@ if "numpy" not in sys.modules:
 from .register import (
     LocalOperator,
     QuditState,
-    RegisterShape,
     ancilla_zero_probability,
     apply_controlled,
     apply_local,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LocalOperator",
     "QuditState",
-    "RegisterShape",
     "ancilla_zero_probability",
     "apply_controlled",
     "apply_local",

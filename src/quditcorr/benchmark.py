@@ -257,7 +257,7 @@ def neel_superposition(n_sites: int) -> QuditState:
         raise ValueError("need at least 2 sites")
     up_first = [2 * (k % 2) for k in range(n_sites)]  # levels of m = +1, -1, +1, ...
     a, b = (basis_state((3,) * n_sites, levels) for levels in (up_first, [2 - l for l in up_first]))
-    return QuditState(a.shape, (a.amplitudes + b.amplitudes) / math.sqrt(2))
+    return QuditState(a.dims, (a.amplitudes + b.amplitudes) / math.sqrt(2))
 
 
 def quench_system(config: RunConfig):

@@ -249,8 +249,9 @@ def main(argv=None) -> int:
         # it, the final one at shutdown included.  Library imports and
         # in-process calls leave the collector as it is.
         gc.freeze()
-    level = os.environ.get("QUDITCORR_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # A level name; any other name, such as logging's BASIC_FORMAT string, means WARNING.
+    level = getattr(logging, os.environ.get("QUDITCORR_LOG", "WARNING").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
     parser = argparse.ArgumentParser(
         prog="quditcorr",

@@ -47,6 +47,15 @@ DENSE_BLOCK_LIMIT = 500
 HERMITIAN = "hermitian"
 NON_HERMITIAN = "non_hermitian"
 
+# Most Taylor steps that one trajectory of one block may take, counted
+# from its time grid before the first product.  A step is up to 55
+# products with the block, about 10 ms at N = 10 (dimension 8953), so the
+# limit is some 15 min of one trajectory there.  The count grows with
+# |t| times the block's 1-norm: a t_max or pulse duration of 1e9 needs
+# about 1e9 steps and would run for years instead of failing.  The
+# shipped configs and tests take at most 25 (chain10.json).
+MAX_TAYLOR_STEPS = 10**5
+
 # theta_m of Al-Mohy & Higham (2011), as in SciPy: the largest 1-norm of
 # a step's generator for which m Taylor terms reach double precision.
 _THETA = dict(zip(
@@ -367,7 +376,7 @@ def trajectory(prop: Propagator, state: QuditState, times, diagonal=None):
         op = b.op if diagonal is None else _taylor_op(b.sub(), diagonal[b.index])
         stream = _dense_stream if diagonal is None and b.strategy == "dense-eig" else _taylor_stream
         streams.append((b.index, stream(op, np.ascontiguousarray(x[:, b.index].T), times)))
-    return (QuditState(state.shape, _scatter(x, streams)) for _ in times)
+    return (QuditState(state.dims, _scatter(x, streams)) for _ in times)
 
 
 def _scatter(x: np.ndarray, streams) -> np.ndarray:
@@ -435,13 +444,20 @@ def _taylor_stream(op, x, times):
     """
     a, mu, norm1 = op
     bound = float(norm1) + abs(complex(mu))  # bounds the 1-norm of A itself
-    now = 0.0
+    plan, now = [], 0.0  # (tau, m, s): s steps of m terms from the previous time; s = 0 stays
     for t in times:
-        if t != now:
-            tau, now = t - now, t
-            if not math.isfinite(abs(tau) * bound):
-                raise ValueError(f"time {t!r} overflows the phase of exp(-iHt)")
-            m, s = _taylor_degree(abs(tau) * norm1)
+        tau, now = t - now, t
+        if tau and not math.isfinite(abs(tau) * bound):
+            raise ValueError(f"time {t!r} overflows the phase of exp(-iHt)")
+        plan.append((tau, *_taylor_degree(abs(tau) * norm1)) if tau else (tau, 0, 0))
+    steps = sum(s for _, _, s in plan)
+    if steps > MAX_TAYLOR_STEPS:
+        raise ValueError(
+            f"the time grid needs {steps} Taylor steps on a block of dimension {x.shape[0]}, "
+            f"over the limit of {MAX_TAYLOR_STEPS}: shorten the times or the pulse"
+        )
+    for tau, m, s in plan:
+        if s:
             eta = np.exp(-1j * tau * mu / s)
             for _ in range(s):
                 f, c1 = x, np.linalg.norm(x, np.inf)

@@ -51,7 +51,6 @@ from .observables import HermitianObservable, decompose
 from .register import (
     LocalOperator,
     QuditState,
-    RegisterShape,
     ancilla_zero_probability,
     apply_controlled,
     apply_local,
@@ -65,15 +64,8 @@ COMBOS = ((W, W), (W, W_DAGGER), (W_DAGGER, W), (W_DAGGER, W_DAGGER))
 ALPHA_PLUS = 0.0  # anti-commutator phase
 ALPHA_MINUS = math.pi / 2  # commutator phase
 
-_X_GATE = LocalOperator(
-    np.array([[0, 1], [1, 0]], dtype=np.complex128), (0,), hermitian=True, unitary=True
-)
-_H_GATE = LocalOperator(
-    np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2),
-    (0,),
-    hermitian=True,
-    unitary=True,
-)
+_X_GATE = LocalOperator(np.array([[0, 1], [1, 0]], dtype=np.complex128), (0,))
+_H_GATE = LocalOperator(np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2), (0,))
 
 EXACT = "exact"
 SAMPLED = "sampled"
@@ -144,11 +136,10 @@ def _sum4(x) -> np.ndarray:
 
 def attach_ancilla(psi0: QuditState, alpha: float) -> QuditState:
     """(|0> + e^{i alpha}|1>)/sqrt(2) (x) |psi0>, ancilla as site 0."""
-    shape = RegisterShape((2,) + psi0.dims)
     amp = np.concatenate(
         [psi0.amplitudes, np.exp(1j * alpha) * psi0.amplitudes]
     ) / math.sqrt(2)
-    return QuditState(shape, amp)
+    return QuditState((2,) + psi0.dims, amp)
 
 
 def _shift(op: LocalOperator) -> LocalOperator:

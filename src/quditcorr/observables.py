@@ -19,7 +19,7 @@ and the x/y versions follow by the basis change that diagonalizes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,10 @@ _SUPPORTED_SPINS = (0.5, 1.0, 1.5, 2.0)
 # the splitting divides by the norm and a zero observable has a
 # trivially zero correlator anyway).
 _ZERO_NORM = 1e-14
+
+# Largest max|M - M^+| of an operator taken as Hermitian, and max|W^+ W - 1|
+# of a W taken as unitary.
+_ATOL = 1e-12
 
 
 def spin_matrix(spin: float, axis: str) -> LocalOperator:
@@ -55,27 +59,26 @@ def spin_matrix(spin: float, axis: str) -> LocalOperator:
             mat = (raising + raising.T) / 2.0
         else:
             mat = (raising - raising.T) / 2.0j
-    return LocalOperator(mat, support=(0,), hermitian=True)
+    return LocalOperator(mat, support=(0,))
 
 
 def spectral_norm(op: LocalOperator) -> float:
-    """Largest eigenvalue magnitude of a Hermitian operator."""
-    if not op.hermitian:
-        raise ValueError("spectral norm is defined here for Hermitian operators only")
+    """Largest eigenvalue magnitude of a Hermitian operator; refuses any other matrix."""
+    err = np.max(np.abs(op.matrix - op.matrix.conj().T))
+    if not err <= _ATOL:  # a NaN entry fails too
+        raise ValueError(f"spectral norm of a non-Hermitian operator: max|M - M^+| = {err:.2e}")
     vals = np.linalg.eigvalsh(op.matrix)
     return float(np.max(np.abs(vals)))
 
 
 @dataclass(frozen=True)
 class HermitianObservable:
-    """Hermitian operator with its spectral norm cached at construction."""
+    """Hermitian operator with its spectral norm, derived at construction."""
 
     op: LocalOperator
-    spectral_norm: float = 0.0
+    spectral_norm: float = field(init=False)
 
     def __post_init__(self):
-        if not self.op.hermitian:
-            raise ValueError("observable must carry the hermitian flag")
         norm = spectral_norm(self.op)
         if norm <= _ZERO_NORM:
             raise ValueError("zero observable rejected (norm below 1e-14)")
@@ -122,5 +125,8 @@ def decompose(obs: HermitianObservable) -> UnitaryDecomposition:
     nonnegative root keeps the eigenphases inside [0, pi].
     """
     w_mat = _unitary_from_scaled(obs.op.matrix / obs.spectral_norm)
-    w = LocalOperator(w_mat, support=obs.op.support, unitary=True)
+    err = np.max(np.abs(w_mat.conj().T @ w_mat - np.eye(w_mat.shape[0])))
+    if err > _ATOL:
+        raise ValueError(f"W is not unitary: max|W^+ W - 1| = {err:.2e}")
+    w = LocalOperator(w_mat, support=obs.op.support)
     return UnitaryDecomposition(norm=obs.spectral_norm, w=w, w_dagger=w.dagger())

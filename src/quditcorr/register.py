@@ -21,80 +21,61 @@ import numpy as np
 # Hard budget on register size (amplitude count).
 MAX_AMPLITUDES = 2**27
 
-# Tolerance for structural checks (hermiticity/unitarity flags).
-FLAG_ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RegisterShape:
-    """Ordered local dimensions, e.g. (2, 3, 3, 3) = ancilla + 3 spin-1 sites."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if not dims:
-            raise ValueError("register needs at least one site")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"every local dimension must be >= 2, got {dims}")
-        if self.size > MAX_AMPLITUDES:
-            raise ValueError(
-                f"register with {self.size} amplitudes exceeds the "
-                f"{MAX_AMPLITUDES} amplitude budget"
-            )
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.dims)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.dims)
-
-
 @dataclass
 class QuditState:
     """Dense state vector over a mixed-radix register.
 
-    The squared norm is tracked explicitly: non-unitary evolution is
-    allowed to shrink (or slightly grow) it, and probabilities are then
-    understood relative to ``squared_norm`` instead of renormalizing.
+    dims are the ordered local dimensions, e.g. (2, 3, 3, 3) = ancilla +
+    3 spin-1 sites; they are checked before the amplitudes.  The squared
+    norm is tracked explicitly: non-unitary evolution is allowed to
+    shrink (or slightly grow) it, and probabilities are then understood
+    relative to ``squared_norm`` instead of renormalizing.
     """
 
-    shape: RegisterShape
+    dims: tuple[int, ...]
     amplitudes: np.ndarray
     squared_norm: float = field(init=False)
 
     def __post_init__(self):
+        self.dims, size = _register_size(self.dims)
         amp = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amp.shape != (self.shape.size,):
+        if amp.shape != (size,):
             raise ValueError(
-                f"amplitude vector of length {amp.shape} does not match "
-                f"register size {self.shape.size}"
+                f"amplitude vector of length {amp.shape} does not match register size {size}"
             )
         self.amplitudes = amp
         self.squared_norm = float(np.real(np.vdot(amp, amp)))
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.shape.dims
+
+def _register_size(dims) -> tuple[tuple[int, ...], int]:
+    """(dims as ints, amplitude count) of a register, checked before anything is allocated."""
+    dims = tuple(int(d) for d in dims)
+    if not dims:
+        raise ValueError("register needs at least one site")
+    if any(d < 2 for d in dims):
+        raise ValueError(f"every local dimension must be >= 2, got {dims}")
+    size = math.prod(dims)
+    if size > MAX_AMPLITUDES:
+        raise ValueError(
+            f"register with {size} amplitudes exceeds the {MAX_AMPLITUDES} amplitude budget"
+        )
+    return dims, size
 
 
 def basis_state(dims, levels) -> QuditState:
     """Computational basis state |levels[0], levels[1], ...>."""
-    shape = RegisterShape(tuple(dims))
+    dims, size = _register_size(dims)
     levels = tuple(int(l) for l in levels)
-    if len(levels) != shape.n_sites:
+    if len(levels) != len(dims):
         raise ValueError("one level per site required")
     idx = 0
-    for d, l in zip(shape.dims, levels):
+    for d, l in zip(dims, levels):
         if not 0 <= l < d:
             raise ValueError(f"level {l} out of range for dimension {d}")
         idx = idx * d + l
-    amp = np.zeros(shape.size, dtype=np.complex128)
+    amp = np.zeros(size, dtype=np.complex128)
     amp[idx] = 1.0
-    return QuditState(shape, amp)
+    return QuditState(dims, amp)
 
 
 @dataclass(frozen=True)
@@ -107,8 +88,6 @@ class LocalOperator:
 
     matrix: np.ndarray
     support: tuple[int, ...]
-    hermitian: bool = False
-    unitary: bool = False
 
     def __post_init__(self):
         mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
@@ -123,14 +102,6 @@ class LocalOperator:
             raise ValueError(f"support sites must be distinct, got {support}")
         if any(s < 0 for s in support):
             raise ValueError(f"support sites must be nonnegative, got {support}")
-        if self.hermitian:
-            err = np.max(np.abs(mat - mat.conj().T))
-            if err > FLAG_ATOL:
-                raise ValueError(f"hermitian flag set but max|M - M^+| = {err:.2e}")
-        if self.unitary:
-            err = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-            if err > FLAG_ATOL:
-                raise ValueError(f"unitary flag set but max|M^+ M - 1| = {err:.2e}")
 
     @property
     def dim(self) -> int:
@@ -180,7 +151,7 @@ def apply_local(state: QuditState, op: LocalOperator) -> QuditState:
     _check_support(state, op)
     psi = state.amplitudes.reshape(state.dims)
     out = _apply_to_tensor(psi, op, op.support)
-    return QuditState(state.shape, out.reshape(-1))
+    return QuditState(state.dims, out.reshape(-1))
 
 
 def apply_controlled(
@@ -205,7 +176,7 @@ def apply_controlled(
     # Axes after the control site shift down by one inside the slab.
     axes = tuple(s if s < control_site else s - 1 for s in op.support)
     psi[tuple(slicer)] = _apply_to_tensor(slab, op, axes)
-    return QuditState(state.shape, psi.reshape(-1))
+    return QuditState(state.dims, psi.reshape(-1))
 
 
 def ancilla_zero_probability(state: QuditState) -> float:
@@ -218,7 +189,7 @@ def ancilla_zero_probability(state: QuditState) -> float:
         raise ValueError(f"site 0 has dimension {state.dims[0]}, expected a qubit")
     if state.squared_norm <= 0.0:
         raise ValueError("state has vanishing norm")
-    half = state.shape.size // 2
+    half = state.amplitudes.size // 2
     p0 = float(np.sum(np.abs(state.amplitudes[:half]) ** 2))
     return p0 / state.squared_norm
 

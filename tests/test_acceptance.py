@@ -103,7 +103,7 @@ def test_criterion_3_decomposition_properties():
     for _ in range(200):
         dim = int(rng.integers(2, 10))
         x = random_hermitian(rng, dim)
-        dec = decompose(HermitianObservable(LocalOperator(x, (0,), hermitian=True)))
+        dec = decompose(HermitianObservable(LocalOperator(x, (0,))))
         w = dec.w.matrix
         worst_unitary = max(worst_unitary, np.max(np.abs(w.conj().T @ w - np.eye(dim))))
         worst_recon = max(worst_recon, np.max(np.abs(dec.norm / 2 * (w + w.conj().T) - x)))

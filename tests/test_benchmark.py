@@ -54,7 +54,7 @@ from quditcorr.linear_response import (
     unperturbed_readout,
 )
 from quditcorr.observables import HermitianObservable, spin_matrix
-from quditcorr.register import QuditState, RegisterShape, expectation, site_marginal
+from quditcorr.register import QuditState, expectation, site_marginal
 from quditcorr.rng import sample_counts, task_rng
 
 
@@ -162,7 +162,7 @@ def test_brute_force_densifies_h_bitwise_as_scipy_does(monkeypatch, n):
 def _random_state(n, seed):
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
-    return QuditState(RegisterShape((3,) * n), amp / np.linalg.norm(amp))
+    return QuditState((3,) * n, amp / np.linalg.norm(amp))
 
 
 def sz_obs(site):

@@ -163,6 +163,17 @@ def test_info_log_shows_the_blocks_and_leaves_the_csv_bytes_alone(tmp_path):
     assert "blocks" not in err["WARNING"]
 
 
+@pytest.mark.parametrize("name", ["basic_format", "_styles", "no_such_level"])
+def test_a_log_variable_that_names_no_level_means_warning(name):
+    # logging.BASIC_FORMAT is a string and logging._STYLES a dict: neither is a level.
+    src = str(pathlib.Path(quditcorr.__file__).parents[1])
+    env = {**os.environ, "QUDITCORR_LOG": name, "PYTHONPATH": src}
+    cmd = [sys.executable, "-m", "quditcorr.cli", "decompose"]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and "spectral norm: 1" in proc.stdout
+
+
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -505,6 +516,26 @@ def test_run_reports_unusable_input_in_one_line(tmp_path, capsys, payload, flags
     assert main(["run", "--config", path, "--out", str(tmp_path / "out"), *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list((tmp_path / "out").glob("*"))  # nothing written
+
+
+@pytest.mark.parametrize(
+    "flags, pulse_area",
+    [(["--n-sites", "8", "--t-max", "1e9", "--steps", "2"], None), ([], 1e9)],
+    ids=["t-max-1e9-taylor", "pulse-area-1e9"],
+)
+def test_run_refuses_a_time_grid_past_the_taylor_step_limit(tmp_path, flags, pulse_area):
+    # Each would take over 6e8 Taylor steps: counted from the grid and
+    # refused before the first product, so no overflow warning either.
+    payload = QUICK_N4 if pulse_area is None else {**QUICK_N4, "pulse_area": pulse_area}
+    src = str(pathlib.Path(quditcorr.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error::RuntimeWarning"}
+    out = tmp_path / "out"
+    cmd = [sys.executable, "-m", "quditcorr.cli", "run", "--config",
+           write_config(tmp_path, payload), "--out", str(out), *flags]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: the time grid needs ") and proc.stderr.count("\n") == 1
+    assert "Taylor steps" in proc.stderr and not out.exists()
 
 
 def test_a_refused_study_removes_only_the_directories_it_made(tmp_path, capsys):

@@ -27,13 +27,13 @@ from quditcorr.dynamics import (
     trajectory,
 )
 from quditcorr.observables import spin_matrix
-from quditcorr.register import QuditState, RegisterShape, basis_state
+from quditcorr.register import QuditState, basis_state
 
 
 def random_state(rng, dims):
-    shape = RegisterShape(dims)
-    amp = rng.normal(size=shape.size) + 1j * rng.normal(size=shape.size)
-    return QuditState(shape, amp / np.linalg.norm(amp))
+    size = int(np.prod(dims))
+    amp = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return QuditState(dims, amp / np.linalg.norm(amp))
 
 
 def test_jz_only_chain_is_diagonal_in_products():
@@ -253,7 +253,7 @@ def test_eigenstate_acquires_phase_only():
     h = build_xxz(2, 1.0, 0.5)
     vals, vecs = np.linalg.eigh(csr(h).toarray())
     k = 3
-    state = QuditState(RegisterShape((3, 3)), vecs[:, k])
+    state = QuditState((3, 3), vecs[:, k])
     out = evolve(make_propagator(h), state, 1.7)
     np.testing.assert_allclose(
         out.amplitudes, np.exp(-1j * vals[k] * 1.7) * vecs[:, k], atol=1e-12
@@ -405,7 +405,7 @@ def test_non_hermitian_single_spin_norm_decay():
     lam, j, t = 0.3, 1.0, 0.8
     mat = sp.csr_matrix(-1j * lam * j * SZ1)
     h = SparseHamiltonian(mat, hermitian=False, j_xy=j)
-    state = QuditState(RegisterShape((3,)), np.array([1.0, 0, 0], dtype=complex))
+    state = QuditState((3,), np.array([1.0, 0, 0], dtype=complex))
     out = evolve(make_propagator(h), state, t)
     assert out.squared_norm == pytest.approx(np.exp(-2 * lam * j * t), rel=1e-10)
     expm_out = scipy.linalg.expm(-1j * t * mat.toarray()) @ state.amplitudes
@@ -456,7 +456,7 @@ def test_trajectory_matches_evolve_from_zero(strategy, dims):
     assert len(states) == len(grid)
     for t, got in zip(grid, states):
         want = evolve(prop, state, t)
-        assert got.shape == state.shape
+        assert got.dims == state.dims
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-10
     np.testing.assert_array_equal(states[0].amplitudes, state.amplitudes)
 
@@ -653,7 +653,7 @@ def test_block_trajectory_matches_full_space_expm(n, dims_before, strategy, kind
     for t, got in [*zip(grid, trajectory(prop, state, grid)), (-2.5, evolve(prop, state, -2.5))]:
         want = rows @ scipy.linalg.expm(-1j * t * full).T
         assert np.max(np.abs(got.amplitudes - want.reshape(-1))) <= 1e-10
-        assert got.shape == state.shape
+        assert got.dims == state.dims
 
 
 def test_dense_and_sparse_blocks_in_one_trajectory(monkeypatch):

@@ -22,7 +22,7 @@ from quditcorr.hadamard import (
     variance_model,
 )
 from quditcorr.observables import HermitianObservable, decompose, spin_matrix
-from quditcorr.register import LocalOperator, QuditState, RegisterShape
+from quditcorr.register import LocalOperator, QuditState
 from quditcorr.rng import sample_counts, task_rng
 
 
@@ -31,7 +31,7 @@ def sz_obs(site):
 
 
 def neel_state(n):
-    return QuditState(RegisterShape((3,) * n), neel_superposition_vec(n))
+    return QuditState((3,) * n, neel_superposition_vec(n))
 
 
 def estimate_point(ps, norm_a, norm_b, shots, rng=None, nominal_total=None):
@@ -52,7 +52,7 @@ def setup_chain(n, jz=0.5):
 
 def test_identity_observable_gives_trivial_probabilities():
     h, prop, psi0 = setup_chain(2)
-    eye = LocalOperator(np.eye(3), (0,), hermitian=True)
+    eye = LocalOperator(np.eye(3), (0,))
     ident_a, ident_b = HermitianObservable(eye), HermitianObservable(eye.on(1))
     for combo in COMBOS:
         t_plus = HadamardTask(0.0, 0.9, *combo, ALPHA_PLUS, ident_a, ident_b)
@@ -299,7 +299,7 @@ def test_trace_probabilities_runs_one_trajectory_per_distinct_start_state(monkey
     if state == "random":
         rng = np.random.default_rng(7)
         amp = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
-        psi0 = QuditState(RegisterShape((3,) * n), amp / np.linalg.norm(amp))
+        psi0 = QuditState((3,) * n, amp / np.linalg.norm(amp))
     grid = [0.0, 0.6, 1.9]
     engine = trace_probabilities(sz_obs(0), sz_obs(3), psi0, prop, grid)
     ps = [(plus, minus) for plus, minus, _ in engine]

@@ -26,12 +26,12 @@ from quditcorr.linear_response import (
     measure_site_expectation,
 )
 from quditcorr.observables import HermitianObservable
-from quditcorr.register import LocalOperator, QuditState, RegisterShape, basis_state, site_marginal
+from quditcorr.register import LocalOperator, QuditState, basis_state, site_marginal
 from quditcorr.rng import task_rng
 
 
 def neel_state(n):
-    return QuditState(RegisterShape((3,) * n), neel_superposition_vec(n))
+    return QuditState((3,) * n, neel_superposition_vec(n))
 
 
 def test_effective_shots_rules():
@@ -51,11 +51,11 @@ def test_normalized_expectation_plain_and_scaled():
     rng = np.random.default_rng(0)
     amp = rng.normal(size=9) + 1j * rng.normal(size=9)
     amp /= np.linalg.norm(amp)
-    state = QuditState(RegisterShape((3, 3)), amp)
+    state = QuditState((3, 3), amp)
     plain = measure_site_expectation(state, 1).value
     dense = np.kron(np.eye(3), SZ1)
     assert plain == pytest.approx(np.vdot(amp, dense @ amp).real, abs=1e-12)
-    scaled = QuditState(RegisterShape((3, 3)), 0.5 * amp)
+    scaled = QuditState((3, 3), 0.5 * amp)
     assert site_marginal(scaled, 1) == pytest.approx(site_marginal(state, 1), abs=1e-15)
     assert measure_site_expectation(scaled, 1).value == pytest.approx(plain, abs=1e-12)
 
@@ -67,7 +67,7 @@ def test_normalized_expectation_after_non_hermitian_pulse():
     u = scipy.linalg.expm(-1j * dt * gen)
     amp = np.array([0.6, 0.64, 0.48], dtype=complex)
     evolved = u @ amp
-    state = QuditState(RegisterShape((3,)), evolved)
+    state = QuditState((3,), evolved)
     expected = np.vdot(evolved, SZ1 @ evolved).real / np.vdot(evolved, evolved).real
     assert abs(state.squared_norm - 1.0) > 1e-2  # the pulse changed the norm
     assert measure_site_expectation(state, 0).value == pytest.approx(expected, abs=1e-12)
@@ -233,7 +233,7 @@ def test_pulsed_state_matches_expm_oracle(n, kind, dt):
     rng = np.random.default_rng(n)
     amp = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     amp /= np.linalg.norm(amp)
-    state = QuditState(RegisterShape((3,) * n), amp)
+    state = QuditState((3,) * n, amp)
     lam, site = 0.2, n - 1
     h0 = build_xxz(n, 1.0, 0.5)
     coupling = lam if kind == "hermitian" else 1j * lam
@@ -255,7 +255,7 @@ def test_pulse_on_the_study_blocks_matches_the_perturbed_propagator(n, kind):
     prop = make_propagator(h0)
     rng = np.random.default_rng(n)
     amp = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
-    states = [neel_state(n), QuditState(RegisterShape((3,) * n), amp / np.linalg.norm(amp))]
+    states = [neel_state(n), QuditState((3,) * n, amp / np.linalg.norm(amp))]
     for site, lam, dt in ((0, 0.2, 1e-3), (n - 1, 0.4, 0.5)):
         reference = propagator("sparse", build_perturbed(h0, site, lam, kind))
         for state in states:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import random_hermitian
+from quditcorr import observables
 from quditcorr.observables import (
     HermitianObservable,
     decompose,
@@ -12,7 +13,7 @@ from quditcorr.register import LocalOperator
 
 
 def obs(matrix, support=(0,)):
-    return HermitianObservable(LocalOperator(matrix, support, hermitian=True))
+    return HermitianObservable(LocalOperator(matrix, support))
 
 
 def test_spin1_z_matrix():
@@ -45,23 +46,40 @@ def test_unsupported_spin_and_axis():
 
 def test_spectral_norm_values():
     assert spectral_norm(spin_matrix(1, "z")) == pytest.approx(1.0)
-    assert spectral_norm(LocalOperator(np.eye(3), (0,), hermitian=True)) == pytest.approx(1.0)
-    zz = LocalOperator(np.kron(np.diag([1.0, 0, -1]), np.diag([1.0, 0, -1])), (0, 1), hermitian=True)
+    assert spectral_norm(LocalOperator(np.eye(3), (0,))) == pytest.approx(1.0)
+    zz = LocalOperator(np.kron(np.diag([1.0, 0, -1]), np.diag([1.0, 0, -1])), (0, 1))
     assert spectral_norm(zz) == pytest.approx(1.0)
 
 
 def test_spectral_norm_scaling():
     rng = np.random.default_rng(10)
     m = random_hermitian(rng, 5)
-    base = spectral_norm(LocalOperator(m, (0,), hermitian=True))
+    base = spectral_norm(LocalOperator(m, (0,)))
     for c in (-2.5, 0.3, 7.0):
-        scaled = spectral_norm(LocalOperator(c * m, (0,), hermitian=True))
+        scaled = spectral_norm(LocalOperator(c * m, (0,)))
         assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
 
 
 def test_spectral_norm_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         spectral_norm(LocalOperator(np.array([[0, 1], [0, 0]]), (0,)))
+    with pytest.raises(ValueError, match="Hermitian"):
+        HermitianObservable(LocalOperator(np.array([[0, 1], [0, 0]]), (0,)))
+    with pytest.raises(ValueError, match="Hermitian"):
+        obs(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def test_spectral_norm_is_derived_not_supplied():
+    assert obs(2.5 * spin_matrix(1, "z").matrix).spectral_norm == pytest.approx(2.5)
+    with pytest.raises(TypeError):
+        HermitianObservable(spin_matrix(1, "z"), spectral_norm=5.0)
+
+
+def test_decompose_refuses_a_non_unitary_w(monkeypatch):
+    # The check on the W that decompose builds, reached by corrupting the split.
+    monkeypatch.setattr(observables, "_unitary_from_scaled", lambda xn: np.diag([1.0, 0.5, -1.0]))
+    with pytest.raises(ValueError, match="unitary"):
+        decompose(obs(spin_matrix(1, "z").matrix))
 
 
 def test_decompose_spin1_z():

@@ -4,7 +4,6 @@ import pytest
 from quditcorr.register import (
     LocalOperator,
     QuditState,
-    RegisterShape,
     ancilla_zero_probability,
     apply_controlled,
     apply_local,
@@ -14,14 +13,14 @@ from quditcorr.register import (
 )
 from quditcorr.rng import sample_counts
 
-W_SZ = LocalOperator(np.diag([1, 1j, -1]), (0,), unitary=True)
-SZ = LocalOperator(np.diag([1.0, 0.0, -1.0]), (0,), hermitian=True)
+W_SZ = LocalOperator(np.diag([1, 1j, -1]), (0,))
+SZ = LocalOperator(np.diag([1.0, 0.0, -1.0]), (0,))
 
 
 def random_state(rng, dims):
-    shape = RegisterShape(dims)
-    amp = rng.normal(size=shape.size) + 1j * rng.normal(size=shape.size)
-    return QuditState(shape, amp / np.linalg.norm(amp))
+    size = int(np.prod(dims))
+    amp = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return QuditState(dims, amp / np.linalg.norm(amp))
 
 
 def random_unitary(rng, d):
@@ -33,7 +32,7 @@ def random_unitary(rng, d):
 def test_identity_leaves_state_unchanged():
     rng = np.random.default_rng(1)
     state = random_state(rng, (3, 3))
-    out = apply_local(state, LocalOperator(np.eye(3), (1,), hermitian=True, unitary=True))
+    out = apply_local(state, LocalOperator(np.eye(3), (1,)))
     np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
 
@@ -61,17 +60,16 @@ def test_controlled_noop_when_control_unoccupied():
 def test_controlled_identity_is_noop():
     rng = np.random.default_rng(3)
     state = random_state(rng, (2, 3, 3))
-    ident = LocalOperator(np.eye(3), (2,), hermitian=True, unitary=True)
+    ident = LocalOperator(np.eye(3), (2,))
     out = apply_controlled(state, 0, 1, ident)
     np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
 
 def test_controlled_phase_branch_amplitudes():
     # (|0> + |1>)/sqrt2 (x) |m=-1>; controlled diag(1,i,-1) flips the |1> branch sign
-    shape = RegisterShape((2, 3))
     amp = np.zeros(6, dtype=complex)
     amp[2] = amp[5] = 1 / np.sqrt(2)  # levels (0,2) and (1,2)
-    state = QuditState(shape, amp)
+    state = QuditState((2, 3), amp)
     out = apply_controlled(state, 0, 1, W_SZ.on(1))
     np.testing.assert_allclose(out.amplitudes[2], 1 / np.sqrt(2), atol=1e-15)
     np.testing.assert_allclose(out.amplitudes[5], -1 / np.sqrt(2), atol=1e-15)
@@ -79,8 +77,8 @@ def test_controlled_phase_branch_amplitudes():
 
 def test_anticontrol_via_x_conjugation():
     rng = np.random.default_rng(4)
-    x = LocalOperator(np.array([[0, 1], [1, 0]]), (0,), hermitian=True, unitary=True)
-    u = LocalOperator(random_unitary(rng, 3), (1,), unitary=True)
+    x = LocalOperator(np.array([[0, 1], [1, 0]]), (0,))
+    u = LocalOperator(random_unitary(rng, 3), (1,))
     state = random_state(rng, (2, 3))
     lhs = apply_local(apply_controlled(apply_local(state, x), 0, 1, u), x)
     rhs = apply_controlled(state, 0, 0, u)
@@ -91,8 +89,8 @@ def test_disjoint_supports_commute():
     rng = np.random.default_rng(5)
     for _ in range(100):
         state = random_state(rng, (2, 3, 3, 3))
-        a = LocalOperator(random_unitary(rng, 3), (1,), unitary=True)
-        b = LocalOperator(random_unitary(rng, 9), (2, 3), unitary=True)
+        a = LocalOperator(random_unitary(rng, 3), (1,))
+        b = LocalOperator(random_unitary(rng, 9), (2, 3))
         ab = apply_local(apply_local(state, a), b)
         ba = apply_local(apply_local(state, b), a)
         assert np.max(np.abs(ab.amplitudes - ba.amplitudes)) <= 1e-12
@@ -106,7 +104,7 @@ def test_unitary_apply_preserves_norm():
         k = rng.integers(1, 3)
         sites = tuple(sorted(rng.choice(4, size=k, replace=False).tolist()))
         d = int(np.prod([dims[s] for s in sites]))
-        u = LocalOperator(random_unitary(rng, d), sites, unitary=True)
+        u = LocalOperator(random_unitary(rng, d), sites)
         out = apply_local(state, u)
         assert abs(np.sqrt(out.squared_norm) - 1.0) <= 1e-12
 
@@ -115,7 +113,7 @@ def test_multi_site_apply_matches_dense_kron():
     rng = np.random.default_rng(7)
     state = random_state(rng, (2, 3, 3))
     u = random_unitary(rng, 6)
-    op = LocalOperator(u, (0, 2), unitary=True)
+    op = LocalOperator(u, (0, 2))
     out = apply_local(state, op)
     # dense embedding: axes (0, 2) gathered to the front
     psi = state.amplitudes.reshape(2, 3, 3)
@@ -126,12 +124,11 @@ def test_multi_site_apply_matches_dense_kron():
 
 def test_ancilla_zero_probability_cases():
     assert ancilla_zero_probability(basis_state((2, 3), (0, 2))) == pytest.approx(1.0)
-    shape = RegisterShape((2, 3))
     amp = np.zeros(6, dtype=complex)
     amp[0] = amp[3] = 1 / np.sqrt(2)
-    assert ancilla_zero_probability(QuditState(shape, amp)) == pytest.approx(0.5)
+    assert ancilla_zero_probability(QuditState((2, 3), amp)) == pytest.approx(0.5)
     # relative to the squared norm for unnormalized states
-    assert ancilla_zero_probability(QuditState(shape, 0.3 * amp)) == pytest.approx(0.5)
+    assert ancilla_zero_probability(QuditState((2, 3), 0.3 * amp)) == pytest.approx(0.5)
 
 
 def test_ancilla_zero_probability_requires_qubit():
@@ -145,8 +142,7 @@ def test_sample_counts_basis_state():
 
 
 def test_sample_counts_uniform_statistics():
-    shape = RegisterShape((3,))
-    state = QuditState(shape, np.ones(3, dtype=complex) / np.sqrt(3))
+    state = QuditState((3,), np.ones(3, dtype=complex) / np.sqrt(3))
     shots = 300_000
     counts = sample_counts([site_marginal(state, 0)], shots, [11])[0]
     sigma = np.sqrt((1 / 3) * (2 / 3) / shots)
@@ -165,8 +161,7 @@ def test_sample_counts_deterministic_and_empty():
 
 
 def test_site_marginal_normalizes_unnormalized_states():
-    shape = RegisterShape((3,))
-    state = QuditState(shape, np.array([2.0, 0.0, 0.0], dtype=complex))
+    state = QuditState((3,), np.array([2.0, 0.0, 0.0], dtype=complex))
     np.testing.assert_allclose(site_marginal(state, 0), [1.0, 0.0, 0.0])
 
 
@@ -176,7 +171,7 @@ def test_site_marginal_is_bitwise_the_moveaxis_form(dims):
     rng = np.random.default_rng(12)
     for _ in range(3):
         state = random_state(rng, dims)
-        state = QuditState(state.shape, 1.7 * state.amplitudes)  # unnormalized
+        state = QuditState(state.dims, 1.7 * state.amplitudes)  # unnormalized
         for site in range(len(dims)):
             moved = np.moveaxis(state.amplitudes.reshape(dims), site, 0).reshape(dims[site], -1)
             p = np.sum(np.abs(moved) ** 2, axis=1) / state.squared_norm
@@ -191,21 +186,23 @@ def test_expectation_matches_dense():
     np.testing.assert_allclose(val, np.vdot(state.amplitudes, dense @ state.amplitudes))
 
 
-def test_register_shape_validation():
+def test_qudit_state_dims_validation():
+    # The dims are checked before the amplitudes, so no test allocates a register.
     with pytest.raises(ValueError, match=">= 2"):
-        RegisterShape((3, 1))
+        QuditState((3, 1), np.zeros(3))
     with pytest.raises(ValueError, match="budget"):
-        RegisterShape((2,) * 28)
-    RegisterShape((2,) * 27)  # exactly at the budget is allowed
+        QuditState((2,) * 28, np.zeros(1))
+    with pytest.raises(ValueError, match="budget"):
+        basis_state((2,) * 28, (0,) * 28)
+    # Exactly at the budget is allowed: the refusal is then the amplitude count.
+    with pytest.raises(ValueError, match="does not match"):
+        QuditState((2,) * 27, np.zeros(1))
     with pytest.raises(ValueError):
-        RegisterShape(())
+        QuditState((), np.zeros(1))
+    assert QuditState([2, 3.0], np.zeros(6)).dims == (2, 3)
 
 
-def test_local_operator_flag_validation():
-    with pytest.raises(ValueError, match="hermitian"):
-        LocalOperator(np.array([[0, 1], [0, 0]]), (0,), hermitian=True)
-    with pytest.raises(ValueError, match="unitary"):
-        LocalOperator(np.diag([1.0, 0.5]), (0,), unitary=True)
+def test_local_operator_support_validation():
     with pytest.raises(ValueError, match="distinct"):
         LocalOperator(np.eye(9), (1, 1))
 

@@ -44,6 +44,7 @@ from .dynamics import (
     SparseHamiltonian,
     build_xxz,
     make_propagator,
+    require_hermitian,
     site_sz_diagonal,
 )
 from .hadamard import (
@@ -333,10 +334,12 @@ def brute_force_correlators(
     A = S^z_a and B = S^z_b.  H is diagonalized here, independently of
     any Propagator, and U(t) = V e^{-iEt} V^+ is applied to vectors
     only.  With z = <A(t1) B(t2)> = <U(t2 - t1) A U(t1) psi | B U(t2) psi>,
-    the anti-commutator is 2 Re z and the commutator -2 Im z.
+    the anti-commutator is 2 Re z and the commutator -2 Im z.  eigh reads
+    one triangle, so a non-Hermitian H is refused first, whatever its flag.
     """
     if h.dimension > ORACLE_DIM_LIMIT:
         raise ValueError(f"brute-force reference limited to dimension {ORACLE_DIM_LIMIT}")
+    require_hermitian(h, "the dense oracle needs a Hermitian H")
     dense = np.zeros((h.dimension,) * 2, dtype=np.complex128)
     dense[np.repeat(np.arange(h.dimension), np.diff(h.indptr)), h.indices] = h.data
     vals, vecs = np.linalg.eigh(dense)

@@ -103,29 +103,19 @@ def _canonical_csr(matrix):
     return data, indices, indptr
 
 
-def _hermitian_error(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> float:
-    """max|H - H^+| over the stored entries of a canonical CSR matrix.
+def require_hermitian(h, what: str) -> None:
+    """Refuse h, anything with canonical CSR arrays, unless max|h - h^+| <= 1e-12.
 
-    An entry whose mirror is not stored counts whole.
+    An entry whose mirror is not stored counts whole; a NaN entry fails.
     """
-    rows, dim = _rows(indptr), indptr.size - 1
-    # The entries in column-major order: a stable sort by column, done as
-    # one sort of the column and the position packed into one integer.
-    shift = data.size.bit_length()
-    order = indices.astype(np.int64)
-    order <<= shift
-    order |= np.arange(data.size)
-    order.sort()
-    order &= (1 << shift) - 1
-    if np.array_equal(indices[order], rows) and np.array_equal(rows[order], indices):
-        # A symmetric pattern: entry order[j] is the mirror of entry j.
-        diff = np.conjugate(data[order])
-        return float(np.abs(np.subtract(data, diff, out=diff)).max(initial=0.0))
-    cols = indices.astype(np.int64)
+    rows, dim = _rows(h.indptr), h.indptr.size - 1
+    cols = h.indices.astype(np.int64)
     key, mirror = rows * dim + cols, cols * dim + rows
     at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
-    partner = np.where(key[at] == mirror, data[at].conj(), 0.0)
-    return float(np.abs(data - partner).max(initial=0.0))
+    partner = np.where(key[at] == mirror, h.data[at].conj(), 0.0)
+    worst = float(np.abs(h.data - partner).max(initial=0.0))
+    if not worst <= 1e-12:
+        raise ValueError(f"{what} but max|H - H^+| = {worst:.2e}")
 
 
 class SparseHamiltonian:
@@ -134,9 +124,9 @@ class SparseHamiltonian:
     matrix is anything with data/indices/indptr arrays, a SciPy CSR
     matrix included; its dimension, the rows of indptr, must be 3^N,
     which gives n_sites = N.  These arrays are the only form of H:
-    nothing here converts it to SciPy.  The hermitian flag is checked
-    against every entry, and it decides which blocks the propagator
-    diagonalizes.  j_xy, the flip-flop coupling, scales the pulses.
+    nothing here converts it to SciPy.  The hermitian flag decides which
+    blocks the propagator diagonalizes, and each block checks it (see
+    Block).  j_xy, the flip-flop coupling, scales the pulses.
     """
 
     def __init__(self, matrix, hermitian: bool, j_xy: float):
@@ -145,12 +135,7 @@ class SparseHamiltonian:
         self.n_sites = round(math.log(max(self.dimension, 1), 3))
         if self.n_sites < 1 or 3**self.n_sites != self.dimension:
             raise ValueError(f"dimension {self.dimension} is not 3^N for N >= 1 sites")
-        self.hermitian = hermitian
-        self.j_xy = float(j_xy)
-        if hermitian:
-            worst = _hermitian_error(self.data, self.indices, self.indptr)
-            if not worst <= 1e-12:  # a NaN entry fails too
-                raise ValueError(f"hermitian flag set but max|H - H^+| = {worst:.2e}")
+        self.hermitian, self.j_xy = hermitian, float(j_xy)
 
 
 def site_sz_diagonal(n_sites: int, site: int) -> np.ndarray:
@@ -272,7 +257,8 @@ class Block:
     kernel's operator, otherwise.  A block holds its indices and no entry
     of H: sub() gathers its sub-matrix from H's own arrays, and op is
     built from it on the first read, under its propagator's lock, so a
-    block that no state touches is never factorized or converted.
+    block that no state touches is never factorized or converted.  That
+    read first checks the block of a flagged H with require_hermitian.
     """
 
     def __init__(self, index: np.ndarray, h: SparseHamiltonian, local, lock: threading.Lock):
@@ -294,12 +280,13 @@ class Block:
         if self._op is None:
             with self._lock:
                 if self._op is None:
-                    if self.strategy == "dense-eig":
-                        # A real eigh is faster, and it moves results by less:
-                        # 9.3e-15 against 1.6e-14 for a complex one on the N = 4 study.
-                        self._op = np.linalg.eigh(_dense(self.sub()))
-                    else:
-                        self._op = _taylor_op(self.sub(), np.zeros(self.index.size))
+                    sub = self.sub()
+                    if self._h.hermitian:
+                        require_hermitian(sub, "hermitian flag set")
+                    # A real eigh is faster, and it moves results by less:
+                    # 9.3e-15 against 1.6e-14 for a complex one on the N = 4 study.
+                    self._op = (np.linalg.eigh(_dense(sub)) if self.strategy == "dense-eig"
+                                else _taylor_op(sub, np.zeros(self.index.size)))
         return self._op
 
 
@@ -449,12 +436,14 @@ def _taylor_stream(op, x, times):
         tau, now = t - now, t
         if tau and not math.isfinite(abs(tau) * bound):
             raise ValueError(f"time {t!r} overflows the phase of exp(-iHt)")
-        plan.append((tau, *_taylor_degree(abs(tau) * norm1)) if tau else (tau, 0, 0))
+        # A step covers at most theta_55: past the cap, over MAX_TAYLOR_STEPS steps.
+        norm = min(abs(tau) * norm1, (MAX_TAYLOR_STEPS + 1) * _THETA[55])
+        plan.append((tau, *_taylor_degree(norm)) if tau else (tau, 0, 0))
     steps = sum(s for _, _, s in plan)
     if steps > MAX_TAYLOR_STEPS:
         raise ValueError(
-            f"the time grid needs {steps} Taylor steps on a block of dimension {x.shape[0]}, "
-            f"over the limit of {MAX_TAYLOR_STEPS}: shorten the times or the pulse"
+            f"the time grid needs at least {steps} Taylor steps on a block of dimension "
+            f"{x.shape[0]}, over the limit of {MAX_TAYLOR_STEPS}: shorten the times or the pulse"
         )
     for tau, m, s in plan:
         if s:

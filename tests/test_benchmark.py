@@ -36,7 +36,7 @@ from quditcorr.benchmark import (
     run_quench_study,
     time_averaged_std,
 )
-from quditcorr.dynamics import build_perturbed, build_xxz, evolve, make_propagator
+from quditcorr.dynamics import SparseHamiltonian, build_perturbed, build_xxz, evolve, make_propagator
 from quditcorr.hadamard import (
     ALPHA_MINUS,
     ALPHA_PLUS,
@@ -143,6 +143,17 @@ def test_brute_force_reference_matches_independent_oracle():
         # form coincides because the site magnetizations vanish here
         assert cp == pytest.approx(cp_conn, abs=1e-10)
         assert abs(ea) <= 1e-14
+
+
+def test_brute_force_refuses_a_non_hermitian_h():
+    # eigh reads one triangle of the matrix, so a non-Hermitian H would
+    # give values, whatever its flag says; the oracle refuses it instead.
+    h = build_perturbed(build_xxz(3, 1.0, 0.5), 0, 0.3, "non_hermitian")
+    with pytest.raises(ValueError, match="the dense oracle needs a Hermitian H"):
+        brute_force_correlators(h, neel_superposition(3), 0, 1, 0.0, 0.7)
+    flagged = SparseHamiltonian(h, True, h.j_xy)
+    with pytest.raises(ValueError, match="the dense oracle needs a Hermitian H"):
+        brute_force_correlators(flagged, neel_superposition(3), 0, 1, 0.0, 0.7)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

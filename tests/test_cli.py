@@ -519,14 +519,20 @@ def test_run_reports_unusable_input_in_one_line(tmp_path, capsys, payload, flags
 
 
 @pytest.mark.parametrize(
-    "flags, pulse_area",
-    [(["--n-sites", "8", "--t-max", "1e9", "--steps", "2"], None), ([], 1e9)],
-    ids=["t-max-1e9-taylor", "pulse-area-1e9"],
+    "payload, flags",
+    [
+        (QUICK_N4, ["--n-sites", "8", "--t-max", "1e9", "--steps", "2"]),
+        ({**QUICK_N4, "pulse_area": 1e9}, []),
+        # Pulses whose step count does not fit a float: refused as well,
+        # not an OverflowError from counting the steps.
+        ({"n_sites": 4, "lambdas": [1e300]}, []),
+        ({"n_sites": 5, "j_z_over_j_xy": 1e300}, []),
+    ],
+    ids=["t-max-1e9-taylor", "pulse-area-1e9", "lambda-1e300", "j-z-1e300"],
 )
-def test_run_refuses_a_time_grid_past_the_taylor_step_limit(tmp_path, flags, pulse_area):
+def test_run_refuses_a_time_grid_past_the_taylor_step_limit(tmp_path, payload, flags):
     # Each would take over 6e8 Taylor steps: counted from the grid and
     # refused before the first product, so no overflow warning either.
-    payload = QUICK_N4 if pulse_area is None else {**QUICK_N4, "pulse_area": pulse_area}
     src = str(pathlib.Path(quditcorr.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error::RuntimeWarning"}
     out = tmp_path / "out"

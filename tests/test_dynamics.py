@@ -150,20 +150,61 @@ def test_hamiltonians_equal_the_kron_construction_bit_for_bit(n, j_xy, j_z):
 @pytest.mark.parametrize("mirrored", [True, False], ids=["symmetric-pattern", "lone-entry"])
 def test_hermitian_flag_checks_every_entry_against_its_mirror(mirrored, n):
     # An asymmetry either in the value of a stored entry whose mirror is
-    # stored, or as an entry whose mirror is not stored at all (all +1 to
-    # all -1).  At N = 10, row * dim + column no longer fits 32 bits.
+    # stored, inside the sector of digit sum 1, or as an entry whose
+    # mirror is not stored at all (all +1 to all -1).  The flag is checked
+    # on a block when a state first propagates through it; the lone entry
+    # joins two sectors, which make_propagator refuses under either flag.
     h0 = csr(build_xxz(n, 1.0, 0.5))
     dim = h0.shape[0]
     row, col = (1, 3) if mirrored else (0, dim - 1)
     assert (h0[row, col] != 0) == mirrored and h0[col, row] == h0[row, col]
+    in_bumped_sector = basis_state((3,) * n, [0] * (n - 1) + [1])  # index 1
     for eps, raises in ((1e-9, True), (1e-13, False), (np.nan, True)):
         bump = sp.csr_matrix(([eps], ([row], [col])), shape=h0.shape)
-        if raises:
-            with pytest.raises(ValueError, match="hermitian flag"):
-                SparseHamiltonian(h0 + bump, True, 1.0)
-        else:
-            assert SparseHamiltonian(h0 + bump, True, 1.0).hermitian
-        assert not SparseHamiltonian(h0 + bump, False, 1.0).hermitian
+        for flag in (True, False):
+            h = SparseHamiltonian(h0 + bump, flag, 1.0)
+            assert h.hermitian == flag
+            if not mirrored:
+                with pytest.raises(ValueError, match="between two total-S.z sectors"):
+                    make_propagator(h)
+            elif flag and raises:
+                with pytest.raises(ValueError, match="hermitian flag set"):
+                    evolve(make_propagator(h), in_bumped_sector, 0.3)
+            elif not np.isnan(eps):
+                evolve(make_propagator(h), in_bumped_sector, 0.3)
+
+
+@pytest.mark.parametrize("n", [4, 8], ids=["dense-eig", "sparse"])
+def test_a_bad_entry_outside_the_touched_sectors_does_not_stop_propagation(n):
+    # The Hermitian check reads the blocks a state propagates through, and
+    # no other: a bump in the sector of digit sum 1 leaves the Neel
+    # superposition's propagation bit for bit as on the clean H.
+    h0 = csr(build_xxz(n, 1.0, 0.5))
+    bump = sp.csr_matrix(([1e-3], ([1], [3])), shape=h0.shape)
+    clean, bad = (make_propagator(SparseHamiltonian(h, True, 1.0)) for h in (h0, h0 + bump))
+    psi0 = neel_superposition(n)
+    want = evolve(clean, psi0, 0.7).amplitudes
+    assert evolve(bad, psi0, 0.7).amplitudes.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="hermitian flag set"):
+        evolve(bad, basis_state((3,) * n, [0] * (n - 1) + [1]), 0.7)
+
+
+def test_building_h_at_n11_peaks_under_120_mb():
+    # H's own arrays are 36 MB at N = 11; a pass over all of H's entries
+    # (a Hermitian check at construction) took the peak to 168 MB.  The
+    # child reads its VmHWM: its ru_maxrss would include the RSS of this
+    # process, which the kernel records when the child execs.
+    code = (
+        "from quditcorr.dynamics import build_xxz\n"
+        "build_xxz(11, 1.0, 0.5)\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('VmHWM:')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(dynamics.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 120 * 1024  # kB
 
 
 @pytest.mark.parametrize(

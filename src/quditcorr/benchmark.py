@@ -16,9 +16,9 @@ with trapezoidal quadrature on the study grid.  The reference trace is
 the exact Hadamard trace, computed with the study's one propagator of
 H0 (the circuit protocol is exact up to shot noise), so a study
 factorizes the blocks of H once and the Hadamard R compares its exact
-trace with itself.  Each trace is one task: every grid point of it comes
-from a few streamed trajectories (dynamics.trajectory), not from a
-simulation started at t = 0.  brute_force_correlators, the dense oracle
+trace with itself.  Each trace is one task that only propagates, every
+grid point from a few streamed trajectories (dynamics.trajectory); all
+are estimated after the pool.  brute_force_correlators, the dense oracle
 of `quditcorr validate`, diagonalizes H on its own.
 An R whose reference trace vanishes while the estimate does not is
 undefined; it is reported as None with the reason alongside.
@@ -64,7 +64,7 @@ from .linear_response import (
     unperturbed_readout,
 )
 from .observables import HermitianObservable, spin_matrix
-from .register import QuditState, basis_state, site_marginal
+from .register import MAX_AMPLITUDES, QuditState, basis_state, site_marginal
 from .rng import task_rng
 
 log = logging.getLogger(__name__)
@@ -87,6 +87,14 @@ DEFAULT_BUDGETS = {
     HADAMARD: {"plus": 1500, "minus": 8000},
     LINEAR_RESPONSE: {"plus": 1500, "minus": 12000},
 }
+# The smallest budgets: one shot per expectation value a point splits over.
+MIN_BUDGETS = {HADAMARD: {"plus": 6, "minus": 4}, LINEAR_RESPONSE: {"plus": 2, "minus": 2}}
+
+# A study's peak memory per byte of the entries of H (16 B value, 4 B
+# column each), rounded up from the peaks measured at one worker: 2.67
+# at N = 12 (306 MB) and 2.35 at N = 13 (876 MB).
+H_ENTRY_BYTES = 20
+PEAK_PER_H_BYTE = 3
 
 
 class ConfigError(ValueError):
@@ -130,6 +138,16 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def study_peak_bytes(n_sites: int) -> int:
+    """An upper estimate of a study's peak memory, from the most entries H can hold.
+
+    H stores at most one diagonal entry per basis state, and each bond
+    exactly 8 off-diagonal ones per state of the other N - 2 sites.
+    """
+    entries = 3**n_sites + 8 * (n_sites - 1) * 3 ** (n_sites - 2)
+    return PEAK_PER_H_BYTE * H_ENTRY_BYTES * entries
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One quench study, checked on construction; every bad value is a ConfigError naming its field.
@@ -161,6 +179,11 @@ class RunConfig:
             object.__setattr__(self, name, value)
 
         _expect(_integer(self.n_sites, "n_sites") >= 2, "n_sites", "need at least 2 sites")
+        if self.n_sites <= math.log(MAX_AMPLITUDES, 3):  # longer: build_xxz refuses by dimension
+            need = study_peak_bytes(self.n_sites)
+            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            why = f"a study at {self.n_sites} sites needs about {need / 2**30:.1f} GiB"
+            _expect(need <= have, "n_sites", f"{why}, more than the {have / 2**30:.1f} GiB of RAM")
         put("j_z_over_j_xy", _number(self.j_z_over_j_xy, "j_z_over_j_xy"))
         put("t_max", _number(self.t_max, "t_max"))
         _expect(self.t_max > 0, "t_max", "must be positive")
@@ -188,7 +211,9 @@ class RunConfig:
             _expect(isinstance(per, dict), "shots", "per-protocol budgets must be a mapping")
             for kind, n in per.items():
                 _expect(kind in ("plus", "minus"), "shots", f"unknown kind {kind!r}")
-                _expect(_is_int(n) and n >= 2, "shots", "per-point budgets must be integers >= 2")
+                least = MIN_BUDGETS[proto][kind]
+                why = f"the {proto} {kind} budget must be an integer >= {least}, got {n!r}"
+                _expect(_is_int(n) and n >= least, "shots", why)
                 budgets[proto][kind] = n
         put("shots", _ReadOnlyDict((p, _ReadOnlyDict(b)) for p, b in budgets.items()))
         _expect(isinstance(self.exact_only, bool), "exact_only", "expected true or false")
@@ -355,42 +380,23 @@ def brute_force_correlators(
     return 2.0 * float(z.real), -2.0 * float(z.imag)
 
 
-def hadamard_trace(
-    obs_a: HermitianObservable, obs_b: HermitianObservable, psi0: QuditState, prop, grid,
-    budgets, sampled: bool, seed: int,
-):
-    """Hadamard estimates of C(0, t) on the grid, from one trace_probabilities pass.
+def hadamard_estimate(obs_a, obs_b, psi0: QuditState, probabilities, budgets, rngs=None):
+    """The Hadamard C+ (connected) and C- over a grid, from trace_probabilities' arrays.
 
-    Returns the C+ (connected) and the C- trace, each (exact, sampled or
-    None) estimates over the grid, and the (T, 3) marginals of B's site
-    in U(t)|psi0>, which C+'s disconnected part and the LR readout use.
-    The point at grid index ti draws from task_rng(seed, 1, ti): the four
-    C+ circuits, then the two disconnected-part means, then the four C-
-    circuits, each set drawn for the whole grid in one sample_counts call.
+    C+ splits its per-point budget over six expectation values (four
+    circuits, <A> at t1 = 0 and <B> at t), C- its own over four circuits.
+    Exact without rngs, with those budgets' error bars; with rngs, point
+    ti draws from rngs[ti]: the four C+ circuits, the two means, then the
+    four C- circuits.
     """
-    na, nb = obs_a.spectral_norm, obs_b.spectral_norm
-    site_a, site_b = obs_a.support[0], obs_b.support[0]
-    n_plus = max(1, budgets["plus"] // 6)  # 4 circuits + 2 disconnected means
-    n_minus = max(1, budgets["minus"] // 4)
-    ps_plus, ps_minus, marginals = [], [], []
-    marginal_a = site_marginal(psi0, site_a)
-    for p_plus, p_minus, phi in trace_probabilities(obs_a, obs_b, psi0, prop, grid):
-        ps_plus.append(p_plus)
-        ps_minus.append(p_minus)
-        marginals.append((marginal_a, site_marginal(phi, site_b)))  # <A> at t1 = 0, <B> at t
-    marginals = np.array(marginals)
-    exact_plus = connected_anticommutator(
-        estimate_from_probabilities(ps_plus, na, nb, None, None, 4 * n_plus),
-        *site_expectations(marginals),
-    )
-    exact_minus = estimate_from_probabilities(ps_minus, na, nb, None, None, 4 * n_minus)
-    samp_plus = samp_minus = None
-    if sampled:
-        rngs = [task_rng(seed, 1, ti) for ti in range(len(ps_plus))]
-        raw_hat = estimate_from_probabilities(ps_plus, na, nb, n_plus, rngs)
-        samp_plus = connected_anticommutator(raw_hat, *site_expectations(marginals, n_plus, rngs))
-        samp_minus = estimate_from_probabilities(ps_minus, na, nb, n_minus, rngs)
-    return (exact_plus, samp_plus), (exact_minus, samp_minus), marginals[:, 1]
+    ps_plus, ps_minus, marginals_b = probabilities
+    norms = (obs_a.spectral_norm, obs_b.spectral_norm)
+    n_plus, n_minus = budgets["plus"] // 6, budgets["minus"] // 4
+    marginals_a = np.broadcast_to(site_marginal(psi0, obs_a.support[0]), marginals_b.shape)
+    raw = estimate_from_probabilities(ps_plus, *norms, n_plus, rngs)
+    means = site_expectations(np.stack([marginals_a, marginals_b], axis=1), n_plus, rngs)
+    plus = connected_anticommutator(raw, *means)
+    return plus, estimate_from_probabilities(ps_minus, *norms, n_minus, rngs)
 
 
 class StudyInterrupted(KeyboardInterrupt):
@@ -439,13 +445,14 @@ def _run_tasks(tasks, workers: int, results: dict) -> None:
 def run_quench_study(config: RunConfig) -> StudyResult:
     """Full study: per (protocol, kind, lambda, t) records plus figures of merit.
 
-    One task per trace: the Hadamard trace and the pulsed branches of
-    one LR trace per lambda.  After the pool, the LR traces are estimated
-    against one unpulsed readout: the Hadamard trace's marginals of B's
-    site, plus one evolve to the pulse duration.  Deterministic for a
-    fixed config seed under any worker count: every point draws from its
-    own counter-based stream and the result table is assembled by a
-    key-ordered reduction.  One propagator of H0 serves every trace.
+    One task per trace, which only propagates: the Hadamard trace and the
+    pulsed branches of one LR trace per lambda.  After the pool, every
+    trace is estimated, the LR ones against one unpulsed readout: the
+    Hadamard trace's marginals of B's site, plus one evolve to dt.
+    Deterministic for a fixed config seed under any worker count: every
+    point draws from its own counter-based stream and the result table is
+    assembled by a key-ordered reduction.  One propagator of H0 serves
+    every trace.
 
     On KeyboardInterrupt, pending traces are cancelled and
     StudyInterrupted is raised; its result has the rows of the
@@ -461,10 +468,6 @@ def run_quench_study(config: RunConfig) -> StudyResult:
         log.info("H0 has %d blocks; psi0 touches dimension %s", len(prop.blocks), touched)
     grid = np.linspace(0.0, config.t_max, config.steps)
 
-    def hadamard_task():  # exact only, as the R reference, when only the baseline is reported
-        draws = sampled and HADAMARD in protocols
-        return hadamard_trace(obs_a, obs_b, psi0, prop, grid, budgets[HADAMARD], draws, seed)
-
     def lr_config(lam, kind):
         return LinearResponseConfig(lam, pulse_area, site_a, site_b, kind)
 
@@ -472,30 +475,34 @@ def run_quench_study(config: RunConfig) -> StudyResult:
         return {kind: lr_trace(lr_config(lam, kind), psi0, prop, grid) for kind, _, _ in LR_KINDS}
 
     # The Hadamard task goes first: when an LR task has completed, so has it.
-    tasks = [((HADAMARD, None), hadamard_task)]
+    tasks = [((HADAMARD, None), lambda: trace_probabilities(obs_a, obs_b, psi0, prop, grid))]
     if LINEAR_RESPONSE in protocols:
         tasks += [((LINEAR_RESPONSE, lam), functools.partial(lr_task, lam)) for lam in lambdas]
     reported = [key for key, _ in tasks if key[0] in protocols]
+    points = range(grid.size)
 
     def estimate(outputs) -> dict:
         """The completed traces, each (C+, C-) as (exact, sampled or None) estimates."""
         if (HADAMARD, None) not in outputs:
             return {}
-        plus, minus, marginals = outputs[(HADAMARD, None)]
-        traces = {(HADAMARD, None): (plus, minus)}
+        args = (obs_a, obs_b, psi0, outputs[(HADAMARD, None)], budgets[HADAMARD])
+        samp = (None, None)
+        if sampled and HADAMARD in protocols:  # else the trace is only the exact R reference
+            samp = hadamard_estimate(*args, [task_rng(seed, 1, ti) for ti in points])
+        traces = {(HADAMARD, None): list(zip(hadamard_estimate(*args), samp))}
         done = [(li, lam) for li, lam in enumerate(lambdas) if (LINEAR_RESPONSE, lam) in outputs]
         if done:
+            marginals = outputs[(HADAMARD, None)][2]
             readout = unperturbed_readout(prop, psi0, site_b, pulse_area, grid, marginals)
         for li, lam in done:
             branches = []
             for kind, stream, key in LR_KINDS:
-                args = (lr_config(lam, kind), *outputs[(LINEAR_RESPONSE, lam)][kind], readout)
-                budget = budgets[LINEAR_RESPONSE][key]
+                pert, norms = outputs[(LINEAR_RESPONSE, lam)][kind]
+                args = (lr_config(lam, kind), pert, norms, readout, budgets[LINEAR_RESPONSE][key])
                 samp = None
                 if sampled:
-                    rngs = [task_rng(seed, 2, li, ti, stream) for ti in range(grid.size)]
-                    samp = lr_estimate(*args, budget, rngs)
-                branches.append((lr_estimate(*args, nominal_budget=budget), samp))
+                    samp = lr_estimate(*args, [task_rng(seed, 2, li, ti, stream) for ti in points])
+                branches.append((lr_estimate(*args), samp))
             traces[(LINEAR_RESPONSE, lam)] = branches
         return traces
 

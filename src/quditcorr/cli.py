@@ -230,9 +230,8 @@ def _cmd_validate(args) -> int:
         worst_trace = {}
         unflagged = make_propagator(SparseHamiltonian(h, False, h.j_xy))
         for kernel, p in (("dense-eig", prop), ("sparse", unflagged)):
-            engine = trace_probabilities(obs_a, obs_b, psi0, p, times)
-            ps = np.array([(ps_plus, ps_minus) for ps_plus, ps_minus, _ in engine])
-            values = [estimate_from_probabilities(ps[:, k], *norms, None).value for k in (0, 1)]
+            probabilities = trace_probabilities(obs_a, obs_b, psi0, p, times)[:2]
+            values = [estimate_from_probabilities(ps, *norms, None).value for ps in probabilities]
             worst_trace[kernel] = float(np.max(np.abs(np.transpose(values) - refs)))
         ok = max(worst_circuit, *worst_trace.values()) <= 1e-8
         failures += 0 if ok else 1

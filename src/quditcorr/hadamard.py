@@ -54,6 +54,7 @@ from .register import (
     ancilla_zero_probability,
     apply_controlled,
     apply_local,
+    site_marginal,
 )
 from .rng import as_generator, sample_counts
 
@@ -208,16 +209,16 @@ def trace_probabilities(
     psi0: QuditState,
     prop: Propagator,
     times,
-):
-    """Exact P(|0>) of every circuit for C(0, t), streamed over a time grid.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact P(|0>) of every circuit for C(0, t) over a time grid, and B's site marginals.
 
-    Yields (ps_plus, ps_minus, U(t)|psi0>) per time, with the four
-    probabilities of each phase in COMBOS order.  At t1 = 0 the circuit
-    gives P = 1/2 + 1/2 Re(e^{i alpha} <U(t) V_A psi | V_B U(t) psi>),
-    so the whole grid needs only the system-only trajectories of psi,
-    W_A psi and W_A^+ psi (one for both when they are equal, as for S^z
-    on the Neel superposition, which has no m = 0 amplitude), and one
-    local V_B per gate choice and time.
+    Returns ps_plus and ps_minus (T, 4), each point's four in COMBOS
+    order, and the (T, 3) marginals of B's site in U(t)|psi0>.  At t1 = 0
+    the circuit gives P = 1/2 + 1/2 Re(e^{i alpha} <U(t) V_A psi | V_B U(t) psi>),
+    so the grid needs only the system-only trajectories of psi, W_A psi
+    and W_A^+ psi (one for both when they are equal, as for S^z on the
+    Neel superposition, which has no m = 0 amplitude), streamed one state
+    at a time, and one local V_B per gate choice and time.
     """
     decomp_a = decompose(obs_a)
     decomp_b = decompose(obs_b)
@@ -227,47 +228,44 @@ def trace_probabilities(
         lefts = ((state, state) for state in w_states)
     else:
         lefts = zip(w_states, trajectory(prop, w_dagger_psi, times))
+    overlaps, marginals = [], []
     for phi, (after_w, after_w_dagger) in zip(trajectory(prop, psi0, times), lefts):
         left = {W: after_w, W_DAGGER: after_w_dagger}  # U(t) V_A psi
         right = {c: apply_local(phi, decomp_b.pick(c)) for c in (W, W_DAGGER)}  # V_B U(t) psi
-        z = np.array([np.vdot(left[va].amplitudes, right[vb].amplitudes) for va, vb in COMBOS])
-        z /= psi0.squared_norm
-        yield 0.5 + 0.5 * z.real, 0.5 - 0.5 * z.imag, phi
+        overlaps.append([np.vdot(left[va].amplitudes, right[vb].amplitudes) for va, vb in COMBOS])
+        marginals.append(site_marginal(phi, obs_b.support[0]))
+    z = np.array(overlaps) / psi0.squared_norm
+    return 0.5 + 0.5 * z.real, 0.5 - 0.5 * z.imag, np.array(marginals)
 
 
 def estimate_from_probabilities(
-    ps,
-    norm_a: float,
-    norm_b: float,
-    shots_per_circuit: int | None,
-    rngs=None,
-    nominal_total: int | None = None,
+    ps, norm_a: float, norm_b: float, shots_per_circuit: int | None, rngs=None
 ) -> CorrelatorEstimate:
     """Correlator estimates (||A|| ||B|| / 4) * sum (4q - 2) at T points.
 
     ps is (T, 4): the four P of each point in COMBOS order; the estimate
-    holds (T,) arrays.  shots_per_circuit = None gives the exact values,
-    q = P; an attached nominal total budget then supplies the error bars
-    sqrt(variance_model / n).  Otherwise each q is the |0> fraction of an
-    independent draw of shots_per_circuit shots (the trace in one
-    sample_counts call, point t's four circuits on rngs[t]), and the error
-    bar combines the empirical binomial variances.
+    holds (T,) arrays.  Without rngs the values are exact, q = P, with the
+    error bars sqrt(variance_model / n) and shots n of the total budget
+    n = 4 * shots_per_circuit (none when it is None).  With rngs, each q
+    is the |0> fraction of a draw of shots_per_circuit shots (the trace in
+    one sample_counts call, point t's four circuits on rngs[t]), and the
+    error bar combines the empirical binomial variances.
     """
     ps = np.asarray(ps, dtype=float)
     model = variance_model(ps, norm_a, norm_b)  # checks for four P in [0, 1] per point
     pref = norm_a * norm_b / 4.0
     n = shots_per_circuit
-    if n is None:
-        qs, total = ps, nominal_total or 0
-        std = np.sqrt(model / total) if total else np.zeros(len(ps))
+    if n is not None and n < 1:
+        raise ValueError("shots must be >= 1")
+    if rngs is None:
+        qs, std = ps, np.zeros(len(ps)) if n is None else np.sqrt(model / (4 * n))
     else:
-        if n < 1:
-            raise ValueError("shots must be >= 1")
         outcomes = np.stack([ps, 1.0 - ps], axis=-1)  # (T, 4, 2): P(|0>), P(|1>)
-        qs, total = sample_counts(outcomes, n, rngs)[..., 0] / n, 4 * n
+        qs = sample_counts(outcomes, n, rngs)[..., 0] / n
         std = np.sqrt(pref**2 * _sum4(squared(4.0 * np.sqrt(qs * (1.0 - qs) / n))))
     value = pref * _sum4(4.0 * qs - 2.0)
-    return CorrelatorEstimate(value, std, np.full(len(ps), total), EXACT if n is None else SAMPLED)
+    total = np.full(len(ps), 4 * (n or 0))
+    return CorrelatorEstimate(value, std, total, EXACT if rngs is None else SAMPLED)
 
 
 def measure_dynamical_correlator(
@@ -287,7 +285,7 @@ def measure_dynamical_correlator(
     Draws consume the caller's generator in a fixed order (anti-
     commutator circuits first), keeping sweeps reproducible.
     """
-    rngs = [as_generator(rng)]
+    rngs = None if budget is None else [as_generator(rng)]
     norms = (obs_a.spectral_norm, obs_b.spectral_norm)
     out = []
     for alpha in (ALPHA_PLUS, ALPHA_MINUS):

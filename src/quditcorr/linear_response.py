@@ -98,12 +98,13 @@ _SZ_LEVELS = np.array([1.0, 0.0, -1.0])
 def _sz_moments(p, shots=None, rngs=None) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance of S^z under each site marginal of p, or under shots draws from it.
 
-    p is (T, R, 3): R marginals at each of T points.  With shots (one
-    count, or one per row of a point), one sample_counts call draws the
-    trace, the R rows of point t on rngs[t].  Both results are (T, R).
+    p is (T, R, 3): R marginals at each of T points.  With rngs, one
+    sample_counts call draws shots (one count, or one per row of a point)
+    from the trace, the R rows of point t on rngs[t].  Both results are
+    (T, R).
     """
     p = np.asarray(p, dtype=float)
-    weights, total = (p, 1.0) if shots is None else (sample_counts(p, shots, rngs), shots)
+    weights, total = (p, 1.0) if rngs is None else (sample_counts(p, shots, rngs), shots)
     mean = (weights @ _SZ_LEVELS) / total
     return mean, np.maximum((weights @ _SZ_LEVELS**2) / total - squared(mean), 0.0)
 
@@ -111,15 +112,14 @@ def _sz_moments(p, shots=None, rngs=None) -> tuple[np.ndarray, np.ndarray]:
 def site_expectations(p, shots: int | None = None, rngs=None) -> list[CorrelatorEstimate]:
     """<S^z> at T points for each of the R site marginals of p (T, R, 3).
 
-    One estimate over the T points per row, exact or from shots
-    projective draws per row (the rows of point t drawn together from
-    rngs[t]).
+    One estimate over the T points per row.  Without rngs the values are
+    exact, with the error bars and shot counts of shots projective draws
+    per row (none when shots is None); with rngs they are drawn, the
+    rows of point t together from rngs[t].
     """
     mean, var = _sz_moments(p, shots, rngs)
-    if shots is None:
-        std, n, mode = np.zeros_like(mean), np.zeros(mean.shape, dtype=np.int64), EXACT
-    else:
-        std, n, mode = np.sqrt(var / shots), np.full(mean.shape, shots), SAMPLED
+    std = np.zeros_like(mean) if shots is None else np.sqrt(var / shots)
+    n, mode = np.full(mean.shape, shots or 0), EXACT if rngs is None else SAMPLED
     return [CorrelatorEstimate(*row, mode) for row in zip(mean.T, std.T, n.T)]
 
 
@@ -127,7 +127,8 @@ def measure_site_expectation(
     state: QuditState, site: int, shots: int | None = None, rng=None
 ) -> CorrelatorEstimate:
     """<S_site^z> of a state, exact or from a projective multinomial sample."""
-    (est,) = site_expectations([[site_marginal(state, site)]], shots, [rng])
+    rngs = None if shots is None else [rng]
+    (est,) = site_expectations([[site_marginal(state, site)]], shots, rngs)
     return est.points()[0]
 
 
@@ -138,35 +139,34 @@ def lr_estimate(
     unpert,
     budget: int | None = None,
     rngs=None,
-    nominal_budget: int | None = None,
 ) -> CorrelatorEstimate:
     """The LR estimator at T points, from the readout-site S^z distributions of both branches.
 
     pert and unpert are (T, 3): the outcome distributions on the readout
     site at t2 of the pulsed and the unpulsed branch; pert_norm (T,) holds
-    the squared norms of the pulsed branch.  budget and nominal_budget
-    mean what they mean for measure_lr; one sample_counts call draws the
-    sampled trace, both branches of point t on rngs[t].  The estimate holds
-    (T,) arrays.
+    the squared norms of the pulsed branch.  budget is the per-point
+    total, half to each branch.  Without rngs the values are exact, with
+    the error bars and shot counts of that budget (none when it is None),
+    computed from the exact per-branch S^z variances; with rngs they are
+    sampled, in one sample_counts call, both branches of point t on
+    rngs[t].  The estimate holds (T,) arrays.
     """
     pert_norm = np.asarray(pert_norm, dtype=float)
     if np.any(pert_norm < NORM_COLLAPSE):
         raise ValueError(f"perturbed branch collapsed (squared norm {pert_norm.min():.3e})")
-    if budget is not None and budget < 2:
-        raise ValueError("sampled mode needs a per-point budget of at least 2")
+    if budget is not None and budget < 2 or budget is None and rngs is not None:
+        raise ValueError("need a per-point budget of at least 2 shots, one per branch")
     denom = config.lam * config.pulse_area
-    total = nominal_budget if budget is None else budget
-    n_branch = max(1, total // 2) if total else 0
+    n_branch = 0 if budget is None else budget // 2
     n_pert = np.full(pert_norm.shape, n_branch)
-    if total and config.kind == NON_HERMITIAN:
+    if budget and config.kind == NON_HERMITIAN:
         n_pert = effective_shots(n_branch, np.minimum(pert_norm, 1.0 + 1e-6))
-    sampled = budget is not None
     # Sampling from the renormalized marginal realizes <.>/<1> directly.
-    shots = np.stack([n_pert, np.full_like(n_pert, n_branch)], axis=-1) if sampled else None
+    shots = np.stack([n_pert, np.full_like(n_pert, n_branch)], axis=-1)
     mean, var = _sz_moments(np.stack([pert, unpert], axis=1), shots, rngs)
     (e_p, e_u), (var_p, var_u) = mean.T, var.T
-    std = np.sqrt(var_p / n_pert + var_u / n_branch) / denom if total else np.zeros_like(e_p)
-    mode = SAMPLED if sampled else EXACT
+    std = np.sqrt(var_p / n_pert + var_u / n_branch) / denom if budget else np.zeros_like(e_p)
+    mode = EXACT if rngs is None else SAMPLED
     # Negated quotient: pinned against the brute-force oracle.
     return CorrelatorEstimate((e_u - e_p) / denom, std, n_pert + n_branch, mode)
 
@@ -204,7 +204,8 @@ def measure_lr(
     unpert = evolve(prop0, psi0, t2)
     site = config.readout_site
     args = ([site_marginal(pert, site)], [pert.squared_norm], [site_marginal(unpert, site)])
-    return lr_estimate(config, *args, budget, [rng], nominal_budget).points()[0]
+    budget, rngs = (nominal_budget, None) if budget is None else (budget, [rng])
+    return lr_estimate(config, *args, budget, rngs).points()[0]
 
 
 def unperturbed_readout(

@@ -29,7 +29,7 @@ from quditcorr.benchmark import (
     brute_force_correlators,
     connected_anticommutator,
     default_workers,
-    hadamard_trace,
+    hadamard_estimate,
     neel_superposition,
     quench_system,
     relative_error,
@@ -45,6 +45,7 @@ from quditcorr.hadamard import (
     estimate_from_probabilities,
     measure_dynamical_correlator,
     trace_probabilities,
+    variance_model,
 )
 from quditcorr.linear_response import (
     LinearResponseConfig,
@@ -193,11 +194,11 @@ def test_reference_trace_matches_heisenberg_oracle(n, state):
     a, b = site_op(n, site_a, SZ1), site_op(n, site_b, SZ1)
     psi = psi0.amplitudes
     mean_a = np.vdot(psi, a @ psi).real
-    (plus, samp_plus), (minus, samp_minus), marginals_b = hadamard_trace(
-        sz_obs(site_a), sz_obs(site_b), psi0, make_propagator(h), grid,
-        DEFAULT_BUDGETS["hadamard"], False, 0,
-    )
-    assert samp_plus is None and samp_minus is None
+    obs_a, obs_b = sz_obs(site_a), sz_obs(site_b)
+    probabilities = trace_probabilities(obs_a, obs_b, psi0, make_propagator(h), grid)
+    plus, minus = hadamard_estimate(obs_a, obs_b, psi0, probabilities, DEFAULT_BUDGETS["hadamard"])
+    marginals_b = probabilities[2]
+    assert plus.mode == minus.mode == "exact"  # no generators, no draws
     assert plus.value.shape == minus.value.shape == (grid.size,)
     assert marginals_b.shape == (grid.size, 3)
     for ti, t in enumerate(grid):
@@ -228,11 +229,9 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
 
     # Hadamard: every circuit probability and the exact C+- against the
     # gate-level circuits run from t = 0.
-    (plus, _), (minus, _), _ = hadamard_trace(
-        obs_a, obs_b, psi0, prop, ENGINE_GRID, DEFAULT_BUDGETS["hadamard"], False, 0
-    )
     engine = trace_probabilities(obs_a, obs_b, psi0, prop, ENGINE_GRID)
-    for ti, (t, (ps_plus, ps_minus, _)) in enumerate(zip(ENGINE_GRID, engine)):
+    plus, minus = hadamard_estimate(obs_a, obs_b, psi0, engine, DEFAULT_BUDGETS["hadamard"])
+    for ti, (t, (ps_plus, ps_minus, _)) in enumerate(zip(ENGINE_GRID, zip(*engine))):
         spec_plus = circuit_probabilities(obs_a, obs_b, 0.0, t, psi0, prop, ALPHA_PLUS)
         spec_minus = circuit_probabilities(obs_a, obs_b, 0.0, t, psi0, prop, ALPHA_MINUS)
         assert np.max(np.abs(ps_plus - spec_plus)) <= 1e-10
@@ -254,16 +253,14 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
     for j_xy in (1.0, 2.0):
         h_lr = build_xxz(n, j_xy, 0.5 * j_xy)
         prop_lr = propagator(strategy, h_lr)
-        *_, marginals = hadamard_trace(
-            obs_a, obs_b, psi0, prop_lr, ENGINE_GRID, DEFAULT_BUDGETS["hadamard"], False, 0
-        )
+        *_, marginals = trace_probabilities(obs_a, obs_b, psi0, prop_lr, ENGINE_GRID)
         readout = unperturbed_readout(prop_lr, psi0, n - 1, area, ENGINE_GRID, marginals)
         for lam in (0.1, 0.4):
             for kind in ("hermitian", "non_hermitian"):
                 cfg = LinearResponseConfig(lam, area, 0, n - 1, kind)
                 rngs = [task_rng(3, ti) for ti in range(len(ENGINE_GRID))]
                 pert, norms = lr_trace(cfg, psi0, prop_lr, ENGINE_GRID)
-                exact = lr_estimate(cfg, pert, norms, readout, nominal_budget=1000)
+                exact = lr_estimate(cfg, pert, norms, readout, 1000)
                 samp = lr_estimate(cfg, pert, norms, readout, 1000, rngs)
                 for ti, t in enumerate(ENGINE_GRID):
                     args = (cfg, 0.0, max(t, area / j_xy), psi0, h_lr)
@@ -283,9 +280,7 @@ def test_readout_is_the_unpulsed_marginal_at_max_t_and_the_pulse_duration(n, str
     psi0, area = neel_superposition(n), 1e-3
     for j_xy in (1.0, 2.0):
         prop = propagator(strategy, build_xxz(n, j_xy, 0.5 * j_xy))
-        *_, marginals = hadamard_trace(
-            sz_obs(0), sz_obs(n - 1), psi0, prop, ENGINE_GRID, DEFAULT_BUDGETS["hadamard"], False, 0
-        )
+        *_, marginals = trace_probabilities(sz_obs(0), sz_obs(n - 1), psi0, prop, ENGINE_GRID)
         readout = unperturbed_readout(prop, psi0, n - 1, area, ENGINE_GRID, marginals)
         dt = area / j_xy
         want = np.array([site_marginal(evolve(prop, psi0, max(t, dt)), n - 1) for t in ENGINE_GRID])
@@ -357,22 +352,106 @@ def test_sampled_hadamard_cells_match_a_per_point_reference(n, state, budgets):
     obs_a, obs_b = sz_obs(0), sz_obs(n - 1)
     prop = make_propagator(build_xxz(n, 1.0, 0.5))
     grid, seed = np.linspace(0.0, 5.0, 11), 2024
-    (_, samp_plus), (_, samp_minus), _ = hadamard_trace(
-        obs_a, obs_b, psi0, prop, grid, budgets, True, seed
-    )
+    engine = trace_probabilities(obs_a, obs_b, psi0, prop, grid)
+    rngs = [task_rng(seed, 1, ti) for ti in range(grid.size)]
+    samp_plus, samp_minus = hadamard_estimate(obs_a, obs_b, psi0, engine, budgets, rngs)
     n_plus, n_minus = max(1, budgets["plus"] // 6), max(1, budgets["minus"] // 4)
     marginal_a = site_marginal(psi0, 0)
     pref = obs_a.spectral_norm * obs_b.spectral_norm / 4.0
-    engine = trace_probabilities(obs_a, obs_b, psi0, prop, grid)
-    for ti, (ps_plus, ps_minus, phi) in enumerate(engine):
+    for ti, (ps_plus, ps_minus, marginal_b) in enumerate(zip(*engine)):
         expected = _reference_sampled_point(
-            ps_plus, ps_minus, marginal_a, site_marginal(phi, n - 1), pref,
+            ps_plus, ps_minus, marginal_a, marginal_b, pref,
             n_plus, n_minus, task_rng(seed, 1, ti),
         )
         for samp, cells in zip((samp_plus, samp_minus), expected):
             assert samp.mode == "sampled"
             point = (samp.value[ti].item(), samp.std_error[ti].item(), samp.shots[ti].item())
             assert repr(point) == repr(cells)
+
+
+@pytest.mark.parametrize("exact_only", [False, True])
+def test_exact_only_hadamard_plus_rows_carry_the_budget_of_six_expectation_values(exact_only):
+    # The four circuits and the two disconnected-part means, 250 shots
+    # each, whether the cells are drawn or exact with nominal error bars.
+    config = RunConfig(n_sites=3, steps=3, protocols=("hadamard",), exact_only=exact_only)
+    shots = {(r.kind, r.shots) for r in run_quench_study(config).rows}
+    assert shots == {("+", 1500), ("-", 8000)}
+
+
+def test_exact_plus_error_bar_includes_the_terms_of_the_two_means():
+    # sigma_raw from variance_model, sigma_A and sigma_B from the exact S^z
+    # variances, each over the plus // 6 shots of one expectation value.
+    n, budgets = 3, {"plus": 600, "minus": 400}
+    psi0, grid = _random_state(n, 77), np.linspace(0.0, 2.0, 5)
+    obs_a, obs_b = sz_obs(0), sz_obs(n - 1)
+    prop = make_propagator(build_xxz(n, 1.0, 0.5))
+    probabilities = trace_probabilities(obs_a, obs_b, psi0, prop, grid)
+    plus, minus = hadamard_estimate(obs_a, obs_b, psi0, probabilities, budgets)
+    ps_plus, ps_minus, marginals_b = probabilities
+    n_plus = budgets["plus"] // 6
+    levels = np.array([1.0, 0.0, -1.0])
+    marginal_a = site_marginal(psi0, 0)
+    mean_a = marginal_a @ levels
+    sigma_a = math.sqrt((marginal_a @ levels**2 - mean_a**2) / n_plus)
+    assert abs(mean_a) > 0.01
+    for ti in range(grid.size):
+        mean_b = marginals_b[ti] @ levels
+        sigma_b = math.sqrt((marginals_b[ti] @ levels**2 - mean_b**2) / n_plus)
+        sigma_raw = math.sqrt(variance_model(ps_plus[ti], 1.0, 1.0) / (4 * n_plus))
+        want = math.sqrt(sigma_raw**2 + 4 * (mean_b * sigma_a) ** 2 + 4 * (mean_a * sigma_b) ** 2)
+        assert abs(mean_b) > 0.01
+        assert plus.std_error[ti] == pytest.approx(want, rel=1e-12)
+        assert plus.shots[ti] == 6 * n_plus and plus.mode == "exact"
+        sigma_minus = math.sqrt(variance_model(ps_minus[ti], 1.0, 1.0) / budgets["minus"])
+        assert minus.std_error[ti] == pytest.approx(sigma_minus, rel=1e-12)
+        assert minus.shots[ti] == budgets["minus"]
+
+
+@pytest.mark.parametrize(
+    "protocol, kind, least",
+    [("hadamard", "plus", 6), ("hadamard", "minus", 4), ("lr", "plus", 2), ("lr", "minus", 2)],
+)
+def test_budgets_below_one_shot_per_expectation_value_are_refused(protocol, kind, least):
+    # A Hadamard C+ point splits its budget over six expectation values,
+    # a C- point over four circuits, an LR point over two branches.
+    shots = {protocol: {kind: least}}
+    assert RunConfig(n_sites=2, steps=2, shots=shots).shots[protocol][kind] == least
+    with pytest.raises(ConfigError, match=f"'shots'.*{protocol} {kind} budget .* >= {least}"):
+        RunConfig(n_sites=2, steps=2, shots={protocol: {kind: least - 1}})
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_the_entry_bound_of_h_is_exact_off_the_diagonal(n):
+    h = build_xxz(n, 1.0, 0.5)
+    rows = np.repeat(np.arange(h.dimension), np.diff(h.indptr))
+    off_diagonal = int(np.count_nonzero(rows != h.indices))
+    assert off_diagonal == 8 * (n - 1) * 3 ** (n - 2)
+    assert h.indices.size <= 3**n + off_diagonal
+    entries = benchmark.study_peak_bytes(n) // (benchmark.PEAK_PER_H_BYTE * benchmark.H_ENTRY_BYTES)
+    assert entries == 3**n + off_diagonal
+
+
+def test_a_chain_too_long_for_memory_is_refused_before_anything_is_allocated():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="'n_sites': a study at 17 sites needs about"):
+            RunConfig(n_sites=17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_the_memory_bound_follows_the_physical_memory(monkeypatch):
+    # With 1 GiB installed, N = 13 (about 1.04 GiB estimated; it peaked at
+    # 876 MB) is refused and N = 12 (0.32 GiB; 306 MB) accepted.
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**30 // 4096}
+    monkeypatch.setattr(benchmark.os, "sysconf", pages.__getitem__)
+    with pytest.raises(ConfigError, match="'n_sites'.*more than the 1.0 GiB of RAM"):
+        RunConfig(n_sites=13)
+    assert RunConfig(n_sites=12).n_sites == 12
 
 
 def test_scenario_validation():
@@ -507,13 +586,13 @@ def test_interrupt_at_one_worker_lets_the_running_trace_finish(monkeypatch):
     # Ctrl-C reaches the main thread while the first trace (Hadamard) runs.
     config = RunConfig(2, t_max=1.0, steps=3, seed=5, workers=1)
     full = run_quench_study(config)
-    real_trace = benchmark.hadamard_trace
+    real_trace = benchmark.trace_probabilities
 
     def interrupted_trace(*args):
         signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
         return real_trace(*args)
 
-    monkeypatch.setattr(benchmark, "hadamard_trace", interrupted_trace)
+    monkeypatch.setattr(benchmark, "trace_probabilities", interrupted_trace)
     previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     faulthandler.dump_traceback_later(60, exit=True)  # a hung pool fails loudly
     try:

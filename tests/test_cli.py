@@ -544,6 +544,39 @@ def test_run_refuses_a_time_grid_past_the_taylor_step_limit(tmp_path, payload, f
     assert "Taylor steps" in proc.stderr and not out.exists()
 
 
+CHAIN10 = str(pathlib.Path(__file__).parents[1] / "configs" / "chain10.json")
+
+
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        (CHAIN10, ["--n-sites", "17"], "invalid config field 'n_sites': a study at 17 sites needs"),
+        (
+            {"n_sites": 3, "steps": 2, "protocols": ["hadamard"],
+             "shots": {"hadamard": {"plus": 2, "minus": 3}}},
+            [],
+            "invalid config field 'shots': the hadamard plus budget must be an integer >= 6",
+        ),
+    ],
+    ids=["n-sites-17", "budget-below-six"],
+)
+def test_run_refuses_what_cannot_run_at_once_in_one_line(tmp_path, config, flags, message):
+    # N = 17 would allocate past physical memory before failing; the small
+    # budgets ran with 6 and 4 shots per point, more than they hold.
+    src = str(pathlib.Path(quditcorr.__file__).parents[1])
+    path = config if isinstance(config, str) else write_config(tmp_path, config)
+    out = tmp_path / "out"
+    cmd = [sys.executable, "-m", "quditcorr.cli", "run", "--config", path, "--out", str(out)]
+    cmd += flags
+    started = time.perf_counter()
+    proc = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert time.perf_counter() - started < 5
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_a_refused_study_removes_only_the_directories_it_made(tmp_path, capsys):
     path = write_config(tmp_path, FAST)
     refused = ["run", "--config", path, "--n-sites", "18", "--out"]

@@ -184,6 +184,14 @@ def test_sampled_estimate_ignores_rounding_of_the_marginals(p):
     assert len({(d.value, d.std_error) for d in draws}) == 1
 
 
+@pytest.mark.parametrize("budget, rngs", [(None, [0]), (1, [0]), (1, None)])
+def test_lr_estimate_refuses_to_sample_without_a_budget_or_below_two_shots(budget, rngs):
+    # Without a budget the draws would hold no shots: 0/0 means, not an error.
+    marginal = np.array([[0.3, 0.4, 0.3]])
+    with pytest.raises(ValueError, match="per-point budget of at least 2 shots"):
+        lr_estimate(LinearResponseConfig(0.2), marginal, [1.0], marginal, budget, rngs)
+
+
 def test_non_hermitian_branch_shot_reduction():
     # strong decay: |+1,+1> under -i*lambda*J*Sz pulse loses most of its norm
     h = build_xxz(2, 1.0, 0.5)

@@ -44,7 +44,6 @@ from .dynamics import (
     SparseHamiltonian,
     build_xxz,
     make_propagator,
-    require_hermitian,
     site_sz_diagonal,
 )
 from .hadamard import (
@@ -63,7 +62,7 @@ from .linear_response import (
     site_expectations,
     unperturbed_readout,
 )
-from .observables import HermitianObservable, spin_matrix
+from .observables import HermitianObservable, require_hermitian, spin_matrix
 from .register import MAX_AMPLITUDES, QuditState, basis_state, site_marginal
 from .rng import task_rng
 
@@ -364,9 +363,9 @@ def brute_force_correlators(
     """
     if h.dimension > ORACLE_DIM_LIMIT:
         raise ValueError(f"brute-force reference limited to dimension {ORACLE_DIM_LIMIT}")
-    require_hermitian(h, "the dense oracle needs a Hermitian H")
     dense = np.zeros((h.dimension,) * 2, dtype=np.complex128)
     dense[np.repeat(np.arange(h.dimension), np.diff(h.indptr)), h.indices] = h.data
+    require_hermitian(dense, "the dense oracle needs a Hermitian H")
     vals, vecs = np.linalg.eigh(dense)
     a = site_sz_diagonal(h.n_sites, site_a)
     b = site_sz_diagonal(h.n_sites, site_b)
@@ -387,8 +386,12 @@ def hadamard_estimate(obs_a, obs_b, psi0: QuditState, probabilities, budgets, rn
     circuits, <A> at t1 = 0 and <B> at t), C- its own over four circuits.
     Exact without rngs, with those budgets' error bars; with rngs, point
     ti draws from rngs[ti]: the four C+ circuits, the two means, then the
-    four C- circuits.
+    four C- circuits.  The means are read from site marginals with the
+    spin-1 S^z levels, so A and B must each be S^z on one site.
     """
+    for obs in (obs_a, obs_b):
+        if len(obs.support) != 1 or not np.array_equal(obs.op.matrix, spin_matrix(1, "z").matrix):
+            raise ValueError("hadamard_estimate needs A and B to be spin-1 S^z on one site each")
     ps_plus, ps_minus, marginals_b = probabilities
     norms = (obs_a.spectral_norm, obs_b.spectral_norm)
     n_plus, n_minus = budgets["plus"] // 6, budgets["minus"] // 4

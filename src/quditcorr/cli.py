@@ -178,8 +178,8 @@ def _cmd_correlator(args) -> int:
         raise ConfigError(f"--shots must be at least 8 (one shot per circuit), got {args.shots}")
     cfg = RunConfig(n_sites=args.n_sites, j_z_over_j_xy=args.jz, sites=args.sites)
     prop, psi0, obs_a, obs_b = quench_system(cfg)
-    rng = task_rng(args.seed, 7)
     budget = None if args.shots is None else args.shots // 8
+    rng = None if args.shots is None else task_rng(args.seed, 7)
     plus, minus = measure_dynamical_correlator(
         obs_a, obs_b, args.t1, args.t2, psi0, prop, budget, rng
     )

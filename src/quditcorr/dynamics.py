@@ -35,7 +35,7 @@ import threading
 
 import numpy as np
 
-from .observables import spin_matrix
+from .observables import require_hermitian, spin_matrix
 from .register import MAX_AMPLITUDES, QuditState
 
 # Largest block that "dense-eig" diagonalizes.  The chain's largest
@@ -103,21 +103,6 @@ def _canonical_csr(matrix):
     return data, indices, indptr
 
 
-def require_hermitian(h, what: str) -> None:
-    """Refuse h, anything with canonical CSR arrays, unless max|h - h^+| <= 1e-12.
-
-    An entry whose mirror is not stored counts whole; a NaN entry fails.
-    """
-    rows, dim = _rows(h.indptr), h.indptr.size - 1
-    cols = h.indices.astype(np.int64)
-    key, mirror = rows * dim + cols, cols * dim + rows
-    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
-    partner = np.where(key[at] == mirror, h.data[at].conj(), 0.0)
-    worst = float(np.abs(h.data - partner).max(initial=0.0))
-    if not worst <= 1e-12:
-        raise ValueError(f"{what} but max|H - H^+| = {worst:.2e}")
-
-
 class SparseHamiltonian:
     """H of a chain of n_sites spin-1 sites as the NumPy arrays of a canonical CSR matrix.
 
@@ -155,11 +140,10 @@ def build_xxz(n_sites: int, j_xy: float, j_z: float) -> SparseHamiltonian:
     """
     if n_sites < 2:
         raise ValueError("the chain needs at least 2 sites")
+    if n_sites > math.log(MAX_AMPLITUDES, 3):  # before 3^N is formed: minutes at N = 10^8
+        shown = f" = {3**n_sites}" if n_sites < 40 else ""
+        raise ValueError(f"dimension 3^{n_sites}{shown} exceeds the {MAX_AMPLITUDES} budget")
     dim = 3**n_sites
-    if dim > MAX_AMPLITUDES:
-        raise ValueError(
-            f"dimension 3^{n_sites} = {dim} exceeds the {MAX_AMPLITUDES} budget"
-        )
     sx = spin_matrix(1, "x").matrix
     sy = spin_matrix(1, "y").matrix
     sz = spin_matrix(1, "z").matrix
@@ -258,7 +242,8 @@ class Block:
     of H: sub() gathers its sub-matrix from H's own arrays, and op is
     built from it on the first read, under its propagator's lock, so a
     block that no state touches is never factorized or converted.  That
-    read first checks the block of a flagged H with require_hermitian.
+    read first checks the block of a flagged H with require_hermitian: the
+    dense array that eigh reads, or the SciPy CSR sub-matrix of a larger block.
     """
 
     def __init__(self, index: np.ndarray, h: SparseHamiltonian, local, lock: threading.Lock):
@@ -281,12 +266,16 @@ class Block:
             with self._lock:
                 if self._op is None:
                     sub = self.sub()
-                    if self._h.hermitian:
-                        require_hermitian(sub, "hermitian flag set")
-                    # A real eigh is faster, and it moves results by less:
-                    # 9.3e-15 against 1.6e-14 for a complex one on the N = 4 study.
-                    self._op = (np.linalg.eigh(_dense(sub)) if self.strategy == "dense-eig"
-                                else _taylor_op(sub, np.zeros(self.index.size)))
+                    if self.strategy == "dense-eig":  # H is flagged Hermitian
+                        # A real eigh is faster, and it moves results by less:
+                        # 9.3e-15 against 1.6e-14 for a complex one on the N = 4 study.
+                        a = _dense(sub)
+                        require_hermitian(a, "hermitian flag set")
+                        self._op = np.linalg.eigh(a)
+                    else:
+                        if self._h.hermitian:
+                            require_hermitian(_scipy_csr(sub), "hermitian flag set")
+                        self._op = _taylor_op(sub, np.zeros(self.index.size))
         return self._op
 
 
@@ -405,8 +394,16 @@ def _taylor_op(sub: _Csr, diagonal: np.ndarray):
         return a, mu, np.abs(a).sum(axis=0).max()
     import scipy.sparse as sp
 
-    a = (sp.csr_matrix(sub, shape=(n, n)) + sp.diags(diagonal - mu)).tocsr()
+    a = (_scipy_csr(sub) + sp.diags(diagonal - mu)).tocsr()
     return a, mu, np.bincount(a.indices, np.abs(a.data), n).max()
+
+
+def _scipy_csr(sub: _Csr):
+    """The sub-matrix as a SciPy CSR matrix; SciPy loads here."""
+    import scipy.sparse as sp
+
+    n = sub.indptr.size - 1
+    return sp.csr_matrix(sub, shape=(n, n))
 
 
 def _taylor_degree(norm: float) -> tuple[int, int]:

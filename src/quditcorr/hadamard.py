@@ -56,7 +56,7 @@ from .register import (
     apply_local,
     site_marginal,
 )
-from .rng import as_generator, sample_counts
+from .rng import sample_counts
 
 W = "w"
 W_DAGGER = "w_dagger"
@@ -249,7 +249,8 @@ def estimate_from_probabilities(
     n = 4 * shots_per_circuit (none when it is None).  With rngs, each q
     is the |0> fraction of a draw of shots_per_circuit shots (the trace in
     one sample_counts call, point t's four circuits on rngs[t]), and the
-    error bar combines the empirical binomial variances.
+    error bar combines the empirical binomial variances; rngs without a
+    budget are refused.
     """
     ps = np.asarray(ps, dtype=float)
     model = variance_model(ps, norm_a, norm_b)  # checks for four P in [0, 1] per point
@@ -280,12 +281,11 @@ def measure_dynamical_correlator(
 ) -> tuple[CorrelatorEstimate, CorrelatorEstimate]:
     """Measure (C+, C-) via the eight circuit realizations.
 
-    budget is the per-circuit shot count (None = exact expectation
-    values).  The full correlator is recoverable as C = C+/2 - i C-/2.
-    Draws consume the caller's generator in a fixed order (anti-
-    commutator circuits first), keeping sweeps reproducible.
+    budget is the per-circuit shot count.  Exact without rng, with that
+    budget's error bars (none when it is None); sampled on rng, the anti-
+    commutator circuits first.  The full correlator is C = C+/2 - i C-/2.
     """
-    rngs = None if budget is None else [as_generator(rng)]
+    rngs = None if rng is None else [rng]
     norms = (obs_a.spectral_norm, obs_b.spectral_norm)
     out = []
     for alpha in (ALPHA_PLUS, ALPHA_MINUS):

@@ -115,7 +115,7 @@ def site_expectations(p, shots: int | None = None, rngs=None) -> list[Correlator
     One estimate over the T points per row.  Without rngs the values are
     exact, with the error bars and shot counts of shots projective draws
     per row (none when shots is None); with rngs they are drawn, the
-    rows of point t together from rngs[t].
+    rows of point t together from rngs[t], and shots may not be None.
     """
     mean, var = _sz_moments(p, shots, rngs)
     std = np.zeros_like(mean) if shots is None else np.sqrt(var / shots)
@@ -126,8 +126,8 @@ def site_expectations(p, shots: int | None = None, rngs=None) -> list[Correlator
 def measure_site_expectation(
     state: QuditState, site: int, shots: int | None = None, rng=None
 ) -> CorrelatorEstimate:
-    """<S_site^z> of a state, exact or from a projective multinomial sample."""
-    rngs = None if shots is None else [rng]
+    """<S_site^z> of a state: site_expectations' one-point case, sampled only with rng."""
+    rngs = None if rng is None else [rng]
     (est,) = site_expectations([[site_marginal(state, site)]], shots, rngs)
     return est.points()[0]
 
@@ -179,17 +179,15 @@ def measure_lr(
     h0: SparseHamiltonian,
     budget: int | None = None,
     rng=None,
-    nominal_budget: int | None = None,
 ) -> CorrelatorEstimate:
-    """One linear-response estimate of C-(t1,t2) or C+(t1,t2).
+    """One linear-response estimate of C-(t1,t2) or C+(t1,t2): lr_estimate's one-point case.
 
-    budget is the per-point total; half goes to each branch.  The
-    perturbed and unperturbed branches share the same total duration so
-    the difference quotient isolates the response.  In exact mode an
-    attached nominal budget yields the error band the same budget would
-    have, computed from the exact per-branch S^z variances.  h0
-    propagates through make_propagator.  The pulse adds the
-    perturbation's diagonal to that propagator's blocks and runs the
+    budget is the per-point total; half goes to each branch.  Exact
+    without rng, with that budget's error bars (none when it is None);
+    sampled on rng.  The perturbed and unperturbed branches share the
+    same total duration so the difference quotient isolates the
+    response.  h0 propagates through make_propagator.  The pulse adds
+    the perturbation's diagonal to that propagator's blocks and runs the
     Taylor kernel on the ones the state touches: a short pulse needs only
     a few products, and no block is diagonalized for it.
     """
@@ -204,8 +202,7 @@ def measure_lr(
     unpert = evolve(prop0, psi0, t2)
     site = config.readout_site
     args = ([site_marginal(pert, site)], [pert.squared_norm], [site_marginal(unpert, site)])
-    budget, rngs = (nominal_budget, None) if budget is None else (budget, [rng])
-    return lr_estimate(config, *args, budget, rngs).points()[0]
+    return lr_estimate(config, *args, budget, None if rng is None else [rng]).points()[0]
 
 
 def unperturbed_readout(

@@ -62,11 +62,16 @@ def spin_matrix(spin: float, axis: str) -> LocalOperator:
     return LocalOperator(mat, support=(0,))
 
 
+def require_hermitian(a, what: str) -> None:
+    """Refuse a NumPy or SciPy sparse matrix unless max|a - a^+| <= 1e-12; a NaN entry fails."""
+    err = abs(a - a.conj().T).max()
+    if not err <= _ATOL:
+        raise ValueError(f"{what} but max|a - a^+| = {err:.2e}")
+
+
 def spectral_norm(op: LocalOperator) -> float:
     """Largest eigenvalue magnitude of a Hermitian operator; refuses any other matrix."""
-    err = np.max(np.abs(op.matrix - op.matrix.conj().T))
-    if not err <= _ATOL:  # a NaN entry fails too
-        raise ValueError(f"spectral norm of a non-Hermitian operator: max|M - M^+| = {err:.2e}")
+    require_hermitian(op.matrix, "a spectral norm needs a Hermitian operator")
     vals = np.linalg.eigvalsh(op.matrix)
     return float(np.max(np.abs(vals)))
 

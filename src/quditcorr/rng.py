@@ -30,13 +30,6 @@ def task_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def as_generator(seed) -> np.random.Generator:
-    """A ready Generator as it is; an integer seed as task_rng(seed), and None as seed 0."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return task_rng(0 if seed is None else int(seed))
-
-
 SNAP_GRID = 2**30
 
 
@@ -45,17 +38,19 @@ def sample_counts(p, shots, rngs) -> np.ndarray:
 
     Every sampled estimate draws through here.  p is (T, ..., K): the
     rows of point t, over the last axis, are drawn in one multinomial
-    call on as_generator(rngs[t]), which consumes it exactly as drawing
-    them one by one would; shots broadcasts over p.shape[:-1].  NumPy's
-    samplers branch on p (at 1/2, for one), so each row is first rounded
-    onto multiples of 1 / SNAP_GRID, in integers summing to SNAP_GRID;
-    the remainder goes to the row's largest level, which it cannot make
-    negative.  A rounding-level change of p then moves a count only if
-    it crosses a grid line.
+    call on the Generator rngs[t], which consumes it exactly as drawing
+    them one by one would; shots broadcasts over p.shape[:-1], and None
+    (no budget) is refused.  NumPy's samplers branch on p (at 1/2, for
+    one), so each row is first rounded onto multiples of 1 / SNAP_GRID,
+    in integers summing to SNAP_GRID; the remainder goes to the row's
+    largest level, which it cannot make negative.  A rounding-level
+    change of p then moves a count only if it crosses a grid line.
     """
+    if shots is None:
+        raise ValueError("a sampled estimate needs a shot budget, got None")
     units = np.rint(np.asarray(p, dtype=float) * SNAP_GRID)  # integers, exact as floats
     largest = np.argmax(units, axis=-1)[..., None] == np.arange(units.shape[-1])
     units += largest * (SNAP_GRID - units.sum(axis=-1, keepdims=True))
     shots = np.broadcast_to(shots, units.shape[:-1])
     draws = zip(shots, units / SNAP_GRID, rngs, strict=True)
-    return np.array([as_generator(rng).multinomial(n, row) for n, row, rng in draws])
+    return np.array([rng.multinomial(n, row) for n, row, rng in draws])

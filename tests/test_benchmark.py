@@ -55,7 +55,7 @@ from quditcorr.linear_response import (
     unperturbed_readout,
 )
 from quditcorr.observables import HermitianObservable, spin_matrix
-from quditcorr.register import QuditState, expectation, site_marginal
+from quditcorr.register import LocalOperator, QuditState, expectation, site_marginal
 from quditcorr.rng import sample_counts, task_rng
 
 
@@ -213,6 +213,26 @@ def test_reference_trace_matches_heisenberg_oracle(n, state):
         assert marginals_b[ti] @ [1.0, 0.0, -1.0] == pytest.approx(mean_b, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "obs_a, obs_b",
+    [
+        (HermitianObservable(LocalOperator(2 * SZ1, (0,))), sz_obs(2)),
+        (sz_obs(0), HermitianObservable(spin_matrix(1, "x").on(2))),
+        (HermitianObservable(LocalOperator(np.kron(SZ1, SZ1), (0, 1))), sz_obs(2)),
+    ],
+    ids=["2-sz-a", "sx-b", "two-site-a"],
+)
+def test_hadamard_estimate_refuses_observables_other_than_sz_on_one_site(obs_a, obs_b):
+    # <A> and <B> are read from site marginals with the S^z levels, so any
+    # other observable got a wrong disconnected part: for 2 S^z_0 and S^z_2
+    # at N = 3 on a random state, C+ missed 2 x the connected oracle by
+    # up to 0.11 on (0, 0.7, 1.3).
+    psi0, prop = _random_state(3, 23), make_propagator(build_xxz(3, 1.0, 0.5))
+    probabilities = trace_probabilities(obs_a, obs_b, psi0, prop, (0.0, 0.7, 1.3))
+    with pytest.raises(ValueError, match="spin-1 S.z on one site"):
+        hadamard_estimate(obs_a, obs_b, psi0, probabilities, DEFAULT_BUDGETS["hadamard"])
+
+
 # Non-uniform, with a point inside the pulse window (t < dt = 1e-3).
 ENGINE_GRID = (0.0, 4e-4, 0.3, 0.35, 1.2, 2.9, 5.0)
 
@@ -264,7 +284,7 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
                 samp = lr_estimate(cfg, pert, norms, readout, 1000, rngs)
                 for ti, t in enumerate(ENGINE_GRID):
                     args = (cfg, 0.0, max(t, area / j_xy), psi0, h_lr)
-                    spec = measure_lr(*args, nominal_budget=1000)
+                    spec = measure_lr(*args, 1000)
                     assert abs(exact.value[ti] - spec.value) * lam * area <= 1e-10
                     assert exact.std_error[ti] == pytest.approx(spec.std_error, rel=1e-6)
                     assert exact.shots[ti] == spec.shots

@@ -544,6 +544,21 @@ def test_run_refuses_a_time_grid_past_the_taylor_step_limit(tmp_path, payload, f
     assert "Taylor steps" in proc.stderr and not out.exists()
 
 
+def test_run_refuses_a_huge_chain_at_once(tmp_path):
+    # RunConfig skips its memory estimate past N = 17, and H's dimension
+    # 3^(10^8) would take minutes to form: build_xxz compares N with the
+    # amplitude budget first, so the run exits 2 with one line at once.
+    src = str(pathlib.Path(quditcorr.__file__).parents[1])
+    out, config = tmp_path / "out", write_config(tmp_path, QUICK_N4)
+    cmd = [sys.executable, "-m", "quditcorr.cli", "run", "--config", config,
+           "--n-sites", "100000000", "--out", str(out)]
+    proc = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: dimension 3^100000000 exceeds the 134217728 budget\n"
+    assert not out.exists()
+
+
 CHAIN10 = str(pathlib.Path(__file__).parents[1] / "configs" / "chain10.json")
 
 

@@ -69,6 +69,14 @@ def test_neel_states_not_coupled_by_two_local_terms(n):
 def test_build_xxz_validation():
     with pytest.raises(ValueError, match="at least 2"):
         build_xxz(1, 1.0, 0.5)
+    # 3^(10^8) alone takes minutes to compute: the chain length is compared
+    # with the amplitude budget first, and the dimension is not printed.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^dimension 3\^100000000 exceeds the 134217728 budget$"):
+        build_xxz(10**8, 1.0, 0.5)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match=r"^dimension 3\^18 = 387420489 exceeds"):
+        build_xxz(18, 1.0, 0.5)
 
 
 def test_perturbed_hermitian_block():

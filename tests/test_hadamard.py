@@ -130,9 +130,9 @@ def test_probability_to_correlator_values():
     assert exact_value([0.9, 0.5, 0.5, 0.5]) == pytest.approx(1.6 / 4)
     for shots in (None, 10):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            estimate_point([0.5, 0.5, 0.5, 1.1], 1.0, 1.0, shots, 1)
+            estimate_point([0.5, 0.5, 0.5, 1.1], 1.0, 1.0, shots, task_rng(1))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            estimate_point([-1e-9, 0.5, 0.5, 0.5], 1.0, 1.0, shots, 1)
+            estimate_point([-1e-9, 0.5, 0.5, 0.5], 1.0, 1.0, shots, task_rng(1))
 
 
 def test_task_validation():
@@ -151,8 +151,8 @@ def test_task_validation():
 
 def test_assemble_correlator_cases():
     for shots in (None, 10):
-        halves = estimate_point(np.full(4, 0.5), 1.0, 1.0, shots, 1)
-        ones = estimate_point(np.full(4, 1.0), 1.0, 1.0, shots, 1)
+        halves = estimate_point(np.full(4, 0.5), 1.0, 1.0, shots, task_rng(1))
+        ones = estimate_point(np.full(4, 1.0), 1.0, 1.0, shots, task_rng(1))
         assert ones.value == pytest.approx(2.0)
         assert ones.std_error == 0.0
         if shots is None:
@@ -160,9 +160,9 @@ def test_assemble_correlator_cases():
         else:
             assert (ones.shots, ones.mode, halves.shots) == (40, "sampled", 40)
         with pytest.raises(ValueError, match="per gate pair"):
-            estimate_point(np.full(3, 0.5), 1.0, 1.0, shots, 1)
+            estimate_point(np.full(3, 0.5), 1.0, 1.0, shots, task_rng(1))
         with pytest.raises(ValueError, match="per gate pair"):
-            estimate_point(np.full(5, 0.5), 1.0, 1.0, shots, 1)
+            estimate_point(np.full(5, 0.5), 1.0, 1.0, shots, task_rng(1))
     # Sampled: the four |0> fractions, drawn in COMBOS order, enter the
     # value with the ||A|| ||B|| / 4 prefactor and their binomial errors
     # combine in quadrature with the same prefactor.
@@ -179,7 +179,7 @@ def test_assemble_correlator_cases():
 def test_sample_probability_behaviour():
     def sampled(p, shots, seed):
         # At unit norms (value + 2) / 4 is the mean |0> fraction of the four circuits.
-        return (estimate_point(np.full(4, p), 1.0, 1.0, shots, seed).value + 2) / 4
+        return (estimate_point(np.full(4, p), 1.0, 1.0, shots, task_rng(seed)).value + 2) / 4
 
     assert sampled(0.0, 100, seed=1) == 0.0
     assert sampled(1.0, 100, seed=1) == 1.0
@@ -278,6 +278,32 @@ def test_sampled_estimate_ignores_rounding_of_the_exact_probabilities(p):
         for eps in (-1e-15, 0.0, 1e-15)
     ]
     assert len({(d.value, d.std_error) for d in draws}) == 1
+
+
+def test_a_budget_without_a_generator_is_exact_with_its_error_bars():
+    h, prop, psi0 = setup_chain(3)
+    a, b = sz_obs(0), sz_obs(2)
+    got = measure_dynamical_correlator(a, b, 0.4, 1.1, psi0, prop, 50)
+    for est, alpha in zip(got, (ALPHA_PLUS, ALPHA_MINUS)):
+        ps = circuit_probabilities(a, b, 0.4, 1.1, psi0, prop, alpha)
+        assert est == estimate_point(ps, 1.0, 1.0, None, nominal_total=200)
+        assert est.mode == "exact" and est.shots == 200 and est.std_error > 0
+
+
+@pytest.mark.parametrize("entry", ["estimate_from_probabilities", "measure_dynamical_correlator"])
+def test_a_generator_without_a_budget_is_refused(entry):
+    # No budget means no shots to draw: a ValueError naming the budget,
+    # not a TypeError from the sampler or an exact value.
+    h, prop, psi0 = setup_chain(2)
+    calls = {
+        "estimate_from_probabilities":
+            lambda rng: estimate_from_probabilities([np.full(4, 0.5)], 1.0, 1.0, None, [rng]),
+        "measure_dynamical_correlator":
+            lambda rng: measure_dynamical_correlator(
+                sz_obs(0), sz_obs(1), 0.0, 1.0, psi0, prop, None, rng),
+    }
+    with pytest.raises(ValueError, match="budget"):
+        calls[entry](task_rng(3))
 
 
 def test_measure_deterministic_for_fixed_stream():

@@ -24,6 +24,7 @@ from quditcorr.linear_response import (
     lr_estimate,
     measure_lr,
     measure_site_expectation,
+    site_expectations,
 )
 from quditcorr.observables import HermitianObservable
 from quditcorr.register import LocalOperator, QuditState, basis_state, site_marginal
@@ -144,7 +145,7 @@ def test_sampled_standard_deviation_scaling():
     budget = 4000
     for lam in (0.1, 0.4):
         cfg = LinearResponseConfig(lam, 1e-3, 0, 1)
-        exact = measure_lr(cfg, 0.0, 1.0, psi0, h, nominal_budget=budget)
+        exact = measure_lr(cfg, 0.0, 1.0, psi0, h, budget)
         vals = [
             measure_lr(cfg, 0.0, 1.0, psi0, h, budget, task_rng(17, int(lam * 10), s)).value
             for s in range(200)
@@ -161,14 +162,41 @@ def test_sampled_estimate_is_deterministic_per_stream():
     assert a.value == b.value and a.shots == b.shots
 
 
-def test_missing_generator_is_seed_zero():
-    # Every sampled entry point reads rng=None as task_rng(0).
+def test_a_budget_without_a_generator_is_exact_with_its_error_bars():
+    # The one-point entry points follow the array estimators' rule: no
+    # generator, no draw; the budget only sets the error bars and shots.
     psi = neel_state(3)
-    omitted = measure_site_expectation(psi, 1, 500)
-    assert omitted == measure_site_expectation(psi, 1, 500, task_rng(0))
+    (want,) = site_expectations([[site_marginal(psi, 1)]], 500)
+    est = measure_site_expectation(psi, 1, 500)
+    assert est == want.points()[0] and est.mode == "exact" and est.std_error > 0
+    h, dt = build_xxz(2, 1.0, 0.5), 1e-3
+    prop = make_propagator(h)
+    unpert = evolve(prop, neel_state(2), 1.0)
+    for kind in ("hermitian", "non_hermitian"):
+        cfg = LinearResponseConfig(0.2, dt, 0, 1, kind)
+        pulsed = evolve(prop, neel_state(2), dt, perturbation(h, 0, 0.2, kind))
+        pert = evolve(prop, pulsed, 1.0 - dt)
+        args = ([site_marginal(pert, 1)], [pert.squared_norm], [site_marginal(unpert, 1)])
+        want = lr_estimate(cfg, *args, 100).points()[0]
+        est = measure_lr(cfg, 0.0, 1.0, neel_state(2), h, 100)
+        assert est == want and est.mode == "exact" and est.std_error > 0
+
+
+@pytest.mark.parametrize("entry", ["site_expectations", "measure_site_expectation",
+                                   "lr_estimate", "measure_lr"])
+def test_a_generator_without_a_budget_is_refused(entry):
+    # No budget means no shots to draw: a ValueError naming the budget,
+    # not an exact value that ignores the generator.
+    psi, h, marginal = neel_state(2), build_xxz(2, 1.0, 0.5), [[0.3, 0.4, 0.3]]
     cfg = LinearResponseConfig(0.2, 1e-3, 0, 1)
-    args = (cfg, 0.0, 1.0, neel_state(2), build_xxz(2, 1.0, 0.5), 100)
-    assert measure_lr(*args) == measure_lr(*args, task_rng(0))
+    calls = {
+        "site_expectations": lambda rng: site_expectations([marginal], None, [rng]),
+        "measure_site_expectation": lambda rng: measure_site_expectation(psi, 1, None, rng),
+        "lr_estimate": lambda rng: lr_estimate(cfg, marginal, [1.0], marginal, None, [rng]),
+        "measure_lr": lambda rng: measure_lr(cfg, 0.0, 1.0, psi, h, None, rng),
+    }
+    with pytest.raises(ValueError, match="budget"):
+        calls[entry](task_rng(3))
 
 
 @pytest.mark.parametrize("p", [0.5, 0.3141592653589793])
@@ -229,7 +257,7 @@ def test_lr_value_ignores_the_global_random_state(n, kind, pulse_area):
     seen = set()
     for seed in range(4):
         np.random.seed(seed)
-        est = measure_lr(cfg, 0.3, 25.0, neel_state(n), h, nominal_budget=1000)
+        est = measure_lr(cfg, 0.3, 25.0, neel_state(n), h, 1000)
         seen.add((est.value.hex(), est.std_error.hex()))
     assert len(seen) == 1
 

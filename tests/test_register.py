@@ -11,7 +11,7 @@ from quditcorr.register import (
     expectation,
     site_marginal,
 )
-from quditcorr.rng import sample_counts
+from quditcorr.rng import sample_counts, task_rng
 
 W_SZ = LocalOperator(np.diag([1, 1j, -1]), (0,))
 SZ = LocalOperator(np.diag([1.0, 0.0, -1.0]), (0,))
@@ -137,14 +137,14 @@ def test_ancilla_zero_probability_requires_qubit():
 
 
 def test_sample_counts_basis_state():
-    counts = sample_counts([site_marginal(basis_state((3, 3), (2, 0)), 0)], 1000, [1])[0]
+    counts = sample_counts([site_marginal(basis_state((3, 3), (2, 0)), 0)], 1000, [task_rng(1)])[0]
     assert counts.tolist() == [0, 0, 1000]
 
 
 def test_sample_counts_uniform_statistics():
     state = QuditState((3,), np.ones(3, dtype=complex) / np.sqrt(3))
     shots = 300_000
-    counts = sample_counts([site_marginal(state, 0)], shots, [11])[0]
+    counts = sample_counts([site_marginal(state, 0)], shots, [task_rng(11)])[0]
     sigma = np.sqrt((1 / 3) * (2 / 3) / shots)
     for c in counts:
         assert abs(c / shots - 1 / 3) <= 5 * sigma
@@ -152,12 +152,12 @@ def test_sample_counts_uniform_statistics():
 
 def test_sample_counts_deterministic_and_empty():
     p = site_marginal(random_state(np.random.default_rng(8), (3, 3)), 1)
-    a = sample_counts([p], 500, [42])[0]
-    b = sample_counts([p], 500, [42])[0]
+    a = sample_counts([p], 500, [task_rng(42)])[0]
+    b = sample_counts([p], 500, [task_rng(42)])[0]
     assert a.tolist() == b.tolist()
-    assert sample_counts([p], 0, [42])[0].tolist() == [0, 0, 0]
+    assert sample_counts([p], 0, [task_rng(42)])[0].tolist() == [0, 0, 0]
     with pytest.raises(ValueError):
-        sample_counts([p], -1, [42])
+        sample_counts([p], -1, [task_rng(42)])
 
 
 def test_site_marginal_normalizes_unnormalized_states():

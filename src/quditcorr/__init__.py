@@ -19,12 +19,10 @@ from .register import (
     apply_controlled,
     apply_local,
     basis_state,
-    expectation,
     site_marginal,
 )
 from .observables import (
     HermitianObservable,
-    UnitaryDecomposition,
     decompose,
     spectral_norm,
     spin_matrix,
@@ -52,7 +50,6 @@ from .benchmark import (
     ConfigError,
     FigureOfMerit,
     RunConfig,
-    StudyResult,
     StudyRow,
     connected_anticommutator,
     neel_superposition,
@@ -70,10 +67,8 @@ __all__ = [
     "apply_controlled",
     "apply_local",
     "basis_state",
-    "expectation",
     "site_marginal",
     "HermitianObservable",
-    "UnitaryDecomposition",
     "decompose",
     "spectral_norm",
     "spin_matrix",
@@ -93,7 +88,6 @@ __all__ = [
     "ConfigError",
     "FigureOfMerit",
     "RunConfig",
-    "StudyResult",
     "StudyRow",
     "connected_anticommutator",
     "neel_superposition",

@@ -79,7 +79,7 @@ def _canonical_csr(matrix):
 
     Anything else is refused, not repaired.  The column indices are
     int32, as SciPy stores them at these sizes (dim <= MAX_AMPLITUDES <
-    2^31); keys that combine rows and columns are computed in 64 bits.
+    2^31); each is compared with its left neighbour, a byte per entry.
     """
     data = np.asarray(matrix.data, dtype=np.complex128)
     indices = np.asarray(matrix.indices)
@@ -95,10 +95,10 @@ def _canonical_csr(matrix):
     if not square or indices.min(initial=0) < 0 or indices.max(initial=-1) >= dim:
         raise ValueError(f"matrix is not square with its {dim} rows")
     indices = indices.astype(np.int32, copy=False)
-    key = _rows(indptr)
-    key *= dim
-    key += indices
-    if not np.all(key[1:] > key[:-1]):
+    ascends = indices[1:] > indices[:-1]  # entry k + 1's column is above entry k's
+    starts = indptr[1:-1]  # a row's first entry has no left neighbour in its row
+    ascends[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    if not ascends.all():
         raise ValueError("CSR columns must ascend strictly in each row: sum duplicates first")
     return data, indices, indptr
 

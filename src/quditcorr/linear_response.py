@@ -36,9 +36,7 @@ from .dynamics import (
     HERMITIAN,
     NON_HERMITIAN,
     Propagator,
-    SparseHamiltonian,
     evolve,
-    make_propagator,
     perturbation,
     trajectory,
 )
@@ -176,7 +174,7 @@ def measure_lr(
     t1: float,
     t2: float,
     psi0: QuditState,
-    h0: SparseHamiltonian,
+    prop: Propagator,
     budget: int | None = None,
     rng=None,
 ) -> CorrelatorEstimate:
@@ -186,20 +184,20 @@ def measure_lr(
     without rng, with that budget's error bars (none when it is None);
     sampled on rng.  The perturbed and unperturbed branches share the
     same total duration so the difference quotient isolates the
-    response.  h0 propagates through make_propagator.  The pulse adds
-    the perturbation's diagonal to that propagator's blocks and runs the
-    Taylor kernel on the ones the state touches: a short pulse needs only
-    a few products, and no block is diagonalized for it.
+    response.  prop propagates H0, whose J_xy sets the pulse duration.
+    The pulse adds the perturbation's diagonal to prop's blocks and runs
+    the Taylor kernel on the ones the state touches: a short pulse needs
+    only a few products, and no block is diagonalized for it.
     """
+    h0 = prop.hamiltonian
     dt = config.pulse_area / h0.j_xy
     if t2 < t1 + dt:
         raise ValueError(f"need t2 >= t1 + pulse duration ({t1 + dt:g}), got {t2:g}")
 
-    prop0 = make_propagator(h0)
-    pert = evolve(prop0, psi0, t1)
-    pert = evolve(prop0, pert, dt, perturbation(h0, config.probe_site, config.lam, config.kind))
-    pert = evolve(prop0, pert, t2 - t1 - dt)
-    unpert = evolve(prop0, psi0, t2)
+    pert = evolve(prop, psi0, t1)
+    pert = evolve(prop, pert, dt, perturbation(h0, config.probe_site, config.lam, config.kind))
+    pert = evolve(prop, pert, t2 - t1 - dt)
+    unpert = evolve(prop, psi0, t2)
     site = config.readout_site
     args = ([site_marginal(pert, site)], [pert.squared_norm], [site_marginal(unpert, site)])
     return lr_estimate(config, *args, budget, None if rng is None else [rng]).points()[0]

@@ -49,16 +49,18 @@ class QuditState:
 
 def _register_size(dims) -> tuple[tuple[int, ...], int]:
     """(dims as ints, amplitude count) of a register, checked before anything is allocated."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(int, dims))
     if not dims:
         raise ValueError("register needs at least one site")
-    if any(d < 2 for d in dims):
+    if min(dims) < 2:
         raise ValueError(f"every local dimension must be >= 2, got {dims}")
-    size = math.prod(dims)
-    if size > MAX_AMPLITUDES:
-        raise ValueError(
-            f"register with {size} amplitudes exceeds the {MAX_AMPLITUDES} amplitude budget"
-        )
+    size = 1
+    for d in dims:  # stops at the first partial product past the budget
+        size *= d
+        if size > MAX_AMPLITUDES:
+            raise ValueError(
+                f"{len(dims)}-site register exceeds the {MAX_AMPLITUDES} amplitude budget"
+            )
     return dims, size
 
 

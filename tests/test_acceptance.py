@@ -163,9 +163,10 @@ def test_criterion_4_linear_response_bias_variance_tradeoff():
                 ("hermitian", "-", budgets["minus"]),
             ):
                 cfg = LinearResponseConfig(lam, PULSE_AREA, 0, 1, kind)
-                exact = measure_lr(cfg, 0.0, t2, psi0, h)
+                exact = measure_lr(cfg, 0.0, t2, psi0, make_propagator(h))
                 samp = measure_lr(
-                    cfg, 0.0, t2, psi0, h, nominal, task_rng(MASTER_SEED, 4, li, ti, ord(key))
+                    cfg, 0.0, t2, psi0, make_propagator(h), nominal,
+                    task_rng(MASTER_SEED, 4, li, ti, ord(key)),
                 )
                 traces[key].append(exact.value)
                 stds[key].append(samp.std_error)

@@ -283,7 +283,7 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
                 exact = lr_estimate(cfg, pert, norms, readout, 1000)
                 samp = lr_estimate(cfg, pert, norms, readout, 1000, rngs)
                 for ti, t in enumerate(ENGINE_GRID):
-                    args = (cfg, 0.0, max(t, area / j_xy), psi0, h_lr)
+                    args = (cfg, 0.0, max(t, area / j_xy), psi0, make_propagator(h_lr))
                     spec = measure_lr(*args, 1000)
                     assert abs(exact.value[ti] - spec.value) * lam * area <= 1e-10
                     assert exact.std_error[ti] == pytest.approx(spec.std_error, rel=1e-6)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -154,19 +155,33 @@ def test_hamiltonians_equal_the_kron_construction_bit_for_bit(n, j_xy, j_z):
                 assert_same_bits(got, kron_perturbed(want0, n, j_xy, site, lam, kind))
 
 
-@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("n", [3, 8, 10])
 @pytest.mark.parametrize("mirrored", [True, False], ids=["symmetric-pattern", "lone-entry"])
 def test_hermitian_flag_checks_every_entry_against_its_mirror(mirrored, n):
     # An asymmetry either in the value of a stored entry whose mirror is
-    # stored, inside the sector of digit sum 1, or as an entry whose
-    # mirror is not stored at all (all +1 to all -1).  The flag is checked
-    # on a block when a state first propagates through it; the lone entry
-    # joins two sectors, which make_propagator refuses under either flag.
+    # stored, or as an entry whose mirror is not stored at all (all +1 to
+    # all -1).  The stored entry lies in the sector of digit sum 1, which
+    # has dimension N and is always dense-eig, except at N = 8: there it
+    # joins the Neel state to one flip-flop of its first bond, in the
+    # M = 0 sector of dimension 1107, which runs the Taylor kernel.  The
+    # flag is checked on a block when a state first propagates through
+    # it; the lone entry joins two sectors, which make_propagator refuses
+    # under either flag.
     h0 = csr(build_xxz(n, 1.0, 0.5))
     dim = h0.shape[0]
-    row, col = (1, 3) if mirrored else (0, dim - 1)
+    if n == 8:  # base-3 digits: the Neel state and a flip-flop of its first bond
+        row, col = int("02" * 4, 3), int("11" + "02" * 3, 3)
+        in_bumped_sector = neel_superposition(n)
+    else:
+        row, col, in_bumped_sector = 1, 3, basis_state((3,) * n, [0] * (n - 1) + [1])  # index 1
+    if not mirrored:
+        row, col = 0, dim - 1
     assert (h0[row, col] != 0) == mirrored and h0[col, row] == h0[row, col]
-    in_bumped_sector = basis_state((3,) * n, [0] * (n - 1) + [1])  # index 1
+    if mirrored:
+        clean = make_propagator(SparseHamiltonian(h0, True, 1.0))
+        (block,) = clean.blocks_touched(in_bumped_sector)
+        assert {row, col} <= set(block.index)
+        assert block.strategy == ("sparse" if n == 8 else "dense-eig")
     for eps, raises in ((1e-9, True), (1e-13, False), (np.nan, True)):
         bump = sp.csr_matrix(([eps], ([row], [col])), shape=h0.shape)
         for flag in (True, False):
@@ -213,6 +228,20 @@ def test_building_h_at_n11_peaks_under_120_mb():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 120 * 1024  # kB
+
+
+def test_csr_validation_allocates_under_3_bytes_per_entry():
+    # The columns are checked pairwise as int32: a row-and-column key per
+    # entry took 9.8 B per entry.  J_z = 0 leaves rows empty, row 0 included.
+    for j_z in (0.5, 0.0):
+        h = build_xxz(10, 1.0, j_z)
+        tracemalloc.start()
+        try:
+            SparseHamiltonian(h, True, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * h.indices.size, (j_z, peak / h.indices.size)
 
 
 @pytest.mark.parametrize(

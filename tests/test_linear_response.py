@@ -12,6 +12,7 @@ from oracles import (
     site_op,
 )
 from quditcorr.dynamics import (
+    Propagator,
     build_perturbed,
     build_xxz,
     evolve,
@@ -91,7 +92,20 @@ def test_pulse_must_fit_between_the_two_times():
     h = build_xxz(2, 1.0, 0.5)
     cfg = LinearResponseConfig(0.1, pulse_area=1e-3)
     with pytest.raises(ValueError, match="pulse duration"):
-        measure_lr(cfg, 0.5, 0.5, neel_state(2), h)
+        measure_lr(cfg, 0.5, 0.5, neel_state(2), make_propagator(h))
+
+
+def test_measure_lr_runs_on_the_callers_propagator(monkeypatch):
+    # No hidden rebuild: H is not split into sectors again and psi0's
+    # block is factorized once, in the propagator the caller passed.
+    prop, psi0 = make_propagator(build_xxz(4, 1.0, 0.5)), neel_state(4)
+    built = []
+    init = Propagator.__init__
+    monkeypatch.setattr(Propagator, "__init__", lambda self, h: built.append(h) or init(self, h))
+    for kind in ("hermitian", "non_hermitian"):
+        measure_lr(LinearResponseConfig(0.2, 1e-3, 0, 1, kind), 0.4, 1.5, psi0, prop, 100)
+    assert built == []
+    assert all(block._op is not None for block in prop.blocks_touched(psi0))
 
 
 def test_hermitian_kind_estimates_commutator_small_bias():
@@ -106,10 +120,12 @@ def test_hermitian_kind_estimates_commutator_small_bias():
         for t in np.linspace(0.2, 5.0, 25)
     )
     _, cm = heisenberg_pair(hd, psi0.amplitudes, site_op(n, 0, SZ1), site_op(n, 1, SZ1), 0.0, 1.0)
-    est = measure_lr(LinearResponseConfig(0.01, 1e-3, 0, 1), 0.0, 1.0, psi0, h)
+    est = measure_lr(LinearResponseConfig(0.01, 1e-3, 0, 1), 0.0, 1.0, psi0, make_propagator(h))
     bias = abs(est.value - cm)
     assert bias <= 0.05 * scale
-    est_half = measure_lr(LinearResponseConfig(0.005, 1e-3, 0, 1), 0.0, 1.0, psi0, h)
+    est_half = measure_lr(
+        LinearResponseConfig(0.005, 1e-3, 0, 1), 0.0, 1.0, psi0, make_propagator(h)
+    )
     assert abs(est_half.value - cm) <= bias * 1.5 + 1e-8
 
 
@@ -120,7 +136,7 @@ def test_non_hermitian_kind_estimates_connected_anticommutator():
     hd = dense_xxz(n, 1.0, 0.5)
     cp_conn, _ = connected_pair(hd, psi0.amplitudes, 0, 1, 0.0, 1.4)
     cfg = LinearResponseConfig(0.02, 1e-3, 0, 1, "non_hermitian")
-    est = measure_lr(cfg, 0.0, 1.4, psi0, h)
+    est = measure_lr(cfg, 0.0, 1.4, psi0, make_propagator(h))
     assert est.value == pytest.approx(cp_conn, abs=2e-3)
 
 
@@ -132,7 +148,7 @@ def test_bias_bounded_across_lambda_grid():
     _, cm = heisenberg_pair(hd, psi0.amplitudes, site_op(n, 0, SZ1), site_op(n, 1, SZ1), 0.0, 2.0)
     biases = []
     for lam in (0.05, 0.1, 0.2, 0.4):
-        est = measure_lr(LinearResponseConfig(lam, 1e-3, 0, 1), 0.0, 2.0, psi0, h)
+        est = measure_lr(LinearResponseConfig(lam, 1e-3, 0, 1), 0.0, 2.0, psi0, make_propagator(h))
         biases.append(abs(est.value - cm))
     assert max(biases) <= 1e-3  # pulse-area-limited systematics at every lambda
 
@@ -145,9 +161,11 @@ def test_sampled_standard_deviation_scaling():
     budget = 4000
     for lam in (0.1, 0.4):
         cfg = LinearResponseConfig(lam, 1e-3, 0, 1)
-        exact = measure_lr(cfg, 0.0, 1.0, psi0, h, budget)
+        exact = measure_lr(cfg, 0.0, 1.0, psi0, make_propagator(h), budget)
         vals = [
-            measure_lr(cfg, 0.0, 1.0, psi0, h, budget, task_rng(17, int(lam * 10), s)).value
+            measure_lr(
+                cfg, 0.0, 1.0, psi0, make_propagator(h), budget, task_rng(17, int(lam * 10), s)
+            ).value
             for s in range(200)
         ]
         emp = np.std(vals, ddof=1)
@@ -157,8 +175,8 @@ def test_sampled_standard_deviation_scaling():
 def test_sampled_estimate_is_deterministic_per_stream():
     h = build_xxz(2, 1.0, 0.5)
     cfg = LinearResponseConfig(0.2, 1e-3, 0, 1)
-    a = measure_lr(cfg, 0.0, 1.0, neel_state(2), h, 100, task_rng(5, 2))
-    b = measure_lr(cfg, 0.0, 1.0, neel_state(2), h, 100, task_rng(5, 2))
+    a = measure_lr(cfg, 0.0, 1.0, neel_state(2), make_propagator(h), 100, task_rng(5, 2))
+    b = measure_lr(cfg, 0.0, 1.0, neel_state(2), make_propagator(h), 100, task_rng(5, 2))
     assert a.value == b.value and a.shots == b.shots
 
 
@@ -178,7 +196,7 @@ def test_a_budget_without_a_generator_is_exact_with_its_error_bars():
         pert = evolve(prop, pulsed, 1.0 - dt)
         args = ([site_marginal(pert, 1)], [pert.squared_norm], [site_marginal(unpert, 1)])
         want = lr_estimate(cfg, *args, 100).points()[0]
-        est = measure_lr(cfg, 0.0, 1.0, neel_state(2), h, 100)
+        est = measure_lr(cfg, 0.0, 1.0, neel_state(2), make_propagator(h), 100)
         assert est == want and est.mode == "exact" and est.std_error > 0
 
 
@@ -193,7 +211,7 @@ def test_a_generator_without_a_budget_is_refused(entry):
         "site_expectations": lambda rng: site_expectations([marginal], None, [rng]),
         "measure_site_expectation": lambda rng: measure_site_expectation(psi, 1, None, rng),
         "lr_estimate": lambda rng: lr_estimate(cfg, marginal, [1.0], marginal, None, [rng]),
-        "measure_lr": lambda rng: measure_lr(cfg, 0.0, 1.0, psi, h, None, rng),
+        "measure_lr": lambda rng: measure_lr(cfg, 0.0, 1.0, psi, make_propagator(h), None, rng),
     }
     with pytest.raises(ValueError, match="budget"):
         calls[entry](task_rng(3))
@@ -225,7 +243,7 @@ def test_non_hermitian_branch_shot_reduction():
     h = build_xxz(2, 1.0, 0.5)
     psi0 = basis_state((3, 3), (0, 0))
     cfg = LinearResponseConfig(5.0, 0.1, 0, 1, "non_hermitian")
-    est = measure_lr(cfg, 0.0, 1.0, psi0, h, 1000, task_rng(1, 1))
+    est = measure_lr(cfg, 0.0, 1.0, psi0, make_propagator(h), 1000, task_rng(1, 1))
     assert est.shots < 1000  # perturbed branch got fewer than its 500 nominal
 
 
@@ -234,7 +252,7 @@ def test_norm_collapse_flagged():
     psi0 = basis_state((3, 3), (0, 0))
     cfg = LinearResponseConfig(15.0, 1.0, 0, 1, "non_hermitian")
     with pytest.raises(ValueError, match="collapsed"):
-        measure_lr(cfg, 0.0, 1.0, psi0, h)
+        measure_lr(cfg, 0.0, 1.0, psi0, make_propagator(h))
 
 
 @pytest.mark.usefixtures("restore_global_random_state")
@@ -257,7 +275,7 @@ def test_lr_value_ignores_the_global_random_state(n, kind, pulse_area):
     seen = set()
     for seed in range(4):
         np.random.seed(seed)
-        est = measure_lr(cfg, 0.3, 25.0, neel_state(n), h, 1000)
+        est = measure_lr(cfg, 0.3, 25.0, neel_state(n), make_propagator(h), 1000)
         seen.add((est.value.hex(), est.std_error.hex()))
     assert len(seen) == 1
 

@@ -202,6 +202,16 @@ def test_qudit_state_dims_validation():
     assert QuditState([2, 3.0], np.zeros(6)).dims == (2, 3)
 
 
+def test_an_oversized_register_is_refused_without_its_amplitude_count():
+    # 3^100000 has 47713 digits: forming it takes about half a second and
+    # printing it fails.  The refusal names the site count and the budget.
+    dims = (3,) * 100000
+    with pytest.raises(ValueError, match=r"100000-site register exceeds the \d+ amplitude budget"):
+        QuditState(dims, [1.0])
+    with pytest.raises(ValueError, match=r"100000-site register exceeds the \d+ amplitude budget"):
+        basis_state(dims, [0] * 100000)
+
+
 def test_local_operator_support_validation():
     with pytest.raises(ValueError, match="distinct"):
         LocalOperator(np.eye(9), (1, 1))

@@ -94,6 +94,11 @@ MIN_BUDGETS = {HADAMARD: {"plus": 6, "minus": 4}, LINEAR_RESPONSE: {"plus": 2, "
 # at N = 12 (306 MB) and 2.35 at N = 13 (876 MB).
 H_ENTRY_BYTES = 20
 PEAK_PER_H_BYTE = 3
+# A study's peak memory per time step of each trace (the Hadamard trace
+# and one LR trace per lambda), rounded up from 0.88-1.05 KiB: the growth
+# of the peak from 1000 to 4000-16000 steps at one worker, at N = 4 with
+# 1, 4 and 8 lambdas and at N = 7 with 1.  It does not depend on N.
+PEAK_PER_TRACE_STEP = 1536
 
 
 class ConfigError(ValueError):
@@ -178,9 +183,9 @@ class RunConfig:
             object.__setattr__(self, name, value)
 
         _expect(_integer(self.n_sites, "n_sites") >= 2, "n_sites", "need at least 2 sites")
+        need, have = 0, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if self.n_sites <= math.log(MAX_AMPLITUDES, 3):  # longer: build_xxz refuses by dimension
             need = study_peak_bytes(self.n_sites)
-            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
             why = f"a study at {self.n_sites} sites needs about {need / 2**30:.1f} GiB"
             _expect(need <= have, "n_sites", f"{why}, more than the {have / 2**30:.1f} GiB of RAM")
         put("j_z_over_j_xy", _number(self.j_z_over_j_xy, "j_z_over_j_xy"))
@@ -228,6 +233,10 @@ class RunConfig:
         for lam in self.lambdas:  # the LR quotients divide by lambda * pulse_area
             small = lam * self.pulse_area < sys.float_info.min
             _expect(not small, "lambdas", f"lambda * pulse_area underflows for {lam!r}")
+        traces = 1 + len(self.lambdas) * (LINEAR_RESPONSE in self.protocols)
+        most = (have - need) // (PEAK_PER_TRACE_STEP * traces)
+        why = f"at most {most} fit the {have / 2**30:.1f} GiB of RAM with {traces} traces"
+        _expect(self.steps <= most, "steps", f"{self.steps} steps requested; {why}")
         _integer(self.seed, "seed")
         workers = self.workers
         valid = workers is None or _is_int(workers) and workers >= 1

@@ -162,10 +162,10 @@ def run_hadamard_circuit(task: HadamardTask, psi0: QuditState, prop: Propagator)
     state = attach_ancilla(psi0, task.alpha)
     state = apply_local(state, _X_GATE)
     state = evolve(prop, state, task.t1)
-    state = apply_controlled(state, 0, 1, va)
+    state = apply_controlled(state, va)
     state = apply_local(state, _X_GATE)
     state = evolve(prop, state, task.t2 - task.t1)
-    state = apply_controlled(state, 0, 1, vb)
+    state = apply_controlled(state, vb)
     state = apply_local(state, _H_GATE)
     return ancilla_zero_probability(state)
 

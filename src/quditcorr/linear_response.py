@@ -46,6 +46,11 @@ from .rng import sample_counts
 
 # Squared norm below which the perturbed branch is considered collapsed.
 NORM_COLLAPSE = 1e-6
+# Relative growth of a squared norm left to rounding.  The streams after
+# a pulse drifted by at most 7.1e-15 on chain10.json's grid at N = 8-11
+# (lambda = 0.2, 1 and 5, both kinds); the margin covers grids of up to
+# MAX_TAYLOR_STEPS steps.
+NORM_DRIFT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -152,13 +157,18 @@ def lr_estimate(
     pert_norm = np.asarray(pert_norm, dtype=float)
     if np.any(pert_norm < NORM_COLLAPSE):
         raise ValueError(f"perturbed branch collapsed (squared norm {pert_norm.min():.3e})")
+    denom = config.lam * config.pulse_area
+    # A pulse grows a normalized state's squared norm at a rate of at most
+    # 2 lambda J_xy, so to exp(2 denom); compared as logarithms.
+    if np.any(np.log(pert_norm) > 2 * denom + NORM_DRIFT):
+        bound = f"exp(2 lambda pulse_area) = exp({2 * denom:.6g})"
+        raise ValueError(f"pulsed squared norm {pert_norm.max():.6g} exceeds its bound {bound}")
     if budget is not None and budget < 2 or budget is None and rngs is not None:
         raise ValueError("need a per-point budget of at least 2 shots, one per branch")
-    denom = config.lam * config.pulse_area
     n_branch = 0 if budget is None else budget // 2
     n_pert = np.full(pert_norm.shape, n_branch)
     if budget and config.kind == NON_HERMITIAN:
-        n_pert = effective_shots(n_branch, np.minimum(pert_norm, 1.0 + 1e-6))
+        n_pert = effective_shots(n_branch, np.minimum(pert_norm, 1.0))
     # Sampling from the renormalized marginal realizes <.>/<1> directly.
     shots = np.stack([n_pert, np.full_like(n_pert, n_branch)], axis=-1)
     mean, var = _sz_moments(np.stack([pert, unpert], axis=1), shots, rngs)

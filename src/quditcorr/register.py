@@ -53,7 +53,8 @@ def _register_size(dims) -> tuple[tuple[int, ...], int]:
     if not dims:
         raise ValueError("register needs at least one site")
     if min(dims) < 2:
-        raise ValueError(f"every local dimension must be >= 2, got {dims}")
+        site = next(i for i, d in enumerate(dims) if d < 2)
+        raise ValueError(f"every local dimension must be >= 2, got {dims[site]} at site {site}")
     size = 1
     for d in dims:  # stops at the first partial product past the budget
         size *= d
@@ -156,28 +157,21 @@ def apply_local(state: QuditState, op: LocalOperator) -> QuditState:
     return QuditState(state.dims, out.reshape(-1))
 
 
-def apply_controlled(
-    state: QuditState, control_site: int, control_value: int, op: LocalOperator
-) -> QuditState:
-    """Apply op only on the subspace where control_site is at control_value."""
-    dims = state.dims
-    if control_site < 0 or control_site >= len(dims):
-        raise IndexError(f"control site {control_site} out of range")
-    if control_site in op.support:
-        raise ValueError(f"control site {control_site} lies inside the op support")
-    if not 0 <= control_value < dims[control_site]:
-        raise ValueError(
-            f"control value {control_value} out of range for dimension {dims[control_site]}"
-        )
-    _check_support(state, op)
+def _ancilla_halves(state: QuditState) -> np.ndarray:
+    """The amplitudes as (ancilla level, rest), with site 0 the ancilla qubit."""
+    if state.dims[0] != 2:
+        raise ValueError(f"site 0 has dimension {state.dims[0]}, expected a qubit")
+    return state.amplitudes.reshape(2, -1)
 
-    psi = state.amplitudes.reshape(dims).copy()
-    slicer = [slice(None)] * len(dims)
-    slicer[control_site] = control_value
-    slab = psi[tuple(slicer)]  # view into the copy
-    # Axes after the control site shift down by one inside the slab.
-    axes = tuple(s if s < control_site else s - 1 for s in op.support)
-    psi[tuple(slicer)] = _apply_to_tensor(slab, op, axes)
+
+def apply_controlled(state: QuditState, op: LocalOperator) -> QuditState:
+    """Apply op (in register coordinates) where the ancilla qubit at site 0 is |1>."""
+    if 0 in op.support:
+        raise ValueError("the control site 0 lies inside the op support")
+    _check_support(state, op)
+    psi = _ancilla_halves(state).copy()
+    slab = psi[1].reshape(state.dims[1:])  # view into the copy
+    psi[1] = _apply_to_tensor(slab, op, tuple(s - 1 for s in op.support)).reshape(-1)
     return QuditState(state.dims, psi.reshape(-1))
 
 
@@ -187,13 +181,10 @@ def ancilla_zero_probability(state: QuditState) -> float:
     For unnormalized states the probability is relative to the total
     squared norm.
     """
-    if state.dims[0] != 2:
-        raise ValueError(f"site 0 has dimension {state.dims[0]}, expected a qubit")
+    zero = _ancilla_halves(state)[0]
     if state.squared_norm <= 0.0:
         raise ValueError("state has vanishing norm")
-    half = state.amplitudes.size // 2
-    p0 = float(np.sum(np.abs(state.amplitudes[:half]) ** 2))
-    return p0 / state.squared_norm
+    return float(np.sum(np.abs(zero) ** 2)) / state.squared_norm
 
 
 def site_marginal(state: QuditState, site: int) -> np.ndarray:

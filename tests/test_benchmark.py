@@ -472,6 +472,10 @@ def test_the_memory_bound_follows_the_physical_memory(monkeypatch):
     with pytest.raises(ConfigError, match="'n_sites'.*more than the 1.0 GiB of RAM"):
         RunConfig(n_sites=13)
     assert RunConfig(n_sites=12).n_sites == 12
+    # Each trace holds about 1 KiB per time step: 10^6 steps of two traces do not fit.
+    with pytest.raises(ConfigError, match=r"'steps': 1000000 steps .* 1.0 GiB of RAM with 2 traces"):
+        RunConfig(n_sites=4, steps=10**6)
+    assert RunConfig(n_sites=4, steps=10**5).steps == 10**5
 
 
 def test_scenario_validation():

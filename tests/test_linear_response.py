@@ -247,6 +247,25 @@ def test_non_hermitian_branch_shot_reduction():
     assert est.shots < 1000  # perturbed branch got fewer than its 500 nominal
 
 
+def test_a_pulsed_norm_past_its_growth_bound_is_refused():
+    # The pulse grows a normalized state's squared norm to at most
+    # exp(2 lambda pulse_area), here 1.0004: a norm of 5.0 is a fault.
+    cfg = LinearResponseConfig(0.2, 1e-3, 0, 1, "non_hermitian")
+    marginal = np.array([[0.3, 0.4, 0.3]])
+    with pytest.raises(ValueError, match=r"squared norm 5 exceeds its bound exp\(2 lambda"):
+        lr_estimate(cfg, marginal, [5.0], marginal, 1000)
+    # |-1, -1> is an eigenstate of H0 wholly at m = -1 on the probed site,
+    # so its pulsed norm reaches the bound, e^0.6 here (2.2e-16 past it in
+    # logarithm, by rounding), and is accepted.
+    psi0 = basis_state((3, 3), (2, 2))
+    strong = LinearResponseConfig(1.0, 0.3, 0, 1, "non_hermitian")
+    prop = make_propagator(build_xxz(2, 1.0, 0.5))
+    pulse = perturbation(prop.hamiltonian, 0, 1.0, "non_hermitian")
+    norm = evolve(prop, psi0, 0.3, pulse).squared_norm
+    assert norm == pytest.approx(np.exp(0.6), rel=1e-14)
+    assert lr_estimate(strong, marginal, [norm], marginal, 1000).shots == 1000
+
+
 def test_norm_collapse_flagged():
     h = build_xxz(2, 1.0, 0.5)
     psi0 = basis_state((3, 3), (0, 0))

@@ -53,7 +53,7 @@ def test_nonunitary_apply_tracks_norm():
 
 def test_controlled_noop_when_control_unoccupied():
     state = basis_state((2, 3), (0, 1))  # ancilla |0>, control on |1>
-    out = apply_controlled(state, 0, 1, W_SZ.on(1))
+    out = apply_controlled(state, W_SZ.on(1))
     np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
 
@@ -61,7 +61,7 @@ def test_controlled_identity_is_noop():
     rng = np.random.default_rng(3)
     state = random_state(rng, (2, 3, 3))
     ident = LocalOperator(np.eye(3), (2,))
-    out = apply_controlled(state, 0, 1, ident)
+    out = apply_controlled(state, ident)
     np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
 
@@ -70,7 +70,7 @@ def test_controlled_phase_branch_amplitudes():
     amp = np.zeros(6, dtype=complex)
     amp[2] = amp[5] = 1 / np.sqrt(2)  # levels (0,2) and (1,2)
     state = QuditState((2, 3), amp)
-    out = apply_controlled(state, 0, 1, W_SZ.on(1))
+    out = apply_controlled(state, W_SZ.on(1))
     np.testing.assert_allclose(out.amplitudes[2], 1 / np.sqrt(2), atol=1e-15)
     np.testing.assert_allclose(out.amplitudes[5], -1 / np.sqrt(2), atol=1e-15)
 
@@ -80,9 +80,11 @@ def test_anticontrol_via_x_conjugation():
     x = LocalOperator(np.array([[0, 1], [1, 0]]), (0,))
     u = LocalOperator(random_unitary(rng, 3), (1,))
     state = random_state(rng, (2, 3))
-    lhs = apply_local(apply_controlled(apply_local(state, x), 0, 1, u), x)
-    rhs = apply_controlled(state, 0, 0, u)
-    np.testing.assert_allclose(lhs.amplitudes, rhs.amplitudes, atol=1e-12)
+    lhs = apply_local(apply_controlled(apply_local(state, x), u), x)
+    # X C(U) X applies U to the ancilla-|0> half and leaves the |1> half alone.
+    psi = state.amplitudes.reshape(2, 3)
+    rhs = np.stack([u.matrix @ psi[0], psi[1]])
+    np.testing.assert_allclose(lhs.amplitudes.reshape(2, 3), rhs, atol=1e-12)
 
 
 def test_disjoint_supports_commute():
@@ -212,6 +214,13 @@ def test_an_oversized_register_is_refused_without_its_amplitude_count():
         basis_state(dims, [0] * 100000)
 
 
+def test_a_register_with_a_site_below_dimension_2_is_refused_by_that_site():
+    # The message names the first offending site, not the whole dims tuple.
+    with pytest.raises(ValueError, match="got 1 at site 100000") as err:
+        QuditState((3,) * 100000 + (1,), [1.0])
+    assert len(str(err.value)) < 200
+
+
 def test_local_operator_support_validation():
     with pytest.raises(ValueError, match="distinct"):
         LocalOperator(np.eye(9), (1, 1))
@@ -224,6 +233,6 @@ def test_apply_errors():
     with pytest.raises(ValueError, match="dimension"):
         apply_local(state, SZ.on(0))  # 3x3 matrix on the qubit site
     with pytest.raises(ValueError, match="inside"):
-        apply_controlled(state, 1, 0, SZ.on(1))
-    with pytest.raises(ValueError, match="control value"):
-        apply_controlled(state, 0, 2, SZ.on(1))
+        apply_controlled(state, LocalOperator(np.eye(2), (0,)))
+    with pytest.raises(ValueError, match="qubit"):
+        apply_controlled(basis_state((3, 3), (0, 0)), SZ.on(1))

@@ -36,7 +36,6 @@ from .dynamics import (
 )
 from .hadamard import (
     CorrelatorEstimate,
-    HadamardTask,
     measure_dynamical_correlator,
     run_hadamard_circuit,
     variance_model,
@@ -78,7 +77,6 @@ __all__ = [
     "evolve",
     "make_propagator",
     "CorrelatorEstimate",
-    "HadamardTask",
     "measure_dynamical_correlator",
     "run_hadamard_circuit",
     "variance_model",

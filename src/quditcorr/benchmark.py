@@ -233,6 +233,10 @@ class RunConfig:
         for lam in self.lambdas:  # the LR quotients divide by lambda * pulse_area
             small = lam * self.pulse_area < sys.float_info.min
             _expect(not small, "lambdas", f"lambda * pulse_area underflows for {lam!r}")
+            # A pulse grows a squared norm by up to exp(2 lambda pulse_area).
+            growth = 2 * lam * self.pulse_area
+            why = f"2 * lambda * pulse_area = {growth:.6g} for {lam!r}: exp of it overflows a float"
+            _expect(growth < math.log(sys.float_info.max), "lambdas", why)
         traces = 1 + len(self.lambdas) * (LINEAR_RESPONSE in self.protocols)
         most = (have - need) // (PEAK_PER_TRACE_STEP * traces)
         why = f"at most {most} fit the {have / 2**30:.1f} GiB of RAM with {traces} traces"

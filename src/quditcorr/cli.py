@@ -213,14 +213,11 @@ def _cmd_validate(args) -> int:
     the same H not flagged Hermitian.  brute_force_correlators diagonalizes
     the full H instead, so it checks the block split too.
     """
-    if args.points < 1:
-        raise ConfigError(f"--points must be at least 1, got {args.points}")
     failures = 0
     for n in (2, 3, 4):
         prop, psi0, obs_a, obs_b = quench_system(RunConfig(n_sites=n))
         h = prop.hamiltonian
-        rng = np.random.default_rng(args.seed + n)
-        times = np.sort(rng.uniform(0.1, 5.0, args.points))
+        times = np.sort(np.random.default_rng(1234 + n).uniform(0.1, 5.0, 5))
         norms = (obs_a.spectral_norm, obs_b.spectral_norm)
         refs = [brute_force_correlators(h, psi0, 0, 1, 0.0, t2) for t2 in times]
         worst_circuit = 0.0
@@ -285,8 +282,6 @@ def main(argv=None) -> int:
     p_dec.set_defaults(fn=_cmd_decompose)
 
     p_val = sub.add_parser("validate", help="oracle self-check at N <= 4")
-    p_val.add_argument("--points", type=int, default=5)
-    p_val.add_argument("--seed", type=int, default=1234)
     p_val.set_defaults(fn=_cmd_validate)
 
     args = parser.parse_args(argv)

@@ -73,34 +73,6 @@ SAMPLED = "sampled"
 
 
 @dataclass(frozen=True)
-class HadamardTask:
-    """One circuit realization: times, gate choices, ancilla phase.
-
-    t1 > t2 is allowed (the middle segment then propagates backwards),
-    which is what the time-swapped symmetry checks exercise.
-    """
-
-    t1: float
-    t2: float
-    va_choice: str
-    vb_choice: str
-    alpha: float
-    observable_a: HermitianObservable
-    observable_b: HermitianObservable
-
-    def __post_init__(self):
-        if not all(t >= 0 and math.isfinite(t) for t in (self.t1, self.t2)):  # NaN fails too
-            raise ValueError(f"times must be finite and nonnegative, got ({self.t1}, {self.t2})")
-        if self.va_choice not in (W, W_DAGGER) or self.vb_choice not in (W, W_DAGGER):
-            raise ValueError(f"gate choices must be '{W}' or '{W_DAGGER}'")
-        if not (
-            math.isclose(self.alpha, ALPHA_PLUS, abs_tol=1e-12)
-            or math.isclose(self.alpha, ALPHA_MINUS, abs_tol=1e-12)
-        ):
-            raise ValueError("alpha must be 0 or pi/2")
-
-
-@dataclass(frozen=True)
 class CorrelatorEstimate:
     """Correlator value with its shot-noise error bar and provenance.
 
@@ -135,36 +107,40 @@ def _sum4(x) -> np.ndarray:
     return x[..., 0] + x[..., 1] + x[..., 2] + x[..., 3]
 
 
-def attach_ancilla(psi0: QuditState, alpha: float) -> QuditState:
-    """(|0> + e^{i alpha}|1>)/sqrt(2) (x) |psi0>, ancilla as site 0."""
-    amp = np.concatenate(
-        [psi0.amplitudes, np.exp(1j * alpha) * psi0.amplitudes]
-    ) / math.sqrt(2)
-    return QuditState((2,) + psi0.dims, amp)
-
-
-def _shift(op: LocalOperator) -> LocalOperator:
-    """Re-anchor a system-site operator behind the ancilla."""
-    return op.on(*(s + 1 for s in op.support))
-
-
-def run_hadamard_circuit(task: HadamardTask, psi0: QuditState, prop: Propagator) -> float:
+def run_hadamard_circuit(
+    va: LocalOperator,
+    vb: LocalOperator,
+    t1: float,
+    t2: float,
+    psi0: QuditState,
+    prop: Propagator,
+    alpha: float,
+) -> float:
     """Execute one realization on the system state and return P(|0>).
 
-    psi0 is the system-only state; the ancilla is prepared internally.
-    The gates V_A and V_B come from the unitary splittings of the task's
-    own observables (a small eigh each); this is the gate-level
+    va and vb are gates on psi0's sites, each from decompose(obs).pick(choice);
+    psi0 is the system-only state, and the ancilla is prepared internally.
+    t1 > t2 is allowed (the middle segment then propagates backwards), which
+    the time-swapped symmetry checks exercise.  This is the gate-level
     specification, which no study runs.
     """
-    va = _shift(decompose(task.observable_a).pick(task.va_choice))
-    vb = _shift(decompose(task.observable_b).pick(task.vb_choice))
-
-    state = attach_ancilla(psi0, task.alpha)
+    if not all(t >= 0 and math.isfinite(t) for t in (t1, t2)):  # NaN fails too
+        raise ValueError(f"times must be finite and nonnegative, got ({t1}, {t2})")
+    if not (
+        math.isclose(alpha, ALPHA_PLUS, abs_tol=1e-12)
+        or math.isclose(alpha, ALPHA_MINUS, abs_tol=1e-12)
+    ):
+        raise ValueError("alpha must be 0 or pi/2")
+    va, vb = (op.on(*(s + 1 for s in op.support)) for op in (va, vb))  # behind the ancilla
+    amp = np.concatenate(
+        [psi0.amplitudes, np.exp(1j * alpha) * psi0.amplitudes]
+    ) / math.sqrt(2)  # (|0> + e^{i alpha}|1>)/sqrt(2) (x) |psi0>
+    state = QuditState((2,) + psi0.dims, amp)
     state = apply_local(state, _X_GATE)
-    state = evolve(prop, state, task.t1)
+    state = evolve(prop, state, t1)
     state = apply_controlled(state, va)
     state = apply_local(state, _X_GATE)
-    state = evolve(prop, state, task.t2 - task.t1)
+    state = evolve(prop, state, t2 - t1)
     state = apply_controlled(state, vb)
     state = apply_local(state, _H_GATE)
     return ancilla_zero_probability(state)
@@ -197,10 +173,9 @@ def circuit_probabilities(
     alpha: float,
 ) -> np.ndarray:
     """Exact P(|0>) for the four gate pairs at one ancilla phase."""
-    ps = np.empty(4)
-    for k, (va, vb) in enumerate(COMBOS):
-        ps[k] = run_hadamard_circuit(HadamardTask(t1, t2, va, vb, alpha, obs_a, obs_b), psi0, prop)
-    return ps
+    decomp_a, decomp_b = decompose(obs_a), decompose(obs_b)
+    gates = [(decomp_a.pick(va), decomp_b.pick(vb)) for va, vb in COMBOS]
+    return np.array([run_hadamard_circuit(*pair, t1, t2, psi0, prop, alpha) for pair in gates])
 
 
 def trace_probabilities(

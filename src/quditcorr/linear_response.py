@@ -155,8 +155,9 @@ def lr_estimate(
     rngs[t].  The estimate holds (T,) arrays.
     """
     pert_norm = np.asarray(pert_norm, dtype=float)
-    if np.any(pert_norm < NORM_COLLAPSE):
-        raise ValueError(f"perturbed branch collapsed (squared norm {pert_norm.min():.3e})")
+    low = pert_norm[~(pert_norm >= NORM_COLLAPSE)]  # NaN fails too
+    if low.size:
+        raise ValueError(f"perturbed branch collapsed (squared norm {low.min():.3e})")
     denom = config.lam * config.pulse_area
     # A pulse grows a normalized state's squared norm at a rate of at most
     # 2 lambda J_xy, so to exp(2 denom); compared as logarithms.

@@ -12,7 +12,6 @@ from quditcorr.hadamard import (
     COMBOS,
     W,
     W_DAGGER,
-    HadamardTask,
     circuit_probabilities,
     estimate_from_probabilities,
     measure_dynamical_correlator,
@@ -58,12 +57,13 @@ def setup_chain(n, jz=0.5):
 def test_identity_observable_gives_trivial_probabilities():
     h, prop, psi0 = setup_chain(2)
     eye = LocalOperator(np.eye(3), (0,))
-    ident_a, ident_b = HermitianObservable(eye), HermitianObservable(eye.on(1))
-    for combo in COMBOS:
-        t_plus = HadamardTask(0.0, 0.9, *combo, ALPHA_PLUS, ident_a, ident_b)
-        t_minus = HadamardTask(0.0, 0.9, *combo, ALPHA_MINUS, ident_a, ident_b)
-        assert run_hadamard_circuit(t_plus, psi0, prop) == pytest.approx(1.0, abs=1e-12)
-        assert run_hadamard_circuit(t_minus, psi0, prop) == pytest.approx(0.5, abs=1e-12)
+    dec_a, dec_b = decompose(HermitianObservable(eye)), decompose(HermitianObservable(eye.on(1)))
+    for va, vb in COMBOS:
+        gates = (dec_a.pick(va), dec_b.pick(vb))
+        p_plus = run_hadamard_circuit(*gates, 0.0, 0.9, psi0, prop, ALPHA_PLUS)
+        p_minus = run_hadamard_circuit(*gates, 0.0, 0.9, psi0, prop, ALPHA_MINUS)
+        assert p_plus == pytest.approx(1.0, abs=1e-12)
+        assert p_minus == pytest.approx(0.5, abs=1e-12)
 
 
 def test_each_circuit_probability_matches_analytic_form():
@@ -81,8 +81,8 @@ def test_each_circuit_probability_matches_analytic_form():
             vb = site_op(n, 1, dec_b.pick(vb_name).matrix)
             corr = np.vdot(psi, (u1.conj().T @ va.conj().T @ u1) @ (u2.conj().T @ vb @ u2) @ psi)
             expected = 0.5 + 0.5 * np.real(np.exp(1j * alpha) * corr)
-            task = HadamardTask(t1, t2, va_name, vb_name, alpha, sz_obs(0), sz_obs(1))
-            p = run_hadamard_circuit(task, psi0, prop)
+            gates = (dec_a.pick(va_name), dec_b.pick(vb_name))
+            p = run_hadamard_circuit(*gates, t1, t2, psi0, prop, alpha)
             assert p == pytest.approx(expected, abs=1e-10)
 
 
@@ -135,18 +135,39 @@ def test_probability_to_correlator_values():
             estimate_point([-1e-9, 0.5, 0.5, 0.5], 1.0, 1.0, shots, task_rng(1))
 
 
-def test_task_validation():
+def test_circuit_validation():
+    h, prop, psi0 = setup_chain(2)
+    gates = (decompose(sz_obs(0)).w, decompose(sz_obs(1)).w)
     with pytest.raises(ValueError, match="alpha"):
-        HadamardTask(0.0, 1.0, W, W, 0.3, sz_obs(0), sz_obs(1))
-    with pytest.raises(ValueError, match="choices"):
-        HadamardTask(0.0, 1.0, "v", W, 0.0, sz_obs(0), sz_obs(1))
+        run_hadamard_circuit(*gates, 0.0, 1.0, psi0, prop, 0.3)
+    with pytest.raises(ValueError, match="choice"):
+        decompose(sz_obs(0)).pick("v")
     with pytest.raises(ValueError, match="nonnegative"):
-        HadamardTask(-0.1, 1.0, W, W, 0.0, sz_obs(0), sz_obs(1))
+        run_hadamard_circuit(*gates, -0.1, 1.0, psi0, prop, ALPHA_PLUS)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            HadamardTask(bad, 1.0, W, W, 0.0, sz_obs(0), sz_obs(1))
+            run_hadamard_circuit(*gates, bad, 1.0, psi0, prop, ALPHA_PLUS)
         with pytest.raises(ValueError, match="finite"):
-            HadamardTask(0.0, bad, W, W, 0.0, sz_obs(0), sz_obs(1))
+            run_hadamard_circuit(*gates, 0.0, bad, psi0, prop, ALPHA_PLUS)
+
+
+def test_circuit_probabilities_splits_each_observable_once(monkeypatch):
+    # Four circuits share one unitary pair per observable.
+    real, split = hadamard.decompose, []
+
+    def counting(obs):
+        split.append(obs)
+        return real(obs)
+
+    monkeypatch.setattr(hadamard, "decompose", counting)
+    h, prop, psi0 = setup_chain(2)
+    a, b = sz_obs(0), sz_obs(1)
+    ps = circuit_probabilities(a, b, 0.2, 1.1, psi0, prop, ALPHA_PLUS)
+    assert split == [a, b]
+    dec_a, dec_b = real(a), real(b)
+    for p, (va, vb) in zip(ps, COMBOS):
+        gates = (dec_a.pick(va), dec_b.pick(vb))
+        assert p == run_hadamard_circuit(*gates, 0.2, 1.1, psi0, prop, ALPHA_PLUS)
 
 
 def test_assemble_correlator_cases():
@@ -236,11 +257,11 @@ def test_time_swap_symmetry_of_assembled_correlators():
 def test_conjugating_both_gate_choices_leaves_assembly_invariant():
     h, prop, psi0 = setup_chain(2)
     flip = {W: W_DAGGER, W_DAGGER: W}
+    dec_a, dec_b = decompose(sz_obs(0)), decompose(sz_obs(1))
     for alpha in (ALPHA_PLUS, ALPHA_MINUS):
         ps, ps_flipped = np.empty(4), np.empty(4)
         for k, (va, vb) in enumerate(COMBOS):
-            task = HadamardTask(0.2, 1.1, va, vb, alpha, sz_obs(0), sz_obs(1))
-            p = run_hadamard_circuit(task, psi0, prop)
+            p = run_hadamard_circuit(dec_a.pick(va), dec_b.pick(vb), 0.2, 1.1, psi0, prop, alpha)
             ps[k] = p
             ps_flipped[COMBOS.index((flip[va], flip[vb]))] = p
         assert exact_value(ps) == pytest.approx(exact_value(ps_flipped), abs=1e-12)

@@ -266,6 +266,15 @@ def test_a_pulsed_norm_past_its_growth_bound_is_refused():
     assert lr_estimate(strong, marginal, [norm], marginal, 1000).shots == 1000
 
 
+@pytest.mark.parametrize("kind", ["hermitian", "non_hermitian"])
+def test_a_nan_pulsed_norm_is_refused(kind):
+    # NaN fails every comparison, so the collapse check is written to fail it.
+    marginal = np.array([[0.3, 0.4, 0.3]])
+    cfg = LinearResponseConfig(0.2, 1e-3, 0, 1, kind)
+    with pytest.raises(ValueError, match=r"collapsed \(squared norm nan\)"):
+        lr_estimate(cfg, marginal, [np.nan], marginal, 1000)
+
+
 def test_norm_collapse_flagged():
     h = build_xxz(2, 1.0, 0.5)
     psi0 = basis_state((3, 3), (0, 0))

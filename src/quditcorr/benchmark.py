@@ -94,11 +94,11 @@ MIN_BUDGETS = {HADAMARD: {"plus": 6, "minus": 4}, LINEAR_RESPONSE: {"plus": 2, "
 # at N = 12 (306 MB) and 2.35 at N = 13 (876 MB).
 H_ENTRY_BYTES = 20
 PEAK_PER_H_BYTE = 3
-# A study's peak memory per time step of each trace (the Hadamard trace
-# and one LR trace per lambda), rounded up from 0.88-1.05 KiB: the growth
-# of the peak from 1000 to 4000-16000 steps at one worker, at N = 4 with
-# 1, 4 and 8 lambdas and at N = 7 with 1.  It does not depend on N.
-PEAK_PER_TRACE_STEP = 1536
+# The most time steps of all traces together (the Hadamard trace and one
+# LR trace per lambda).  A step of one trace costs 0.10-0.20 ms of CPU at
+# N = 4 and 0.34-0.39 ms at N = 7 (quick_n4, one worker, 1000 vs 4000 and
+# 500 vs 2000 steps): a study up to N = 7 ends in about 10 s, in ~30 MB.
+MAX_TRACE_STEPS = 20000
 
 
 class ConfigError(ValueError):
@@ -172,7 +172,6 @@ class RunConfig:
     sites: tuple[int, int] = (1, 2)
     protocols: tuple[str, ...] = PROTOCOLS
     shots: dict = dataclasses.field(default_factory=dict)
-    exact_only: bool = False
     lambdas: tuple[float, ...] = (0.2,)
     pulse_area: float = 1e-3
     seed: int = 1234
@@ -183,9 +182,9 @@ class RunConfig:
             object.__setattr__(self, name, value)
 
         _expect(_integer(self.n_sites, "n_sites") >= 2, "n_sites", "need at least 2 sites")
-        need, have = 0, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if self.n_sites <= math.log(MAX_AMPLITUDES, 3):  # longer: build_xxz refuses by dimension
             need = study_peak_bytes(self.n_sites)
+            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
             why = f"a study at {self.n_sites} sites needs about {need / 2**30:.1f} GiB"
             _expect(need <= have, "n_sites", f"{why}, more than the {have / 2**30:.1f} GiB of RAM")
         put("j_z_over_j_xy", _number(self.j_z_over_j_xy, "j_z_over_j_xy"))
@@ -220,7 +219,6 @@ class RunConfig:
                 _expect(_is_int(n) and n >= least, "shots", why)
                 budgets[proto][kind] = n
         put("shots", _ReadOnlyDict((p, _ReadOnlyDict(b)) for p, b in budgets.items()))
-        _expect(isinstance(self.exact_only, bool), "exact_only", "expected true or false")
         lambdas = self.lambdas
         _expect(isinstance(lambdas, (list, tuple)) and lambdas, "lambdas", "nonempty list")
         for lam in lambdas:
@@ -238,8 +236,8 @@ class RunConfig:
             why = f"2 * lambda * pulse_area = {growth:.6g} for {lam!r}: exp of it overflows a float"
             _expect(growth < math.log(sys.float_info.max), "lambdas", why)
         traces = 1 + len(self.lambdas) * (LINEAR_RESPONSE in self.protocols)
-        most = (have - need) // (PEAK_PER_TRACE_STEP * traces)
-        why = f"at most {most} fit the {have / 2**30:.1f} GiB of RAM with {traces} traces"
+        most = MAX_TRACE_STEPS // traces
+        why = f"at most {most} with {traces} traces"
         _expect(self.steps <= most, "steps", f"{self.steps} steps requested; {why}")
         _integer(self.seed, "seed")
         workers = self.workers
@@ -277,7 +275,7 @@ class StudyRow:
     t: float
     lam: float | None
     exact: float
-    sampled: float | None
+    sampled: float
     std_error: float
     shots: int
     seed: int
@@ -345,8 +343,9 @@ def time_averaged_std(std_trace, grid) -> float:
 
     An error bar near the float limit (an LR trace at the smallest λ)
     times a long step overflows the area, though not the average, which
-    is at most max(std).  Such a trace is integrated in units of its
-    maximum; every other trace takes the plain quadrature.
+    is at most max(std): such a trace is integrated in units of its
+    maximum.  A subnormal span (t_max) would round the area to a multiple
+    of 5e-324: it is integrated in units of the span.
     """
     std = np.asarray(std_trace, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -355,6 +354,8 @@ def time_averaged_std(std_trace, grid) -> float:
     if grid.size < 2:
         raise ValueError("need at least two grid points to average")
     span = grid[-1] - grid[0]
+    if 0 < span < sys.float_info.min:
+        grid, span = grid / span, 1.0
     with np.errstate(over="ignore"):
         mean = float(np.trapezoid(std, grid)) / span
     if math.isinf(mean):
@@ -475,7 +476,7 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     completed traces, in the usual order, and no figures.
     """
     protocols, lambdas, budgets = config.protocols, config.lambdas, config.shots
-    pulse_area, seed, sampled = config.pulse_area, config.seed, not config.exact_only
+    pulse_area, seed = config.pulse_area, config.seed
 
     prop, psi0, obs_a, obs_b = quench_system(config)
     site_a, site_b = obs_a.support[0], obs_b.support[0]
@@ -498,12 +499,12 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     points = range(grid.size)
 
     def estimate(outputs) -> dict:
-        """The completed traces, each (C+, C-) as (exact, sampled or None) estimates."""
+        """The completed traces, each (C+, C-) as (exact, sampled) estimates."""
         if (HADAMARD, None) not in outputs:
             return {}
         args = (obs_a, obs_b, psi0, outputs[(HADAMARD, None)], budgets[HADAMARD])
         samp = (None, None)
-        if sampled and HADAMARD in protocols:  # else the trace is only the exact R reference
+        if HADAMARD in protocols:  # else the trace is only the exact R reference
             samp = hadamard_estimate(*args, [task_rng(seed, 1, ti) for ti in points])
         traces = {(HADAMARD, None): list(zip(hadamard_estimate(*args), samp))}
         done = [(li, lam) for li, lam in enumerate(lambdas) if (LINEAR_RESPONSE, lam) in outputs]
@@ -515,9 +516,7 @@ def run_quench_study(config: RunConfig) -> StudyResult:
             for kind, stream, key in LR_KINDS:
                 pert, norms = outputs[(LINEAR_RESPONSE, lam)][kind]
                 args = (lr_config(lam, kind), pert, norms, readout, budgets[LINEAR_RESPONSE][key])
-                samp = None
-                if sampled:
-                    samp = lr_estimate(*args, [task_rng(seed, 2, li, ti, stream) for ti in points])
+                samp = lr_estimate(*args, [task_rng(seed, 2, li, ti, stream) for ti in points])
                 branches.append((lr_estimate(*args), samp))
             traces[(LINEAR_RESPONSE, lam)] = branches
         return traces
@@ -536,7 +535,7 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     figures: dict[str, FigureOfMerit] = {}
     for key in reported:
         (plus, samp_plus), (minus, samp_minus) = traces[key]
-        std_p, std_m = (samp_plus or plus).std_error, (samp_minus or minus).std_error
+        std_p, std_m = samp_plus.std_error, samp_minus.std_error
         if grid.size < 2:
             fom = FigureOfMerit(0.0, 0.0, std_p[0], std_m[0])
         else:
@@ -553,9 +552,7 @@ def _rows(traces, reported, grid, seed) -> tuple[StudyRow, ...]:
     rows = []
     for protocol, lam in reported:
         for kind, (exact, samp) in zip(("+", "-"), traces.get((protocol, lam), ())):
-            shown = samp or exact  # its error bars and shots; exact ones are nominal
-            sampled = np.full(grid.size, None) if samp is None else samp.value
-            columns = (grid, exact.value, sampled, shown.std_error, shown.shots)
+            columns = (grid, exact.value, samp.value, samp.std_error, samp.shots)
             for t, value, samp_value, err, shots in zip(*(c.tolist() for c in columns)):
                 rows.append(StudyRow(protocol, kind, t, lam, value, samp_value, err, shots, seed))
     return tuple(rows)

@@ -50,8 +50,8 @@ def parse_config_dict(raw: dict) -> tuple[RunConfig, list[str]]:
 
     Only what is specific to JSON is checked here: the document is an
     object and every key names a RunConfig field.  RunConfig checks the
-    values and their JSON types (integers, numbers, true/false) and
-    fills the budgets a partial shots mapping leaves out.
+    values and their JSON types (integers and numbers) and fills the
+    budgets a partial shots mapping leaves out.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")

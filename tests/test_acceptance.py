@@ -276,7 +276,7 @@ def test_criterion_7_full_chain_preset():
     res = run_quench_study(config)
     worst = 0.0
     for row in res.rows:
-        if row.sampled is None or row.std_error == 0.0:
+        if row.std_error == 0.0:
             continue
         pulls = abs(row.sampled - row.exact) / row.std_error
         worst = max(worst, pulls)

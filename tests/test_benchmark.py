@@ -131,6 +131,24 @@ def test_time_averaged_std_values():
     assert mean == pytest.approx(3.875e307, rel=1e-15)
 
 
+def test_dc_at_a_subnormal_t_max_is_not_rounded_to_the_smallest_subnormal():
+    # On a span of 5e-324 the trapezoid's area is a multiple of 5e-324;
+    # the average is taken in units of the span instead.
+    def dc(t_max, steps):
+        res = run_quench_study(RunConfig(n_sites=4, steps=steps, t_max=t_max, workers=1))
+        return res, [v for f in res.figures.values() for v in (f.dc_plus, f.dc_minus)]
+
+    # Two steps run at t = 0 and t_max: the same states and draws at either span.
+    _, want = dc(1e-10, 2)
+    _, got = dc(5e-324, 2)
+    np.testing.assert_allclose(got, want, rtol=1e-9)
+    # linspace(0, 5e-324, 3) is (0, 0, 5e-324): the mean of the last two error bars.
+    res, got = dc(5e-324, 3)
+    assert [r.t for r in res.rows[:3]] == [0.0, 0.0, 5e-324]
+    stds = [r.std_error for r in res.rows]
+    assert got == pytest.approx([(a + b) / 2 for a, b in zip(stds[1::3], stds[2::3])], rel=1e-12)
+
+
 def test_brute_force_reference_matches_independent_oracle():
     h = build_xxz(3, 1.0, 0.5)
     psi0 = neel_superposition(3)
@@ -389,11 +407,9 @@ def test_sampled_hadamard_cells_match_a_per_point_reference(n, state, budgets):
             assert repr(point) == repr(cells)
 
 
-@pytest.mark.parametrize("exact_only", [False, True])
-def test_exact_only_hadamard_plus_rows_carry_the_budget_of_six_expectation_values(exact_only):
-    # The four circuits and the two disconnected-part means, 250 shots
-    # each, whether the cells are drawn or exact with nominal error bars.
-    config = RunConfig(n_sites=3, steps=3, protocols=("hadamard",), exact_only=exact_only)
+def test_hadamard_plus_rows_carry_the_budget_of_six_expectation_values():
+    # The four circuits and the two disconnected-part means, 250 shots each.
+    config = RunConfig(n_sites=3, steps=3, protocols=("hadamard",))
     shots = {(r.kind, r.shots) for r in run_quench_study(config).rows}
     assert shots == {("+", 1500), ("-", 8000)}
 
@@ -472,10 +488,17 @@ def test_the_memory_bound_follows_the_physical_memory(monkeypatch):
     with pytest.raises(ConfigError, match="'n_sites'.*more than the 1.0 GiB of RAM"):
         RunConfig(n_sites=13)
     assert RunConfig(n_sites=12).n_sites == 12
-    # Each trace holds about 1 KiB per time step: 10^6 steps of two traces do not fit.
-    with pytest.raises(ConfigError, match=r"'steps': 1000000 steps .* 1.0 GiB of RAM with 2 traces"):
-        RunConfig(n_sites=4, steps=10**6)
-    assert RunConfig(n_sites=4, steps=10**5).steps == 10**5
+
+
+def test_the_steps_of_all_traces_together_are_bounded():
+    # The Hadamard trace and one LR trace per lambda share MAX_TRACE_STEPS,
+    # whatever the memory: 10001 steps of two traces are refused.
+    assert RunConfig(n_sites=4, steps=10000).steps == 10000
+    with pytest.raises(ConfigError, match="'steps': 10001 steps requested; at most 10000 with 2"):
+        RunConfig(n_sites=4, steps=10001)
+    assert RunConfig(n_sites=4, steps=20000, protocols=("hadamard",)).steps == 20000
+    with pytest.raises(ConfigError, match="'steps': 5001 steps requested; at most 5000 with 4"):
+        RunConfig(n_sites=4, steps=5001, lambdas=(0.1, 0.2, 0.3))
 
 
 def test_scenario_validation():
@@ -513,7 +536,7 @@ def test_a_study_diagonalizes_only_the_blocks_psi0_touches(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    run_quench_study(RunConfig(n_sites=7, steps=3, exact_only=True, workers=2))
+    run_quench_study(RunConfig(n_sites=7, steps=3, workers=2))
     assert sizes == [357, 357]
 
 
@@ -537,7 +560,7 @@ def test_study_deterministic_across_seeds_and_workers():
 
 def test_exact_circuit_trace_matches_reference():
     grid = np.linspace(0, 2.0, 5)
-    config = RunConfig(2, t_max=2.0, steps=5, protocols=("hadamard",), exact_only=True, seed=3)
+    config = RunConfig(2, t_max=2.0, steps=5, protocols=("hadamard",), seed=3)
     res = run_quench_study(replace(config, workers=1))
     fom = res.figures["hadamard"]
     assert fom.r_plus <= 1e-12

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import importlib
 import itertools
 import json
 import math
@@ -103,7 +105,6 @@ def test_field_validation_messages(tmp_path):
     assert parse_config_dict({"lambdas": [floor]})[0].lambdas == (floor,)
     # Types are checked, not coerced.
     wrong_types = [
-        ("exact_only", {"exact_only": "false"}),
         ("n_sites", {"n_sites": 4.7}),
         ("n_sites", {"n_sites": "abc"}),
         ("seed", {"seed": 1.5}),
@@ -327,7 +328,7 @@ SCIPY_STEPS = {
     "propagator-n6": ("dynamics.make_propagator(dynamics.build_xxz(6, 1.0, 0.5))", False),
     # Two workers: the traces run on the pool.
     "hadamard-exact-n6": (
-        "cfg = RunConfig(n_sites=6, protocols=['hadamard'], exact_only=True, workers=2)\n"
+        "cfg = RunConfig(n_sites=6, protocols=['hadamard'], workers=2)\n"
         "assert cli.run(cfg, out) == 0\n"
         "assert json.load(open(out + '/summary.json'))['versions']['scipy'] is None",
         False,
@@ -397,10 +398,9 @@ def test_every_lambda_has_its_own_figure_under_its_csv_text(tmp_path):
     assert sorted(figures) == ["hadamard", "lr:lambda=0.1", "lr:lambda=0.1000001"]
 
 
-def test_exact_only_run_reports_tiny_relative_error(tmp_path):
-    cfg, _ = parse_config_dict(
-        {"n_sites": 4, "t_max": 2.0, "steps": 4, "protocols": ["hadamard"], "exact_only": True}
-    )
+def test_hadamard_run_reports_tiny_relative_error(tmp_path):
+    # The R reference is the exact Hadamard trace, so the Hadamard R compares it with itself.
+    cfg, _ = parse_config_dict({"n_sites": 4, "t_max": 2.0, "steps": 4, "protocols": ["hadamard"]})
     out = tmp_path / "exact"
     assert run(cfg, str(out)) == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -489,6 +489,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, {"bogus": 1})
     assert main(["run", "--config", path]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_exact_only_is_an_unknown_config_key(tmp_path, capsys):
+    # Every study samples; the exact traces fill the exact column.
+    path = write_config(tmp_path, {**FAST, "exact_only": True})
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: unknown config key: 'exact_only'\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -661,8 +669,7 @@ def test_an_extreme_lambda_leaves_r_undefined_and_writes_the_study(tmp_path):
     assert 0 < fom["dc_plus"] < math.inf and 0 < fom["dc_minus"] < math.inf
 
 
-@pytest.mark.parametrize("exact_only", [False, True], ids=["sampled", "exact-only"])
-def test_dc_at_the_lambda_floor_is_finite(tmp_path, exact_only):
+def test_dc_at_the_lambda_floor_is_finite(tmp_path):
     # An LR error bar near 1 / (lambda * pulse_area) ~ 4.5e307 times a
     # step of 25 overflows the trapezoid's area, not its average.
     payload = {
@@ -672,8 +679,6 @@ def test_dc_at_the_lambda_floor_is_finite(tmp_path, exact_only):
         "lambdas": [2.2250738585072014e-305],
         "shots": {"lr": {"plus": 4, "minus": 4}},
     }
-    if exact_only:
-        payload.update(exact_only=True, shots={"lr": {"plus": 2, "minus": 2}})
     cfg, _ = parse_config_dict(payload)
     out = tmp_path / "floor"
     with warnings.catch_warnings():
@@ -775,3 +780,18 @@ def test_interrupt_during_the_lr_estimation_writes_every_trace(tmp_path, monkeyp
     assert interrupts == [threading.main_thread()]
     assert (out / "results.csv").read_text() == full
     assert json.loads((out / "summary.json").read_text())["incomplete"] is True
+
+
+def test_every_function_the_benchmark_tracer_times_resolves_in_its_module():
+    # perfbench/tracing.py wraps each LAYERS entry by module and name at run
+    # time, so a source change that removes or renames one breaks the tracer.
+    source = (pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text()
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    )
+    assert layers
+    for module, names in layers.items():
+        bound = vars(importlib.import_module(f"quditcorr.{module}"))
+        assert [n for n in names if not callable(bound.get(n))] == [], module

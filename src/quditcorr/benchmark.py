@@ -239,6 +239,9 @@ class RunConfig:
         most = MAX_TRACE_STEPS // traces
         why = f"at most {most} with {traces} traces"
         _expect(self.steps <= most, "steps", f"{self.steps} steps requested; {why}")
+        repeats = np.diff(np.linspace(0.0, self.t_max, self.steps)) <= 0  # a subnormal t_max
+        why = f"t_max = {self.t_max!r} over steps = {self.steps} gives a grid whose times repeat"
+        _expect(not repeats.any(), "t_max", why)
         _integer(self.seed, "seed")
         workers = self.workers
         valid = workers is None or _is_int(workers) and workers >= 1
@@ -373,7 +376,7 @@ def brute_force_correlators(
     any Propagator, and U(t) = V e^{-iEt} V^+ is applied to vectors
     only.  With z = <A(t1) B(t2)> = <U(t2 - t1) A U(t1) psi | B U(t2) psi>,
     the anti-commutator is 2 Re z and the commutator -2 Im z.  eigh reads
-    one triangle, so a non-Hermitian H is refused first, whatever its flag.
+    one triangle, so a non-Hermitian H is refused first.
     """
     if h.dimension > ORACLE_DIM_LIMIT:
         raise ValueError(f"brute-force reference limited to dimension {ORACLE_DIM_LIMIT}")
@@ -536,13 +539,13 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     for key in reported:
         (plus, samp_plus), (minus, samp_minus) = traces[key]
         std_p, std_m = samp_plus.std_error, samp_minus.std_error
-        if grid.size < 2:
-            fom = FigureOfMerit(0.0, 0.0, std_p[0], std_m[0])
+        r_p, why_p = _safe_relative_error(plus.value, reference[0], grid, "C+")
+        r_m, why_m = _safe_relative_error(minus.value, reference[1], grid, "C-")
+        if grid.size < 2:  # dC's limit as the span shrinks
+            dc_p, dc_m = std_p[0], std_m[0]
         else:
-            r_p, why_p = _safe_relative_error(plus.value, reference[0], grid, "C+")
-            r_m, why_m = _safe_relative_error(minus.value, reference[1], grid, "C-")
             dc_p, dc_m = time_averaged_std(std_p, grid), time_averaged_std(std_m, grid)
-            fom = FigureOfMerit(r_p, r_m, dc_p, dc_m, why_p, why_m)
+        fom = FigureOfMerit(r_p, r_m, dc_p, dc_m, why_p, why_m)
         figures[HADAMARD if key[1] is None else f"{LINEAR_RESPONSE}:lambda={key[1]!r}"] = fom
     return StudyResult(_rows(traces, reported, grid, seed), figures)
 
@@ -560,6 +563,8 @@ def _rows(traces, reported, grid, seed) -> tuple[StudyRow, ...]:
 
 def _safe_relative_error(est, ref, grid, label: str) -> tuple[float | None, str | None]:
     """(R, None), or (None, reason) when R is undefined."""
+    if grid.size < 2:  # R's limit as the span shrinks: the one point spread over a unit span
+        est, ref, grid = np.repeat(est, 2), np.repeat(ref, 2), np.array([0.0, 1.0])
     # Odd chains have identically vanishing C-(0, t) for adjacent sites;
     # a sub-rounding reference makes the ratio meaningless, so report 0
     # when the estimate vanishes too and leave R undefined otherwise.

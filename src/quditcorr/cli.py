@@ -38,7 +38,6 @@ from .benchmark import (
     quench_system,
     run_quench_study,
 )
-from .dynamics import SparseHamiltonian, make_propagator
 from .hadamard import estimate_from_probabilities, measure_dynamical_correlator, trace_probabilities
 from .observables import HermitianObservable, decompose, spin_matrix
 from .rng import task_rng
@@ -210,8 +209,8 @@ def _cmd_validate(args) -> int:
     The trace engine runs on both kernels: dense-eig, which H0's propagator
     picks for every block at these sizes, and sparse, the Taylor kernel of
     the blocks above DENSE_BLOCK_LIMIT (N >= 8) and of every pulse, run on
-    the same H not flagged Hermitian.  brute_force_correlators diagonalizes
-    the full H instead, so it checks the block split too.
+    a zero pulse.  brute_force_correlators diagonalizes the full H
+    instead, so it checks the block split too.
     """
     failures = 0
     for n in (2, 3, 4):
@@ -225,8 +224,7 @@ def _cmd_validate(args) -> int:
             plus, minus = measure_dynamical_correlator(obs_a, obs_b, 0.0, t2, psi0, prop)
             worst_circuit = max(worst_circuit, abs(plus.value - cp), abs(minus.value - cm))
         worst_trace = {}
-        unflagged = make_propagator(SparseHamiltonian(h, False, h.j_xy))
-        for kernel, p in (("dense-eig", prop), ("sparse", unflagged)):
+        for kernel, p in (("dense-eig", prop), ("sparse", prop.pulse(np.zeros(h.dimension)))):
             probabilities = trace_probabilities(obs_a, obs_b, psi0, p, times)[:2]
             values = [estimate_from_probabilities(ps, *norms, None).value for ps in probabilities]
             worst_trace[kernel] = float(np.max(np.abs(np.transpose(values) - refs)))

@@ -13,12 +13,12 @@ exponentials propagate exactly, with no splitting error.
 H conserves total S^z, so a propagator splits it into the 2N + 1
 sectors of total S^z, found from the digits of each basis index, and
 propagates only the blocks that a state touches, each on its own: by dense
-eigendecomposition (a Hermitian block of dimension up to
-DENSE_BLOCK_LIMIT) or by a truncated Taylor kernel (Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33(2), 2011; larger blocks, non-Hermitian H, and
-the pulses, which add their diagonal to the touched blocks).
-`trajectory` streams a state through a whole time grid and is the only
-code that propagates; `evolve`, one exp(-i H t), is its one-time case.
+eigendecomposition (up to DENSE_BLOCK_LIMIT) or by a truncated Taylor
+kernel (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011; larger
+blocks, and every block of a pulse, prop.pulse(diagonal), which
+propagates H + diag(diagonal) on prop's sectors).  `trajectory` streams a
+state through a whole time grid and is the only code that propagates;
+`evolve`, one exp(-i H t), is its one-time case.
 
 H is NumPy CSR arrays only, built and split with NumPy; a block builds
 its operator from them when a state first touches it (see Block).
@@ -30,6 +30,7 @@ by a SciPy CSR block above it: SciPy loads where such a block propagates
 from __future__ import annotations
 
 import collections
+import copy
 import math
 import threading
 
@@ -109,18 +110,17 @@ class SparseHamiltonian:
     matrix is anything with data/indices/indptr arrays, a SciPy CSR
     matrix included; its dimension, the rows of indptr, must be 3^N,
     which gives n_sites = N.  These arrays are the only form of H:
-    nothing here converts it to SciPy.  The hermitian flag decides which
-    blocks the propagator diagonalizes, and each block checks it (see
-    Block).  j_xy, the flip-flop coupling, scales the pulses.
+    nothing here converts it to SciPy or checks it (see Block).  j_xy,
+    the flip-flop coupling, scales the pulses.
     """
 
-    def __init__(self, matrix, hermitian: bool, j_xy: float):
+    def __init__(self, matrix, j_xy: float):
         self.data, self.indices, self.indptr = _canonical_csr(matrix)
         self.dimension = self.indptr.size - 1
         self.n_sites = round(math.log(max(self.dimension, 1), 3))
         if self.n_sites < 1 or 3**self.n_sites != self.dimension:
             raise ValueError(f"dimension {self.dimension} is not 3^N for N >= 1 sites")
-        self.hermitian, self.j_xy = hermitian, float(j_xy)
+        self.j_xy = float(j_xy)
 
 
 def site_sz_diagonal(n_sites: int, site: int) -> np.ndarray:
@@ -184,7 +184,7 @@ def build_xxz(n_sites: int, j_xy: float, j_z: float) -> SparseHamiltonian:
     data[group == on_diag] = diag[diag != 0]
     indices = np.repeat(np.arange(dim, dtype=np.int32), count)
     indices += np.array([g[0] for g in groups], dtype=np.int32)[group]
-    return SparseHamiltonian(_Csr(data, indices, indptr), hermitian=True, j_xy=j_xy)
+    return SparseHamiltonian(_Csr(data, indices, indptr), j_xy)
 
 
 def perturbation(h0: SparseHamiltonian, site: int, lam: float, kind: str) -> np.ndarray:
@@ -203,14 +203,14 @@ def build_perturbed(h0: SparseHamiltonian, site: int, lam: float, kind: str) -> 
     """H0 plus perturbation(h0, site, lam, kind) as one matrix: the tested reference of the pulses.
 
     The pulses add the diagonal to the blocks of H0's propagator instead,
-    so no study calls this.  It adds with SciPy, which drops a diagonal
-    entry that sums to zero.
+    so no study calls this; its non-Hermitian kind propagates only as a
+    pulse.  It adds with SciPy, which drops a diagonal entry that sums to zero.
     """
     import scipy.sparse as sp
 
     h = sp.csr_matrix((h0.data, h0.indices, h0.indptr), shape=(h0.dimension,) * 2)
     h = h + sp.diags(perturbation(h0, site, lam, kind))
-    return SparseHamiltonian(h, h0.hermitian and kind == HERMITIAN, h0.j_xy)
+    return SparseHamiltonian(h, h0.j_xy)
 
 
 def _diagonal_blocks(h: SparseHamiltonian):
@@ -234,22 +234,23 @@ def _diagonal_blocks(h: SparseHamiltonian):
 
 
 class Block:
-    """One total-S^z sector of the chain and how H propagates in it.
+    """One total-S^z sector of the chain and how its propagator's generator propagates in it.
 
-    strategy is "dense-eig", op (eigenvalues, eigenvectors), for a block
-    of a Hermitian H up to DENSE_BLOCK_LIMIT, and "sparse", op the Taylor
-    kernel's operator, otherwise.  A block holds its indices and no entry
-    of H: sub() gathers its sub-matrix from H's own arrays, and op is
-    built from it on the first read, under its propagator's lock, so a
-    block that no state touches is never factorized or converted.  That
-    read first checks the block of a flagged H with require_hermitian: the
-    dense array that eigh reads, or the SciPy CSR sub-matrix of a larger block.
+    Unpulsed, H propagates by "dense-eig", op (eigenvalues, eigenvectors),
+    up to DENSE_BLOCK_LIMIT and by "sparse", op the Taylor kernel's
+    operator, above it, each checked first by require_hermitian (on the
+    array eigh reads or the SciPy CSR sub-matrix); pulsed, H + diag(pulse)
+    runs the Taylor kernel, unchecked.  A block holds its indices and no
+    entry of H: sub() gathers its sub-matrix from H's own arrays, and op
+    is built from it on the first read, under its propagator's lock, so a
+    block that no state touches is never checked, factorized or converted.
     """
 
-    def __init__(self, index: np.ndarray, h: SparseHamiltonian, local, lock: threading.Lock):
+    def __init__(self, index: np.ndarray, h: SparseHamiltonian, local, lock: threading.Lock, pulse):
         self.index = index  # full-space indices, ascending
-        self._h, self._local, self._lock, self._op = h, local, lock, None
-        self.strategy = "dense-eig" if h.hermitian and index.size <= DENSE_BLOCK_LIMIT else "sparse"
+        self._h, self._local, self._lock, self._pulse, self._op = h, local, lock, pulse, None
+        dense = pulse is None and index.size <= DENSE_BLOCK_LIMIT
+        self.strategy = "dense-eig" if dense else "sparse"
 
     def sub(self) -> _Csr:
         """The block's sub-matrix of H, gathered from H's arrays."""
@@ -266,16 +267,16 @@ class Block:
             with self._lock:
                 if self._op is None:
                     sub = self.sub()
-                    if self.strategy == "dense-eig":  # H is flagged Hermitian
+                    if self._pulse is None:  # H alone; every dense-eig block is unpulsed
+                        a = _dense(sub) if self.strategy == "dense-eig" else _scipy_csr(sub)
+                        require_hermitian(a, "an unpulsed block must be Hermitian")
+                    if self.strategy == "dense-eig":
                         # A real eigh is faster, and it moves results by less:
                         # 9.3e-15 against 1.6e-14 for a complex one on the N = 4 study.
-                        a = _dense(sub)
-                        require_hermitian(a, "hermitian flag set")
                         self._op = np.linalg.eigh(a)
                     else:
-                        if self._h.hermitian:
-                            require_hermitian(_scipy_csr(sub), "hermitian flag set")
-                        self._op = _taylor_op(sub, np.zeros(self.index.size))
+                        pulse = np.zeros(self.index.size) if self._pulse is None else self._pulse
+                        self._op = _taylor_op(sub, pulse)
         return self._op
 
 
@@ -300,7 +301,16 @@ class Propagator:
     def __init__(self, hamiltonian: SparseHamiltonian):
         self.hamiltonian, lock = hamiltonian, threading.Lock()
         indices, local = _diagonal_blocks(hamiltonian)
-        self.blocks = [Block(index, hamiltonian, local, lock) for index in indices]
+        self.blocks = [Block(index, hamiltonian, local, lock, None) for index in indices]
+
+    def pulse(self, diagonal: np.ndarray) -> Propagator:
+        """The propagator of H + diag(diagonal) on the same sectors, H being .hamiltonian."""
+        dim = self.hamiltonian.dimension
+        if np.shape(diagonal) != (dim,):
+            raise ValueError(f"pulse diagonal of shape {np.shape(diagonal)}, expected ({dim},)")
+        pulsed, lock, pulse = copy.copy(self), threading.Lock(), np.asarray(diagonal)
+        pulsed.blocks = [Block(b.index, b._h, b._local, lock, pulse[b.index]) for b in self.blocks]
+        return pulsed
 
     def blocks_touched(self, state: QuditState) -> list[Block]:
         """The blocks on which state has a nonzero amplitude in any batch row."""
@@ -313,28 +323,24 @@ def make_propagator(h: SparseHamiltonian) -> Propagator:
     return Propagator(h)
 
 
-def evolve(
-    prop: Propagator, state: QuditState, duration: float, diagonal: np.ndarray | None = None
-) -> QuditState:
+def evolve(prop: Propagator, state: QuditState, duration: float) -> QuditState:
     """exp(-i H * duration)|state>, acting on the system sites only.
 
-    The one-time case of trajectory, diagonal included.  Negative
-    durations propagate backwards (needed when the second correlator
-    time precedes the first).  Unitary evolution preserves the norm;
-    non-Hermitian Hamiltonians return an unnormalized state whose
-    squared norm is tracked by the QuditState itself.
+    The one-time case of trajectory.  Negative durations propagate
+    backwards (needed when the second correlator time precedes the
+    first).  Unitary evolution preserves the norm; a pulse with an
+    anti-Hermitian diagonal returns an unnormalized state whose squared
+    norm is tracked by the QuditState itself.
     """
-    return next(trajectory(prop, state, [duration], diagonal))
+    return next(trajectory(prop, state, [duration]))
 
 
-def trajectory(prop: Propagator, state: QuditState, times, diagonal=None):
+def trajectory(prop: Propagator, state: QuditState, times):
     """Iterator over exp(-i H t)|state> for each t of a non-decreasing grid.
 
     Streams: one state is alive at a time, whatever the grid length.
     The leading (ancilla) sites are batch rows.  A time of 0 yields a
-    copy of the state, never a view of it.  With a diagonal (a pulse),
-    H + diag(diagonal) propagates: H's blocks, each touched one by the
-    Taylor kernel.
+    copy of the state, never a view of it.
     """
     times = [float(t) for t in times]
     if not all(map(math.isfinite, times)):
@@ -344,14 +350,11 @@ def trajectory(prop: Propagator, state: QuditState, times, diagonal=None):
     dim = prop.hamiltonian.dimension
     if not any(math.prod(state.dims[k:]) == dim for k in range(len(state.dims))):
         raise ValueError(f"state dims {state.dims} have no trailing block of dimension {dim}")
-    if diagonal is not None and np.shape(diagonal) != (dim,):
-        raise ValueError(f"pulse diagonal of shape {np.shape(diagonal)}, expected ({dim},)")
     x = state.amplitudes.reshape(-1, dim)
     streams = []
     for b in prop.blocks_touched(state):
-        op = b.op if diagonal is None else _taylor_op(b.sub(), diagonal[b.index])
-        stream = _dense_stream if diagonal is None and b.strategy == "dense-eig" else _taylor_stream
-        streams.append((b.index, stream(op, np.ascontiguousarray(x[:, b.index].T), times)))
+        stream = _dense_stream if b.strategy == "dense-eig" else _taylor_stream
+        streams.append((b.index, stream(b.op, np.ascontiguousarray(x[:, b.index].T), times)))
     return (QuditState(state.dims, _scatter(x, streams)) for _ in times)
 
 

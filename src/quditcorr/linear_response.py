@@ -196,17 +196,16 @@ def measure_lr(
     sampled on rng.  The perturbed and unperturbed branches share the
     same total duration so the difference quotient isolates the
     response.  prop propagates H0, whose J_xy sets the pulse duration.
-    The pulse adds the perturbation's diagonal to prop's blocks and runs
-    the Taylor kernel on the ones the state touches: a short pulse needs
-    only a few products, and no block is diagonalized for it.
+    The pulse is prop.pulse of the perturbation's diagonal: a short pulse
+    needs only a few Taylor products, and no block is diagonalized for it.
     """
     h0 = prop.hamiltonian
     dt = config.pulse_area / h0.j_xy
     if t2 < t1 + dt:
         raise ValueError(f"need t2 >= t1 + pulse duration ({t1 + dt:g}), got {t2:g}")
 
-    pert = evolve(prop, psi0, t1)
-    pert = evolve(prop, pert, dt, perturbation(h0, config.probe_site, config.lam, config.kind))
+    pulse = prop.pulse(perturbation(h0, config.probe_site, config.lam, config.kind))
+    pert = evolve(pulse, evolve(prop, psi0, t1), dt)
     pert = evolve(prop, pert, t2 - t1 - dt)
     unpert = evolve(prop, psi0, t2)
     site = config.readout_site
@@ -244,9 +243,9 @@ def lr_trace(
     """
     h0 = prop.hamiltonian
     dt = config.pulse_area / h0.j_xy
-    pulsed = evolve(prop, psi0, dt, perturbation(h0, config.probe_site, config.lam, config.kind))
+    pulse = prop.pulse(perturbation(h0, config.probe_site, config.lam, config.kind))
     pert, norms = [], []
-    for state in trajectory(prop, pulsed, np.maximum(times, dt) - dt):
+    for state in trajectory(prop, evolve(pulse, psi0, dt), np.maximum(times, dt) - dt):
         pert.append(site_marginal(state, config.readout_site))
         norms.append(state.squared_norm)
     return np.array(pert), np.array(norms)

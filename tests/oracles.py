@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from quditcorr.dynamics import Propagator, SparseHamiltonian
+from quditcorr.dynamics import Propagator
 
 SQ2 = np.sqrt(2.0)
 SX1 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQ2
@@ -92,10 +92,9 @@ def csr(h):
 def propagator(kernel, h):
     """A propagator of h whose blocks run the named kernel.
 
-    "dense-eig" is Propagator(h): a Hermitian h diagonalizes its blocks
-    up to DENSE_BLOCK_LIMIT.  "sparse" propagates the same H without its
-    Hermitian flag, which sends every block through the Taylor kernel.
+    "dense-eig" is Propagator(h), which diagonalizes its blocks up to
+    DENSE_BLOCK_LIMIT.  "sparse" is its zero pulse, which sends every
+    block through the Taylor kernel, unchecked.
     """
-    if kernel == "sparse":
-        h = SparseHamiltonian(h, False, h.j_xy)
-    return Propagator(h)
+    prop = Propagator(h)
+    return prop.pulse(np.zeros(h.dimension)) if kernel == "sparse" else prop

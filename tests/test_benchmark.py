@@ -36,7 +36,7 @@ from quditcorr.benchmark import (
     run_quench_study,
     time_averaged_std,
 )
-from quditcorr.dynamics import SparseHamiltonian, build_perturbed, build_xxz, evolve, make_propagator
+from quditcorr.dynamics import build_perturbed, build_xxz, evolve, make_propagator
 from quditcorr.hadamard import (
     ALPHA_MINUS,
     ALPHA_PLUS,
@@ -142,11 +142,15 @@ def test_dc_at_a_subnormal_t_max_is_not_rounded_to_the_smallest_subnormal():
     _, want = dc(1e-10, 2)
     _, got = dc(5e-324, 2)
     np.testing.assert_allclose(got, want, rtol=1e-9)
-    # linspace(0, 5e-324, 3) is (0, 0, 5e-324): the mean of the last two error bars.
-    res, got = dc(5e-324, 3)
-    assert [r.t for r in res.rows[:3]] == [0.0, 0.0, 5e-324]
+    # linspace(0, 1e-323, 3) is (0, 5e-324, 1e-323): the trapezoid's
+    # weights 1/4, 1/2, 1/4 of the three error bars, as on a normal span.
+    # (linspace(0, 5e-324, 3) repeats t = 0, and RunConfig refuses it.)
+    res, got = dc(1e-323, 3)
+    assert [r.t for r in res.rows[:3]] == [0.0, 5e-324, 1e-323]
     stds = [r.std_error for r in res.rows]
-    assert got == pytest.approx([(a + b) / 2 for a, b in zip(stds[1::3], stds[2::3])], rel=1e-12)
+    want = [(a + 2 * b + c) / 4 for a, b, c in zip(stds[0::3], stds[1::3], stds[2::3])]
+    assert got == pytest.approx(want, rel=1e-12)
+    np.testing.assert_allclose(got, dc(1e-10, 3)[1], rtol=1e-9)
 
 
 def test_brute_force_reference_matches_independent_oracle():
@@ -166,13 +170,12 @@ def test_brute_force_reference_matches_independent_oracle():
 
 def test_brute_force_refuses_a_non_hermitian_h():
     # eigh reads one triangle of the matrix, so a non-Hermitian H would
-    # give values, whatever its flag says; the oracle refuses it instead.
+    # give values; the oracle refuses it instead, as H's own propagator does.
     h = build_perturbed(build_xxz(3, 1.0, 0.5), 0, 0.3, "non_hermitian")
     with pytest.raises(ValueError, match="the dense oracle needs a Hermitian H"):
         brute_force_correlators(h, neel_superposition(3), 0, 1, 0.0, 0.7)
-    flagged = SparseHamiltonian(h, True, h.j_xy)
-    with pytest.raises(ValueError, match="the dense oracle needs a Hermitian H"):
-        brute_force_correlators(flagged, neel_superposition(3), 0, 1, 0.0, 0.7)
+    with pytest.raises(ValueError, match="an unpulsed block must be Hermitian"):
+        evolve(make_propagator(h), neel_superposition(3), 0.7)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -538,6 +541,30 @@ def test_a_study_diagonalizes_only_the_blocks_psi0_touches(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     run_quench_study(RunConfig(n_sites=7, steps=3, workers=2))
     assert sizes == [357, 357]
+
+
+def test_a_study_splits_h_once_pulses_included(monkeypatch):
+    # lambda_sweep_n4's shape: the Hadamard trace and 4 lambdas x 2 kinds
+    # of pulses.  Each pulse shares the sectors of H0's propagator.
+    calls, split = [], dynamics._diagonal_blocks
+    monkeypatch.setattr(dynamics, "_diagonal_blocks", lambda h: calls.append(h) or split(h))
+    res = run_quench_study(RunConfig(n_sites=4, steps=6, lambdas=(0.05, 0.1, 0.2, 0.4), workers=2))
+    assert len(calls) == 1
+    assert len(res.figures) == 5
+
+
+def test_a_one_point_grid_reports_the_limit_of_r():
+    # As the span shrinks, R tends to |est - ref|^2 / |ref|^2 at t = 0:
+    # the LR C+(0, 0) is -1.9999959 against the reference -2.0, not R = 0.
+    res = run_quench_study(RunConfig(n_sites=4, steps=1, lambdas=(0.4,), workers=1))
+    cells = {(r.protocol, r.kind): r for r in res.rows}
+    lr, ref = res.figures["lr:lambda=0.4"], cells[("hadamard", "+")].exact
+    want = (cells[("lr", "+")].exact - ref) ** 2 / ref**2
+    assert lr.r_plus > 0 and lr.r_plus == pytest.approx(want, rel=1e-9)
+    # The reference C-(0, 0) = 0 against an LR estimate of 1.7e-10: undefined.
+    assert lr.r_minus is None and "vanishes" in lr.r_minus_reason
+    assert (res.figures["hadamard"].r_plus, res.figures["hadamard"].r_minus) == (0.0, 0.0)
+    assert lr.dc_plus == cells[("lr", "+")].std_error  # dC's limit: std(0)
 
 
 def test_single_point_grid_gives_equal_time_values():

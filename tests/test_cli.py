@@ -584,13 +584,19 @@ CHAIN10 = str(pathlib.Path(__file__).parents[1] / "configs" / "chain10.json")
             "invalid config field 'shots': the hadamard plus budget must be an integer >= 6",
         ),
         (QUICK_N4, ["--steps", "100000000"], "invalid config field 'steps': 100000000 steps"),
+        (
+            {"n_sites": 4, "steps": 3, "t_max": 5e-324},
+            [],
+            "invalid config field 't_max': t_max = 5e-324 over steps = 3 gives a grid whose times",
+        ),
     ],
-    ids=["n-sites-17", "budget-below-six", "steps-1e8"],
+    ids=["n-sites-17", "budget-below-six", "steps-1e8", "repeated-times"],
 )
 def test_run_refuses_what_cannot_run_at_once_in_one_line(tmp_path, config, flags, message):
     # N = 17 would allocate past physical memory before failing; the small
     # budgets ran with 6 and 4 shots per point, more than they hold; 10^8
-    # steps would need about 200 GB and half a day.
+    # steps would need about 200 GB and half a day; linspace(0, 5e-324, 3)
+    # is (0, 0, 5e-324), which wrote two rows per trace at t = 0.
     src = str(pathlib.Path(quditcorr.__file__).parents[1])
     path = config if isinstance(config, str) else write_config(tmp_path, config)
     out = tmp_path / "out"

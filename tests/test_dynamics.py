@@ -45,7 +45,6 @@ def test_jz_only_chain_is_diagonal_in_products():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sparse_chain_matches_dense_kron_oracle(n):
     h = build_xxz(n, 1.0, 0.5)
-    assert h.hermitian
     np.testing.assert_allclose(csr(h).toarray(), dense_xxz(n, 1.0, 0.5), atol=1e-13)
 
 
@@ -86,13 +85,14 @@ def test_perturbed_hermitian_block():
     diff = (csr(hp) - csr(h0)).toarray()
     expected = -0.3 * 2.0 * np.kron(np.kron(np.eye(3), SZ1), np.eye(3))
     np.testing.assert_allclose(diff, expected, atol=1e-14)
-    assert hp.hermitian
+    evolve(make_propagator(hp), neel_superposition(3), 0.5)  # its blocks pass the Hermitian check
 
 
 def test_perturbed_non_hermitian_adjoint():
     h0 = build_xxz(2, 1.0, 0.5)
     hp = build_perturbed(h0, 0, 0.2, "non_hermitian")
-    assert not hp.hermitian
+    with pytest.raises(ValueError, match="an unpulsed block must be Hermitian"):
+        evolve(make_propagator(hp), neel_superposition(2), 0.5)
     diff = (csr(hp).conj().T - csr(h0)).toarray()
     expected = 1j * 0.2 * np.kron(SZ1, np.eye(3))
     np.testing.assert_allclose(diff, expected, atol=1e-14)
@@ -163,10 +163,10 @@ def test_hermitian_flag_checks_every_entry_against_its_mirror(mirrored, n):
     # all -1).  The stored entry lies in the sector of digit sum 1, which
     # has dimension N and is always dense-eig, except at N = 8: there it
     # joins the Neel state to one flip-flop of its first bond, in the
-    # M = 0 sector of dimension 1107, which runs the Taylor kernel.  The
-    # flag is checked on a block when a state first propagates through
-    # it; the lone entry joins two sectors, which make_propagator refuses
-    # under either flag.
+    # M = 0 sector of dimension 1107, which runs the Taylor kernel.  An
+    # unpulsed block is checked when a state first propagates through it,
+    # a pulsed one never; the lone entry joins two sectors, which
+    # make_propagator refuses.
     h0 = csr(build_xxz(n, 1.0, 0.5))
     dim = h0.shape[0]
     if n == 8:  # base-3 digits: the Neel state and a flip-flop of its first bond
@@ -178,23 +178,25 @@ def test_hermitian_flag_checks_every_entry_against_its_mirror(mirrored, n):
         row, col = 0, dim - 1
     assert (h0[row, col] != 0) == mirrored and h0[col, row] == h0[row, col]
     if mirrored:
-        clean = make_propagator(SparseHamiltonian(h0, True, 1.0))
+        clean = make_propagator(SparseHamiltonian(h0, 1.0))
         (block,) = clean.blocks_touched(in_bumped_sector)
         assert {row, col} <= set(block.index)
         assert block.strategy == ("sparse" if n == 8 else "dense-eig")
     for eps, raises in ((1e-9, True), (1e-13, False), (np.nan, True)):
         bump = sp.csr_matrix(([eps], ([row], [col])), shape=h0.shape)
-        for flag in (True, False):
-            h = SparseHamiltonian(h0 + bump, flag, 1.0)
-            assert h.hermitian == flag
-            if not mirrored:
-                with pytest.raises(ValueError, match="between two total-S.z sectors"):
-                    make_propagator(h)
-            elif flag and raises:
-                with pytest.raises(ValueError, match="hermitian flag set"):
-                    evolve(make_propagator(h), in_bumped_sector, 0.3)
+        h = SparseHamiltonian(h0 + bump, 1.0)
+        if not mirrored:
+            with pytest.raises(ValueError, match="between two total-S.z sectors"):
+                make_propagator(h)
+            continue
+        prop = make_propagator(h)
+        for pulsed in (False, True):
+            p = prop.pulse(np.zeros(dim)) if pulsed else prop
+            if raises and not pulsed:
+                with pytest.raises(ValueError, match="an unpulsed block must be Hermitian"):
+                    evolve(p, in_bumped_sector, 0.3)
             elif not np.isnan(eps):
-                evolve(make_propagator(h), in_bumped_sector, 0.3)
+                evolve(p, in_bumped_sector, 0.3)
 
 
 @pytest.mark.parametrize("n", [4, 8], ids=["dense-eig", "sparse"])
@@ -204,11 +206,11 @@ def test_a_bad_entry_outside_the_touched_sectors_does_not_stop_propagation(n):
     # superposition's propagation bit for bit as on the clean H.
     h0 = csr(build_xxz(n, 1.0, 0.5))
     bump = sp.csr_matrix(([1e-3], ([1], [3])), shape=h0.shape)
-    clean, bad = (make_propagator(SparseHamiltonian(h, True, 1.0)) for h in (h0, h0 + bump))
+    clean, bad = (make_propagator(SparseHamiltonian(h, 1.0)) for h in (h0, h0 + bump))
     psi0 = neel_superposition(n)
     want = evolve(clean, psi0, 0.7).amplitudes
     assert evolve(bad, psi0, 0.7).amplitudes.tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="hermitian flag set"):
+    with pytest.raises(ValueError, match="an unpulsed block must be Hermitian"):
         evolve(bad, basis_state((3,) * n, [0] * (n - 1) + [1]), 0.7)
 
 
@@ -237,7 +239,7 @@ def test_csr_validation_allocates_under_3_bytes_per_entry():
         h = build_xxz(10, 1.0, j_z)
         tracemalloc.start()
         try:
-            SparseHamiltonian(h, True, 1.0)
+            SparseHamiltonian(h, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -267,10 +269,10 @@ def test_constructor_refuses_malformed_or_non_canonical_csr_arrays(data, indices
     arrays = types.SimpleNamespace(data=np.array(data, dtype=float), indices=np.array(indices),
                                    indptr=np.array(indptr))
     with pytest.raises(ValueError, match=message):
-        SparseHamiltonian(arrays, False, 1.0)
+        SparseHamiltonian(arrays, 1.0)
     canonical = types.SimpleNamespace(data=np.array([1.0, 2.0, 1.0, 3.0]),
                                       indices=np.array([0, 1, 1, 2]), indptr=np.array([0, 2, 3, 4]))
-    h = SparseHamiltonian(canonical, False, 1.0)
+    h = SparseHamiltonian(canonical, 1.0)
     np.testing.assert_array_equal(csr(h).toarray(), [[1, 2, 0], [0, 1, 0], [0, 0, 3]])
 
 
@@ -291,7 +293,7 @@ def test_blocks_are_the_connected_components_of_h(n, j_z):
 def test_an_entry_between_two_sectors_is_refused():
     # Indices 0 (all +1) and 1 (the last site at 0) differ in total S^z.
     bump = sp.csr_matrix(([0.1, 0.1], ([0, 1], [1, 0])), shape=(9, 9))
-    h = SparseHamiltonian(csr(build_xxz(2, 1.0, 0.5)) + bump, True, 1.0)
+    h = SparseHamiltonian(csr(build_xxz(2, 1.0, 0.5)) + bump, 1.0)
     with pytest.raises(ValueError, match="between two total-S\\^z sectors"):
         make_propagator(h)
 
@@ -299,12 +301,12 @@ def test_an_entry_between_two_sectors_is_refused():
 @pytest.mark.parametrize("dim", [0, 1, 2, 4, 8, 10, 26])
 def test_a_dimension_that_is_not_a_power_of_3_is_refused(dim):
     with pytest.raises(ValueError, match=f"dimension {dim} is not 3\\^N"):
-        SparseHamiltonian(sp.identity(dim, format="csr"), True, 1.0)
+        SparseHamiltonian(sp.identity(dim, format="csr"), 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_dimension_and_n_sites_are_derived_from_the_matrix(n):
-    h = SparseHamiltonian(sp.identity(3**n, format="csr"), True, 2)
+    h = SparseHamiltonian(sp.identity(3**n, format="csr"), 2)
     assert (h.dimension, h.n_sites) == (3**n, n)
     assert type(h.j_xy) is float and h.j_xy == 2.0
     if n > 1:
@@ -409,8 +411,8 @@ def test_taylor_degree_is_fragment_3_1_on_the_exact_norm_branch(columns):
 
 
 @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
-@pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "non-hermitian"])
-def test_taylor_kernel_matches_expm(monkeypatch, csr, hermitian):
+@pytest.mark.parametrize("kind", ["hermitian", "non-hermitian"])
+def test_taylor_kernel_matches_expm(monkeypatch, csr, kind):
     # Step norms from 1e-3 to past 63.4, where SciPy would estimate its
     # norms instead; forwards and backwards, two columns.
     n = 40
@@ -420,7 +422,7 @@ def test_taylor_kernel_matches_expm(monkeypatch, csr, hermitian):
     a = sp.random(n, n, density=0.2, random_state=rng, format="csr") * (1 + 0j)
     a.data += 1j * rng.normal(size=a.data.size)
     a = a + sp.diags(rng.normal(size=n))
-    h = ((a + a.conj().T) / 2 if hermitian else a).tocsr()
+    h = ((a + a.conj().T) / 2 if kind == "hermitian" else a).tocsr()
     sub = dynamics._Csr(h.data, h.indices.astype(np.int32), h.indptr.astype(np.int64))
     a, mu, norm1 = dynamics._taylor_op(sub, np.zeros(n))
     assert sp.issparse(a) == csr
@@ -479,14 +481,13 @@ def test_energy_conservation_and_norm_drift():
 
 
 def test_non_hermitian_single_spin_norm_decay():
-    # H = -i*lambda*J*S^z on one spin-1: |m=+1> decays as exp(-2*lambda*J*t)
+    # H = 0 pulsed by -i*lambda*J*S^z on one spin-1: |m=+1> decays as exp(-2*lambda*J*t)
     lam, j, t = 0.3, 1.0, 0.8
-    mat = sp.csr_matrix(-1j * lam * j * SZ1)
-    h = SparseHamiltonian(mat, hermitian=False, j_xy=j)
+    h = SparseHamiltonian(sp.csr_matrix((3, 3)), j)
     state = QuditState((3,), np.array([1.0, 0, 0], dtype=complex))
-    out = evolve(make_propagator(h), state, t)
+    out = evolve(make_propagator(h).pulse(-1j * lam * j * np.diag(SZ1)), state, t)
     assert out.squared_norm == pytest.approx(np.exp(-2 * lam * j * t), rel=1e-10)
-    expm_out = scipy.linalg.expm(-1j * t * mat.toarray()) @ state.amplitudes
+    expm_out = scipy.linalg.expm(-1j * t * (-1j * lam * j * SZ1)) @ state.amplitudes
     np.testing.assert_allclose(out.amplitudes, expm_out, atol=1e-12)
 
 
@@ -505,19 +506,19 @@ def test_non_hermitian_matches_expm_oracle(strategy):
         assert out.squared_norm == pytest.approx(np.vdot(oracle, oracle).real, rel=1e-9)
 
 
-def test_kernel_rule_is_the_hermitian_flag_and_the_block_size(monkeypatch):
-    # A block is dense-eig exactly when H is flagged Hermitian and the
-    # block is at most DENSE_BLOCK_LIMIT.  At N = 4 the sectors have
-    # dimension 1, 4, 10, 16, 19 (each but 19 twice); the limit sits on 16.
+def test_kernel_rule_is_the_pulse_and_the_block_size(monkeypatch):
+    # An unpulsed block is dense-eig exactly when it is at most
+    # DENSE_BLOCK_LIMIT; a pulsed block always runs the Taylor kernel.  At
+    # N = 4 the sectors have dimension 1, 4, 10, 16, 19 (each but 19
+    # twice); the limit sits on 16.
     monkeypatch.setattr(dynamics, "DENSE_BLOCK_LIMIT", 16)
     h = build_xxz(4, 1.0, 0.5)
-    kernels = {(b.index.size, b.strategy) for b in make_propagator(h).blocks}
+    prop = make_propagator(h)
+    kernels = {(b.index.size, b.strategy) for b in prop.blocks}
     assert kernels == {(1, "dense-eig"), (4, "dense-eig"), (10, "dense-eig"), (16, "dense-eig"),
                        (19, "sparse")}
-    unflagged = SparseHamiltonian(h, False, h.j_xy)
-    assert {b.strategy for b in make_propagator(unflagged).blocks} == {"sparse"}
-    hp = build_perturbed(build_xxz(2, 1.0, 0.5), 0, 0.25, "non_hermitian")
-    assert {b.strategy for b in make_propagator(hp).blocks} == {"sparse"}
+    for pulse in (np.zeros(81), dynamics.perturbation(h, 0, 0.25, "non_hermitian")):
+        assert {b.strategy for b in prop.pulse(pulse).blocks} == {"sparse"}
     assert {b.strategy for b in make_propagator(build_xxz(2, 1.0, 0.5)).blocks} == {"dense-eig"}
 
 
@@ -631,7 +632,7 @@ def test_dimension_mismatch_rejected():
     # A pulse diagonal built for a longer chain: 81 entries against 27.
     pulse = dynamics.perturbation(build_xxz(4, 1.0, 0.5), 3, 0.3, "hermitian")
     with pytest.raises(ValueError, match=r"pulse diagonal of shape \(81,\), expected \(27,\)"):
-        evolve(make_propagator(h), random_state(np.random.default_rng(7), (3,) * 3), 0.1, pulse)
+        make_propagator(h).pulse(pulse)
 
 
 def sector_of_each_index(n):
@@ -661,7 +662,6 @@ def test_dense_strategy_dimension_limit():
     # sectors of dimension 504 to 1107 are propagated sparsely, the rest
     # are diagonalized.
     p8 = propagator("dense-eig", build_xxz(8, 1.0, 0.5))
-    assert p8.hamiltonian.hermitian
     big = sorted(b.index.size for b in p8.blocks if b.strategy == "sparse")
     assert big == [504, 504, 784, 784, 1016, 1016, 1107]
     assert all(b.index.size <= DENSE_BLOCK_LIMIT for b in p8.blocks if b.strategy == "dense-eig")
@@ -673,7 +673,6 @@ def test_cut_over_sends_n7_to_sparse(monkeypatch):
     # N = 6; a limit one below 393 sends exactly that sector to sparse.
     for n, largest in ((6, 141), (7, 393)):
         prop = make_propagator(build_xxz(n, 1.0, 0.5))
-        assert prop.hamiltonian.hermitian
         assert max(b.index.size for b in prop.blocks) == largest
         assert {b.strategy for b in prop.blocks} == {"dense-eig"}
     monkeypatch.setattr(dynamics, "DENSE_BLOCK_LIMIT", 392)
@@ -681,12 +680,38 @@ def test_cut_over_sends_n7_to_sparse(monkeypatch):
     assert [b.index.size for b in p7.blocks if b.strategy == "sparse"] == [393]
 
 
-def test_non_hermitian_hamiltonian_is_all_sparse():
+def test_non_hermitian_hamiltonian_is_all_sparse(monkeypatch):
+    # A non-Hermitian H propagates only as a pulse: its own propagator
+    # refuses to evolve the Neel state, and its zero pulse runs the Taylor
+    # kernel on every block.
     hp = build_perturbed(build_xxz(4, 1.0, 0.5), 1, 0.25, "non_hermitian")
     prop = make_propagator(hp)
-    assert not prop.hamiltonian.hermitian
-    assert len(prop.blocks) == 9
-    assert {b.strategy for b in prop.blocks} == {"sparse"}
+    with pytest.raises(ValueError, match="an unpulsed block must be Hermitian"):
+        evolve(prop, neel_superposition(4), 0.5)
+    pulse = prop.pulse(np.zeros(81))
+    assert len(pulse.blocks) == 9
+    assert {b.strategy for b in pulse.blocks} == {"sparse"}
+    built, taylor_op = [], dynamics._taylor_op
+    counting = lambda sub, diagonal: built.append(diagonal.size) or taylor_op(sub, diagonal)  # noqa: E731
+    monkeypatch.setattr(dynamics, "_taylor_op", counting)
+    evolve(pulse, random_state(np.random.default_rng(13), (3,) * 4), 0.5)
+    assert sorted(built) == sorted(b.index.size for b in pulse.blocks)
+
+
+def test_a_pulse_never_calls_eigh(monkeypatch):
+    # Every block of a pulse, however small, runs the Taylor kernel, and
+    # pulsing builds nothing on the blocks of the propagator it came from.
+    h = build_xxz(4, 1.0, 0.5)
+    prop = make_propagator(h)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a pulse called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    state = random_state(np.random.default_rng(14), (2,) + (3,) * 4)
+    for kind in ("hermitian", "non_hermitian"):
+        evolve(prop.pulse(dynamics.perturbation(h, 1, 0.3, kind)), state, 0.5)
+    assert all(b._op is None for b in prop.blocks)
 
 
 def test_neel_superposition_touches_one_sector_at_even_n_and_two_at_odd_n():
@@ -711,7 +736,7 @@ def hamiltonian_case(n, kind):
         # diagonal, with H0's blocks and spectrum.
         d = sp.diags(np.exp(1j * np.random.default_rng(n).uniform(0, 2 * np.pi, h0.dimension)))
         mat = (d @ csr(h0) @ d.conj()).tocsr()
-        return SparseHamiltonian(mat, True, h0.j_xy)
+        return SparseHamiltonian(mat, h0.j_xy)
     return h0 if kind is None else build_perturbed(h0, n - 1, 0.3, kind)
 
 

@@ -192,7 +192,7 @@ def test_a_budget_without_a_generator_is_exact_with_its_error_bars():
     unpert = evolve(prop, neel_state(2), 1.0)
     for kind in ("hermitian", "non_hermitian"):
         cfg = LinearResponseConfig(0.2, dt, 0, 1, kind)
-        pulsed = evolve(prop, neel_state(2), dt, perturbation(h, 0, 0.2, kind))
+        pulsed = evolve(prop.pulse(perturbation(h, 0, 0.2, kind)), neel_state(2), dt)
         pert = evolve(prop, pulsed, 1.0 - dt)
         args = ([site_marginal(pert, 1)], [pert.squared_norm], [site_marginal(unpert, 1)])
         want = lr_estimate(cfg, *args, 100).points()[0]
@@ -261,7 +261,7 @@ def test_a_pulsed_norm_past_its_growth_bound_is_refused():
     strong = LinearResponseConfig(1.0, 0.3, 0, 1, "non_hermitian")
     prop = make_propagator(build_xxz(2, 1.0, 0.5))
     pulse = perturbation(prop.hamiltonian, 0, 1.0, "non_hermitian")
-    norm = evolve(prop, psi0, 0.3, pulse).squared_norm
+    norm = evolve(prop.pulse(pulse), psi0, 0.3).squared_norm
     assert norm == pytest.approx(np.exp(0.6), rel=1e-14)
     assert lr_estimate(strong, marginal, [norm], marginal, 1000).shots == 1000
 
@@ -341,6 +341,6 @@ def test_pulse_on_the_study_blocks_matches_the_perturbed_propagator(n, kind):
     for site, lam, dt in ((0, 0.2, 1e-3), (n - 1, 0.4, 0.5)):
         reference = propagator("sparse", build_perturbed(h0, site, lam, kind))
         for state in states:
-            got = evolve(prop, state, dt, perturbation(h0, site, lam, kind))
+            got = evolve(prop.pulse(perturbation(h0, site, lam, kind)), state, dt)
             want = evolve(reference, state, dt)
             assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-14

@@ -51,7 +51,6 @@ from .hadamard import (
     SAMPLED,
     CorrelatorEstimate,
     estimate_from_probabilities,
-    squared,
     trace_probabilities,
 )
 from .linear_response import (
@@ -316,9 +315,9 @@ def connected_anticommutator(
     """raw - 2 <A(t1)><B(t2)>, errors propagated to first order; scalars or arrays over T points."""
     value = raw.value - 2.0 * exp_a.value * exp_b.value
     var = (
-        squared(raw.std_error)
-        + 4.0 * squared(exp_b.value * exp_a.std_error)
-        + 4.0 * squared(exp_a.value * exp_b.std_error)
+        np.square(raw.std_error)
+        + 4.0 * np.square(exp_b.value * exp_a.std_error)
+        + 4.0 * np.square(exp_a.value * exp_b.std_error)
     )
     shots = raw.shots + exp_a.shots + exp_b.shots
     mode = EXACT if all(e.mode == EXACT for e in (raw, exp_a, exp_b)) else SAMPLED
@@ -535,16 +534,15 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     # The Hadamard protocol is exact up to shot noise: its exact trace,
     # from the study's one propagator, is the R reference.
     reference = [exact.value for exact, _ in traces[(HADAMARD, None)]]
+    # On a one-point grid R and dC are their limits as the span shrinks:
+    # the one point spread over a unit span.
+    at, span = (slice(None), grid) if grid.size > 1 else ([0, 0], np.array([0.0, 1.0]))
     figures: dict[str, FigureOfMerit] = {}
     for key in reported:
-        (plus, samp_plus), (minus, samp_minus) = traces[key]
-        std_p, std_m = samp_plus.std_error, samp_minus.std_error
-        r_p, why_p = _safe_relative_error(plus.value, reference[0], grid, "C+")
-        r_m, why_m = _safe_relative_error(minus.value, reference[1], grid, "C-")
-        if grid.size < 2:  # dC's limit as the span shrinks
-            dc_p, dc_m = std_p[0], std_m[0]
-        else:
-            dc_p, dc_m = time_averaged_std(std_p, grid), time_averaged_std(std_m, grid)
+        (plus, samp_p), (minus, samp_m) = traces[key]
+        r_p, why_p = _safe_relative_error(plus.value[at], reference[0][at], span, "C+")
+        r_m, why_m = _safe_relative_error(minus.value[at], reference[1][at], span, "C-")
+        dc_p, dc_m = (time_averaged_std(s.std_error[at], span) for s in (samp_p, samp_m))
         fom = FigureOfMerit(r_p, r_m, dc_p, dc_m, why_p, why_m)
         figures[HADAMARD if key[1] is None else f"{LINEAR_RESPONSE}:lambda={key[1]!r}"] = fom
     return StudyResult(_rows(traces, reported, grid, seed), figures)
@@ -563,8 +561,6 @@ def _rows(traces, reported, grid, seed) -> tuple[StudyRow, ...]:
 
 def _safe_relative_error(est, ref, grid, label: str) -> tuple[float | None, str | None]:
     """(R, None), or (None, reason) when R is undefined."""
-    if grid.size < 2:  # R's limit as the span shrinks: the one point spread over a unit span
-        est, ref, grid = np.repeat(est, 2), np.repeat(ref, 2), np.array([0.0, 1.0])
     # Odd chains have identically vanishing C-(0, t) for adjacent sites;
     # a sub-rounding reference makes the ratio meaningless, so report 0
     # when the estimate vanishes too and leave R undefined otherwise.

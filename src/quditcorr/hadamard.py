@@ -18,10 +18,11 @@ Working through the gate sequence state by state gives
 
 with Heisenberg operators O(t) = U^+(t) O U(t).  Splitting the
 observables A and B into unitary pairs (W, W^+) of norms ||A||, ||B||
-and summing the circuit outputs over all four gate pairs yields the
-correlator assembly used below; the gate in the first slot enters
-daggered, but the sum over both choices makes the assembled value
-independent of that bookkeeping.
+and summing the circuit outputs over the four gate pairs, the product
+of the two splittings in the order (W_A, W_B), (W_A, W_B^+),
+(W_A^+, W_B), (W_A^+, W_B^+), yields the correlator assembly used
+below; the gate in the first slot enters daggered, but the sum over
+both choices makes the assembled value independent of that bookkeeping.
 
 Sign conventions, pinned against the dense brute-force oracle (N = 2, 3):
 
@@ -41,6 +42,7 @@ on arrays over a trace's time grid; a single point is a one-point batch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,10 +59,6 @@ from .register import (
     site_marginal,
 )
 from .rng import sample_counts
-
-W = "w"
-W_DAGGER = "w_dagger"
-COMBOS = ((W, W), (W, W_DAGGER), (W_DAGGER, W), (W_DAGGER, W_DAGGER))
 
 ALPHA_PLUS = 0.0  # anti-commutator phase
 ALPHA_MINUS = math.pi / 2  # commutator phase
@@ -92,16 +90,6 @@ class CorrelatorEstimate:
         return [CorrelatorEstimate(v, s, n, self.mode) for v, s, n in cells]
 
 
-def squared(x) -> np.ndarray:
-    """x ** 2 elementwise, rounded as a Python float squares (libm pow).
-
-    NumPy's x * x differs from it in the last bit on about 0.1 % of
-    inputs; every error bar squares through here, so the array
-    estimators give the same bytes as the scalar arithmetic they replace.
-    """
-    return np.array([v**2 for v in np.ravel(x).tolist()]).reshape(np.shape(x))
-
-
 def _sum4(x) -> np.ndarray:
     """Sum over the last axis of length 4 in index order, as Python's sum adds."""
     return x[..., 0] + x[..., 1] + x[..., 2] + x[..., 3]
@@ -118,7 +106,7 @@ def run_hadamard_circuit(
 ) -> float:
     """Execute one realization on the system state and return P(|0>).
 
-    va and vb are gates on psi0's sites, each from decompose(obs).pick(choice);
+    va and vb are gates on psi0's sites, each W or W^+ of decompose(obs);
     psi0 is the system-only state, and the ancilla is prepared internally.
     t1 > t2 is allowed (the middle segment then propagates backwards), which
     the time-swapped symmetry checks exercise.  This is the gate-level
@@ -173,8 +161,8 @@ def circuit_probabilities(
     alpha: float,
 ) -> np.ndarray:
     """Exact P(|0>) for the four gate pairs at one ancilla phase."""
-    decomp_a, decomp_b = decompose(obs_a), decompose(obs_b)
-    gates = [(decomp_a.pick(va), decomp_b.pick(vb)) for va, vb in COMBOS]
+    a, b = decompose(obs_a), decompose(obs_b)
+    gates = itertools.product((a.w, a.w_dagger), (b.w, b.w_dagger))
     return np.array([run_hadamard_circuit(*pair, t1, t2, psi0, prop, alpha) for pair in gates])
 
 
@@ -187,7 +175,7 @@ def trace_probabilities(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact P(|0>) of every circuit for C(0, t) over a time grid, and B's site marginals.
 
-    Returns ps_plus and ps_minus (T, 4), each point's four in COMBOS
+    Returns ps_plus and ps_minus (T, 4), each point's four in gate-pair
     order, and the (T, 3) marginals of B's site in U(t)|psi0>.  At t1 = 0
     the circuit gives P = 1/2 + 1/2 Re(e^{i alpha} <U(t) V_A psi | V_B U(t) psi>),
     so the grid needs only the system-only trajectories of psi, W_A psi
@@ -204,10 +192,10 @@ def trace_probabilities(
     else:
         lefts = zip(w_states, trajectory(prop, w_dagger_psi, times))
     overlaps, marginals = [], []
-    for phi, (after_w, after_w_dagger) in zip(trajectory(prop, psi0, times), lefts):
-        left = {W: after_w, W_DAGGER: after_w_dagger}  # U(t) V_A psi
-        right = {c: apply_local(phi, decomp_b.pick(c)) for c in (W, W_DAGGER)}  # V_B U(t) psi
-        overlaps.append([np.vdot(left[va].amplitudes, right[vb].amplitudes) for va, vb in COMBOS])
+    for phi, left in zip(trajectory(prop, psi0, times), lefts):  # U(t) V_A psi
+        right = [apply_local(phi, v) for v in (decomp_b.w, decomp_b.w_dagger)]  # V_B U(t) psi
+        pairs = itertools.product(left, right)
+        overlaps.append([np.vdot(u.amplitudes, v.amplitudes) for u, v in pairs])
         marginals.append(site_marginal(phi, obs_b.support[0]))
     z = np.array(overlaps) / psi0.squared_norm
     return 0.5 + 0.5 * z.real, 0.5 - 0.5 * z.imag, np.array(marginals)
@@ -218,7 +206,7 @@ def estimate_from_probabilities(
 ) -> CorrelatorEstimate:
     """Correlator estimates (||A|| ||B|| / 4) * sum (4q - 2) at T points.
 
-    ps is (T, 4): the four P of each point in COMBOS order; the estimate
+    ps is (T, 4): the four P of each point in gate-pair order; the estimate
     holds (T,) arrays.  Without rngs the values are exact, q = P, with the
     error bars sqrt(variance_model / n) and shots n of the total budget
     n = 4 * shots_per_circuit (none when it is None).  With rngs, each q
@@ -238,7 +226,7 @@ def estimate_from_probabilities(
     else:
         outcomes = np.stack([ps, 1.0 - ps], axis=-1)  # (T, 4, 2): P(|0>), P(|1>)
         qs = sample_counts(outcomes, n, rngs)[..., 0] / n
-        std = np.sqrt(pref**2 * _sum4(squared(4.0 * np.sqrt(qs * (1.0 - qs) / n))))
+        std = np.sqrt(pref**2 * _sum4(np.square(4.0 * np.sqrt(qs * (1.0 - qs) / n))))
     value = pref * _sum4(4.0 * qs - 2.0)
     total = np.full(len(ps), 4 * (n or 0))
     return CorrelatorEstimate(value, std, total, EXACT if rngs is None else SAMPLED)

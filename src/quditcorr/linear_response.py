@@ -40,7 +40,7 @@ from .dynamics import (
     perturbation,
     trajectory,
 )
-from .hadamard import EXACT, SAMPLED, CorrelatorEstimate, squared
+from .hadamard import EXACT, SAMPLED, CorrelatorEstimate
 from .register import QuditState, site_marginal
 from .rng import sample_counts
 
@@ -109,7 +109,7 @@ def _sz_moments(p, shots=None, rngs=None) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(p, dtype=float)
     weights, total = (p, 1.0) if rngs is None else (sample_counts(p, shots, rngs), shots)
     mean = (weights @ _SZ_LEVELS) / total
-    return mean, np.maximum((weights @ _SZ_LEVELS**2) / total - squared(mean), 0.0)
+    return mean, np.maximum((weights @ _SZ_LEVELS**2) / total - np.square(mean), 0.0)
 
 
 def site_expectations(p, shots: int | None = None, rngs=None) -> list[CorrelatorEstimate]:

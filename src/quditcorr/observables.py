@@ -102,13 +102,6 @@ class UnitaryDecomposition:
     w: LocalOperator
     w_dagger: LocalOperator
 
-    def pick(self, choice: str) -> LocalOperator:
-        if choice == "w":
-            return self.w
-        if choice == "w_dagger":
-            return self.w_dagger
-        raise ValueError(f"choice must be 'w' or 'w_dagger', got {choice!r}")
-
 
 def _unitary_from_scaled(xn: np.ndarray) -> np.ndarray:
     """W for a Hermitian matrix with spectrum inside [-1, 1]."""

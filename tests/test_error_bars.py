@@ -13,15 +13,23 @@ about 3.5 % (one sigma), and a coverage fraction by about 1.1 %.
 import numpy as np
 import pytest
 
-from quditcorr.benchmark import LR_KINDS, RunConfig, hadamard_estimate, quench_system
-from quditcorr.hadamard import trace_probabilities
+import quditcorr.hadamard as hadamard
+from quditcorr.benchmark import (
+    LR_KINDS,
+    RunConfig,
+    connected_anticommutator,
+    hadamard_estimate,
+    quench_system,
+)
+from quditcorr.hadamard import CorrelatorEstimate, estimate_from_probabilities, trace_probabilities
 from quditcorr.linear_response import (
     LinearResponseConfig,
     lr_estimate,
     lr_trace,
+    site_expectations,
     unperturbed_readout,
 )
-from quditcorr.rng import task_rng
+from quditcorr.rng import sample_counts, task_rng
 
 SEEDS = 400
 BAR_RATIO = (0.85, 1.15)  # reported bar / empirical std, per point
@@ -77,3 +85,40 @@ def test_error_bars_match_the_scatter_over_seeds(draws, name):
     coverage = (np.abs(values - exact.value) <= 1.96 * bars).mean(axis=0)[points]
     assert np.all((POINT_COVERAGE[0] <= coverage) & (coverage <= POINT_COVERAGE[1])), coverage
     assert POOLED_COVERAGE[0] <= coverage.mean() <= POOLED_COVERAGE[1], coverage.mean()
+
+
+def test_error_bars_square_by_ieee_multiplication(monkeypatch):
+    # Every square inside an error bar is np.square, correctly rounded on
+    # every platform.  Python's x ** 2 calls libm's pow, which differs from
+    # it in the last bit on some of these 10^5 inputs in each estimator.
+    gen, t = np.random.default_rng(2024), 100_000
+    raw, exp_a, exp_b = (
+        CorrelatorEstimate(gen.normal(size=t), gen.random(t), np.ones(t, dtype=int), "exact")
+        for _ in range(3)
+    )
+    var = (
+        np.square(raw.std_error)
+        + 4.0 * np.square(exp_b.value * exp_a.std_error)
+        + 4.0 * np.square(exp_a.value * exp_b.std_error)
+    )
+    assert np.array_equal(connected_anticommutator(raw, exp_a, exp_b).std_error, np.sqrt(var))
+
+    p, shots, levels = gen.dirichlet(np.ones(3), size=(t, 1)), 1500, np.array([1.0, 0.0, -1.0])
+    mean = (p @ levels) / 1.0
+    var = np.maximum((p @ levels**2) / 1.0 - np.square(mean), 0.0)
+    (exact,) = site_expectations(p, shots)
+    assert np.array_equal(exact.std_error, np.sqrt(var / shots)[:, 0])
+
+    drawn = []
+
+    def recording(*args):
+        drawn.append(sample_counts(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(hadamard, "sample_counts", recording)
+    ps, n = gen.random((t, 4)), 1500
+    sampled = estimate_from_probabilities(ps, 2.0, 3.0, n, [task_rng(5)] * t)
+    qs = drawn[0][..., 0] / n
+    sq = np.square(4.0 * np.sqrt(qs * (1.0 - qs) / n))
+    var = 1.5**2 * (sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])  # (2 * 3 / 4)^2, summed in order
+    assert np.array_equal(sampled.std_error, np.sqrt(var))

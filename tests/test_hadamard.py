@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,14 +10,10 @@ from quditcorr.dynamics import build_xxz, make_propagator
 from quditcorr.hadamard import (
     ALPHA_MINUS,
     ALPHA_PLUS,
-    COMBOS,
-    W,
-    W_DAGGER,
     circuit_probabilities,
     estimate_from_probabilities,
     measure_dynamical_correlator,
     run_hadamard_circuit,
-    squared,
     trace_probabilities,
     variance_model,
 )
@@ -58,8 +55,7 @@ def test_identity_observable_gives_trivial_probabilities():
     h, prop, psi0 = setup_chain(2)
     eye = LocalOperator(np.eye(3), (0,))
     dec_a, dec_b = decompose(HermitianObservable(eye)), decompose(HermitianObservable(eye.on(1)))
-    for va, vb in COMBOS:
-        gates = (dec_a.pick(va), dec_b.pick(vb))
+    for gates in itertools.product((dec_a.w, dec_a.w_dagger), (dec_b.w, dec_b.w_dagger)):
         p_plus = run_hadamard_circuit(*gates, 0.0, 0.9, psi0, prop, ALPHA_PLUS)
         p_minus = run_hadamard_circuit(*gates, 0.0, 0.9, psi0, prop, ALPHA_MINUS)
         assert p_plus == pytest.approx(1.0, abs=1e-12)
@@ -76,12 +72,10 @@ def test_each_circuit_probability_matches_analytic_form():
     dec_b = decompose(sz_obs(1))
     u1, u2 = u_matrix(hd, t1), u_matrix(hd, t2)
     for alpha in (ALPHA_PLUS, ALPHA_MINUS):
-        for va_name, vb_name in COMBOS:
-            va = site_op(n, 0, dec_a.pick(va_name).matrix)
-            vb = site_op(n, 1, dec_b.pick(vb_name).matrix)
+        for gates in itertools.product((dec_a.w, dec_a.w_dagger), (dec_b.w, dec_b.w_dagger)):
+            va, vb = site_op(n, 0, gates[0].matrix), site_op(n, 1, gates[1].matrix)
             corr = np.vdot(psi, (u1.conj().T @ va.conj().T @ u1) @ (u2.conj().T @ vb @ u2) @ psi)
             expected = 0.5 + 0.5 * np.real(np.exp(1j * alpha) * corr)
-            gates = (dec_a.pick(va_name), dec_b.pick(vb_name))
             p = run_hadamard_circuit(*gates, t1, t2, psi0, prop, alpha)
             assert p == pytest.approx(expected, abs=1e-10)
 
@@ -140,8 +134,6 @@ def test_circuit_validation():
     gates = (decompose(sz_obs(0)).w, decompose(sz_obs(1)).w)
     with pytest.raises(ValueError, match="alpha"):
         run_hadamard_circuit(*gates, 0.0, 1.0, psi0, prop, 0.3)
-    with pytest.raises(ValueError, match="choice"):
-        decompose(sz_obs(0)).pick("v")
     with pytest.raises(ValueError, match="nonnegative"):
         run_hadamard_circuit(*gates, -0.1, 1.0, psi0, prop, ALPHA_PLUS)
     for bad in (math.nan, math.inf):
@@ -165,8 +157,8 @@ def test_circuit_probabilities_splits_each_observable_once(monkeypatch):
     ps = circuit_probabilities(a, b, 0.2, 1.1, psi0, prop, ALPHA_PLUS)
     assert split == [a, b]
     dec_a, dec_b = real(a), real(b)
-    for p, (va, vb) in zip(ps, COMBOS):
-        gates = (dec_a.pick(va), dec_b.pick(vb))
+    pairs = itertools.product((dec_a.w, dec_a.w_dagger), (dec_b.w, dec_b.w_dagger))
+    for p, gates in zip(ps, pairs, strict=True):
         assert p == run_hadamard_circuit(*gates, 0.2, 1.1, psi0, prop, ALPHA_PLUS)
 
 
@@ -184,7 +176,7 @@ def test_assemble_correlator_cases():
             estimate_point(np.full(3, 0.5), 1.0, 1.0, shots, task_rng(1))
         with pytest.raises(ValueError, match="per gate pair"):
             estimate_point(np.full(5, 0.5), 1.0, 1.0, shots, task_rng(1))
-    # Sampled: the four |0> fractions, drawn in COMBOS order, enter the
+    # Sampled: the four |0> fractions, drawn in gate-pair order, enter the
     # value with the ||A|| ||B|| / 4 prefactor and their binomial errors
     # combine in quadrature with the same prefactor.
     ps, n = (0.2, 0.4, 0.6, 0.8), 10
@@ -226,15 +218,6 @@ def test_variance_model_values():
         variance_model([0.5, 0.5, 0.5, 1.2], 1.0, 1.0)
 
 
-def test_squared_rounds_as_python_squares_a_float():
-    # Python's x ** 2 goes through libm's pow, which on glibc differs from
-    # NumPy's x * x in the last bit for these inputs; the error bars
-    # follow the former, as the per-point arithmetic did.
-    xs = [0.9503546630566793, 0.3578680612554048, 119.02479528078538, 5.638614949183015e-09]
-    assert squared(np.array(xs)).tolist() == [x**2 for x in xs]
-    assert squared(np.array(xs).reshape(2, 2)).shape == (2, 2)
-
-
 def test_equal_time_commutator_vanishes():
     h, prop, psi0 = setup_chain(3)
     # same observable on the same site
@@ -256,14 +239,14 @@ def test_time_swap_symmetry_of_assembled_correlators():
 
 def test_conjugating_both_gate_choices_leaves_assembly_invariant():
     h, prop, psi0 = setup_chain(2)
-    flip = {W: W_DAGGER, W_DAGGER: W}
     dec_a, dec_b = decompose(sz_obs(0)), decompose(sz_obs(1))
+    pairs = list(itertools.product((dec_a.w, dec_a.w_dagger), (dec_b.w, dec_b.w_dagger)))
     for alpha in (ALPHA_PLUS, ALPHA_MINUS):
-        ps, ps_flipped = np.empty(4), np.empty(4)
-        for k, (va, vb) in enumerate(COMBOS):
-            p = run_hadamard_circuit(dec_a.pick(va), dec_b.pick(vb), 0.2, 1.1, psi0, prop, alpha)
-            ps[k] = p
-            ps_flipped[COMBOS.index((flip[va], flip[vb]))] = p
+        ps = [run_hadamard_circuit(*gates, 0.2, 1.1, psi0, prop, alpha) for gates in pairs]
+        # Conjugating both gates of pair k, (W or W^+) x (W or W^+), gives pair 3 - k.
+        conj = [(va.dagger(), vb.dagger()) for va, vb in pairs]
+        ps_flipped = [run_hadamard_circuit(*gates, 0.2, 1.1, psi0, prop, alpha) for gates in conj]
+        assert ps_flipped == ps[::-1]
         assert exact_value(ps) == pytest.approx(exact_value(ps_flipped), abs=1e-12)
 
 

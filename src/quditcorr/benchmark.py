@@ -38,14 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    HERMITIAN,
-    NON_HERMITIAN,
-    SparseHamiltonian,
-    build_xxz,
-    make_propagator,
-    site_sz_diagonal,
-)
+from .dynamics import SparseHamiltonian, build_xxz, make_propagator, site_sz_diagonal
 from .hadamard import (
     EXACT,
     SAMPLED,
@@ -54,6 +47,8 @@ from .hadamard import (
     trace_probabilities,
 )
 from .linear_response import (
+    HERMITIAN,
+    NON_HERMITIAN,
     LinearResponseConfig,
     lr_estimate,
     lr_trace,
@@ -181,12 +176,18 @@ class RunConfig:
             object.__setattr__(self, name, value)
 
         _expect(_integer(self.n_sites, "n_sites") >= 2, "n_sites", "need at least 2 sites")
+        put("j_z_over_j_xy", _number(self.j_z_over_j_xy, "j_z_over_j_xy"))
         if self.n_sites <= math.log(MAX_AMPLITUDES, 3):  # longer: build_xxz refuses by dimension
             need = study_peak_bytes(self.n_sites)
             have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
             why = f"a study at {self.n_sites} sites needs about {need / 2**30:.1f} GiB"
             _expect(need <= have, "n_sites", f"{why}, more than the {have / 2**30:.1f} GiB of RAM")
-        put("j_z_over_j_xy", _number(self.j_z_over_j_xy, "j_z_over_j_xy"))
+            # A diagonal entry of H is at most (N - 1) |J_z| in size, and the
+            # Taylor kernel sums a block's diagonal, of up to 3^N entries.
+            most = 3**self.n_sites * (self.n_sites - 1) * abs(self.j_z_over_j_xy)
+            why = "the sums of H's diagonal, up to 3^N (N - 1) |j_z_over_j_xy|, may overflow"
+            why = f"{self.j_z_over_j_xy!r} at {self.n_sites} sites: {why}"
+            _expect(most <= sys.float_info.max, "j_z_over_j_xy", why)
         put("t_max", _number(self.t_max, "t_max"))
         _expect(self.t_max > 0, "t_max", "must be positive")
         _expect(_integer(self.steps, "steps") >= 1, "steps", "must be at least 1")
@@ -227,13 +228,11 @@ class RunConfig:
         _expect(distinct, "lambdas", f"values must be distinct, got {list(lambdas)}")
         put("pulse_area", _number(self.pulse_area, "pulse_area"))
         _expect(self.pulse_area > 0, "pulse_area", "must be positive")
-        for lam in self.lambdas:  # the LR quotients divide by lambda * pulse_area
-            small = lam * self.pulse_area < sys.float_info.min
-            _expect(not small, "lambdas", f"lambda * pulse_area underflows for {lam!r}")
-            # A pulse grows a squared norm by up to exp(2 lambda pulse_area).
-            growth = 2 * lam * self.pulse_area
-            why = f"2 * lambda * pulse_area = {growth:.6g} for {lam!r}: exp of it overflows a float"
-            _expect(growth < math.log(sys.float_info.max), "lambdas", why)
+        for lam in self.lambdas:  # the study's LR configs, checked before the study
+            try:
+                LinearResponseConfig(lam, self.pulse_area)
+            except ValueError as err:
+                _expect(False, "lambdas", str(err))
         traces = 1 + len(self.lambdas) * (LINEAR_RESPONSE in self.protocols)
         most = MAX_TRACE_STEPS // traces
         why = f"at most {most} with {traces} traces"
@@ -410,7 +409,7 @@ def hadamard_estimate(obs_a, obs_b, psi0: QuditState, probabilities, budgets, rn
             raise ValueError("hadamard_estimate needs A and B to be spin-1 S^z on one site each")
     ps_plus, ps_minus, marginals_b = probabilities
     norms = (obs_a.spectral_norm, obs_b.spectral_norm)
-    n_plus, n_minus = budgets["plus"] // 6, budgets["minus"] // 4
+    n_plus, n_minus = (budgets[kind] // MIN_BUDGETS[HADAMARD][kind] for kind in ("plus", "minus"))
     marginals_a = np.broadcast_to(site_marginal(psi0, obs_a.support[0]), marginals_b.shape)
     raw = estimate_from_probabilities(ps_plus, *norms, n_plus, rngs)
     means = site_expectations(np.stack([marginals_a, marginals_b], axis=1), n_plus, rngs)

@@ -5,17 +5,17 @@ The chain is open, nearest-neighbor:
     H = sum_{i=1}^{N-1} [ J_xy (S^x_i S^x_{i+1} + S^y_i S^y_{i+1})
                           + J_z S^z_i S^z_{i+1} ],
 
-with hbar = 1 and all times in units of 1/J_xy.  Pulsed perturbations
-replace H by H - lambda*J_xy*S_j^z (Hermitian) or H - i*lambda*J_xy*S_j^z
-(non-Hermitian); since each segment is time independent, piecewise
-exponentials propagate exactly, with no splitting error.
+with hbar = 1 and all times in units of 1/J_xy.  A pulse adds a diagonal
+to H for its duration (linear_response builds the LR pulses' diagonals);
+since each segment is time independent, piecewise exponentials
+propagate exactly, with no splitting error.
 
 H conserves total S^z, so a propagator splits it into the 2N + 1
 sectors of total S^z, found from the digits of each basis index, and
 propagates only the blocks that a state touches, each on its own: by dense
 eigendecomposition (up to DENSE_BLOCK_LIMIT) or by a truncated Taylor
 kernel (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011; larger
-blocks, and every block of a pulse, prop.pulse(diagonal), which
+blocks, and every block of a pulse, Propagator.pulse(diagonal), which
 propagates H + diag(diagonal) on prop's sectors).  `trajectory` streams a
 state through a whole time grid and is the only code that propagates;
 `evolve`, one exp(-i H t), is its one-time case.
@@ -44,9 +44,6 @@ from .register import MAX_AMPLITUDES, QuditState
 # at N = 8, whose eigh takes 1.5 s against 0.07 s for a whole sparse
 # trajectory of the block (2 vCPUs).
 DENSE_BLOCK_LIMIT = 500
-
-HERMITIAN = "hermitian"
-NON_HERMITIAN = "non_hermitian"
 
 # Most Taylor steps that one trajectory of one block may take, counted
 # from its time grid before the first product.  A step is up to 55
@@ -187,30 +184,17 @@ def build_xxz(n_sites: int, j_xy: float, j_z: float) -> SparseHamiltonian:
     return SparseHamiltonian(_Csr(data, indices, indptr), j_xy)
 
 
-def perturbation(h0: SparseHamiltonian, site: int, lam: float, kind: str) -> np.ndarray:
-    """Diagonal of -lambda*J_xy*S_j^z, or of -i*lambda*J_xy*S_j^z for the non-Hermitian kind."""
-    if not lam > 0:  # NaN fails too
-        raise ValueError("perturbation strength lambda must be positive")
-    if not 0 <= site < h0.n_sites:
-        raise IndexError(f"site {site} out of range for {h0.n_sites} sites")
-    if kind not in (HERMITIAN, NON_HERMITIAN):
-        raise ValueError(f"kind must be '{HERMITIAN}' or '{NON_HERMITIAN}'")
-    pert = site_sz_diagonal(h0.n_sites, site) * (lam * h0.j_xy)
-    return -pert if kind == HERMITIAN else -1j * pert
-
-
-def build_perturbed(h0: SparseHamiltonian, site: int, lam: float, kind: str) -> SparseHamiltonian:
-    """H0 plus perturbation(h0, site, lam, kind) as one matrix: the tested reference of the pulses.
+def build_perturbed(h0: SparseHamiltonian, diagonal: np.ndarray) -> SparseHamiltonian:
+    """H0 + diag(diagonal) as one matrix: the tested reference of Propagator.pulse(diagonal).
 
     The pulses add the diagonal to the blocks of H0's propagator instead,
-    so no study calls this; its non-Hermitian kind propagates only as a
-    pulse.  It adds with SciPy, which drops a diagonal entry that sums to zero.
+    so no study calls this; an anti-Hermitian diagonal propagates only as
+    a pulse.  It adds with SciPy, which drops a diagonal entry that sums to zero.
     """
     import scipy.sparse as sp
 
     h = sp.csr_matrix((h0.data, h0.indices, h0.indptr), shape=(h0.dimension,) * 2)
-    h = h + sp.diags(perturbation(h0, site, lam, kind))
-    return SparseHamiltonian(h, h0.j_xy)
+    return SparseHamiltonian(h + sp.diags(diagonal), h0.j_xy)
 
 
 def _diagonal_blocks(h: SparseHamiltonian):

@@ -21,6 +21,9 @@ and the estimator returns the *negated* difference quotient so that
 the Hermitian kind estimates C- = i<[A(t1), B(t2)]> and the
 non-Hermitian kind the (connected) anti-commutator C+.
 
+LinearResponseConfig refuses a pulse that no estimate can use and builds
+its diagonal; one helper applies it for dt, in measure_lr and lr_trace.
+
 Shot noise is simulated as projective S^z measurements (rng.sample_counts
 over the readout site's levels).  The non-Hermitian perturbed branch
 loses norm; its shot count shrinks proportionally.
@@ -28,21 +31,19 @@ loses norm; its shot count shrinks proportionally.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    HERMITIAN,
-    NON_HERMITIAN,
-    Propagator,
-    evolve,
-    perturbation,
-    trajectory,
-)
+from .dynamics import Propagator, SparseHamiltonian, evolve, site_sz_diagonal, trajectory
 from .hadamard import EXACT, SAMPLED, CorrelatorEstimate
 from .register import QuditState, site_marginal
 from .rng import sample_counts
+
+HERMITIAN = "hermitian"
+NON_HERMITIAN = "non_hermitian"
 
 # Squared norm below which the perturbed branch is considered collapsed.
 NORM_COLLAPSE = 1e-6
@@ -55,7 +56,7 @@ NORM_DRIFT = 1e-9
 
 @dataclass(frozen=True)
 class LinearResponseConfig:
-    """Pulse strength/geometry for one linear-response measurement.
+    """Pulse strength/geometry for one linear-response measurement, checked on construction.
 
     probe_site carries the perturbation at t1 (the correlator's
     earlier-time operator); readout_site is measured at t2.  pulse_area
@@ -75,6 +76,21 @@ class LinearResponseConfig:
             raise ValueError("pulse area must be positive")
         if self.kind not in (HERMITIAN, NON_HERMITIAN):
             raise ValueError(f"kind must be '{HERMITIAN}' or '{NON_HERMITIAN}'")
+        # The estimators divide by lambda * pulse_area, and a pulse grows a
+        # squared norm by up to exp(2 lambda pulse_area).
+        if self.lam * self.pulse_area < sys.float_info.min:
+            raise ValueError(f"lambda * pulse_area underflows for {self.lam!r}")
+        growth = 2 * self.lam * self.pulse_area
+        if growth >= math.log(sys.float_info.max):
+            why = f"2 * lambda * pulse_area = {growth:.6g} for {self.lam!r}"
+            raise ValueError(f"{why}: exp of it overflows a float")
+
+    def pulse_diagonal(self, h0: SparseHamiltonian) -> np.ndarray:
+        """Diagonal of -lambda*J_xy*S_p^z on h0's chain, times i for the non-Hermitian kind."""
+        if not 0 <= self.probe_site < h0.n_sites:
+            raise IndexError(f"site {self.probe_site} out of range for {h0.n_sites} sites")
+        pert = site_sz_diagonal(h0.n_sites, self.probe_site) * (self.lam * h0.j_xy)
+        return -pert if self.kind == HERMITIAN else -1j * pert
 
 
 def effective_shots(nominal: int, squared_norm):
@@ -180,6 +196,17 @@ def lr_estimate(
     return CorrelatorEstimate((e_u - e_p) / denom, std, n_pert + n_branch, mode)
 
 
+def _pulse_duration(pulse_area: float, prop: Propagator) -> float:
+    """dt = pulse_area / J_xy, J_xy that of prop's Hamiltonian H0."""
+    return pulse_area / prop.hamiltonian.j_xy
+
+
+def _pulsed(config: LinearResponseConfig, state: QuditState, prop: Propagator) -> QuditState:
+    """state after the config's pulse: H0 plus its diagonal, on prop's blocks, for dt."""
+    pulse = prop.pulse(config.pulse_diagonal(prop.hamiltonian))
+    return evolve(pulse, state, _pulse_duration(config.pulse_area, prop))
+
+
 def measure_lr(
     config: LinearResponseConfig,
     t1: float,
@@ -196,17 +223,14 @@ def measure_lr(
     sampled on rng.  The perturbed and unperturbed branches share the
     same total duration so the difference quotient isolates the
     response.  prop propagates H0, whose J_xy sets the pulse duration.
-    The pulse is prop.pulse of the perturbation's diagonal: a short pulse
+    The pulse is prop.pulse of the config's diagonal: a short pulse
     needs only a few Taylor products, and no block is diagonalized for it.
     """
-    h0 = prop.hamiltonian
-    dt = config.pulse_area / h0.j_xy
+    dt = _pulse_duration(config.pulse_area, prop)
     if t2 < t1 + dt:
         raise ValueError(f"need t2 >= t1 + pulse duration ({t1 + dt:g}), got {t2:g}")
 
-    pulse = prop.pulse(perturbation(h0, config.probe_site, config.lam, config.kind))
-    pert = evolve(pulse, evolve(prop, psi0, t1), dt)
-    pert = evolve(prop, pert, t2 - t1 - dt)
+    pert = evolve(prop, _pulsed(config, evolve(prop, psi0, t1), prop), t2 - t1 - dt)
     unpert = evolve(prop, psi0, t2)
     site = config.readout_site
     args = ([site_marginal(pert, site)], [pert.squared_norm], [site_marginal(unpert, site)])
@@ -224,7 +248,7 @@ def unperturbed_readout(
     evolve to dt.  No pulse strength or kind enters, so every LR trace of
     a study shares it.
     """
-    dt = pulse_area / prop.hamiltonian.j_xy
+    dt = _pulse_duration(pulse_area, prop)
     readout = np.array(marginals, dtype=float)
     readout[np.asarray(times) < dt] = site_marginal(evolve(prop, psi0, dt), site)
     return readout
@@ -241,11 +265,9 @@ def lr_trace(
     unperturbed_readout's unpulsed marginals (same pulse area), lr_estimate
     turns them into the estimates measure_lr gives.
     """
-    h0 = prop.hamiltonian
-    dt = config.pulse_area / h0.j_xy
-    pulse = prop.pulse(perturbation(h0, config.probe_site, config.lam, config.kind))
+    dt = _pulse_duration(config.pulse_area, prop)
     pert, norms = [], []
-    for state in trajectory(prop, evolve(pulse, psi0, dt), np.maximum(times, dt) - dt):
+    for state in trajectory(prop, _pulsed(config, psi0, prop), np.maximum(times, dt) - dt):
         pert.append(site_marginal(state, config.readout_site))
         norms.append(state.squared_norm)
     return np.array(pert), np.array(norms)

@@ -2,9 +2,10 @@
 
 Everything here is built from np.kron and scipy.linalg.expm only, so
 the brute-force values never share code with the package's stride
-kernels, sparse Hamiltonians, or propagators.  The two adapters at the
+kernels, sparse Hamiltonians, or propagators.  The three adapters at the
 end only reach the package's own objects: `csr` turns H's arrays into
-a SciPy matrix, and `propagator` picks a kernel by name.
+a SciPy matrix, `propagator` picks a kernel by name, and `pulse_diagonal`
+gives an LR pulse's diagonal as LinearResponseConfig builds it.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from quditcorr.dynamics import Propagator
+from quditcorr.linear_response import LinearResponseConfig
 
 SQ2 = np.sqrt(2.0)
 SX1 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQ2
@@ -98,3 +100,8 @@ def propagator(kernel, h):
     """
     prop = Propagator(h)
     return prop.pulse(np.zeros(h.dimension)) if kernel == "sparse" else prop
+
+
+def pulse_diagonal(h0, site, lam, kind):
+    """The diagonal that the LR pulse of strength lam and this kind adds to h0 on site."""
+    return LinearResponseConfig(lam, probe_site=site, kind=kind).pulse_diagonal(h0)

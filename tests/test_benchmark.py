@@ -18,6 +18,7 @@ from oracles import (
     dense_xxz,
     heisenberg_pair,
     propagator,
+    pulse_diagonal,
     site_op,
     u_matrix,
 )
@@ -171,7 +172,8 @@ def test_brute_force_reference_matches_independent_oracle():
 def test_brute_force_refuses_a_non_hermitian_h():
     # eigh reads one triangle of the matrix, so a non-Hermitian H would
     # give values; the oracle refuses it instead, as H's own propagator does.
-    h = build_perturbed(build_xxz(3, 1.0, 0.5), 0, 0.3, "non_hermitian")
+    h0 = build_xxz(3, 1.0, 0.5)
+    h = build_perturbed(h0, pulse_diagonal(h0, 0, 0.3, "non_hermitian"))
     with pytest.raises(ValueError, match="the dense oracle needs a Hermitian H"):
         brute_force_correlators(h, neel_superposition(3), 0, 1, 0.0, 0.7)
     with pytest.raises(ValueError, match="an unpulsed block must be Hermitian"):
@@ -184,7 +186,8 @@ def test_brute_force_densifies_h_bitwise_as_scipy_does(monkeypatch, n):
     # bitwise the toarray() of the SciPy CSR matrix built from them.
     seen, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.copy()) or eigh(a))
-    for h in (build_xxz(n, 1.0, 0.5), build_perturbed(build_xxz(n, 2.0, 0.0), 1, 0.5, "hermitian")):
+    h0 = build_xxz(n, 2.0, 0.0)
+    for h in (build_xxz(n, 1.0, 0.5), build_perturbed(h0, pulse_diagonal(h0, 1, 0.5, "hermitian"))):
         seen.clear()
         brute_force_correlators(h, neel_superposition(n), 0, 1, 0.0, 0.7)
         want = csr(h).toarray()
@@ -491,6 +494,36 @@ def test_the_memory_bound_follows_the_physical_memory(monkeypatch):
     with pytest.raises(ConfigError, match="'n_sites'.*more than the 1.0 GiB of RAM"):
         RunConfig(n_sites=13)
     assert RunConfig(n_sites=12).n_sites == 12
+
+
+@pytest.mark.parametrize("pulse_area", [1e-3, 0.7, 1.0])
+@pytest.mark.parametrize("bound", ["underflow", "overflow"])
+def test_run_config_refuses_a_lambda_exactly_when_the_lr_config_does(bound, pulse_area):
+    # lambda * pulse_area must not underflow, and 2 lambda pulse_area must
+    # stay below log(max float).  The quotients land within a float or two
+    # of each bound, so the nine floats around them straddle it.
+    if bound == "underflow":
+        edge = sys.float_info.min / pulse_area
+    else:
+        edge = math.log(sys.float_info.max) / (2 * pulse_area)
+    lams = [edge]
+    for _ in range(4):
+        lams = [np.nextafter(lams[0], 0.0), *lams, np.nextafter(lams[-1], math.inf)]
+    accepted = []
+    for lam in map(float, lams):
+        try:
+            LinearResponseConfig(lam, pulse_area)
+            refusal = None
+        except ValueError as err:
+            refusal = f"invalid config field 'lambdas': {err}"
+        try:
+            RunConfig(n_sites=2, lambdas=(lam,), pulse_area=pulse_area)
+            assert refusal is None, lam
+        except ConfigError as err:
+            assert str(err) == refusal, lam
+        accepted.append(refusal is None)
+    assert len(set(accepted)) == 2
+    assert accepted == sorted(accepted, reverse=bound == "overflow")
 
 
 def test_the_steps_of_all_traces_together_are_bounded():

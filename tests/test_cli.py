@@ -517,9 +517,17 @@ def test_exact_only_is_an_unknown_config_key(tmp_path, capsys):
         ({"n_sites": 4, "lambdas": [1e300]}, [],
          "invalid config field 'lambdas': 2 * lambda * pulse_area = 2e+297 for 1e+300: "
          "exp of it overflows a float"),
+        # An anisotropy whose sums over H's diagonal overflow: refused before
+        # the study, not an overflow in build_xxz or in a block's mean diagonal.
+        *(({"n_sites": n, "j_z_over_j_xy": j_z}, [],
+           f"invalid config field 'j_z_over_j_xy': {j_z!r} at {n} sites: the sums of H's "
+           "diagonal, up to 3^N (N - 1) |j_z_over_j_xy|, may overflow")
+          for n, j_z in [(2, 1e308), (2, -1e308), (3, 1e308), (3, -1e308), (4, 5e307), (6, 1e307)]),
     ],
     ids=["config-not-an-object", "n-sites-over-budget", "t-max-overflows-dense",
-         "t-max-overflows-taylor", "pulse-growth-overflows", "lambda-1e300"],
+         "t-max-overflows-taylor", "pulse-growth-overflows", "lambda-1e300",
+         "j-z-1e308-n2", "j-z-minus-1e308-n2", "j-z-1e308-n3", "j-z-minus-1e308-n3",
+         "j-z-5e307-n4", "j-z-1e307-n6"],
 )
 def test_run_reports_unusable_input_in_one_line(tmp_path, capsys, payload, flags, message):
     path = write_config(tmp_path, payload)

@@ -9,16 +9,10 @@ from oracles import (
     heisenberg_pair,
     neel_superposition_vec,
     propagator,
+    pulse_diagonal,
     site_op,
 )
-from quditcorr.dynamics import (
-    Propagator,
-    build_perturbed,
-    build_xxz,
-    evolve,
-    make_propagator,
-    perturbation,
-)
+from quditcorr.dynamics import Propagator, build_perturbed, build_xxz, evolve, make_propagator
 from quditcorr.linear_response import (
     LinearResponseConfig,
     effective_shots,
@@ -86,6 +80,36 @@ def test_config_validation():
         LinearResponseConfig(np.nan)
     with pytest.raises(ValueError, match="pulse area"):
         LinearResponseConfig(0.1, pulse_area=np.nan)
+    # The estimators divide by lambda * pulse_area, and a pulse grows a
+    # squared norm by up to exp(2 lambda pulse_area): a product that
+    # underflows or a growth that overflows is refused on construction, so
+    # measure_lr raises one ValueError instead of overflowing in its error
+    # bars or its squared norms.
+    prop, psi0 = make_propagator(build_xxz(2, 1.0, 0.5)), neel_state(2)
+    pulses = [
+        (1e-300, 1e-10, r"^lambda \* pulse_area underflows for 1e-300$"),
+        (400.0, 1.0, r"^2 \* lambda \* pulse_area = 800 for 400.0: exp of it overflows a float$"),
+        (1e-160, 1e-160, r"^lambda \* pulse_area underflows for 1e-160$"),
+    ]
+    for lam, pulse_area, message in pulses:
+        with pytest.raises(ValueError, match=message):
+            LinearResponseConfig(lam, pulse_area)
+        with pytest.raises(ValueError, match=message):
+            cfg = LinearResponseConfig(lam, pulse_area, 0, 1, "non_hermitian")
+            measure_lr(cfg, 0.3, 2.0, psi0, prop, 1000)
+
+
+def test_pulse_diagonal_is_the_site_term_on_the_probe_site():
+    # -lambda J_xy S^z on the probed site, times i for the non-Hermitian kind.
+    h0 = build_xxz(3, 2.0, 0.5)
+    sz = site_op(3, 1, SZ1).diagonal().real
+    hermitian = LinearResponseConfig(0.3, probe_site=1).pulse_diagonal(h0)
+    np.testing.assert_array_equal(hermitian, -0.6 * sz)
+    non_hermitian = LinearResponseConfig(0.3, probe_site=1, kind="non_hermitian")
+    np.testing.assert_array_equal(non_hermitian.pulse_diagonal(h0), -0.6j * sz)
+    for site in (-1, 3):
+        with pytest.raises(IndexError, match=f"^site {site} out of range for 3 sites$"):
+            LinearResponseConfig(0.3, probe_site=site).pulse_diagonal(h0)
 
 
 def test_pulse_must_fit_between_the_two_times():
@@ -192,7 +216,7 @@ def test_a_budget_without_a_generator_is_exact_with_its_error_bars():
     unpert = evolve(prop, neel_state(2), 1.0)
     for kind in ("hermitian", "non_hermitian"):
         cfg = LinearResponseConfig(0.2, dt, 0, 1, kind)
-        pulsed = evolve(prop.pulse(perturbation(h, 0, 0.2, kind)), neel_state(2), dt)
+        pulsed = evolve(prop.pulse(pulse_diagonal(h, 0, 0.2, kind)), neel_state(2), dt)
         pert = evolve(prop, pulsed, 1.0 - dt)
         args = ([site_marginal(pert, 1)], [pert.squared_norm], [site_marginal(unpert, 1)])
         want = lr_estimate(cfg, *args, 100).points()[0]
@@ -260,7 +284,7 @@ def test_a_pulsed_norm_past_its_growth_bound_is_refused():
     psi0 = basis_state((3, 3), (2, 2))
     strong = LinearResponseConfig(1.0, 0.3, 0, 1, "non_hermitian")
     prop = make_propagator(build_xxz(2, 1.0, 0.5))
-    pulse = perturbation(prop.hamiltonian, 0, 1.0, "non_hermitian")
+    pulse = pulse_diagonal(prop.hamiltonian, 0, 1.0, "non_hermitian")
     norm = evolve(prop.pulse(pulse), psi0, 0.3).squared_norm
     assert norm == pytest.approx(np.exp(0.6), rel=1e-14)
     assert lr_estimate(strong, marginal, [norm], marginal, 1000).shots == 1000
@@ -321,7 +345,7 @@ def test_pulsed_state_matches_expm_oracle(n, kind, dt):
     coupling = lam if kind == "hermitian" else 1j * lam
     oracle_h = dense_xxz(n, 1.0, 0.5) - coupling * site_op(n, site, SZ1)
     expected = scipy.linalg.expm(-1j * dt * oracle_h) @ amp
-    pulse = propagator("sparse", build_perturbed(h0, site, lam, kind))
+    pulse = propagator("sparse", build_perturbed(h0, pulse_diagonal(h0, site, lam, kind)))
     got = evolve(pulse, state, dt).amplitudes
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(expected)))
 
@@ -339,8 +363,8 @@ def test_pulse_on_the_study_blocks_matches_the_perturbed_propagator(n, kind):
     amp = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     states = [neel_state(n), QuditState((3,) * n, amp / np.linalg.norm(amp))]
     for site, lam, dt in ((0, 0.2, 1e-3), (n - 1, 0.4, 0.5)):
-        reference = propagator("sparse", build_perturbed(h0, site, lam, kind))
+        reference = propagator("sparse", build_perturbed(h0, pulse_diagonal(h0, site, lam, kind)))
         for state in states:
-            got = evolve(prop.pulse(perturbation(h0, site, lam, kind)), state, dt)
+            got = evolve(prop.pulse(pulse_diagonal(h0, site, lam, kind)), state, dt)
             want = evolve(reference, state, dt)
             assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-14

@@ -24,7 +24,6 @@ from .register import (
 from .observables import (
     HermitianObservable,
     decompose,
-    spectral_norm,
     spin_matrix,
 )
 from .dynamics import (
@@ -42,7 +41,6 @@ from .hadamard import (
 )
 from .linear_response import (
     LinearResponseConfig,
-    effective_shots,
     measure_lr,
 )
 from .benchmark import (
@@ -69,7 +67,6 @@ __all__ = [
     "site_marginal",
     "HermitianObservable",
     "decompose",
-    "spectral_norm",
     "spin_matrix",
     "Propagator",
     "SparseHamiltonian",
@@ -81,7 +78,6 @@ __all__ = [
     "run_hadamard_circuit",
     "variance_model",
     "LinearResponseConfig",
-    "effective_shots",
     "measure_lr",
     "ConfigError",
     "FigureOfMerit",

@@ -228,9 +228,9 @@ class RunConfig:
         _expect(distinct, "lambdas", f"values must be distinct, got {list(lambdas)}")
         put("pulse_area", _number(self.pulse_area, "pulse_area"))
         _expect(self.pulse_area > 0, "pulse_area", "must be positive")
-        for lam in self.lambdas:  # the study's LR configs, checked before the study
+        for lam in self.lambdas:  # the study's LR configs at its J_xy = 1, checked before it
             try:
-                LinearResponseConfig(lam, self.pulse_area)
+                LinearResponseConfig(lam, self.pulse_area).check_strength(self.n_sites, 1.0)
             except ValueError as err:
                 _expect(False, "lambdas", str(err))
         traces = 1 + len(self.lambdas) * (LINEAR_RESPONSE in self.protocols)
@@ -437,17 +437,24 @@ def default_workers(n_tasks: int) -> int:
 def _run_tasks(tasks, workers: int, results: dict) -> None:
     """Store the result of every (key, fn) task in results under its key.
 
-    On an interrupt, pending tasks are cancelled and running ones
-    finish, so results holds whole traces when the interrupt propagates.
-    Tasks run on pool threads at any worker count, and none starts before
-    all are submitted, so the pool waits for every trace that started.
+    On an interrupt or a failed task, pending tasks are cancelled, by the
+    failed task's worker before it takes the next, and running ones
+    finish, so results holds whole traces when the interrupt or the first
+    failure in submission order propagates.  Tasks run on pool threads at
+    any worker count, and none starts before all are submitted, so the
+    pool waits for every trace that started.
     """
     submitted = threading.Event()
 
-    def run(key, fn):
-        results[key] = fn()
-
     with ThreadPoolExecutor(max_workers=workers, initializer=submitted.wait) as pool:
+
+        def run(key, fn):
+            try:
+                results[key] = fn()
+            except BaseException:
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
+
         try:
             futures = [pool.submit(run, key, fn) for key, fn in tasks]
             submitted.set()
@@ -472,7 +479,8 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     assembled by a key-ordered reduction.  One propagator of H0 serves
     every trace.
 
-    On KeyboardInterrupt, pending traces are cancelled and
+    A failed trace cancels the pending ones and its error propagates.
+    On KeyboardInterrupt, pending traces are cancelled too and
     StudyInterrupted is raised; its result has the rows of the
     completed traces, in the usual order, and no figures.
     """

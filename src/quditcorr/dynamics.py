@@ -32,6 +32,7 @@ from __future__ import annotations
 import collections
 import copy
 import math
+import sys
 import threading
 
 import numpy as np
@@ -403,6 +404,20 @@ def _taylor_degree(norm: float) -> tuple[int, int]:
     if norm == 0:
         return 0, 1
     return min(((m, math.ceil(norm / theta)) for m, theta in _THETA.items()), key=math.prod)
+
+
+def pulse_limit(n_sites: int, growth: float) -> float:
+    """The largest |entry| of a pulse diagonal that the Taylor kernel runs without overflow.
+
+    Sufficient on a chain of n_sites for a pulse that grows a normalized
+    state's norm by up to e^growth: such an entry adds at most twice itself
+    to an entry of A - mu I (_taylor_op), whose products with a step's
+    terms, at most e^theta_55 times the state, must stay finite, and mu sums
+    up to 3^N of them (no more than MAX_AMPLITUDES: a longer chain is refused).
+    """
+    entries = min(n_sites * math.log(3), math.log(MAX_AMPLITUDES))
+    most = max(math.log(2) + _THETA[55] + growth, entries)
+    return math.exp(math.log(sys.float_info.max) - most)
 
 
 def _taylor_stream(op, x, times):

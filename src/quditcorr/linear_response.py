@@ -26,7 +26,7 @@ its diagonal; one helper applies it for dt, in measure_lr and lr_trace.
 
 Shot noise is simulated as projective S^z measurements (rng.sample_counts
 over the readout site's levels).  The non-Hermitian perturbed branch
-loses norm; its shot count shrinks proportionally.
+loses norm; its shot count shrinks proportionally, by lr_estimate's rule.
 """
 
 from __future__ import annotations
@@ -37,7 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Propagator, SparseHamiltonian, evolve, site_sz_diagonal, trajectory
+from .dynamics import (
+    Propagator,
+    SparseHamiltonian,
+    evolve,
+    pulse_limit,
+    site_sz_diagonal,
+    trajectory,
+)
 from .hadamard import EXACT, SAMPLED, CorrelatorEstimate
 from .register import QuditState, site_marginal
 from .rng import sample_counts
@@ -85,29 +92,20 @@ class LinearResponseConfig:
             why = f"2 * lambda * pulse_area = {growth:.6g} for {self.lam!r}"
             raise ValueError(f"{why}: exp of it overflows a float")
 
+    def check_strength(self, n_sites: int, j_xy: float) -> None:
+        """Refuse a lambda |J_xy| past dynamics.pulse_limit on a chain of n_sites."""
+        strength = self.lam * abs(j_xy)
+        if not strength <= pulse_limit(n_sites, self.lam * self.pulse_area):
+            why = f"lambda |J_xy| = {strength:.6g} for {self.lam!r} at {n_sites} sites"
+            raise ValueError(f"{why}: the Taylor kernel's products with the pulse may overflow")
+
     def pulse_diagonal(self, h0: SparseHamiltonian) -> np.ndarray:
         """Diagonal of -lambda*J_xy*S_p^z on h0's chain, times i for the non-Hermitian kind."""
         if not 0 <= self.probe_site < h0.n_sites:
             raise IndexError(f"site {self.probe_site} out of range for {h0.n_sites} sites")
+        self.check_strength(h0.n_sites, h0.j_xy)
         pert = site_sz_diagonal(h0.n_sites, self.probe_site) * (self.lam * h0.j_xy)
         return -pert if self.kind == HERMITIAN else -1j * pert
-
-
-def effective_shots(nominal: int, squared_norm):
-    """Shot count surviving the norm loss of a non-Hermitian branch, per squared norm.
-
-    A squared norm slightly above 1 (second-order growth of the pulsed
-    state) leaves the nominal count unchanged; anything beyond 1e-6
-    excess is rejected as a bug.
-    """
-    if nominal < 1:
-        raise ValueError("nominal shots must be >= 1")
-    norms = np.asarray(squared_norm, dtype=float)
-    outside = ~((norms > 0.0) & (norms <= 1.0 + 1e-6))  # NaN is outside too
-    if np.any(outside):
-        raise ValueError(f"squared norm {norms[outside].flat[0]} outside (0, 1]")
-    # np.rint rounds half to even, as round() does.
-    return np.maximum(1, np.rint(nominal * np.minimum(norms, 1.0))).astype(np.int64)
 
 
 # Eigenvalues m of spin-1 S^z in basis order.
@@ -185,7 +183,10 @@ def lr_estimate(
     n_branch = 0 if budget is None else budget // 2
     n_pert = np.full(pert_norm.shape, n_branch)
     if budget and config.kind == NON_HERMITIAN:
-        n_pert = effective_shots(n_branch, np.minimum(pert_norm, 1.0))
+        # The branch keeps the share of shots that its squared norm keeps:
+        # slight growth above 1 (second order in the pulse) keeps the
+        # nominal count, and np.rint rounds half to even, as round() does.
+        n_pert = np.maximum(1, np.rint(n_branch * np.minimum(pert_norm, 1.0))).astype(np.int64)
     # Sampling from the renormalized marginal realizes <.>/<1> directly.
     shots = np.stack([n_pert, np.full_like(n_pert, n_branch)], axis=-1)
     mean, var = _sz_moments(np.stack([pert, unpert], axis=1), shots, rngs)

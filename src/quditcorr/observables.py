@@ -69,22 +69,16 @@ def require_hermitian(a, what: str) -> None:
         raise ValueError(f"{what} but max|a - a^+| = {err:.2e}")
 
 
-def spectral_norm(op: LocalOperator) -> float:
-    """Largest eigenvalue magnitude of a Hermitian operator; refuses any other matrix."""
-    require_hermitian(op.matrix, "a spectral norm needs a Hermitian operator")
-    vals = np.linalg.eigvalsh(op.matrix)
-    return float(np.max(np.abs(vals)))
-
-
 @dataclass(frozen=True)
 class HermitianObservable:
-    """Hermitian operator with its spectral norm, derived at construction."""
+    """Hermitian operator (any other matrix is refused) with its spectral norm max|eig|, derived."""
 
     op: LocalOperator
     spectral_norm: float = field(init=False)
 
     def __post_init__(self):
-        norm = spectral_norm(self.op)
+        require_hermitian(self.op.matrix, "a spectral norm needs a Hermitian operator")
+        norm = float(np.max(np.abs(np.linalg.eigvalsh(self.op.matrix))))
         if norm <= _ZERO_NORM:
             raise ValueError("zero observable rejected (norm below 1e-14)")
         object.__setattr__(self, "spectral_norm", norm)

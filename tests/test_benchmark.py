@@ -1,5 +1,6 @@
 import faulthandler
 import math
+import re
 import signal
 import sys
 import threading
@@ -524,6 +525,27 @@ def test_run_config_refuses_a_lambda_exactly_when_the_lr_config_does(bound, puls
         accepted.append(refusal is None)
     assert len(set(accepted)) == 2
     assert accepted == sorted(accepted, reverse=bound == "overflow")
+
+
+def test_the_strongest_pulse_accepted_at_four_sites_runs_without_overflow():
+    # dynamics.pulse_limit bounds lambda |J_xy| sufficiently: the largest
+    # lambda accepted at N = 4 and pulse area 1e-305 runs a study with
+    # RuntimeWarnings as errors, and the next float is refused, by
+    # RunConfig and by the pulse of a library call alike.
+    lam, area = 4.319284198117807e303, 1e-305
+    config = RunConfig(n_sites=4, steps=3, lambdas=(lam,), pulse_area=area, workers=1)
+    above = float(np.nextafter(lam, math.inf))
+    message = re.escape(f"lambda |J_xy| = {above:.6g} for {above!r} at 4 sites: the Taylor kernel")
+    with pytest.raises(ConfigError, match=f"invalid config field 'lambdas': {message}"):
+        replace(config, lambdas=(above,))
+    h0 = build_xxz(4, 1.0, 0.5)
+    for kind in ("hermitian", "non_hermitian"):
+        with pytest.raises(ValueError, match=message):
+            LinearResponseConfig(above, area, kind=kind).pulse_diagonal(h0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        figures = run_quench_study(config).figures
+    assert all(math.isfinite(f.dc_plus) and math.isfinite(f.dc_minus) for f in figures.values())
 
 
 def test_the_steps_of_all_traces_together_are_bounded():

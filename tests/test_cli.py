@@ -517,6 +517,12 @@ def test_exact_only_is_an_unknown_config_key(tmp_path, capsys):
         ({"n_sites": 4, "lambdas": [1e300]}, [],
          "invalid config field 'lambdas': 2 * lambda * pulse_area = 2e+297 for 1e+300: "
          "exp of it overflows a float"),
+        # A pulse strength past the Taylor kernel's bound, with an area small
+        # enough for the growth check: refused before the overflow warnings.
+        *(({"n_sites": 4, "lambdas": [lam], "pulse_area": area, "steps": 3}, [],
+           f"invalid config field 'lambdas': lambda |J_xy| = {lam:.6g} for {lam!r} at 4 sites: "
+           "the Taylor kernel's products with the pulse may overflow")
+          for lam, area in [(1e307, 1e-306), (1e306, 1e-305)]),
         # An anisotropy whose sums over H's diagonal overflow: refused before
         # the study, not an overflow in build_xxz or in a block's mean diagonal.
         *(({"n_sites": n, "j_z_over_j_xy": j_z}, [],
@@ -526,6 +532,7 @@ def test_exact_only_is_an_unknown_config_key(tmp_path, capsys):
     ],
     ids=["config-not-an-object", "n-sites-over-budget", "t-max-overflows-dense",
          "t-max-overflows-taylor", "pulse-growth-overflows", "lambda-1e300",
+         "lambda-1e307-kernel", "lambda-1e306-kernel",
          "j-z-1e308-n2", "j-z-minus-1e308-n2", "j-z-1e308-n3", "j-z-minus-1e308-n3",
          "j-z-5e307-n4", "j-z-1e307-n6"],
 )
@@ -770,6 +777,22 @@ def test_interrupt_during_an_lr_trace_writes_the_completed_traces(tmp_path, monk
     assert rows == full[: len(rows)]
     assert len(rows) == completed or (workers == 2 and rows == full)
     assert json.loads((out / "summary.json").read_text())["incomplete"] is True
+
+
+def test_a_failed_trace_cancels_the_traces_not_yet_started(tmp_path, monkeypatch, capsys):
+    # At one worker the Hadamard trace runs first and the LR traces wait:
+    # its failure cancels them, so none runs in vain before the error.
+    def failed_trace(*args):
+        raise ValueError("trace failed")
+
+    lr_calls = []
+    monkeypatch.setattr(benchmark, "trace_probabilities", failed_trace)
+    monkeypatch.setattr(benchmark, "lr_trace", lambda *args: lr_calls.append(args))
+    path = write_config(tmp_path, {**FAST, "lambdas": [0.1, 0.2, 0.3], "workers": 1})
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: trace failed\n"
+    assert not out.exists() and lr_calls == []
 
 
 def test_interrupt_during_the_lr_estimation_writes_every_trace(tmp_path, monkeypatch):

@@ -15,7 +15,6 @@ from oracles import (
 from quditcorr.dynamics import Propagator, build_perturbed, build_xxz, evolve, make_propagator
 from quditcorr.linear_response import (
     LinearResponseConfig,
-    effective_shots,
     lr_estimate,
     measure_lr,
     measure_site_expectation,
@@ -30,17 +29,21 @@ def neel_state(n):
     return QuditState((3,) * n, neel_superposition_vec(n))
 
 
-def test_effective_shots_rules():
-    assert effective_shots(6000, 1.0) == 6000
-    assert effective_shots(6000, 0.5) == 3000
-    assert effective_shots(6000, 1e-9) == 1
-    assert effective_shots(100, 1.0 + 5e-7) == 100  # slight growth clamps to nominal
-    with pytest.raises(ValueError):
-        effective_shots(6000, 0.0)
-    with pytest.raises(ValueError):
-        effective_shots(6000, 1.1)
-    with pytest.raises(ValueError):
-        effective_shots(0, 0.5)
+def test_non_hermitian_shots_follow_the_squared_norm():
+    # The pulsed branch keeps the share of its budget // 2 shots that its
+    # squared norm keeps, at least one; the unpulsed branch keeps them all.
+    cfg = LinearResponseConfig(0.2, 1e-3, 0, 1, "non_hermitian")
+    marginal = np.array([[0.3, 0.4, 0.3]])
+
+    def pulsed_shots(budget, norm):
+        (shots,) = lr_estimate(cfg, marginal, [norm], marginal, budget).shots.tolist()
+        return shots - budget // 2
+
+    assert pulsed_shots(12000, 1.0) == 6000
+    assert pulsed_shots(12000, 0.5) == 3000
+    assert pulsed_shots(12000, 1e-6) == 1  # the smallest norm short of a collapse
+    assert pulsed_shots(200, 1.0 + 5e-7) == 100  # slight growth clamps to nominal
+    assert pulsed_shots(6_000_000, 1.0 + 5e-7) == 3_000_000  # unclamped: 3_000_001.5
 
 
 def test_normalized_expectation_plain_and_scaled():

@@ -6,7 +6,6 @@ from quditcorr import observables
 from quditcorr.observables import (
     HermitianObservable,
     decompose,
-    spectral_norm,
     spin_matrix,
 )
 from quditcorr.register import LocalOperator
@@ -45,27 +44,26 @@ def test_unsupported_spin_and_axis():
 
 
 def test_spectral_norm_values():
-    assert spectral_norm(spin_matrix(1, "z")) == pytest.approx(1.0)
-    assert spectral_norm(LocalOperator(np.eye(3), (0,))) == pytest.approx(1.0)
-    zz = LocalOperator(np.kron(np.diag([1.0, 0, -1]), np.diag([1.0, 0, -1])), (0, 1))
-    assert spectral_norm(zz) == pytest.approx(1.0)
+    assert HermitianObservable(spin_matrix(1, "z")).spectral_norm == pytest.approx(1.0)
+    assert obs(np.eye(3)).spectral_norm == pytest.approx(1.0)
+    zz = np.kron(np.diag([1.0, 0, -1]), np.diag([1.0, 0, -1]))
+    assert obs(zz, (0, 1)).spectral_norm == pytest.approx(1.0)
 
 
 def test_spectral_norm_scaling():
     rng = np.random.default_rng(10)
     m = random_hermitian(rng, 5)
-    base = spectral_norm(LocalOperator(m, (0,)))
+    base = obs(m).spectral_norm
     for c in (-2.5, 0.3, 7.0):
-        scaled = spectral_norm(LocalOperator(c * m, (0,)))
+        scaled = obs(c * m).spectral_norm
         assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
 
 
 def test_spectral_norm_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        spectral_norm(LocalOperator(np.array([[0, 1], [0, 0]]), (0,)))
-    with pytest.raises(ValueError, match="Hermitian"):
+    message = "a spectral norm needs a Hermitian operator"
+    with pytest.raises(ValueError, match=message):
         HermitianObservable(LocalOperator(np.array([[0, 1], [0, 0]]), (0,)))
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError, match=message):
         obs(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 

@@ -17,6 +17,7 @@ summary, and the echoed config block parses back to the same RunConfig.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import gc
 import json
@@ -70,28 +71,17 @@ def _read_json(path: str):
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
 
 
-def parse_config(path: str) -> RunConfig:
-    """Load and validate a JSON run configuration."""
-    return parse_config_dict(_read_json(path))[0]
-
-
 CSV_COLUMNS = ("protocol", "kind", "t", "lambda", "exact", "sampled", "std_error", "shots", "seed")
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path: str, rows):
-    # StudyRow's fields are in CSV_COLUMNS order.
+    # StudyRow's fields are in CSV_COLUMNS order.  csv writes None as an
+    # empty cell and a float as its repr, the shortest round-trip text.
     cells = operator.attrgetter(*(f.name for f in dataclasses.fields(StudyRow)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(",".join(map(_fmt, cells(r))) + "\n" for r in rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(map(cells, rows))
 
 
 def _make_out_dir(path: str) -> list[str]:
@@ -136,9 +126,7 @@ def run(config: RunConfig, out_dir: str = ".", defaults_applied=()) -> int:
     summary = {
         "config": dataclasses.asdict(config),
         "defaults_applied": sorted(defaults_applied),
-        "figures_of_merit": {
-            key: dataclasses.asdict(f) for key, f in sorted(figures.items())
-        },
+        "figures_of_merit": {key: dataclasses.asdict(f) for key, f in figures.items()},
         "incomplete": incomplete,
         "runtime_seconds": time.perf_counter() - started,
         "versions": {
@@ -158,14 +146,9 @@ def run(config: RunConfig, out_dir: str = ".", defaults_applied=()) -> int:
 
 def _cmd_run(args) -> int:
     raw = _read_json(args.config) if args.config else {}
-    flags = {
-        "seed": args.seed,
-        "workers": args.workers,
-        "lambdas": None if args.lam is None else [args.lam],
-        "n_sites": args.n_sites,
-        "t_max": args.t_max,
-        "steps": args.steps,
-    }
+    # Every run flag but --lambda has its RunConfig field as its dest.
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
+    flags["lambdas"] = None if args.lam is None else [args.lam]
     if isinstance(raw, dict):  # anything else is rejected by the parser
         raw = {**raw, **{k: v for k, v in flags.items() if v is not None}}
     config, defaulted = parse_config_dict(raw)

@@ -21,8 +21,8 @@ from quditcorr.cli import (
     CSV_COLUMNS,
     ConfigError,
     RunConfig,
+    _write_csv,
     main,
-    parse_config,
     parse_config_dict,
     run,
 )
@@ -48,8 +48,8 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
-def test_minimal_config_fills_documented_defaults(tmp_path):
-    cfg = parse_config(write_config(tmp_path, {"n_sites": 4, "steps": 50}))
+def test_minimal_config_fills_documented_defaults():
+    cfg = parse_config_dict({"n_sites": 4, "steps": 50})[0]
     assert cfg.j_z_over_j_xy == 0.5
     assert cfg.pulse_area == 1e-3
     assert cfg.lambdas == (0.2,)
@@ -60,21 +60,14 @@ def test_minimal_config_fills_documented_defaults(tmp_path):
     assert "n_sites" not in defaulted
 
 
-def test_negative_lambda_is_named_in_the_error(tmp_path):
+def test_negative_lambda_is_named_in_the_error():
     with pytest.raises(ConfigError, match="lambdas"):
-        parse_config(write_config(tmp_path, {"lambdas": [-0.1]}))
+        parse_config_dict({"lambdas": [-0.1]})
 
 
-def test_unknown_key_is_named(tmp_path):
+def test_unknown_key_is_named():
     with pytest.raises(ConfigError, match="unknown config key: 'lambda_grid'"):
-        parse_config(write_config(tmp_path, {"lambda_grid": [0.1]}))
-
-
-def test_parse_error_carries_line_info(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text('{\n  "n_sites": 4,\n}', encoding="utf-8")
-    with pytest.raises(ConfigError, match="line 3"):
-        parse_config(str(path))
+        parse_config_dict({"lambda_grid": [0.1]})
 
 
 def test_run_verb_reports_parse_errors_with_line_info(tmp_path, capsys):
@@ -84,23 +77,23 @@ def test_run_verb_reports_parse_errors_with_line_info(tmp_path, capsys):
     assert "config parse error at line 3" in capsys.readouterr().err
 
 
-def test_field_validation_messages(tmp_path):
+def test_field_validation_messages():
     with pytest.raises(ConfigError, match="n_sites"):
-        parse_config(write_config(tmp_path, {"n_sites": 1}))
+        parse_config_dict({"n_sites": 1})
     with pytest.raises(ConfigError, match="steps"):
-        parse_config(write_config(tmp_path, {"steps": 0}))
+        parse_config_dict({"steps": 0})
     with pytest.raises(ConfigError, match="protocols"):
-        parse_config(write_config(tmp_path, {"protocols": ["qpe"]}))
+        parse_config_dict({"protocols": ["qpe"]})
     with pytest.raises(ConfigError, match="shots"):
-        parse_config(write_config(tmp_path, {"shots": {"hadamard": {"plus": 1}}}))
+        parse_config_dict({"shots": {"hadamard": {"plus": 1}}})
     # A repeated lambda would run twice and write its rows twice; 1 and 1.0 are one value.
     for lambdas in ([0.2, 0.2], [0.1, 1, 1.0]):
         with pytest.raises(ConfigError, match="field 'lambdas': values must be distinct"):
-            parse_config(write_config(tmp_path, {"lambdas": lambdas}))
+            parse_config_dict({"lambdas": lambdas})
     # 5e-324 * 1e-3 rounds to 0.0, and the LR quotients divide by lambda * pulse_area;
     # the smallest accepted lambda puts that product at the smallest normal float.
     with pytest.raises(ConfigError, match="field 'lambdas': lambda \\* pulse_area underflows"):
-        parse_config(write_config(tmp_path, {"lambdas": [5e-324]}))
+        parse_config_dict({"lambdas": [5e-324]})
     floor = sys.float_info.min / 1e-3
     assert parse_config_dict({"lambdas": [floor]})[0].lambdas == (floor,)
     # Types are checked, not coerced.
@@ -120,7 +113,7 @@ def test_field_validation_messages(tmp_path):
     for field, value in itertools.product(numbers, (math.nan, math.inf, -math.inf)):
         payload = {field: [0.1, value] if field == "lambdas" else value}
         with pytest.raises(ConfigError, match=f"field '{field}': expected a finite number"):
-            parse_config(write_config(tmp_path, payload))
+            parse_config_dict(payload)
 
 
 @pytest.mark.parametrize(
@@ -130,6 +123,7 @@ def test_field_validation_messages(tmp_path):
         (["--workers", "-3"], "workers"),
         (["--steps", "0"], "steps"),
         (["--t-max", "inf"], "t_max"),
+        (["--lambda", "0"], "lambdas"),
     ],
 )
 def test_run_flags_go_through_the_config_checks(tmp_path, capsys, flags, field):
@@ -137,6 +131,59 @@ def test_run_flags_go_through_the_config_checks(tmp_path, capsys, flags, field):
     assert main(["run", "--config", path, "--out", str(tmp_path / "out"), *flags]) == 2
     assert f"invalid config field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_lambda_flag_runs_the_config_with_that_one_lambda(tmp_path):
+    flag = write_config(tmp_path, {**FAST, "lambdas": [0.1, 0.2]}, "flag.json")
+    listed = write_config(tmp_path, {**FAST, "lambdas": [0.4]}, "listed.json")
+    out_flag, out_listed = tmp_path / "flag", tmp_path / "listed"
+    assert main(["run", "--config", flag, "--lambda", "0.4", "--out", str(out_flag)]) == 0
+    assert main(["run", "--config", listed, "--out", str(out_listed)]) == 0
+    written = (out_flag / "results.csv").read_bytes()
+    assert written == (out_listed / "results.csv").read_bytes() and b",0.4," in written
+    summary = json.loads((out_flag / "summary.json").read_text())
+    assert summary["config"]["lambdas"] == [0.4]
+
+
+# Every RunConfig field at the edges of JSON's values, the others at their
+# defaults; 10^8 only where the field holds integers.  sites, lambdas and
+# shots take the value inside their list or mapping too.
+EDGE_VALUES = (0, -1, 5e-324, 1e308, "x", [], None)
+INTEGER_FIELDS = {"n_sites", "steps", "sites", "shots", "seed", "workers"}
+INSIDE = {
+    "sites": lambda v: [1, v],
+    "lambdas": lambda v: [v],
+    "shots": lambda v: {"hadamard": {"plus": v}},
+}
+
+
+def _edges(name):
+    for v in EDGE_VALUES + (10**8,) * (name in INTEGER_FIELDS):
+        yield v
+        if name in INSIDE:
+            yield INSIDE[name](v)
+
+
+CONFIG_EDGES = [
+    pytest.param({f.name: v}, id=f"{f.name}={json.dumps(v, separators=(',', ':'))}")
+    for f in dataclasses.fields(RunConfig)
+    for v in _edges(f.name)
+]
+
+
+@pytest.mark.parametrize("payload", CONFIG_EDGES)
+def test_every_config_field_at_its_edges_runs_or_is_refused_in_one_line(tmp_path, capsys, payload):
+    # workers = 10^8 runs too: the pool starts at most one thread per trace.
+    out = tmp_path / "out"
+    code = main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert (out / "results.csv").is_file()
+    else:
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("sites", [[2, 2], [1, 4]])
@@ -262,6 +309,16 @@ def test_library_use_leaves_the_collector_unfrozen():
 def test_study_row_fields_are_in_csv_column_order():
     names = [f.name for f in dataclasses.fields(benchmark.StudyRow)]
     assert names == [{"lambda": "lam"}.get(c, c) for c in CSV_COLUMNS]
+
+
+def test_csv_cells_are_empty_for_none_and_the_repr_of_a_float(tmp_path):
+    row = benchmark.StudyRow("hadamard", "+", 5e-324, None, -0.0, 0.1 + 0.2, 0.5, 60, 7)
+    path = tmp_path / "results.csv"
+    _write_csv(str(path), [row])
+    assert path.read_bytes() == (
+        b"protocol,kind,t,lambda,exact,sampled,std_error,shots,seed\n"
+        b"hadamard,+,5e-324,,-0.0,0.30000000000000004,0.5,60,7\n"
+    )
 
 
 def test_same_config_and_seed_give_identical_csv_bytes(tmp_path):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import logging
 import math
 import os
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import DENSE_BLOCK_LIMIT, MAX_TAYLOR_STEPS, _THETA, _taylor_degree
 from .dynamics import SparseHamiltonian, build_xxz, make_propagator, site_sz_diagonal
 from .hadamard import (
     EXACT,
@@ -83,16 +85,16 @@ DEFAULT_BUDGETS = {
 # The smallest budgets: one shot per expectation value a point splits over.
 MIN_BUDGETS = {HADAMARD: {"plus": 6, "minus": 4}, LINEAR_RESPONSE: {"plus": 2, "minus": 2}}
 
-# A study's peak memory per byte of the entries of H (16 B value, 4 B
-# column each), rounded up from the peaks measured at one worker: 2.67
-# at N = 12 (306 MB) and 2.35 at N = 13 (876 MB).
-H_ENTRY_BYTES = 20
-PEAK_PER_H_BYTE = 3
-# The most time steps of all traces together (the Hadamard trace and one
-# LR trace per lambda).  A step of one trace costs 0.10-0.20 ms of CPU at
-# N = 4 and 0.34-0.39 ms at N = 7 (quick_n4, one worker, 1000 vs 4000 and
-# 500 vs 2000 steps): a study up to N = 7 ends in about 10 s, in ~30 MB.
-MAX_TRACE_STEPS = 20000
+# study_plan's cost model, fitted on 13 studies at N = 4..12, one worker
+# (CHANGES.md): CPU seconds per entry a product reads from a dense or a CSR
+# block, per product, and per point of a trace plus per amplitude at it.
+DENSE_ENTRY_SECONDS, CSR_ENTRY_SECONDS, PRODUCT_SECONDS = 0.25e-9, 1.76e-9, 9.8e-6
+POINT_SECONDS, AMPLITUDE_SECONDS = 77e-6, 76e-9
+MAX_WORK = 600.0  # predicted one-worker CPU seconds: minutes are admitted, hours refused
+# Peak bytes per entry that H may hold (16 B value and 4 B column, three
+# times over: the peak was 2.67 times that at N = 12 and 2.35 at N = 13),
+# and per grid point of a trace (quick_n4: 2.0 KB a step of its two traces).
+BYTES_PER_H_ENTRY, BYTES_PER_POINT = 60, 1100
 
 
 class ConfigError(ValueError):
@@ -136,16 +138,6 @@ def _integer(value, field: str) -> int:
     return value
 
 
-def study_peak_bytes(n_sites: int) -> int:
-    """An upper estimate of a study's peak memory, from the most entries H can hold.
-
-    H stores at most one diagonal entry per basis state, and each bond
-    exactly 8 off-diagonal ones per state of the other N - 2 sites.
-    """
-    entries = 3**n_sites + 8 * (n_sites - 1) * 3 ** (n_sites - 2)
-    return PEAK_PER_H_BYTE * H_ENTRY_BYTES * entries
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One quench study, checked on construction; every bad value is a ConfigError naming its field.
@@ -177,17 +169,6 @@ class RunConfig:
 
         _expect(_integer(self.n_sites, "n_sites") >= 2, "n_sites", "need at least 2 sites")
         put("j_z_over_j_xy", _number(self.j_z_over_j_xy, "j_z_over_j_xy"))
-        if self.n_sites <= math.log(MAX_AMPLITUDES, 3):  # longer: build_xxz refuses by dimension
-            need = study_peak_bytes(self.n_sites)
-            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-            why = f"a study at {self.n_sites} sites needs about {need / 2**30:.1f} GiB"
-            _expect(need <= have, "n_sites", f"{why}, more than the {have / 2**30:.1f} GiB of RAM")
-            # A diagonal entry of H is at most (N - 1) |J_z| in size, and the
-            # Taylor kernel sums a block's diagonal, of up to 3^N entries.
-            most = 3**self.n_sites * (self.n_sites - 1) * abs(self.j_z_over_j_xy)
-            why = "the sums of H's diagonal, up to 3^N (N - 1) |j_z_over_j_xy|, may overflow"
-            why = f"{self.j_z_over_j_xy!r} at {self.n_sites} sites: {why}"
-            _expect(most <= sys.float_info.max, "j_z_over_j_xy", why)
         put("t_max", _number(self.t_max, "t_max"))
         _expect(self.t_max > 0, "t_max", "must be positive")
         _expect(_integer(self.steps, "steps") >= 1, "steps", "must be at least 1")
@@ -228,15 +209,28 @@ class RunConfig:
         _expect(distinct, "lambdas", f"values must be distinct, got {list(lambdas)}")
         put("pulse_area", _number(self.pulse_area, "pulse_area"))
         _expect(self.pulse_area > 0, "pulse_area", "must be positive")
-        for lam in self.lambdas:  # the study's LR configs at its J_xy = 1, checked before it
+        if self.n_sites <= math.log(MAX_AMPLITUDES, 3):  # longer: build_xxz refuses, and no plan
+            # A diagonal entry of H is at most (N - 1) |J_z| in size, and the
+            # Taylor kernel sums a block's diagonal, of up to 3^N entries.
+            most = 3**self.n_sites * (self.n_sites - 1) * abs(self.j_z_over_j_xy)
+            why = "the sums of H's diagonal, up to 3^N (N - 1) |j_z_over_j_xy|, may overflow"
+            why = f"{self.j_z_over_j_xy!r} at {self.n_sites} sites: {why}"
+            _expect(most <= sys.float_info.max, "j_z_over_j_xy", why)
             try:
-                LinearResponseConfig(lam, self.pulse_area).check_strength(self.n_sites, 1.0)
-            except ValueError as err:
+                plan = study_plan(self)
+            except ValueError as err:  # a pulse that its LinearResponseConfig refuses
                 _expect(False, "lambdas", str(err))
-        traces = 1 + len(self.lambdas) * (LINEAR_RESPONSE in self.protocols)
-        most = MAX_TRACE_STEPS // traces
-        why = f"at most {most} with {traces} traces"
-        _expect(self.steps <= most, "steps", f"{self.steps} steps requested; {why}")
+            have, need = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), sum(plan.bytes)
+            why = f"about {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of RAM"
+            if plan.bytes[1] > plan.bytes[0]:  # the rows', not H's
+                why_steps = f"{self.steps} steps of {len(plan.traces)} traces need {why}"
+                _expect(need <= have, "steps", why_steps)
+            _expect(need <= have, "n_sites", f"a study at {self.n_sites} sites needs {why}")
+            why = (f"{self.steps} steps to t_max = {self.t_max!r}, {len(plan.traces)} traces, "
+                   f"pulse_area = {self.pulse_area!r} and j_z_over_j_xy = {self.j_z_over_j_xy!r} "
+                   f"at {self.n_sites} sites predict about {plan.cpu_seconds / 60:.3g} min of "
+                   f"one-worker CPU, over the bound of {MAX_WORK / 60:g} min")
+            _expect(plan.cpu_seconds <= MAX_WORK, plan.driver, why)
         repeats = np.diff(np.linspace(0.0, self.t_max, self.steps)) <= 0  # a subnormal t_max
         why = f"t_max = {self.t_max!r} over steps = {self.steps} gives a grid whose times repeat"
         _expect(not repeats.any(), "t_max", why)
@@ -244,6 +238,69 @@ class RunConfig:
         workers = self.workers
         valid = workers is None or _is_int(workers) and workers >= 1
         _expect(valid, "workers", "must be null or >= 1")
+
+
+@dataclass(frozen=True)
+class StudyPlan:
+    """A study counted from its RunConfig before H exists; see study_plan."""
+
+    points: int
+    traces: tuple  # the pool's task keys, the Hadamard trace first
+    lr_configs: dict  # the checked LinearResponseConfig of each (lambda, kind)
+    sectors: tuple  # (dimension, entry bound) of each sector of H that psi0 touches
+    trajectories: tuple  # (trace, kernel, dimension, products) of each, in one sector
+    cpu_seconds: float  # predicted at one worker
+    driver: str  # the field with the largest share of cpu_seconds
+    bytes: tuple[int, int]  # the peaks predicted for H and for the rows
+
+
+def study_plan(config: RunConfig) -> StudyPlan:
+    """The StudyPlan of a checked config of at most log_3(MAX_AMPLITUDES) sites, in closed form.
+
+    psi0 touches the sectors of digit sum N, or N - 1 and N + 1 at odd N.
+    A bond adds 2, 4 and 2 off-diagonal entries per state of the other
+    N - 2 sites whose pair's digits sum to 1, 2 and 3.  Dense-eig takes 1
+    product plus 1 per nonzero time; Taylor m s per step for the step times
+    the 1-norm bound (N - 1)(2 + |J_z/J_xy|) + 2 lambda, with s growing in
+    proportion past the kernel's step cap.
+    """
+    n, steps, dt = config.n_sites, config.steps, config.pulse_area  # J_xy = 1: dt = pulse_area
+    lr_configs = {}
+    for lam, (kind, _, _) in itertools.product(config.lambdas, LR_KINDS):
+        lr_configs[lam, kind] = LinearResponseConfig(lam, dt, *(s - 1 for s in config.sites), kind)
+        lr_configs[lam, kind].check_strength(n, 1.0)
+    lr = [(LINEAR_RESPONSE, lam) for lam in config.lambdas if LINEAR_RESPONSE in config.protocols]
+    size = functools.reduce(np.convolve, [[1, 1, 1]] * n, np.ones(1, dtype=int)).tolist()
+    pairs = functools.reduce(np.convolve, [[1, 1, 1]] * (n - 2), np.array([0, 2, 4, 2])).tolist()
+    sectors = [(size[s], size[s] + (n - 1) * pairs[s]) for s in sorted({n - n % 2, n + n % 2})]
+    norm, tau = (n - 1) * (2 + abs(config.j_z_over_j_xy)), config.t_max / max(steps - 1, 1)
+    past_dt = steps - 1 - min(steps - 1, dt * (steps - 1) // config.t_max)
+    # (trace, pulse strength or None, nonzero times, step): the Hadamard trace streams psi0 and
+    # W_A psi0, the LR readout evolves psi0 to dt, and an LR trace, per kind, pulses psi0 for
+    # dt and streams it past dt.  A pulse's CPU is pulse_area's share, a Taylor grid's t_max's.
+    runs = [((HADAMARD, None), None, steps - 1, tau)] * 2
+    runs += [((LINEAR_RESPONSE, None), None, 1, dt)] * bool(lr)
+    for key in lr:
+        runs += [(key, key[1], 1, dt), (key, None, past_dt, tau)] * 2
+    cap, trajectories = (MAX_TAYLOR_STEPS + 1) * _THETA[55], []
+    shares = {"steps": steps * (1 + len(lr)) * (POINT_SECONDS + 3**n * AMPLITUDE_SECONDS)}
+    for (key, lam, times, step), (dim, entries) in itertools.product(runs, sectors):
+        kernel, driver, products = "dense-eig", "steps", 1 + times
+        if lam is not None or dim > DENSE_BLOCK_LIMIT:
+            x = step * (norm + 2 * (lam or 0))
+            kernel, driver = "sparse", "t_max" if lam is None else "pulse_area"
+            m_s = math.prod(_taylor_degree(min(x, cap))) * max(1, x / cap)
+            products = times and times * m_s
+        trajectories.append((key, kernel, dim, products))
+        dense = dim <= DENSE_BLOCK_LIMIT
+        read = dim**2 * DENSE_ENTRY_SECONDS if dense else entries * CSR_ENTRY_SECONDS
+        shares[driver] = shares.get(driver, 0.0) + products * (read + PRODUCT_SECONDS)
+    h_bytes = BYTES_PER_H_ENTRY * (3**n + 8 * (n - 1) * 3 ** (n - 2))
+    return StudyPlan(
+        steps, ((HADAMARD, None), *lr), lr_configs, tuple(sectors), tuple(trajectories),
+        sum(shares.values()), max(shares, key=shares.get),
+        (h_bytes, BYTES_PER_POINT * steps * (1 + len(lr))),
+    )
 
 
 @dataclass(frozen=True)
@@ -434,8 +491,8 @@ def default_workers(n_tasks: int) -> int:
     return max(1, min(cpus, n_tasks))
 
 
-def _run_tasks(tasks, workers: int, results: dict) -> None:
-    """Store the result of every (key, fn) task in results under its key.
+def _run_tasks(keys, task, workers: int, results: dict) -> None:
+    """Store task(key) in results under its key, for every key.
 
     On an interrupt or a failed task, pending tasks are cancelled, by the
     failed task's worker before it takes the next, and running ones
@@ -448,15 +505,15 @@ def _run_tasks(tasks, workers: int, results: dict) -> None:
 
     with ThreadPoolExecutor(max_workers=workers, initializer=submitted.wait) as pool:
 
-        def run(key, fn):
+        def run(key):
             try:
-                results[key] = fn()
+                results[key] = task(key)
             except BaseException:
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
 
         try:
-            futures = [pool.submit(run, key, fn) for key, fn in tasks]
+            futures = [pool.submit(run, key) for key in keys]
             submitted.set()
             for fut in futures:
                 fut.result()
@@ -470,10 +527,10 @@ def _run_tasks(tasks, workers: int, results: dict) -> None:
 def run_quench_study(config: RunConfig) -> StudyResult:
     """Full study: per (protocol, kind, lambda, t) records plus figures of merit.
 
-    One task per trace, which only propagates: the Hadamard trace and the
-    pulsed branches of one LR trace per lambda.  After the pool, every
-    trace is estimated, the LR ones against one unpulsed readout: the
-    Hadamard trace's marginals of B's site, plus one evolve to dt.
+    One task per trace of study_plan(config), which only propagates.
+    After the pool, every trace is estimated, the LR ones against one
+    unpulsed readout: the Hadamard trace's marginals of B's site, plus one
+    evolve to dt.
     Deterministic for a fixed config seed under any worker count: every
     point draws from its own counter-based stream and the result table is
     assembled by a key-ordered reduction.  One propagator of H0 serves
@@ -487,24 +544,14 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     protocols, lambdas, budgets = config.protocols, config.lambdas, config.shots
     pulse_area, seed = config.pulse_area, config.seed
 
-    prop, psi0, obs_a, obs_b = quench_system(config)
-    site_a, site_b = obs_a.support[0], obs_b.support[0]
+    prop, psi0, obs_a, obs_b = system = quench_system(config)
+    plan = study_plan(config)
     if log.isEnabledFor(logging.INFO):
         touched = ", ".join(f"{b.index.size} ({b.strategy})" for b in prop.blocks_touched(psi0))
-        log.info("H0 has %d blocks; psi0 touches dimension %s", len(prop.blocks), touched)
+        log.info("H0 has %d blocks; psi0 touches dimension %s; predicted %.3g s of CPU at one"
+                 " worker and %.3g MB", len(prop.blocks), touched, plan.cpu_seconds, sum(plan.bytes) / 1e6)
     grid = np.linspace(0.0, config.t_max, config.steps)
-
-    def lr_config(lam, kind):
-        return LinearResponseConfig(lam, pulse_area, site_a, site_b, kind)
-
-    def lr_task(lam):
-        return {kind: lr_trace(lr_config(lam, kind), psi0, prop, grid) for kind, _, _ in LR_KINDS}
-
-    # The Hadamard task goes first: when an LR task has completed, so has it.
-    tasks = [((HADAMARD, None), lambda: trace_probabilities(obs_a, obs_b, psi0, prop, grid))]
-    if LINEAR_RESPONSE in protocols:
-        tasks += [((LINEAR_RESPONSE, lam), functools.partial(lr_task, lam)) for lam in lambdas]
-    reported = [key for key, _ in tasks if key[0] in protocols]
+    reported = [key for key in plan.traces if key[0] in protocols]
     points = range(grid.size)
 
     def estimate(outputs) -> dict:
@@ -519,21 +566,23 @@ def run_quench_study(config: RunConfig) -> StudyResult:
         done = [(li, lam) for li, lam in enumerate(lambdas) if (LINEAR_RESPONSE, lam) in outputs]
         if done:
             marginals = outputs[(HADAMARD, None)][2]
-            readout = unperturbed_readout(prop, psi0, site_b, pulse_area, grid, marginals)
+            readout = unperturbed_readout(prop, psi0, obs_b.support[0], pulse_area, grid, marginals)
         for li, lam in done:
             branches = []
             for kind, stream, key in LR_KINDS:
                 pert, norms = outputs[(LINEAR_RESPONSE, lam)][kind]
-                args = (lr_config(lam, kind), pert, norms, readout, budgets[LINEAR_RESPONSE][key])
+                args = (plan.lr_configs[lam, kind], pert, norms, readout, budgets[LINEAR_RESPONSE][key])
                 samp = lr_estimate(*args, [task_rng(seed, 2, li, ti, stream) for ti in points])
                 branches.append((lr_estimate(*args), samp))
             traces[(LINEAR_RESPONSE, lam)] = branches
         return traces
 
-    workers = default_workers(len(tasks)) if config.workers is None else config.workers
+    workers = default_workers(len(plan.traces)) if config.workers is None else config.workers
     outputs = {}
     try:
-        _run_tasks(tasks, workers, outputs)
+        # The Hadamard task goes first: when an LR task has completed, so has it.
+        _run_tasks(plan.traces, functools.partial(_trace, plan=plan, system=system, grid=grid),
+                   workers, outputs)
         traces = estimate(outputs)
     except KeyboardInterrupt:
         raise StudyInterrupted(StudyResult(_rows(estimate(outputs), reported, grid, seed), {}))
@@ -553,6 +602,14 @@ def run_quench_study(config: RunConfig) -> StudyResult:
         fom = FigureOfMerit(r_p, r_m, dc_p, dc_m, why_p, why_m)
         figures[HADAMARD if key[1] is None else f"{LINEAR_RESPONSE}:lambda={key[1]!r}"] = fom
     return StudyResult(_rows(traces, reported, grid, seed), figures)
+
+
+def _trace(key, plan: StudyPlan, system, grid):
+    """One pool task: the propagated output of the plan's trace key on the study's system."""
+    prop, psi0, obs_a, obs_b = system
+    if key[0] == HADAMARD:
+        return trace_probabilities(obs_a, obs_b, psi0, prop, grid)
+    return {kind: lr_trace(plan.lr_configs[key[1], kind], psi0, prop, grid) for kind, *_ in LR_KINDS}
 
 
 def _rows(traces, reported, grid, seed) -> tuple[StudyRow, ...]:

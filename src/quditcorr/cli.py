@@ -158,7 +158,8 @@ def _cmd_run(args) -> int:
 def _cmd_correlator(args) -> int:
     if args.shots is not None and args.shots < 8:
         raise ConfigError(f"--shots must be at least 8 (one shot per circuit), got {args.shots}")
-    cfg = RunConfig(n_sites=args.n_sites, j_z_over_j_xy=args.jz, sites=args.sites)
+    # The verb runs no study: its config plans only the Hadamard trace's point at t = 0.
+    cfg = RunConfig(args.n_sites, args.jz, steps=1, sites=args.sites, protocols=["hadamard"])
     prop, psi0, obs_a, obs_b = quench_system(cfg)
     budget = None if args.shots is None else args.shots // 8
     rng = None if args.shots is None else task_rng(args.seed, 7)

@@ -51,8 +51,9 @@ DENSE_BLOCK_LIMIT = 500
 # products with the block, about 10 ms at N = 10 (dimension 8953), so the
 # limit is some 15 min of one trajectory there.  The count grows with
 # |t| times the block's 1-norm: a t_max or pulse duration of 1e9 needs
-# about 1e9 steps and would run for years instead of failing.  The
-# shipped configs and tests take at most 25 (chain10.json).
+# about 1e9 steps and would run for years instead of failing.  This guards
+# direct callers (evolve, measure_lr); a study's plan (benchmark.study_plan)
+# bounds the work of all its trajectories together before H is built.
 MAX_TAYLOR_STEPS = 10**5
 
 # theta_m of Al-Mohy & Higham (2011), as in SciPy: the largest 1-norm of

@@ -1,11 +1,17 @@
 import faulthandler
+import functools
+import importlib.util
+import json
 import math
 import re
 import signal
 import sys
 import threading
+import time
+import types
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from oracles import (
 )
 from quditcorr.benchmark import (
     DEFAULT_BUDGETS,
+    MAX_WORK,
     ConfigError,
     FigureOfMerit,
     RunConfig,
@@ -59,6 +66,10 @@ from quditcorr.linear_response import (
 from quditcorr.observables import HermitianObservable, spin_matrix
 from quditcorr.register import LocalOperator, QuditState, expectation, site_marginal
 from quditcorr.rng import sample_counts, task_rng
+
+ROOT = Path(__file__).parents[1]
+CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted((ROOT / "configs").glob("*.json"))}
+QUICK_N4 = CONFIGS["quick_n4"]
 
 
 def est(value, std=0.0, shots=0, mode="exact"):
@@ -463,15 +474,29 @@ def test_budgets_below_one_shot_per_expectation_value_are_refused(protocol, kind
         RunConfig(n_sites=2, steps=2, shots={protocol: {kind: least - 1}})
 
 
-@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_the_entry_bound_of_h_is_exact_off_the_diagonal(n):
     h = build_xxz(n, 1.0, 0.5)
     rows = np.repeat(np.arange(h.dimension), np.diff(h.indptr))
-    off_diagonal = int(np.count_nonzero(rows != h.indices))
+    off = rows != h.indices
+    off_diagonal = int(np.count_nonzero(off))
     assert off_diagonal == 8 * (n - 1) * 3 ** (n - 2)
     assert h.indices.size <= 3**n + off_diagonal
-    entries = benchmark.study_peak_bytes(n) // (benchmark.PEAK_PER_H_BYTE * benchmark.H_ENTRY_BYTES)
-    assert entries == 3**n + off_diagonal
+    plan = benchmark.study_plan(RunConfig(n_sites=n))
+    assert plan.bytes[0] == benchmark.BYTES_PER_H_ENTRY * (3**n + off_diagonal)
+    # The plan counts the sectors of H without building it: their sizes,
+    # and in those psi0 touches, the off-diagonal entries exactly and all
+    # entries from above.
+    indices, _ = dynamics._diagonal_blocks(h)
+    sizes = functools.reduce(np.convolve, [[1, 1, 1]] * n, [1])
+    assert [len(i) for i in indices] == sizes.tolist()
+    touched = make_propagator(h).blocks_touched(neel_superposition(n))
+    assert [dim for dim, _ in plan.sectors] == [b.index.size for b in touched]
+    for (dim, bound), block in zip(plan.sectors, touched):
+        in_block = np.zeros(h.dimension, dtype=bool)
+        in_block[block.index] = True
+        assert bound - dim == np.count_nonzero(off & in_block[rows])
+        assert bound >= np.count_nonzero(in_block[rows])
 
 
 def test_a_chain_too_long_for_memory_is_refused_before_anything_is_allocated():
@@ -487,14 +512,30 @@ def test_a_chain_too_long_for_memory_is_refused_before_anything_is_allocated():
     assert peak < 2**20
 
 
+def _physical_memory(monkeypatch, gib):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": gib * 2**30 // 4096}
+    monkeypatch.setattr(benchmark.os, "sysconf", pages.__getitem__)
+
+
 def test_the_memory_bound_follows_the_physical_memory(monkeypatch):
     # With 1 GiB installed, N = 13 (about 1.04 GiB estimated; it peaked at
     # 876 MB) is refused and N = 12 (0.32 GiB; 306 MB) accepted.
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**30 // 4096}
-    monkeypatch.setattr(benchmark.os, "sysconf", pages.__getitem__)
+    _physical_memory(monkeypatch, 1)
     with pytest.raises(ConfigError, match="'n_sites'.*more than the 1.0 GiB of RAM"):
         RunConfig(n_sites=13)
     assert RunConfig(n_sites=12).n_sites == 12
+
+
+def test_the_rows_of_a_long_grid_count_against_the_memory(monkeypatch):
+    # quick_n4 at 10^6 steps is predicted at minutes of CPU, under the work
+    # bound, but its rows (about 2 KB a step of two traces) would fill
+    # 1 GiB: refused, naming steps.
+    _physical_memory(monkeypatch, 1)
+    message = "'steps': 1000000 steps of 2 traces need about 2.0 GiB, more than the 1.0 GiB of RAM"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**{**QUICK_N4, "steps": 10**6})
+    _physical_memory(monkeypatch, 8)
+    assert benchmark.study_plan(RunConfig(**{**QUICK_N4, "steps": 10**6})).cpu_seconds < MAX_WORK
 
 
 @pytest.mark.parametrize("pulse_area", [1e-3, 0.7, 1.0])
@@ -548,15 +589,102 @@ def test_the_strongest_pulse_accepted_at_four_sites_runs_without_overflow():
     assert all(math.isfinite(f.dc_plus) and math.isfinite(f.dc_minus) for f in figures.values())
 
 
-def test_the_steps_of_all_traces_together_are_bounded():
-    # The Hadamard trace and one LR trace per lambda share MAX_TRACE_STEPS,
-    # whatever the memory: 10001 steps of two traces are refused.
-    assert RunConfig(n_sites=4, steps=10000).steps == 10000
-    with pytest.raises(ConfigError, match="'steps': 10001 steps requested; at most 10000 with 2"):
-        RunConfig(n_sites=4, steps=10001)
-    assert RunConfig(n_sites=4, steps=20000, protocols=("hadamard",)).steps == 20000
-    with pytest.raises(ConfigError, match="'steps': 5001 steps requested; at most 5000 with 4"):
-        RunConfig(n_sites=4, steps=5001, lambdas=(0.1, 0.2, 0.3))
+def test_the_steps_of_all_traces_together_are_bounded(monkeypatch):
+    # The Hadamard trace and one LR trace per lambda share one bound on
+    # their predicted one-worker CPU, MAX_WORK, whatever the memory: the
+    # longest grid of each config below it is admitted, and one step more
+    # is refused, naming steps, with the minutes and the bound.
+    _physical_memory(monkeypatch, 2**20)
+
+    def longest(**fields):
+        admitted, refused = 1, 10**9
+        while refused - admitted > 1:
+            steps = (admitted + refused) // 2
+            try:
+                RunConfig(n_sites=4, steps=steps, **fields)
+                admitted = steps
+            except ConfigError as err:
+                assert "'steps'" in str(err) and "over the bound of 10 min" in str(err)
+                refused = steps
+        plan = benchmark.study_plan(RunConfig(n_sites=4, steps=admitted, **fields))
+        assert plan.cpu_seconds <= MAX_WORK
+        message = f"'steps': {refused} steps to t_max = 5.0, {len(plan.traces)} traces, pulse_area"
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(n_sites=4, steps=refused, **fields)
+        return admitted
+
+    # More traces, fewer steps; quick_n4 runs 10001 steps.
+    assert 10001 < longest(lambdas=(0.1, 0.2, 0.3)) < longest() < longest(protocols=("hadamard",))
+
+
+@pytest.mark.parametrize(
+    "config, changes",
+    [("quick_n4", {}), ("quick_n4", {"n_sites": 7}), ("chain10", {"n_sites": 8, "steps": 11})],
+    ids=["quick_n4", "quick_n4-n7", "chain10-n8"],
+)
+def test_the_plan_counts_the_products_of_the_kernels(monkeypatch, config, changes):
+    # The plan's products bound those the kernels make, within 2x: exactly
+    # on the dense-eig blocks, from above where a Taylor step stops early.
+    products, matmul = [], dynamics._matmul
+    monkeypatch.setattr(dynamics, "_matmul", lambda m, z: products.append(1) or matmul(m, z))
+    cfg = RunConfig(**{**CONFIGS[config], **changes, "workers": 1})
+    run_quench_study(cfg)
+    planned = sum(count for *_, count in benchmark.study_plan(cfg).trajectories)
+    assert 1 <= planned / len(products) <= 2
+    if cfg.n_sites <= 7:
+        assert planned == len(products)
+
+
+# Inputs of earlier reports of studies that ran for minutes or hours.
+LONG = {
+    "t-max-50000": {**CONFIGS["chain10"], "t_max": 50000.0},  # about an hour at N = 10
+    "steps-1e8": {**CONFIGS["quick_n4"], "steps": 10**8},  # hours, and 200 GB of rows
+}
+MINUTES = {
+    "steps-10000": {**CONFIGS["chain10"], "steps": 10000},  # about 2 min at N = 10
+    # 58 ms a step at N = 11 (2000 steps: 116 s of CPU), so about 10 min.
+    "n11-steps-10000": {**CONFIGS["chain10"], "n_sites": 11, "steps": 10000},
+    "700-lambdas": {**CONFIGS["chain10"], "lambdas": [k / 1000 for k in range(1, 701)]},
+    "j-z-3e8": {"n_sites": 4, "steps": 3, "j_z_over_j_xy": 3e8},  # 71771 Taylor steps a pulse
+    "readme-n14": {**CONFIGS["chain10"], "n_sites": 14, "steps": 4, "workers": 1},
+}
+
+
+@pytest.mark.parametrize("name", LONG)
+def test_what_would_run_for_hours_is_refused_at_once(name):
+    import tracemalloc
+
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(ConfigError, match="more than the .* GiB of RAM|over the bound of 10"):
+            RunConfig(**LONG[name])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 1 and peak < 2**20
+    plan = benchmark.study_plan(types.SimpleNamespace(**{**vars(RunConfig()), **LONG[name]}))
+    assert plan.cpu_seconds > MAX_WORK
+
+
+@pytest.mark.parametrize("name", MINUTES)
+def test_what_runs_for_minutes_is_admitted(monkeypatch, name):
+    _physical_memory(monkeypatch, 8)  # the README's machine, for N = 14
+    assert 30 < benchmark.study_plan(RunConfig(**MINUTES[name])).cpu_seconds <= MAX_WORK
+
+
+def test_every_shipped_documented_and_benchmarked_study_is_admitted(monkeypatch):
+    _physical_memory(monkeypatch, 8)
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    perfbench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perfbench)
+    studies = [*CONFIGS.values(), *perfbench.WORKLOADS.values()]
+    for n_sites, steps in [(7, 26), (8, 11), (9, 6), (12, 6), (14, 4)]:  # CI and README runs
+        studies.append({**CONFIGS["chain10"], "n_sites": n_sites, "steps": steps})
+    studies.append({"n_sites": 6, "steps": 13, "protocols": ["hadamard"]})
+    studies.append({**QUICK_N4, "steps": 10001})
+    for study in studies:
+        assert benchmark.study_plan(RunConfig(**study)).cpu_seconds <= MAX_WORK, study
 
 
 def test_scenario_validation():

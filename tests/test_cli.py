@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -208,6 +209,11 @@ def test_info_log_shows_the_blocks_and_leaves_the_csv_bytes_alone(tmp_path):
         csv[level], err[level] = (out / "results.csv").read_bytes(), proc.stderr
     assert csv["INFO"] == csv["WARNING"]
     assert "H0 has 7 blocks; psi0 touches dimension 6 (dense-eig), 6 (dense-eig)" in err["INFO"]
+    # The plan's predicted CPU and bytes follow on the same line.
+    line = r"dense-eig\); predicted (\S+) s of CPU at one worker and (\S+) MB"
+    plan = benchmark.study_plan(parse_config_dict({**FAST, "n_sites": 3})[0])
+    want = (f"{plan.cpu_seconds:.3g}", f"{sum(plan.bytes) / 1e6:.3g}")
+    assert re.search(line, err["INFO"]).groups() == want
     assert "blocks" not in err["WARNING"]
 
 
@@ -496,6 +502,16 @@ def test_correlator_rejects_a_bad_site_pair_naming_the_field(capsys, flags, mess
     assert "invalid config field 'sites'" in err and message in err
 
 
+def test_correlator_runs_where_a_study_at_its_anisotropy_is_refused(tmp_path, capsys):
+    # The verb runs no study, so no study's work refuses its config.  At
+    # J_z/J_xy = 1e9 a study's pulses need some 3e5 Taylor steps each.
+    assert main(["correlator", "--n-sites", "4", "--jz", "1e9", "--t2", "1"]) == 0
+    assert capsys.readouterr().out.startswith("C+(0, 1) = ")
+    path = write_config(tmp_path, {**QUICK_N4, "j_z_over_j_xy": 1e9})
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "Taylor steps" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jz", ["nan", "inf", "-inf"])
 def test_correlator_rejects_a_non_finite_anisotropy_naming_the_field(capsys, jz):
     assert main(["correlator", "--n-sites", "3", f"--jz={jz}", "--t2", "1"]) == 2
@@ -562,10 +578,14 @@ def test_exact_only_is_an_unknown_config_key(tmp_path, capsys):
         ([1, 2], [], "config document must be a JSON object"),
         # 3^18 amplitudes exceed the 2^27 budget: refused before H is allocated.
         (FAST, ["--n-sites", "18"], "dimension 3^18 = 387420489 exceeds the 134217728 budget"),
-        # A finite t_max whose phase overflows, on the dense-eig blocks at
-        # N = 4 and on the Taylor kernel's at N = 8.
+        # A finite t_max whose phase overflows: the dense-eig kernel refuses it
+        # at N = 4, and at N = 8 the plan refuses it before H is built: the
+        # Taylor steps it counts overflow to infinity.
         (QUICK_N4, ["--t-max", "1e308", "--steps", "2"], TIME_OVERFLOWS),
-        (QUICK_N4, ["--t-max", "1e308", "--steps", "2", "--n-sites", "8"], TIME_OVERFLOWS),
+        (QUICK_N4, ["--t-max", "1e308", "--steps", "2", "--n-sites", "8"],
+         "invalid config field 't_max': 2 steps to t_max = 1e+308, 2 traces, pulse_area = 0.001 "
+         "and j_z_over_j_xy = 0.5 at 8 sites predict about inf min of one-worker CPU, over the "
+         "bound of 10 min"),
         # A pulse grows a squared norm by up to exp(2 lambda pulse_area) = exp(800):
         # refused before the study, not an overflow in a site marginal.
         ({"n_sites": 4, "lambdas": [400], "pulse_area": 1, "steps": 3}, [],
@@ -601,21 +621,22 @@ def test_run_reports_unusable_input_in_one_line(tmp_path, capsys, payload, flags
 
 
 @pytest.mark.parametrize(
-    "payload, flags",
+    "payload, flags, field",
     [
-        (QUICK_N4, ["--n-sites", "8", "--t-max", "1e9", "--steps", "2"]),
+        (QUICK_N4, ["--n-sites", "8", "--t-max", "1e9", "--steps", "2"], "t_max"),
         # lambda small enough that the pulse's norm growth, exp(2 lambda pulse_area),
         # fits a float, so the pulse reaches the step count.
-        ({**QUICK_N4, "pulse_area": 1e9, "lambdas": [1e-7]}, []),
+        ({**QUICK_N4, "pulse_area": 1e9, "lambdas": [1e-7]}, [], "pulse_area"),
         # Pulses whose step count does not fit a float: refused as well,
         # not an OverflowError from counting the steps.
-        ({"n_sites": 5, "j_z_over_j_xy": 1e300}, []),
+        ({"n_sites": 5, "j_z_over_j_xy": 1e300}, [], "pulse_area"),
     ],
     ids=["t-max-1e9-taylor", "pulse-area-1e9", "j-z-1e300"],
 )
-def test_run_refuses_a_time_grid_past_the_taylor_step_limit(tmp_path, payload, flags):
-    # Each would take over 6e8 Taylor steps: counted from the grid and
-    # refused before the first product, so no overflow warning either.
+def test_run_refuses_a_time_grid_past_the_taylor_step_limit(tmp_path, payload, flags, field):
+    # Each would take over 6e8 Taylor steps: the plan counts them from the
+    # grid and refuses the study before H is built, naming the input whose
+    # work dominates, so no overflow warning either.
     src = str(pathlib.Path(quditcorr.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error::RuntimeWarning"}
     out = tmp_path / "out"
@@ -623,8 +644,9 @@ def test_run_refuses_a_time_grid_past_the_taylor_step_limit(tmp_path, payload, f
            write_config(tmp_path, payload), "--out", str(out), *flags]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: the time grid needs ") and proc.stderr.count("\n") == 1
-    assert "Taylor steps" in proc.stderr and not out.exists()
+    assert proc.stderr.startswith(f"error: invalid config field '{field}': ")
+    assert proc.stderr.count("\n") == 1 and not out.exists()
+    assert proc.stderr.endswith(" min of one-worker CPU, over the bound of 10 min\n")
 
 
 def test_run_refuses_a_huge_chain_at_once(tmp_path):

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DENSE_BLOCK_LIMIT, MAX_TAYLOR_STEPS, _THETA, _taylor_degree
-from .dynamics import SparseHamiltonian, build_xxz, make_propagator, site_sz_diagonal
+from .dynamics import DENSE_BLOCK_LIMIT, MAX_TAYLOR_STEPS, _THETA, SparseHamiltonian, build_xxz
+from .dynamics import _taylor_degree, check_dimension, make_propagator, site_sz_diagonal
 from .hadamard import (
     EXACT,
     SAMPLED,
@@ -59,7 +59,7 @@ from .linear_response import (
     unperturbed_readout,
 )
 from .observables import HermitianObservable, require_hermitian, spin_matrix
-from .register import MAX_AMPLITUDES, QuditState, basis_state, site_marginal
+from .register import QuditState, basis_state, site_marginal
 from .rng import task_rng
 
 log = logging.getLogger(__name__)
@@ -149,6 +149,7 @@ class RunConfig:
     (None: default_workers).  Types are checked, not coerced, except
     that integers pass as numbers; lists pass as tuples and the budgets
     as read-only mappings, so a checked config is immutable and hashable.
+    It is admitted by its study_plan, which it keeps as .plan, not a field.
     """
 
     n_sites: int = 4
@@ -168,6 +169,10 @@ class RunConfig:
             object.__setattr__(self, name, value)
 
         _expect(_integer(self.n_sites, "n_sites") >= 2, "n_sites", "need at least 2 sites")
+        try:  # before any check forms 3^N or a grid
+            check_dimension(self.n_sites)
+        except ValueError as err:
+            _expect(False, "n_sites", str(err))
         put("j_z_over_j_xy", _number(self.j_z_over_j_xy, "j_z_over_j_xy"))
         put("t_max", _number(self.t_max, "t_max"))
         _expect(self.t_max > 0, "t_max", "must be positive")
@@ -209,28 +214,24 @@ class RunConfig:
         _expect(distinct, "lambdas", f"values must be distinct, got {list(lambdas)}")
         put("pulse_area", _number(self.pulse_area, "pulse_area"))
         _expect(self.pulse_area > 0, "pulse_area", "must be positive")
-        if self.n_sites <= math.log(MAX_AMPLITUDES, 3):  # longer: build_xxz refuses, and no plan
-            # A diagonal entry of H is at most (N - 1) |J_z| in size, and the
-            # Taylor kernel sums a block's diagonal, of up to 3^N entries.
-            most = 3**self.n_sites * (self.n_sites - 1) * abs(self.j_z_over_j_xy)
-            why = "the sums of H's diagonal, up to 3^N (N - 1) |j_z_over_j_xy|, may overflow"
-            why = f"{self.j_z_over_j_xy!r} at {self.n_sites} sites: {why}"
-            _expect(most <= sys.float_info.max, "j_z_over_j_xy", why)
-            try:
-                plan = study_plan(self)
-            except ValueError as err:  # a pulse that its LinearResponseConfig refuses
-                _expect(False, "lambdas", str(err))
-            have, need = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), sum(plan.bytes)
-            why = f"about {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of RAM"
-            if plan.bytes[1] > plan.bytes[0]:  # the rows', not H's
-                why_steps = f"{self.steps} steps of {len(plan.traces)} traces need {why}"
-                _expect(need <= have, "steps", why_steps)
-            _expect(need <= have, "n_sites", f"a study at {self.n_sites} sites needs {why}")
-            why = (f"{self.steps} steps to t_max = {self.t_max!r}, {len(plan.traces)} traces, "
-                   f"pulse_area = {self.pulse_area!r} and j_z_over_j_xy = {self.j_z_over_j_xy!r} "
-                   f"at {self.n_sites} sites predict about {plan.cpu_seconds / 60:.3g} min of "
-                   f"one-worker CPU, over the bound of {MAX_WORK / 60:g} min")
-            _expect(plan.cpu_seconds <= MAX_WORK, plan.driver, why)
+        # A diagonal entry of H is at most (N - 1) |J_z| in size, and the
+        # Taylor kernel sums a block's diagonal, of up to 3^N entries.
+        most = 3**self.n_sites * (self.n_sites - 1) * abs(self.j_z_over_j_xy)
+        why = "the sums of H's diagonal, up to 3^N (N - 1) |j_z_over_j_xy|, may overflow"
+        why = f"{self.j_z_over_j_xy!r} at {self.n_sites} sites: {why}"
+        _expect(most <= sys.float_info.max, "j_z_over_j_xy", why)
+        put("plan", plan := study_plan(self))
+        have, need = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), sum(plan.bytes)
+        why = f"about {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of RAM"
+        if plan.bytes[1] > plan.bytes[0]:  # the rows', not H's
+            why_steps = f"{self.steps} steps of {len(plan.traces)} traces need {why}"
+            _expect(need <= have, "steps", why_steps)
+        _expect(need <= have, "n_sites", f"a study at {self.n_sites} sites needs {why}")
+        why = (f"{self.steps} steps to t_max = {self.t_max!r}, {len(plan.traces)} traces, "
+               f"pulse_area = {self.pulse_area!r} and j_z_over_j_xy = {self.j_z_over_j_xy!r} "
+               f"at {self.n_sites} sites predict about {plan.cpu_seconds / 60:.3g} min of "
+               f"one-worker CPU, over the bound of {MAX_WORK / 60:g} min")
+        _expect(plan.cpu_seconds <= MAX_WORK, plan.dominant, why)
         repeats = np.diff(np.linspace(0.0, self.t_max, self.steps)) <= 0  # a subnormal t_max
         why = f"t_max = {self.t_max!r} over steps = {self.steps} gives a grid whose times repeat"
         _expect(not repeats.any(), "t_max", why)
@@ -244,35 +245,29 @@ class RunConfig:
 class StudyPlan:
     """A study counted from its RunConfig before H exists; see study_plan."""
 
-    points: int
     traces: tuple  # the pool's task keys, the Hadamard trace first
     lr_configs: dict  # the checked LinearResponseConfig of each (lambda, kind)
-    sectors: tuple  # (dimension, entry bound) of each sector of H that psi0 touches
-    trajectories: tuple  # (trace, kernel, dimension, products) of each, in one sector
     cpu_seconds: float  # predicted at one worker
-    driver: str  # the field with the largest share of cpu_seconds
+    dominant: str  # the field with the largest share of cpu_seconds
     bytes: tuple[int, int]  # the peaks predicted for H and for the rows
 
 
 def study_plan(config: RunConfig) -> StudyPlan:
-    """The StudyPlan of a checked config of at most log_3(MAX_AMPLITUDES) sites, in closed form.
+    """The StudyPlan of a config whose chain check_dimension admits, counted in closed form.
 
-    psi0 touches the sectors of digit sum N, or N - 1 and N + 1 at odd N.
-    A bond adds 2, 4 and 2 off-diagonal entries per state of the other
-    N - 2 sites whose pair's digits sum to 1, 2 and 3.  Dense-eig takes 1
-    product plus 1 per nonzero time; Taylor m s per step for the step times
-    the 1-norm bound (N - 1)(2 + |J_z/J_xy|) + 2 lambda, with s growing in
-    proportion past the kernel's step cap.
+    A trajectory takes 1 product plus 1 per nonzero time on a dense-eig block, and on a Taylor
+    one m s per time for the step times the 1-norm bound (N - 1)(2 + |J_z/J_xy|) + 2 lambda:
+    past the kernel's MAX_TAYLOR_STEPS, a ConfigError naming t_max (a grid) or pulse_area.
     """
     n, steps, dt = config.n_sites, config.steps, config.pulse_area  # J_xy = 1: dt = pulse_area
-    lr_configs = {}
+    sites, lr_configs = [s - 1 for s in config.sites], {}
     for lam, (kind, _, _) in itertools.product(config.lambdas, LR_KINDS):
-        lr_configs[lam, kind] = LinearResponseConfig(lam, dt, *(s - 1 for s in config.sites), kind)
-        lr_configs[lam, kind].check_strength(n, 1.0)
+        try:  # every lambda, whatever the protocols
+            lr_configs[lam, kind] = LinearResponseConfig(lam, dt, *sites, kind)
+            lr_configs[lam, kind].check_strength(n, 1.0)
+        except ValueError as err:
+            _expect(False, "lambdas", str(err))
     lr = [(LINEAR_RESPONSE, lam) for lam in config.lambdas if LINEAR_RESPONSE in config.protocols]
-    size = functools.reduce(np.convolve, [[1, 1, 1]] * n, np.ones(1, dtype=int)).tolist()
-    pairs = functools.reduce(np.convolve, [[1, 1, 1]] * (n - 2), np.array([0, 2, 4, 2])).tolist()
-    sectors = [(size[s], size[s] + (n - 1) * pairs[s]) for s in sorted({n - n % 2, n + n % 2})]
     norm, tau = (n - 1) * (2 + abs(config.j_z_over_j_xy)), config.t_max / max(steps - 1, 1)
     past_dt = steps - 1 - min(steps - 1, dt * (steps - 1) // config.t_max)
     # (trace, pulse strength or None, nonzero times, step): the Hadamard trace streams psi0 and
@@ -282,25 +277,35 @@ def study_plan(config: RunConfig) -> StudyPlan:
     runs += [((LINEAR_RESPONSE, None), None, 1, dt)] * bool(lr)
     for key in lr:
         runs += [(key, key[1], 1, dt), (key, None, past_dt, tau)] * 2
-    cap, trajectories = (MAX_TAYLOR_STEPS + 1) * _THETA[55], []
+    cap = (MAX_TAYLOR_STEPS + 1) * _THETA[55]  # the norm of MAX_TAYLOR_STEPS + 1 steps
     shares = {"steps": steps * (1 + len(lr)) * (POINT_SECONDS + 3**n * AMPLITUDE_SECONDS)}
-    for (key, lam, times, step), (dim, entries) in itertools.product(runs, sectors):
-        kernel, driver, products = "dense-eig", "steps", 1 + times
+    for (key, lam, times, step), (dim, entries) in itertools.product(runs, _sectors(n)):
+        field, products = "steps", 1 + times
         if lam is not None or dim > DENSE_BLOCK_LIMIT:
-            x = step * (norm + 2 * (lam or 0))
-            kernel, driver = "sparse", "t_max" if lam is None else "pulse_area"
-            m_s = math.prod(_taylor_degree(min(x, cap))) * max(1, x / cap)
-            products = times and times * m_s
-        trajectories.append((key, kernel, dim, products))
+            field = "t_max" if lam is None else "pulse_area"
+            m, s = _taylor_degree(min(step * (norm + 2 * (lam or 0)), cap))
+            if times * s > MAX_TAYLOR_STEPS:
+                what = "the time grid" if lam is None else f"the pulse of lambda = {lam!r}"
+                _expect(False, field, f"{what} needs over {MAX_TAYLOR_STEPS} Taylor steps on a "
+                        f"block of dimension {dim}: shorten the times or the pulse")
+            products = times * m * s
         dense = dim <= DENSE_BLOCK_LIMIT
         read = dim**2 * DENSE_ENTRY_SECONDS if dense else entries * CSR_ENTRY_SECONDS
-        shares[driver] = shares.get(driver, 0.0) + products * (read + PRODUCT_SECONDS)
+        shares[field] = shares.get(field, 0.0) + products * (read + PRODUCT_SECONDS)
     h_bytes = BYTES_PER_H_ENTRY * (3**n + 8 * (n - 1) * 3 ** (n - 2))
     return StudyPlan(
-        steps, ((HADAMARD, None), *lr), lr_configs, tuple(sectors), tuple(trajectories),
-        sum(shares.values()), max(shares, key=shares.get),
+        ((HADAMARD, None), *lr), lr_configs, sum(shares.values()), max(shares, key=shares.get),
         (h_bytes, BYTES_PER_POINT * steps * (1 + len(lr))),
     )
+
+
+def _sectors(n: int) -> list[tuple[int, int]]:
+    """(dimension, entry bound) of the sectors psi0 touches: digit sum N, or N -+ 1 at odd N."""
+    size = functools.reduce(np.convolve, [[1, 1, 1]] * n, np.ones(1, dtype=int)).tolist()
+    # A bond adds 2, 4 and 2 off-diagonal entries per state of the other N - 2 sites whose
+    # pair's digits sum to 1, 2 and 3.
+    pairs = functools.reduce(np.convolve, [[1, 1, 1]] * (n - 2), np.array([0, 2, 4, 2])).tolist()
+    return [(size[s], size[s] + (n - 1) * pairs[s]) for s in sorted({n - n % 2, n + n % 2})]
 
 
 @dataclass(frozen=True)
@@ -527,7 +532,7 @@ def _run_tasks(keys, task, workers: int, results: dict) -> None:
 def run_quench_study(config: RunConfig) -> StudyResult:
     """Full study: per (protocol, kind, lambda, t) records plus figures of merit.
 
-    One task per trace of study_plan(config), which only propagates.
+    One task per trace of config.plan, which only propagates.
     After the pool, every trace is estimated, the LR ones against one
     unpulsed readout: the Hadamard trace's marginals of B's site, plus one
     evolve to dt.
@@ -542,14 +547,14 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     completed traces, in the usual order, and no figures.
     """
     protocols, lambdas, budgets = config.protocols, config.lambdas, config.shots
-    pulse_area, seed = config.pulse_area, config.seed
+    pulse_area, seed, plan = config.pulse_area, config.seed, config.plan
 
     prop, psi0, obs_a, obs_b = system = quench_system(config)
-    plan = study_plan(config)
     if log.isEnabledFor(logging.INFO):
         touched = ", ".join(f"{b.index.size} ({b.strategy})" for b in prop.blocks_touched(psi0))
-        log.info("H0 has %d blocks; psi0 touches dimension %s; predicted %.3g s of CPU at one"
-                 " worker and %.3g MB", len(prop.blocks), touched, plan.cpu_seconds, sum(plan.bytes) / 1e6)
+        log.info("H0 has %d blocks; psi0 touches dimension %s; predicted %.3g s of CPU at one "
+                 "worker and %.3g MB", len(prop.blocks), touched, plan.cpu_seconds,
+                 sum(plan.bytes) / 1e6)
     grid = np.linspace(0.0, config.t_max, config.steps)
     reported = [key for key in plan.traces if key[0] in protocols]
     points = range(grid.size)
@@ -571,7 +576,8 @@ def run_quench_study(config: RunConfig) -> StudyResult:
             branches = []
             for kind, stream, key in LR_KINDS:
                 pert, norms = outputs[(LINEAR_RESPONSE, lam)][kind]
-                args = (plan.lr_configs[lam, kind], pert, norms, readout, budgets[LINEAR_RESPONSE][key])
+                args = (plan.lr_configs[lam, kind], pert, norms, readout,
+                        budgets[LINEAR_RESPONSE][key])
                 samp = lr_estimate(*args, [task_rng(seed, 2, li, ti, stream) for ti in points])
                 branches.append((lr_estimate(*args), samp))
             traces[(LINEAR_RESPONSE, lam)] = branches
@@ -581,8 +587,8 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     outputs = {}
     try:
         # The Hadamard task goes first: when an LR task has completed, so has it.
-        _run_tasks(plan.traces, functools.partial(_trace, plan=plan, system=system, grid=grid),
-                   workers, outputs)
+        task = functools.partial(_trace, lr_configs=plan.lr_configs, system=system, grid=grid)
+        _run_tasks(plan.traces, task, workers, outputs)
         traces = estimate(outputs)
     except KeyboardInterrupt:
         raise StudyInterrupted(StudyResult(_rows(estimate(outputs), reported, grid, seed), {}))
@@ -604,12 +610,12 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     return StudyResult(_rows(traces, reported, grid, seed), figures)
 
 
-def _trace(key, plan: StudyPlan, system, grid):
-    """One pool task: the propagated output of the plan's trace key on the study's system."""
+def _trace(key, lr_configs: dict, system, grid):
+    """One pool task: the propagated output of a plan's trace key on the study's system."""
     prop, psi0, obs_a, obs_b = system
     if key[0] == HADAMARD:
         return trace_probabilities(obs_a, obs_b, psi0, prop, grid)
-    return {kind: lr_trace(plan.lr_configs[key[1], kind], psi0, prop, grid) for kind, *_ in LR_KINDS}
+    return {kind: lr_trace(lr_configs[key[1], kind], psi0, prop, grid) for kind, *_ in LR_KINDS}
 
 
 def _rows(traces, reported, grid, seed) -> tuple[StudyRow, ...]:

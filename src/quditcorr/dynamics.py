@@ -51,9 +51,8 @@ DENSE_BLOCK_LIMIT = 500
 # products with the block, about 10 ms at N = 10 (dimension 8953), so the
 # limit is some 15 min of one trajectory there.  The count grows with
 # |t| times the block's 1-norm: a t_max or pulse duration of 1e9 needs
-# about 1e9 steps and would run for years instead of failing.  This guards
-# direct callers (evolve, measure_lr); a study's plan (benchmark.study_plan)
-# bounds the work of all its trajectories together before H is built.
+# about 1e9 steps and would run for years instead of failing.  A study's
+# plan (benchmark.study_plan) refuses such a trajectory before H is built.
 MAX_TAYLOR_STEPS = 10**5
 
 # theta_m of Al-Mohy & Higham (2011), as in SciPy: the largest 1-norm of
@@ -128,6 +127,13 @@ def site_sz_diagonal(n_sites: int, site: int) -> np.ndarray:
     return np.kron(np.kron(np.ones(3**site), sz), np.ones(3 ** (n_sites - site - 1)))
 
 
+def check_dimension(n_sites: int) -> None:
+    """Refuse a chain whose 3^N amplitudes exceed MAX_AMPLITUDES, before 3^N is formed."""
+    if n_sites > math.log(MAX_AMPLITUDES, 3):  # 3^N itself takes minutes at N = 10^8
+        shown = f" = {3**n_sites}" if n_sites < 40 else ""
+        raise ValueError(f"dimension 3^{n_sites}{shown} exceeds the {MAX_AMPLITUDES} budget")
+
+
 def build_xxz(n_sites: int, j_xy: float, j_z: float) -> SparseHamiltonian:
     """Open-boundary spin-1 XXZ chain on n_sites >= 2 sites (dim 3^N).
 
@@ -139,9 +145,7 @@ def build_xxz(n_sites: int, j_xy: float, j_z: float) -> SparseHamiltonian:
     """
     if n_sites < 2:
         raise ValueError("the chain needs at least 2 sites")
-    if n_sites > math.log(MAX_AMPLITUDES, 3):  # before 3^N is formed: minutes at N = 10^8
-        shown = f" = {3**n_sites}" if n_sites < 40 else ""
-        raise ValueError(f"dimension 3^{n_sites}{shown} exceeds the {MAX_AMPLITUDES} budget")
+    check_dimension(n_sites)
     dim = 3**n_sites
     sx = spin_matrix(1, "x").matrix
     sy = spin_matrix(1, "y").matrix

@@ -8,7 +8,6 @@ import signal
 import sys
 import threading
 import time
-import types
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -482,8 +481,7 @@ def test_the_entry_bound_of_h_is_exact_off_the_diagonal(n):
     off_diagonal = int(np.count_nonzero(off))
     assert off_diagonal == 8 * (n - 1) * 3 ** (n - 2)
     assert h.indices.size <= 3**n + off_diagonal
-    plan = benchmark.study_plan(RunConfig(n_sites=n))
-    assert plan.bytes[0] == benchmark.BYTES_PER_H_ENTRY * (3**n + off_diagonal)
+    assert RunConfig(n_sites=n).plan.bytes[0] == benchmark.BYTES_PER_H_ENTRY * (3**n + off_diagonal)
     # The plan counts the sectors of H without building it: their sizes,
     # and in those psi0 touches, the off-diagonal entries exactly and all
     # entries from above.
@@ -491,8 +489,9 @@ def test_the_entry_bound_of_h_is_exact_off_the_diagonal(n):
     sizes = functools.reduce(np.convolve, [[1, 1, 1]] * n, [1])
     assert [len(i) for i in indices] == sizes.tolist()
     touched = make_propagator(h).blocks_touched(neel_superposition(n))
-    assert [dim for dim, _ in plan.sectors] == [b.index.size for b in touched]
-    for (dim, bound), block in zip(plan.sectors, touched):
+    sectors = benchmark._sectors(n)
+    assert [dim for dim, _ in sectors] == [b.index.size for b in touched]
+    for (dim, bound), block in zip(sectors, touched):
         in_block = np.zeros(h.dimension, dtype=bool)
         in_block[block.index] = True
         assert bound - dim == np.count_nonzero(off & in_block[rows])
@@ -535,7 +534,7 @@ def test_the_rows_of_a_long_grid_count_against_the_memory(monkeypatch):
     with pytest.raises(ConfigError, match=message):
         RunConfig(**{**QUICK_N4, "steps": 10**6})
     _physical_memory(monkeypatch, 8)
-    assert benchmark.study_plan(RunConfig(**{**QUICK_N4, "steps": 10**6})).cpu_seconds < MAX_WORK
+    assert RunConfig(**{**QUICK_N4, "steps": 10**6}).plan.cpu_seconds < MAX_WORK
 
 
 @pytest.mark.parametrize("pulse_area", [1e-3, 0.7, 1.0])
@@ -606,7 +605,7 @@ def test_the_steps_of_all_traces_together_are_bounded(monkeypatch):
             except ConfigError as err:
                 assert "'steps'" in str(err) and "over the bound of 10 min" in str(err)
                 refused = steps
-        plan = benchmark.study_plan(RunConfig(n_sites=4, steps=admitted, **fields))
+        plan = RunConfig(n_sites=4, steps=admitted, **fields).plan
         assert plan.cpu_seconds <= MAX_WORK
         message = f"'steps': {refused} steps to t_max = 5.0, {len(plan.traces)} traces, pulse_area"
         with pytest.raises(ConfigError, match=message):
@@ -629,16 +628,34 @@ def test_the_plan_counts_the_products_of_the_kernels(monkeypatch, config, change
     monkeypatch.setattr(dynamics, "_matmul", lambda m, z: products.append(1) or matmul(m, z))
     cfg = RunConfig(**{**CONFIGS[config], **changes, "workers": 1})
     run_quench_study(cfg)
-    planned = sum(count for *_, count in benchmark.study_plan(cfg).trajectories)
+    # At one second a product and nothing else, the predicted CPU counts the products.
+    for name in ("DENSE_ENTRY_SECONDS", "CSR_ENTRY_SECONDS", "POINT_SECONDS", "AMPLITUDE_SECONDS"):
+        monkeypatch.setattr(benchmark, name, 0.0)
+    monkeypatch.setattr(benchmark, "PRODUCT_SECONDS", 1.0)
+    planned = benchmark.study_plan(cfg).cpu_seconds
     assert 1 <= planned / len(products) <= 2
     if cfg.n_sites <= 7:
         assert planned == len(products)
 
 
-# Inputs of earlier reports of studies that ran for minutes or hours.
+def test_a_study_runs_the_plan_its_config_built(monkeypatch):
+    # RunConfig plans the study once; run_quench_study reads config.plan.
+    cfg = RunConfig(n_sites=2, steps=2, workers=1)
+    monkeypatch.setattr(benchmark, "study_plan", lambda config: pytest.fail("planned again"))
+    assert len(run_quench_study(cfg).rows) == 2 * 2 * len(cfg.plan.traces)
+
+
+# Inputs of earlier reports of studies that ran for minutes or hours, with their refusals.
 LONG = {
-    "t-max-50000": {**CONFIGS["chain10"], "t_max": 50000.0},  # about an hour at N = 10
-    "steps-1e8": {**CONFIGS["quick_n4"], "steps": 10**8},  # hours, and 200 GB of rows
+    # About an hour at N = 10; its 25 steps of t = 2000 count over 10^5 Taylor steps.
+    "t-max-50000": ({**CONFIGS["chain10"], "t_max": 50000.0},
+                    "'t_max': the time grid needs over 100000 Taylor steps"),
+    # Hours, and 200 GB of rows.
+    "steps-1e8": ({**CONFIGS["quick_n4"], "steps": 10**8},
+                  "'steps': 100000000 steps .*(more than the .* GiB of RAM|over the bound of 10 min)"),
+    # Admitted once, then refused by the Taylor kernel with the study under way.
+    "j-z-1e9": ({**CONFIGS["quick_n4"], "j_z_over_j_xy": 1e9},
+                "'pulse_area': the pulse of lambda = 0.2 needs over 100000 Taylor steps"),
 }
 MINUTES = {
     "steps-10000": {**CONFIGS["chain10"], "steps": 10000},  # about 2 min at N = 10
@@ -651,26 +668,56 @@ MINUTES = {
 
 
 @pytest.mark.parametrize("name", LONG)
-def test_what_would_run_for_hours_is_refused_at_once(name):
+def test_what_would_run_for_hours_is_refused_at_once(monkeypatch, name):
     import tracemalloc
 
+    config, message = LONG[name]
     tracemalloc.start()
     started = time.perf_counter()
     try:
-        with pytest.raises(ConfigError, match="more than the .* GiB of RAM|over the bound of 10"):
-            RunConfig(**LONG[name])
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - started < 1 and peak < 2**20
-    plan = benchmark.study_plan(types.SimpleNamespace(**{**vars(RunConfig()), **LONG[name]}))
-    assert plan.cpu_seconds > MAX_WORK
+    _physical_memory(monkeypatch, 2**20)  # where memory admits it, the work refuses it
+    with pytest.raises(ConfigError, match="over the bound of 10 min|over 100000 Taylor steps"):
+        RunConfig(**config)
+
+
+@pytest.mark.parametrize(
+    "field, config",
+    [("j_z_over_j_xy", {"n_sites": 4}), ("t_max", {"n_sites": 8})],
+    ids=["pulse", "time-grid"],
+)
+def test_every_trajectory_the_plan_admits_runs_under_the_kernels_step_limit(
+    monkeypatch, field, config
+):
+    # At a limit of 200 Taylor steps, the largest anisotropy (set by the
+    # pulses at N = 4) and t_max (by the time grid on the sparse blocks at
+    # N = 8) that the plan admits run to the end: the plan counts every
+    # trajectory's steps from above, so the kernel never refuses one.
+    for module in (benchmark, dynamics):
+        monkeypatch.setattr(module, "MAX_TAYLOR_STEPS", 200)
+    admitted, refused = 1.0, 1e12
+    while refused / admitted > 1 + 1e-6:
+        value = math.sqrt(admitted * refused)
+        try:
+            RunConfig(steps=3, **config, **{field: value})
+            admitted = value
+        except ConfigError as err:
+            assert f"'{'pulse_area' if field == 'j_z_over_j_xy' else field}'" in str(err)
+            assert "over 200 Taylor steps" in str(err)
+            refused = value
+    result = run_quench_study(RunConfig(steps=3, workers=1, **config, **{field: admitted}))
+    assert len(result.figures) == 2
 
 
 @pytest.mark.parametrize("name", MINUTES)
 def test_what_runs_for_minutes_is_admitted(monkeypatch, name):
     _physical_memory(monkeypatch, 8)  # the README's machine, for N = 14
-    assert 30 < benchmark.study_plan(RunConfig(**MINUTES[name])).cpu_seconds <= MAX_WORK
+    assert 30 < RunConfig(**MINUTES[name]).plan.cpu_seconds <= MAX_WORK
 
 
 def test_every_shipped_documented_and_benchmarked_study_is_admitted(monkeypatch):
@@ -684,7 +731,7 @@ def test_every_shipped_documented_and_benchmarked_study_is_admitted(monkeypatch)
     studies.append({"n_sites": 6, "steps": 13, "protocols": ["hadamard"]})
     studies.append({**QUICK_N4, "steps": 10001})
     for study in studies:
-        assert benchmark.study_plan(RunConfig(**study)).cpu_seconds <= MAX_WORK, study
+        assert RunConfig(**study).plan.cpu_seconds <= MAX_WORK, study
 
 
 def test_scenario_validation():

@@ -41,6 +41,9 @@ QUICK_N4 = json.loads(
     (pathlib.Path(__file__).parents[1] / "configs" / "quick_n4.json").read_text(encoding="utf-8")
 )
 TIME_OVERFLOWS = "time 1e+308 overflows the phase of exp(-iHt)"
+N18_OVER_BUDGET = (
+    "invalid config field 'n_sites': dimension 3^18 = 387420489 exceeds the 134217728 budget"
+)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -211,7 +214,7 @@ def test_info_log_shows_the_blocks_and_leaves_the_csv_bytes_alone(tmp_path):
     assert "H0 has 7 blocks; psi0 touches dimension 6 (dense-eig), 6 (dense-eig)" in err["INFO"]
     # The plan's predicted CPU and bytes follow on the same line.
     line = r"dense-eig\); predicted (\S+) s of CPU at one worker and (\S+) MB"
-    plan = benchmark.study_plan(parse_config_dict({**FAST, "n_sites": 3})[0])
+    plan = parse_config_dict({**FAST, "n_sites": 3})[0].plan
     want = (f"{plan.cpu_seconds:.3g}", f"{sum(plan.bytes) / 1e6:.3g}")
     assert re.search(line, err["INFO"]).groups() == want
     assert "blocks" not in err["WARNING"]
@@ -504,7 +507,8 @@ def test_correlator_rejects_a_bad_site_pair_naming_the_field(capsys, flags, mess
 
 def test_correlator_runs_where_a_study_at_its_anisotropy_is_refused(tmp_path, capsys):
     # The verb runs no study, so no study's work refuses its config.  At
-    # J_z/J_xy = 1e9 a study's pulses need some 3e5 Taylor steps each.
+    # J_z/J_xy = 1e9 a study's pulses need some 3e5 Taylor steps each: its
+    # plan refuses it before H is built.
     assert main(["correlator", "--n-sites", "4", "--jz", "1e9", "--t2", "1"]) == 0
     assert capsys.readouterr().out.startswith("C+(0, 1) = ")
     path = write_config(tmp_path, {**QUICK_N4, "j_z_over_j_xy": 1e9})
@@ -576,16 +580,17 @@ def test_exact_only_is_an_unknown_config_key(tmp_path, capsys):
     "payload, flags, message",
     [
         ([1, 2], [], "config document must be a JSON object"),
-        # 3^18 amplitudes exceed the 2^27 budget: refused before H is allocated.
-        (FAST, ["--n-sites", "18"], "dimension 3^18 = 387420489 exceeds the 134217728 budget"),
+        # 3^18 amplitudes exceed the 2^27 budget: refused before H is allocated,
+        # and before a time grid of 10^10 steps (80 GB) is formed.
+        (FAST, ["--n-sites", "18"], N18_OVER_BUDGET),
+        (FAST, ["--n-sites", "18", "--steps", str(10**10)], N18_OVER_BUDGET),
         # A finite t_max whose phase overflows: the dense-eig kernel refuses it
         # at N = 4, and at N = 8 the plan refuses it before H is built: the
-        # Taylor steps it counts overflow to infinity.
+        # Taylor steps it counts on the sparse block are past the kernel's limit.
         (QUICK_N4, ["--t-max", "1e308", "--steps", "2"], TIME_OVERFLOWS),
         (QUICK_N4, ["--t-max", "1e308", "--steps", "2", "--n-sites", "8"],
-         "invalid config field 't_max': 2 steps to t_max = 1e+308, 2 traces, pulse_area = 0.001 "
-         "and j_z_over_j_xy = 0.5 at 8 sites predict about inf min of one-worker CPU, over the "
-         "bound of 10 min"),
+         "invalid config field 't_max': the time grid needs over 100000 Taylor steps on a block "
+         "of dimension 1107: shorten the times or the pulse"),
         # A pulse grows a squared norm by up to exp(2 lambda pulse_area) = exp(800):
         # refused before the study, not an overflow in a site marginal.
         ({"n_sites": 4, "lambdas": [400], "pulse_area": 1, "steps": 3}, [],
@@ -607,7 +612,8 @@ def test_exact_only_is_an_unknown_config_key(tmp_path, capsys):
            "diagonal, up to 3^N (N - 1) |j_z_over_j_xy|, may overflow")
           for n, j_z in [(2, 1e308), (2, -1e308), (3, 1e308), (3, -1e308), (4, 5e307), (6, 1e307)]),
     ],
-    ids=["config-not-an-object", "n-sites-over-budget", "t-max-overflows-dense",
+    ids=["config-not-an-object", "n-sites-over-budget", "n-sites-over-budget-steps-1e10",
+         "t-max-overflows-dense",
          "t-max-overflows-taylor", "pulse-growth-overflows", "lambda-1e300",
          "lambda-1e307-kernel", "lambda-1e306-kernel",
          "j-z-1e308-n2", "j-z-minus-1e308-n2", "j-z-1e308-n3", "j-z-minus-1e308-n3",
@@ -635,8 +641,8 @@ def test_run_reports_unusable_input_in_one_line(tmp_path, capsys, payload, flags
 )
 def test_run_refuses_a_time_grid_past_the_taylor_step_limit(tmp_path, payload, flags, field):
     # Each would take over 6e8 Taylor steps: the plan counts them from the
-    # grid and refuses the study before H is built, naming the input whose
-    # work dominates, so no overflow warning either.
+    # grid and refuses the study before H is built, naming the grid's t_max
+    # or the pulse's pulse_area, so no overflow warning either.
     src = str(pathlib.Path(quditcorr.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error::RuntimeWarning"}
     out = tmp_path / "out"
@@ -646,13 +652,12 @@ def test_run_refuses_a_time_grid_past_the_taylor_step_limit(tmp_path, payload, f
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: invalid config field '{field}': ")
     assert proc.stderr.count("\n") == 1 and not out.exists()
-    assert proc.stderr.endswith(" min of one-worker CPU, over the bound of 10 min\n")
+    assert "over 100000 Taylor steps" in proc.stderr
 
 
 def test_run_refuses_a_huge_chain_at_once(tmp_path):
-    # RunConfig skips its memory estimate past N = 17, and H's dimension
-    # 3^(10^8) would take minutes to form: build_xxz compares N with the
-    # amplitude budget first, so the run exits 2 with one line at once.
+    # H's dimension 3^(10^8) would take minutes to form: RunConfig compares
+    # N with the amplitude budget first, so the run exits 2 with one line at once.
     src = str(pathlib.Path(quditcorr.__file__).parents[1])
     out, config = tmp_path / "out", write_config(tmp_path, QUICK_N4)
     cmd = [sys.executable, "-m", "quditcorr.cli", "run", "--config", config,
@@ -660,7 +665,9 @@ def test_run_refuses_a_huge_chain_at_once(tmp_path):
     proc = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                           text=True, timeout=20)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == "error: dimension 3^100000000 exceeds the 134217728 budget\n"
+    assert proc.stderr == (
+        "error: invalid config field 'n_sites': dimension 3^100000000 exceeds the 134217728 budget\n"
+    )
     assert not out.exists()
 
 

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DENSE_BLOCK_LIMIT, MAX_TAYLOR_STEPS, _THETA, SparseHamiltonian, build_xxz
-from .dynamics import _taylor_degree, check_dimension, make_propagator, site_sz_diagonal
+from . import dynamics
+from .dynamics import SparseHamiltonian, build_xxz, make_propagator, site_sz_diagonal
 from .hadamard import (
     EXACT,
     SAMPLED,
@@ -85,12 +85,9 @@ DEFAULT_BUDGETS = {
 # The smallest budgets: one shot per expectation value a point splits over.
 MIN_BUDGETS = {HADAMARD: {"plus": 6, "minus": 4}, LINEAR_RESPONSE: {"plus": 2, "minus": 2}}
 
-# study_plan's cost model, fitted on 13 studies at N = 4..12, one worker
-# (CHANGES.md): CPU seconds per entry a product reads from a dense or a CSR
-# block, per product, and per point of a trace plus per amplitude at it.
-DENSE_ENTRY_SECONDS, CSR_ENTRY_SECONDS, PRODUCT_SECONDS = 0.25e-9, 1.76e-9, 9.8e-6
+# study_plan's cost model besides dynamics.product_seconds (CHANGES.md): CPU seconds per
+# point of a trace plus per amplitude at it, fitted on 13 studies at N = 4..12, one worker.
 POINT_SECONDS, AMPLITUDE_SECONDS = 77e-6, 76e-9
-MAX_WORK = 600.0  # predicted one-worker CPU seconds: minutes are admitted, hours refused
 # Peak bytes per entry that H may hold (16 B value and 4 B column, three
 # times over: the peak was 2.67 times that at N = 12 and 2.35 at N = 13),
 # and per grid point of a trace (quick_n4: 2.0 KB a step of its two traces).
@@ -170,13 +167,14 @@ class RunConfig:
 
         _expect(_integer(self.n_sites, "n_sites") >= 2, "n_sites", "need at least 2 sites")
         try:  # before any check forms 3^N or a grid
-            check_dimension(self.n_sites)
+            dynamics.check_dimension(self.n_sites)
         except ValueError as err:
             _expect(False, "n_sites", str(err))
         put("j_z_over_j_xy", _number(self.j_z_over_j_xy, "j_z_over_j_xy"))
         put("t_max", _number(self.t_max, "t_max"))
         _expect(self.t_max > 0, "t_max", "must be positive")
         _expect(_integer(self.steps, "steps") >= 1, "steps", "must be at least 1")
+        _expect(self.steps < 2**63, "steps", "must be below 2^63: the time grid's count is int64")
         sites = self.sites
         _expect(
             isinstance(sites, (list, tuple)) and len(sites) == 2 and all(map(_is_int, sites)),
@@ -201,8 +199,9 @@ class RunConfig:
             for kind, n in per.items():
                 _expect(kind in ("plus", "minus"), "shots", f"unknown kind {kind!r}")
                 least = MIN_BUDGETS[proto][kind]
-                why = f"the {proto} {kind} budget must be an integer >= {least}, got {n!r}"
-                _expect(_is_int(n) and n >= least, "shots", why)
+                why = (f"the {proto} {kind} budget must be an integer >= {least} and < 2^63 "
+                       f"(shot counts and their sums are int64), got {n!r}")
+                _expect(_is_int(n) and least <= n < 2**63, "shots", why)
                 budgets[proto][kind] = n
         put("shots", _ReadOnlyDict((p, _ReadOnlyDict(b)) for p, b in budgets.items()))
         lambdas = self.lambdas
@@ -229,9 +228,10 @@ class RunConfig:
         _expect(need <= have, "n_sites", f"a study at {self.n_sites} sites needs {why}")
         why = (f"{self.steps} steps to t_max = {self.t_max!r}, {len(plan.traces)} traces, "
                f"pulse_area = {self.pulse_area!r} and j_z_over_j_xy = {self.j_z_over_j_xy!r} "
-               f"at {self.n_sites} sites predict about {plan.cpu_seconds / 60:.3g} min of "
-               f"one-worker CPU, over the bound of {MAX_WORK / 60:g} min")
-        _expect(plan.cpu_seconds <= MAX_WORK, plan.dominant, why)
+               f"at {self.n_sites} sites predict {'over' if plan.capped else 'about'} "
+               f"{plan.cpu_seconds / 60:.3g} min of one-worker CPU, over the bound of "
+               f"{dynamics.MAX_WORK / 60:g} min")
+        _expect(plan.cpu_seconds <= dynamics.MAX_WORK, plan.dominant, why)
         repeats = np.diff(np.linspace(0.0, self.t_max, self.steps)) <= 0  # a subnormal t_max
         why = f"t_max = {self.t_max!r} over steps = {self.steps} gives a grid whose times repeat"
         _expect(not repeats.any(), "t_max", why)
@@ -249,6 +249,7 @@ class StudyPlan:
     lr_configs: dict  # the checked LinearResponseConfig of each (lambda, kind)
     cpu_seconds: float  # predicted at one worker
     dominant: str  # the field with the largest share of cpu_seconds
+    capped: bool  # a trajectory counted at the Taylor cap: cpu_seconds is a lower bound
     bytes: tuple[int, int]  # the peaks predicted for H and for the rows
 
 
@@ -256,8 +257,8 @@ def study_plan(config: RunConfig) -> StudyPlan:
     """The StudyPlan of a config whose chain check_dimension admits, counted in closed form.
 
     A trajectory takes 1 product plus 1 per nonzero time on a dense-eig block, and on a Taylor
-    one m s per time for the step times the 1-norm bound (N - 1)(2 + |J_z/J_xy|) + 2 lambda:
-    past the kernel's MAX_TAYLOR_STEPS, a ConfigError naming t_max (a grid) or pulse_area.
+    one m s per time for the step times the 1-norm bound (N - 1)(2 + |J_z/J_xy|) + 2 lambda,
+    each at the kernels' own price, dynamics.product_seconds.
     """
     n, steps, dt = config.n_sites, config.steps, config.pulse_area  # J_xy = 1: dt = pulse_area
     sites, lr_configs = [s - 1 for s in config.sites], {}
@@ -277,25 +278,19 @@ def study_plan(config: RunConfig) -> StudyPlan:
     runs += [((LINEAR_RESPONSE, None), None, 1, dt)] * bool(lr)
     for key in lr:
         runs += [(key, key[1], 1, dt), (key, None, past_dt, tau)] * 2
-    cap = (MAX_TAYLOR_STEPS + 1) * _THETA[55]  # the norm of MAX_TAYLOR_STEPS + 1 steps
     shares = {"steps": steps * (1 + len(lr)) * (POINT_SECONDS + 3**n * AMPLITUDE_SECONDS)}
+    capped = False  # a trajectory counted at the Taylor cap
     for (key, lam, times, step), (dim, entries) in itertools.product(runs, _sectors(n)):
         field, products = "steps", 1 + times
-        if lam is not None or dim > DENSE_BLOCK_LIMIT:
-            field = "t_max" if lam is None else "pulse_area"
-            m, s = _taylor_degree(min(step * (norm + 2 * (lam or 0)), cap))
-            if times * s > MAX_TAYLOR_STEPS:
-                what = "the time grid" if lam is None else f"the pulse of lambda = {lam!r}"
-                _expect(False, field, f"{what} needs over {MAX_TAYLOR_STEPS} Taylor steps on a "
-                        f"block of dimension {dim}: shorten the times or the pulse")
-            products = times * m * s
-        dense = dim <= DENSE_BLOCK_LIMIT
-        read = dim**2 * DENSE_ENTRY_SECONDS if dense else entries * CSR_ENTRY_SECONDS
-        shares[field] = shares.get(field, 0.0) + products * (read + PRODUCT_SECONDS)
+        if lam is not None or dim > dynamics.DENSE_BLOCK_LIMIT:
+            field, x = "t_max" if lam is None else "pulse_area", step * (norm + 2 * (lam or 0))
+            capped |= times > 0 and x > dynamics._taylor_cap()
+            products = times * math.prod(dynamics._taylor_degree(x))
+        shares[field] = shares.get(field, 0.0) + products * dynamics.product_seconds(dim, entries)
     h_bytes = BYTES_PER_H_ENTRY * (3**n + 8 * (n - 1) * 3 ** (n - 2))
     return StudyPlan(
         ((HADAMARD, None), *lr), lr_configs, sum(shares.values()), max(shares, key=shares.get),
-        (h_bytes, BYTES_PER_POINT * steps * (1 + len(lr))),
+        capped, (h_bytes, BYTES_PER_POINT * steps * (1 + len(lr))),
     )
 
 

@@ -46,14 +46,10 @@ from .register import MAX_AMPLITUDES, QuditState
 # trajectory of the block (2 vCPUs).
 DENSE_BLOCK_LIMIT = 500
 
-# Most Taylor steps that one trajectory of one block may take, counted
-# from its time grid before the first product.  A step is up to 55
-# products with the block, about 10 ms at N = 10 (dimension 8953), so the
-# limit is some 15 min of one trajectory there.  The count grows with
-# |t| times the block's 1-norm: a t_max or pulse duration of 1e9 needs
-# about 1e9 steps and would run for years instead of failing.  A study's
-# plan (benchmark.study_plan) refuses such a trajectory before H is built.
-MAX_TAYLOR_STEPS = 10**5
+# The price of a kernel's product (product_seconds), fitted on 13 studies at N = 4..12, one
+# worker (CHANGES.md): CPU seconds per entry read from a dense or a CSR block, and per product.
+DENSE_ENTRY_SECONDS, CSR_ENTRY_SECONDS, PRODUCT_SECONDS = 0.25e-9, 1.76e-9, 9.8e-6
+MAX_WORK = 600.0  # priced CPU seconds of a study's plan or a Taylor trajectory: minutes, not hours
 
 # theta_m of Al-Mohy & Higham (2011), as in SciPy: the largest 1-norm of
 # a step's generator for which m Taylor terms reach double precision.
@@ -404,11 +400,23 @@ def _taylor_degree(norm: float) -> tuple[int, int]:
 
     Al-Mohy & Higham's code fragment 3.1 on its exact-norm branch: the
     fewest products m * s with s = ceil(norm / theta_m), the smaller m on
-    a tie.
+    a tie.  A norm past _taylor_cap() is counted at it, so the counts stay finite.
     """
     if norm == 0:
         return 0, 1
+    norm = min(_taylor_cap(), norm)  # inf and NaN too
     return min(((m, math.ceil(norm / theta)) for m, theta in _THETA.items()), key=math.prod)
+
+
+def _taylor_cap() -> float:
+    """The 1-norm past which one step alone, >= norm / theta_55 products, prices over MAX_WORK."""
+    return MAX_WORK / PRODUCT_SECONDS * _THETA[55]
+
+
+def product_seconds(dim: int, entries: int) -> float:
+    """The price of a product with a block, a dense one of dim^2 entries up to DENSE_BLOCK_LIMIT."""
+    read = dim**2 * DENSE_ENTRY_SECONDS if dim <= DENSE_BLOCK_LIMIT else entries * CSR_ENTRY_SECONDS
+    return read + PRODUCT_SECONDS
 
 
 def pulse_limit(n_sites: int, growth: float) -> float:
@@ -440,15 +448,13 @@ def _taylor_stream(op, x, times):
         tau, now = t - now, t
         if tau and not math.isfinite(abs(tau) * bound):
             raise ValueError(f"time {t!r} overflows the phase of exp(-iHt)")
-        # A step covers at most theta_55: past the cap, over MAX_TAYLOR_STEPS steps.
-        norm = min(abs(tau) * norm1, (MAX_TAYLOR_STEPS + 1) * _THETA[55])
-        plan.append((tau, *_taylor_degree(norm)) if tau else (tau, 0, 0))
-    steps = sum(s for _, _, s in plan)
-    if steps > MAX_TAYLOR_STEPS:
-        raise ValueError(
-            f"the time grid needs at least {steps} Taylor steps on a block of dimension "
-            f"{x.shape[0]}, over the limit of {MAX_TAYLOR_STEPS}: shorten the times or the pulse"
-        )
+        plan.append((tau, *_taylor_degree(abs(tau) * norm1)) if tau else (tau, 0, 0))
+    work = sum(m * s for _, m, s in plan) * product_seconds(x.shape[0], a.size)
+    if work > MAX_WORK:  # a count at the cap is a lower bound
+        over = "over" if max(abs(tau) for tau, _, _ in plan) * norm1 > _taylor_cap() else "about"
+        raise ValueError(f"the time grid needs {over} {work / 60:.3g} min of one-worker CPU on a "
+                         f"block of dimension {x.shape[0]}, over the bound of {MAX_WORK / 60:g} "
+                         "min: shorten the times or the pulse")
     for tau, m, s in plan:
         if s:
             eta = np.exp(-1j * tau * mu / s)

@@ -56,8 +56,10 @@ NON_HERMITIAN = "non_hermitian"
 NORM_COLLAPSE = 1e-6
 # Relative growth of a squared norm left to rounding.  The streams after
 # a pulse drifted by at most 7.1e-15 on chain10.json's grid at N = 8-11
-# (lambda = 0.2, 1 and 5, both kinds); the margin covers grids of up to
-# MAX_TAYLOR_STEPS steps.
+# (lambda = 0.2, 1 and 5, both kinds).  The longest pulses the work bound
+# admits (lambda = 1e-16; 5.2e5, 1.8e5 and 4.6e5 Taylor steps at N = 2, 3
+# and 4) moved log |psi|^2 by -1.6e-9 to +8.8e-10: within the margin, by
+# 2.7e-10 at N = 4.
 NORM_DRIFT = 1e-9
 
 

@@ -30,7 +30,6 @@ from oracles import (
 )
 from quditcorr.benchmark import (
     DEFAULT_BUDGETS,
-    MAX_WORK,
     ConfigError,
     FigureOfMerit,
     RunConfig,
@@ -44,7 +43,7 @@ from quditcorr.benchmark import (
     run_quench_study,
     time_averaged_std,
 )
-from quditcorr.dynamics import build_perturbed, build_xxz, evolve, make_propagator
+from quditcorr.dynamics import MAX_WORK, build_perturbed, build_xxz, evolve, make_propagator
 from quditcorr.hadamard import (
     ALPHA_MINUS,
     ALPHA_PLUS,
@@ -629,9 +628,10 @@ def test_the_plan_counts_the_products_of_the_kernels(monkeypatch, config, change
     cfg = RunConfig(**{**CONFIGS[config], **changes, "workers": 1})
     run_quench_study(cfg)
     # At one second a product and nothing else, the predicted CPU counts the products.
-    for name in ("DENSE_ENTRY_SECONDS", "CSR_ENTRY_SECONDS", "POINT_SECONDS", "AMPLITUDE_SECONDS"):
-        monkeypatch.setattr(benchmark, name, 0.0)
-    monkeypatch.setattr(benchmark, "PRODUCT_SECONDS", 1.0)
+    for module, name in [(dynamics, "DENSE_ENTRY_SECONDS"), (dynamics, "CSR_ENTRY_SECONDS"),
+                         (benchmark, "POINT_SECONDS"), (benchmark, "AMPLITUDE_SECONDS")]:
+        monkeypatch.setattr(module, name, 0.0)
+    monkeypatch.setattr(dynamics, "PRODUCT_SECONDS", 1.0)
     planned = benchmark.study_plan(cfg).cpu_seconds
     assert 1 <= planned / len(products) <= 2
     if cfg.n_sites <= 7:
@@ -647,15 +647,15 @@ def test_a_study_runs_the_plan_its_config_built(monkeypatch):
 
 # Inputs of earlier reports of studies that ran for minutes or hours, with their refusals.
 LONG = {
-    # About an hour at N = 10; its 25 steps of t = 2000 count over 10^5 Taylor steps.
+    # About an hour at N = 10.
     "t-max-50000": ({**CONFIGS["chain10"], "t_max": 50000.0},
-                    "'t_max': the time grid needs over 100000 Taylor steps"),
+                    "'t_max': 26 steps to t_max = 50000.0, .* predict about 66.7 min"),
     # Hours, and 200 GB of rows.
     "steps-1e8": ({**CONFIGS["quick_n4"], "steps": 10**8},
                   "'steps': 100000000 steps .*(more than the .* GiB of RAM|over the bound of 10 min)"),
-    # Admitted once, then refused by the Taylor kernel with the study under way.
-    "j-z-1e9": ({**CONFIGS["quick_n4"], "j_z_over_j_xy": 1e9},
-                "'pulse_area': the pulse of lambda = 0.2 needs over 100000 Taylor steps"),
+    # Its pulses: about 55 min.
+    "j-z-1e10": ({**CONFIGS["quick_n4"], "j_z_over_j_xy": 1e10},
+                 "'pulse_area': .* predict about 54.9 min"),
 }
 MINUTES = {
     "steps-10000": {**CONFIGS["chain10"], "steps": 10000},  # about 2 min at N = 10
@@ -663,6 +663,8 @@ MINUTES = {
     "n11-steps-10000": {**CONFIGS["chain10"], "n_sites": 11, "steps": 10000},
     "700-lambdas": {**CONFIGS["chain10"], "lambdas": [k / 1000 for k in range(1, 701)]},
     "j-z-3e8": {"n_sites": 4, "steps": 3, "j_z_over_j_xy": 3e8},  # 71771 Taylor steps a pulse
+    # Its pulses take some 3e5 Taylor steps each, about 5.5 min.
+    "j-z-1e9": {**CONFIGS["quick_n4"], "j_z_over_j_xy": 1e9},
     "readme-n14": {**CONFIGS["chain10"], "n_sites": 14, "steps": 4, "workers": 1},
 }
 
@@ -682,25 +684,27 @@ def test_what_would_run_for_hours_is_refused_at_once(monkeypatch, name):
         tracemalloc.stop()
     assert time.perf_counter() - started < 1 and peak < 2**20
     _physical_memory(monkeypatch, 2**20)  # where memory admits it, the work refuses it
-    with pytest.raises(ConfigError, match="over the bound of 10 min|over 100000 Taylor steps"):
+    with pytest.raises(ConfigError, match="over the bound of 10 min"):
         RunConfig(**config)
 
 
 @pytest.mark.parametrize(
     "field, config",
-    [("j_z_over_j_xy", {"n_sites": 4}), ("t_max", {"n_sites": 8})],
-    ids=["pulse", "time-grid"],
+    [("j_z_over_j_xy", {"n_sites": 4}), ("t_max", {"n_sites": 8}),
+     ("pulse_area", {"n_sites": 4, "lambdas": (1e-7,)})],
+    ids=["pulse", "time-grid", "pulse-area"],
 )
 def test_every_trajectory_the_plan_admits_runs_under_the_kernels_step_limit(
     monkeypatch, field, config
 ):
-    # At a limit of 200 Taylor steps, the largest anisotropy (set by the
-    # pulses at N = 4) and t_max (by the time grid on the sparse blocks at
-    # N = 8) that the plan admits run to the end: the plan counts every
-    # trajectory's steps from above, so the kernel never refuses one.
-    for module in (benchmark, dynamics):
-        monkeypatch.setattr(module, "MAX_TAYLOR_STEPS", 200)
-    admitted, refused = 1.0, 1e12
+    # The kernel's guard is the plan's bound, MAX_WORK, on one trajectory's
+    # priced products.  Lowered to 0.2 s through that one name, the largest
+    # anisotropy (set by the pulses at N = 4), t_max (by the time grid on the
+    # sparse blocks at N = 8) and pulse_area (N = 4) that the plan admits run
+    # to the end, with RuntimeWarnings as errors: a study prices every
+    # trajectory it runs, so the kernel refuses none of them.
+    monkeypatch.setattr(dynamics, "MAX_WORK", 0.2)
+    admitted, refused = 1e-3, 1e12
     while refused / admitted > 1 + 1e-6:
         value = math.sqrt(admitted * refused)
         try:
@@ -708,10 +712,33 @@ def test_every_trajectory_the_plan_admits_runs_under_the_kernels_step_limit(
             admitted = value
         except ConfigError as err:
             assert f"'{'pulse_area' if field == 'j_z_over_j_xy' else field}'" in str(err)
-            assert "over 200 Taylor steps" in str(err)
+            assert "over the bound of 0.00333333 min" in str(err)
             refused = value
-    result = run_quench_study(RunConfig(steps=3, workers=1, **config, **{field: admitted}))
+    assert admitted > 10  # far past the defaults, so the kernels' work sets the bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_quench_study(RunConfig(steps=3, workers=1, **config, **{field: admitted}))
     assert len(result.figures) == 2
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"n_sites": 8, "t_max": 1e9, "steps": 2}, {"j_z_over_j_xy": 1e10}, {"j_z_over_j_xy": 1e11},
+     {"j_z_over_j_xy": 1e12}, {"pulse_area": 1e9, "lambdas": [1e-7]}],
+    ids=["n8-t-max-1e9", "j-z-1e10", "j-z-1e11", "j-z-1e12", "pulse-area-1e9"],
+)
+def test_no_refusal_understates_the_work(monkeypatch, changes):
+    # Counts past the Taylor cap stop at it, so what they price is a lower
+    # bound, stated as "over"; an uncapped count is stated as "about".  Either
+    # way the stated minutes are at most the uncapped counts' price.
+    config = {**QUICK_N4, **changes}
+    with pytest.raises(ConfigError, match="over the bound of 10 min") as refusal:
+        RunConfig(**config)
+    word, stated = re.search(r"predict (over|about) (\S+) min", str(refusal.value)).groups()
+    monkeypatch.setattr(dynamics, "MAX_WORK", 1e300)  # the cap moves past every count here
+    plan = RunConfig(**config).plan
+    assert not plan.capped and float(stated) * 60 <= plan.cpu_seconds * 1.005  # 3 digits
+    assert word == ("over" if float(stated) * 60 * 1.01 < plan.cpu_seconds else "about")
 
 
 @pytest.mark.parametrize("name", MINUTES)

@@ -169,25 +169,50 @@ def _edges(name):
 
 
 CONFIG_EDGES = [
-    pytest.param({f.name: v}, id=f"{f.name}={json.dumps(v, separators=(',', ':'))}")
+    pytest.param({f.name: v}, None, id=f"{f.name}={json.dumps(v, separators=(',', ':'))}")
     for f in dataclasses.fields(RunConfig)
     for v in _edges(f.name)
 ]
+# Integers past int64, which the grid's count and the shot counts and their
+# sums are held in, are refused naming their field before a float is formed
+# from them: steps = 10^400 overflowed a float in the plan, a 2^63 LR budget
+# wrote negative shot counts, and 10^20 failed in the sampler.
+CONFIG_EDGES += [pytest.param({"steps": 10**400}, "steps", id="steps=10^400")] + [
+    pytest.param({"shots": {proto: {kind: n}}}, "shots", id=f"shots={proto}.{kind}={text}")
+    for proto, kind in itertools.product(["hadamard", "lr"], ["plus", "minus"])
+    for n, text in [(2**63, "2^63"), (10**20, "10^20")]
+]
 
 
-@pytest.mark.parametrize("payload", CONFIG_EDGES)
-def test_every_config_field_at_its_edges_runs_or_is_refused_in_one_line(tmp_path, capsys, payload):
+@pytest.mark.parametrize("payload, refused", CONFIG_EDGES)
+def test_every_config_field_at_its_edges_runs_or_is_refused_in_one_line(
+    tmp_path, capsys, payload, refused
+):
     # workers = 10^8 runs too: the pool starts at most one thread per trace.
     out = tmp_path / "out"
     code = main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)])
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert refused is None or err.startswith(f"error: invalid config field '{refused}': ")
     if code == 0:
         assert (out / "results.csv").is_file()
     else:
         assert code == 2, err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("proto, kind", itertools.product(["hadamard", "lr"], ["plus", "minus"]))
+def test_the_largest_budget_runs_with_every_shot_count_in_int64(tmp_path, proto, kind):
+    # 2^63 - 1 is admitted: an LR branch takes half of it, so the two add up
+    # to less, and a Hadamard C+ point's three counts to a half.
+    cfg, _ = parse_config_dict({**FAST, "shots": {proto: {kind: 2**63 - 1}}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(cfg, str(tmp_path / "out")) == 0
+    rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+    shots = [int(row.split(",")[7]) for row in rows if row.startswith(f"{proto},")]
+    assert 0 < min(shots) and max(shots) > 2**60
 
 
 @pytest.mark.parametrize("sites", [[2, 2], [1, 4]])
@@ -507,13 +532,30 @@ def test_correlator_rejects_a_bad_site_pair_naming_the_field(capsys, flags, mess
 
 def test_correlator_runs_where_a_study_at_its_anisotropy_is_refused(tmp_path, capsys):
     # The verb runs no study, so no study's work refuses its config.  At
-    # J_z/J_xy = 1e9 a study's pulses need some 3e5 Taylor steps each: its
-    # plan refuses it before H is built.
-    assert main(["correlator", "--n-sites", "4", "--jz", "1e9", "--t2", "1"]) == 0
+    # J_z/J_xy = 1e10 a study's pulses would take about 55 min: its plan
+    # refuses it before H is built.
+    assert main(["correlator", "--n-sites", "4", "--jz", "1e10", "--t2", "1"]) == 0
     assert capsys.readouterr().out.startswith("C+(0, 1) = ")
-    path = write_config(tmp_path, {**QUICK_N4, "j_z_over_j_xy": 1e9})
+    path = write_config(tmp_path, {**QUICK_N4, "j_z_over_j_xy": 1e10})
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
-    assert "Taylor steps" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config field 'pulse_area': ")
+    assert "predict about 54.9 min of one-worker CPU, over the bound of 10 min" in err
+
+
+def test_correlator_refuses_a_time_past_the_work_bound_at_once():
+    # The verb has no plan: the Taylor kernel prices its own trajectory and
+    # refuses it before the first product, in one line, with no overflow
+    # warning.  Its counts stop at the cap, so the minutes are a lower bound.
+    src = str(pathlib.Path(quditcorr.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error::RuntimeWarning"}
+    cmd = [sys.executable, "-m", "quditcorr.cli", "correlator", "--n-sites", "8", "--t2", "1e9"]
+    started = time.perf_counter()
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - started < 10
+    assert proc.returncode == 2 and not proc.stdout, proc.stderr
+    assert proc.stderr.startswith("error: the time grid needs over ") and proc.stderr.count("\n") == 1
+    assert "on a block of dimension 1107, over the bound of 10 min" in proc.stderr
 
 
 @pytest.mark.parametrize("jz", ["nan", "inf", "-inf"])
@@ -586,11 +628,12 @@ def test_exact_only_is_an_unknown_config_key(tmp_path, capsys):
         (FAST, ["--n-sites", "18", "--steps", str(10**10)], N18_OVER_BUDGET),
         # A finite t_max whose phase overflows: the dense-eig kernel refuses it
         # at N = 4, and at N = 8 the plan refuses it before H is built: the
-        # Taylor steps it counts on the sparse block are past the kernel's limit.
+        # work it counts on the sparse block, at the Taylor cap, is a lower bound.
         (QUICK_N4, ["--t-max", "1e308", "--steps", "2"], TIME_OVERFLOWS),
         (QUICK_N4, ["--t-max", "1e308", "--steps", "2", "--n-sites", "8"],
-         "invalid config field 't_max': the time grid needs over 100000 Taylor steps on a block "
-         "of dimension 1107: shorten the times or the pulse"),
+         "invalid config field 't_max': 2 steps to t_max = 1e+308, 2 traces, pulse_area = 0.001 "
+         "and j_z_over_j_xy = 0.5 at 8 sites predict over 5.59e+03 min of one-worker CPU, over "
+         "the bound of 10 min"),
         # A pulse grows a squared norm by up to exp(2 lambda pulse_area) = exp(800):
         # refused before the study, not an overflow in a site marginal.
         ({"n_sites": 4, "lambdas": [400], "pulse_area": 1, "steps": 3}, [],
@@ -640,9 +683,10 @@ def test_run_reports_unusable_input_in_one_line(tmp_path, capsys, payload, flags
     ids=["t-max-1e9-taylor", "pulse-area-1e9", "j-z-1e300"],
 )
 def test_run_refuses_a_time_grid_past_the_taylor_step_limit(tmp_path, payload, flags, field):
-    # Each would take over 6e8 Taylor steps: the plan counts them from the
-    # grid and refuses the study before H is built, naming the grid's t_max
-    # or the pulse's pulse_area, so no overflow warning either.
+    # Each would take over 6e8 Taylor steps: the plan prices them from the
+    # grid, past the work bound, and refuses the study before H is built,
+    # naming the grid's t_max or the pulse's pulse_area, so no overflow
+    # warning either.  Their counts stop at the Taylor cap: a lower bound.
     src = str(pathlib.Path(quditcorr.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error::RuntimeWarning"}
     out = tmp_path / "out"
@@ -652,7 +696,7 @@ def test_run_refuses_a_time_grid_past_the_taylor_step_limit(tmp_path, payload, f
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: invalid config field '{field}': ")
     assert proc.stderr.count("\n") == 1 and not out.exists()
-    assert "over 100000 Taylor steps" in proc.stderr
+    assert " predict over " in proc.stderr and "over the bound of 10 min" in proc.stderr
 
 
 def test_run_refuses_a_huge_chain_at_once(tmp_path):

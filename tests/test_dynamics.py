@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -395,6 +396,56 @@ def test_taylor_degree_is_fragment_3_1_on_the_exact_norm_branch(columns):
         assert dynamics._taylor_degree(norm) == _fragment_3_1(info, columns, 2.0**-53, ell=2)
     # SciPy takes no Taylor term for a zero norm, and one step.
     assert dynamics._taylor_degree(0.0) == (0, 1)
+
+
+def test_taylor_counts_stay_finite_and_past_the_cap_price_over_the_work_bound():
+    # A norm past the cap, infinite and NaN included, is counted at the cap,
+    # whose steps alone price over MAX_WORK: such a count is a lower bound.
+    cap = dynamics._taylor_cap()
+    assert dynamics._taylor_degree(cap / 2) != dynamics._taylor_degree(cap)
+    for norm in (np.nextafter(cap, math.inf), 1e308, math.inf, math.nan):
+        assert dynamics._taylor_degree(norm) == dynamics._taylor_degree(cap)
+    m, s = dynamics._taylor_degree(cap)
+    assert m * s * dynamics.PRODUCT_SECONDS > dynamics.MAX_WORK
+
+
+def _long_evolution(n: int, pulsed: bool):
+    """The N = 8 propagator of H, whose M = 0 block runs Taylor on CSR, or an N = 4 zero pulse."""
+    prop = make_propagator(build_xxz(n, 1.0, 0.5))
+    return (prop.pulse(np.zeros(3**n)) if pulsed else prop), neel_superposition(n)
+
+
+@pytest.mark.parametrize("n, pulsed", [(8, False), (4, True)], ids=["n8", "n4-zero-pulse"])
+def test_the_kernel_refuses_a_trajectory_over_the_work_bound_before_any_product(
+    monkeypatch, n, pulsed
+):
+    # evolve has no plan: the Taylor kernel prices its own (m, s) and refuses
+    # over MAX_WORK before its first product.  At t = 1e9 the steps' counts
+    # stop at the cap, so the minutes stated are a lower bound of the price
+    # of the full counts.
+    prop, psi = _long_evolution(n, pulsed)
+    monkeypatch.setattr(dynamics, "_matmul", lambda m, z: pytest.fail("a product ran"))
+    with pytest.raises(ValueError, match="over the bound of 10 min") as refusal:
+        evolve(prop, psi, 1e9)
+    stated = re.match(r"the time grid needs over (\S+) min of one-worker CPU on a block of "
+                      r"dimension (\d+)", str(refusal.value))
+    (block,) = prop.blocks_touched(psi)
+    a, _, norm1 = block.op
+    assert int(stated[2]) == block.index.size
+    monkeypatch.setattr(dynamics, "MAX_WORK", math.inf)  # no cap
+    m, s = dynamics._taylor_degree(1e9 * norm1)
+    assert float(stated[1]) * 60 < m * s * dynamics.product_seconds(block.index.size, a.size)
+    monkeypatch.undo()
+    assert evolve(prop, psi, 1.0).squared_norm == pytest.approx(1.0)  # a short time still runs
+
+
+@pytest.mark.parametrize("n, pulsed", [(8, False), (4, True)], ids=["n8", "n4-zero-pulse"])
+def test_the_kernel_refuses_a_time_whose_phase_overflows(n, pulsed):
+    # |t| times the bound on the block's 1-norm must be finite, before any
+    # count: 1e308 is finite, but its phase is not.
+    prop, psi = _long_evolution(n, pulsed)
+    with pytest.raises(ValueError, match=r"^time 1e\+308 overflows the phase of exp\(-iHt\)$"):
+        evolve(prop, psi, 1e308)
 
 
 @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])

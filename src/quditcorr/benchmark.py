@@ -85,7 +85,7 @@ DEFAULT_BUDGETS = {
 # The smallest budgets: one shot per expectation value a point splits over.
 MIN_BUDGETS = {HADAMARD: {"plus": 6, "minus": 4}, LINEAR_RESPONSE: {"plus": 2, "minus": 2}}
 
-# study_plan's cost model besides dynamics.product_seconds (CHANGES.md): CPU seconds per
+# study_plan's cost model besides dynamics.trajectory_price (CHANGES.md): CPU seconds per
 # point of a trace plus per amplitude at it, fitted on 13 studies at N = 4..12, one worker.
 POINT_SECONDS, AMPLITUDE_SECONDS = 77e-6, 76e-9
 # Peak bytes per entry that H may hold (16 B value and 4 B column, three
@@ -256,9 +256,9 @@ class StudyPlan:
 def study_plan(config: RunConfig) -> StudyPlan:
     """The StudyPlan of a config whose chain check_dimension admits, counted in closed form.
 
-    A trajectory takes 1 product plus 1 per nonzero time on a dense-eig block, and on a Taylor
-    one m s per time for the step times the 1-norm bound (N - 1)(2 + |J_z/J_xy|) + 2 lambda,
-    each at the kernels' own price, dynamics.product_seconds.
+    Each trajectory through each sector psi0 touches is priced by dynamics.trajectory_price, on
+    the kernel dynamics.kernel gives the block, with the step times the 1-norm bound
+    (N - 1)(2 + |J_z/J_xy|) + 2 lambda; H's bytes are priced from every sector's entry bound.
     """
     n, steps, dt = config.n_sites, config.steps, config.pulse_area  # J_xy = 1: dt = pulse_area
     sites, lr_configs = [s - 1 for s in config.sites], {}
@@ -271,36 +271,24 @@ def study_plan(config: RunConfig) -> StudyPlan:
     lr = [(LINEAR_RESPONSE, lam) for lam in config.lambdas if LINEAR_RESPONSE in config.protocols]
     norm, tau = (n - 1) * (2 + abs(config.j_z_over_j_xy)), config.t_max / max(steps - 1, 1)
     past_dt = steps - 1 - min(steps - 1, dt * (steps - 1) // config.t_max)
-    # (trace, pulse strength or None, nonzero times, step): the Hadamard trace streams psi0 and
-    # W_A psi0, the LR readout evolves psi0 to dt, and an LR trace, per kind, pulses psi0 for
-    # dt and streams it past dt.  A pulse's CPU is pulse_area's share, a Taylor grid's t_max's.
-    runs = [((HADAMARD, None), None, steps - 1, tau)] * 2
-    runs += [((LINEAR_RESPONSE, None), None, 1, dt)] * bool(lr)
-    for key in lr:
-        runs += [(key, key[1], 1, dt), (key, None, past_dt, tau)] * 2
+    # (pulsed, nonzero times, a step's 1-norm bound) in each sector psi0 touches, digit sum N
+    # (N -+ 1 at odd N): the Hadamard trace streams psi0 and W_A psi0, the LR readout evolves
+    # psi0 to dt, and an LR trace, per kind, pulses psi0 for dt and streams it past dt.
+    runs = [(False, steps - 1, tau * norm)] * 2 + [(False, 1, dt * norm)] * bool(lr)
+    for _, lam in lr:
+        runs += [(True, 1, dt * (norm + 2 * lam)), (False, past_dt, tau * norm)] * 2
     shares = {"steps": steps * (1 + len(lr)) * (POINT_SECONDS + 3**n * AMPLITUDE_SECONDS)}
-    capped = False  # a trajectory counted at the Taylor cap
-    for (key, lam, times, step), (dim, entries) in itertools.product(runs, _sectors(n)):
-        field, products = "steps", 1 + times
-        if lam is not None or dim > dynamics.DENSE_BLOCK_LIMIT:
-            field, x = "t_max" if lam is None else "pulse_area", step * (norm + 2 * (lam or 0))
-            capped |= times > 0 and x > dynamics._taylor_cap()
-            products = times * math.prod(dynamics._taylor_degree(x))
-        shares[field] = shares.get(field, 0.0) + products * dynamics.product_seconds(dim, entries)
-    h_bytes = BYTES_PER_H_ENTRY * (3**n + 8 * (n - 1) * 3 ** (n - 2))
+    capped, sectors = False, dynamics.sectors(n)  # capped: a count stopped at the Taylor cap
+    for (pulsed, times, x), s in itertools.product(runs, sorted({n - n % 2, n + n % 2})):
+        (dim, entries), kernel = sectors[s], dynamics.kernel(sectors[s][0], pulsed)
+        _, cut, seconds = dynamics.trajectory_price(kernel, dim, entries, [x], times)
+        field = "steps" if kernel == "dense-eig" else "pulse_area" if pulsed else "t_max"
+        capped, shares[field] = capped or cut, shares.get(field, 0.0) + seconds
+    h_bytes = BYTES_PER_H_ENTRY * sum(entries for _, entries in sectors)
     return StudyPlan(
         ((HADAMARD, None), *lr), lr_configs, sum(shares.values()), max(shares, key=shares.get),
         capped, (h_bytes, BYTES_PER_POINT * steps * (1 + len(lr))),
     )
-
-
-def _sectors(n: int) -> list[tuple[int, int]]:
-    """(dimension, entry bound) of the sectors psi0 touches: digit sum N, or N -+ 1 at odd N."""
-    size = functools.reduce(np.convolve, [[1, 1, 1]] * n, np.ones(1, dtype=int)).tolist()
-    # A bond adds 2, 4 and 2 off-diagonal entries per state of the other N - 2 sites whose
-    # pair's digits sum to 1, 2 and 3.
-    pairs = functools.reduce(np.convolve, [[1, 1, 1]] * (n - 2), np.array([0, 2, 4, 2])).tolist()
-    return [(size[s], size[s] + (n - 1) * pairs[s]) for s in sorted({n - n % 2, n + n % 2})]
 
 
 @dataclass(frozen=True)
@@ -626,6 +614,10 @@ def _rows(traces, reported, grid, seed) -> tuple[StudyRow, ...]:
 
 def _safe_relative_error(est, ref, grid, label: str) -> tuple[float | None, str | None]:
     """(R, None), or (None, reason) when R is undefined."""
+    # R is a ratio of two areas on one grid, so a grid whose areas overflow
+    # (t_max near the float limit) is integrated in units of its span.
+    with np.errstate(over="ignore"):
+        grid = grid / grid[-1] if math.isinf(np.trapezoid(np.square(ref), grid)) else grid
     # Odd chains have identically vanishing C-(0, t) for adjacent sites;
     # a sub-rounding reference makes the ratio meaningless, so report 0
     # when the estimate vanishes too and leave R undefined otherwise.

@@ -158,6 +158,9 @@ def _cmd_run(args) -> int:
 def _cmd_correlator(args) -> int:
     if args.shots is not None and args.shots < 8:
         raise ConfigError(f"--shots must be at least 8 (one shot per circuit), got {args.shots}")
+    if args.shots is not None and args.shots >= 2**63:
+        raise ConfigError("--shots must be below 2^63 (shot counts and their sums are int64), "
+                          f"got {args.shots}")
     # The verb runs no study: its config plans only the Hadamard trace's point at t = 0.
     cfg = RunConfig(args.n_sites, args.jz, steps=1, sites=args.sites, protocols=["hadamard"])
     prop, psi0, obs_a, obs_b = quench_system(cfg)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import collections
 import copy
+import functools
 import math
 import sys
 import threading
@@ -46,7 +47,7 @@ from .register import MAX_AMPLITUDES, QuditState
 # trajectory of the block (2 vCPUs).
 DENSE_BLOCK_LIMIT = 500
 
-# The price of a kernel's product (product_seconds), fitted on 13 studies at N = 4..12, one
+# The price of a kernel's product (trajectory_price), fitted on 13 studies at N = 4..12, one
 # worker (CHANGES.md): CPU seconds per entry read from a dense or a CSR block, and per product.
 DENSE_ENTRY_SECONDS, CSR_ENTRY_SECONDS, PRODUCT_SECONDS = 0.25e-9, 1.76e-9, 9.8e-6
 MAX_WORK = 600.0  # priced CPU seconds of a study's plan or a Taylor trajectory: minutes, not hours
@@ -219,24 +220,31 @@ def _diagonal_blocks(h: SparseHamiltonian):
     return np.split(order, np.cumsum(sizes)[:-1]), local
 
 
+def sectors(n: int) -> list[tuple[int, int]]:
+    """(dimension, entry bound, exact off the diagonal) of each total-S^z sector, by digit sum."""
+    size = functools.reduce(np.convolve, [[1, 1, 1]] * n, np.ones(1, dtype=int)).tolist()
+    # A bond's off-diagonal entries per state of the other N - 2 sites, by its pair's digit sum.
+    pairs = functools.reduce(np.convolve, [[1, 1, 1]] * (n - 2), np.array([0, 2, 4, 2, 0]))
+    return [(d, d + (n - 1) * p) for d, p in zip(size, pairs.tolist())]
+
+
 class Block:
     """One total-S^z sector of the chain and how its propagator's generator propagates in it.
 
     Unpulsed, H propagates by "dense-eig", op (eigenvalues, eigenvectors),
     up to DENSE_BLOCK_LIMIT and by "sparse", op the Taylor kernel's
-    operator, above it, each checked first by require_hermitian (on the
-    array eigh reads or the SciPy CSR sub-matrix); pulsed, H + diag(pulse)
-    runs the Taylor kernel, unchecked.  A block holds its indices and no
-    entry of H: sub() gathers its sub-matrix from H's own arrays, and op
-    is built from it on the first read, under its propagator's lock, so a
-    block that no state touches is never checked, factorized or converted.
+    operator, above it (kernel()), each checked first by require_hermitian
+    on the matrix its kernel reads; pulsed, H + diag(pulse) runs the
+    Taylor kernel, unchecked.  A block holds its indices and no entry of
+    H: sub() gathers its sub-matrix from H's own arrays, and op is built
+    from it on the first read, under its propagator's lock, so a block
+    that no state touches is never checked, factorized or converted.
     """
 
     def __init__(self, index: np.ndarray, h: SparseHamiltonian, local, lock: threading.Lock, pulse):
         self.index = index  # full-space indices, ascending
         self._h, self._local, self._lock, self._pulse, self._op = h, local, lock, pulse, None
-        dense = pulse is None and index.size <= DENSE_BLOCK_LIMIT
-        self.strategy = "dense-eig" if dense else "sparse"
+        self.strategy = kernel(index.size, pulse is not None)
 
     def sub(self) -> _Csr:
         """The block's sub-matrix of H, gathered from H's arrays."""
@@ -253,13 +261,13 @@ class Block:
             with self._lock:
                 if self._op is None:
                     sub = self.sub()
-                    if self._pulse is None:  # H alone; every dense-eig block is unpulsed
-                        a = _dense(sub) if self.strategy == "dense-eig" else _scipy_csr(sub)
-                        require_hermitian(a, "an unpulsed block must be Hermitian")
-                    if self.strategy == "dense-eig":
+                    if self._pulse is None:  # H alone, checked on the matrix its kernel reads
+                        sub = _dense(sub) if self.strategy == "dense-eig" else _scipy_csr(sub)
+                        require_hermitian(sub, "an unpulsed block must be Hermitian")
+                    if self.strategy == "dense-eig":  # every dense-eig block is unpulsed
                         # A real eigh is faster, and it moves results by less:
                         # 9.3e-15 against 1.6e-14 for a complex one on the N = 4 study.
-                        self._op = np.linalg.eigh(a)
+                        self._op = np.linalg.eigh(sub)
                     else:
                         pulse = np.zeros(self.index.size) if self._pulse is None else self._pulse
                         self._op = _taylor_op(sub, pulse)
@@ -370,11 +378,11 @@ def _dense_stream(eig, x, times):
         yield x if t == 0.0 else _matmul(vecs, np.exp(-1j * vals * t)[:, None] * coeff)
 
 
-def _taylor_op(sub: _Csr, diagonal: np.ndarray):
+def _taylor_op(sub, diagonal: np.ndarray):
     """(A - mu I, mu, its 1-norm), A the sub-matrix plus diag(diagonal), mu its mean diagonal.
 
-    A - mu I is a dense NumPy array up to DENSE_BLOCK_LIMIT and a SciPy
-    CSR matrix above it, which is where SciPy is loaded.
+    sub is a _Csr or SciPy CSR.  A - mu I is a dense NumPy array up to
+    DENSE_BLOCK_LIMIT and a SciPy CSR matrix above it.
     """
     n = sub.indptr.size - 1
     mu = (sub.data[_rows(sub.indptr) == sub.indices].sum() + diagonal.sum()) / n
@@ -383,7 +391,7 @@ def _taylor_op(sub: _Csr, diagonal: np.ndarray):
         return a, mu, np.abs(a).sum(axis=0).max()
     import scipy.sparse as sp
 
-    a = (_scipy_csr(sub) + sp.diags(diagonal - mu)).tocsr()
+    a = ((sub if sp.issparse(sub) else _scipy_csr(sub)) + sp.diags(diagonal - mu)).tocsr()
     return a, mu, np.bincount(a.indices, np.abs(a.data), n).max()
 
 
@@ -391,8 +399,7 @@ def _scipy_csr(sub: _Csr):
     """The sub-matrix as a SciPy CSR matrix; SciPy loads here."""
     import scipy.sparse as sp
 
-    n = sub.indptr.size - 1
-    return sp.csr_matrix(sub, shape=(n, n))
+    return sp.csr_matrix(sub, shape=(sub.indptr.size - 1,) * 2)
 
 
 def _taylor_degree(norm: float) -> tuple[int, int]:
@@ -413,10 +420,22 @@ def _taylor_cap() -> float:
     return MAX_WORK / PRODUCT_SECONDS * _THETA[55]
 
 
-def product_seconds(dim: int, entries: int) -> float:
-    """The price of a product with a block, a dense one of dim^2 entries up to DENSE_BLOCK_LIMIT."""
+def kernel(dim: int, pulsed: bool) -> str:
+    """A block's kernel: "dense-eig" for an unpulsed one up to DENSE_BLOCK_LIMIT, else "sparse"."""
+    return "sparse" if pulsed or dim > DENSE_BLOCK_LIMIT else "dense-eig"
+
+
+def trajectory_price(strategy: str, dim: int, entries: int, norms, times=1):
+    """(products, capped, CPU seconds) of a trajectory through a block of that kernel and size.
+
+    norms: each step's generator 1-norm, each step taken `times` times.  Dense-eig projects,
+    then takes a product a step; Taylor m s a step, capped for a norm past _taylor_cap().
+    """
+    dense = strategy == "dense-eig"
+    products = dense + times * sum(dense or math.prod(_taylor_degree(x)) for x in norms)
+    capped = not dense and times > 0 and any(x > _taylor_cap() for x in norms)
     read = dim**2 * DENSE_ENTRY_SECONDS if dim <= DENSE_BLOCK_LIMIT else entries * CSR_ENTRY_SECONDS
-    return read + PRODUCT_SECONDS
+    return products, capped, products * (read + PRODUCT_SECONDS)
 
 
 def pulse_limit(n_sites: int, growth: float) -> float:
@@ -443,20 +462,18 @@ def _taylor_stream(op, x, times):
     """
     a, mu, norm1 = op
     bound = float(norm1) + abs(complex(mu))  # bounds the 1-norm of A itself
-    plan, now = [], 0.0  # (tau, m, s): s steps of m terms from the previous time; s = 0 stays
-    for t in times:
-        tau, now = t - now, t
+    taus = [t - s for s, t in zip([0.0, *times], times)]  # each time less the previous one
+    for t, tau in zip(times, taus):
         if tau and not math.isfinite(abs(tau) * bound):
             raise ValueError(f"time {t!r} overflows the phase of exp(-iHt)")
-        plan.append((tau, *_taylor_degree(abs(tau) * norm1)) if tau else (tau, 0, 0))
-    work = sum(m * s for _, m, s in plan) * product_seconds(x.shape[0], a.size)
-    if work > MAX_WORK:  # a count at the cap is a lower bound
-        over = "over" if max(abs(tau) for tau, _, _ in plan) * norm1 > _taylor_cap() else "about"
-        raise ValueError(f"the time grid needs {over} {work / 60:.3g} min of one-worker CPU on a "
-                         f"block of dimension {x.shape[0]}, over the bound of {MAX_WORK / 60:g} "
-                         "min: shorten the times or the pulse")
-    for tau, m, s in plan:
-        if s:
+    _, capped, cpu = trajectory_price("sparse", len(x), a.size, [abs(t) * norm1 for t in taus if t])
+    if cpu > MAX_WORK:  # a count at the cap is a lower bound
+        raise ValueError(f"the time grid needs {'over' if capped else 'about'} {cpu / 60:.3g} min "
+                         f"of one-worker CPU on a block of dimension {len(x)}, over the bound "
+                         f"of {MAX_WORK / 60:g} min: shorten the times or the pulse")
+    for tau in taus:
+        if tau:  # s steps of m terms
+            m, s = _taylor_degree(abs(tau) * norm1)
             eta = np.exp(-1j * tau * mu / s)
             for _ in range(s):
                 f, c1 = x, np.linalg.norm(x, np.inf)

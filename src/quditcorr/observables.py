@@ -99,12 +99,7 @@ class UnitaryDecomposition:
 
 def _unitary_from_scaled(xn: np.ndarray) -> np.ndarray:
     """W for a Hermitian matrix with spectrum inside [-1, 1]."""
-    try:
-        vals, vecs = np.linalg.eigh(xn)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
-        raise np.linalg.LinAlgError(
-            f"eigensolver did not converge while splitting an observable: {exc}"
-        ) from exc
+    vals, vecs = np.linalg.eigh(xn)
     vals = np.clip(vals, -1.0, 1.0)
     phases = vals + 1j * np.sqrt(1.0 - vals**2)
     return (vecs * phases) @ vecs.conj().T

@@ -488,7 +488,10 @@ def test_the_entry_bound_of_h_is_exact_off_the_diagonal(n):
     sizes = functools.reduce(np.convolve, [[1, 1, 1]] * n, [1])
     assert [len(i) for i in indices] == sizes.tolist()
     touched = make_propagator(h).blocks_touched(neel_superposition(n))
-    sectors = benchmark._sectors(n)
+    every = dynamics.sectors(n)
+    assert [dim for dim, _ in every] == sizes.tolist()
+    assert sum(bound for _, bound in every) == 3**n + off_diagonal
+    sectors = [every[s] for s in sorted({n - n % 2, n + n % 2})]  # psi0's digit sums
     assert [dim for dim, _ in sectors] == [b.index.size for b in touched]
     for (dim, bound), block in zip(sectors, touched):
         in_block = np.zeros(h.dimension, dtype=bool)

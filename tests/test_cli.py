@@ -215,6 +215,86 @@ def test_the_largest_budget_runs_with_every_shot_count_in_int64(tmp_path, proto,
     assert 0 < min(shots) and max(shots) > 2**60
 
 
+# Every flag of the four verbs at the edges of its type, appended to a quick
+# call of its verb (argparse keeps a flag's last value): 0, -1, the smallest
+# subnormal, 1e308, 10^8 for an integer flag, and a value of the wrong type.
+# validate has no flag; it runs as it is.  A path flag's wrong type is a
+# directory for --config and a file for --out.
+VERB_FLAGS = {
+    "run": {"--config": "path", "--seed": "int", "--workers": "int", "--out": "path",
+            "--lambda": "float", "--n-sites": "int", "--t-max": "float", "--steps": "int"},
+    "correlator": {"--n-sites": "int", "--jz": "float", "--sites": "int", "--t1": "float",
+                   "--t2": "float", "--shots": "int", "--seed": "int"},
+    "decompose": {"--observable": "choice", "--spin": "float"},
+    "validate": {},
+}
+WRONG_TYPE = {"int": "1.5", "float": "x", "choice": "w", "path": {"--config": ".", "--out": "file"}}
+
+
+def _flag_edges():
+    yield pytest.param("validate", [], id="validate")
+    for verb, flags in VERB_FLAGS.items():
+        for flag, kind in flags.items():
+            wrong = WRONG_TYPE[kind][flag] if kind == "path" else WRONG_TYPE[kind]
+            for value in ["0", "-1", "5e-324", "1e+308", *["100000000"] * (kind == "int"), wrong]:
+                values = ["1", value] if flag == "--sites" else [value]
+                yield pytest.param(verb, [flag, *values], id=f"{verb} {flag} {value}")
+    # Shot counts and their sums are int64: 2^63 is refused, 2^63 - 1 runs.
+    for shots in (2**63 - 1, 2**63, 10**20):
+        yield pytest.param("correlator", ["--shots", str(shots)], id=f"correlator --shots {shots}")
+
+
+VERB_BASE = {
+    "run": ["--config", "fast.json", "--out", "out"],
+    "correlator": ["--n-sites", "2", "--t2", "1"],
+    "decompose": [],
+    "validate": [],
+}
+
+
+@pytest.mark.parametrize("verb, flags", _flag_edges())
+def test_every_verb_flag_at_its_edges_runs_or_is_refused_in_one_line(
+    tmp_path, monkeypatch, capsys, verb, flags
+):
+    # Exit 0, or exit 2 with one error line and no traceback, no
+    # RuntimeWarning, within 10 s.  argparse refuses a value of the wrong
+    # type or an unknown choice in its own form: the usage, then one line,
+    # "quditcorr <verb>: error: ...".
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, FAST, "fast.json")
+    (tmp_path / "file").write_text("")
+    started = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main([verb, *VERB_BASE[verb], *flags])
+        except SystemExit as exit:
+            code = exit.code
+    assert time.perf_counter() - started < 10
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert verb != "run" or pathlib.Path(flags[1] if flags[0] == "--out" else "out").is_dir()
+    else:
+        assert code == 2, err
+        lines = err.splitlines()
+        if lines[0].startswith("usage: "):
+            assert [line for line in lines if "error:" in line] == lines[-1:]
+            assert lines[-1].startswith(f"quditcorr {verb}: error: ")
+        else:
+            assert err.startswith("error: ") and len(lines) == 1
+    if flags == ["--shots", str(2**63)]:
+        assert code == 2 and "--shots must be below 2^63" in err
+
+
+def test_the_verb_flag_table_covers_every_flag(capsys):
+    for verb, flags in VERB_FLAGS.items():
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        listed = set(re.findall(r"(--[a-z][a-z0-9-]*)", capsys.readouterr().out)) - {"--help"}
+        assert listed == set(flags), verb
+
+
 @pytest.mark.parametrize("sites", [[2, 2], [1, 4]])
 def test_run_rejects_a_bad_site_pair_naming_the_field(tmp_path, capsys, sites):
     path = write_config(tmp_path, {**FAST, "n_sites": 3, "sites": sites})
@@ -876,15 +956,28 @@ def test_interrupt_during_an_lr_trace_writes_the_completed_traces(tmp_path, monk
     # branch: the Hadamard trace and that running LR task finish, and the
     # run ends as any interrupt does.  At one worker the other lambda is
     # still pending and is cancelled; at two it may have started already.
+    # The interrupt is raised on the main thread, in its wait for the first
+    # trace, once that branch has started, as Ctrl-C raises it there.
     payload = {**FAST, "lambdas": [0.1, 0.2], "workers": workers}
     path = write_config(tmp_path, payload)
     assert main(["run", "--config", path, "--out", str(tmp_path / "full")]) == 0
     full = (tmp_path / "full" / "results.csv").read_text().splitlines(keepends=True)
 
     real_trace = benchmark.lr_trace
-    cancelled = threading.Event()
+    started, cancelled = threading.Event(), threading.Event()
 
     class Pool(benchmark.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            future = super().submit(fn, *args, **kwargs)
+
+            def interrupted_wait(timeout=None):
+                assert threading.current_thread() is threading.main_thread()
+                assert started.wait(30)
+                raise KeyboardInterrupt
+
+            future.result = interrupted_wait
+            return future
+
         def shutdown(self, wait=True, *, cancel_futures=False):
             super().shutdown(wait, cancel_futures=cancel_futures)
             if cancel_futures:
@@ -892,9 +985,9 @@ def test_interrupt_during_an_lr_trace_writes_the_completed_traces(tmp_path, monk
 
     def interrupted_trace(config, *args, **kwargs):
         if (config.lam, config.kind) == (0.1, "non_hermitian"):  # the task's first call
-            # SIGINT to the main thread, as Ctrl-C; the trace goes on once
-            # the main thread has cancelled the pending tasks.
-            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            # The trace goes on once the main thread has cancelled the
+            # pending tasks.
+            started.set()
             assert cancelled.wait(30)
         return real_trace(config, *args, **kwargs)
 

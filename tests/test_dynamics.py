@@ -434,7 +434,9 @@ def test_the_kernel_refuses_a_trajectory_over_the_work_bound_before_any_product(
     assert int(stated[2]) == block.index.size
     monkeypatch.setattr(dynamics, "MAX_WORK", math.inf)  # no cap
     m, s = dynamics._taylor_degree(1e9 * norm1)
-    assert float(stated[1]) * 60 < m * s * dynamics.product_seconds(block.index.size, a.size)
+    price = dynamics.trajectory_price("sparse", block.index.size, a.size, [1e9 * norm1])
+    assert price[:2] == (m * s, False)
+    assert float(stated[1]) * 60 < price[2]
     monkeypatch.undo()
     assert evolve(prop, psi, 1.0).squared_norm == pytest.approx(1.0)  # a short time still runs
 
@@ -502,6 +504,20 @@ def test_blocks_hold_no_entries_and_build_on_first_touch():
     assert (got_mu, got_norm1) == (mu, norm1)
     for name in ("data", "indices", "indptr"):
         assert getattr(got, name).tobytes() == getattr(a, name).tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_an_unpulsed_taylor_block_converts_its_sub_matrix_to_scipy_once(monkeypatch, n):
+    # Its Hermiticity check and its Taylor operator read the one SciPy CSR
+    # matrix; at odd N the Neel superposition touches two such blocks.
+    converted, scipy_csr = [], dynamics._scipy_csr
+    counting = lambda sub: converted.append(sub.indptr.size - 1) or scipy_csr(sub)  # noqa: E731
+    monkeypatch.setattr(dynamics, "_scipy_csr", counting)
+    prop, psi = make_propagator(build_xxz(n, 1.0, 0.5)), neel_superposition(n)
+    evolve(prop, psi, 0.5)
+    touched = prop.blocks_touched(psi)
+    assert len(touched) == 1 + n % 2 and {b.strategy for b in touched} == {"sparse"}
+    assert sorted(converted) == sorted(b.index.size for b in touched)
 
 
 def test_energy_conservation_and_norm_drift():

@@ -268,8 +268,8 @@ def test_every_verb_flag_at_its_edges_runs_or_is_refused_in_one_line(
         warnings.simplefilter("error", RuntimeWarning)
         try:
             code = main([verb, *VERB_BASE[verb], *flags])
-        except SystemExit as exit:
-            code = exit.code
+        except SystemExit as stop:  # argparse's refusals
+            code = stop.code
     assert time.perf_counter() - started < 10
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -46,6 +46,7 @@ from .hadamard import (
     SAMPLED,
     CorrelatorEstimate,
     estimate_from_probabilities,
+    require_site_sz,
     trace_probabilities,
 )
 from .linear_response import (
@@ -272,9 +273,9 @@ def study_plan(config: RunConfig) -> StudyPlan:
     norm, tau = (n - 1) * (2 + abs(config.j_z_over_j_xy)), config.t_max / max(steps - 1, 1)
     past_dt = steps - 1 - min(steps - 1, dt * (steps - 1) // config.t_max)
     # (pulsed, nonzero times, a step's 1-norm bound) in each sector psi0 touches, digit sum N
-    # (N -+ 1 at odd N): the Hadamard trace streams psi0 and W_A psi0, the LR readout evolves
-    # psi0 to dt, and an LR trace, per kind, pulses psi0 for dt and streams it past dt.
-    runs = [(False, steps - 1, tau * norm)] * 2 + [(False, 1, dt * norm)] * bool(lr)
+    # (N -+ 1 at odd N): the Hadamard trace streams psi0's two Neel states, at odd N one in each
+    # sector; the LR readout evolves psi0 to dt; an LR trace, per kind, pulses and streams psi0.
+    runs = [(False, steps - 1, tau * norm)] * (2 - n % 2) + [(False, 1, dt * norm)] * bool(lr)
     for _, lam in lr:
         runs += [(True, 1, dt * (norm + 2 * lam)), (False, past_dt, tau * norm)] * 2
     shares = {"steps": steps * (1 + len(lr)) * (POINT_SECONDS + 3**n * AMPLITUDE_SECONDS)}
@@ -447,11 +448,9 @@ def hadamard_estimate(obs_a, obs_b, psi0: QuditState, probabilities, budgets, rn
     Exact without rngs, with those budgets' error bars; with rngs, point
     ti draws from rngs[ti]: the four C+ circuits, the two means, then the
     four C- circuits.  The means are read from site marginals with the
-    spin-1 S^z levels, so A and B must each be S^z on one site.
+    spin-1 S^z levels, so A and B must pass require_site_sz.
     """
-    for obs in (obs_a, obs_b):
-        if len(obs.support) != 1 or not np.array_equal(obs.op.matrix, spin_matrix(1, "z").matrix):
-            raise ValueError("hadamard_estimate needs A and B to be spin-1 S^z on one site each")
+    require_site_sz(obs_a, obs_b)
     ps_plus, ps_minus, marginals_b = probabilities
     norms = (obs_a.spectral_norm, obs_b.spectral_norm)
     n_plus, n_minus = (budgets[kind] // MIN_BUDGETS[HADAMARD][kind] for kind in ("plus", "minus"))

@@ -17,8 +17,8 @@ eigendecomposition (up to DENSE_BLOCK_LIMIT) or by a truncated Taylor
 kernel (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011; larger
 blocks, and every block of a pulse, Propagator.pulse(diagonal), which
 propagates H + diag(diagonal) on prop's sectors).  `trajectory` streams a
-state through a whole time grid and is the only code that propagates;
-`evolve`, one exp(-i H t), is its one-time case.
+state's touched blocks through a time grid and is the only code that
+propagates; `evolve`, its one-time case, alone fills a full register.
 
 H is NumPy CSR arrays only, built and split with NumPy; a block builds
 its operator from them when a state first touches it (see Block).
@@ -320,21 +320,22 @@ def make_propagator(h: SparseHamiltonian) -> Propagator:
 def evolve(prop: Propagator, state: QuditState, duration: float) -> QuditState:
     """exp(-i H * duration)|state>, acting on the system sites only.
 
-    The one-time case of trajectory.  Negative durations propagate
-    backwards (needed when the second correlator time precedes the
-    first).  Unitary evolution preserves the norm; a pulse with an
-    anti-Hermitian diagonal returns an unnormalized state whose squared
-    norm is tracked by the QuditState itself.
+    The one-time case of trajectory, zero off the touched blocks; a negative
+    duration propagates backwards.  A pulse with an anti-Hermitian diagonal
+    returns an unnormalized state, its squared norm tracked by the QuditState.
     """
-    return next(trajectory(prop, state, [duration]))
+    index, amplitudes = trajectory(prop, state, [duration])
+    out = np.zeros_like(state.amplitudes).reshape(-1, prop.hamiltonian.dimension)
+    out[:, index] = next(amplitudes)
+    return QuditState(state.dims, out.reshape(-1))
 
 
 def trajectory(prop: Propagator, state: QuditState, times):
-    """Iterator over exp(-i H t)|state> for each t of a non-decreasing grid.
+    """(index, arrays): exp(-i H t)|state> on its touched blocks at each t of a non-decreasing grid.
 
-    Streams: one state is alive at a time, whatever the grid length.
-    The leading (ancilla) sites are batch rows.  A time of 0 yields a
-    copy of the state, never a view of it.
+    index holds the touched blocks' basis indices, block by block (every
+    other amplitude stays 0).  The iterator yields a new (batch rows,
+    index.size) array per time, one alive at once, never a view of the state.
     """
     times = [float(t) for t in times]
     if not all(map(math.isfinite, times)):
@@ -345,19 +346,18 @@ def trajectory(prop: Propagator, state: QuditState, times):
     if not any(math.prod(state.dims[k:]) == dim for k in range(len(state.dims))):
         raise ValueError(f"state dims {state.dims} have no trailing block of dimension {dim}")
     x = state.amplitudes.reshape(-1, dim)
-    streams = []
-    for b in prop.blocks_touched(state):
-        stream = _dense_stream if b.strategy == "dense-eig" else _taylor_stream
-        streams.append((b.index, stream(b.op, np.ascontiguousarray(x[:, b.index].T), times)))
-    return (QuditState(state.dims, _scatter(x, streams)) for _ in times)
+    blocks, empty = prop.blocks_touched(state), np.zeros((0, len(x)))  # empty: a zero state's
+    streams = [(_dense_stream if b.strategy == "dense-eig" else _taylor_stream)(
+        b.op, np.ascontiguousarray(x[:, b.index].T), times) for b in blocks]  # a column per row
+    index = np.concatenate([np.zeros(0, np.int64), *(b.index for b in blocks)])
+    return index, (np.concatenate([empty, *map(next, streams)]).T for _ in times)
 
 
-def _scatter(x: np.ndarray, streams) -> np.ndarray:
-    """The next state of each block stream, placed in zeros shaped like x, flattened."""
-    out = np.zeros_like(x)
-    for index, stream in streams:
-        out[:, index] = next(stream).T  # a column per batch row
-    return out.reshape(-1)
+def level_sums(index: np.ndarray, n_sites: int, site: int) -> np.ndarray:
+    """(index.size, 3): x @ it sums x (..., index.size) per level (index's digit) on a site."""
+    if not 0 <= site < n_sites:
+        raise IndexError(f"site {site} out of range for {n_sites} sites")
+    return np.equal.outer(index // 3 ** (n_sites - 1 - site) % 3, np.arange(3)).astype(float)
 
 
 def _matmul(m, z: np.ndarray) -> np.ndarray:

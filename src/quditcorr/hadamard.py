@@ -48,15 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Propagator, evolve, trajectory
-from .observables import HermitianObservable, decompose
+from .dynamics import Propagator, evolve, level_sums, trajectory
+from .observables import HermitianObservable, decompose, spin_matrix
 from .register import (
-    LocalOperator,
-    QuditState,
-    ancilla_zero_probability,
-    apply_controlled,
-    apply_local,
-    site_marginal,
+    LocalOperator, QuditState, ancilla_zero_probability, apply_controlled, apply_local,
 )
 from .rng import sample_counts
 
@@ -166,6 +161,13 @@ def circuit_probabilities(
     return np.array([run_hadamard_circuit(*pair, t1, t2, psi0, prop, alpha) for pair in gates])
 
 
+def require_site_sz(*observables: HermitianObservable) -> None:
+    """Refuse all but spin-1 S^z on one site: the only observables of a trace and its estimates."""
+    for obs in observables:
+        if len(obs.support) != 1 or not np.array_equal(obs.op.matrix, spin_matrix(1, "z").matrix):
+            raise ValueError("the Hadamard trace needs A and B to be spin-1 S^z on one site each")
+
+
 def trace_probabilities(
     obs_a: HermitianObservable,
     obs_b: HermitianObservable,
@@ -176,29 +178,33 @@ def trace_probabilities(
     """Exact P(|0>) of every circuit for C(0, t) over a time grid, and B's site marginals.
 
     Returns ps_plus and ps_minus (T, 4), each point's four in gate-pair
-    order, and the (T, 3) marginals of B's site in U(t)|psi0>.  At t1 = 0
-    the circuit gives P = 1/2 + 1/2 Re(e^{i alpha} <U(t) V_A psi | V_B U(t) psi>),
-    so the grid needs only the system-only trajectories of psi, W_A psi
-    and W_A^+ psi (one for both when they are equal, as for S^z on the
-    Neel superposition, which has no m = 0 amplitude), streamed one state
-    at a time, and one local V_B per gate choice and time.
+    order, and the (T, 3) marginals of B's site in U(t)|psi0>, for A and B
+    that pass require_site_sz.  At t1 = 0 the circuit gives
+    P = 1/2 + 1/2 Re(e^{i alpha} <U(t) V_A psi | V_B U(t) psi>).  One
+    trajectory per level of A's site that psi occupies (two on the Neel
+    superposition) streams psi's part there; U(t) psi is their sum, and
+    U(t) V_A psi too, weighted by diagonal V_A.  Each overlap, V_B being
+    diagonal, and B's marginal are level_sums on B's site.
     """
-    decomp_a = decompose(obs_a)
-    decomp_b = decompose(obs_b)
-    w_psi, w_dagger_psi = apply_local(psi0, decomp_a.w), apply_local(psi0, decomp_a.w_dagger)
-    w_states = trajectory(prop, w_psi, times)
-    if np.array_equal(w_psi.amplitudes, w_dagger_psi.amplitudes):  # -0.0 equals 0.0
-        lefts = ((state, state) for state in w_states)
-    else:
-        lefts = zip(w_states, trajectory(prop, w_dagger_psi, times))
+    require_site_sz(obs_a, obs_b)
+    w_a, w_b = (np.diag(decompose(obs).w.matrix) for obs in (obs_a, obs_b))
+    by_level = psi0.amplitudes.reshape(3 ** obs_a.support[0], 3, -1)
+    levels = [k for k in range(3) if by_level[:, k].any()]
+    parts = (np.where(np.arange(3)[:, None] == k, by_level, 0).reshape(-1) for k in levels)
+    indices, streams = zip(*(trajectory(prop, QuditState(psi0.dims, x), times) for x in parts))
+    index = np.sort(np.concatenate([b.index for b in prop.blocks_touched(psi0)]))
+    sums = level_sums(index, prop.hamiltonian.n_sites, obs_b.support[0])
+    at = np.concatenate([k * index.size + np.searchsorted(index, i) for k, i in enumerate(indices)])
+    chi = np.zeros((len(levels), index.size), dtype=np.complex128)  # U(t) of each part, on index
+    v_a, v_b = np.array([w_a[levels], w_a[levels].conj()]), np.array([w_b, w_b.conj()]).T
     overlaps, marginals = [], []
-    for phi, left in zip(trajectory(prop, psi0, times), lefts):  # U(t) V_A psi
-        right = [apply_local(phi, v) for v in (decomp_b.w, decomp_b.w_dagger)]  # V_B U(t) psi
-        pairs = itertools.product(left, right)
-        overlaps.append([np.vdot(u.amplitudes, v.amplitudes) for u, v in pairs])
-        marginals.append(site_marginal(phi, obs_b.support[0]))
-    z = np.array(overlaps) / psi0.squared_norm
-    return 0.5 + 0.5 * z.real, 0.5 - 0.5 * z.imag, np.array(marginals)
+    for points in zip(*streams):
+        chi.flat[at] = np.concatenate([x[0] for x in points])
+        phi = chi.sum(axis=0)
+        overlaps.append(np.conj(v_a @ chi) * phi @ sums @ v_b)  # (V_A, V_B)
+        marginals.append(np.abs(phi) ** 2 @ sums)
+    z, p = np.reshape(overlaps, (-1, 4)) / psi0.squared_norm, np.array(marginals)
+    return 0.5 + 0.5 * z.real, 0.5 - 0.5 * z.imag, p / p.sum(axis=1, keepdims=True)
 
 
 def estimate_from_probabilities(

@@ -38,12 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    Propagator,
-    SparseHamiltonian,
-    evolve,
-    pulse_limit,
-    site_sz_diagonal,
-    trajectory,
+    Propagator, SparseHamiltonian, evolve, level_sums, pulse_limit, site_sz_diagonal, trajectory,
 )
 from .hadamard import EXACT, SAMPLED, CorrelatorEstimate
 from .register import QuditState, site_marginal
@@ -263,14 +258,13 @@ def lr_trace(
     """Readout marginals (T, 3) and squared norms (T,) of the pulsed branch of C(0, t).
 
     prop propagates H0, whose J_xy sets the pulse duration dt.  The
-    pulse is applied once at t1 = 0, on prop's blocks as in measure_lr,
-    and the pulsed state is streamed to max(t, dt) - dt by prop.  With
-    unperturbed_readout's unpulsed marginals (same pulse area), lr_estimate
-    turns them into the estimates measure_lr gives.
+    pulse is applied once at t1 = 0, on prop's blocks as in measure_lr, and
+    the pulsed state streamed to max(t, dt) - dt, both results level_sums
+    of |x|^2 on the readout site.  With unperturbed_readout's unpulsed
+    marginals (same pulse area), lr_estimate gives measure_lr's estimates.
     """
     dt = _pulse_duration(config.pulse_area, prop)
-    pert, norms = [], []
-    for state in trajectory(prop, _pulsed(config, psi0, prop), np.maximum(times, dt) - dt):
-        pert.append(site_marginal(state, config.readout_site))
-        norms.append(state.squared_norm)
-    return np.array(pert), np.array(norms)
+    index, points = trajectory(prop, _pulsed(config, psi0, prop), np.maximum(times, dt) - dt)
+    sums = level_sums(index, prop.hamiltonian.n_sites, config.readout_site)
+    p = np.array([np.abs(x[0]) ** 2 @ sums for x in points])
+    return p / p.sum(axis=1, keepdims=True), p.sum(axis=1)

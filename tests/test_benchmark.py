@@ -261,8 +261,10 @@ def test_hadamard_estimate_refuses_observables_other_than_sz_on_one_site(obs_a, 
     # other observable got a wrong disconnected part: for 2 S^z_0 and S^z_2
     # at N = 3 on a random state, C+ missed 2 x the connected oracle by
     # up to 0.11 on (0, 0.7, 1.3).
+    # The probabilities come from S^z, since trace_probabilities refuses the
+    # others itself (test_trace_probabilities_refuses_observables_other_than_sz).
     psi0, prop = _random_state(3, 23), make_propagator(build_xxz(3, 1.0, 0.5))
-    probabilities = trace_probabilities(obs_a, obs_b, psi0, prop, (0.0, 0.7, 1.3))
+    probabilities = trace_probabilities(sz_obs(0), sz_obs(2), psi0, prop, (0.0, 0.7, 1.3))
     with pytest.raises(ValueError, match="spin-1 S.z on one site"):
         hadamard_estimate(obs_a, obs_b, psi0, probabilities, DEFAULT_BUDGETS["hadamard"])
 
@@ -273,7 +275,7 @@ ENGINE_GRID = (0.0, 4e-4, 0.3, 0.35, 1.2, 2.9, 5.0)
 
 @pytest.mark.parametrize("strategy", ["dense-eig", "sparse"])
 @pytest.mark.parametrize("state", ["neel", "random"])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
     psi0 = neel_superposition(n) if state == "neel" else _random_state(n, 20 + n)
     h = build_xxz(n, 1.0, 0.5)
@@ -341,20 +343,18 @@ def test_readout_is_the_unpulsed_marginal_at_max_t_and_the_pulse_duration(n, str
         early = np.array(ENGINE_GRID) < dt
         assert early.any() and not early.all()
         assert readout[early].tolist() == want[early].tolist()
-        if strategy == "dense-eig":
-            assert readout.tolist() == want.tolist()
-        else:
-            # The Taylor stream reaches each time from the previous one, so
-            # it rounds apart from an evolve from 0, by up to 4.2e-15 here.
-            assert readout[~early].tolist() == marginals[~early].tolist()
-            assert np.max(np.abs(readout - want)) <= 1e-14
+        assert readout[~early].tolist() == marginals[~early].tolist()
+        # The trace sums the streams of psi0's parts on A's site, and the
+        # Taylor stream reaches each time from the previous one, so both
+        # round apart from an evolve from 0, within the CSV rule's bound.
+        assert np.max(np.abs(readout - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("lambdas", [(0.2,), (0.1, 0.2, 0.4)])
 def test_a_study_runs_two_trajectories_plus_two_per_lambda(monkeypatch, lambdas):
-    # Two for the Hadamard trace (psi0, and W_A psi0, which equals
-    # W_A^+ psi0 on the Neel superposition) and the two pulsed branches
-    # per lambda; the unpulsed readout reuses the first.
+    # Two for the Hadamard trace (psi0's parts on A's levels m = +1 and
+    # -1, its two Neel states) and the two pulsed branches per lambda; the
+    # unpulsed readout reuses the Hadamard trace's marginals.
     real = dynamics.trajectory
     lengths = []
 
@@ -368,6 +368,18 @@ def test_a_study_runs_two_trajectories_plus_two_per_lambda(monkeypatch, lambdas)
     config = RunConfig(n_sites=3, steps=5, lambdas=lambdas, workers=1)
     run_quench_study(config)
     assert lengths.count(config.steps) == 2 + 2 * len(lambdas)
+
+
+def test_a_study_builds_as_many_registers_at_every_grid_length(monkeypatch):
+    # A trace point is its touched blocks' amplitudes, never a 3^N
+    # QuditState, so a longer grid builds no more of them.
+    real_init, counts = QuditState.__post_init__, {}
+    for steps in (5, 9):
+        built = []
+        monkeypatch.setattr(QuditState, "__post_init__", lambda s: built.append(1) or real_init(s))
+        run_quench_study(RunConfig(n_sites=3, steps=steps, lambdas=(0.1, 0.2), workers=1))
+        counts[steps] = len(built)
+    assert counts[5] == counts[9]
 
 
 def _reference_sampled_point(ps_plus, ps_minus, marginal_a, marginal_b, pref, n_plus, n_minus, rng):

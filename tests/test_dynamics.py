@@ -311,10 +311,12 @@ def test_zero_duration_returns_same_state():
         prop = propagator(strategy, h)
         for dims in ((3, 3), (2, 3, 3)):
             state = random_state(rng, dims)
-            first = next(trajectory(prop, state, [0.0, 0.5]))
-            for out in (evolve(prop, state, 0.0), first):
-                np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
-                assert not np.shares_memory(out.amplitudes, state.amplitudes)
+            index, arrays = trajectory(prop, state, [0.0, 0.5])
+            first, out = next(arrays), evolve(prop, state, 0.0)
+            np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+            np.testing.assert_array_equal(first, state.amplitudes.reshape(-1, 9)[:, index])
+            for got in (out.amplitudes, first):
+                assert not np.shares_memory(got, state.amplitudes)
 
 
 def test_eigenstate_acquires_phase_only():
@@ -585,13 +587,15 @@ def test_trajectory_matches_evolve_from_zero(strategy, dims):
     prop = propagator(strategy, h)
     state = random_state(np.random.default_rng(9), dims)
     grid = [0.0, 0.0, 0.4, 1.3, 1.3, 2.05, 7.5]
-    states = list(trajectory(prop, state, grid))
-    assert len(states) == len(grid)
-    for t, got in zip(grid, states):
-        want = evolve(prop, state, t)
-        assert got.dims == state.dims
-        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-10
-    np.testing.assert_array_equal(states[0].amplitudes, state.amplitudes)
+    index, arrays = trajectory(prop, state, grid)
+    arrays, rows = list(arrays), state.amplitudes.reshape(-1, h.dimension)
+    assert len(arrays) == len(grid)
+    for t, got in zip(grid, arrays):
+        want = evolve(prop, state, t).amplitudes.reshape(rows.shape)
+        assert got.shape == (len(rows), index.size)
+        assert np.max(np.abs(got - want[:, index])) <= 1e-10
+        assert not np.delete(want, index, axis=1).any()
+    np.testing.assert_array_equal(arrays[0], rows[:, index])
 
 
 def test_trajectory_rejects_decreasing_times():
@@ -808,10 +812,34 @@ def test_block_trajectory_matches_full_space_expm(n, dims_before, strategy, kind
     rows = state.amplitudes.reshape(-1, h.dimension)
     full = csr(h).toarray()
     grid = [0.0, 1.2, 1.2, 4.0]
-    for t, got in [*zip(grid, trajectory(prop, state, grid)), (-2.5, evolve(prop, state, -2.5))]:
+    index, arrays = trajectory(prop, state, grid)
+    for t, got in zip(grid, arrays):
         want = rows @ scipy.linalg.expm(-1j * t * full).T
-        assert np.max(np.abs(got.amplitudes - want.reshape(-1))) <= 1e-10
-        assert got.dims == state.dims
+        assert np.max(np.abs(got - want[:, index])) <= 1e-10
+        assert not np.delete(want, index, axis=1).any()
+        assert got.shape == (len(rows), index.size)
+    got, want = evolve(prop, state, -2.5), rows @ scipy.linalg.expm(2.5j * full).T
+    assert np.max(np.abs(got.amplitudes - want.reshape(-1))) <= 1e-10
+    assert got.dims == state.dims
+
+
+@pytest.mark.parametrize("strategy", ["dense-eig", "sparse"])
+def test_trajectory_yields_the_touched_blocks_only(strategy):
+    # The Neel superposition at N = 5 touches two sectors: the arrays hold
+    # their amplitudes, block by block, and the reference is zero elsewhere,
+    # where evolve writes zeros.
+    h, psi = build_xxz(5, 1.0, 0.5), neel_superposition(5)
+    prop = propagator(strategy, h)
+    touched = prop.blocks_touched(psi)
+    index, arrays = trajectory(prop, psi, [0.0, 0.9, 2.4])
+    assert len(touched) == 2 and index.size < h.dimension
+    np.testing.assert_array_equal(index, np.concatenate([b.index for b in touched]))
+    for t, got in zip([0.0, 0.9, 2.4], arrays):
+        want = scipy.linalg.expm(-1j * t * dense_xxz(5, 1.0, 0.5)) @ psi.amplitudes
+        assert got.shape == (1, index.size)
+        assert np.max(np.abs(got[0] - want[index])) <= 1e-10
+        assert not np.delete(want, index).any()
+        assert not np.delete(evolve(prop, psi, t).amplitudes, index).any()
 
 
 def test_dense_and_sparse_blocks_in_one_trajectory(monkeypatch):
@@ -824,9 +852,11 @@ def test_dense_and_sparse_blocks_in_one_trajectory(monkeypatch):
     state = random_state(np.random.default_rng(12), (2,) + (3,) * 4)
     rows = state.amplitudes.reshape(2, -1)
     grid = [0.0, 0.7, 3.1]
-    for t, got in zip(grid, trajectory(prop, state, grid)):
+    index, arrays = trajectory(prop, state, grid)
+    for t, got in zip(grid, arrays):
         want = rows @ scipy.linalg.expm(-1j * t * csr(h).toarray()).T
-        assert np.max(np.abs(got.amplitudes - want.reshape(-1))) <= 1e-10
+        assert np.max(np.abs(got - want[:, index])) <= 1e-10
+        assert not np.delete(want, index, axis=1).any()
 
 
 @pytest.mark.parametrize("strategy, kind", CASES)

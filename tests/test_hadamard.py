@@ -319,9 +319,9 @@ def test_measure_deterministic_for_fixed_stream():
 
 @pytest.mark.parametrize("state, runs", [("neel", 2), ("random", 3)])
 def test_trace_probabilities_runs_one_trajectory_per_distinct_start_state(monkeypatch, state, runs):
-    # S^z's W = diag(1, i, -1) and W^+ differ only on m = 0.  The Neel
-    # superposition has no m = 0 amplitude, so W psi0 = W^+ psi0 and one
-    # trajectory serves both; a random psi0 needs its own W^+ trajectory.
+    # One trajectory per level of A's site that psi0 occupies: the Neel
+    # superposition has no m = 0 amplitude, so its two Neel states; a
+    # random psi0 has all three levels.
     real, starts = hadamard.trajectory, []
 
     def counting(prop, psi, times, *args):
@@ -345,3 +345,14 @@ def test_trace_probabilities_runs_one_trajectory_per_distinct_start_state(monkey
         for alpha, got in ((ALPHA_PLUS, plus), (ALPHA_MINUS, minus)):
             want = circuit_probabilities(sz_obs(0), sz_obs(3), 0.0, t, psi0, prop, alpha)
             assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("axes", [("x", "z"), ("z", "x")], ids=["sx-a", "sx-b"])
+def test_trace_probabilities_refuses_observables_other_than_sz(axes):
+    # The trace reads V_A and V_B as diagonals on one site each, so S^x on
+    # A or on B is refused before anything propagates, naming the need.
+    h, prop, psi0 = setup_chain(3)
+    obs_a, obs_b = (HermitianObservable(spin_matrix(1, ax).on(s)) for ax, s in zip(axes, (0, 2)))
+    need = r"^the Hadamard trace needs A and B to be spin-1 S\^z on one site each$"
+    with pytest.raises(ValueError, match=need):
+        trace_probabilities(obs_a, obs_b, psi0, prop, [0.0, 1.0])

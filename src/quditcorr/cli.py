@@ -195,9 +195,9 @@ def _cmd_validate(args) -> int:
 
     The trace engine runs on both kernels: dense-eig, which H0's propagator
     picks for every block at these sizes, and sparse, the Taylor kernel of
-    the blocks above DENSE_BLOCK_LIMIT (N >= 8) and of every pulse, run on
-    a zero pulse.  brute_force_correlators diagonalizes the full H
-    instead, so it checks the block split too.
+    the blocks above DENSE_BLOCK_LIMIT (N >= 8) and of every pulse, run on a
+    zero pulse of H0's own checked blocks.  brute_force_correlators
+    diagonalizes the full H instead, so it checks the block split too.
     """
     failures = 0
     for n in (2, 3, 4):

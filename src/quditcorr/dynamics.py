@@ -15,13 +15,15 @@ sectors of total S^z, found from the digits of each basis index, and
 propagates only the blocks that a state touches, each on its own: by dense
 eigendecomposition (up to DENSE_BLOCK_LIMIT) or by a truncated Taylor
 kernel (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011; larger
-blocks, and every block of a pulse, Propagator.pulse(diagonal), which
-propagates H + diag(diagonal) on prop's sectors).  `trajectory` streams a
-state's touched blocks through a time grid and is the only code that
-propagates; `evolve`, its one-time case, alone fills a full register.
+blocks, and every block of a pulse).  Every block of H is checked
+Hermitian before a kernel reads it: a non-Hermitian H is refused.  A pulse,
+Propagator.pulse(diagonal), is a diagonal that the Taylor kernel adds to
+H's blocks in each product.  `trajectory` streams a state's touched blocks
+through a time grid and is the only code that propagates; `evolve`, its
+one-time case, alone fills a full register.
 
 H is NumPy CSR arrays only, built and split with NumPy; a block builds
-its operator from them when a state first touches it (see Block).
+its operators from them when a state first touches it (see Block).
 The Taylor kernel multiplies by a dense NumPy block up to the limit and
 by a SciPy CSR block above it: SciPy loads where such a block propagates
 (N >= 8) and in build_perturbed only.
@@ -190,9 +192,9 @@ def build_xxz(n_sites: int, j_xy: float, j_z: float) -> SparseHamiltonian:
 def build_perturbed(h0: SparseHamiltonian, diagonal: np.ndarray) -> SparseHamiltonian:
     """H0 + diag(diagonal) as one matrix: the tested reference of Propagator.pulse(diagonal).
 
-    The pulses add the diagonal to the blocks of H0's propagator instead,
-    so no study calls this; an anti-Hermitian diagonal propagates only as
-    a pulse.  It adds with SciPy, which drops a diagonal entry that sums to zero.
+    A pulse adds the diagonal to H0's blocks in the Taylor kernel instead, so no
+    study calls this; an anti-Hermitian diagonal makes an H that is refused.
+    It adds with SciPy, which drops a diagonal entry that sums to zero.
     """
     import scipy.sparse as sp
 
@@ -229,58 +231,47 @@ def sectors(n: int) -> list[tuple[int, int]]:
 
 
 class Block:
-    """One total-S^z sector of the chain and how its propagator's generator propagates in it.
+    """One total-S^z sector of the chain and its operators, which every pulse of H shares.
 
-    Unpulsed, H propagates by "dense-eig", op (eigenvalues, eigenvectors),
-    up to DENSE_BLOCK_LIMIT and by "sparse", op the Taylor kernel's
-    operator, above it (kernel()), each checked first by require_hermitian
-    on the matrix its kernel reads; pulsed, H + diag(pulse) runs the
-    Taylor kernel, unchecked.  A block holds its indices and no entry of
-    H: sub() gathers its sub-matrix from H's own arrays, and op is built
-    from it on the first read, under its propagator's lock, so a block
-    that no state touches is never checked, factorized or converted.
+    A block holds its indices and no entry of H.  On the first read of op,
+    under its propagator's lock, it gathers its sub-matrix from H's arrays
+    (sub), dense up to DENSE_BLOCK_LIMIT and SciPy CSR above, refuses it
+    unless require_hermitian passes, and builds from it the Taylor kernel's
+    operator and, for "dense-eig" (kernel()), its eigh; a block that no
+    state touches is never checked or built.
     """
 
-    def __init__(self, index: np.ndarray, h: SparseHamiltonian, local, lock: threading.Lock, pulse):
+    def __init__(self, index: np.ndarray, h: SparseHamiltonian, local, lock: threading.Lock):
         self.index = index  # full-space indices, ascending
-        self._h, self._local, self._lock, self._pulse, self._op = h, local, lock, pulse, None
-        self.strategy = kernel(index.size, pulse is not None)
+        self._h, self._local, self._lock, self._op = h, local, lock, None
+        self.strategy = kernel(index.size, False)
 
-    def sub(self) -> _Csr:
-        """The block's sub-matrix of H, gathered from H's arrays."""
+    def sub(self):
+        """The block's sub-matrix of H, from H's arrays: dense (real where real) or SciPy CSR."""
         h, index = self._h, self.index
         counts = h.indptr[index + 1] - h.indptr[index]
         ptr = np.zeros(index.size + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])
         take = np.repeat(h.indptr[index] - ptr[:-1], counts) + np.arange(ptr[-1])
-        return _Csr(h.data[take], self._local[h.indices[take]], ptr)
+        data, columns = h.data[take], self._local[h.indices[take]]
+        if self.strategy == "sparse":
+            return _scipy_csr(_Csr(data, columns, ptr))
+        a = np.zeros((index.size,) * 2, dtype=np.complex128)
+        a[_rows(ptr), columns] = data
+        return a if a.imag.any() else np.ascontiguousarray(a.real)
 
     @property
     def op(self):
+        """(_taylor_op's operator, eigh's (eigenvalues, eigenvectors) or None)."""
         if self._op is None:
             with self._lock:
                 if self._op is None:
-                    sub = self.sub()
-                    if self._pulse is None:  # H alone, checked on the matrix its kernel reads
-                        sub = _dense(sub) if self.strategy == "dense-eig" else _scipy_csr(sub)
-                        require_hermitian(sub, "an unpulsed block must be Hermitian")
-                    if self.strategy == "dense-eig":  # every dense-eig block is unpulsed
-                        # A real eigh is faster, and it moves results by less:
-                        # 9.3e-15 against 1.6e-14 for a complex one on the N = 4 study.
-                        self._op = np.linalg.eigh(sub)
-                    else:
-                        pulse = np.zeros(self.index.size) if self._pulse is None else self._pulse
-                        self._op = _taylor_op(sub, pulse)
+                    m, dense = self.sub(), self.strategy == "dense-eig"
+                    require_hermitian(m, "a block of H must be Hermitian")
+                    # A real eigh is faster, and it moves results by less:
+                    # 9.3e-15 against 1.6e-14 for a complex one on the N = 4 study.
+                    self._op = _taylor_op(m), np.linalg.eigh(m) if dense else None
         return self._op
-
-
-def _dense(sub: _Csr, diagonal=0.0) -> np.ndarray:
-    """The sub-matrix plus diag(diagonal) as a dense array, real where it is real."""
-    n = sub.indptr.size - 1
-    a = np.zeros((n, n), dtype=np.complex128)
-    a[_rows(sub.indptr), sub.indices] = sub.data
-    a[np.diag_indices(n)] += diagonal
-    return a if a.imag.any() else np.ascontiguousarray(a.real)
 
 
 class Propagator:
@@ -293,17 +284,17 @@ class Propagator:
     """
 
     def __init__(self, hamiltonian: SparseHamiltonian):
-        self.hamiltonian, lock = hamiltonian, threading.Lock()
+        self.hamiltonian, self.diagonal, lock = hamiltonian, None, threading.Lock()  # see pulse
         indices, local = _diagonal_blocks(hamiltonian)
-        self.blocks = [Block(index, hamiltonian, local, lock, None) for index in indices]
+        self.blocks = [Block(index, hamiltonian, local, lock) for index in indices]
 
     def pulse(self, diagonal: np.ndarray) -> Propagator:
-        """The propagator of H + diag(diagonal) on the same sectors, H being .hamiltonian."""
+        """The propagator of H + diag(diagonal), H being .hamiltonian: H's blocks, lock and all."""
         dim = self.hamiltonian.dimension
         if np.shape(diagonal) != (dim,):
             raise ValueError(f"pulse diagonal of shape {np.shape(diagonal)}, expected ({dim},)")
-        pulsed, lock, pulse = copy.copy(self), threading.Lock(), np.asarray(diagonal)
-        pulsed.blocks = [Block(b.index, b._h, b._local, lock, pulse[b.index]) for b in self.blocks]
+        pulsed = copy.copy(self)
+        pulsed.diagonal = np.asarray(diagonal)
         return pulsed
 
     def blocks_touched(self, state: QuditState) -> list[Block]:
@@ -345,10 +336,12 @@ def trajectory(prop: Propagator, state: QuditState, times):
     dim = prop.hamiltonian.dimension
     if not any(math.prod(state.dims[k:]) == dim for k in range(len(state.dims))):
         raise ValueError(f"state dims {state.dims} have no trailing block of dimension {dim}")
-    x = state.amplitudes.reshape(-1, dim)
+    x, d = state.amplitudes.reshape(-1, dim), prop.diagonal
     blocks, empty = prop.blocks_touched(state), np.zeros((0, len(x)))  # empty: a zero state's
-    streams = [(_dense_stream if b.strategy == "dense-eig" else _taylor_stream)(
-        b.op, np.ascontiguousarray(x[:, b.index].T), times) for b in blocks]  # a column per row
+    columns = [np.ascontiguousarray(x[:, b.index].T) for b in blocks]  # a column per batch row
+    streams = [_dense_stream(b.op[1], z, times) if d is None and b.strategy == "dense-eig" else
+               _taylor_stream(b.op[0], z, times, None if d is None else d[b.index])
+               for b, z in zip(blocks, columns)]
     index = np.concatenate([np.zeros(0, np.int64), *(b.index for b in blocks)])
     return index, (np.concatenate([empty, *map(next, streams)]).T for _ in times)
 
@@ -378,21 +371,20 @@ def _dense_stream(eig, x, times):
         yield x if t == 0.0 else _matmul(vecs, np.exp(-1j * vals * t)[:, None] * coeff)
 
 
-def _taylor_op(sub, diagonal: np.ndarray):
-    """(A - mu I, mu, its 1-norm), A the sub-matrix plus diag(diagonal), mu its mean diagonal.
+def _taylor_op(m):
+    """(A - mu I, mu, its diagonal, its column 1-norms) of a block's matrix A, mu its mean diagonal.
 
-    sub is a _Csr or SciPy CSR.  A - mu I is a dense NumPy array up to
-    DENSE_BLOCK_LIMIT and a SciPy CSR matrix above it.
+    m is dense (NumPy) or SciPy CSR, and A - mu I keeps its form.
     """
-    n = sub.indptr.size - 1
-    mu = (sub.data[_rows(sub.indptr) == sub.indices].sum() + diagonal.sum()) / n
-    if n <= DENSE_BLOCK_LIMIT:
-        a = _dense(sub, diagonal - mu)
-        return a, mu, np.abs(a).sum(axis=0).max()
+    diag = m.diagonal()
+    mu, n = diag.mean(), diag.size
+    if isinstance(m, np.ndarray):
+        a = m - mu * np.eye(n)
+        return a, mu, diag - mu, np.abs(a).sum(axis=0)
     import scipy.sparse as sp
 
-    a = ((sub if sp.issparse(sub) else _scipy_csr(sub)) + sp.diags(diagonal - mu)).tocsr()
-    return a, mu, np.bincount(a.indices, np.abs(a.data), n).max()
+    a = (m - mu * sp.identity(n)).tocsr()
+    return a, mu, diag - mu, np.bincount(a.indices, np.abs(a.data), n)
 
 
 def _scipy_csr(sub: _Csr):
@@ -443,7 +435,7 @@ def pulse_limit(n_sites: int, growth: float) -> float:
 
     Sufficient on a chain of n_sites for a pulse that grows a normalized
     state's norm by up to e^growth: such an entry adds at most twice itself
-    to an entry of A - mu I (_taylor_op), whose products with a step's
+    to an entry of A - mu I (_taylor_stream), whose products with a step's
     terms, at most e^theta_55 times the state, must stay finite, and mu sums
     up to 3^N of them (no more than MAX_AMPLITUDES: a longer chain is refused).
     """
@@ -452,15 +444,21 @@ def pulse_limit(n_sites: int, growth: float) -> float:
     return math.exp(math.log(sys.float_info.max) - most)
 
 
-def _taylor_stream(op, x, times):
+def _taylor_stream(op, x, times, pulse=None):
     """Reach each time from the previous one by a truncated Taylor series of exp(-i tau A).
 
     op is _taylor_op's.  Al-Mohy & Higham's algorithm 3.2, as SciPy runs
     it for a vector: s steps of up to m terms of -i tau (A - mu I),
     each stopped once two successive terms fall below 2^-53 of the sum
     (inf-norms) and multiplied by e^{-i tau mu / s}.  Nothing is random.
+    A pulse d, the block's part of a pulse diagonal, makes A = H + diag(d).
     """
-    a, mu, norm1 = op
+    a, mu, diag, norms = op
+    if pulse is not None:  # mu gains the pulse's mean, and the rest swaps into the diagonal
+        mu, pulse = mu + pulse.mean(), pulse - pulse.mean()
+        norms = norms - np.abs(diag) + np.abs(diag + pulse)
+        pulse = pulse[:, None]  # a column: it scales every batch row alike
+    norm1 = norms.max()
     bound = float(norm1) + abs(complex(mu))  # bounds the 1-norm of A itself
     taus = [t - s for s, t in zip([0.0, *times], times)]  # each time less the previous one
     for t, tau in zip(times, taus):
@@ -471,6 +469,7 @@ def _taylor_stream(op, x, times):
         raise ValueError(f"the time grid needs {'over' if capped else 'about'} {cpu / 60:.3g} min "
                          f"of one-worker CPU on a block of dimension {len(x)}, over the bound "
                          f"of {MAX_WORK / 60:g} min: shorten the times or the pulse")
+    product = (lambda z: _matmul(a, z)) if pulse is None else lambda z: _matmul(a, z) + pulse * z
     for tau in taus:
         if tau:  # s steps of m terms
             m, s = _taylor_degree(abs(tau) * norm1)
@@ -478,7 +477,7 @@ def _taylor_stream(op, x, times):
             for _ in range(s):
                 f, c1 = x, np.linalg.norm(x, np.inf)
                 for j in range(m):
-                    x = (-1j * tau / (s * (j + 1))) * _matmul(a, x)
+                    x = (-1j * tau / (s * (j + 1))) * product(x)
                     c2 = np.linalg.norm(x, np.inf)
                     f = f + x
                     if c1 + c2 <= 2.0**-53 * np.linalg.norm(f, np.inf):

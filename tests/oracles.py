@@ -2,16 +2,19 @@
 
 Everything here is built from np.kron and scipy.linalg.expm only, so
 the brute-force values never share code with the package's stride
-kernels, sparse Hamiltonians, or propagators.  The three adapters at the
-end only reach the package's own objects: `csr` turns H's arrays into
-a SciPy matrix, `propagator` picks a kernel by name, and `pulse_diagonal`
-gives an LR pulse's diagonal as LinearResponseConfig builds it.
+kernels, sparse Hamiltonians, or propagators.  The adapters at the end
+only reach the package's own objects: `csr` turns H's arrays into a
+SciPy matrix, `propagator` picks a kernel by name, `pulse_diagonal` gives
+an LR pulse's diagonal as LinearResponseConfig builds it, and
+`taylor_evolve` runs the Taylor kernel on H's whole matrix, with no block
+split and no Hermitian check.
 """
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from quditcorr import dynamics
 from quditcorr.dynamics import Propagator
 from quditcorr.linear_response import LinearResponseConfig
 
@@ -96,7 +99,8 @@ def propagator(kernel, h):
 
     "dense-eig" is Propagator(h), which diagonalizes its blocks up to
     DENSE_BLOCK_LIMIT.  "sparse" is its zero pulse, which sends every
-    block through the Taylor kernel, unchecked.
+    block through the Taylor kernel.  Either checks each block of h
+    Hermitian when a state first touches it, so a non-Hermitian h is refused.
     """
     prop = Propagator(h)
     return prop.pulse(np.zeros(h.dimension)) if kernel == "sparse" else prop
@@ -105,3 +109,9 @@ def propagator(kernel, h):
 def pulse_diagonal(h0, site, lam, kind):
     """The diagonal that the LR pulse of strength lam and this kind adds to h0 on site."""
     return LinearResponseConfig(lam, probe_site=site, kind=kind).pulse_diagonal(h0)
+
+
+def taylor_evolve(h, state, t):
+    """exp(-i h t)|state> by the Taylor kernel on h's whole matrix, a non-Hermitian h too."""
+    x = np.ascontiguousarray(state.amplitudes.reshape(-1, h.dimension).T)
+    return next(dynamics._taylor_stream(dynamics._taylor_op(csr(h)), x, [t])).T.reshape(-1)

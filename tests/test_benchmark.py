@@ -186,7 +186,7 @@ def test_brute_force_refuses_a_non_hermitian_h():
     h = build_perturbed(h0, pulse_diagonal(h0, 0, 0.3, "non_hermitian"))
     with pytest.raises(ValueError, match="the dense oracle needs a Hermitian H"):
         brute_force_correlators(h, neel_superposition(3), 0, 1, 0.0, 0.7)
-    with pytest.raises(ValueError, match="an unpulsed block must be Hermitian"):
+    with pytest.raises(ValueError, match="a block of H must be Hermitian"):
         evolve(make_propagator(h), neel_superposition(3), 0.7)
 
 
@@ -368,6 +368,27 @@ def test_a_study_runs_two_trajectories_plus_two_per_lambda(monkeypatch, lambdas)
     config = RunConfig(n_sites=3, steps=5, lambdas=lambdas, workers=1)
     run_quench_study(config)
     assert lengths.count(config.steps) == 2 + 2 * len(lambdas)
+
+
+@pytest.mark.parametrize(
+    "config, changes",
+    [("lambda_sweep_n4", {"workers": 1}), ("lambda_sweep_n4", {"workers": 2}),
+     ("chain10", {"n_sites": 8, "steps": 3, "lambdas": [0.1, 0.2]}),
+     ("chain10", {"n_sites": 9, "steps": 3, "lambdas": [0.1, 0.2]})],
+    ids=["sweep-w1", "sweep-w2", "n8", "n9"],
+)
+def test_a_study_builds_one_taylor_operator_per_touched_block(monkeypatch, config, changes):
+    # Every pulse adds its diagonal to the blocks of H0's propagator, so a
+    # study builds one Taylor operator per block psi0 touches, whatever its
+    # number of lambdas and workers: at N = 8 one block, at N = 9 two.
+    built, taylor_op = [], dynamics._taylor_op
+    monkeypatch.setattr(dynamics, "_taylor_op", lambda m: built.append(m.shape[0]) or taylor_op(m))
+    cfg = RunConfig(**{**CONFIGS[config], **changes})
+    prop, psi0, _, _ = quench_system(cfg)
+    touched = sorted(b.index.size for b in prop.blocks_touched(psi0))
+    assert len(touched) == 1 + cfg.n_sites % 2
+    run_quench_study(cfg)
+    assert sorted(built) == touched
 
 
 def test_a_study_builds_as_many_registers_at_every_grid_length(monkeypatch):

@@ -92,7 +92,7 @@ def test_perturbed_hermitian_block():
 def test_perturbed_non_hermitian_adjoint():
     h0 = build_xxz(2, 1.0, 0.5)
     hp = build_perturbed(h0, pulse_diagonal(h0, 0, 0.2, "non_hermitian"))
-    with pytest.raises(ValueError, match="an unpulsed block must be Hermitian"):
+    with pytest.raises(ValueError, match="a block of H must be Hermitian"):
         evolve(make_propagator(hp), neel_superposition(2), 0.5)
     diff = (csr(hp).conj().T - csr(h0)).toarray()
     expected = 1j * 0.2 * np.kron(SZ1, np.eye(3))
@@ -151,10 +151,10 @@ def test_hermitian_flag_checks_every_entry_against_its_mirror(mirrored, n):
     # all -1).  The stored entry lies in the sector of digit sum 1, which
     # has dimension N and is always dense-eig, except at N = 8: there it
     # joins the Neel state to one flip-flop of its first bond, in the
-    # M = 0 sector of dimension 1107, which runs the Taylor kernel.  An
-    # unpulsed block is checked when a state first propagates through it,
-    # a pulsed one never; the lone entry joins two sectors, which
-    # make_propagator refuses.
+    # M = 0 sector of dimension 1107, which runs the Taylor kernel.  A
+    # block of H is checked when a state first propagates through it, by H
+    # or by a pulse of H, which adds its diagonal to the same checked block;
+    # the lone entry joins two sectors, which make_propagator refuses.
     h0 = csr(build_xxz(n, 1.0, 0.5))
     dim = h0.shape[0]
     if n == 8:  # base-3 digits: the Neel state and a flip-flop of its first bond
@@ -177,13 +177,13 @@ def test_hermitian_flag_checks_every_entry_against_its_mirror(mirrored, n):
             with pytest.raises(ValueError, match="between two total-S.z sectors"):
                 make_propagator(h)
             continue
-        prop = make_propagator(h)
         for pulsed in (False, True):
-            p = prop.pulse(np.zeros(dim)) if pulsed else prop
-            if raises and not pulsed:
-                with pytest.raises(ValueError, match="an unpulsed block must be Hermitian"):
+            p = make_propagator(h)
+            p = p.pulse(np.zeros(dim)) if pulsed else p
+            if raises:
+                with pytest.raises(ValueError, match="a block of H must be Hermitian"):
                     evolve(p, in_bumped_sector, 0.3)
-            elif not np.isnan(eps):
+            else:
                 evolve(p, in_bumped_sector, 0.3)
 
 
@@ -198,7 +198,7 @@ def test_a_bad_entry_outside_the_touched_sectors_does_not_stop_propagation(n):
     psi0 = neel_superposition(n)
     want = evolve(clean, psi0, 0.7).amplitudes
     assert evolve(bad, psi0, 0.7).amplitudes.tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="an unpulsed block must be Hermitian"):
+    with pytest.raises(ValueError, match="a block of H must be Hermitian"):
         evolve(bad, basis_state((3,) * n, [0] * (n - 1) + [1]), 0.7)
 
 
@@ -432,7 +432,8 @@ def test_the_kernel_refuses_a_trajectory_over_the_work_bound_before_any_product(
     stated = re.match(r"the time grid needs over (\S+) min of one-worker CPU on a block of "
                       r"dimension (\d+)", str(refusal.value))
     (block,) = prop.blocks_touched(psi)
-    a, _, norm1 = block.op
+    (a, _, _, norms), _ = block.op
+    norm1 = norms.max()  # a zero pulse moves no column's norm
     assert int(stated[2]) == block.index.size
     monkeypatch.setattr(dynamics, "MAX_WORK", math.inf)  # no cap
     m, s = dynamics._taylor_degree(1e9 * norm1)
@@ -454,26 +455,28 @@ def test_the_kernel_refuses_a_time_whose_phase_overflows(n, pulsed):
 
 @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
 @pytest.mark.parametrize("kind", ["hermitian", "non-hermitian"])
-def test_taylor_kernel_matches_expm(monkeypatch, csr, kind):
+def test_taylor_kernel_matches_expm(csr, kind):
     # Step norms from 1e-3 to past 63.4, where SciPy would estimate its
-    # norms instead; forwards and backwards, two columns.
+    # norms instead; forwards and backwards, two columns.  Then a pulse: a
+    # random complex diagonal d, which the kernel adds in each product, so
+    # the reference is the exponential of h + diag(d).
     n = 40
-    if csr:
-        monkeypatch.setattr(dynamics, "DENSE_BLOCK_LIMIT", n - 1)
     rng = np.random.default_rng(21)
     a = sp.random(n, n, density=0.2, random_state=rng, format="csr") * (1 + 0j)
     a.data += 1j * rng.normal(size=a.data.size)
     a = a + sp.diags(rng.normal(size=n))
     h = ((a + a.conj().T) / 2 if kind == "hermitian" else a).tocsr()
-    sub = dynamics._Csr(h.data, h.indices.astype(np.int32), h.indptr.astype(np.int64))
-    a, mu, norm1 = dynamics._taylor_op(sub, np.zeros(n))
-    assert sp.issparse(a) == csr
+    op = dynamics._taylor_op(h if csr else h.toarray())
+    assert sp.issparse(op[0]) == csr
     x = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    for norm in (1e-3, 0.1, 1.0, 10.0, 63.4, 100.0, 200.0):
-        for t in (norm / norm1, -norm / norm1):
-            got = next(dynamics._taylor_stream((a, mu, norm1), x, [t]))
-            want = scipy.linalg.expm(-1j * t * h.toarray()) @ x
-            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+    for d in (None, rng.normal(size=n) + 1j * rng.normal(size=n)):
+        g = h.toarray() + np.diag(np.zeros(n) if d is None else d)  # what the kernel propagates
+        norm1 = np.abs(g - np.trace(g) / n * np.eye(n)).sum(axis=0).max()
+        for norm in (1e-3, 0.1, 1.0, 10.0, 63.4, 100.0, 200.0):
+            for t in (norm / norm1, -norm / norm1):
+                got = next(dynamics._taylor_stream(op, x, [t], d))
+                want = scipy.linalg.expm(-1j * t * g) @ x
+                assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 def test_blocks_hold_no_entries_and_build_on_first_touch():
@@ -499,11 +502,10 @@ def test_blocks_hold_no_entries_and_build_on_first_touch():
     assert [b._op is not None for b in prop.blocks] == [b in touched for b in prop.blocks]
     (b,) = touched
     assert b.strategy == "sparse" and b.index.size > DENSE_BLOCK_LIMIT
-    m = csr(h)[b.index][:, b.index]
-    sub = dynamics._Csr(m.data, m.indices.astype(np.int32), m.indptr.astype(np.int64))
-    a, mu, norm1 = dynamics._taylor_op(sub, np.zeros(b.index.size))
-    got, got_mu, got_norm1 = b.op
-    assert (got_mu, got_norm1) == (mu, norm1)
+    a, mu, diag, norms = dynamics._taylor_op(csr(h)[b.index][:, b.index])
+    (got, got_mu, got_diag, got_norms), eig = b.op
+    assert eig is None and got_mu == mu
+    assert got_diag.tobytes() == diag.tobytes() and got_norms.tobytes() == norms.tobytes()
     for name in ("data", "indices", "indptr"):
         assert getattr(got, name).tobytes() == getattr(a, name).tobytes()
 
@@ -549,11 +551,14 @@ def test_non_hermitian_single_spin_norm_decay():
 
 @pytest.mark.parametrize("strategy", ["sparse"])
 def test_non_hermitian_matches_expm_oracle(strategy):
+    # The anti-Hermitian diagonal enters as a pulse of H0, which runs the
+    # Taylor kernel on every block; the oracle exponentiates the whole matrix.
     rng = np.random.default_rng(4)
     for n in (2, 3):
         h0 = build_xxz(n, 1.0, 0.5)
-        hp = build_perturbed(h0, pulse_diagonal(h0, 0, 0.25, "non_hermitian"))
-        prop = propagator(strategy, hp)
+        diagonal = pulse_diagonal(h0, 0, 0.25, "non_hermitian")
+        hp = build_perturbed(h0, diagonal)
+        prop = propagator(strategy, h0).pulse(diagonal)
         state = random_state(rng, (3,) * n)
         t = 0.9
         out = evolve(prop, state, t)
@@ -563,18 +568,32 @@ def test_non_hermitian_matches_expm_oracle(strategy):
 
 
 def test_kernel_rule_is_the_pulse_and_the_block_size(monkeypatch):
-    # An unpulsed block is dense-eig exactly when it is at most
-    # DENSE_BLOCK_LIMIT; a pulsed block always runs the Taylor kernel.  At
-    # N = 4 the sectors have dimension 1, 4, 10, 16, 19 (each but 19
-    # twice); the limit sits on 16.
+    # A block of H is dense-eig exactly when it is at most
+    # DENSE_BLOCK_LIMIT; a pulse shares H's blocks and runs the Taylor
+    # kernel on each of them.  At N = 4 the sectors have dimension 1, 4,
+    # 10, 16, 19 (each but 19 twice); the limit sits on 16.
     monkeypatch.setattr(dynamics, "DENSE_BLOCK_LIMIT", 16)
     h = build_xxz(4, 1.0, 0.5)
     prop = make_propagator(h)
     kernels = {(b.index.size, b.strategy) for b in prop.blocks}
     assert kernels == {(1, "dense-eig"), (4, "dense-eig"), (10, "dense-eig"), (16, "dense-eig"),
                        (19, "sparse")}
+    assert {dynamics.kernel(b.index.size, True) for b in prop.blocks} == {"sparse"}
+    state = random_state(np.random.default_rng(15), (3,) * 4)
+    streams = []
+
+    def counted(name):
+        stream = getattr(dynamics, name)
+        return lambda *args: streams.append(name) or stream(*args)
+
+    for name in ("_dense_stream", "_taylor_stream"):
+        monkeypatch.setattr(dynamics, name, counted(name))
+    evolve(prop, state, 0.5)
+    assert sorted(streams) == ["_dense_stream"] * 8 + ["_taylor_stream"]
     for pulse in (np.zeros(81), pulse_diagonal(h, 0, 0.25, "non_hermitian")):
-        assert {b.strategy for b in prop.pulse(pulse).blocks} == {"sparse"}
+        pulsed, streams[:] = prop.pulse(pulse), []
+        evolve(pulsed, state, 0.5)
+        assert pulsed.blocks is prop.blocks and streams == ["_taylor_stream"] * 9
     assert {b.strategy for b in make_propagator(build_xxz(2, 1.0, 0.5)).blocks} == {"dense-eig"}
 
 
@@ -616,49 +635,48 @@ def test_trajectory_rejects_non_finite_times(times):
 
 
 def test_threads_sharing_a_propagator_factorize_each_block_once(monkeypatch):
-    # Blocks build their operator on first touch: eigh for dense-eig and
-    # _taylor_op for the Taylor kernel.  The lock keeps two threads that
-    # touch a block at once from both building it.
+    # A block builds its Taylor operator, and its eigh for dense-eig, on
+    # first touch, by H or by a pulse of H, which shares H's blocks.  The
+    # lock keeps threads that touch a block at once from both building it.
     h, psi = build_xxz(5, 1.0, 0.5), neel_superposition(5)
     want = scipy.linalg.expm(-0.7j * dense_xxz(5, 1.0, 0.5)) @ neel_superposition_vec(5)
     built = []
 
     def slow(name, build):
-        def slow_build(*args, **kwargs):
-            built.append((name, len(args[-1])))  # eigh's matrix, _taylor_op's diagonal
+        def slow_build(m):
+            built.append((name, len(m)))
             time.sleep(0.01)  # widen the window between the check and the store
-            return build(*args, **kwargs)
+            return build(m)
 
         return slow_build
 
     monkeypatch.setattr(np.linalg, "eigh", slow("eigh", np.linalg.eigh))
     monkeypatch.setattr(dynamics, "_taylor_op", slow("_taylor_op", dynamics._taylor_op))
-    for kernel, name in (("dense-eig", "eigh"), ("sparse", "_taylor_op")):
-        built.clear()
-        prop = propagator(kernel, h)
-        assert built == []  # building the propagator builds no operator
-        results, start = [], threading.Barrier(8)
+    prop = make_propagator(h)
+    pulse = prop.pulse(np.zeros(h.dimension))
+    assert built == []  # building the propagator or its pulse builds no operator
+    results, start = [], threading.Barrier(8)
 
-        def work():
-            start.wait()
-            results.append(evolve(prop, psi, 0.7).amplitudes)
+    def work(p):
+        start.wait()
+        results.append(evolve(p, psi, 0.7).amplitudes)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert sorted(b.index.size for b in prop.blocks_touched(psi)) == [45, 45]
-        assert built == [(name, 45), (name, 45)]
-        assert len(results) == 8
-        for got in results:
-            assert np.abs(got - want).max() <= 1e-12
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(p,)) for p in [prop, pulse] * 4]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(b.index.size for b in prop.blocks_touched(psi)) == [45, 45]
+    assert sorted(built) == [("_taylor_op", 45)] * 2 + [("eigh", 45)] * 2
+    assert len(results) == 8
+    for got in results:
+        assert np.abs(got - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("strategy", ["dense-eig", "sparse"])
@@ -739,38 +757,52 @@ def test_cut_over_sends_n7_to_sparse(monkeypatch):
 
 
 def test_non_hermitian_hamiltonian_is_all_sparse(monkeypatch):
-    # A non-Hermitian H propagates only as a pulse: its own propagator
-    # refuses to evolve the Neel state, and its zero pulse runs the Taylor
-    # kernel on every block.
+    # A non-Hermitian H is refused, by its propagator and by its zero pulse
+    # alike.  Its anti-Hermitian diagonal propagates only as a pulse of H0,
+    # which runs the Taylor kernel on every block, one operator built per block.
     h0 = build_xxz(4, 1.0, 0.5)
-    hp = build_perturbed(h0, pulse_diagonal(h0, 1, 0.25, "non_hermitian"))
-    prop = make_propagator(hp)
-    with pytest.raises(ValueError, match="an unpulsed block must be Hermitian"):
-        evolve(prop, neel_superposition(4), 0.5)
-    pulse = prop.pulse(np.zeros(81))
+    diagonal = pulse_diagonal(h0, 1, 0.25, "non_hermitian")
+    prop = make_propagator(build_perturbed(h0, diagonal))
+    for p in (prop, prop.pulse(np.zeros(81))):
+        with pytest.raises(ValueError, match="a block of H must be Hermitian"):
+            evolve(p, neel_superposition(4), 0.5)
+    pulse = make_propagator(h0).pulse(diagonal)
     assert len(pulse.blocks) == 9
-    assert {b.strategy for b in pulse.blocks} == {"sparse"}
+    assert {dynamics.kernel(b.index.size, True) for b in pulse.blocks} == {"sparse"}
     built, taylor_op = [], dynamics._taylor_op
-    counting = lambda sub, diagonal: built.append(diagonal.size) or taylor_op(sub, diagonal)  # noqa: E731
-    monkeypatch.setattr(dynamics, "_taylor_op", counting)
+    monkeypatch.setattr(dynamics, "_taylor_op", lambda m: built.append(len(m)) or taylor_op(m))
+    monkeypatch.setattr(dynamics, "_dense_stream", lambda *args: pytest.fail("dense-eig ran"))
     evolve(pulse, random_state(np.random.default_rng(13), (3,) * 4), 0.5)
     assert sorted(built) == sorted(b.index.size for b in pulse.blocks)
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_a_pulse_of_a_non_hermitian_h_is_refused_before_any_product(monkeypatch, n):
+    # No pulse runs unchecked: pulsing a non-Hermitian H, even by zero, reads
+    # the blocks of H, whose check refuses it before the kernel's first
+    # product.  At N = 8 the Neel state's block runs on SciPy CSR.
+    h0 = build_xxz(n, 1.0, 0.5)
+    h = build_perturbed(h0, pulse_diagonal(h0, 1, 0.25, "non_hermitian"))
+    monkeypatch.setattr(dynamics, "_matmul", lambda m, z: pytest.fail("a product ran"))
+    for diagonal in (np.zeros(3**n), pulse_diagonal(h0, 0, 0.5, "hermitian")):
+        with pytest.raises(ValueError, match="^a block of H must be Hermitian"):
+            evolve(make_propagator(h).pulse(diagonal), neel_superposition(n), 0.5)
+
+
 def test_a_pulse_never_calls_eigh(monkeypatch):
-    # Every block of a pulse, however small, runs the Taylor kernel, and
-    # pulsing builds nothing on the blocks of the propagator it came from.
+    # Every block of a pulse, however small, runs the Taylor kernel.  The
+    # only eigh a pulse causes is the one each dense-eig block of H builds
+    # with its Taylor operator on first touch, once: later pulses, of either
+    # kind, build nothing more.
     h = build_xxz(4, 1.0, 0.5)
     prop = make_propagator(h)
-
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("a pulse called eigh")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
+    monkeypatch.setattr(dynamics, "_dense_stream", lambda *args: pytest.fail("a pulse ran eigh"))
     state = random_state(np.random.default_rng(14), (2,) + (3,) * 4)
-    for kind in ("hermitian", "non_hermitian"):
+    for kind in ("hermitian", "non_hermitian", "hermitian"):
         evolve(prop.pulse(pulse_diagonal(h, 1, 0.3, kind)), state, 0.5)
-    assert all(b._op is None for b in prop.blocks)
+    assert sorted(calls) == sorted(b.index.size for b in prop.blocks)
 
 
 def test_neel_superposition_touches_one_sector_at_even_n_and_two_at_odd_n():
@@ -788,15 +820,24 @@ CASES = [
 ]
 
 
-def hamiltonian_case(n, kind):
+def hamiltonian_case(n, strategy, kind):
+    """(H as one dense matrix, its propagator on the named kernel) of a CASES entry.
+
+    The non-Hermitian H is H0 plus an anti-Hermitian diagonal, which
+    propagates only as a pulse of H0.
+    """
     h0 = build_xxz(n, 1.0, 0.5)
+    if kind == "non_hermitian":
+        diagonal = pulse_diagonal(h0, n - 1, 0.3, kind)
+        return csr(build_perturbed(h0, diagonal)).toarray(), make_propagator(h0).pulse(diagonal)
     if kind == "complex":
         # D H0 D^+ with random diagonal phases: Hermitian, complex off the
         # diagonal, with H0's blocks and spectrum.
         d = sp.diags(np.exp(1j * np.random.default_rng(n).uniform(0, 2 * np.pi, h0.dimension)))
-        mat = (d @ csr(h0) @ d.conj()).tocsr()
-        return SparseHamiltonian(mat, h0.j_xy)
-    return h0 if kind is None else build_perturbed(h0, pulse_diagonal(h0, n - 1, 0.3, kind))
+        h = SparseHamiltonian((d @ csr(h0) @ d.conj()).tocsr(), h0.j_xy)
+    else:
+        h = h0 if kind is None else build_perturbed(h0, pulse_diagonal(h0, n - 1, 0.3, kind))
+    return csr(h).toarray(), propagator(strategy, h)
 
 
 @pytest.mark.parametrize("strategy, kind", CASES)
@@ -805,12 +846,10 @@ def hamiltonian_case(n, kind):
 def test_block_trajectory_matches_full_space_expm(n, dims_before, strategy, kind):
     # A random state touches every block, the dimension-1 ones included;
     # an ancilla's rows are propagated alike.
-    h = hamiltonian_case(n, kind)
-    prop = propagator(strategy, h)
+    full, prop = hamiltonian_case(n, strategy, kind)
     state = random_state(np.random.default_rng(100 + n), dims_before + (3,) * n)
     assert len(prop.blocks_touched(state)) == 2 * n + 1
-    rows = state.amplitudes.reshape(-1, h.dimension)
-    full = csr(h).toarray()
+    rows = state.amplitudes.reshape(-1, full.shape[0])
     grid = [0.0, 1.2, 1.2, 4.0]
     index, arrays = trajectory(prop, state, grid)
     for t, got in zip(grid, arrays):
@@ -864,9 +903,9 @@ def test_dense_and_sparse_blocks_in_one_trajectory(monkeypatch):
 def test_state_in_a_dimension_one_block_gets_its_phase(n, strategy, kind):
     # All +1 is its own block: H multiplies it by (N - 1) J_z, and the
     # perturbation on the last site subtracts lambda (times i if non-Hermitian).
-    h = hamiltonian_case(n, kind)
+    _, prop = hamiltonian_case(n, strategy, kind)
     energy = (n - 1) * 0.5 - {"hermitian": 0.3, "non_hermitian": 0.3j}.get(kind, 0.0)
     state = basis_state((3,) * n, (0,) * n)
-    out = evolve(propagator(strategy, h), state, 1.7)
+    out = evolve(prop, state, 1.7)
     assert np.count_nonzero(out.amplitudes) == 1
     assert out.amplitudes[0] == pytest.approx(np.exp(-1j * energy * 1.7), abs=1e-13)

@@ -1055,3 +1055,22 @@ def test_taylor_path_reproduces_recorded_cells(n, recorded):
     touched = prop.blocks_touched(psi0)
     assert len(touched) == 1 + n % 2 and {b.strategy for b in touched} == {"sparse"}
     assert_recorded_cells(config, recorded)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_chain_reflection_gives_the_same_exact_cells(n):
+    # Site i -> N - 1 - i commutes with H0 and maps psi0 to itself (at even N
+    # it swaps the two Neel states), so the sites (1, 2) and (N, N - 1) give
+    # the same correlators: every exact cell within the CSV rule's 1e-14 on
+    # the expectation scale.  No oracle is needed; both kernels, odd N and
+    # both LR kinds take part.
+    config = RunConfig(n_sites=n, steps=6, lambdas=(0.1, 0.2), workers=1)
+    rows = run_quench_study(config).rows
+    mirrored = run_quench_study(replace(config, sites=(n, n - 1))).rows
+    assert len(rows) == len(mirrored) == 6 * (2 + 2 * 2)
+    for row, other in zip(rows, mirrored):
+        assert (row.protocol, row.kind, row.t, row.lam) == (
+            other.protocol, other.kind, other.t, other.lam
+        )
+        scale = 1.0 if row.protocol == "hadamard" else row.lam * config.pulse_area
+        assert abs(row.exact - other.exact) * scale <= 1e-14

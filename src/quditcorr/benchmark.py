@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .dynamics import SparseHamiltonian, build_xxz, make_propagator, site_sz_diagonal
+from .dynamics import SparseHamiltonian, build_xxz, make_propagator, site_levels
 from .hadamard import (
     EXACT,
     SAMPLED,
@@ -428,8 +428,7 @@ def brute_force_correlators(
     dense[np.repeat(np.arange(h.dimension), np.diff(h.indptr)), h.indices] = h.data
     require_hermitian(dense, "the dense oracle needs a Hermitian H")
     vals, vecs = np.linalg.eigh(dense)
-    a = site_sz_diagonal(h.n_sites, site_a)
-    b = site_sz_diagonal(h.n_sites, site_b)
+    a, b = (1 - site_levels(np.arange(h.dimension), h.n_sites, s) for s in (site_a, site_b))
 
     def u(t, v):
         coeff = (vecs.T @ v.conj()).conj()  # V^+ v without copying V^+
@@ -533,7 +532,8 @@ def run_quench_study(config: RunConfig) -> StudyResult:
 
     prop, psi0, obs_a, obs_b = system = quench_system(config)
     if log.isEnabledFor(logging.INFO):
-        touched = ", ".join(f"{b.index.size} ({b.strategy})" for b in prop.blocks_touched(psi0))
+        blocks = prop.blocks_of(np.flatnonzero(psi0.amplitudes))
+        touched = ", ".join(f"{b.index.size} ({b.strategy})" for b in blocks)
         log.info("H0 has %d blocks; psi0 touches dimension %s; predicted %.3g s of CPU at one "
                  "worker and %.3g MB", len(prop.blocks), touched, plan.cpu_seconds,
                  sum(plan.bytes) / 1e6)

@@ -211,7 +211,7 @@ def _cmd_validate(args) -> int:
             plus, minus = measure_dynamical_correlator(obs_a, obs_b, 0.0, t2, psi0, prop)
             worst_circuit = max(worst_circuit, abs(plus.value - cp), abs(minus.value - cm))
         worst_trace = {}
-        for kernel, p in (("dense-eig", prop), ("sparse", prop.pulse(np.zeros(h.dimension)))):
+        for kernel, p in (("dense-eig", prop), ("sparse", prop.pulse(0, 0.0))):
             probabilities = trace_probabilities(obs_a, obs_b, psi0, p, times)[:2]
             values = [estimate_from_probabilities(ps, *norms, None).value for ps in probabilities]
             worst_trace[kernel] = float(np.max(np.abs(np.transpose(values) - refs)))

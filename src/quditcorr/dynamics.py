@@ -5,22 +5,22 @@ The chain is open, nearest-neighbor:
     H = sum_{i=1}^{N-1} [ J_xy (S^x_i S^x_{i+1} + S^y_i S^y_{i+1})
                           + J_z S^z_i S^z_{i+1} ],
 
-with hbar = 1 and all times in units of 1/J_xy.  A pulse adds a diagonal
-to H for its duration (linear_response builds the LR pulses' diagonals);
+with hbar = 1 and all times in units of 1/J_xy.  A pulse adds strength *
+S^z_site to H for its duration (linear_response sets the LR pulses);
 since each segment is time independent, piecewise exponentials
 propagate exactly, with no splitting error.
 
 H conserves total S^z, so a propagator splits it into the 2N + 1
-sectors of total S^z, found from the digits of each basis index, and
-propagates only the blocks that a state touches, each on its own: by dense
-eigendecomposition (up to DENSE_BLOCK_LIMIT) or by a truncated Taylor
-kernel (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011; larger
-blocks, and every block of a pulse).  Every block of H is checked
-Hermitian before a kernel reads it: a non-Hermitian H is refused.  A pulse,
-Propagator.pulse(diagonal), is a diagonal that the Taylor kernel adds to
-H's blocks in each product.  `trajectory` streams a state's touched blocks
-through a time grid and is the only code that propagates; `evolve`, its
-one-time case, alone fills a full register.
+sectors of total S^z, found from the digits of each basis index
+(site_levels, the one digit rule), and propagates only the blocks that a
+state touches, each on its own: by dense eigendecomposition (up to
+DENSE_BLOCK_LIMIT) or by a truncated Taylor kernel (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33(2), 2011; larger blocks, and every block of a
+pulse, whose diagonal it adds on the block's indices in each product).
+Every block of H is checked Hermitian before a kernel reads it: a
+non-Hermitian H is refused.  `trajectory` is the only code that
+propagates: from basis indices and their amplitudes to the same on the
+touched blocks, over a time grid.  `evolve` alone reads and fills a register.
 
 H is NumPy CSR arrays only, built and split with NumPy; a block builds
 its operators from them when a state first touches it (see Block).
@@ -120,10 +120,11 @@ class SparseHamiltonian:
         self.j_xy = float(j_xy)
 
 
-def site_sz_diagonal(n_sites: int, site: int) -> np.ndarray:
-    """Diagonal of S^z on one site of the chain (S^z is diagonal in the product basis)."""
-    sz = np.diag(spin_matrix(1, "z").matrix).real
-    return np.kron(np.kron(np.ones(3**site), sz), np.ones(3 ** (n_sites - site - 1)))
+def site_levels(index: np.ndarray, n_sites: int, site: int) -> np.ndarray:
+    """The level of a site (its base-3 digit; S^z = 1 - level) in each basis index of the chain."""
+    if not 0 <= site < n_sites:
+        raise IndexError(f"site {site} out of range for {n_sites} sites")
+    return index // 3 ** (n_sites - 1 - site) % 3
 
 
 def check_dimension(n_sites: int) -> None:
@@ -190,10 +191,10 @@ def build_xxz(n_sites: int, j_xy: float, j_z: float) -> SparseHamiltonian:
 
 
 def build_perturbed(h0: SparseHamiltonian, diagonal: np.ndarray) -> SparseHamiltonian:
-    """H0 + diag(diagonal) as one matrix: the tested reference of Propagator.pulse(diagonal).
+    """H0 + diag(diagonal) as one matrix: the tested reference of Propagator.pulse.
 
-    A pulse adds the diagonal to H0's blocks in the Taylor kernel instead, so no
-    study calls this; an anti-Hermitian diagonal makes an H that is refused.
+    A pulse adds strength * S^z_site to H0's blocks in the Taylor kernel instead,
+    so no study calls this; an anti-Hermitian diagonal makes an H that is refused.
     It adds with SciPy, which drops a diagonal entry that sums to zero.
     """
     import scipy.sparse as sp
@@ -275,32 +276,30 @@ class Block:
 
 
 class Propagator:
-    """Applies exp(-i H t) to the system block of a register, one total-S^z sector at a time.
+    """Applies exp(-i H t) to a state in block coordinates, one total-S^z sector at a time.
 
-    States whose trailing sites multiply out to the Hamiltonian
-    dimension are accepted; any leading sites (the ancilla) are treated
-    as batch indices and left untouched.  blocks are the sectors (see
-    Block for their kernels); one lock guards their builds for threads.
+    blocks are the sectors in ascending digit sum (see Block for their
+    kernels); one lock guards their builds for threads.  A pulse shares
+    them all (see pulse); pulse_term is its (site, strength), or None.
     """
 
     def __init__(self, hamiltonian: SparseHamiltonian):
-        self.hamiltonian, self.diagonal, lock = hamiltonian, None, threading.Lock()  # see pulse
+        self.hamiltonian, self.pulse_term, lock = hamiltonian, None, threading.Lock()
         indices, local = _diagonal_blocks(hamiltonian)
         self.blocks = [Block(index, hamiltonian, local, lock) for index in indices]
 
-    def pulse(self, diagonal: np.ndarray) -> Propagator:
-        """The propagator of H + diag(diagonal), H being .hamiltonian: H's blocks, lock and all."""
-        dim = self.hamiltonian.dimension
-        if np.shape(diagonal) != (dim,):
-            raise ValueError(f"pulse diagonal of shape {np.shape(diagonal)}, expected ({dim},)")
+    def pulse(self, site: int, strength) -> Propagator:
+        """The propagator of H + strength * S^z_site, H being .hamiltonian: H's blocks and lock."""
+        site_levels(0, self.hamiltonian.n_sites, site)  # refuses a site off the chain
         pulsed = copy.copy(self)
-        pulsed.diagonal = np.asarray(diagonal)
+        pulsed.pulse_term = site, strength
         return pulsed
 
-    def blocks_touched(self, state: QuditState) -> list[Block]:
-        """The blocks on which state has a nonzero amplitude in any batch row."""
-        x = state.amplitudes.reshape(-1, self.hamiltonian.dimension)
-        return [b for b in self.blocks if x[:, b.index].any()]
+    def blocks_of(self, index: np.ndarray) -> list[Block]:
+        """The blocks that hold these basis indices: those of their digit sums, N - S^z."""
+        n = self.hamiltonian.n_sites
+        sums = sum(site_levels(index, n, site) for site in range(n))
+        return [self.blocks[s] for s in np.flatnonzero(np.bincount(sums))]
 
 
 def make_propagator(h: SparseHamiltonian) -> Propagator:
@@ -308,49 +307,62 @@ def make_propagator(h: SparseHamiltonian) -> Propagator:
     return Propagator(h)
 
 
-def evolve(prop: Propagator, state: QuditState, duration: float) -> QuditState:
-    """exp(-i H * duration)|state>, acting on the system sites only.
+def support(prop: Propagator, state: QuditState) -> tuple[np.ndarray, np.ndarray]:
+    """A register as a start: its support's basis indices, and its amplitudes there by batch row."""
+    dim = prop.hamiltonian.dimension
+    if not any(math.prod(state.dims[k:]) == dim for k in range(len(state.dims))):
+        raise ValueError(f"state dims {state.dims} have no trailing block of dimension {dim}")
+    x = state.amplitudes.reshape(-1, dim)
+    index = np.flatnonzero(x.any(axis=0))
+    return index, x[:, index]
 
-    The one-time case of trajectory, zero off the touched blocks; a negative
-    duration propagates backwards.  A pulse with an anti-Hermitian diagonal
-    returns an unnormalized state, its squared norm tracked by the QuditState.
+
+def evolve(prop: Propagator, state: QuditState, duration: float) -> QuditState:
+    """exp(-i H * duration)|state> on the system sites, the register's trailing ones.
+
+    trajectory's one-time case from support(prop, state), written back, zero off the touched
+    blocks; a negative duration propagates backwards.  An anti-Hermitian pulse returns an
+    unnormalized state, its squared norm tracked by the QuditState.
     """
-    index, amplitudes = trajectory(prop, state, [duration])
+    index, amplitudes = trajectory(prop, support(prop, state), [duration])
     out = np.zeros_like(state.amplitudes).reshape(-1, prop.hamiltonian.dimension)
     out[:, index] = next(amplitudes)
     return QuditState(state.dims, out.reshape(-1))
 
 
-def trajectory(prop: Propagator, state: QuditState, times):
-    """(index, arrays): exp(-i H t)|state> on its touched blocks at each t of a non-decreasing grid.
+def trajectory(prop: Propagator, start, times):
+    """(index, arrays): exp(-i H t) of a start on its touched blocks at each t of a sorted grid.
 
-    index holds the touched blocks' basis indices, block by block (every
-    other amplitude stays 0).  The iterator yields a new (batch rows,
-    index.size) array per time, one alive at once, never a view of the state.
+    start is (indices, x): amplitudes x (batch rows, k) at k distinct basis
+    indices in any order, zero elsewhere, as a trajectory's (index, array).
+    Its blocks are blocks_of(indices), whose basis indices index holds,
+    block by block; the iterator yields a new (batch rows, index.size)
+    array per time, one alive at once, never a view of x.
     """
     times = [float(t) for t in times]
-    if not all(map(math.isfinite, times)):
-        raise ValueError("trajectory times must be finite")
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("trajectory times must be non-decreasing")
-    dim = prop.hamiltonian.dimension
-    if not any(math.prod(state.dims[k:]) == dim for k in range(len(state.dims))):
-        raise ValueError(f"state dims {state.dims} have no trailing block of dimension {dim}")
-    x, d = state.amplitudes.reshape(-1, dim), prop.diagonal
-    blocks, empty = prop.blocks_touched(state), np.zeros((0, len(x)))  # empty: a zero state's
-    columns = [np.ascontiguousarray(x[:, b.index].T) for b in blocks]  # a column per batch row
-    streams = [_dense_stream(b.op[1], z, times) if d is None and b.strategy == "dense-eig" else
-               _taylor_stream(b.op[0], z, times, None if d is None else d[b.index])
-               for b, z in zip(blocks, columns)]
+    if not all(map(math.isfinite, times)) or any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError("trajectory times must be finite and non-decreasing")
+    (indices, x), n, pulse = start, prop.hamiltonian.n_sites, prop.pulse_term
+    blocks, streams, placed = prop.blocks_of(indices), [], 0
+    for b in blocks:
+        at = np.searchsorted(b.index, indices).clip(max=b.index.size - 1)
+        mine = b.index[at] == indices  # the start's indices in b, none off the chain
+        placed += np.count_nonzero(np.bincount(at[mine]))  # each once if they are distinct
+        z = np.zeros((b.index.size, len(x)), dtype=np.complex128)  # a column per batch row
+        z[at[mine]] = x[:, mine].T
+        d = None if pulse is None else pulse[1] * (1 - site_levels(b.index, n, pulse[0]))
+        dense = pulse is None and b.strategy == "dense-eig"
+        streams.append(_dense_stream(b.op[1], z, times) if dense else
+                       _taylor_stream(b.op[0], z, times, d))  # d: the pulse's diagonal on b
+    if placed != np.size(indices):
+        raise ValueError(f"a start's basis indices must be distinct and in [0, 3^{n})")
     index = np.concatenate([np.zeros(0, np.int64), *(b.index for b in blocks)])
-    return index, (np.concatenate([empty, *map(next, streams)]).T for _ in times)
+    return index, (np.concatenate([np.zeros((0, len(x))), *map(next, streams)]).T for _ in times)
 
 
 def level_sums(index: np.ndarray, n_sites: int, site: int) -> np.ndarray:
-    """(index.size, 3): x @ it sums x (..., index.size) per level (index's digit) on a site."""
-    if not 0 <= site < n_sites:
-        raise IndexError(f"site {site} out of range for {n_sites} sites")
-    return np.equal.outer(index // 3 ** (n_sites - 1 - site) % 3, np.arange(3)).astype(float)
+    """(index.size, 3): x @ it sums x (..., index.size) per level of a site (site_levels)."""
+    return np.equal.outer(site_levels(index, n_sites, site), np.arange(3)).astype(float)
 
 
 def _matmul(m, z: np.ndarray) -> np.ndarray:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Propagator, evolve, level_sums, trajectory
+from .dynamics import Propagator, evolve, level_sums, site_levels, support, trajectory
 from .observables import HermitianObservable, decompose, spin_matrix
 from .register import (
     LocalOperator, QuditState, ancilla_zero_probability, apply_controlled, apply_local,
@@ -182,18 +182,19 @@ def trace_probabilities(
     that pass require_site_sz.  At t1 = 0 the circuit gives
     P = 1/2 + 1/2 Re(e^{i alpha} <U(t) V_A psi | V_B U(t) psi>).  One
     trajectory per level of A's site that psi occupies (two on the Neel
-    superposition) streams psi's part there; U(t) psi is their sum, and
+    superposition) streams psi's support there; U(t) psi is their sum, and
     U(t) V_A psi too, weighted by diagonal V_A.  Each overlap, V_B being
     diagonal, and B's marginal are level_sums on B's site.
     """
     require_site_sz(obs_a, obs_b)
     w_a, w_b = (np.diag(decompose(obs).w.matrix) for obs in (obs_a, obs_b))
-    by_level = psi0.amplitudes.reshape(3 ** obs_a.support[0], 3, -1)
-    levels = [k for k in range(3) if by_level[:, k].any()]
-    parts = (np.where(np.arange(3)[:, None] == k, by_level, 0).reshape(-1) for k in levels)
-    indices, streams = zip(*(trajectory(prop, QuditState(psi0.dims, x), times) for x in parts))
-    index = np.sort(np.concatenate([b.index for b in prop.blocks_touched(psi0)]))
-    sums = level_sums(index, prop.hamiltonian.n_sites, obs_b.support[0])
+    n, (occupied, x) = prop.hamiltonian.n_sites, support(prop, psi0)
+    level = site_levels(occupied, n, obs_a.support[0])
+    levels = np.flatnonzero(np.bincount(level))
+    parts = ((occupied[level == k], x[:, level == k]) for k in levels)
+    indices, streams = zip(*(trajectory(prop, part, times) for part in parts))
+    index = np.sort(np.concatenate([b.index for b in prop.blocks_of(occupied)]))
+    sums = level_sums(index, n, obs_b.support[0])
     at = np.concatenate([k * index.size + np.searchsorted(index, i) for k, i in enumerate(indices)])
     chi = np.zeros((len(levels), index.size), dtype=np.complex128)  # U(t) of each part, on index
     v_a, v_b = np.array([w_a[levels], w_a[levels].conj()]), np.array([w_b, w_b.conj()]).T

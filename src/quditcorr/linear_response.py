@@ -21,8 +21,8 @@ and the estimator returns the *negated* difference quotient so that
 the Hermitian kind estimates C- = i<[A(t1), B(t2)]> and the
 non-Hermitian kind the (connected) anti-commutator C+.
 
-LinearResponseConfig refuses a pulse that no estimate can use and builds
-its diagonal; one helper applies it for dt, in measure_lr and lr_trace.
+LinearResponseConfig refuses a pulse that no estimate can use and makes
+it, a site and a strength on H0's propagator, for measure_lr and lr_trace.
 
 Shot noise is simulated as projective S^z measurements (rng.sample_counts
 over the readout site's levels).  The non-Hermitian perturbed branch
@@ -37,9 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    Propagator, SparseHamiltonian, evolve, level_sums, pulse_limit, site_sz_diagonal, trajectory,
-)
+from .dynamics import Propagator, evolve, level_sums, pulse_limit, support, trajectory
 from .hadamard import EXACT, SAMPLED, CorrelatorEstimate
 from .register import QuditState, site_marginal
 from .rng import sample_counts
@@ -96,13 +94,11 @@ class LinearResponseConfig:
             why = f"lambda |J_xy| = {strength:.6g} for {self.lam!r} at {n_sites} sites"
             raise ValueError(f"{why}: the Taylor kernel's products with the pulse may overflow")
 
-    def pulse_diagonal(self, h0: SparseHamiltonian) -> np.ndarray:
-        """Diagonal of -lambda*J_xy*S_p^z on h0's chain, times i for the non-Hermitian kind."""
-        if not 0 <= self.probe_site < h0.n_sites:
-            raise IndexError(f"site {self.probe_site} out of range for {h0.n_sites} sites")
-        self.check_strength(h0.n_sites, h0.j_xy)
-        pert = site_sz_diagonal(h0.n_sites, self.probe_site) * (self.lam * h0.j_xy)
-        return -pert if self.kind == HERMITIAN else -1j * pert
+    def pulse(self, prop: Propagator) -> Propagator:
+        """prop, of H0, pulsed by -lambda*J_xy*S_p^z, times i for the non-Hermitian kind."""
+        self.check_strength(prop.hamiltonian.n_sites, prop.hamiltonian.j_xy)
+        strength = -(self.lam * prop.hamiltonian.j_xy)
+        return prop.pulse(self.probe_site, strength if self.kind == HERMITIAN else 1j * strength)
 
 
 # Eigenvalues m of spin-1 S^z in basis order.
@@ -194,17 +190,6 @@ def lr_estimate(
     return CorrelatorEstimate((e_u - e_p) / denom, std, n_pert + n_branch, mode)
 
 
-def _pulse_duration(pulse_area: float, prop: Propagator) -> float:
-    """dt = pulse_area / J_xy, J_xy that of prop's Hamiltonian H0."""
-    return pulse_area / prop.hamiltonian.j_xy
-
-
-def _pulsed(config: LinearResponseConfig, state: QuditState, prop: Propagator) -> QuditState:
-    """state after the config's pulse: H0 plus its diagonal, on prop's blocks, for dt."""
-    pulse = prop.pulse(config.pulse_diagonal(prop.hamiltonian))
-    return evolve(pulse, state, _pulse_duration(config.pulse_area, prop))
-
-
 def measure_lr(
     config: LinearResponseConfig,
     t1: float,
@@ -221,14 +206,14 @@ def measure_lr(
     sampled on rng.  The perturbed and unperturbed branches share the
     same total duration so the difference quotient isolates the
     response.  prop propagates H0, whose J_xy sets the pulse duration.
-    The pulse is prop.pulse of the config's diagonal: a short pulse
-    needs only a few Taylor products, and no block is diagonalized for it.
+    The pulse is config.pulse(prop): a short pulse needs only a few Taylor
+    products, and no block is diagonalized for it.
     """
-    dt = _pulse_duration(config.pulse_area, prop)
+    dt = config.pulse_area / prop.hamiltonian.j_xy
     if t2 < t1 + dt:
         raise ValueError(f"need t2 >= t1 + pulse duration ({t1 + dt:g}), got {t2:g}")
 
-    pert = evolve(prop, _pulsed(config, evolve(prop, psi0, t1), prop), t2 - t1 - dt)
+    pert = evolve(prop, evolve(config.pulse(prop), evolve(prop, psi0, t1), dt), t2 - t1 - dt)
     unpert = evolve(prop, psi0, t2)
     site = config.readout_site
     args = ([site_marginal(pert, site)], [pert.squared_norm], [site_marginal(unpert, site)])
@@ -246,7 +231,7 @@ def unperturbed_readout(
     evolve to dt.  No pulse strength or kind enters, so every LR trace of
     a study shares it.
     """
-    dt = _pulse_duration(pulse_area, prop)
+    dt = pulse_area / prop.hamiltonian.j_xy
     readout = np.array(marginals, dtype=float)
     readout[np.asarray(times) < dt] = site_marginal(evolve(prop, psi0, dt), site)
     return readout
@@ -258,13 +243,14 @@ def lr_trace(
     """Readout marginals (T, 3) and squared norms (T,) of the pulsed branch of C(0, t).
 
     prop propagates H0, whose J_xy sets the pulse duration dt.  The
-    pulse is applied once at t1 = 0, on prop's blocks as in measure_lr, and
-    the pulsed state streamed to max(t, dt) - dt, both results level_sums
-    of |x|^2 on the readout site.  With unperturbed_readout's unpulsed
-    marginals (same pulse area), lr_estimate gives measure_lr's estimates.
+    pulse runs once at t1 = 0 from psi0's support, and its output starts the
+    stream to max(t, dt) - dt, in block coordinates; both results are
+    level_sums of |x|^2 on the readout site.  With unperturbed_readout's
+    unpulsed marginals (same pulse area), lr_estimate gives measure_lr's.
     """
-    dt = _pulse_duration(config.pulse_area, prop)
-    index, points = trajectory(prop, _pulsed(config, psi0, prop), np.maximum(times, dt) - dt)
+    dt = config.pulse_area / prop.hamiltonian.j_xy
+    index, pulsed = trajectory(config.pulse(prop), support(prop, psi0), [dt])
+    index, points = trajectory(prop, (index, next(pulsed)), np.maximum(times, dt) - dt)
     sums = level_sums(index, prop.hamiltonian.n_sites, config.readout_site)
     p = np.array([np.abs(x[0]) ** 2 @ sums for x in points])
     return p / p.sum(axis=1, keepdims=True), p.sum(axis=1)

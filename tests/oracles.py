@@ -2,10 +2,11 @@
 
 Everything here is built from np.kron and scipy.linalg.expm only, so
 the brute-force values never share code with the package's stride
-kernels, sparse Hamiltonians, or propagators.  The adapters at the end
-only reach the package's own objects: `csr` turns H's arrays into a
-SciPy matrix, `propagator` picks a kernel by name, `pulse_diagonal` gives
-an LR pulse's diagonal as LinearResponseConfig builds it, and
+kernels, sparse Hamiltonians, or propagators; `pulse_diagonal` builds an
+LR pulse's whole diagonal from np.kron, for build_perturbed.  The
+adapters at the end only reach the package's own objects: `csr` turns
+H's arrays into a SciPy matrix, `propagator` picks a kernel by name,
+`blocks_touched` gives the blocks a register touches, and
 `taylor_evolve` runs the Taylor kernel on H's whole matrix, with no block
 split and no Hermitian check.
 """
@@ -16,7 +17,6 @@ import scipy.sparse as sp
 
 from quditcorr import dynamics
 from quditcorr.dynamics import Propagator
-from quditcorr.linear_response import LinearResponseConfig
 
 SQ2 = np.sqrt(2.0)
 SX1 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQ2
@@ -84,6 +84,17 @@ def connected_pair(h, psi, site_a, site_b, t1, t2):
     return anti - 2.0 * ea * eb, comm
 
 
+def site_sz(n, site):
+    """The diagonal of S^z on one site of an n-site chain."""
+    return kron_chain([np.ones(3)] * site + [np.diag(SZ1).real] + [np.ones(3)] * (n - site - 1))
+
+
+def pulse_diagonal(h0, site, lam, kind):
+    """The diagonal of -lam J_xy S^z_site on h0's chain, times i for the non-Hermitian kind."""
+    pert = site_sz(h0.n_sites, site) * (lam * h0.j_xy)
+    return -pert if kind == "hermitian" else -1j * pert
+
+
 def random_hermitian(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (m + m.conj().T) / 2.0
@@ -98,17 +109,18 @@ def propagator(kernel, h):
     """A propagator of h whose blocks run the named kernel.
 
     "dense-eig" is Propagator(h), which diagonalizes its blocks up to
-    DENSE_BLOCK_LIMIT.  "sparse" is its zero pulse, which sends every
-    block through the Taylor kernel.  Either checks each block of h
-    Hermitian when a state first touches it, so a non-Hermitian h is refused.
+    DENSE_BLOCK_LIMIT.  "sparse" is its zero pulse, strength 0 on site 0,
+    which sends every block through the Taylor kernel.  Either checks each
+    block of h Hermitian when a state first touches it, so a non-Hermitian
+    h is refused.
     """
     prop = Propagator(h)
-    return prop.pulse(np.zeros(h.dimension)) if kernel == "sparse" else prop
+    return prop.pulse(0, 0.0) if kernel == "sparse" else prop
 
 
-def pulse_diagonal(h0, site, lam, kind):
-    """The diagonal that the LR pulse of strength lam and this kind adds to h0 on site."""
-    return LinearResponseConfig(lam, probe_site=site, kind=kind).pulse_diagonal(h0)
+def blocks_touched(prop, state):
+    """The blocks of prop on which a register has a nonzero amplitude in any batch row."""
+    return prop.blocks_of(dynamics.support(prop, state)[0])
 
 
 def taylor_evolve(h, state, t):

@@ -19,6 +19,7 @@ import quditcorr.benchmark as benchmark
 import quditcorr.dynamics as dynamics
 from oracles import (
     SZ1,
+    blocks_touched,
     connected_pair,
     csr,
     dense_xxz,
@@ -385,7 +386,7 @@ def test_a_study_builds_one_taylor_operator_per_touched_block(monkeypatch, confi
     monkeypatch.setattr(dynamics, "_taylor_op", lambda m: built.append(m.shape[0]) or taylor_op(m))
     cfg = RunConfig(**{**CONFIGS[config], **changes})
     prop, psi0, _, _ = quench_system(cfg)
-    touched = sorted(b.index.size for b in prop.blocks_touched(psi0))
+    touched = sorted(b.index.size for b in blocks_touched(prop, psi0))
     assert len(touched) == 1 + cfg.n_sites % 2
     run_quench_study(cfg)
     assert sorted(built) == touched
@@ -401,6 +402,24 @@ def test_a_study_builds_as_many_registers_at_every_grid_length(monkeypatch):
         run_quench_study(RunConfig(n_sites=3, steps=steps, lambdas=(0.1, 0.2), workers=1))
         counts[steps] = len(built)
     assert counts[5] == counts[9]
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_a_studys_pool_tasks_construct_no_register(monkeypatch, n):
+    # Each trace starts from psi0's support and streams block coordinates,
+    # so psi0's parts, the pulsed states and the pulses' outputs are no
+    # QuditState on the pool (2 + 2L of them before).  A study's registers
+    # are psi0, built from its two Neel states, and the output of the
+    # readout's one evolve to dt, all on the main thread.
+    real_init, main, on_pool = QuditState.__post_init__, threading.main_thread(), []
+
+    def counting(state):
+        on_pool.append(threading.current_thread() is not main)
+        real_init(state)
+
+    monkeypatch.setattr(QuditState, "__post_init__", counting)
+    run_quench_study(RunConfig(n_sites=n, steps=3, lambdas=(0.1, 0.2), workers=2))
+    assert (on_pool.count(True), on_pool.count(False)) == (0, 4)
 
 
 def _reference_sampled_point(ps_plus, ps_minus, marginal_a, marginal_b, pref, n_plus, n_minus, rng):
@@ -520,7 +539,7 @@ def test_the_entry_bound_of_h_is_exact_off_the_diagonal(n):
     indices, _ = dynamics._diagonal_blocks(h)
     sizes = functools.reduce(np.convolve, [[1, 1, 1]] * n, [1])
     assert [len(i) for i in indices] == sizes.tolist()
-    touched = make_propagator(h).blocks_touched(neel_superposition(n))
+    touched = blocks_touched(make_propagator(h), neel_superposition(n))
     every = dynamics.sectors(n)
     assert [dim for dim, _ in every] == sizes.tolist()
     assert sum(bound for _, bound in every) == 3**n + off_diagonal
@@ -616,7 +635,7 @@ def test_the_strongest_pulse_accepted_at_four_sites_runs_without_overflow():
     h0 = build_xxz(4, 1.0, 0.5)
     for kind in ("hermitian", "non_hermitian"):
         with pytest.raises(ValueError, match=message):
-            LinearResponseConfig(above, area, kind=kind).pulse_diagonal(h0)
+            LinearResponseConfig(above, area, kind=kind).pulse(make_propagator(h0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         figures = run_quench_study(config).figures
@@ -1052,7 +1071,7 @@ RECORDED_N9 = [
 def test_taylor_path_reproduces_recorded_cells(n, recorded):
     config = RunConfig(n_sites=n, steps=3, lambdas=(0.2,), workers=1)
     prop, psi0, _, _ = quench_system(config)
-    touched = prop.blocks_touched(psi0)
+    touched = blocks_touched(prop, psi0)
     assert len(touched) == 1 + n % 2 and {b.strategy for b in touched} == {"sparse"}
     assert_recorded_cells(config, recorded)
 

@@ -523,7 +523,8 @@ SCIPY_STEPS = {
         "prop = dynamics.make_propagator(dynamics.build_xxz(8, 1.0, 0.5))\n"
         "psi = dynamics.evolve(prop, neel_superposition(8), 1.5)\n"
         "assert abs(psi.squared_norm - 1) < 1e-12\n"
-        "assert [b.strategy for b in prop.blocks_touched(psi)] == ['sparse']",
+        "index, _ = dynamics.support(prop, psi)\n"
+        "assert [b.strategy for b in prop.blocks_of(index)] == ['sparse']",
         True,
     ),
 }

@@ -15,7 +15,16 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from oracles import SZ1, csr, dense_xxz, neel_superposition_vec, propagator, pulse_diagonal
+from oracles import (
+    SZ1,
+    blocks_touched,
+    csr,
+    dense_xxz,
+    neel_superposition_vec,
+    propagator,
+    pulse_diagonal,
+    site_sz,
+)
 from quditcorr import dynamics
 from quditcorr.benchmark import neel_superposition
 from quditcorr.dynamics import (
@@ -25,7 +34,7 @@ from quditcorr.dynamics import (
     build_xxz,
     evolve,
     make_propagator,
-    site_sz_diagonal,
+    support,
     trajectory,
 )
 from quditcorr.observables import spin_matrix
@@ -118,7 +127,7 @@ def kron_xxz(n, j_xy, j_z):
 
 
 def kron_perturbed(h, n, j_xy, site, lam, kind):
-    pert = sp.diags(site_sz_diagonal(n, site) * (lam * j_xy))
+    pert = sp.diags(site_sz(n, site) * (lam * j_xy))
     return (h - pert if kind == "hermitian" else h - 1j * pert).tocsr()
 
 
@@ -167,7 +176,7 @@ def test_hermitian_flag_checks_every_entry_against_its_mirror(mirrored, n):
     assert (h0[row, col] != 0) == mirrored and h0[col, row] == h0[row, col]
     if mirrored:
         clean = make_propagator(SparseHamiltonian(h0, 1.0))
-        (block,) = clean.blocks_touched(in_bumped_sector)
+        (block,) = blocks_touched(clean, in_bumped_sector)
         assert {row, col} <= set(block.index)
         assert block.strategy == ("sparse" if n == 8 else "dense-eig")
     for eps, raises in ((1e-9, True), (1e-13, False), (np.nan, True)):
@@ -179,7 +188,7 @@ def test_hermitian_flag_checks_every_entry_against_its_mirror(mirrored, n):
             continue
         for pulsed in (False, True):
             p = make_propagator(h)
-            p = p.pulse(np.zeros(dim)) if pulsed else p
+            p = p.pulse(0, 0.0) if pulsed else p
             if raises:
                 with pytest.raises(ValueError, match="a block of H must be Hermitian"):
                     evolve(p, in_bumped_sector, 0.3)
@@ -311,7 +320,7 @@ def test_zero_duration_returns_same_state():
         prop = propagator(strategy, h)
         for dims in ((3, 3), (2, 3, 3)):
             state = random_state(rng, dims)
-            index, arrays = trajectory(prop, state, [0.0, 0.5])
+            index, arrays = trajectory(prop, support(prop, state), [0.0, 0.5])
             first, out = next(arrays), evolve(prop, state, 0.0)
             np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
             np.testing.assert_array_equal(first, state.amplitudes.reshape(-1, 9)[:, index])
@@ -414,7 +423,7 @@ def test_taylor_counts_stay_finite_and_past_the_cap_price_over_the_work_bound():
 def _long_evolution(n: int, pulsed: bool):
     """The N = 8 propagator of H, whose M = 0 block runs Taylor on CSR, or an N = 4 zero pulse."""
     prop = make_propagator(build_xxz(n, 1.0, 0.5))
-    return (prop.pulse(np.zeros(3**n)) if pulsed else prop), neel_superposition(n)
+    return (prop.pulse(0, 0.0) if pulsed else prop), neel_superposition(n)
 
 
 @pytest.mark.parametrize("n, pulsed", [(8, False), (4, True)], ids=["n8", "n4-zero-pulse"])
@@ -431,7 +440,7 @@ def test_the_kernel_refuses_a_trajectory_over_the_work_bound_before_any_product(
         evolve(prop, psi, 1e9)
     stated = re.match(r"the time grid needs over (\S+) min of one-worker CPU on a block of "
                       r"dimension (\d+)", str(refusal.value))
-    (block,) = prop.blocks_touched(psi)
+    (block,) = blocks_touched(prop, psi)
     (a, _, _, norms), _ = block.op
     norm1 = norms.max()  # a zero pulse moves no column's norm
     assert int(stated[2]) == block.index.size
@@ -498,7 +507,7 @@ def test_blocks_hold_no_entries_and_build_on_first_touch():
     prop = make_propagator(h)
     assert all(b._op is None for b in prop.blocks)
     evolve(prop, psi, 0.5)
-    touched = prop.blocks_touched(psi)
+    touched = blocks_touched(prop, psi)
     assert [b._op is not None for b in prop.blocks] == [b in touched for b in prop.blocks]
     (b,) = touched
     assert b.strategy == "sparse" and b.index.size > DENSE_BLOCK_LIMIT
@@ -519,7 +528,7 @@ def test_an_unpulsed_taylor_block_converts_its_sub_matrix_to_scipy_once(monkeypa
     monkeypatch.setattr(dynamics, "_scipy_csr", counting)
     prop, psi = make_propagator(build_xxz(n, 1.0, 0.5)), neel_superposition(n)
     evolve(prop, psi, 0.5)
-    touched = prop.blocks_touched(psi)
+    touched = blocks_touched(prop, psi)
     assert len(touched) == 1 + n % 2 and {b.strategy for b in touched} == {"sparse"}
     assert sorted(converted) == sorted(b.index.size for b in touched)
 
@@ -543,7 +552,7 @@ def test_non_hermitian_single_spin_norm_decay():
     lam, j, t = 0.3, 1.0, 0.8
     h = SparseHamiltonian(sp.csr_matrix((3, 3)), j)
     state = QuditState((3,), np.array([1.0, 0, 0], dtype=complex))
-    out = evolve(make_propagator(h).pulse(-1j * lam * j * np.diag(SZ1)), state, t)
+    out = evolve(make_propagator(h).pulse(0, -1j * lam * j), state, t)
     assert out.squared_norm == pytest.approx(np.exp(-2 * lam * j * t), rel=1e-10)
     expm_out = scipy.linalg.expm(-1j * t * (-1j * lam * j * SZ1)) @ state.amplitudes
     np.testing.assert_allclose(out.amplitudes, expm_out, atol=1e-12)
@@ -558,7 +567,7 @@ def test_non_hermitian_matches_expm_oracle(strategy):
         h0 = build_xxz(n, 1.0, 0.5)
         diagonal = pulse_diagonal(h0, 0, 0.25, "non_hermitian")
         hp = build_perturbed(h0, diagonal)
-        prop = propagator(strategy, h0).pulse(diagonal)
+        prop = propagator(strategy, h0).pulse(0, -0.25j)
         state = random_state(rng, (3,) * n)
         t = 0.9
         out = evolve(prop, state, t)
@@ -590,8 +599,8 @@ def test_kernel_rule_is_the_pulse_and_the_block_size(monkeypatch):
         monkeypatch.setattr(dynamics, name, counted(name))
     evolve(prop, state, 0.5)
     assert sorted(streams) == ["_dense_stream"] * 8 + ["_taylor_stream"]
-    for pulse in (np.zeros(81), pulse_diagonal(h, 0, 0.25, "non_hermitian")):
-        pulsed, streams[:] = prop.pulse(pulse), []
+    for strength in (0.0, -0.25j):
+        pulsed, streams[:] = prop.pulse(0, strength), []
         evolve(pulsed, state, 0.5)
         assert pulsed.blocks is prop.blocks and streams == ["_taylor_stream"] * 9
     assert {b.strategy for b in make_propagator(build_xxz(2, 1.0, 0.5)).blocks} == {"dense-eig"}
@@ -606,7 +615,7 @@ def test_trajectory_matches_evolve_from_zero(strategy, dims):
     prop = propagator(strategy, h)
     state = random_state(np.random.default_rng(9), dims)
     grid = [0.0, 0.0, 0.4, 1.3, 1.3, 2.05, 7.5]
-    index, arrays = trajectory(prop, state, grid)
+    index, arrays = trajectory(prop, support(prop, state), grid)
     arrays, rows = list(arrays), state.amplitudes.reshape(-1, h.dimension)
     assert len(arrays) == len(grid)
     for t, got in zip(grid, arrays):
@@ -621,7 +630,7 @@ def test_trajectory_rejects_decreasing_times():
     prop = make_propagator(build_xxz(2, 1.0, 0.5))
     state = random_state(np.random.default_rng(10), (3, 3))
     with pytest.raises(ValueError, match="non-decreasing"):
-        trajectory(prop, state, [0.0, 1.0, 0.5])
+        trajectory(prop, support(prop, state), [0.0, 1.0, 0.5])
 
 
 @pytest.mark.parametrize("times", [[0.0, math.nan], [math.nan], [0.0, 1.0, math.inf], [-math.inf, 0.0]])
@@ -629,9 +638,44 @@ def test_trajectory_rejects_non_finite_times(times):
     prop = make_propagator(build_xxz(2, 1.0, 0.5))
     state = random_state(np.random.default_rng(10), (3, 3))
     with pytest.raises(ValueError, match="finite"):
-        trajectory(prop, state, times)
+        trajectory(prop, support(prop, state), times)
     with pytest.raises(ValueError, match="finite"):
         evolve(prop, state, next(t for t in times if not math.isfinite(t)))
+
+
+@pytest.mark.parametrize("strategy", ["dense-eig", "sparse"])
+def test_a_shuffled_start_matches_evolve_of_its_register_bit_for_bit(strategy):
+    # A start is basis indices and their amplitudes, in any order: here five
+    # indices of the sectors of digit sums 2 and 3 at N = 4, shuffled, with
+    # two batch rows.  Each block's column is filled by searchsorted, so
+    # the trajectory equals evolve of the same register bit for bit.
+    prop = propagator(strategy, build_xxz(4, 1.0, 0.5))
+    index = np.array([5, 2, 31, 4, 19])  # digit sums 3, 2, 3, 2, 3
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    rows = np.zeros((2, 81), dtype=complex)
+    rows[:, index] = x
+    state = QuditState((2,) + (3,) * 4, rows.reshape(-1))
+    touched = np.concatenate([prop.blocks[2].index, prop.blocks[3].index])  # by digit sum
+    for t in (0.0, 0.7, -2.0):
+        got_index, arrays = trajectory(prop, (index, x), [t])
+        np.testing.assert_array_equal(got_index, touched)
+        want = evolve(prop, state, t).amplitudes.reshape(2, -1)
+        assert next(arrays).tobytes() == want[:, got_index].tobytes()
+        assert not np.delete(want, got_index, axis=1).any()
+
+
+def test_a_start_needs_distinct_basis_indices_of_the_chain():
+    # A start's indices are placed in their blocks by searchsorted: one off
+    # the chain, or one given twice, is refused, not dropped or overwritten.
+    prop = make_propagator(build_xxz(2, 1.0, 0.5))
+    x = np.ones((1, 2), dtype=complex)
+    refusal = r"^a start's basis indices must be distinct and in \[0, 3\^2\)$"
+    for index in ([1, 9], [-1, 3], [3, 3], [4, 4]):
+        with pytest.raises(ValueError, match=refusal):
+            trajectory(prop, (np.array(index), x), [0.0])
+    index, arrays = trajectory(prop, (np.zeros(0, dtype=np.int64), np.zeros((2, 0))), [0.0, 1.0])
+    assert index.size == 0 and [a.shape for a in arrays] == [(2, 0), (2, 0)]
 
 
 def test_threads_sharing_a_propagator_factorize_each_block_once(monkeypatch):
@@ -653,7 +697,7 @@ def test_threads_sharing_a_propagator_factorize_each_block_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", slow("eigh", np.linalg.eigh))
     monkeypatch.setattr(dynamics, "_taylor_op", slow("_taylor_op", dynamics._taylor_op))
     prop = make_propagator(h)
-    pulse = prop.pulse(np.zeros(h.dimension))
+    pulse = prop.pulse(0, 0.0)
     assert built == []  # building the propagator or its pulse builds no operator
     results, start = [], threading.Barrier(8)
 
@@ -672,7 +716,7 @@ def test_threads_sharing_a_propagator_factorize_each_block_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert sorted(b.index.size for b in prop.blocks_touched(psi)) == [45, 45]
+    assert sorted(b.index.size for b in blocks_touched(prop, psi)) == [45, 45]
     assert sorted(built) == [("_taylor_op", 45)] * 2 + [("eigh", 45)] * 2
     assert len(results) == 8
     for got in results:
@@ -705,10 +749,10 @@ def test_dimension_mismatch_rejected():
     state = random_state(np.random.default_rng(7), (3, 3))
     with pytest.raises(ValueError, match="trailing block"):
         evolve(make_propagator(h), state, 1.0)
-    # A pulse diagonal built for a longer chain: 81 entries against 27.
-    pulse = pulse_diagonal(build_xxz(4, 1.0, 0.5), 3, 0.3, "hermitian")
-    with pytest.raises(ValueError, match=r"pulse diagonal of shape \(81,\), expected \(27,\)"):
-        make_propagator(h).pulse(pulse)
+    # A pulse on a site off the chain: site 3 of a longer one, or -1.
+    for site in (-1, 3):
+        with pytest.raises(IndexError, match=f"^site {site} out of range for 3 sites$"):
+            make_propagator(h).pulse(site, -0.3)
 
 
 def sector_of_each_index(n):
@@ -763,10 +807,10 @@ def test_non_hermitian_hamiltonian_is_all_sparse(monkeypatch):
     h0 = build_xxz(4, 1.0, 0.5)
     diagonal = pulse_diagonal(h0, 1, 0.25, "non_hermitian")
     prop = make_propagator(build_perturbed(h0, diagonal))
-    for p in (prop, prop.pulse(np.zeros(81))):
+    for p in (prop, prop.pulse(0, 0.0)):
         with pytest.raises(ValueError, match="a block of H must be Hermitian"):
             evolve(p, neel_superposition(4), 0.5)
-    pulse = make_propagator(h0).pulse(diagonal)
+    pulse = make_propagator(h0).pulse(1, -0.25j)
     assert len(pulse.blocks) == 9
     assert {dynamics.kernel(b.index.size, True) for b in pulse.blocks} == {"sparse"}
     built, taylor_op = [], dynamics._taylor_op
@@ -784,9 +828,9 @@ def test_a_pulse_of_a_non_hermitian_h_is_refused_before_any_product(monkeypatch,
     h0 = build_xxz(n, 1.0, 0.5)
     h = build_perturbed(h0, pulse_diagonal(h0, 1, 0.25, "non_hermitian"))
     monkeypatch.setattr(dynamics, "_matmul", lambda m, z: pytest.fail("a product ran"))
-    for diagonal in (np.zeros(3**n), pulse_diagonal(h0, 0, 0.5, "hermitian")):
+    for strength in (0.0, -0.5):
         with pytest.raises(ValueError, match="^a block of H must be Hermitian"):
-            evolve(make_propagator(h).pulse(diagonal), neel_superposition(n), 0.5)
+            evolve(make_propagator(h).pulse(0, strength), neel_superposition(n), 0.5)
 
 
 def test_a_pulse_never_calls_eigh(monkeypatch):
@@ -801,14 +845,14 @@ def test_a_pulse_never_calls_eigh(monkeypatch):
     monkeypatch.setattr(dynamics, "_dense_stream", lambda *args: pytest.fail("a pulse ran eigh"))
     state = random_state(np.random.default_rng(14), (2,) + (3,) * 4)
     for kind in ("hermitian", "non_hermitian", "hermitian"):
-        evolve(prop.pulse(pulse_diagonal(h, 1, 0.3, kind)), state, 0.5)
+        evolve(prop.pulse(1, -0.3 if kind == "hermitian" else -0.3j), state, 0.5)
     assert sorted(calls) == sorted(b.index.size for b in prop.blocks)
 
 
 def test_neel_superposition_touches_one_sector_at_even_n_and_two_at_odd_n():
     for n, dims in ((6, [141]), (7, [357, 357])):
         prop = make_propagator(build_xxz(n, 1.0, 0.5))
-        assert [b.index.size for b in prop.blocks_touched(neel_superposition(n))] == dims
+        assert [b.index.size for b in blocks_touched(prop, neel_superposition(n))] == dims
 
 
 CASES = [
@@ -828,8 +872,8 @@ def hamiltonian_case(n, strategy, kind):
     """
     h0 = build_xxz(n, 1.0, 0.5)
     if kind == "non_hermitian":
-        diagonal = pulse_diagonal(h0, n - 1, 0.3, kind)
-        return csr(build_perturbed(h0, diagonal)).toarray(), make_propagator(h0).pulse(diagonal)
+        full = csr(build_perturbed(h0, pulse_diagonal(h0, n - 1, 0.3, kind))).toarray()
+        return full, make_propagator(h0).pulse(n - 1, -0.3j)
     if kind == "complex":
         # D H0 D^+ with random diagonal phases: Hermitian, complex off the
         # diagonal, with H0's blocks and spectrum.
@@ -848,10 +892,10 @@ def test_block_trajectory_matches_full_space_expm(n, dims_before, strategy, kind
     # an ancilla's rows are propagated alike.
     full, prop = hamiltonian_case(n, strategy, kind)
     state = random_state(np.random.default_rng(100 + n), dims_before + (3,) * n)
-    assert len(prop.blocks_touched(state)) == 2 * n + 1
+    assert len(blocks_touched(prop, state)) == 2 * n + 1
     rows = state.amplitudes.reshape(-1, full.shape[0])
     grid = [0.0, 1.2, 1.2, 4.0]
-    index, arrays = trajectory(prop, state, grid)
+    index, arrays = trajectory(prop, support(prop, state), grid)
     for t, got in zip(grid, arrays):
         want = rows @ scipy.linalg.expm(-1j * t * full).T
         assert np.max(np.abs(got - want[:, index])) <= 1e-10
@@ -869,8 +913,8 @@ def test_trajectory_yields_the_touched_blocks_only(strategy):
     # where evolve writes zeros.
     h, psi = build_xxz(5, 1.0, 0.5), neel_superposition(5)
     prop = propagator(strategy, h)
-    touched = prop.blocks_touched(psi)
-    index, arrays = trajectory(prop, psi, [0.0, 0.9, 2.4])
+    touched = blocks_touched(prop, psi)
+    index, arrays = trajectory(prop, support(prop, psi), [0.0, 0.9, 2.4])
     assert len(touched) == 2 and index.size < h.dimension
     np.testing.assert_array_equal(index, np.concatenate([b.index for b in touched]))
     for t, got in zip([0.0, 0.9, 2.4], arrays):
@@ -891,7 +935,7 @@ def test_dense_and_sparse_blocks_in_one_trajectory(monkeypatch):
     state = random_state(np.random.default_rng(12), (2,) + (3,) * 4)
     rows = state.amplitudes.reshape(2, -1)
     grid = [0.0, 0.7, 3.1]
-    index, arrays = trajectory(prop, state, grid)
+    index, arrays = trajectory(prop, support(prop, state), grid)
     for t, got in zip(grid, arrays):
         want = rows @ scipy.linalg.expm(-1j * t * csr(h).toarray()).T
         assert np.max(np.abs(got - want[:, index])) <= 1e-10

@@ -324,9 +324,9 @@ def test_trace_probabilities_runs_one_trajectory_per_distinct_start_state(monkey
     # random psi0 has all three levels.
     real, starts = hadamard.trajectory, []
 
-    def counting(prop, psi, times, *args):
-        starts.append(psi.amplitudes)
-        return real(prop, psi, times, *args)
+    def counting(prop, start, times, *args):
+        starts.append(start)  # (basis indices, amplitudes)
+        return real(prop, start, times, *args)
 
     monkeypatch.setattr(hadamard, "trajectory", counting)
     n = 4
@@ -339,7 +339,7 @@ def test_trace_probabilities_runs_one_trajectory_per_distinct_start_state(monkey
     engine = trace_probabilities(sz_obs(0), sz_obs(3), psi0, prop, grid)
     ps = list(zip(*engine[:2]))
     assert len(starts) == runs
-    assert len({a.tobytes() for a in starts}) == runs
+    assert len({(i.tobytes(), x.tobytes()) for i, x in starts}) == runs
     # Every probability still matches the gate-level circuit.
     for t, (plus, minus) in zip(grid, ps):
         for alpha, got in ((ALPHA_PLUS, plus), (ALPHA_MINUS, minus)):

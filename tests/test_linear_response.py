@@ -4,6 +4,7 @@ import scipy.linalg
 
 from oracles import (
     SZ1,
+    blocks_touched,
     connected_pair,
     dense_xxz,
     heisenberg_pair,
@@ -13,7 +14,10 @@ from oracles import (
     site_op,
     taylor_evolve,
 )
-from quditcorr.dynamics import Propagator, build_perturbed, build_xxz, evolve, make_propagator
+from quditcorr import dynamics
+from quditcorr.dynamics import (
+    Propagator, build_perturbed, build_xxz, evolve, make_propagator, support, trajectory,
+)
 from quditcorr.linear_response import (
     LinearResponseConfig,
     lr_estimate,
@@ -103,17 +107,46 @@ def test_config_validation():
             measure_lr(cfg, 0.3, 2.0, psi0, prop, 1000)
 
 
-def test_pulse_diagonal_is_the_site_term_on_the_probe_site():
+def kernel_pulse(monkeypatch, pulse):
+    """(the pulse diagonal the Taylor kernel gets on every block, whole, its blocks' indices).
+
+    A register of ones touches every block; an empty grid runs no product.
+    """
+    seen, stream, h = [], dynamics._taylor_stream, pulse.hamiltonian
+    monkeypatch.setattr(dynamics, "_taylor_stream", lambda *a: seen.append(a[3]) or stream(*a))
+    ones = QuditState((3,) * h.n_sites, np.ones(h.dimension))
+    index, _ = trajectory(pulse, support(pulse, ones), [])
+    monkeypatch.undo()
+    return np.concatenate(seen), index
+
+
+def test_pulse_diagonal_is_the_site_term_on_the_probe_site(monkeypatch):
     # -lambda J_xy S^z on the probed site, times i for the non-Hermitian kind.
     h0 = build_xxz(3, 2.0, 0.5)
     sz = site_op(3, 1, SZ1).diagonal().real
-    hermitian = LinearResponseConfig(0.3, probe_site=1).pulse_diagonal(h0)
-    np.testing.assert_array_equal(hermitian, -0.6 * sz)
+    hermitian = LinearResponseConfig(0.3, probe_site=1)
+    got, index = kernel_pulse(monkeypatch, hermitian.pulse(make_propagator(h0)))
+    np.testing.assert_array_equal(got, (-0.6 * sz)[index])
     non_hermitian = LinearResponseConfig(0.3, probe_site=1, kind="non_hermitian")
-    np.testing.assert_array_equal(non_hermitian.pulse_diagonal(h0), -0.6j * sz)
+    got, index = kernel_pulse(monkeypatch, non_hermitian.pulse(make_propagator(h0)))
+    np.testing.assert_array_equal(got, (-0.6j * sz)[index])
     for site in (-1, 3):
         with pytest.raises(IndexError, match=f"^site {site} out of range for 3 sites$"):
-            LinearResponseConfig(0.3, probe_site=site).pulse_diagonal(h0)
+            LinearResponseConfig(0.3, probe_site=site).pulse(make_propagator(h0))
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "non_hermitian"])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_each_blocks_pulse_equals_the_kron_diagonal_bit_for_bit(monkeypatch, n, kind):
+    # The Taylor kernel forms strength * (1 - level) on each block's indices,
+    # and no 3^N diagonal exists; on every block it has the bits of the
+    # whole diagonal from np.kron (pulse_diagonal), at each probe site.
+    prop = make_propagator(build_xxz(n, 1.0, 0.5))
+    for site in range(n):
+        config = LinearResponseConfig(0.2, probe_site=site, kind=kind)
+        got, index = kernel_pulse(monkeypatch, config.pulse(prop))
+        want = pulse_diagonal(prop.hamiltonian, site, 0.2, kind)[index]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_pulse_must_fit_between_the_two_times():
@@ -133,7 +166,7 @@ def test_measure_lr_runs_on_the_callers_propagator(monkeypatch):
     for kind in ("hermitian", "non_hermitian"):
         measure_lr(LinearResponseConfig(0.2, 1e-3, 0, 1, kind), 0.4, 1.5, psi0, prop, 100)
     assert built == []
-    assert all(block._op is not None for block in prop.blocks_touched(psi0))
+    assert all(block._op is not None for block in blocks_touched(prop, psi0))
 
 
 def test_hermitian_kind_estimates_commutator_small_bias():
@@ -220,7 +253,7 @@ def test_a_budget_without_a_generator_is_exact_with_its_error_bars():
     unpert = evolve(prop, neel_state(2), 1.0)
     for kind in ("hermitian", "non_hermitian"):
         cfg = LinearResponseConfig(0.2, dt, 0, 1, kind)
-        pulsed = evolve(prop.pulse(pulse_diagonal(h, 0, 0.2, kind)), neel_state(2), dt)
+        pulsed = evolve(prop.pulse(0, -0.2 if kind == "hermitian" else -0.2j), neel_state(2), dt)
         pert = evolve(prop, pulsed, 1.0 - dt)
         args = ([site_marginal(pert, 1)], [pert.squared_norm], [site_marginal(unpert, 1)])
         want = lr_estimate(cfg, *args, 100).points()[0]
@@ -288,8 +321,7 @@ def test_a_pulsed_norm_past_its_growth_bound_is_refused():
     psi0 = basis_state((3, 3), (2, 2))
     strong = LinearResponseConfig(1.0, 0.3, 0, 1, "non_hermitian")
     prop = make_propagator(build_xxz(2, 1.0, 0.5))
-    pulse = pulse_diagonal(prop.hamiltonian, 0, 1.0, "non_hermitian")
-    norm = evolve(prop.pulse(pulse), psi0, 0.3).squared_norm
+    norm = evolve(prop.pulse(0, -1j), psi0, 0.3).squared_norm
     assert norm == pytest.approx(np.exp(0.6), rel=1e-14)
     assert lr_estimate(strong, marginal, [norm], marginal, 1000).shots == 1000
 
@@ -351,7 +383,7 @@ def test_pulsed_state_matches_expm_oracle(n, kind, dt):
     expected = scipy.linalg.expm(-1j * dt * oracle_h) @ amp
     diagonal = pulse_diagonal(h0, site, lam, kind)
     # An anti-Hermitian diagonal propagates only as a pulse of H0.
-    pulse = (make_propagator(h0).pulse(diagonal) if kind == "non_hermitian"
+    pulse = (make_propagator(h0).pulse(site, -coupling) if kind == "non_hermitian"
              else propagator("sparse", build_perturbed(h0, diagonal)))
     got = evolve(pulse, state, dt).amplitudes
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(expected)))
@@ -371,7 +403,8 @@ def test_pulse_on_the_study_blocks_matches_the_perturbed_propagator(n, kind):
     states = [neel_state(n), QuditState((3,) * n, amp / np.linalg.norm(amp))]
     for site, lam, dt in ((0, 0.2, 1e-3), (n - 1, 0.4, 0.5)):
         diagonal = pulse_diagonal(h0, site, lam, kind)
+        pulse = LinearResponseConfig(lam, probe_site=site, kind=kind).pulse(prop)
         for state in states:
-            got = evolve(prop.pulse(diagonal), state, dt)
+            got = evolve(pulse, state, dt)
             want = taylor_evolve(build_perturbed(h0, diagonal), state, dt)
             assert np.abs(got.amplitudes - want).max() <= 1e-14

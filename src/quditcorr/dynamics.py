@@ -288,7 +288,7 @@ class Propagator:
         indices, local = _diagonal_blocks(hamiltonian)
         self.blocks = [Block(index, hamiltonian, local, lock) for index in indices]
 
-    def pulse(self, site: int, strength) -> Propagator:
+    def pulse(self, site: int, strength: complex) -> Propagator:
         """The propagator of H + strength * S^z_site, H being .hamiltonian: H's blocks and lock."""
         site_levels(0, self.hamiltonian.n_sites, site)  # refuses a site off the chain
         pulsed = copy.copy(self)
@@ -330,7 +330,7 @@ def evolve(prop: Propagator, state: QuditState, duration: float) -> QuditState:
     return QuditState(state.dims, out.reshape(-1))
 
 
-def trajectory(prop: Propagator, start, times):
+def trajectory(prop: Propagator, start: tuple[np.ndarray, np.ndarray], times):
     """(index, arrays): exp(-i H t) of a start on its touched blocks at each t of a sorted grid.
 
     start is (indices, x): amplitudes x (batch rows, k) at k distinct basis

@@ -22,8 +22,8 @@ non-Hermitian H is refused.  `trajectory` is the only code that
 propagates: from basis indices and their amplitudes to the same on the
 touched blocks, over a time grid.  `evolve` alone reads and fills a register.
 
-H is NumPy CSR arrays only, built and split with NumPy; a block builds
-its operators from them when a state first touches it (see Block).
+H is NumPy CSR arrays only, built and split with NumPy; kernel() picks a
+block's kernel, which builds its operator from them on first read (see Block).
 The Taylor kernel multiplies by a dense NumPy block up to the limit and
 by a SciPy CSR block above it: SciPy loads where such a block propagates
 (N >= 8) and in build_perturbed only.
@@ -203,24 +203,18 @@ def build_perturbed(h0: SparseHamiltonian, diagonal: np.ndarray) -> SparseHamilt
     return SparseHamiltonian(h + sp.diags(diagonal), h0.j_xy)
 
 
-def _diagonal_blocks(h: SparseHamiltonian):
-    """(indices of each total-S^z sector, local); an entry of H between two sectors is refused.
+def _diagonal_blocks(h: SparseHamiltonian) -> list[np.ndarray]:
+    """The ascending indices of each total-S^z sector; an entry of H between two is refused.
 
     An index's sector is its base-3 digit sum, N - S^z.  The sectors come
-    in ascending digit sum, which is ascending smallest index.  local[i]
-    is the position of index i within its sector, so a block's sub-matrix
-    is its rows of H with each column mapped through local.
+    in ascending digit sum, which is ascending smallest index.
     """
     digits = np.zeros(1, dtype=np.int8)
     for _ in range(h.n_sites):
         digits = np.add.outer(digits, np.arange(3, dtype=np.int8)).reshape(-1)
     if np.any(np.repeat(digits, np.diff(h.indptr)) != digits[h.indices]):
         raise ValueError("H has an entry between two total-S^z sectors")
-    order = np.argsort(digits, kind="stable")
-    sizes = np.bincount(digits)
-    local = np.empty(order.size, dtype=np.int32)
-    local[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return np.split(order, np.cumsum(sizes)[:-1]), local
+    return np.split(np.argsort(digits, kind="stable"), np.cumsum(np.bincount(digits))[:-1])
 
 
 def sectors(n: int) -> list[tuple[int, int]]:
@@ -232,47 +226,51 @@ def sectors(n: int) -> list[tuple[int, int]]:
 
 
 class Block:
-    """One total-S^z sector of the chain and its operators, which every pulse of H shares.
+    """One total-S^z sector of the chain and its kernels' operators, which H's pulses share.
 
-    A block holds its indices and no entry of H.  On the first read of op,
-    under its propagator's lock, it gathers its sub-matrix from H's arrays
-    (sub), dense up to DENSE_BLOCK_LIMIT and SciPy CSR above, refuses it
-    unless require_hermitian passes, and builds from it the Taylor kernel's
-    operator and, for "dense-eig" (kernel()), its eigh; a block that no
-    state touches is never checked or built.
+    A block holds its indices and no entry of H.  The first time a kernel
+    reads it (op), under its propagator's lock, it gathers its sub-matrix
+    from H's arrays (sub), dense up to DENSE_BLOCK_LIMIT and SciPy CSR
+    above, refuses it unless require_hermitian passes, and builds that
+    kernel's operator only: eigh for "dense-eig", _taylor_op for "sparse".
+    A block that no state touches is never checked or built.
     """
 
-    def __init__(self, index: np.ndarray, h: SparseHamiltonian, local, lock: threading.Lock):
+    def __init__(self, index: np.ndarray, h: SparseHamiltonian, lock: threading.Lock):
         self.index = index  # full-space indices, ascending
-        self._h, self._local, self._lock, self._op = h, local, lock, None
-        self.strategy = kernel(index.size, False)
+        self._h, self._lock, self._ops = h, lock, {}
+        self.strategy = kernel(index.size, False)  # H's own kernel on the block
 
     def sub(self):
-        """The block's sub-matrix of H, from H's arrays: dense (real where real) or SciPy CSR."""
+        """The block's sub-matrix of H, from H's arrays: dense (real where real) or SciPy CSR.
+
+        H's columns in the block's rows are the block's own indices, each
+        mapped to its position by searchsorted on the ascending index.
+        """
         h, index = self._h, self.index
         counts = h.indptr[index + 1] - h.indptr[index]
         ptr = np.zeros(index.size + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])
         take = np.repeat(h.indptr[index] - ptr[:-1], counts) + np.arange(ptr[-1])
-        data, columns = h.data[take], self._local[h.indices[take]]
+        data, columns = h.data[take], np.searchsorted(index, h.indices[take]).astype(np.int32)
         if self.strategy == "sparse":
             return _scipy_csr(_Csr(data, columns, ptr))
         a = np.zeros((index.size,) * 2, dtype=np.complex128)
         a[_rows(ptr), columns] = data
         return a if a.imag.any() else np.ascontiguousarray(a.real)
 
-    @property
-    def op(self):
-        """(_taylor_op's operator, eigh's (eigenvalues, eigenvectors) or None)."""
-        if self._op is None:
+    def op(self, strategy: str):
+        """A kernel's operator (kernel()): eigh's (eigenvalues, eigenvectors) or _taylor_op's."""
+        if strategy not in self._ops:
             with self._lock:
-                if self._op is None:
-                    m, dense = self.sub(), self.strategy == "dense-eig"
+                if strategy not in self._ops:
+                    m = self.sub()
                     require_hermitian(m, "a block of H must be Hermitian")
                     # A real eigh is faster, and it moves results by less:
                     # 9.3e-15 against 1.6e-14 for a complex one on the N = 4 study.
-                    self._op = _taylor_op(m), np.linalg.eigh(m) if dense else None
-        return self._op
+                    dense = strategy == "dense-eig"
+                    self._ops[strategy] = np.linalg.eigh(m) if dense else _taylor_op(m)
+        return self._ops[strategy]
 
 
 class Propagator:
@@ -285,8 +283,7 @@ class Propagator:
 
     def __init__(self, hamiltonian: SparseHamiltonian):
         self.hamiltonian, self.pulse_term, lock = hamiltonian, None, threading.Lock()
-        indices, local = _diagonal_blocks(hamiltonian)
-        self.blocks = [Block(index, hamiltonian, local, lock) for index in indices]
+        self.blocks = [Block(index, hamiltonian, lock) for index in _diagonal_blocks(hamiltonian)]
 
     def pulse(self, site: int, strength: complex) -> Propagator:
         """The propagator of H + strength * S^z_site, H being .hamiltonian: H's blocks and lock."""
@@ -343,19 +340,19 @@ def trajectory(prop: Propagator, start: tuple[np.ndarray, np.ndarray], times):
     if not all(map(math.isfinite, times)) or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("trajectory times must be finite and non-decreasing")
     (indices, x), n, pulse = start, prop.hamiltonian.n_sites, prop.pulse_term
-    blocks, streams, placed = prop.blocks_of(indices), [], 0
-    for b in blocks:
-        at = np.searchsorted(b.index, indices).clip(max=b.index.size - 1)
-        mine = b.index[at] == indices  # the start's indices in b, none off the chain
-        placed += np.count_nonzero(np.bincount(at[mine]))  # each once if they are distinct
+    sums, blocks, streams = sum(site_levels(indices, n, site) for site in range(n)), [], []
+    for s in np.flatnonzero(np.bincount(sums)):  # blocks_of(indices), each placing its own indices
+        b, mine = prop.blocks[s], sums == s
+        at = np.searchsorted(b.index, indices[mine]).clip(max=b.index.size - 1)
+        if np.any(b.index[at] != indices[mine]) or np.count_nonzero(np.bincount(at)) < at.size:
+            raise ValueError(f"a start's basis indices must be distinct and in [0, 3^{n})")
         z = np.zeros((b.index.size, len(x)), dtype=np.complex128)  # a column per batch row
-        z[at[mine]] = x[:, mine].T
+        z[at] = x[:, mine].T
+        strategy = kernel(b.index.size, pulse is not None)
         d = None if pulse is None else pulse[1] * (1 - site_levels(b.index, n, pulse[0]))
-        dense = pulse is None and b.strategy == "dense-eig"
-        streams.append(_dense_stream(b.op[1], z, times) if dense else
-                       _taylor_stream(b.op[0], z, times, d))  # d: the pulse's diagonal on b
-    if placed != np.size(indices):
-        raise ValueError(f"a start's basis indices must be distinct and in [0, 3^{n})")
+        streams.append(_dense_stream(b.op(strategy), z, times) if strategy == "dense-eig" else
+                       _taylor_stream(b.op(strategy), z, times, d))  # d: the pulse's diagonal on b
+        blocks.append(b)
     index = np.concatenate([np.zeros(0, np.int64), *(b.index for b in blocks)])
     return index, (np.concatenate([np.zeros((0, len(x))), *map(next, streams)]).T for _ in times)
 

@@ -375,13 +375,17 @@ def test_a_study_runs_two_trajectories_plus_two_per_lambda(monkeypatch, lambdas)
     "config, changes",
     [("lambda_sweep_n4", {"workers": 1}), ("lambda_sweep_n4", {"workers": 2}),
      ("chain10", {"n_sites": 8, "steps": 3, "lambdas": [0.1, 0.2]}),
-     ("chain10", {"n_sites": 9, "steps": 3, "lambdas": [0.1, 0.2]})],
-    ids=["sweep-w1", "sweep-w2", "n8", "n9"],
+     ("chain10", {"n_sites": 9, "steps": 3, "lambdas": [0.1, 0.2]}),
+     ("quick_n4", {"protocols": ["hadamard"]}),
+     ("quick_n4", {"n_sites": 6, "steps": 13, "protocols": ["hadamard"], "workers": 1})],
+    ids=["sweep-w1", "sweep-w2", "n8", "n9", "hadamard-n4", "hadamard-n6"],
 )
 def test_a_study_builds_one_taylor_operator_per_touched_block(monkeypatch, config, changes):
     # Every pulse adds its diagonal to the blocks of H0's propagator, so a
     # study builds one Taylor operator per block psi0 touches, whatever its
-    # number of lambdas and workers: at N = 8 one block, at N = 9 two.
+    # number of lambdas and workers: at N = 8 one block, at N = 9 two.  A
+    # Hadamard-only study up to N = 7 reads only the dense-eig operators of
+    # its blocks, so it builds none (hadamard-n6 is perfbench's hadamard_n6).
     built, taylor_op = [], dynamics._taylor_op
     monkeypatch.setattr(dynamics, "_taylor_op", lambda m: built.append(m.shape[0]) or taylor_op(m))
     cfg = RunConfig(**{**CONFIGS[config], **changes})
@@ -389,7 +393,7 @@ def test_a_study_builds_one_taylor_operator_per_touched_block(monkeypatch, confi
     touched = sorted(b.index.size for b in blocks_touched(prop, psi0))
     assert len(touched) == 1 + cfg.n_sites % 2
     run_quench_study(cfg)
-    assert sorted(built) == touched
+    assert sorted(built) == (touched if "lr" in cfg.protocols else [])
 
 
 def test_a_study_builds_as_many_registers_at_every_grid_length(monkeypatch):
@@ -536,7 +540,7 @@ def test_the_entry_bound_of_h_is_exact_off_the_diagonal(n):
     # The plan counts the sectors of H without building it: their sizes,
     # and in those psi0 touches, the off-diagonal entries exactly and all
     # entries from above.
-    indices, _ = dynamics._diagonal_blocks(h)
+    indices = dynamics._diagonal_blocks(h)
     sizes = functools.reduce(np.convolve, [[1, 1, 1]] * n, [1])
     assert [len(i) for i in indices] == sizes.tolist()
     touched = blocks_touched(make_propagator(h), neel_superposition(n))

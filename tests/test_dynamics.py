@@ -441,7 +441,7 @@ def test_the_kernel_refuses_a_trajectory_over_the_work_bound_before_any_product(
     stated = re.match(r"the time grid needs over (\S+) min of one-worker CPU on a block of "
                       r"dimension (\d+)", str(refusal.value))
     (block,) = blocks_touched(prop, psi)
-    (a, _, _, norms), _ = block.op
+    a, _, _, norms = block.op("sparse")
     norm1 = norms.max()  # a zero pulse moves no column's norm
     assert int(stated[2]) == block.index.size
     monkeypatch.setattr(dynamics, "MAX_WORK", math.inf)  # no cap
@@ -492,7 +492,10 @@ def test_blocks_hold_no_entries_and_build_on_first_touch():
     # A block gathers its sub-matrix from H's arrays when a state first
     # touches it, so building a propagator converts nothing: at N = 8,
     # where the largest blocks run the Taylor kernel on SciPy CSR, it
-    # loads no SciPy.
+    # loads no SciPy.  An untouched propagator holds no 3^N-entry array
+    # but its blocks' indices: a block maps H's columns to its positions by
+    # searching its own ascending index, and its sub-matrix is H's, bit for
+    # bit, dense up to DENSE_BLOCK_LIMIT and CSR above (N = 8, 9).
     code = (
         "import sys\nfrom quditcorr import dynamics\n"
         "dynamics.make_propagator(dynamics.build_xxz(8, 1.0, 0.5))\n"
@@ -503,17 +506,33 @@ def test_blocks_hold_no_entries_and_build_on_first_touch():
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+    for n in range(2, 10):
+        h = build_xxz(n, 1.0, 0.5)
+        prop = make_propagator(h)
+        held = [v for b in prop.blocks for k, v in vars(b).items() if k != "index"]
+        held += vars(prop).values()
+        assert not any(isinstance(v, np.ndarray) and v.size >= 3**n for v in held), n
+        for b in prop.blocks:
+            got, want = b.sub(), csr(h)[b.index][:, b.index]
+            assert sp.issparse(got) == (b.index.size > DENSE_BLOCK_LIMIT)
+            if sp.issparse(got):
+                for name in ("data", "indices", "indptr"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            else:
+                want = want.toarray()
+                assert got.tobytes() == (want if got.dtype == want.dtype else want.real).tobytes()
+                assert np.array_equal(got, want)
     h, psi = build_xxz(8, 1.0, 0.5), neel_superposition(8)
     prop = make_propagator(h)
-    assert all(b._op is None for b in prop.blocks)
+    assert all(b._ops == {} for b in prop.blocks)
     evolve(prop, psi, 0.5)
     touched = blocks_touched(prop, psi)
-    assert [b._op is not None for b in prop.blocks] == [b in touched for b in prop.blocks]
+    assert [b._ops != {} for b in prop.blocks] == [b in touched for b in prop.blocks]
     (b,) = touched
     assert b.strategy == "sparse" and b.index.size > DENSE_BLOCK_LIMIT
     a, mu, diag, norms = dynamics._taylor_op(csr(h)[b.index][:, b.index])
-    (got, got_mu, got_diag, got_norms), eig = b.op
-    assert eig is None and got_mu == mu
+    got, got_mu, got_diag, got_norms = b.op("sparse")
+    assert list(b._ops) == ["sparse"] and got_mu == mu
     assert got_diag.tobytes() == diag.tobytes() and got_norms.tobytes() == norms.tobytes()
     for name in ("data", "indices", "indptr"):
         assert getattr(got, name).tobytes() == getattr(a, name).tobytes()
@@ -834,10 +853,9 @@ def test_a_pulse_of_a_non_hermitian_h_is_refused_before_any_product(monkeypatch,
 
 
 def test_a_pulse_never_calls_eigh(monkeypatch):
-    # Every block of a pulse, however small, runs the Taylor kernel.  The
-    # only eigh a pulse causes is the one each dense-eig block of H builds
-    # with its Taylor operator on first touch, once: later pulses, of either
-    # kind, build nothing more.
+    # Every block of a pulse, however small, runs the Taylor kernel, and a
+    # block builds only the operator of the kernel that reads it: pulses of
+    # either kind cause no eigh, not even on the dense-eig blocks of H.
     h = build_xxz(4, 1.0, 0.5)
     prop = make_propagator(h)
     eigh, calls = np.linalg.eigh, []
@@ -846,7 +864,7 @@ def test_a_pulse_never_calls_eigh(monkeypatch):
     state = random_state(np.random.default_rng(14), (2,) + (3,) * 4)
     for kind in ("hermitian", "non_hermitian", "hermitian"):
         evolve(prop.pulse(1, -0.3 if kind == "hermitian" else -0.3j), state, 0.5)
-    assert sorted(calls) == sorted(b.index.size for b in prop.blocks)
+    assert calls == []
 
 
 def test_neel_superposition_touches_one_sector_at_even_n_and_two_at_odd_n():

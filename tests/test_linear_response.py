@@ -166,7 +166,7 @@ def test_measure_lr_runs_on_the_callers_propagator(monkeypatch):
     for kind in ("hermitian", "non_hermitian"):
         measure_lr(LinearResponseConfig(0.2, 1e-3, 0, 1, kind), 0.4, 1.5, psi0, prop, 100)
     assert built == []
-    assert all(block._op is not None for block in blocks_touched(prop, psi0))
+    assert all(block._ops != {} for block in blocks_touched(prop, psi0))
 
 
 def test_hermitian_kind_estimates_commutator_small_bias():

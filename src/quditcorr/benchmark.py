@@ -60,7 +60,7 @@ from .linear_response import (
     unperturbed_readout,
 )
 from .observables import HermitianObservable, require_hermitian, spin_matrix
-from .register import QuditState, basis_state, site_marginal
+from .register import QuditState
 from .rng import task_rng
 
 log = logging.getLogger(__name__)
@@ -274,7 +274,7 @@ def study_plan(config: RunConfig) -> StudyPlan:
     past_dt = steps - 1 - min(steps - 1, dt * (steps - 1) // config.t_max)
     # (pulsed, nonzero times, a step's 1-norm bound) in each sector psi0 touches, digit sum N
     # (N -+ 1 at odd N): the Hadamard trace streams psi0's two Neel states, at odd N one in each
-    # sector; the LR readout evolves psi0 to dt; an LR trace, per kind, pulses and streams psi0.
+    # sector; the LR readout streams psi0 to dt; an LR trace, per kind, pulses and streams psi0.
     runs = [(False, steps - 1, tau * norm)] * (2 - n % 2) + [(False, 1, dt * norm)] * bool(lr)
     for _, lam in lr:
         runs += [(True, 1, dt * (norm + 2 * lam)), (False, past_dt, tau * norm)] * 2
@@ -334,24 +334,32 @@ class StudyResult:
     figures: dict[str, FigureOfMerit]
 
 
-def neel_superposition(n_sites: int) -> QuditState:
-    """(|+1,-1,+1,...> + |-1,+1,-1,...>)/sqrt(2) in the S^z product basis."""
+def neel_start(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """psi0 = (|+1,-1,...> + |-1,+1,...>)/sqrt(2) as a start: ascending indices, (1, 2) amplitudes."""
     if n_sites < 2:
         raise ValueError("need at least 2 sites")
-    up_first = [2 * (k % 2) for k in range(n_sites)]  # levels of m = +1, -1, +1, ...
-    a, b = (basis_state((3,) * n_sites, levels) for levels in (up_first, [2 - l for l in up_first]))
-    return QuditState(a.dims, (a.amplitudes + b.amplitudes) / math.sqrt(2))
+    dynamics.check_dimension(n_sites)  # before any index is formed
+    up = sum(2 * 3**k for k in range(n_sites - 2, -1, -2))  # m = +1, -1, ...; flipped: 3^N - 1 - up
+    return np.array([up, 3**n_sites - 1 - up]), np.full((1, 2), 1 / math.sqrt(2), dtype=complex)
+
+
+def neel_superposition(n_sites: int) -> QuditState:
+    """psi0 in the S^z product basis: the register of neel_start(n_sites)."""
+    index, x = neel_start(n_sites)
+    amplitudes = np.zeros(3**n_sites, dtype=np.complex128)
+    amplitudes[index] = x[0]
+    return QuditState((3,) * n_sites, amplitudes)
 
 
 def quench_system(config: RunConfig):
     """(prop, psi0, obs_a, obs_b), the study's system; the one place that builds it.
 
     prop propagates H0 at J_xy = 1 and the config's anisotropy, psi0 is the
-    Neel superposition, and the observables are S^z on the config's sites.
+    Neel superposition's start, and the observables are S^z on the config's sites.
     """
     prop = make_propagator(build_xxz(config.n_sites, 1.0, config.j_z_over_j_xy))
     obs_a, obs_b = (HermitianObservable(spin_matrix(1, "z").on(s - 1)) for s in config.sites)
-    return prop, neel_superposition(config.n_sites), obs_a, obs_b
+    return prop, neel_start(config.n_sites), obs_a, obs_b
 
 
 def connected_anticommutator(
@@ -439,24 +447,22 @@ def brute_force_correlators(
     return 2.0 * float(z.real), -2.0 * float(z.imag)
 
 
-def hadamard_estimate(obs_a, obs_b, psi0: QuditState, probabilities, budgets, rngs=None):
+def hadamard_estimate(obs_a, obs_b, probabilities, budgets, rngs=None):
     """The Hadamard C+ (connected) and C- over a grid, from trace_probabilities' arrays.
 
     C+ splits its per-point budget over six expectation values (four
     circuits, <A> at t1 = 0 and <B> at t), C- its own over four circuits.
     Exact without rngs, with those budgets' error bars; with rngs, point
     ti draws from rngs[ti]: the four C+ circuits, the two means, then the
-    four C- circuits.  The means are read from site marginals with the
-    spin-1 S^z levels, so A and B must pass require_site_sz.
+    four C- circuits.  The means are read from the trace's site marginals
+    with the spin-1 S^z levels, so A and B must pass require_site_sz.
     """
     require_site_sz(obs_a, obs_b)
-    ps_plus, ps_minus, marginals_b = probabilities
+    ps_plus, ps_minus, marginals = probabilities
     norms = (obs_a.spectral_norm, obs_b.spectral_norm)
     n_plus, n_minus = (budgets[kind] // MIN_BUDGETS[HADAMARD][kind] for kind in ("plus", "minus"))
-    marginals_a = np.broadcast_to(site_marginal(psi0, obs_a.support[0]), marginals_b.shape)
-    raw = estimate_from_probabilities(ps_plus, *norms, n_plus, rngs)
-    means = site_expectations(np.stack([marginals_a, marginals_b], axis=1), n_plus, rngs)
-    plus = connected_anticommutator(raw, *means)
+    raw = estimate_from_probabilities(ps_plus, *norms, n_plus, rngs)  # drawn before the means
+    plus = connected_anticommutator(raw, *site_expectations(marginals, n_plus, rngs))
     return plus, estimate_from_probabilities(ps_minus, *norms, n_minus, rngs)
 
 
@@ -516,7 +522,7 @@ def run_quench_study(config: RunConfig) -> StudyResult:
     One task per trace of config.plan, which only propagates.
     After the pool, every trace is estimated, the LR ones against one
     unpulsed readout: the Hadamard trace's marginals of B's site, plus one
-    evolve to dt.
+    trajectory to dt.
     Deterministic for a fixed config seed under any worker count: every
     point draws from its own counter-based stream and the result table is
     assembled by a key-ordered reduction.  One propagator of H0 serves
@@ -532,8 +538,8 @@ def run_quench_study(config: RunConfig) -> StudyResult:
 
     prop, psi0, obs_a, obs_b = system = quench_system(config)
     if log.isEnabledFor(logging.INFO):
-        blocks = prop.blocks_of(np.flatnonzero(psi0.amplitudes))
-        touched = ", ".join(f"{b.index.size} ({b.strategy})" for b in blocks)
+        dims = [b.index.size for b in prop.blocks_of(psi0[0])]
+        touched = ", ".join(f"{dim} ({dynamics.kernel(dim, False)})" for dim in dims)
         log.info("H0 has %d blocks; psi0 touches dimension %s; predicted %.3g s of CPU at one "
                  "worker and %.3g MB", len(prop.blocks), touched, plan.cpu_seconds,
                  sum(plan.bytes) / 1e6)
@@ -545,14 +551,14 @@ def run_quench_study(config: RunConfig) -> StudyResult:
         """The completed traces, each (C+, C-) as (exact, sampled) estimates."""
         if (HADAMARD, None) not in outputs:
             return {}
-        args = (obs_a, obs_b, psi0, outputs[(HADAMARD, None)], budgets[HADAMARD])
+        args = (obs_a, obs_b, outputs[(HADAMARD, None)], budgets[HADAMARD])
         samp = (None, None)
         if HADAMARD in protocols:  # else the trace is only the exact R reference
             samp = hadamard_estimate(*args, [task_rng(seed, 1, ti) for ti in points])
         traces = {(HADAMARD, None): list(zip(hadamard_estimate(*args), samp))}
         done = [(li, lam) for li, lam in enumerate(lambdas) if (LINEAR_RESPONSE, lam) in outputs]
         if done:
-            marginals = outputs[(HADAMARD, None)][2]
+            marginals = outputs[(HADAMARD, None)][2][:, 1]
             readout = unperturbed_readout(prop, psi0, obs_b.support[0], pulse_area, grid, marginals)
         for li, lam in done:
             branches = []

@@ -36,6 +36,7 @@ from .benchmark import (
     StudyInterrupted,
     StudyRow,
     brute_force_correlators,
+    neel_superposition,
     quench_system,
     run_quench_study,
 )
@@ -163,7 +164,7 @@ def _cmd_correlator(args) -> int:
                           f"got {args.shots}")
     # The verb runs no study: its config plans only the Hadamard trace's point at t = 0.
     cfg = RunConfig(args.n_sites, args.jz, steps=1, sites=args.sites, protocols=["hadamard"])
-    prop, psi0, obs_a, obs_b = quench_system(cfg)
+    (prop, _, obs_a, obs_b), psi0 = quench_system(cfg), neel_superposition(args.n_sites)
     budget = None if args.shots is None else args.shots // 8
     rng = None if args.shots is None else task_rng(args.seed, 7)
     plus, minus = measure_dynamical_correlator(
@@ -201,8 +202,8 @@ def _cmd_validate(args) -> int:
     """
     failures = 0
     for n in (2, 3, 4):
-        prop, psi0, obs_a, obs_b = quench_system(RunConfig(n_sites=n))
-        h = prop.hamiltonian
+        prop, start, obs_a, obs_b = quench_system(RunConfig(n_sites=n))
+        h, psi0 = prop.hamiltonian, neel_superposition(n)
         times = np.sort(np.random.default_rng(1234 + n).uniform(0.1, 5.0, 5))
         norms = (obs_a.spectral_norm, obs_b.spectral_norm)
         refs = [brute_force_correlators(h, psi0, 0, 1, 0.0, t2) for t2 in times]
@@ -212,7 +213,7 @@ def _cmd_validate(args) -> int:
             worst_circuit = max(worst_circuit, abs(plus.value - cp), abs(minus.value - cm))
         worst_trace = {}
         for kernel, p in (("dense-eig", prop), ("sparse", prop.pulse(0, 0.0))):
-            probabilities = trace_probabilities(obs_a, obs_b, psi0, p, times)[:2]
+            probabilities = trace_probabilities(obs_a, obs_b, start, p, times)[:2]
             values = [estimate_from_probabilities(ps, *norms, None).value for ps in probabilities]
             worst_trace[kernel] = float(np.max(np.abs(np.transpose(values) - refs)))
         ok = max(worst_circuit, *worst_trace.values()) <= 1e-8

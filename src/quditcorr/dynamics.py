@@ -214,7 +214,8 @@ def _diagonal_blocks(h: SparseHamiltonian) -> list[np.ndarray]:
         digits = np.add.outer(digits, np.arange(3, dtype=np.int8)).reshape(-1)
     if np.any(np.repeat(digits, np.diff(h.indptr)) != digits[h.indices]):
         raise ValueError("H has an entry between two total-S^z sectors")
-    return np.split(np.argsort(digits, kind="stable"), np.cumsum(np.bincount(digits))[:-1])
+    order = np.argsort(digits, kind="stable").astype(np.int32)  # 3^N < 2^31: one int32 array
+    return np.split(order, np.cumsum(np.bincount(digits))[:-1])
 
 
 def sectors(n: int) -> list[tuple[int, int]]:
@@ -237,9 +238,8 @@ class Block:
     """
 
     def __init__(self, index: np.ndarray, h: SparseHamiltonian, lock: threading.Lock):
-        self.index = index  # full-space indices, ascending
+        self.index = index  # full-space indices, ascending, int32
         self._h, self._lock, self._ops = h, lock, {}
-        self.strategy = kernel(index.size, False)  # H's own kernel on the block
 
     def sub(self):
         """The block's sub-matrix of H, from H's arrays: dense (real where real) or SciPy CSR.
@@ -253,7 +253,7 @@ class Block:
         np.cumsum(counts, out=ptr[1:])
         take = np.repeat(h.indptr[index] - ptr[:-1], counts) + np.arange(ptr[-1])
         data, columns = h.data[take], np.searchsorted(index, h.indices[take]).astype(np.int32)
-        if self.strategy == "sparse":
+        if index.size > DENSE_BLOCK_LIMIT:
             return _scipy_csr(_Csr(data, columns, ptr))
         a = np.zeros((index.size,) * 2, dtype=np.complex128)
         a[_rows(ptr), columns] = data
@@ -304,26 +304,19 @@ def make_propagator(h: SparseHamiltonian) -> Propagator:
     return Propagator(h)
 
 
-def support(prop: Propagator, state: QuditState) -> tuple[np.ndarray, np.ndarray]:
-    """A register as a start: its support's basis indices, and its amplitudes there by batch row."""
+def evolve(prop: Propagator, state: QuditState, duration: float) -> QuditState:
+    """exp(-i H * duration)|state> on the register's trailing (system) sites: trajectory's one-time
+    case from the register's support, written back, zero off the touched blocks; a negative duration
+    propagates backwards.  An anti-Hermitian pulse leaves an unnormalized state, its norm tracked.
+    """
     dim = prop.hamiltonian.dimension
     if not any(math.prod(state.dims[k:]) == dim for k in range(len(state.dims))):
         raise ValueError(f"state dims {state.dims} have no trailing block of dimension {dim}")
     x = state.amplitudes.reshape(-1, dim)
     index = np.flatnonzero(x.any(axis=0))
-    return index, x[:, index]
-
-
-def evolve(prop: Propagator, state: QuditState, duration: float) -> QuditState:
-    """exp(-i H * duration)|state> on the system sites, the register's trailing ones.
-
-    trajectory's one-time case from support(prop, state), written back, zero off the touched
-    blocks; a negative duration propagates backwards.  An anti-Hermitian pulse returns an
-    unnormalized state, its squared norm tracked by the QuditState.
-    """
-    index, amplitudes = trajectory(prop, support(prop, state), [duration])
-    out = np.zeros_like(state.amplitudes).reshape(-1, prop.hamiltonian.dimension)
-    out[:, index] = next(amplitudes)
+    index, (y,) = trajectory(prop, (index, x[:, index]), [duration])
+    out = np.zeros_like(x)
+    out[:, index] = y
     return QuditState(state.dims, out.reshape(-1))
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Propagator, evolve, level_sums, site_levels, support, trajectory
+from .dynamics import Propagator, evolve, level_sums, site_levels, trajectory
 from .observables import HermitianObservable, decompose, spin_matrix
 from .register import (
     LocalOperator, QuditState, ancilla_zero_probability, apply_controlled, apply_local,
@@ -169,26 +169,23 @@ def require_site_sz(*observables: HermitianObservable) -> None:
 
 
 def trace_probabilities(
-    obs_a: HermitianObservable,
-    obs_b: HermitianObservable,
-    psi0: QuditState,
-    prop: Propagator,
-    times,
+    obs_a: HermitianObservable, obs_b: HermitianObservable, start, prop: Propagator, times
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact P(|0>) of every circuit for C(0, t) over a time grid, and B's site marginals.
+    """Exact P(|0>) of every circuit for C(0, t) over a time grid, and the two sites' marginals.
 
-    Returns ps_plus and ps_minus (T, 4), each point's four in gate-pair
-    order, and the (T, 3) marginals of B's site in U(t)|psi0>, for A and B
-    that pass require_site_sz.  At t1 = 0 the circuit gives
-    P = 1/2 + 1/2 Re(e^{i alpha} <U(t) V_A psi | V_B U(t) psi>).  One
-    trajectory per level of A's site that psi occupies (two on the Neel
-    superposition) streams psi's support there; U(t) psi is their sum, and
-    U(t) V_A psi too, weighted by diagonal V_A.  Each overlap, V_B being
-    diagonal, and B's marginal are level_sums on B's site.
+    start is psi as a trajectory start: its basis indices and amplitudes
+    (1, k).  Returns ps_plus and ps_minus (T, 4), each point's four in
+    gate-pair order, and the (T, 2, 3) marginals of A's site in psi and of
+    B's site in U(t)|psi>, for A and B that pass require_site_sz.  At
+    t1 = 0 the circuit gives P = 1/2 + 1/2 Re(e^{i alpha} <U(t) V_A psi |
+    V_B U(t) psi>).  One trajectory per level of A's site that psi occupies
+    (two on the Neel superposition) streams psi's part there; U(t) psi is
+    their sum, and U(t) V_A psi too, weighted by diagonal V_A.  Each
+    overlap, V_B being diagonal, and each marginal are level_sums.
     """
     require_site_sz(obs_a, obs_b)
     w_a, w_b = (np.diag(decompose(obs).w.matrix) for obs in (obs_a, obs_b))
-    n, (occupied, x) = prop.hamiltonian.n_sites, support(prop, psi0)
+    n, (occupied, x) = prop.hamiltonian.n_sites, start
     level = site_levels(occupied, n, obs_a.support[0])
     levels = np.flatnonzero(np.bincount(level))
     parts = ((occupied[level == k], x[:, level == k]) for k in levels)
@@ -198,14 +195,15 @@ def trace_probabilities(
     at = np.concatenate([k * index.size + np.searchsorted(index, i) for k, i in enumerate(indices)])
     chi = np.zeros((len(levels), index.size), dtype=np.complex128)  # U(t) of each part, on index
     v_a, v_b = np.array([w_a[levels], w_a[levels].conj()]), np.array([w_b, w_b.conj()]).T
+    p_a = np.abs(x[0]) ** 2 @ level_sums(occupied, n, obs_a.support[0])  # A's site, at t = 0
     overlaps, marginals = [], []
     for points in zip(*streams):
-        chi.flat[at] = np.concatenate([x[0] for x in points])
+        chi.flat[at] = np.concatenate([y[0] for y in points])
         phi = chi.sum(axis=0)
         overlaps.append(np.conj(v_a @ chi) * phi @ sums @ v_b)  # (V_A, V_B)
-        marginals.append(np.abs(phi) ** 2 @ sums)
-    z, p = np.reshape(overlaps, (-1, 4)) / psi0.squared_norm, np.array(marginals)
-    return 0.5 + 0.5 * z.real, 0.5 - 0.5 * z.imag, p / p.sum(axis=1, keepdims=True)
+        marginals.append([p_a, np.abs(phi) ** 2 @ sums])
+    z, p = np.reshape(overlaps, (-1, 4)) / np.vdot(x, x).real, np.reshape(marginals, (-1, 2, 3))
+    return 0.5 + 0.5 * z.real, 0.5 - 0.5 * z.imag, p / p.sum(axis=2, keepdims=True)
 
 
 def estimate_from_probabilities(

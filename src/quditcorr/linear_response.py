@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Propagator, evolve, level_sums, pulse_limit, support, trajectory
+from .dynamics import Propagator, evolve, level_sums, pulse_limit, trajectory
 from .hadamard import EXACT, SAMPLED, CorrelatorEstimate
 from .register import QuditState, site_marginal
 from .rng import sample_counts
@@ -221,36 +221,38 @@ def measure_lr(
 
 
 def unperturbed_readout(
-    prop: Propagator, psi0: QuditState, site: int, pulse_area: float, times, marginals
+    prop: Propagator, start, site: int, pulse_area: float, times, marginals
 ) -> np.ndarray:
     """Readout-site marginals (T, 3) of the unpulsed branch at max(t, dt).
 
     marginals are the site's marginals of U(t)|psi0> at the times (the
     Hadamard trace's); the rows at t < dt, the pulse duration
-    pulse_area / J_xy of prop's Hamiltonian, become the marginal of one
-    evolve to dt.  No pulse strength or kind enters, so every LR trace of
-    a study shares it.
+    pulse_area / J_xy of prop's Hamiltonian, become the level_sums of one
+    trajectory of psi0's start to dt.  No pulse strength or kind enters, so
+    every LR trace of a study shares it.
     """
     dt = pulse_area / prop.hamiltonian.j_xy
+    index, (x,) = trajectory(prop, start, [dt])  # as site_marginal: over |x|^2, then the sum
+    p = np.abs(x[0]) ** 2 @ level_sums(index, prop.hamiltonian.n_sites, site) / np.vdot(x, x).real
     readout = np.array(marginals, dtype=float)
-    readout[np.asarray(times) < dt] = site_marginal(evolve(prop, psi0, dt), site)
+    readout[np.asarray(times) < dt] = p / p.sum()
     return readout
 
 
 def lr_trace(
-    config: LinearResponseConfig, psi0: QuditState, prop: Propagator, times
+    config: LinearResponseConfig, start, prop: Propagator, times
 ) -> tuple[np.ndarray, np.ndarray]:
     """Readout marginals (T, 3) and squared norms (T,) of the pulsed branch of C(0, t).
 
     prop propagates H0, whose J_xy sets the pulse duration dt.  The
-    pulse runs once at t1 = 0 from psi0's support, and its output starts the
+    pulse runs once at t1 = 0 from psi0's start, and its output starts the
     stream to max(t, dt) - dt, in block coordinates; both results are
     level_sums of |x|^2 on the readout site.  With unperturbed_readout's
     unpulsed marginals (same pulse area), lr_estimate gives measure_lr's.
     """
     dt = config.pulse_area / prop.hamiltonian.j_xy
-    index, pulsed = trajectory(config.pulse(prop), support(prop, psi0), [dt])
-    index, points = trajectory(prop, (index, next(pulsed)), np.maximum(times, dt) - dt)
+    index, (pulsed,) = trajectory(config.pulse(prop), start, [dt])
+    index, points = trajectory(prop, (index, pulsed), np.maximum(times, dt) - dt)
     sums = level_sums(index, prop.hamiltonian.n_sites, config.readout_site)
     p = np.array([np.abs(x[0]) ** 2 @ sums for x in points])
     return p / p.sum(axis=1, keepdims=True), p.sum(axis=1)

@@ -6,9 +6,9 @@ kernels, sparse Hamiltonians, or propagators; `pulse_diagonal` builds an
 LR pulse's whole diagonal from np.kron, for build_perturbed.  The
 adapters at the end only reach the package's own objects: `csr` turns
 H's arrays into a SciPy matrix, `propagator` picks a kernel by name,
-`blocks_touched` gives the blocks a register touches, and
-`taylor_evolve` runs the Taylor kernel on H's whole matrix, with no block
-split and no Hermitian check.
+`start` turns a register into a trajectory start, `blocks_touched` gives
+the blocks a register touches, and `taylor_evolve` runs the Taylor kernel
+on H's whole matrix, with no block split and no Hermitian check.
 """
 
 import numpy as np
@@ -118,9 +118,20 @@ def propagator(kernel, h):
     return prop.pulse(0, 0.0) if kernel == "sparse" else prop
 
 
+def start(state):
+    """A register as a trajectory start: its support's basis indices, and its amplitudes there.
+
+    The system is the register's trailing spin-1 sites; an ancilla qubit at
+    site 0 gives the start a second batch row.
+    """
+    x = state.amplitudes.reshape(-1, 3 ** (len(state.dims) - (state.dims[0] == 2)))
+    index = np.flatnonzero(x.any(axis=0))
+    return index, x[:, index]
+
+
 def blocks_touched(prop, state):
     """The blocks of prop on which a register has a nonzero amplitude in any batch row."""
-    return prop.blocks_of(dynamics.support(prop, state)[0])
+    return prop.blocks_of(start(state)[0])
 
 
 def taylor_evolve(h, state, t):

@@ -27,6 +27,7 @@ from oracles import (
     propagator,
     pulse_diagonal,
     site_op,
+    start,
     u_matrix,
 )
 from quditcorr.benchmark import (
@@ -38,6 +39,7 @@ from quditcorr.benchmark import (
     connected_anticommutator,
     default_workers,
     hadamard_estimate,
+    neel_start,
     neel_superposition,
     quench_system,
     relative_error,
@@ -81,6 +83,23 @@ def test_neel_superposition_amplitudes_and_norm():
     np.testing.assert_allclose(state.amplitudes[[2, 6]], 1 / np.sqrt(2))
     assert np.count_nonzero(state.amplitudes) == 2
     assert state.squared_norm == pytest.approx(1.0)
+    # The study's start is the register's support, bit for bit, indices ascending.
+    for n in range(2, 13):
+        index, x = neel_start(n)
+        want_index, want_x = start(neel_superposition(n))
+        assert index.tolist() == want_index.tolist() and np.all(np.diff(index) > 0)
+        assert x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes()
+
+
+@pytest.mark.parametrize("n", [18, 10**7, 10**8])
+def test_neel_start_refuses_a_chain_past_the_amplitude_budget_at_once(n):
+    # check_dimension refuses before any index or level list is formed, so
+    # even 10^8 sites are refused at once, by the start and by its register.
+    started = time.perf_counter()
+    for build in (neel_start, neel_superposition):
+        with pytest.raises(ValueError, match=f"exceeds the {dynamics.MAX_AMPLITUDES} budget"):
+            build(n)
+    assert time.perf_counter() - started < 1.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -230,9 +249,9 @@ def test_reference_trace_matches_heisenberg_oracle(n, state):
     psi = psi0.amplitudes
     mean_a = np.vdot(psi, a @ psi).real
     obs_a, obs_b = sz_obs(site_a), sz_obs(site_b)
-    probabilities = trace_probabilities(obs_a, obs_b, psi0, make_propagator(h), grid)
-    plus, minus = hadamard_estimate(obs_a, obs_b, psi0, probabilities, DEFAULT_BUDGETS["hadamard"])
-    marginals_b = probabilities[2]
+    probabilities = trace_probabilities(obs_a, obs_b, start(psi0), make_propagator(h), grid)
+    plus, minus = hadamard_estimate(obs_a, obs_b, probabilities, DEFAULT_BUDGETS["hadamard"])
+    marginals_b = probabilities[2][:, 1]
     assert plus.mode == minus.mode == "exact"  # no generators, no draws
     assert plus.value.shape == minus.value.shape == (grid.size,)
     assert marginals_b.shape == (grid.size, 3)
@@ -265,9 +284,9 @@ def test_hadamard_estimate_refuses_observables_other_than_sz_on_one_site(obs_a, 
     # The probabilities come from S^z, since trace_probabilities refuses the
     # others itself (test_trace_probabilities_refuses_observables_other_than_sz).
     psi0, prop = _random_state(3, 23), make_propagator(build_xxz(3, 1.0, 0.5))
-    probabilities = trace_probabilities(sz_obs(0), sz_obs(2), psi0, prop, (0.0, 0.7, 1.3))
+    probabilities = trace_probabilities(sz_obs(0), sz_obs(2), start(psi0), prop, (0.0, 0.7, 1.3))
     with pytest.raises(ValueError, match="spin-1 S.z on one site"):
-        hadamard_estimate(obs_a, obs_b, psi0, probabilities, DEFAULT_BUDGETS["hadamard"])
+        hadamard_estimate(obs_a, obs_b, probabilities, DEFAULT_BUDGETS["hadamard"])
 
 
 # Non-uniform, with a point inside the pulse window (t < dt = 1e-3).
@@ -286,8 +305,8 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
 
     # Hadamard: every circuit probability and the exact C+- against the
     # gate-level circuits run from t = 0.
-    engine = trace_probabilities(obs_a, obs_b, psi0, prop, ENGINE_GRID)
-    plus, minus = hadamard_estimate(obs_a, obs_b, psi0, engine, DEFAULT_BUDGETS["hadamard"])
+    engine = trace_probabilities(obs_a, obs_b, start(psi0), prop, ENGINE_GRID)
+    plus, minus = hadamard_estimate(obs_a, obs_b, engine, DEFAULT_BUDGETS["hadamard"])
     for ti, (t, (ps_plus, ps_minus, _)) in enumerate(zip(ENGINE_GRID, zip(*engine))):
         spec_plus = circuit_probabilities(obs_a, obs_b, 0.0, t, psi0, prop, ALPHA_PLUS)
         spec_minus = circuit_probabilities(obs_a, obs_b, 0.0, t, psi0, prop, ALPHA_MINUS)
@@ -310,13 +329,15 @@ def test_trace_engine_matches_circuit_and_lr_specification(n, state, strategy):
     for j_xy in (1.0, 2.0):
         h_lr = build_xxz(n, j_xy, 0.5 * j_xy)
         prop_lr = propagator(strategy, h_lr)
-        *_, marginals = trace_probabilities(obs_a, obs_b, psi0, prop_lr, ENGINE_GRID)
-        readout = unperturbed_readout(prop_lr, psi0, n - 1, area, ENGINE_GRID, marginals)
+        *_, marginals = trace_probabilities(obs_a, obs_b, start(psi0), prop_lr, ENGINE_GRID)
+        readout = unperturbed_readout(
+            prop_lr, start(psi0), n - 1, area, ENGINE_GRID, marginals[:, 1]
+        )
         for lam in (0.1, 0.4):
             for kind in ("hermitian", "non_hermitian"):
                 cfg = LinearResponseConfig(lam, area, 0, n - 1, kind)
                 rngs = [task_rng(3, ti) for ti in range(len(ENGINE_GRID))]
-                pert, norms = lr_trace(cfg, psi0, prop_lr, ENGINE_GRID)
+                pert, norms = lr_trace(cfg, start(psi0), prop_lr, ENGINE_GRID)
                 exact = lr_estimate(cfg, pert, norms, readout, 1000)
                 samp = lr_estimate(cfg, pert, norms, readout, 1000, rngs)
                 for ti, t in enumerate(ENGINE_GRID):
@@ -337,8 +358,9 @@ def test_readout_is_the_unpulsed_marginal_at_max_t_and_the_pulse_duration(n, str
     psi0, area = neel_superposition(n), 1e-3
     for j_xy in (1.0, 2.0):
         prop = propagator(strategy, build_xxz(n, j_xy, 0.5 * j_xy))
-        *_, marginals = trace_probabilities(sz_obs(0), sz_obs(n - 1), psi0, prop, ENGINE_GRID)
-        readout = unperturbed_readout(prop, psi0, n - 1, area, ENGINE_GRID, marginals)
+        obs = (sz_obs(0), sz_obs(n - 1))
+        marginals = trace_probabilities(*obs, start(psi0), prop, ENGINE_GRID)[2][:, 1]
+        readout = unperturbed_readout(prop, start(psi0), n - 1, area, ENGINE_GRID, marginals)
         dt = area / j_xy
         want = np.array([site_marginal(evolve(prop, psi0, max(t, dt)), n - 1) for t in ENGINE_GRID])
         early = np.array(ENGINE_GRID) < dt
@@ -390,7 +412,7 @@ def test_a_study_builds_one_taylor_operator_per_touched_block(monkeypatch, confi
     monkeypatch.setattr(dynamics, "_taylor_op", lambda m: built.append(m.shape[0]) or taylor_op(m))
     cfg = RunConfig(**{**CONFIGS[config], **changes})
     prop, psi0, _, _ = quench_system(cfg)
-    touched = sorted(b.index.size for b in blocks_touched(prop, psi0))
+    touched = sorted(b.index.size for b in prop.blocks_of(psi0[0]))
     assert len(touched) == 1 + cfg.n_sites % 2
     run_quench_study(cfg)
     assert sorted(built) == (touched if "lr" in cfg.protocols else [])
@@ -410,11 +432,9 @@ def test_a_study_builds_as_many_registers_at_every_grid_length(monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_a_studys_pool_tasks_construct_no_register(monkeypatch, n):
-    # Each trace starts from psi0's support and streams block coordinates,
-    # so psi0's parts, the pulsed states and the pulses' outputs are no
-    # QuditState on the pool (2 + 2L of them before).  A study's registers
-    # are psi0, built from its two Neel states, and the output of the
-    # readout's one evolve to dt, all on the main thread.
+    # psi0 is a start, its two Neel indices and amplitudes, and every trace
+    # and the readout stream block coordinates from it, so a study builds no
+    # QuditState, on the pool or on the main thread.
     real_init, main, on_pool = QuditState.__post_init__, threading.main_thread(), []
 
     def counting(state):
@@ -423,7 +443,7 @@ def test_a_studys_pool_tasks_construct_no_register(monkeypatch, n):
 
     monkeypatch.setattr(QuditState, "__post_init__", counting)
     run_quench_study(RunConfig(n_sites=n, steps=3, lambdas=(0.1, 0.2), workers=2))
-    assert (on_pool.count(True), on_pool.count(False)) == (0, 4)
+    assert (on_pool.count(True), on_pool.count(False)) == (0, 0)
 
 
 def _reference_sampled_point(ps_plus, ps_minus, marginal_a, marginal_b, pref, n_plus, n_minus, rng):
@@ -462,13 +482,13 @@ def test_sampled_hadamard_cells_match_a_per_point_reference(n, state, budgets):
     obs_a, obs_b = sz_obs(0), sz_obs(n - 1)
     prop = make_propagator(build_xxz(n, 1.0, 0.5))
     grid, seed = np.linspace(0.0, 5.0, 11), 2024
-    engine = trace_probabilities(obs_a, obs_b, psi0, prop, grid)
+    engine = trace_probabilities(obs_a, obs_b, start(psi0), prop, grid)
     rngs = [task_rng(seed, 1, ti) for ti in range(grid.size)]
-    samp_plus, samp_minus = hadamard_estimate(obs_a, obs_b, psi0, engine, budgets, rngs)
+    samp_plus, samp_minus = hadamard_estimate(obs_a, obs_b, engine, budgets, rngs)
     n_plus, n_minus = max(1, budgets["plus"] // 6), max(1, budgets["minus"] // 4)
     marginal_a = site_marginal(psi0, 0)
     pref = obs_a.spectral_norm * obs_b.spectral_norm / 4.0
-    for ti, (ps_plus, ps_minus, marginal_b) in enumerate(zip(*engine)):
+    for ti, (ps_plus, ps_minus, (_, marginal_b)) in enumerate(zip(*engine)):
         expected = _reference_sampled_point(
             ps_plus, ps_minus, marginal_a, marginal_b, pref,
             n_plus, n_minus, task_rng(seed, 1, ti),
@@ -493,9 +513,10 @@ def test_exact_plus_error_bar_includes_the_terms_of_the_two_means():
     psi0, grid = _random_state(n, 77), np.linspace(0.0, 2.0, 5)
     obs_a, obs_b = sz_obs(0), sz_obs(n - 1)
     prop = make_propagator(build_xxz(n, 1.0, 0.5))
-    probabilities = trace_probabilities(obs_a, obs_b, psi0, prop, grid)
-    plus, minus = hadamard_estimate(obs_a, obs_b, psi0, probabilities, budgets)
-    ps_plus, ps_minus, marginals_b = probabilities
+    probabilities = trace_probabilities(obs_a, obs_b, start(psi0), prop, grid)
+    plus, minus = hadamard_estimate(obs_a, obs_b, probabilities, budgets)
+    ps_plus, ps_minus, marginals = probabilities
+    marginals_b = marginals[:, 1]
     n_plus = budgets["plus"] // 6
     levels = np.array([1.0, 0.0, -1.0])
     marginal_a = site_marginal(psi0, 0)
@@ -1075,8 +1096,9 @@ RECORDED_N9 = [
 def test_taylor_path_reproduces_recorded_cells(n, recorded):
     config = RunConfig(n_sites=n, steps=3, lambdas=(0.2,), workers=1)
     prop, psi0, _, _ = quench_system(config)
-    touched = blocks_touched(prop, psi0)
-    assert len(touched) == 1 + n % 2 and {b.strategy for b in touched} == {"sparse"}
+    touched = prop.blocks_of(psi0[0])
+    kernels = {dynamics.kernel(b.index.size, False) for b in touched}
+    assert len(touched) == 1 + n % 2 and kernels == {"sparse"}
     assert_recorded_cells(config, recorded)
 
 

@@ -24,6 +24,7 @@ from oracles import (
     propagator,
     pulse_diagonal,
     site_sz,
+    start,
 )
 from quditcorr import dynamics
 from quditcorr.benchmark import neel_superposition
@@ -34,7 +35,6 @@ from quditcorr.dynamics import (
     build_xxz,
     evolve,
     make_propagator,
-    support,
     trajectory,
 )
 from quditcorr.observables import spin_matrix
@@ -178,7 +178,7 @@ def test_hermitian_flag_checks_every_entry_against_its_mirror(mirrored, n):
         clean = make_propagator(SparseHamiltonian(h0, 1.0))
         (block,) = blocks_touched(clean, in_bumped_sector)
         assert {row, col} <= set(block.index)
-        assert block.strategy == ("sparse" if n == 8 else "dense-eig")
+        assert dynamics.kernel(block.index.size, False) == ("sparse" if n == 8 else "dense-eig")
     for eps, raises in ((1e-9, True), (1e-13, False), (np.nan, True)):
         bump = sp.csr_matrix(([eps], ([row], [col])), shape=h0.shape)
         h = SparseHamiltonian(h0 + bump, 1.0)
@@ -320,7 +320,7 @@ def test_zero_duration_returns_same_state():
         prop = propagator(strategy, h)
         for dims in ((3, 3), (2, 3, 3)):
             state = random_state(rng, dims)
-            index, arrays = trajectory(prop, support(prop, state), [0.0, 0.5])
+            index, arrays = trajectory(prop, start(state), [0.0, 0.5])
             first, out = next(arrays), evolve(prop, state, 0.0)
             np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
             np.testing.assert_array_equal(first, state.amplitudes.reshape(-1, 9)[:, index])
@@ -493,9 +493,10 @@ def test_blocks_hold_no_entries_and_build_on_first_touch():
     # touches it, so building a propagator converts nothing: at N = 8,
     # where the largest blocks run the Taylor kernel on SciPy CSR, it
     # loads no SciPy.  An untouched propagator holds no 3^N-entry array
-    # but its blocks' indices: a block maps H's columns to its positions by
-    # searching its own ascending index, and its sub-matrix is H's, bit for
-    # bit, dense up to DENSE_BLOCK_LIMIT and CSR above (N = 8, 9).
+    # but its blocks' indices, int32 views of one 3^N array: a block maps
+    # H's columns to its positions by searching its own ascending index, and
+    # its sub-matrix is H's, bit for bit, dense up to DENSE_BLOCK_LIMIT and
+    # CSR above (N = 8, 9).
     code = (
         "import sys\nfrom quditcorr import dynamics\n"
         "dynamics.make_propagator(dynamics.build_xxz(8, 1.0, 0.5))\n"
@@ -513,6 +514,7 @@ def test_blocks_hold_no_entries_and_build_on_first_touch():
         held += vars(prop).values()
         assert not any(isinstance(v, np.ndarray) and v.size >= 3**n for v in held), n
         for b in prop.blocks:
+            assert b.index.dtype == np.int32 and b.index.base.nbytes == 4 * 3**n, n
             got, want = b.sub(), csr(h)[b.index][:, b.index]
             assert sp.issparse(got) == (b.index.size > DENSE_BLOCK_LIMIT)
             if sp.issparse(got):
@@ -529,7 +531,7 @@ def test_blocks_hold_no_entries_and_build_on_first_touch():
     touched = blocks_touched(prop, psi)
     assert [b._ops != {} for b in prop.blocks] == [b in touched for b in prop.blocks]
     (b,) = touched
-    assert b.strategy == "sparse" and b.index.size > DENSE_BLOCK_LIMIT
+    assert dynamics.kernel(b.index.size, False) == "sparse" and b.index.size > DENSE_BLOCK_LIMIT
     a, mu, diag, norms = dynamics._taylor_op(csr(h)[b.index][:, b.index])
     got, got_mu, got_diag, got_norms = b.op("sparse")
     assert list(b._ops) == ["sparse"] and got_mu == mu
@@ -548,7 +550,8 @@ def test_an_unpulsed_taylor_block_converts_its_sub_matrix_to_scipy_once(monkeypa
     prop, psi = make_propagator(build_xxz(n, 1.0, 0.5)), neel_superposition(n)
     evolve(prop, psi, 0.5)
     touched = blocks_touched(prop, psi)
-    assert len(touched) == 1 + n % 2 and {b.strategy for b in touched} == {"sparse"}
+    kernels = {dynamics.kernel(b.index.size, False) for b in touched}
+    assert len(touched) == 1 + n % 2 and kernels == {"sparse"}
     assert sorted(converted) == sorted(b.index.size for b in touched)
 
 
@@ -603,7 +606,7 @@ def test_kernel_rule_is_the_pulse_and_the_block_size(monkeypatch):
     monkeypatch.setattr(dynamics, "DENSE_BLOCK_LIMIT", 16)
     h = build_xxz(4, 1.0, 0.5)
     prop = make_propagator(h)
-    kernels = {(b.index.size, b.strategy) for b in prop.blocks}
+    kernels = {(b.index.size, dynamics.kernel(b.index.size, False)) for b in prop.blocks}
     assert kernels == {(1, "dense-eig"), (4, "dense-eig"), (10, "dense-eig"), (16, "dense-eig"),
                        (19, "sparse")}
     assert {dynamics.kernel(b.index.size, True) for b in prop.blocks} == {"sparse"}
@@ -622,7 +625,8 @@ def test_kernel_rule_is_the_pulse_and_the_block_size(monkeypatch):
         pulsed, streams[:] = prop.pulse(0, strength), []
         evolve(pulsed, state, 0.5)
         assert pulsed.blocks is prop.blocks and streams == ["_taylor_stream"] * 9
-    assert {b.strategy for b in make_propagator(build_xxz(2, 1.0, 0.5)).blocks} == {"dense-eig"}
+    small = make_propagator(build_xxz(2, 1.0, 0.5)).blocks
+    assert {dynamics.kernel(b.index.size, False) for b in small} == {"dense-eig"}
 
 
 @pytest.mark.parametrize("strategy", ["dense-eig", "sparse"])
@@ -634,7 +638,7 @@ def test_trajectory_matches_evolve_from_zero(strategy, dims):
     prop = propagator(strategy, h)
     state = random_state(np.random.default_rng(9), dims)
     grid = [0.0, 0.0, 0.4, 1.3, 1.3, 2.05, 7.5]
-    index, arrays = trajectory(prop, support(prop, state), grid)
+    index, arrays = trajectory(prop, start(state), grid)
     arrays, rows = list(arrays), state.amplitudes.reshape(-1, h.dimension)
     assert len(arrays) == len(grid)
     for t, got in zip(grid, arrays):
@@ -649,7 +653,7 @@ def test_trajectory_rejects_decreasing_times():
     prop = make_propagator(build_xxz(2, 1.0, 0.5))
     state = random_state(np.random.default_rng(10), (3, 3))
     with pytest.raises(ValueError, match="non-decreasing"):
-        trajectory(prop, support(prop, state), [0.0, 1.0, 0.5])
+        trajectory(prop, start(state), [0.0, 1.0, 0.5])
 
 
 @pytest.mark.parametrize("times", [[0.0, math.nan], [math.nan], [0.0, 1.0, math.inf], [-math.inf, 0.0]])
@@ -657,7 +661,7 @@ def test_trajectory_rejects_non_finite_times(times):
     prop = make_propagator(build_xxz(2, 1.0, 0.5))
     state = random_state(np.random.default_rng(10), (3, 3))
     with pytest.raises(ValueError, match="finite"):
-        trajectory(prop, support(prop, state), times)
+        trajectory(prop, start(state), times)
     with pytest.raises(ValueError, match="finite"):
         evolve(prop, state, next(t for t in times if not math.isfinite(t)))
 
@@ -801,9 +805,10 @@ def test_dense_strategy_dimension_limit():
     # sectors of dimension 504 to 1107 are propagated sparsely, the rest
     # are diagonalized.
     p8 = propagator("dense-eig", build_xxz(8, 1.0, 0.5))
-    big = sorted(b.index.size for b in p8.blocks if b.strategy == "sparse")
+    kernels = [(b.index.size, dynamics.kernel(b.index.size, False)) for b in p8.blocks]
+    big = sorted(dim for dim, kernel in kernels if kernel == "sparse")
     assert big == [504, 504, 784, 784, 1016, 1016, 1107]
-    assert all(b.index.size <= DENSE_BLOCK_LIMIT for b in p8.blocks if b.strategy == "dense-eig")
+    assert all(dim <= DENSE_BLOCK_LIMIT for dim, kernel in kernels if kernel == "dense-eig")
 
 
 def test_cut_over_sends_n7_to_sparse(monkeypatch):
@@ -813,10 +818,11 @@ def test_cut_over_sends_n7_to_sparse(monkeypatch):
     for n, largest in ((6, 141), (7, 393)):
         prop = make_propagator(build_xxz(n, 1.0, 0.5))
         assert max(b.index.size for b in prop.blocks) == largest
-        assert {b.strategy for b in prop.blocks} == {"dense-eig"}
+        assert {dynamics.kernel(b.index.size, False) for b in prop.blocks} == {"dense-eig"}
     monkeypatch.setattr(dynamics, "DENSE_BLOCK_LIMIT", 392)
     p7 = make_propagator(build_xxz(7, 1.0, 0.5))
-    assert [b.index.size for b in p7.blocks if b.strategy == "sparse"] == [393]
+    sparse = [b.index.size for b in p7.blocks if dynamics.kernel(b.index.size, False) == "sparse"]
+    assert sparse == [393]
 
 
 def test_non_hermitian_hamiltonian_is_all_sparse(monkeypatch):
@@ -913,7 +919,7 @@ def test_block_trajectory_matches_full_space_expm(n, dims_before, strategy, kind
     assert len(blocks_touched(prop, state)) == 2 * n + 1
     rows = state.amplitudes.reshape(-1, full.shape[0])
     grid = [0.0, 1.2, 1.2, 4.0]
-    index, arrays = trajectory(prop, support(prop, state), grid)
+    index, arrays = trajectory(prop, start(state), grid)
     for t, got in zip(grid, arrays):
         want = rows @ scipy.linalg.expm(-1j * t * full).T
         assert np.max(np.abs(got - want[:, index])) <= 1e-10
@@ -932,7 +938,7 @@ def test_trajectory_yields_the_touched_blocks_only(strategy):
     h, psi = build_xxz(5, 1.0, 0.5), neel_superposition(5)
     prop = propagator(strategy, h)
     touched = blocks_touched(prop, psi)
-    index, arrays = trajectory(prop, support(prop, psi), [0.0, 0.9, 2.4])
+    index, arrays = trajectory(prop, start(psi), [0.0, 0.9, 2.4])
     assert len(touched) == 2 and index.size < h.dimension
     np.testing.assert_array_equal(index, np.concatenate([b.index for b in touched]))
     for t, got in zip([0.0, 0.9, 2.4], arrays):
@@ -949,11 +955,11 @@ def test_dense_and_sparse_blocks_in_one_trajectory(monkeypatch):
     monkeypatch.setattr(dynamics, "DENSE_BLOCK_LIMIT", 10)
     h = build_xxz(4, 1.0, 0.5)
     prop = make_propagator(h)
-    assert {b.strategy for b in prop.blocks} == {"dense-eig", "sparse"}
+    assert {dynamics.kernel(b.index.size, False) for b in prop.blocks} == {"dense-eig", "sparse"}
     state = random_state(np.random.default_rng(12), (2,) + (3,) * 4)
     rows = state.amplitudes.reshape(2, -1)
     grid = [0.0, 0.7, 3.1]
-    index, arrays = trajectory(prop, support(prop, state), grid)
+    index, arrays = trajectory(prop, start(state), grid)
     for t, got in zip(grid, arrays):
         want = rows @ scipy.linalg.expm(-1j * t * csr(h).toarray()).T
         assert np.max(np.abs(got - want[:, index])) <= 1e-10

@@ -51,13 +51,14 @@ def draws():
     grid = np.linspace(0.0, 5.0, 6)
     points = range(grid.size)
     probabilities = trace_probabilities(obs_a, obs_b, psi0, prop, grid)
-    args = (obs_a, obs_b, psi0, probabilities, config.shots["hadamard"])
+    args = (obs_a, obs_b, probabilities, config.shots["hadamard"])
     found = {}
     for i, name in enumerate(("hadamard-plus", "hadamard-minus")):
         draws = [hadamard_estimate(*args, [task_rng(s, 1, ti) for ti in points])[i]
                  for s in range(SEEDS)]
         found[name] = (hadamard_estimate(*args)[i], *stacked(draws))
-    readout = unperturbed_readout(prop, psi0, site_b, config.pulse_area, grid, probabilities[2])
+    marginals_b = probabilities[2][:, 1]
+    readout = unperturbed_readout(prop, psi0, site_b, config.pulse_area, grid, marginals_b)
     for kind, stream, key in LR_KINDS:
         lr = LinearResponseConfig(0.2, config.pulse_area, site_a, site_b, kind)
         lr_args = (lr, *lr_trace(lr, psi0, prop, grid), readout, config.shots["lr"][key])

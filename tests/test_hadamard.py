@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import quditcorr.hadamard as hadamard
-from oracles import SZ1, dense_xxz, heisenberg_pair, neel_superposition_vec, site_op, u_matrix
+from oracles import (
+    SZ1, dense_xxz, heisenberg_pair, neel_superposition_vec, site_op, start, u_matrix,
+)
 from quditcorr.dynamics import build_xxz, make_propagator
 from quditcorr.hadamard import (
     ALPHA_MINUS,
@@ -336,7 +338,7 @@ def test_trace_probabilities_runs_one_trajectory_per_distinct_start_state(monkey
         amp = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
         psi0 = QuditState((3,) * n, amp / np.linalg.norm(amp))
     grid = [0.0, 0.6, 1.9]
-    engine = trace_probabilities(sz_obs(0), sz_obs(3), psi0, prop, grid)
+    engine = trace_probabilities(sz_obs(0), sz_obs(3), start(psi0), prop, grid)
     ps = list(zip(*engine[:2]))
     assert len(starts) == runs
     assert len({(i.tobytes(), x.tobytes()) for i, x in starts}) == runs
@@ -355,4 +357,4 @@ def test_trace_probabilities_refuses_observables_other_than_sz(axes):
     obs_a, obs_b = (HermitianObservable(spin_matrix(1, ax).on(s)) for ax, s in zip(axes, (0, 2)))
     need = r"^the Hadamard trace needs A and B to be spin-1 S\^z on one site each$"
     with pytest.raises(ValueError, match=need):
-        trace_probabilities(obs_a, obs_b, psi0, prop, [0.0, 1.0])
+        trace_probabilities(obs_a, obs_b, start(psi0), prop, [0.0, 1.0])

@@ -12,11 +12,12 @@ from oracles import (
     propagator,
     pulse_diagonal,
     site_op,
+    start,
     taylor_evolve,
 )
 from quditcorr import dynamics
 from quditcorr.dynamics import (
-    Propagator, build_perturbed, build_xxz, evolve, make_propagator, support, trajectory,
+    Propagator, build_perturbed, build_xxz, evolve, make_propagator, trajectory,
 )
 from quditcorr.linear_response import (
     LinearResponseConfig,
@@ -115,7 +116,7 @@ def kernel_pulse(monkeypatch, pulse):
     seen, stream, h = [], dynamics._taylor_stream, pulse.hamiltonian
     monkeypatch.setattr(dynamics, "_taylor_stream", lambda *a: seen.append(a[3]) or stream(*a))
     ones = QuditState((3,) * h.n_sites, np.ones(h.dimension))
-    index, _ = trajectory(pulse, support(pulse, ones), [])
+    index, _ = trajectory(pulse, start(ones), [])
     monkeypatch.undo()
     return np.concatenate(seen), index
 
